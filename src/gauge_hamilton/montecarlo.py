@@ -14,6 +14,7 @@ variance frozen reproduces the GBM paths of the same seed exactly.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -138,22 +139,38 @@ class PathEnsemble:
 
 
 def read_paths_binary(path) -> PathEnsemble:
+    """Read a dump written by ``PathEnsemble.to_binary``.
+
+    The sizes in the header are checked against the file length before any
+    data is read, so a truncated file or one with trailing bytes raises a
+    ValueError that states both byte counts.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
         if magic != _MAGIC:
             raise ValueError(f"not a paths dump: bad magic {magic!r}")
-        n_paths, n_times, has_v, scheme_code = np.frombuffer(fh.read(32), dtype=np.uint64)
+        fixed = 8 + 32 + 8 + 8
+        if size < fixed:
+            raise ValueError(f"paths dump is truncated: expected at least {fixed} "
+                             f"bytes for the header, file has {size}")
+        n_paths, n_times, has_v, scheme_code = (
+            int(v) for v in np.frombuffer(fh.read(32), dtype=np.uint64))
+        expected = fixed + 8 * n_times * (1 + n_paths * (2 if has_v else 1))
+        if size != expected:
+            raise ValueError(f"paths dump size mismatch: header implies {expected} "
+                             f"bytes, file has {size}")
         phi = float(np.frombuffer(fh.read(8), dtype=np.float64)[0])
         seed = int(np.frombuffer(fh.read(8), dtype=np.int64)[0])
-        times = np.frombuffer(fh.read(8 * int(n_times)), dtype=np.float64).copy()
-        s = np.frombuffer(fh.read(8 * int(n_paths) * int(n_times)),
-                          dtype=np.float64).reshape(int(n_paths), int(n_times)).copy()
+        times = np.frombuffer(fh.read(8 * n_times), dtype=np.float64).copy()
+        s = np.frombuffer(fh.read(8 * n_paths * n_times),
+                          dtype=np.float64).reshape(n_paths, n_times).copy()
         v = None
         if has_v:
-            v = np.frombuffer(fh.read(8 * int(n_paths) * int(n_times)),
-                              dtype=np.float64).reshape(int(n_paths), int(n_times)).copy()
+            v = np.frombuffer(fh.read(8 * n_paths * n_times),
+                              dtype=np.float64).reshape(n_paths, n_times).copy()
     return PathEnsemble(times=times, s_paths=s, v_paths=v, seed=seed,
-                        scheme=_SCHEME_NAMES[int(scheme_code)], phi=phi)
+                        scheme=_SCHEME_NAMES[scheme_code], phi=phi)
 
 
 def _run_blocks(n_paths: int, threads: int, worker) -> None:

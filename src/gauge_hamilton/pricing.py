@@ -2,13 +2,24 @@
 
 The pricing equation dC/dt = H C is a final-value problem: the payoff is
 known at maturity and the operator is evolved backwards.  In remaining
-time tau = T - t this is dC/dtau = -H C, discretized by the theta scheme
+time tau = T - t this is dC/dtau = -H C.  On 1D grids it is discretized by
+the theta scheme
 
-    (I + theta dtau H) C_new = (I - (1-theta) dtau H) C_old.
+    (I + theta dtau H) C_new = (I - (1-theta) dtau H) C_old,
 
-theta = 1/2 (Crank-Nicolson) with a short fully implicit startup is the
-default; the startup damps the oscillations the payoff kink would
-otherwise feed into the averaged scheme.
+solved with one sparse LU factor per theta.  On 2D grids the operator
+A = -H is split by stencil direction into A1 (along x), A2 (along y) and
+the mixed part A0, and each step is a Craig-Sneyd ADI step: an explicit
+stage of the whole operator, an implicit x-sweep with I - theta dtau A1
+and a y-sweep with I - theta dtau A2, then a correction with the explicit
+mixed term and the two sweeps again.  Each sweep system is tridiagonal
+along its grid lines and is solved with LAPACK's gttrf/gttrs.
+
+theta = 1/2 (Crank-Nicolson in 1D, Craig-Sneyd in 2D) with a short fully
+implicit startup is the default; the startup damps the oscillations the
+payoff kink would otherwise feed into the averaged scheme.  In 2D the
+startup steps, and every step when theta = 1, are Douglas steps: the same
+sweeps with theta = 1 and no correction stage.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams,
                    default_grid_1d, default_grid_2d, write_grid_function_csv)
@@ -137,38 +149,23 @@ class FarFieldBoundary:
         return pv_strike - math.exp(x_min), 0.0
 
 
-def _boundary_system(grid, boundary: FarFieldBoundary):
-    """Index bookkeeping for the modified rows of the stepping system.
+def _boundary_rows(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of the rows a FarFieldBoundary replaces.
 
-    Returns (dirichlet_low, dirichlet_high, replaced_indices, replacement)
-    where ``replacement`` holds identity entries for Dirichlet points and
-    [1, -2, 1] linearity stencils on the y faces.
+    Returns (low, high, y_faces): the Dirichlet rows on the x_min and x_max
+    faces and, on 2D grids, the index of point (i, 0) for every interior i;
+    the linearity rows sit at the two ends of each of those y lines.
     """
-    n = grid.n_points
-    rows, cols, vals = [], [], []
     if isinstance(grid, LogGrid1D):
-        low = np.array([0])
-        high = np.array([grid.n - 1])
-    else:
-        ny = grid.ny
-        low = np.arange(ny)                       # i = 0 face
-        high = (grid.nx - 1) * ny + np.arange(ny)  # i = nx-1 face
-        for i in range(1, grid.nx - 1):
-            k = i * ny
-            rows += [k, k, k]
-            cols += [k, k + 1, k + 2]
-            vals += [1.0, -2.0, 1.0]
-            k = i * ny + ny - 1
-            rows += [k, k, k]
-            cols += [k, k - 1, k - 2]
-            vals += [1.0, -2.0, 1.0]
-    for idx in np.concatenate([low, high]):
-        rows.append(int(idx))
-        cols.append(int(idx))
-        vals.append(1.0)
-    replacement = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    replaced = np.unique(np.asarray(rows, dtype=int))
-    return low, high, replaced, replacement
+        return np.array([0]), np.array([grid.n - 1]), np.array([], dtype=int)
+    ny = grid.ny
+    return (np.arange(ny), (grid.nx - 1) * ny + np.arange(ny),
+            np.arange(1, grid.nx - 1) * ny)
+
+
+def _pinned(rows: np.ndarray, n: int) -> sp.csr_matrix:
+    """Identity entries on the given rows of an n x n matrix, zero elsewhere."""
+    return sp.csr_matrix((np.ones(rows.size), (rows, rows)), shape=(n, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,11 +242,23 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
            residual_tol: float = 1e-10) -> PriceSurface:
     """March the terminal condition back to the valuation time.
 
-    With no boundary object the operator's own one-sided rows act on the
-    faces (adequate for operators whose derivative blocks vanish there or
-    for short diagnostics).  A FarFieldBoundary replaces the face rows of
-    the implicit system with Dirichlet or linearity rows and feeds the
-    time-dependent values through the right-hand side.
+    The first ``rannacher`` steps are fully implicit (theta = 1), the rest
+    use ``theta_scheme``.  Every linear solve is checked: a relative
+    residual above ``residual_tol`` raises EvolveError.
+
+    On 1D grids each step is a theta step solved by sparse LU.  With no
+    boundary object the operator's own one-sided rows act on the ends; a
+    FarFieldBoundary replaces the end rows of the implicit system with
+    Dirichlet rows and feeds the time-dependent values through the
+    right-hand side.
+
+    On 2D grids each step is a Craig-Sneyd ADI step (a Douglas step when
+    theta = 1) built on the direction split of -H, and ``boundary`` is
+    required.  The Dirichlet rows of the x faces are imposed in both
+    sweeps.  The linearity row of each y face is substituted into its
+    neighbour row, so the y-sweep stays tridiagonal, and the face value is
+    extrapolated from the two nearest rows after the sweep.  The mixed
+    term only ever acts explicitly.
     """
     if terminal.grid != h.grid:
         raise ValueError("grid mismatch: terminal condition not on the operator grid")
@@ -260,7 +269,10 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     if maturity <= 0.0:
         raise ValueError("maturity must be positive")
     grid = h.grid
-    n = grid.n_points
+    two_d = isinstance(grid, LogGrid2D)
+    if two_d and boundary is None:
+        raise ValueError("boundary is required on 2D grids: the ADI sweeps "
+                         "take their face rows from a FarFieldBoundary")
     dt = maturity / n_steps
 
     if theta_scheme < 0.5 and h.matrix.nnz:
@@ -273,14 +285,41 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
                 f"{2.0 / ((1.0 - 2.0 * theta_scheme) * bound):g} "
                 f"(Gershgorin bound {bound:g})", RuntimeWarning)
 
+    advance = (_adi_stepper if two_d else _lu_stepper)(h, dt, boundary)
+
+    def check(a, new, rhs):
+        resid = a @ new - rhs
+        scale = max(1.0, float(np.abs(rhs).max()))
+        rel = float(np.abs(resid).max()) / scale
+        if not np.all(np.isfinite(new)) or rel > residual_tol:
+            raise EvolveError(
+                f"linear solve at step {step + 1}/{n_steps} has relative residual "
+                f"{rel:g} (tolerance {residual_tol:g})")
+
+    startup = min(rannacher, n_steps) if theta_scheme < 1.0 else 0
+    values = terminal.values.copy()
+    prev = values
+    for step in range(n_steps):
+        theta = 1.0 if step < startup else theta_scheme
+        new = advance(values, theta, (step + 1) * dt, check)
+        prev = values
+        values = new
+    return PriceSurface(grid=grid, values=values, valuation_time=0.0,
+                        prev_values=prev, dt=dt)
+
+
+def _lu_stepper(h: LinearOperator, dt: float, boundary: Optional[FarFieldBoundary]):
+    """Theta steps on a 1D grid, one sparse LU factor per theta."""
+    grid = h.grid
+    n = grid.n_points
     identity = sp.identity(n, format="csr")
     if boundary is not None:
-        low, high, replaced, replacement = _boundary_system(grid, boundary)
+        low, high, _ = _boundary_rows(grid)
+        replaced = np.concatenate([low, high])
+        replacement = _pinned(replaced, n)
         keep = np.ones(n)
         keep[replaced] = 0.0
         projector = sp.diags(keep, format="csr")
-    else:
-        low = high = replaced = replacement = projector = None
 
     systems = {}
 
@@ -298,30 +337,137 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
             systems[theta] = (a.tocsr(), b.tocsr(), lu)
         return systems[theta]
 
-    startup = min(rannacher, n_steps) if theta_scheme < 1.0 else 0
-    values = terminal.values.copy()
-    prev = values
-    for step in range(n_steps):
-        theta = 1.0 if step < startup else theta_scheme
+    def advance(values, theta, tau_new, check):
         a, b, lu = get_system(theta)
-        tau_new = (step + 1) * dt
         rhs = b @ values
         if boundary is not None:
             g_low, g_high = boundary.x_values(grid, tau_new)
             rhs[low] = g_low
             rhs[high] = g_high
         new = lu.solve(rhs)
-        resid = a @ new - rhs
-        scale = max(1.0, float(np.abs(rhs).max()))
-        rel = float(np.abs(resid).max()) / scale
-        if not np.all(np.isfinite(new)) or rel > residual_tol:
-            raise EvolveError(
-                f"linear solve at step {step + 1}/{n_steps} has relative residual "
-                f"{rel:g} (tolerance {residual_tol:g})")
-        prev = values
-        values = new
-    return PriceSurface(grid=grid, values=values, valuation_time=0.0,
-                        prev_values=prev, dt=dt)
+        check(a, new, rhs)
+        return new
+
+    return advance
+
+
+def _split_directions(h: LinearOperator) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """Split A = -H on a 2D grid into its x, y and mixed parts (A1, A2, A0).
+
+    An off-diagonal entry belongs to A1 when its row and column share the
+    y index j, to A2 when they share the x index i, and to A0 otherwise.
+    Every difference stencil annihilates constants, so each direction's
+    diagonal is minus its off-diagonal row sum; the rest of the diagonal,
+    the potential, is shared equally by A1 and A2.
+    """
+    n, ny = h.grid.n_points, h.grid.ny
+    a = (-h.matrix).tocoo()
+    ri, rj = np.divmod(a.row, ny)
+    ci, cj = np.divmod(a.col, ny)
+    off = a.row != a.col
+    a1, a2, a0 = (sp.csr_matrix((a.data[m], (a.row[m], a.col[m])), shape=(n, n))
+                  for m in (off & (rj == cj), off & (ri == ci), (ri != ci) & (rj != cj)))
+    d1 = -np.asarray(a1.sum(axis=1)).ravel()
+    d2 = -np.asarray(a2.sum(axis=1)).ravel()
+    half_rest = 0.5 * (-h.matrix.diagonal() - d1 - d2)
+    return (a1 + sp.diags(d1 + half_rest, format="csr"),
+            a2 + sp.diags(d2 + half_rest, format="csr"), a0)
+
+
+def _tridiagonal(s: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sub-, main and super-diagonal of a matrix that must be tridiagonal."""
+    if np.any((sp.triu(s, 2) + sp.tril(s, -2)).data):
+        raise ValueError("ADI stepping needs three-point stencils along each axis")
+    return s.diagonal(-1), s.diagonal(), s.diagonal(1)
+
+
+def _gttrf(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
+    """LU factors of a tridiagonal matrix, as dgttrs takes them."""
+    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
+    if info > 0:
+        raise EvolveError(f"implicit matrix factorization failed: zero pivot in row {info}")
+    return dl, d, du, du2, ipiv
+
+
+def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
+    """Craig-Sneyd (theta < 1) or Douglas (theta = 1) steps on a 2D grid.
+
+    Each sweep solves one tridiagonal system per theta, factored once:
+    the x-sweep in x-line order (all points of a y index j contiguous),
+    the y-sweep in the grid's own order.  A sweep's residual is checked
+    against its unmodified system, whose y-face rows in the y-sweep are the
+    [1, -2, 1] linearity rows.
+    """
+    grid = h.grid
+    nx, ny, n = grid.nx, grid.ny, grid.n_points
+    a1, a2, a0 = _split_directions(h)
+    low, high, bottom = _boundary_rows(grid)
+    top = bottom + ny - 1
+    faces = np.concatenate([bottom, top])
+    replaced = np.concatenate([low, high, faces])
+    keep = np.ones(n)
+    keep[replaced] = 0.0
+    projector = sp.diags(keep, format="csr")
+    dirichlet = _pinned(np.concatenate([low, high]), n)
+    pinned = dirichlet + _pinned(faces, n)
+    inward = np.repeat([1, -1], bottom.size)[:, None] * np.arange(3)
+    linearity = sp.csr_matrix((np.tile([1.0, -2.0, 1.0], faces.size),
+                               (np.repeat(faces, 3), (faces[:, None] + inward).ravel())),
+                              shape=(n, n))
+    x_lines = np.arange(n).reshape(nx, ny).T.ravel()
+    identity = sp.identity(n, format="csr")
+    systems = {}
+
+    def get_system(theta: float):
+        if theta not in systems:
+            sys_x = projector @ (identity - (theta * dt) * a1) + pinned
+            body_y = projector @ (identity - (theta * dt) * a2)
+            dl, d, du = _tridiagonal(body_y + pinned)
+            # fold C(i,0) = 2 C(i,1) - C(i,2) into row (i,1), likewise at the top
+            k = bottom + 1
+            c = dl[k - 1]
+            d[k] += 2.0 * c
+            du[k] -= c
+            dl[k - 1] = 0.0
+            k = top - 1
+            c = du[k]
+            d[k] += 2.0 * c
+            dl[k - 1] -= c
+            du[k] = 0.0
+            systems[theta] = (sys_x, _gttrf(*_tridiagonal(sys_x[x_lines][:, x_lines])),
+                              body_y + dirichlet + linearity, _gttrf(dl, d, du))
+        return systems[theta]
+
+    def advance(values, theta, tau_new, check):
+        sys_x, lu_x, sys_y, lu_y = get_system(theta)
+        g_low, g_high = boundary.x_values(grid, tau_new)
+        tdt = theta * dt
+        a0u, a1u, a2u = a0 @ values, a1 @ values, a2 @ values
+
+        def boundary_rhs(v):
+            rhs = keep * v
+            rhs[low] = g_low
+            rhs[high] = g_high
+            return rhs
+
+        def sweeps(y0):
+            rhs = boundary_rhs(y0 - tdt * a1u)
+            y1 = dgttrs(*lu_x, rhs.reshape(nx, ny).T.ravel())[0].reshape(ny, nx).T.ravel()
+            check(sys_x, y1, rhs)
+            rhs = boundary_rhs(y1 - tdt * a2u)
+            y2 = dgttrs(*lu_y, rhs)[0]
+            y2[bottom] = 2.0 * y2[bottom + 1] - y2[bottom + 2]
+            y2[top] = 2.0 * y2[top - 1] - y2[top - 2]
+            check(sys_y, y2, rhs)
+            return y2
+
+        y0 = values + dt * (a0u + a1u + a2u)
+        new = sweeps(y0)
+        if theta < 1.0:
+            new = sweeps(y0 + 0.5 * dt * (a0 @ new - a0u))
+        return new
+
+    return advance
 
 
 def price_bs(params: ModelParams, contract: OptionContract, s0: float,

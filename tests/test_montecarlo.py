@@ -383,3 +383,24 @@ def test_beta_field_requires_time_slices():
     g1 = make_grid_1d(0.0, 1.0, 11)
     with pytest.raises(TypeError):
         beta_field(PriceSurface(g1, np.ones(11), 0.0, np.ones(11), 0.1), MG_P)
+
+
+def test_binary_rejects_truncated_file(tmp_path):
+    path = tmp_path / "paths.bin"
+    simulate_gbm(RN, 100.0, 1.0, 6, 10, seed=3).to_binary(path)
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-4])
+    with pytest.raises(ValueError, match=f"implies {len(whole)} bytes, file has {len(whole) - 4}"):
+        read_paths_binary(path)
+    path.write_bytes(whole[:20])
+    with pytest.raises(ValueError, match="truncated: expected at least 56 bytes.*has 20"):
+        read_paths_binary(path)
+
+
+def test_binary_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "paths.bin"
+    simulate_mg(MG_P, 100.0, 0.04, 1.0, 6, 10, seed=3).to_binary(path)
+    whole = path.read_bytes()
+    path.write_bytes(whole + b"junk")
+    with pytest.raises(ValueError, match=f"implies {len(whole)} bytes, file has {len(whole) + 4}"):
+        read_paths_binary(path)

@@ -17,8 +17,11 @@ from gauge_hamilton import (
     bs_closed_form,
     bs_delta,
     build_bs_hamiltonian,
+    build_gauge_hamiltonian,
+    build_mg_hamiltonian,
     default_grid_1d,
     evolve,
+    hamiltonian_terms,
     identity_operator,
     make_grid_1d,
     make_grid_2d,
@@ -29,6 +32,7 @@ from gauge_hamilton import (
     solve_mg,
     terminal_payoff,
 )
+from gauge_hamilton.pricing import _split_directions
 
 P = ModelParams(r=0.05, sigma=0.2)
 CALL = OptionContract("call", 100.0, 1.0)
@@ -325,3 +329,65 @@ def test_price_mg_validates_spot_and_variance():
         price_mg(ModelParams(r=0.05), CALL, -1.0, 0.04)
     with pytest.raises(ValueError):
         price_mg(ModelParams(r=0.05), CALL, 100.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# 2D ADI stepping
+# ---------------------------------------------------------------------------
+
+# the grid and model of the two-option hedge tests, with the generator's 1/2
+ADI_GRID = make_grid_2d(math.log(100.0) - 1.0, math.log(100.0) + 1.0, 41,
+                        math.log(0.04) - 2.0, math.log(0.04) + 1.0, 21)
+ADI_P = ModelParams(r=0.04, lambda_=0.02, mu=-0.3, zeta=0.3, alpha=1.0, rho=-0.3,
+                    vol_vol_half=True)
+
+
+def test_evolve_2d_validation():
+    payoff = terminal_payoff(CALL, ADI_GRID)
+    h = build_mg_hamiltonian(ADI_P, ADI_GRID)
+    with pytest.raises(ValueError, match="boundary"):
+        evolve(h, payoff, 1.0, 10)
+    # the factored form reaches two points along each axis: no tridiagonal sweep
+    wide = build_gauge_hamiltonian(ADI_P, ADI_GRID, form="factored")
+    with pytest.raises(ValueError, match="three-point stencils"):
+        evolve(wide, payoff, 1.0, 10, boundary=FarFieldBoundary(CALL, ADI_P.r))
+
+
+@pytest.mark.parametrize("model", ["mg", "gauge"])
+def test_direction_split_matches_named_terms(model):
+    params = ModelParams(r=0.05, sigma=0.3, lambda_=0.02, mu=-0.3, zeta=0.4,
+                         alpha=0.8, rho=-0.6)
+    if model == "mg":
+        h = build_mg_hamiltonian(params, ADI_GRID)
+    else:
+        h = build_gauge_hamiltonian(params, ADI_GRID, form="expanded")
+    t = {name: op.matrix for name, op in hamiltonian_terms(params, ADI_GRID, model).items()}
+    a1, a2, a0 = _split_directions(h)
+    rows = np.flatnonzero(ADI_GRID.interior_mask(1))
+    expected = (-(t["second_x"] + t["first_x"]) - 0.5 * t["potential"],
+                -(t["second_y"] + t["first_y"]) - 0.5 * t["potential"],
+                -t["cross_xy"])
+    for got, want in zip((a1, a2, a0), expected):
+        scale = np.abs(want[rows]).max()
+        assert np.abs((got - want)[rows]).max() <= 1e-13 * scale
+
+
+def test_mg_adi_second_order_in_time():
+    call = OptionContract("call", 100.0, 1.0)
+    ref = solve_mg(ADI_P, call, ADI_GRID, n_steps=2560).values
+    err = [np.abs(solve_mg(ADI_P, call, ADI_GRID, n_steps=n).values - ref).max()
+           for n in (20, 40, 80)]
+    assert 3.5 <= err[0] / err[1] <= 4.5
+    assert 3.5 <= err[1] / err[2] <= 4.5
+
+
+def test_mg_surface_previous_slice_is_one_step_back():
+    # beta_field reads dC/dt off (prev_values - values) / dt
+    call = OptionContract("call", 100.0, 1.0)
+    h = build_mg_hamiltonian(ADI_P, ADI_GRID)
+    surf = solve_mg(ADI_P, call, ADI_GRID, n_steps=20)
+    shorter = evolve(h, terminal_payoff(call, ADI_GRID), 0.95, 19,
+                     boundary=FarFieldBoundary(call, ADI_P.r))
+    assert surf.dt == pytest.approx(0.05, rel=1e-15)
+    assert shorter.dt == pytest.approx(surf.dt, rel=1e-15)
+    assert np.abs(surf.prev_values - shorter.values).max() <= 1e-12 * np.abs(surf.values).max()
