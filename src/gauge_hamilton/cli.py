@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from .core import (ModelParams, default_grid_1d, default_grid_2d,
-                   make_grid_1d, make_grid_2d, sample)
+                   make_grid_1d, make_grid_2d, sample, text_output)
 from .gauge_analysis import (gauge_martingale_sums, martingale_roots,
                              mg_martingale_report, volcoeff_audit)
 from .montecarlo import mc_price, simulate_gbm, simulate_mg
@@ -69,10 +69,8 @@ def _capped_threads(threads: int) -> int:
     return threads
 
 
-def _open_output(output):
-    if output in (None, "-"):
-        return sys.stdout, False
-    return open(output, "w"), True
+def _output(output):
+    return text_output(sys.stdout if output in (None, "-") else output)
 
 
 @click.group()
@@ -453,17 +451,13 @@ def surface(model, reference, sigma_mode, form, r, sigma, lambda_, mu, zeta,
         for name, op in terms.items():
             columns[name] = op.apply(state).values
         total = np.sum(list(columns.values()), axis=0)
-    fh, close = _open_output(output)
-    try:
+    with _output(output) as fh:
         fh.write("x,y,f," + ",".join(_TERM_COLUMNS) + ",total\n")
         for k in range(grid.n_points):
             row = [grid.xs[k], grid.ys[k], state.values[k]]
             row += [columns[name][k] for name in _TERM_COLUMNS]
             row.append(total[k])
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +495,7 @@ def payoff_table(kind, strike, premium, s_min, s_max, n, fmt, output):
     for s in s_values:
         holder = profit(ProfitQuery(contract, "holder", float(s)))
         rows.append((float(s), holder, -holder))
-    fh, close = _open_output(output)
-    try:
+    with _output(output) as fh:
         if fmt == "csv":
             fh.write("s_t,holder_profit,writer_profit\n")
             for s, h, w in rows:
@@ -518,9 +511,6 @@ def payoff_table(kind, strike, premium, s_min, s_max, n, fmt, output):
                 "rows": [{"s_t": s, "holder_profit": h, "writer_profit": w}
                          for s, h, w in rows],
             }, indent=2, sort_keys=True) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 # ---------------------------------------------------------------------------

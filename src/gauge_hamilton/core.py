@@ -9,8 +9,9 @@ flat index of point (i, j) is i * ny + j.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, TextIO, Union
 
 import numpy as np
 
@@ -244,15 +245,21 @@ def sample(f: Callable, grid: Grid) -> GridFunction:
     return GridFunction(grid, vals)
 
 
+@contextmanager
+def text_output(target) -> Iterator[TextIO]:
+    """Yield a text handle to write to: ``target`` itself when it has a
+    ``write`` method, which is left open, or else the file at that path,
+    opened for writing and closed on exit."""
+    if hasattr(target, "write"):
+        yield target
+    else:
+        with open(target, "w") as fh:
+            yield fh
+
+
 def write_grid_function_csv(gf: GridFunction, path) -> None:
     """CSV with 17 significant digits; 2D grids get columns x,y,value."""
-    close = False
-    if hasattr(path, "write"):
-        fh = path
-    else:
-        fh = open(path, "w")
-        close = True
-    try:
+    with text_output(path) as fh:
         if isinstance(gf.grid, LogGrid2D):
             fh.write("x,y,value\n")
             xs, ys = gf.grid.xs, gf.grid.ys
@@ -262,9 +269,6 @@ def write_grid_function_csv(gf: GridFunction, path) -> None:
             fh.write("x,value\n")
             for x, v in zip(gf.grid.points, gf.values):
                 fh.write(f"{x:.17g},{v:.17g}\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def default_grid_1d(s0: float, sigma: float, maturity: float, n: int = 401) -> LogGrid1D:

@@ -2,8 +2,13 @@
 
 Randomness comes from counter-based Philox streams keyed per block of
 paths, so results depend only on (seed, n_paths, n_steps) and never on how
-blocks are scheduled.  Reductions assemble full arrays and use numpy's
-pairwise summation, keeping means bit-reproducible.
+blocks are scheduled.  A block's worker draws one (2, BLOCK) slab of
+normals per step, always the full block width, and advances its paths in
+place through a few preallocated buffers.  Paths are stored step-major, as
+(n_steps + 1, n_paths) arrays in which each time slice is contiguous;
+``PathEnsemble`` exposes their transposes, so callers still index
+[path, step].  Reductions assemble full arrays and use numpy's pairwise
+summation, keeping means bit-reproducible.
 
 The security follows log-Euler steps (exact in law for constant variance);
 the variance follows Euler steps with a reflecting floor.  Both simulators
@@ -22,7 +27,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .core import GridFunction, LogGrid2D, ModelParams
+from .core import GridFunction, LogGrid2D, ModelParams, text_output
 from .pricing import OptionContract, PriceSurface, bs_closed_form
 
 __all__ = [
@@ -71,8 +76,10 @@ class PathEnsemble:
     """Simulated paths on a shared time axis.
 
     s_paths has shape (n_paths, n_steps + 1); v_paths matches it or is None
-    for constant-variance runs.  ``phi`` records the drift the paths were
-    generated under; risk-neutral pricing insists on phi = r.
+    for constant-variance runs.  From the simulators both are transposed
+    views of step-major (n_steps + 1, n_paths) storage, so a time slice
+    such as ``s_paths[:, -1]`` is contiguous.  ``phi`` records the drift
+    the paths were generated under; risk-neutral pricing insists on phi = r.
     """
 
     times: np.ndarray
@@ -102,13 +109,7 @@ class PathEnsemble:
 
     def slices_to_csv(self, path) -> None:
         """First and last time slice of every path."""
-        close = False
-        if hasattr(path, "write"):
-            fh = path
-        else:
-            fh = open(path, "w")
-            close = True
-        try:
+        with text_output(path) as fh:
             if self.v_paths is None:
                 fh.write("path,s_first,s_last\n")
                 for p in range(self.n_paths):
@@ -118,9 +119,6 @@ class PathEnsemble:
                 for p in range(self.n_paths):
                     fh.write(f"{p},{self.s_paths[p, 0]:.17g},{self.s_paths[p, -1]:.17g},"
                              f"{self.v_paths[p, 0]:.17g},{self.v_paths[p, -1]:.17g}\n")
-        finally:
-            if close:
-                fh.close()
 
     def to_binary(self, path) -> None:
         """Row-major dump: magic, sizes, drift, seed, times, S, then V."""
@@ -133,9 +131,11 @@ class PathEnsemble:
             fh.write(np.array([self.phi], dtype=np.float64).tobytes())
             fh.write(np.array([self.seed], dtype=np.int64).tobytes())
             fh.write(np.ascontiguousarray(self.times, dtype=np.float64).tobytes())
-            fh.write(np.ascontiguousarray(self.s_paths, dtype=np.float64).tobytes())
+            # step-major paths are copied once into path-major order and
+            # written from that buffer
+            fh.write(np.ascontiguousarray(self.s_paths, dtype=np.float64))
             if has_v:
-                fh.write(np.ascontiguousarray(self.v_paths, dtype=np.float64).tobytes())
+                fh.write(np.ascontiguousarray(self.v_paths, dtype=np.float64))
 
 
 def read_paths_binary(path) -> PathEnsemble:
@@ -173,7 +173,44 @@ def read_paths_binary(path) -> PathEnsemble:
                         scheme=_SCHEME_NAMES[scheme_code], phi=phi)
 
 
-def _run_blocks(n_paths: int, threads: int, worker) -> None:
+def _validate_run(s0, maturity, n_steps, n_paths):
+    _check_positive("s0", s0)
+    _check_positive("maturity", maturity)
+    if n_steps < 1 or n_paths < 1:
+        raise ValueError("n_steps and n_paths must be at least 1")
+
+
+def _check_positive(name, value):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _step_major(n_steps: int, n_paths: int, start: float) -> np.ndarray:
+    out = np.empty((n_steps + 1, n_paths))
+    out[0] = start
+    return out
+
+
+def _step_blocks(seed: int, n_paths: int, n_steps: int, threads: int, step) -> None:
+    """Call ``step(k, cols, z, tmp)`` for every step k of every block.
+
+    ``cols`` selects the block's paths in a step-major time slice, ``z`` is
+    the (2, size) part of the step's draws that the block's paths use and
+    ``tmp`` a (2, size) scratch buffer of the worker.  The full (2, BLOCK)
+    slab is drawn even when a block is partly used, so a path's noise
+    depends only on (seed, block, offset) and not on n_paths.  Workers
+    write disjoint columns of the shared arrays.
+    """
+    def worker(block, start, size):
+        rng = _block_rng(seed, block)
+        draws = np.empty((2, BLOCK))
+        z = draws[:, :size]
+        tmp = np.empty((2, size))
+        cols = slice(start, start + size)
+        for k in range(n_steps):
+            rng.standard_normal(out=draws)
+            step(k, cols, z, tmp)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda args: worker(*args), list(_blocks(n_paths))))
@@ -182,13 +219,12 @@ def _run_blocks(n_paths: int, threads: int, worker) -> None:
             worker(*args)
 
 
-def _validate_run(s0, maturity, n_steps, n_paths):
-    if s0 <= 0.0:
-        raise ValueError(f"s0 must be positive, got {s0}")
-    if maturity <= 0.0:
-        raise ValueError(f"maturity must be positive, got {maturity}")
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError("n_steps and n_paths must be at least 1")
+def _ensemble(maturity: float, seed: int, phi: float, log_s: np.ndarray,
+              v: Optional[np.ndarray] = None) -> PathEnsemble:
+    np.exp(log_s, out=log_s)
+    return PathEnsemble(times=np.linspace(0.0, maturity, log_s.shape[0]),
+                        s_paths=log_s.T, v_paths=None if v is None else v.T,
+                        seed=seed, scheme="log_euler", phi=phi)
 
 
 def simulate_gbm(params: ModelParams, s0: float, maturity: float,
@@ -203,23 +239,19 @@ def simulate_gbm(params: ModelParams, s0: float, maturity: float,
     """
     _validate_run(s0, maturity, n_steps, n_paths)
     dt = maturity / n_steps
-    sqdt = math.sqrt(dt)
     drift = (params.phi - 0.5 * params.sigma * params.sigma) * dt
-    log_s = np.empty((n_paths, n_steps + 1))
-    log_s[:, 0] = math.log(s0)
+    scale = params.sigma * math.sqrt(dt)
+    log_s = _step_major(n_steps, n_paths, math.log(s0))
 
-    def worker(block, start, size):
-        # draw the full block even when partially used, so a path's noise
-        # depends only on (seed, block, offset) and not on n_paths
-        z = _block_rng(seed, block).standard_normal((n_steps, 2, BLOCK))[..., :size]
-        rows = slice(start, start + size)
-        for k in range(n_steps):
-            log_s[rows, k + 1] = log_s[rows, k] + drift + params.sigma * sqdt * z[k, 0]
+    def step(k, cols, z, tmp):
+        # (ln S + drift) + (sigma sqrt(dt)) z1, in this order
+        x_next = log_s[k + 1, cols]
+        np.add(log_s[k, cols], drift, out=x_next)
+        np.multiply(scale, z[0], out=tmp[0])
+        np.add(x_next, tmp[0], out=x_next)
 
-    _run_blocks(n_paths, threads, worker)
-    return PathEnsemble(times=np.linspace(0.0, maturity, n_steps + 1),
-                        s_paths=np.exp(log_s), v_paths=None,
-                        seed=seed, scheme="log_euler", phi=params.phi)
+    _step_blocks(seed, n_paths, n_steps, threads, step)
+    return _ensemble(maturity, seed, params.phi, log_s)
 
 
 def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
@@ -237,34 +269,50 @@ def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
     freezing the variance reproduces simulate_gbm paths for the same seed.
     """
     _validate_run(s0, maturity, n_steps, n_paths)
-    if v0 <= 0.0:
-        raise ValueError(f"v0 must be positive, got {v0}")
+    _check_positive("v0", v0)
+    if not (math.isfinite(v_floor) and v_floor >= 0.0):
+        raise ValueError(f"v_floor must be finite and nonnegative, got {v_floor}")
     dt = maturity / n_steps
     sqdt = math.sqrt(dt)
     rho = params.rho
     rho_c = math.sqrt(1.0 - rho * rho)
-    log_s = np.empty((n_paths, n_steps + 1))
-    v = np.empty((n_paths, n_steps + 1))
-    log_s[:, 0] = math.log(s0)
-    v[:, 0] = v0
+    log_s = _step_major(n_steps, n_paths, math.log(s0))
+    v = _step_major(n_steps, n_paths, v0)
 
-    def worker(block, start, size):
-        z = _block_rng(seed, block).standard_normal((n_steps, 2, BLOCK))[..., :size]
-        rows = slice(start, start + size)
-        for k in range(n_steps):
-            vk = v[rows, k]
-            z1 = z[k, 0]
-            z2 = rho * z1 + rho_c * z[k, 1]
-            log_s[rows, k + 1] = (log_s[rows, k] + (params.phi - 0.5 * vk) * dt
-                                  + np.sqrt(vk) * sqdt * z1)
-            v_next = vk + (params.lambda_ + params.mu * vk) * dt \
-                + params.zeta * vk ** params.alpha * sqdt * z2
-            v[rows, k + 1] = np.maximum(np.abs(v_next), v_floor)
+    def step(k, cols, z, tmp):
+        vk, x_next, v_next = v[k, cols], log_s[k + 1, cols], v[k + 1, cols]
+        z2, t = tmp
+        # the grouping and order of the plain expressions, evaluated left to
+        # right, are kept, so the paths are bit for bit theirs:
+        #   z2 = rho z1 + rho_c z2
+        #   ln S' = ln S + (phi - 0.5 V) dt + sqrt(V) sqrt(dt) z1
+        #   V' = max(|V + (lambda + mu V) dt + zeta V**alpha sqrt(dt) z2|, floor)
+        np.multiply(rho, z[0], out=z2)
+        np.multiply(rho_c, z[1], out=t)
+        np.add(z2, t, out=z2)
+        np.multiply(0.5, vk, out=t)
+        np.subtract(params.phi, t, out=t)
+        np.multiply(t, dt, out=t)
+        np.add(log_s[k, cols], t, out=x_next)
+        np.sqrt(vk, out=t)
+        np.multiply(t, sqdt, out=t)
+        np.multiply(t, z[0], out=t)
+        np.add(x_next, t, out=x_next)
+        np.multiply(params.mu, vk, out=t)
+        np.add(params.lambda_, t, out=t)
+        np.multiply(t, dt, out=t)
+        np.add(vk, t, out=v_next)
+        np.copyto(t, vk)
+        t **= params.alpha  # as the ** operator: numpy maps some exponents (0.5) to sqrt
+        np.multiply(params.zeta, t, out=t)
+        np.multiply(t, sqdt, out=t)
+        np.multiply(t, z2, out=t)
+        np.add(v_next, t, out=v_next)
+        np.abs(v_next, out=v_next)
+        np.maximum(v_next, v_floor, out=v_next)
 
-    _run_blocks(n_paths, threads, worker)
-    return PathEnsemble(times=np.linspace(0.0, maturity, n_steps + 1),
-                        s_paths=np.exp(log_s), v_paths=v,
-                        seed=seed, scheme="log_euler", phi=params.phi)
+    _step_blocks(seed, n_paths, n_steps, threads, step)
+    return _ensemble(maturity, seed, params.phi, log_s, v)
 
 
 def mc_price(ensemble: PathEnsemble, contract: OptionContract,

@@ -16,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .core import GridFunction, LogGrid1D, LogGrid2D, ModelParams
+from .core import GridFunction, LogGrid1D, LogGrid2D, ModelParams, text_output
 
 __all__ = [
     "BOUNDARY_POLICIES",
@@ -152,19 +152,10 @@ class LinearOperator:
     def to_coo_csv(self, path) -> None:
         """Dump the matrix as row,col,value records for debugging."""
         coo = self.matrix.tocoo()
-        close = False
-        if hasattr(path, "write"):
-            fh = path
-        else:
-            fh = open(path, "w")
-            close = True
-        try:
+        with text_output(path) as fh:
             fh.write("row,col,value\n")
             for r, c, v in zip(coo.row, coo.col, coo.data):
                 fh.write(f"{r},{c},{v:.17g}\n")
-        finally:
-            if close:
-                fh.close()
 
 
 def identity_operator(grid: Grid) -> LinearOperator:

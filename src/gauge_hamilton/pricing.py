@@ -35,7 +35,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams,
-                   default_grid_1d, default_grid_2d, write_grid_function_csv)
+                   default_grid_1d, default_grid_2d, text_output,
+                   write_grid_function_csv)
 from .operators import LinearOperator, build_bs_hamiltonian, build_mg_hamiltonian
 
 __all__ = [
@@ -63,10 +64,10 @@ class OptionContract:
     def __post_init__(self):
         if self.kind not in ("call", "put"):
             raise ValueError(f"kind must be 'call' or 'put', got {self.kind!r}")
-        if not self.strike > 0.0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
-        if not self.maturity > 0.0:
-            raise ValueError(f"maturity must be positive, got {self.maturity}")
+        for name in ("strike", "maturity"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.premium < 0.0:
             raise ValueError(f"premium must be nonnegative, got {self.premium}")
 
@@ -221,18 +222,9 @@ class PriceSurface:
         return float((1 - tx) * self.values[i0] + tx * self.values[i0 + 1])
 
     def to_csv(self, path) -> None:
-        close = False
-        if hasattr(path, "write"):
-            fh = path
-        else:
-            fh = open(path, "w")
-            close = True
-        try:
+        with text_output(path) as fh:
             fh.write(f"# t={self.valuation_time:.17g}\n")
             write_grid_function_csv(GridFunction(self.grid, self.values), fh)
-        finally:
-            if close:
-                fh.close()
 
 
 def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,

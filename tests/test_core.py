@@ -17,6 +17,7 @@ from gauge_hamilton import (
     sample,
     write_grid_function_csv,
 )
+from gauge_hamilton.core import text_output
 
 
 def test_grid_1d_spacing_and_points():
@@ -160,6 +161,21 @@ def test_csv_1d_columns():
     assert lines[0] == "x,value"
     assert float(lines[3].split(",")[1]) == 1.0 / 7.0
 
+
+def test_text_output_closes_only_what_it_opens(tmp_path):
+    buf = io.StringIO()
+    with text_output(buf) as fh:
+        fh.write("a\n")
+    assert fh is buf and not buf.closed
+    path = tmp_path / "out.csv"
+    with text_output(path) as fh:
+        fh.write("b\n")
+    assert fh.closed
+    assert path.read_text() == "b\n"
+    with pytest.raises(RuntimeError):
+        with text_output(path) as fh:
+            raise RuntimeError("writer failed")
+    assert fh.closed
 
 def test_default_grids():
     g = default_grid_1d(100.0, 0.2, 1.0)

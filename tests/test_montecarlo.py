@@ -2,6 +2,8 @@
 
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from gauge_hamilton import (
     simulate_mg,
     solve_mg,
 )
+from gauge_hamilton.montecarlo import BLOCK, _block_rng, _blocks
 
 RN = ModelParams(r=0.05, sigma=0.2, phi=0.05)  # risk-neutral drift
 CALL = OptionContract("call", 100.0, 1.0)
@@ -404,3 +407,140 @@ def test_binary_rejects_trailing_bytes(tmp_path):
     path.write_bytes(whole + b"junk")
     with pytest.raises(ValueError, match=f"implies {len(whole)} bytes, file has {len(whole) + 4}"):
         read_paths_binary(path)
+
+
+# ---------------------------------------------------------------------------
+# step-major simulators against the path-major reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_gbm(params, s0, maturity, n_steps, n_paths, seed):
+    """Path-major loop with whole-block draws: the simulator before paths
+    were stored step-major and stepped in place."""
+    dt = maturity / n_steps
+    sqdt = math.sqrt(dt)
+    drift = (params.phi - 0.5 * params.sigma * params.sigma) * dt
+    log_s = np.empty((n_paths, n_steps + 1))
+    log_s[:, 0] = math.log(s0)
+    for block, start, size in _blocks(n_paths):
+        z = _block_rng(seed, block).standard_normal((n_steps, 2, BLOCK))[..., :size]
+        rows = slice(start, start + size)
+        for k in range(n_steps):
+            log_s[rows, k + 1] = log_s[rows, k] + drift + params.sigma * sqdt * z[k, 0]
+    return np.exp(log_s)
+
+
+def _reference_mg(params, s0, v0, maturity, n_steps, n_paths, seed, v_floor=1e-8,
+                  negatives=None):
+    """Path-major counterpart of simulate_mg; ``negatives`` collects how many
+    Euler variance updates per block and step came out negative."""
+    dt = maturity / n_steps
+    sqdt = math.sqrt(dt)
+    rho = params.rho
+    rho_c = math.sqrt(1.0 - rho * rho)
+    log_s = np.empty((n_paths, n_steps + 1))
+    v = np.empty((n_paths, n_steps + 1))
+    log_s[:, 0] = math.log(s0)
+    v[:, 0] = v0
+    for block, start, size in _blocks(n_paths):
+        z = _block_rng(seed, block).standard_normal((n_steps, 2, BLOCK))[..., :size]
+        rows = slice(start, start + size)
+        for k in range(n_steps):
+            vk = v[rows, k]
+            z1 = z[k, 0]
+            z2 = rho * z1 + rho_c * z[k, 1]
+            log_s[rows, k + 1] = (log_s[rows, k] + (params.phi - 0.5 * vk) * dt
+                                  + np.sqrt(vk) * sqdt * z1)
+            v_next = vk + (params.lambda_ + params.mu * vk) * dt \
+                + params.zeta * vk ** params.alpha * sqdt * z2
+            if negatives is not None:
+                negatives.append(int(np.count_nonzero(v_next < 0.0)))
+            v[rows, k + 1] = np.maximum(np.abs(v_next), v_floor)
+    return np.exp(log_s), v
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_simulators_match_path_major_reference(threads, alpha):
+    # 20_000 paths leave a partial second block; zeta = 4 drives some Euler
+    # variance updates negative, so the |V| reflection and the floor both act
+    p = ModelParams(r=0.05, sigma=0.2, phi=0.05, lambda_=0.01, mu=-0.5,
+                    zeta=4.0, alpha=alpha, rho=-0.5)
+    n_paths, n_steps, seed = 20_000, 12, 21
+    assert n_paths % BLOCK != 0
+    negatives = []
+    s_ref, v_ref = _reference_mg(p, 100.0, 0.04, 1.0, n_steps, n_paths, seed,
+                                 v_floor=1e-3, negatives=negatives)
+    assert sum(negatives) > 0
+    assert np.any(v_ref == 1e-3)
+    mg = simulate_mg(p, 100.0, 0.04, 1.0, n_steps, n_paths, seed, v_floor=1e-3,
+                     threads=threads)
+    assert np.array_equal(mg.s_paths, s_ref)
+    assert np.array_equal(mg.v_paths, v_ref)
+    gbm = simulate_gbm(p, 100.0, 1.0, n_steps, n_paths, seed, threads=threads)
+    assert np.array_equal(gbm.s_paths, _reference_gbm(p, 100.0, 1.0, n_steps, n_paths, seed))
+
+
+def test_mc_price_matches_path_major_reference():
+    p = ModelParams(r=0.05, sigma=0.2, phi=0.05, lambda_=0.01, mu=-0.5,
+                    zeta=0.4, rho=-0.5)
+    ens = simulate_mg(p, 100.0, 0.04, 1.0, 10, 20_000, seed=5, threads=2)
+    s_ref, v_ref = _reference_mg(p, 100.0, 0.04, 1.0, 10, 20_000, seed=5)
+    ref = PathEnsemble(ens.times, s_ref, v_ref, 5, "log_euler", 0.05)
+    assert mc_price(ens, CALL, r=0.05) == mc_price(ref, CALL, r=0.05)
+
+
+def test_simulation_storage_is_step_major():
+    ens = simulate_mg(MG_P, 100.0, 0.04, 1.0, 6, 1000, seed=3)
+    for paths in (ens.s_paths, ens.v_paths):
+        assert paths.shape == (1000, 7)
+        assert paths.T.flags.c_contiguous
+        assert paths[:, -1].flags.c_contiguous
+
+
+def test_many_threads_match_one_thread_under_fast_switching():
+    # more workers than blocks and than cores, with the interpreter switching
+    # threads as often as it can: workers write disjoint columns of shared
+    # time slices, and a lost or misplaced write breaks bitwise equality
+    n_paths, n_steps = 5 * BLOCK + 123, 8
+    single = simulate_mg(MG_P, 100.0, 0.04, 1.0, n_steps, n_paths, seed=13)
+    result = {}
+
+    def run():
+        result["ens"] = simulate_mg(MG_P, 100.0, 0.04, 1.0, n_steps, n_paths,
+                                    seed=13, threads=8)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not worker.is_alive()
+    assert np.array_equal(result["ens"].s_paths, single.s_paths)
+    assert np.array_equal(result["ens"].v_paths, single.v_paths)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["s0", "maturity"])
+def test_simulators_reject_non_finite_inputs(field, bad):
+    args = {"s0": 100.0, "maturity": 1.0}
+    args[field] = bad
+    with pytest.raises(ValueError, match=field):
+        simulate_gbm(RN, args["s0"], args["maturity"], 8, 10, seed=0)
+    with pytest.raises(ValueError, match=field):
+        simulate_mg(MG_P, args["s0"], 0.04, args["maturity"], 8, 10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_simulate_mg_rejects_non_finite_v0(bad):
+    with pytest.raises(ValueError, match="v0"):
+        simulate_mg(MG_P, 100.0, bad, 1.0, 8, 10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-8])
+def test_simulate_mg_rejects_bad_v_floor(bad):
+    with pytest.raises(ValueError, match="v_floor"):
+        simulate_mg(MG_P, 100.0, 0.04, 1.0, 8, 10, seed=0, v_floor=bad)

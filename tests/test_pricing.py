@@ -88,6 +88,20 @@ def test_contract_validation():
         OptionContract("call", 100.0, 1.0, premium=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_contract_rejects_non_finite_strike(bad):
+    # an infinite strike used to reach evolve and fail there with a NaN residual
+    with pytest.raises(ValueError, match="strike must be positive and finite"):
+        OptionContract("call", bad, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_contract_rejects_non_finite_maturity(bad):
+    # an infinite maturity used to fail late, with "grid bounds must be finite"
+    with pytest.raises(ValueError, match="maturity must be positive and finite"):
+        OptionContract("put", 100.0, bad)
+
+
 def test_terminal_payoff_grids():
     g = make_grid_1d(math.log(50.0), math.log(200.0), 41)
     f = terminal_payoff(CALL, g)
