@@ -46,6 +46,7 @@ __all__ = [
 BLOCK = 1 << 14          # paths per RNG stream
 V_FLOOR_DEFAULT = 1e-8
 _MAGIC = b"MGPATHS1"
+_WRITE_CHUNK = 4096       # paths per path-major copy in to_binary
 _SCHEME_CODES = {"log_euler": 0, "euler": 1}
 _SCHEME_NAMES = {v: k for k, v in _SCHEME_CODES.items()}
 
@@ -131,11 +132,12 @@ class PathEnsemble:
             fh.write(np.array([self.phi], dtype=np.float64).tobytes())
             fh.write(np.array([self.seed], dtype=np.int64).tobytes())
             fh.write(np.ascontiguousarray(self.times, dtype=np.float64).tobytes())
-            # step-major paths are copied once into path-major order and
-            # written from that buffer
-            fh.write(np.ascontiguousarray(self.s_paths, dtype=np.float64))
-            if has_v:
-                fh.write(np.ascontiguousarray(self.v_paths, dtype=np.float64))
+            # step-major paths are copied into path-major order a chunk of
+            # paths at a time, so the copy stays small
+            for paths in (self.s_paths, self.v_paths) if has_v else (self.s_paths,):
+                for start in range(0, self.n_paths, _WRITE_CHUNK):
+                    fh.write(np.ascontiguousarray(paths[start:start + _WRITE_CHUNK],
+                                                  dtype=np.float64))
 
 
 def read_paths_binary(path) -> PathEnsemble:

@@ -5,6 +5,12 @@ Momentum blocks are plain first derivatives (no imaginary unit), so the
 operators here are compositions of difference matrices with diagonal
 coefficient matrices.  Interior stencils are second-order central; boundary
 rows use one-sided second-order differences under the default policy.
+
+Each 1D difference stencil is assembled directly as a CSR matrix from
+index and value arrays: the interior band for rows 1..n-2 plus the two end
+rows the boundary policy prescribes.  Columns are sorted and no zero is
+stored, so sums, products and Kronecker blocks built from the stencils
+have the pattern of their nonzeros.
 """
 
 from __future__ import annotations
@@ -42,39 +48,44 @@ TRANSFORM_CONVENTIONS = ("direct", "left", "right")
 Grid = Union[LogGrid1D, LogGrid2D]
 
 
+def _stencil(n: int, band: tuple, first: tuple, last: tuple) -> sp.csr_matrix:
+    """CSR matrix from an interior band and two end rows.
+
+    ``band`` is ((offsets), (values)) for rows 1..n-2, offsets ascending;
+    ``first`` and ``last`` are ((columns), (values)) for rows 0 and n-1,
+    columns ascending.  No value may be zero, so nothing zero is stored.
+    """
+    offsets, coeffs = band
+    k = len(offsets)
+    inner = n - 2
+    indices = np.concatenate([first[0], (np.arange(1, n - 1)[:, None] + offsets).ravel(),
+                              last[0]])
+    data = np.concatenate([first[1], np.tile(coeffs, inner), last[1]])
+    indptr = np.concatenate([[0], len(first[0]) + k * np.arange(inner + 1), [indices.size]])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def _first_difference(n: int, h: float, policy: str) -> sp.csr_matrix:
     """d/dx: central (f[i+1]-f[i-1])/(2h) inside, policy-dependent ends."""
     inv2h = 1.0 / (2.0 * h)
-    m = sp.lil_matrix((n, n))
-    m.setdiag(-inv2h, -1)
-    m.setdiag(inv2h, 1)
-    m[0, :] = 0.0
-    m[n - 1, :] = 0.0
     if policy == "one-sided-interior":
-        m[0, [0, 1, 2]] = [-3.0 * inv2h, 4.0 * inv2h, -inv2h]
-        m[n - 1, [n - 3, n - 2, n - 1]] = [inv2h, -4.0 * inv2h, 3.0 * inv2h]
+        first = ((0, 1, 2), (-3.0 * inv2h, 4.0 * inv2h, -inv2h))
+        last = ((n - 3, n - 2, n - 1), (inv2h, -4.0 * inv2h, 3.0 * inv2h))
     else:  # zero-padded: out-of-range neighbours contribute nothing
-        m[0, 1] = inv2h
-        m[n - 1, n - 2] = -inv2h
-    return m.tocsr()
+        first, last = ((1,), (inv2h,)), ((n - 2,), (-inv2h,))
+    return _stencil(n, ((-1, 1), (-inv2h, inv2h)), first, last)
 
 
 def _second_difference(n: int, h: float, policy: str) -> sp.csr_matrix:
     """d2/dx2: central (f[i-1]-2f[i]+f[i+1])/h^2 inside."""
     invh2 = 1.0 / (h * h)
-    m = sp.lil_matrix((n, n))
-    m.setdiag(invh2, -1)
-    m.setdiag(-2.0 * invh2, 0)
-    m.setdiag(invh2, 1)
-    m[0, :] = 0.0
-    m[n - 1, :] = 0.0
     if policy == "one-sided-interior":
-        m[0, [0, 1, 2, 3]] = [2.0 * invh2, -5.0 * invh2, 4.0 * invh2, -invh2]
-        m[n - 1, [n - 4, n - 3, n - 2, n - 1]] = [-invh2, 4.0 * invh2, -5.0 * invh2, 2.0 * invh2]
+        first = ((0, 1, 2, 3), (2.0 * invh2, -5.0 * invh2, 4.0 * invh2, -invh2))
+        last = ((n - 4, n - 3, n - 2, n - 1), (-invh2, 4.0 * invh2, -5.0 * invh2, 2.0 * invh2))
     else:
-        m[0, [0, 1]] = [-2.0 * invh2, invh2]
-        m[n - 1, [n - 2, n - 1]] = [invh2, -2.0 * invh2]
-    return m.tocsr()
+        first = ((0, 1), (-2.0 * invh2, invh2))
+        last = ((n - 2, n - 1), (invh2, -2.0 * invh2))
+    return _stencil(n, ((-1, 0, 1), (invh2, -2.0 * invh2, invh2)), first, last)
 
 
 def _check_policy(policy: str) -> None:

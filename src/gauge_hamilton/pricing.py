@@ -68,8 +68,8 @@ class OptionContract:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.premium < 0.0:
-            raise ValueError(f"premium must be nonnegative, got {self.premium}")
+        if not (math.isfinite(self.premium) and self.premium >= 0.0):
+            raise ValueError(f"premium must be nonnegative and finite, got {self.premium}")
 
     def payoff(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -164,9 +164,45 @@ def _boundary_rows(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.arange(1, grid.nx - 1) * ny)
 
 
-def _pinned(rows: np.ndarray, n: int) -> sp.csr_matrix:
-    """Identity entries on the given rows of an n x n matrix, zero elsewhere."""
-    return sp.csr_matrix((np.ones(rows.size), (rows, rows)), shape=(n, n))
+def _theta_matrix(m: sp.csr_matrix, s: float, pinned=(), zeroed=()) -> sp.csr_matrix:
+    """I + s M in CSR, with the rows ``pinned`` made identity rows and the
+    rows ``zeroed`` made zero rows.
+
+    M's data is scaled and 1 is added to its stored diagonal; a row that
+    stores no diagonal entry gets an explicit zero there first.  The
+    replaced rows are edited in place, and entries that come out exactly
+    zero are dropped, as a sparse sum would drop them.
+    """
+    n = m.shape[0]
+    a = sp.csr_matrix(m, copy=True)
+    a.sum_duplicates()
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    diag = np.flatnonzero(a.indices == rows)
+    if diag.size < n:
+        missing = np.setdiff1d(np.arange(n), rows[diag])
+        a = sp.csr_matrix((np.concatenate([a.data, np.zeros(missing.size)]),
+                           (np.concatenate([rows, missing]),
+                            np.concatenate([a.indices, missing]))), shape=(n, n))
+        rows = np.repeat(np.arange(n), np.diff(a.indptr))
+        diag = np.flatnonzero(a.indices == rows)
+    # one diagonal entry per row now, so diag[i] is row i's
+    a.data *= s
+    a.data[diag] += 1.0
+    pinned = np.asarray(pinned, dtype=np.intp)
+    cleared = np.zeros(n, dtype=bool)
+    cleared[pinned] = True
+    cleared[np.asarray(zeroed, dtype=np.intp)] = True
+    a.data[cleared[rows]] = 0.0
+    a.data[diag[pinned]] = 1.0
+    a.eliminate_zeros()
+    return a
+
+
+def _theta_systems(m: sp.csr_matrix, theta: float, dt: float, replaced=()):
+    """The two sides of a 1D theta step: I + theta dt M with the ``replaced``
+    rows pinned, and I - (1-theta) dt M with them zeroed."""
+    return (_theta_matrix(m, theta * dt, pinned=replaced),
+            _theta_matrix(m, -((1.0 - theta) * dt), zeroed=replaced))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,30 +339,18 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
 def _lu_stepper(h: LinearOperator, dt: float, boundary: Optional[FarFieldBoundary]):
     """Theta steps on a 1D grid, one sparse LU factor per theta."""
     grid = h.grid
-    n = grid.n_points
-    identity = sp.identity(n, format="csr")
-    if boundary is not None:
-        low, high, _ = _boundary_rows(grid)
-        replaced = np.concatenate([low, high])
-        replacement = _pinned(replaced, n)
-        keep = np.ones(n)
-        keep[replaced] = 0.0
-        projector = sp.diags(keep, format="csr")
-
+    low, high, _ = _boundary_rows(grid)
+    replaced = () if boundary is None else np.concatenate([low, high])
     systems = {}
 
     def get_system(theta: float):
         if theta not in systems:
-            a = identity + (theta * dt) * h.matrix
-            b = identity - ((1.0 - theta) * dt) * h.matrix
-            if boundary is not None:
-                a = projector @ a + replacement
-                b = projector @ b
+            a, b = _theta_systems(h.matrix, theta, dt, replaced)
             try:
                 lu = spla.splu(a.tocsc())
             except RuntimeError as exc:
                 raise EvolveError(f"implicit matrix factorization failed: {exc}") from exc
-            systems[theta] = (a.tocsr(), b.tocsr(), lu)
+            systems[theta] = (a, b, lu)
         return systems[theta]
 
     def advance(values, theta, tau_new, check):
@@ -396,25 +420,23 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     low, high, bottom = _boundary_rows(grid)
     top = bottom + ny - 1
     faces = np.concatenate([bottom, top])
-    replaced = np.concatenate([low, high, faces])
+    dirichlet = np.concatenate([low, high])
+    replaced = np.concatenate([dirichlet, faces])
     keep = np.ones(n)
     keep[replaced] = 0.0
-    projector = sp.diags(keep, format="csr")
-    dirichlet = _pinned(np.concatenate([low, high]), n)
-    pinned = dirichlet + _pinned(faces, n)
     inward = np.repeat([1, -1], bottom.size)[:, None] * np.arange(3)
     linearity = sp.csr_matrix((np.tile([1.0, -2.0, 1.0], faces.size),
                                (np.repeat(faces, 3), (faces[:, None] + inward).ravel())),
                               shape=(n, n))
     x_lines = np.arange(n).reshape(nx, ny).T.ravel()
-    identity = sp.identity(n, format="csr")
     systems = {}
 
     def get_system(theta: float):
         if theta not in systems:
-            sys_x = projector @ (identity - (theta * dt) * a1) + pinned
-            body_y = projector @ (identity - (theta * dt) * a2)
-            dl, d, du = _tridiagonal(body_y + pinned)
+            sys_x = _theta_matrix(a1, -(theta * dt), pinned=replaced)
+            body_y = _theta_matrix(a2, -(theta * dt), pinned=dirichlet, zeroed=faces)
+            dl, d, du = _tridiagonal(body_y)
+            d[faces] = 1.0  # solved as identity rows; sys_y keeps the linearity rows
             # fold C(i,0) = 2 C(i,1) - C(i,2) into row (i,1), likewise at the top
             k = bottom + 1
             c = dl[k - 1]
@@ -427,7 +449,7 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
             dl[k - 1] -= c
             du[k] = 0.0
             systems[theta] = (sys_x, _gttrf(*_tridiagonal(sys_x[x_lines][:, x_lines])),
-                              body_y + dirichlet + linearity, _gttrf(dl, d, du))
+                              body_y + linearity, _gttrf(dl, d, du))
         return systems[theta]
 
     def advance(values, theta, tau_new, check):

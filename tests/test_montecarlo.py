@@ -26,7 +26,8 @@ from gauge_hamilton import (
     simulate_mg,
     solve_mg,
 )
-from gauge_hamilton.montecarlo import BLOCK, _block_rng, _blocks
+from gauge_hamilton.montecarlo import (_MAGIC, _SCHEME_CODES, _WRITE_CHUNK, BLOCK, _block_rng,
+                                       _blocks)
 
 RN = ModelParams(r=0.05, sigma=0.2, phi=0.05)  # risk-neutral drift
 CALL = OptionContract("call", 100.0, 1.0)
@@ -188,6 +189,36 @@ def test_binary_round_trip(tmp_path):
     again = read_paths_binary(path)
     assert again.v_paths is None
     assert np.array_equal(again.s_paths, flat.s_paths)
+
+
+def whole_array_binary(ens, path):
+    """The writer that copied each path array whole, kept as the reference
+    for the chunked ``to_binary``."""
+    has_v = ens.v_paths is not None
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(np.array([ens.n_paths, ens.times.shape[0], int(has_v),
+                           _SCHEME_CODES[ens.scheme]], dtype=np.uint64).tobytes())
+        fh.write(np.array([ens.phi], dtype=np.float64).tobytes())
+        fh.write(np.array([ens.seed], dtype=np.int64).tobytes())
+        fh.write(np.ascontiguousarray(ens.times, dtype=np.float64).tobytes())
+        fh.write(np.ascontiguousarray(ens.s_paths, dtype=np.float64))
+        if has_v:
+            fh.write(np.ascontiguousarray(ens.v_paths, dtype=np.float64))
+
+
+def test_binary_chunked_writer_matches_whole_array_writer(tmp_path):
+    # two full chunks and a partial one, from step-major and path-major storage
+    n_paths = 2 * _WRITE_CHUNK + 37
+    p = ModelParams(r=0.05, phi=0.05, lambda_=0.01, mu=-0.5, zeta=0.5, rho=-0.5)
+    mg = simulate_mg(p, 100.0, 0.04, 1.0, 5, n_paths, seed=4)
+    gbm = simulate_gbm(RN, 100.0, 1.0, 5, n_paths, seed=4)
+    path_major = PathEnsemble(mg.times, np.ascontiguousarray(mg.s_paths),
+                              np.ascontiguousarray(mg.v_paths), 4, "log_euler", 0.05)
+    for ens in (mg, gbm, path_major):
+        ens.to_binary(tmp_path / "chunked.bin")
+        whole_array_binary(ens, tmp_path / "whole.bin")
+        assert (tmp_path / "chunked.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
 
 
 def test_binary_rejects_foreign_file(tmp_path):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gauge_hamilton import (
     GaugeField,
@@ -27,6 +29,7 @@ from gauge_hamilton import (
     sample,
     smooth_probe_functions,
 )
+from gauge_hamilton.operators import BOUNDARY_POLICIES, _first_difference, _second_difference
 
 GRID_1D = make_grid_1d(3.5, 5.5, 41)
 GRID_2D = make_grid_2d(3.5, 5.5, 41, -4.0, -1.0, 21)
@@ -85,6 +88,78 @@ def test_momentum_2d_y_axis_acts_along_y():
     # exact for quadratics
     np.testing.assert_allclose(out[1:-1, 1:-1], np.broadcast_to(2 * ys[1:-1], (39, 19)),
                                rtol=1e-12)
+
+
+def dense_first_difference(n, h, policy):
+    """Row-by-row reference for the first-difference stencil."""
+    m = np.zeros((n, n))
+    inv2h = 1.0 / (2.0 * h)
+    for i in range(1, n - 1):
+        m[i, i - 1], m[i, i + 1] = -inv2h, inv2h
+    if policy == "one-sided-interior":
+        m[0, :3] = [-3.0 * inv2h, 4.0 * inv2h, -inv2h]
+        m[-1, -3:] = [inv2h, -4.0 * inv2h, 3.0 * inv2h]
+    else:
+        m[0, 1], m[-1, -2] = inv2h, -inv2h
+    return m
+
+
+def dense_second_difference(n, h, policy):
+    """Row-by-row reference for the second-difference stencil."""
+    m = np.zeros((n, n))
+    invh2 = 1.0 / (h * h)
+    for i in range(1, n - 1):
+        m[i, i - 1], m[i, i], m[i, i + 1] = invh2, -2.0 * invh2, invh2
+    if policy == "one-sided-interior":
+        m[0, :4] = [2.0 * invh2, -5.0 * invh2, 4.0 * invh2, -invh2]
+        m[-1, -4:] = [-invh2, 4.0 * invh2, -5.0 * invh2, 2.0 * invh2]
+    else:
+        m[0, :2] = [-2.0 * invh2, invh2]
+        m[-1, -2:] = [invh2, -2.0 * invh2]
+    return m
+
+
+STENCIL_CASES = dict(
+    n=st.integers(5, 60),
+    h=st.floats(1e-3, 10.0),
+    policy=st.sampled_from(BOUNDARY_POLICIES),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**STENCIL_CASES)
+def test_stencils_match_dense_reference(n, h, policy):
+    for build, reference in ((_first_difference, dense_first_difference),
+                             (_second_difference, dense_second_difference)):
+        m = build(n, h, policy)
+        dense = reference(n, h, policy)
+        assert m.format == "csr" and m.shape == (n, n)
+        np.testing.assert_array_equal(m.toarray(), dense)
+        # the stored pattern is exactly the nonzero pattern, in column order
+        assert m.nnz == np.count_nonzero(dense)
+        assert np.all(m.data != 0.0)
+        for i in range(n):
+            assert np.all(np.diff(m.indices[m.indptr[i]:m.indptr[i + 1]]) > 0)
+        assert m.has_sorted_indices
+
+
+@settings(max_examples=80, deadline=None)
+@given(**STENCIL_CASES, a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0),
+       c=st.floats(-10.0, 10.0), x0=st.floats(-5.0, 5.0))
+def test_stencils_exact_on_low_degree_polynomials(n, h, policy, a, b, c, x0):
+    x = x0 + h * np.arange(n)
+    linear = a + b * x
+    quadratic = linear + c * x * x
+    # every row of a one-sided closure is exact; zero-padded end rows drop
+    # a neighbour and are exact only inside
+    rows = slice(None) if policy == "one-sided-interior" else slice(1, -1)
+    eps = np.finfo(float).eps
+    d1 = _first_difference(n, h, policy) @ linear
+    np.testing.assert_allclose(d1[rows], b, rtol=0.0,
+                               atol=64 * eps * np.abs(linear).max() / h)
+    d2 = _second_difference(n, h, policy) @ quadratic
+    np.testing.assert_allclose(d2[rows], 2.0 * c, rtol=0.0,
+                               atol=256 * eps * np.abs(quadratic).max() / (h * h))
 
 
 # ---------------------------------------------------------------------------

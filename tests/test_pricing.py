@@ -2,9 +2,11 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from gauge_hamilton import (
@@ -25,6 +27,7 @@ from gauge_hamilton import (
     identity_operator,
     make_grid_1d,
     make_grid_2d,
+    momentum_operator,
     price_bs,
     price_mg,
     simulate_mg,
@@ -32,7 +35,8 @@ from gauge_hamilton import (
     solve_mg,
     terminal_payoff,
 )
-from gauge_hamilton.pricing import _split_directions
+from gauge_hamilton.pricing import (_boundary_rows, _split_directions, _theta_matrix,
+                                    _theta_systems)
 
 P = ModelParams(r=0.05, sigma=0.2)
 CALL = OptionContract("call", 100.0, 1.0)
@@ -100,6 +104,13 @@ def test_contract_rejects_non_finite_maturity(bad):
     # an infinite maturity used to fail late, with "grid bounds must be finite"
     with pytest.raises(ValueError, match="maturity must be positive and finite"):
         OptionContract("put", 100.0, bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_contract_rejects_non_finite_premium(bad):
+    # NaN slipped past the sign check, and the holder's profit came out nan or -inf
+    with pytest.raises(ValueError, match="premium must be nonnegative and finite"):
+        OptionContract("call", 100.0, 1.0, premium=bad)
 
 
 def test_terminal_payoff_grids():
@@ -405,3 +416,85 @@ def test_mg_surface_previous_slice_is_one_step_back():
     assert surf.dt == pytest.approx(0.05, rel=1e-15)
     assert shorter.dt == pytest.approx(surf.dt, rel=1e-15)
     assert np.abs(surf.prev_values - shorter.values).max() <= 1e-12 * np.abs(surf.values).max()
+
+
+# ---------------------------------------------------------------------------
+# theta-step systems
+# ---------------------------------------------------------------------------
+
+def projector_systems(m, theta, dt, replaced):
+    """The theta-step matrices as sparse sums and projector products: the
+    construction ``_theta_systems`` replaces, kept as its reference."""
+    n = m.shape[0]
+    identity = sp.identity(n, format="csr")
+    a = identity + (theta * dt) * m
+    b = identity - ((1.0 - theta) * dt) * m
+    if replaced is not None:
+        keep = np.ones(n)
+        keep[replaced] = 0.0
+        projector = sp.diags(keep, format="csr")
+        pinned = sp.csr_matrix((np.ones(replaced.size), (replaced, replaced)), shape=(n, n))
+        a = projector @ a + pinned
+        b = projector @ b
+    return a.tocsr(), b.tocsr()
+
+
+def assert_same_csr(got, want):
+    """Equal values on an equal pattern; ``got`` sorted and free of zeros."""
+    want = want.sorted_indices()
+    assert got.has_sorted_indices and np.all(got.data != 0.0)
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
+THETA_GRID = make_grid_1d(3.5, 5.5, 41)
+
+
+@pytest.mark.parametrize("operator", ["bs", "bs-zero-padded", "momentum", "zero"])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("with_boundary", [False, True])
+def test_theta_systems_match_projector_construction(operator, theta, with_boundary):
+    h = {"bs": lambda: build_bs_hamiltonian(P, THETA_GRID),
+         "bs-zero-padded": lambda: build_bs_hamiltonian(P, THETA_GRID, "zero-padded"),
+         # zero-padded first difference: no row stores a diagonal entry
+         "momentum": lambda: momentum_operator(THETA_GRID, policy="zero-padded") * 0.3,
+         "zero": lambda: identity_operator(THETA_GRID) * 0.0}[operator]().matrix
+    dt = 0.01
+    replaced = np.concatenate(_boundary_rows(THETA_GRID)[:2]) if with_boundary else None
+    a, b = _theta_systems(h, theta, dt, () if replaced is None else replaced)
+    want_a, want_b = projector_systems(h, theta, dt, replaced)
+    assert_same_csr(a, want_a)
+    assert_same_csr(b, want_b)
+
+
+def test_theta_matrix_drops_cancelled_diagonal():
+    # 1 + s m_ii = 0 exactly: the entry is not stored, as in I + s M
+    m = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 4.0]]))
+    got = _theta_matrix(m, -0.5)
+    assert_same_csr(got, sp.identity(2, format="csr") + (-0.5) * m)
+    assert got.nnz == 2
+
+
+def test_evolve_steps_operator_without_stored_diagonal():
+    # a 1D theta step on H = 0.3 d/dx (zero-padded): I + s H needs its whole
+    # diagonal inserted, which must not go through a SparseEfficiencyWarning
+    g = make_grid_1d(0.0, 1.0, 21)
+    h = momentum_operator(g, policy="zero-padded") * 0.3
+    assert not h.matrix.diagonal().any()
+    u0 = np.sin(np.pi * g.points)
+    dense = h.matrix.toarray()
+    for boundary in (None, FarFieldBoundary(CALL, 0.05)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            surf = evolve(h, GridFunction(g, u0), 0.5, 5, theta_scheme=1.0,
+                          boundary=boundary)
+        want = u0.copy()
+        a = np.eye(g.n) + 0.1 * dense
+        for step in range(5):
+            rhs = want.copy()
+            if boundary is not None:
+                a[[0, -1]] = np.eye(g.n)[[0, -1]]
+                rhs[[0, -1]] = boundary.x_values(g, 0.1 * (step + 1))
+            want = np.linalg.solve(a, rhs)
+        np.testing.assert_allclose(surf.values, want, rtol=0.0, atol=1e-12)
