@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from .core import (ModelParams, default_grid_1d, default_grid_2d,
-                   make_grid_1d, make_grid_2d, sample, text_output)
+                   make_grid_1d, make_grid_2d, sample, text_output, write_csv)
 from .gauge_analysis import (gauge_martingale_sums, martingale_roots,
                              mg_martingale_report, volcoeff_audit)
 from .montecarlo import mc_price, simulate_gbm, simulate_mg
@@ -40,16 +40,10 @@ def _echo_json(data) -> None:
     click.echo(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _model_params(**kwargs) -> ModelParams:
+def _usage(fn, *args, **kwargs):
+    """Call ``fn``, reporting a ValueError from it as a usage error."""
     try:
-        return ModelParams(**kwargs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _contract(kind: str, strike: float, maturity: float) -> OptionContract:
-    try:
-        return OptionContract(kind, strike, maturity)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -71,6 +65,12 @@ def _capped_threads(threads: int) -> int:
 
 def _output(output):
     return text_output(sys.stdout if output in (None, "-") else output)
+
+
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    """Usage error naming ``flag`` unless ``ok``."""
+    if not ok:
+        raise click.UsageError(f"{flag} must {rule}, got {value}")
 
 
 @click.group()
@@ -139,11 +139,16 @@ def main(ctx, config_path):
 def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
           alpha, rho, nx, ny, n_steps, theta_scheme, mc_paths, seed):
     """Price a European option by backward evolution."""
-    params = _model_params(r=r, sigma=sigma, phi=r, lambda_=lambda_, mu=mu,
-                           zeta=zeta, alpha=alpha, rho=rho)
-    contract = _contract(kind, strike, maturity)
-    if s0 <= 0.0:
-        raise click.UsageError(f"--s0 must be positive, got {s0}")
+    params = _usage(ModelParams, r=r, sigma=sigma, phi=r, lambda_=lambda_, mu=mu,
+                    zeta=zeta, alpha=alpha, rho=rho)
+    contract = _usage(OptionContract, kind, strike, maturity)
+    _require(math.isfinite(s0) and s0 > 0.0, "--s0", "be positive and finite", s0)
+    _require(n_steps >= 1, "--n-steps", "be at least 1", n_steps)
+    _require(0.0 <= theta_scheme <= 1.0, "--theta-scheme", "lie in [0, 1]", theta_scheme)
+    _require(nx is None or nx >= 5, "--nx", "be at least 5", nx)
+    if model == "mg":
+        _require(math.isfinite(v0) and v0 > 0.0, "--v0", "be positive and finite", v0)
+        _require(ny >= 5, "--ny", "be at least 5", ny)
     out = {"model": model, "kind": kind, "s0": s0, "strike": strike,
            "maturity": maturity, "r": r}
     try:
@@ -154,21 +159,16 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
             closed = bs_closed_form(params, contract, s0)
             out.update(sigma=sigma, pde_price=pde, closed_form=closed,
                        rel_err=abs(pde - closed) / max(abs(closed), 1e-300))
-            if mc_paths > 0:
-                ens = simulate_gbm(params, s0, maturity, n_steps, mc_paths, seed)
-                est, se = mc_price(ens, contract, r)
-                out.update(mc_price=est, mc_stderr=se, mc_paths=mc_paths, seed=seed)
         else:
-            if v0 <= 0.0:
-                raise click.UsageError(f"--v0 must be positive, got {v0}")
             grid = default_grid_2d(s0, v0, maturity, nx=nx or 201, ny=ny)
             pde = price_mg(params, contract, s0, v0, grid=grid,
                            n_steps=n_steps, theta_scheme=theta_scheme)
             out.update(v0=v0, pde_price=pde)
-            if mc_paths > 0:
-                ens = simulate_mg(params, s0, v0, maturity, n_steps, mc_paths, seed)
-                est, se = mc_price(ens, contract, r)
-                out.update(mc_price=est, mc_stderr=se, mc_paths=mc_paths, seed=seed)
+        if mc_paths > 0:
+            ens = (simulate_gbm(params, s0, maturity, n_steps, mc_paths, seed) if model == "bs"
+                   else simulate_mg(params, s0, v0, maturity, n_steps, mc_paths, seed))
+            est, se = mc_price(ens, contract, r)
+            out.update(mc_price=est, mc_stderr=se, mc_paths=mc_paths, seed=seed)
     except (EvolveError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
@@ -178,6 +178,14 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
+
+def _record(name, residual, tolerance, passed, detail=None) -> dict:
+    """One check's JSON record; ``detail`` only when given."""
+    rec = {"name": name, "residual": residual, "tolerance": tolerance, "pass": bool(passed)}
+    if detail is not None:
+        rec["detail"] = detail
+    return rec
+
 
 def _check_grids(nx, ny):
     coarse = make_grid_2d(*_CHECK_X, nx, *_CHECK_Y, ny)
@@ -207,8 +215,7 @@ def _check_expansion(params, nx, ny, probes, seed):
     err_coarse = max(float(np.abs(g[mask]).max()) for g in gaps[coarse])
     err_fine = max(float(np.abs(g[::2, ::2][mask]).max()) for g in gaps[fine])
     tolerance = err_coarse / 2.0 ** 1.9
-    return {"name": "expansion", "residual": err_fine, "tolerance": tolerance,
-            "pass": bool(err_fine <= tolerance)}
+    return _record("expansion", err_fine, tolerance, err_fine <= tolerance)
 
 
 def _collapsed_x_stencil(op, nx, ny, i, j):
@@ -247,9 +254,8 @@ def _check_bs_limit(params, nx, ny, probes, seed):
         out1 = h1.apply(sample(f, grid1)).values
         worst = max(worst, float(np.abs(out2[1:-1, 1:-1] - out1[1:-1, None]).max()))
         scale = max(scale, float(np.abs(out1[1:-1]).max()))
-    return {"name": "bs-limit", "residual": residual, "tolerance": 0.0,
-            "pass": bool(residual == 0.0),
-            "detail": {"matvec_gap": worst / max(scale, 1e-300)}}
+    return _record("bs-limit", residual, 0.0, residual == 0.0,
+                   {"matvec_gap": worst / max(scale, 1e-300)})
 
 
 def _commutator_defect(params, field, nx):
@@ -266,16 +272,10 @@ def _check_commutator(params, theta_field, omega, nx):
     results = []
     if theta_field == "linear":
         defect = _commutator_defect(params, GaugeField.linear_x(omega), nx)
-        results.append({"name": "commutator", "residual": defect,
-                        "tolerance": 1e-6, "pass": bool(defect > 1e-6)})
-        zero = _commutator_defect(params, GaugeField.constant(omega), nx)
-        results.append({"name": "commutator-constant", "residual": zero,
-                        "tolerance": 0.0, "pass": bool(zero == 0.0)})
-    else:
-        zero = _commutator_defect(params, GaugeField.constant(omega), nx)
-        results.append({"name": "commutator", "residual": zero,
-                        "tolerance": 0.0, "pass": bool(zero == 0.0)})
-    return results
+        results.append(_record("commutator", defect, 1e-6, defect > 1e-6))
+    zero = _commutator_defect(params, GaugeField.constant(omega), nx)
+    name = "commutator-constant" if results else "commutator"
+    return results + [_record(name, zero, 0.0, zero == 0.0)]
 
 
 def _check_volcoeff(params, nx, ny):
@@ -286,8 +286,7 @@ def _check_volcoeff(params, nx, ny):
     report = volcoeff_audit(params, grid)
     zero_terms = ("second_x", "first_x", "first_y", "cross_xy")
     residual = max(report.deviations[t] for t in zero_terms)
-    return {"name": "volcoeff", "residual": residual, "tolerance": None,
-            "pass": True, "detail": report.to_dict()}
+    return _record("volcoeff", residual, None, True, report.to_dict())
 
 
 def _check_transform(params, omega, nx, probes, seed):
@@ -309,8 +308,7 @@ def _check_transform(params, omega, nx, probes, seed):
                             "left_vs_right": ("left", "right")}.items():
             gaps[key] = max(gaps[key], float(np.abs(acts[a][mask] - acts[b][mask]).max()))
     residual = max(gaps.values()) / max(scale, 1e-300)
-    return {"name": "transform", "residual": residual, "tolerance": None,
-            "pass": True, "detail": gaps}
+    return _record("transform", residual, None, True, gaps)
 
 
 @main.command()
@@ -330,7 +328,7 @@ def _check_transform(params, omega, nx, probes, seed):
 @click.option("--seed", type=int, default=0, show_default=True)
 def check(what, theta_field, omega, sigma, r, nx, ny, probes, seed):
     """Run the structural consistency checks and report pass/fail."""
-    params = _model_params(r=r, sigma=sigma, omega=omega)
+    params = _usage(ModelParams, r=r, sigma=sigma, omega=omega)
     checks = []
     if what in ("expansion", "all"):
         checks.append(_check_expansion(params, nx, ny, probes, seed))
@@ -369,13 +367,9 @@ def check(what, theta_field, omega, sigma, r, nx, ny, probes, seed):
               help="Correlation used by --report-grid.")
 def martingale(mu, lambda_, a_coeff, report_grid, zeta, alpha, rho):
     """Equilibrium variances where e^{x+y} is a martingale state."""
-    try:
-        roots = martingale_roots(a_coeff, mu, lambda_)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    out = roots.to_dict()
+    out = _usage(martingale_roots, a_coeff, mu, lambda_).to_dict()
     if report_grid:
-        params = _model_params(lambda_=lambda_, mu=mu, zeta=zeta, alpha=alpha, rho=rho)
+        params = _usage(ModelParams, lambda_=lambda_, mu=mu, zeta=zeta, alpha=alpha, rho=rho)
         grid = make_grid_2d(*_CHECK_X, 41, *_CHECK_Y, 21)
         out["report"] = mg_martingale_report(params, grid).to_dict()
     _echo_json(out)
@@ -386,11 +380,8 @@ def martingale(mu, lambda_, a_coeff, report_grid, zeta, alpha, rho):
 @click.option("--sigma", type=float, default=0.2, show_default=True)
 def gauge_martingale(r, sigma):
     """Exponent sums annihilated by the constant-volatility gauge Hamiltonian."""
-    params = _model_params(r=r, sigma=sigma)
-    try:
-        sums = gauge_martingale_sums(params)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    params = _usage(ModelParams, r=r, sigma=sigma)
+    sums = _usage(gauge_martingale_sums, params)
     _echo_json({"r": r, "sigma": sigma, "sums": list(sums)})
 
 
@@ -431,13 +422,10 @@ _TERM_COLUMNS = ("second_x", "first_x", "first_y", "cross_xy", "second_y", "pote
 def surface(model, reference, sigma_mode, form, r, sigma, lambda_, mu, zeta,
             alpha, rho, x_min, x_max, nx, y_min, y_max, ny, output):
     """Tabulate the action of each Hamiltonian term on a reference state."""
-    params = _model_params(r=r, sigma=sigma, lambda_=lambda_, mu=mu, zeta=zeta,
-                           alpha=alpha, rho=rho,
-                           sigma_local=(sigma_mode == "local"))
-    try:
-        grid = make_grid_2d(x_min, x_max, nx, y_min, y_max, ny)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    params = _usage(ModelParams, r=r, sigma=sigma, lambda_=lambda_, mu=mu, zeta=zeta,
+                    alpha=alpha, rho=rho,
+                    sigma_local=(sigma_mode == "local"))
+    grid = _usage(make_grid_2d, x_min, x_max, nx, y_min, y_max, ny)
     if reference == "exp-x":
         state = sample(lambda x, y: np.exp(x), grid)
     else:
@@ -452,12 +440,9 @@ def surface(model, reference, sigma_mode, form, r, sigma, lambda_, mu, zeta,
             columns[name] = op.apply(state).values
         total = np.sum(list(columns.values()), axis=0)
     with _output(output) as fh:
-        fh.write("x,y,f," + ",".join(_TERM_COLUMNS) + ",total\n")
-        for k in range(grid.n_points):
-            row = [grid.xs[k], grid.ys[k], state.values[k]]
-            row += [columns[name][k] for name in _TERM_COLUMNS]
-            row.append(total[k])
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(fh, ("x", "y", "f", *_TERM_COLUMNS, "total"),
+                  (grid.xs, grid.ys, state.values,
+                   *(columns[name] for name in _TERM_COLUMNS), total))
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +471,7 @@ def payoff_table(kind, strike, premium, s_min, s_max, n, fmt, output):
         raise click.UsageError("--s-min must be nonnegative")
     if n < 2:
         raise click.UsageError("--n must be at least 2")
-    try:
-        contract = OptionContract(kind, strike, maturity=1.0, premium=premium)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    contract = _usage(OptionContract, kind, strike, maturity=1.0, premium=premium)
     s_values = np.linspace(s_min, s_max, n)
     rows = []
     for s in s_values:
@@ -497,9 +479,7 @@ def payoff_table(kind, strike, premium, s_min, s_max, n, fmt, output):
         rows.append((float(s), holder, -holder))
     with _output(output) as fh:
         if fmt == "csv":
-            fh.write("s_t,holder_profit,writer_profit\n")
-            for s, h, w in rows:
-                fh.write(f"{s:.17g},{h:.17g},{w:.17g}\n")
+            write_csv(fh, ("s_t", "holder_profit", "writer_profit"), zip(*rows))
         else:
             try:
                 be = break_even(contract)
@@ -545,17 +525,14 @@ def simulate(model, s0, v0, maturity, r, phi, sigma, lambda_, mu, zeta, alpha,
              rho, n_paths, n_steps, seed, threads, slices_out, paths_out):
     """Simulate price paths and summarize the terminal distribution."""
     threads = _capped_threads(threads)
-    params = _model_params(r=r, sigma=sigma, phi=r if phi is None else phi,
-                           lambda_=lambda_, mu=mu, zeta=zeta, alpha=alpha, rho=rho)
-    try:
-        if model == "gbm":
-            ens = simulate_gbm(params, s0, maturity, n_steps, n_paths, seed,
-                               threads=threads)
-        else:
-            ens = simulate_mg(params, s0, v0, maturity, n_steps, n_paths, seed,
-                              threads=threads)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    params = _usage(ModelParams, r=r, sigma=sigma, phi=r if phi is None else phi,
+                    lambda_=lambda_, mu=mu, zeta=zeta, alpha=alpha, rho=rho)
+    if model == "gbm":
+        ens = _usage(simulate_gbm, params, s0, maturity, n_steps, n_paths, seed,
+                     threads=threads)
+    else:
+        ens = _usage(simulate_mg, params, s0, v0, maturity, n_steps, n_paths, seed,
+                     threads=threads)
     terminal = ens.s_paths[:, -1]
     out = {
         "model": model, "n_paths": n_paths, "n_steps": n_steps, "seed": seed,

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterator, TextIO, Union
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -28,6 +28,28 @@ __all__ = [
 ]
 
 _SCALAR_FIELDS = ("r", "sigma", "phi", "lambda_", "mu", "zeta", "alpha", "rho", "omega")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is positive and finite."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+class Record:
+    """Base of the report dataclasses: ``to_dict`` walks the fields, turning
+    tuples into lists and copying dicts, so the result is ready for JSON."""
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            out[f.name] = value
+        return out
 
 
 @dataclass(frozen=True)
@@ -236,13 +258,19 @@ def sample(f: Callable, grid: Grid) -> GridFunction:
         raw = f(grid.xs, grid.ys)
     else:
         raw = f(grid.points)
+    return GridFunction(grid, finite_on_grid(raw, grid, "sample"))
+
+
+def finite_on_grid(raw, grid: Grid, what: str) -> np.ndarray:
+    """``raw`` broadcast to one value per grid point, as a new array; a
+    ValueError names ``what`` and the first grid index where it is not finite."""
     vals = np.broadcast_to(np.asarray(raw, dtype=float), (grid.n_points,)).copy()
     bad = ~np.isfinite(vals)
     if np.any(bad):
         k = int(np.flatnonzero(bad)[0])
         where = grid.unravel(k) if isinstance(grid, LogGrid2D) else k
-        raise ValueError(f"non-finite sample {vals[k]!r} at grid index {where}")
-    return GridFunction(grid, vals)
+        raise ValueError(f"non-finite {what} {float(vals[k])} at grid index {where}")
+    return vals
 
 
 @contextmanager
@@ -257,24 +285,27 @@ def text_output(target) -> Iterator[TextIO]:
             yield fh
 
 
+def write_csv(target, header: Sequence[str], columns: Iterable[Iterable]) -> None:
+    """CSV with one row per index of the equal-length ``columns``; every
+    value is written with 17 significant digits, so doubles read back
+    exactly and integers print as integers."""
+    with text_output(target) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
 def write_grid_function_csv(gf: GridFunction, path) -> None:
     """CSV with 17 significant digits; 2D grids get columns x,y,value."""
-    with text_output(path) as fh:
-        if isinstance(gf.grid, LogGrid2D):
-            fh.write("x,y,value\n")
-            xs, ys = gf.grid.xs, gf.grid.ys
-            for x, y, v in zip(xs, ys, gf.values):
-                fh.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
-        else:
-            fh.write("x,value\n")
-            for x, v in zip(gf.grid.points, gf.values):
-                fh.write(f"{x:.17g},{v:.17g}\n")
+    if isinstance(gf.grid, LogGrid2D):
+        write_csv(path, ("x", "y", "value"), (gf.grid.xs, gf.grid.ys, gf.values))
+    else:
+        write_csv(path, ("x", "value"), (gf.grid.xs, gf.values))
 
 
 def default_grid_1d(s0: float, sigma: float, maturity: float, n: int = 401) -> LogGrid1D:
     """Price grid centred on ln s0, five sigma*sqrt(T) wide on each side."""
-    if s0 <= 0:
-        raise ValueError(f"s0 must be positive, got {s0}")
+    check_positive("s0", s0)
     half = 5.0 * sigma * math.sqrt(maturity)
     if half <= 0:
         half = 1.0  # degenerate sigma: any bounded box works
@@ -287,8 +318,7 @@ def default_grid_2d(s0: float, v0: float, maturity: float,
                     sigma: float | None = None) -> LogGrid2D:
     """Joint grid: x as in default_grid_1d with sigma = sqrt(v0) unless
     given, y covering [ln v0 - 5, ln v0 + 2]."""
-    if v0 <= 0:
-        raise ValueError(f"v0 must be positive, got {v0}")
+    check_positive("v0", v0)
     if sigma is None:
         sigma = math.sqrt(v0)
     x_axis = default_grid_1d(s0, sigma, maturity, n=nx)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GridFunction, LogGrid2D, ModelParams, sample
-from .operators import build_gauge_hamiltonian, build_mg_hamiltonian
+from .core import GridFunction, LogGrid2D, ModelParams, Record, sample
+from .operators import LinearOperator, build_gauge_hamiltonian, build_mg_hamiltonian
 
 __all__ = [
     "momentum_ratio",
@@ -102,18 +102,17 @@ def mg_condition_lhs(params: ModelParams, y: np.ndarray) -> np.ndarray:
     return params.lambda_ + np.exp(y) * inner
 
 
+def _relative_residual(h: LinearOperator, state: GridFunction) -> float:
+    """Max interior |H e^f| / e^f for a state e^f sampled on h's grid."""
+    rel = np.abs(h.apply(state).values) / state.values
+    return float(rel[h.grid.interior_mask(1)].max())
+
+
 @dataclass(frozen=True)
-class MartingaleReport:
+class MartingaleReport(Record):
     residual_norm: float   # max interior |H e^{x+y}| / e^{x+y}
     condition_lhs: float   # max over grid rows of |mg_condition_lhs|
     satisfied: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "residual_norm": self.residual_norm,
-            "condition_lhs": self.condition_lhs,
-            "satisfied": self.satisfied,
-        }
 
 
 def mg_martingale_report(params: ModelParams, grid: LogGrid2D,
@@ -127,11 +126,8 @@ def mg_martingale_report(params: ModelParams, grid: LogGrid2D,
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
-    h = build_mg_hamiltonian(params, grid)
-    state = sample(lambda x, y: np.exp(x + y), grid)
-    rel = np.abs(h.apply(state).values) / state.values
-    interior = grid.interior_mask(1)
-    residual_norm = float(rel[interior].max())
+    residual_norm = _relative_residual(build_mg_hamiltonian(params, grid),
+                                       sample(lambda x, y: np.exp(x + y), grid))
     lhs = mg_condition_lhs(params, grid.y_axis.points)
     return MartingaleReport(residual_norm=residual_norm,
                             condition_lhs=float(np.abs(lhs).max()),
@@ -139,7 +135,7 @@ def mg_martingale_report(params: ModelParams, grid: LogGrid2D,
 
 
 @dataclass(frozen=True)
-class RootSet:
+class RootSet(Record):
     """Equilibrium log-variances of  a e^{2y} + mu e^y + lambda = 0."""
 
     a_coeff: float
@@ -154,16 +150,6 @@ class RootSet:
             res = abs(self.a_coeff * math.exp(2.0 * y) + self.mu * math.exp(y) + self.lambda_)
             if res > 1e-12:
                 raise ValueError(f"root y = {y} has residual {res:g} above 1e-12")
-
-    def to_dict(self) -> dict:
-        return {
-            "a_coeff": self.a_coeff,
-            "mu": self.mu,
-            "lambda_": self.lambda_,
-            "roots_y": list(self.roots_y),
-            "roots_expy": list(self.roots_expy),
-            "no_equilibrium": self.no_equilibrium,
-        }
 
 
 def martingale_roots(a_coeff: float, mu: float, lambda_: float) -> RootSet:
@@ -228,10 +214,8 @@ def gauge_martingale_residual(params: ModelParams, a: float, b: float,
     |gauge_quadratic(params, c)| up to O(h^2).
     """
     p = replace(params, sigma_local=False)
-    h = build_gauge_hamiltonian(p, grid, form="expanded")
-    state = sample(lambda x, y: np.exp(a * x + b * y), grid)
-    rel = np.abs(h.apply(state).values) / state.values
-    return float(rel[grid.interior_mask(1)].max())
+    return _relative_residual(build_gauge_hamiltonian(p, grid, form="expanded"),
+                              sample(lambda x, y: np.exp(a * x + b * y), grid))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +226,7 @@ _AUDIT_TERMS = ("second_x", "first_x", "first_y", "cross_xy", "second_y")
 
 
 @dataclass(frozen=True)
-class VolcoeffReport:
+class VolcoeffReport(Record):
     """Per-term max |MG coefficient - gauge coefficient| after substituting
     zeta^2 = e^{-2y(alpha-3/2)}, rho zeta = e^{-y(alpha-3/2)} and
     r = lambda e^{-y} + mu into the Merton-Garman coefficients."""
@@ -250,13 +234,6 @@ class VolcoeffReport:
     deviations: dict
     second_y_matches_half_sig2: bool  # deviation pointwise equal to e^y/2
     vol_vol_half: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "deviations": dict(self.deviations),
-            "second_y_matches_half_sig2": self.second_y_matches_half_sig2,
-            "vol_vol_half": self.vol_vol_half,
-        }
 
 
 def volcoeff_audit(params: ModelParams, grid: LogGrid2D) -> VolcoeffReport:

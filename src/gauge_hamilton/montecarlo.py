@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
-from .core import GridFunction, LogGrid2D, ModelParams, text_output
-from .pricing import OptionContract, PriceSurface, bs_closed_form
+from .core import GridFunction, LogGrid2D, ModelParams, Record, check_positive, write_csv
+from .pricing import OptionContract, PriceSurface, bs_closed_form, bs_delta
 
 __all__ = [
     "PathEnsemble",
@@ -110,16 +109,12 @@ class PathEnsemble:
 
     def slices_to_csv(self, path) -> None:
         """First and last time slice of every path."""
-        with text_output(path) as fh:
-            if self.v_paths is None:
-                fh.write("path,s_first,s_last\n")
-                for p in range(self.n_paths):
-                    fh.write(f"{p},{self.s_paths[p, 0]:.17g},{self.s_paths[p, -1]:.17g}\n")
-            else:
-                fh.write("path,s_first,s_last,v_first,v_last\n")
-                for p in range(self.n_paths):
-                    fh.write(f"{p},{self.s_paths[p, 0]:.17g},{self.s_paths[p, -1]:.17g},"
-                             f"{self.v_paths[p, 0]:.17g},{self.v_paths[p, -1]:.17g}\n")
+        header = ["path", "s_first", "s_last"]
+        columns = [range(self.n_paths), self.s_paths[:, 0], self.s_paths[:, -1]]
+        if self.v_paths is not None:
+            header += ["v_first", "v_last"]
+            columns += [self.v_paths[:, 0], self.v_paths[:, -1]]
+        write_csv(path, header, columns)
 
     def to_binary(self, path) -> None:
         """Row-major dump: magic, sizes, drift, seed, times, S, then V."""
@@ -158,6 +153,10 @@ def read_paths_binary(path) -> PathEnsemble:
                              f"bytes for the header, file has {size}")
         n_paths, n_times, has_v, scheme_code = (
             int(v) for v in np.frombuffer(fh.read(32), dtype=np.uint64))
+        if has_v not in (0, 1):
+            raise ValueError(f"paths dump has has_v flag {has_v}, expected 0 or 1")
+        if scheme_code not in _SCHEME_NAMES:
+            raise ValueError(f"paths dump has unknown scheme code {scheme_code}")
         expected = fixed + 8 * n_times * (1 + n_paths * (2 if has_v else 1))
         if size != expected:
             raise ValueError(f"paths dump size mismatch: header implies {expected} "
@@ -175,16 +174,13 @@ def read_paths_binary(path) -> PathEnsemble:
                         scheme=_SCHEME_NAMES[scheme_code], phi=phi)
 
 
-def _validate_run(s0, maturity, n_steps, n_paths):
-    _check_positive("s0", s0)
-    _check_positive("maturity", maturity)
+def _validate_run(s0, maturity, n_steps, n_paths, threads):
+    check_positive("s0", s0)
+    check_positive("maturity", maturity)
     if n_steps < 1 or n_paths < 1:
         raise ValueError("n_steps and n_paths must be at least 1")
-
-
-def _check_positive(name, value):
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
 
 def _step_major(n_steps: int, n_paths: int, start: float) -> np.ndarray:
@@ -200,8 +196,8 @@ def _step_blocks(seed: int, n_paths: int, n_steps: int, threads: int, step) -> N
     the (2, size) part of the step's draws that the block's paths use and
     ``tmp`` a (2, size) scratch buffer of the worker.  The full (2, BLOCK)
     slab is drawn even when a block is partly used, so a path's noise
-    depends only on (seed, block, offset) and not on n_paths.  Workers
-    write disjoint columns of the shared arrays.
+    depends only on (seed, block, offset) and not on n_paths.  Up to
+    ``threads`` workers write disjoint columns of the shared arrays.
     """
     def worker(block, start, size):
         rng = _block_rng(seed, block)
@@ -213,12 +209,8 @@ def _step_blocks(seed: int, n_paths: int, n_steps: int, threads: int, step) -> N
             rng.standard_normal(out=draws)
             step(k, cols, z, tmp)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda args: worker(*args), list(_blocks(n_paths))))
-    else:
-        for args in _blocks(n_paths):
-            worker(*args)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(lambda args: worker(*args), list(_blocks(n_paths))))
 
 
 def _ensemble(maturity: float, seed: int, phi: float, log_s: np.ndarray,
@@ -239,7 +231,7 @@ def simulate_gbm(params: ModelParams, s0: float, maturity: float,
     which is exact in law at every step, so n_steps only sets the sampling
     resolution of the stored paths.
     """
-    _validate_run(s0, maturity, n_steps, n_paths)
+    _validate_run(s0, maturity, n_steps, n_paths, threads)
     dt = maturity / n_steps
     drift = (params.phi - 0.5 * params.sigma * params.sigma) * dt
     scale = params.sigma * math.sqrt(dt)
@@ -270,8 +262,8 @@ def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
     rho z1 + sqrt(1 - rho^2) z2 from the same draw block GBM uses, so
     freezing the variance reproduces simulate_gbm paths for the same seed.
     """
-    _validate_run(s0, maturity, n_steps, n_paths)
-    _check_positive("v0", v0)
+    _validate_run(s0, maturity, n_steps, n_paths, threads)
+    check_positive("v0", v0)
     if not (math.isfinite(v_floor) and v_floor >= 0.0):
         raise ValueError(f"v_floor must be finite and nonnegative, got {v_floor}")
     dt = maturity / n_steps
@@ -337,32 +329,12 @@ def mc_price(ensemble: PathEnsemble, contract: OptionContract,
 
 
 @dataclass(frozen=True)
-class HedgeTestResult:
+class HedgeTestResult(Record):
     mean_error: float    # mean terminal replication error
     std_error: float     # std of the terminal replication error
     stderr: float        # standard error of mean_error
     n_paths: int
     n_steps: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_error": self.mean_error,
-            "std_error": self.std_error,
-            "stderr": self.stderr,
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-        }
-
-
-def _bs_delta_vec(params: ModelParams, contract: OptionContract,
-                  s: np.ndarray, tau: float) -> np.ndarray:
-    if params.sigma == 0.0:
-        d = (s > contract.strike * math.exp(-params.r * tau)).astype(float)
-    else:
-        st = params.sigma * math.sqrt(tau)
-        d1 = (np.log(s / contract.strike) + (params.r + 0.5 * params.sigma ** 2) * tau) / st
-        d = ndtr(d1)
-    return d if contract.kind == "call" else d - 1.0
 
 
 def delta_hedge_test(params: ModelParams, contract: OptionContract, s0: float,
@@ -379,12 +351,12 @@ def delta_hedge_test(params: ModelParams, contract: OptionContract, s0: float,
     dt = contract.maturity / n_steps
     grow = math.exp(params.r * dt)
 
-    delta = _bs_delta_vec(params, contract, s[:, 0], contract.maturity)
+    delta = bs_delta(params, contract, s[:, 0], contract.maturity)
     cash = np.full(n_paths, bs_closed_form(params, contract, s0)) - delta * s[:, 0]
     for k in range(1, n_steps):
         cash = cash * grow
         tau = contract.maturity - k * dt
-        new_delta = _bs_delta_vec(params, contract, s[:, k], tau)
+        new_delta = bs_delta(params, contract, s[:, k], tau)
         cash -= (new_delta - delta) * s[:, k]
         delta = new_delta
     portfolio = cash * grow + delta * s[:, -1]

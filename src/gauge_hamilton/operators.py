@@ -22,7 +22,7 @@ from typing import Callable, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .core import GridFunction, LogGrid1D, LogGrid2D, ModelParams, text_output
+from .core import GridFunction, LogGrid1D, LogGrid2D, ModelParams, finite_on_grid, write_csv
 
 __all__ = [
     "BOUNDARY_POLICIES",
@@ -163,10 +163,7 @@ class LinearOperator:
     def to_coo_csv(self, path) -> None:
         """Dump the matrix as row,col,value records for debugging."""
         coo = self.matrix.tocoo()
-        with text_output(path) as fh:
-            fh.write("row,col,value\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r},{c},{v:.17g}\n")
+        write_csv(path, ("row", "col", "value"), (coo.row, coo.col, coo.data))
 
 
 def identity_operator(grid: Grid) -> LinearOperator:
@@ -421,24 +418,12 @@ def _grid_coords(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return pts, np.zeros_like(pts)
 
 
-def _eval_field(fn: Callable, xs: np.ndarray, ys: np.ndarray, name: str,
-                grid: Grid) -> np.ndarray:
-    vals = np.broadcast_to(np.asarray(fn(xs, ys), dtype=float), xs.shape).copy()
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        k = int(np.flatnonzero(bad)[0])
-        where = grid.unravel(k) if isinstance(grid, LogGrid2D) else k
-        raise ValueError(f"{name} is not finite at grid index {where}")
-    return vals
-
-
 _EXP_LIMIT = math.log(np.finfo(float).max)  # ~709.78
 
 
 def gauge_operator(gauge: GaugeField, grid: Grid) -> LinearOperator:
     """Diagonal operator U = diag(e^{omega * theta})."""
-    xs, ys = _grid_coords(grid)
-    t = _eval_field(gauge.theta, xs, ys, "theta", grid)
+    t = finite_on_grid(gauge.theta(*_grid_coords(grid)), grid, "theta")
     w = gauge.omega * t
     peak = float(np.abs(w).max())
     if peak >= _EXP_LIMIT:
@@ -466,8 +451,7 @@ def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
         raise ValueError(f"convention must be one of {TRANSFORM_CONVENTIONS}, got {convention!r}")
     h_bs = build_bs_hamiltonian(params, grid, policy)
     if convention == "direct":
-        xs, ys = _grid_coords(grid)
-        tx = _eval_field(gauge.theta_x, xs, ys, "theta_x", grid)
+        tx = finite_on_grid(gauge.theta_x(*_grid_coords(grid)), grid, "theta_x")
         sig2 = params.sigma * params.sigma
         om = gauge.omega
         if isinstance(grid, LogGrid1D):

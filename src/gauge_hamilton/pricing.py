@@ -24,6 +24,7 @@ sweeps with theta = 1 and no correction stage.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,8 +34,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.special import ndtr
 
-from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams,
+from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_positive,
                    default_grid_1d, default_grid_2d, text_output,
                    write_grid_function_csv)
 from .operators import LinearOperator, build_bs_hamiltonian, build_mg_hamiltonian
@@ -64,10 +66,8 @@ class OptionContract:
     def __post_init__(self):
         if self.kind not in ("call", "put"):
             raise ValueError(f"kind must be 'call' or 'put', got {self.kind!r}")
-        for name in ("strike", "maturity"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_positive("strike", self.strike)
+        check_positive("maturity", self.maturity)
         if not (math.isfinite(self.premium) and self.premium >= 0.0):
             raise ValueError(f"premium must be nonnegative and finite, got {self.premium}")
 
@@ -80,8 +80,7 @@ class OptionContract:
 
 def terminal_payoff(contract: OptionContract, grid) -> GridFunction:
     """Payoff sampled on the grid; constant across y on 2D grids."""
-    x = grid.xs if isinstance(grid, LogGrid2D) else grid.points
-    return GridFunction(grid, contract.payoff(np.exp(x)))
+    return GridFunction(grid, contract.payoff(np.exp(grid.xs)))
 
 
 def _norm_cdf(x: float) -> float:
@@ -94,8 +93,7 @@ def bs_closed_form(params: ModelParams, contract: OptionContract, s0: float) -> 
     sigma = 0 is handled as the deterministic limit, where the option is
     worth its discounted intrinsic value on the forward.
     """
-    if s0 <= 0.0:
-        raise ValueError(f"s0 must be positive, got {s0}")
+    check_positive("s0", s0)
     k, t = contract.strike, contract.maturity
     r, sigma = params.r, params.sigma
     disc = math.exp(-r * t)
@@ -110,19 +108,21 @@ def bs_closed_form(params: ModelParams, contract: OptionContract, s0: float) -> 
     return k * disc * _norm_cdf(-d2) - s0 * _norm_cdf(-d1)
 
 
-def bs_delta(params: ModelParams, contract: OptionContract, s: float, tau: float) -> float:
-    """Analytic dC/dS with remaining time tau."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+def bs_delta(params: ModelParams, contract: OptionContract, s, tau: float):
+    """Analytic dC/dS with remaining time tau, at a spot or an array of
+    spots; a float for a scalar ``s``."""
+    check_positive("tau", tau)
+    s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s) & (s > 0.0)):
+        raise ValueError("s must be positive and finite")
     r, sigma = params.r, params.sigma
     if sigma == 0.0:
-        in_money = s > contract.strike * math.exp(-r * tau)
-        d = 1.0 if in_money else 0.0
+        d = (s > contract.strike * math.exp(-r * tau)).astype(float)
     else:
         st = sigma * math.sqrt(tau)
-        d1 = (math.log(s / contract.strike) + (r + 0.5 * sigma * sigma) * tau) / st
-        d = _norm_cdf(d1)
-    return d if contract.kind == "call" else d - 1.0
+        d = ndtr((np.log(s / contract.strike) + (r + 0.5 * sigma ** 2) * tau) / st)
+    d = d if contract.kind == "call" else d - 1.0
+    return float(d) if d.ndim == 0 else d
 
 
 class EvolveError(RuntimeError):
@@ -220,18 +220,9 @@ class PriceSurface:
     dt: Optional[float] = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (self.grid.n_points,):
-            raise ValueError("surface values do not match the grid")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("surface values must be finite")
+        object.__setattr__(self, "values", GridFunction(self.grid, self.values).values)
 
-    @property
-    def values2d(self) -> np.ndarray:
-        if not isinstance(self.grid, LogGrid2D):
-            raise TypeError("values2d requires a 2D grid")
-        return self.values.reshape(self.grid.shape)
+    values2d = GridFunction.values2d
 
     def interpolate(self, x: float, y: float | None = None) -> float:
         """Linear (bilinear on 2D grids) interpolation at a query point."""
@@ -341,17 +332,15 @@ def _lu_stepper(h: LinearOperator, dt: float, boundary: Optional[FarFieldBoundar
     grid = h.grid
     low, high, _ = _boundary_rows(grid)
     replaced = () if boundary is None else np.concatenate([low, high])
-    systems = {}
 
+    @functools.cache
     def get_system(theta: float):
-        if theta not in systems:
-            a, b = _theta_systems(h.matrix, theta, dt, replaced)
-            try:
-                lu = spla.splu(a.tocsc())
-            except RuntimeError as exc:
-                raise EvolveError(f"implicit matrix factorization failed: {exc}") from exc
-            systems[theta] = (a, b, lu)
-        return systems[theta]
+        a, b = _theta_systems(h.matrix, theta, dt, replaced)
+        try:
+            lu = spla.splu(a.tocsc())
+        except RuntimeError as exc:
+            raise EvolveError(f"implicit matrix factorization failed: {exc}") from exc
+        return a, b, lu
 
     def advance(values, theta, tau_new, check):
         a, b, lu = get_system(theta)
@@ -429,28 +418,26 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
                                (np.repeat(faces, 3), (faces[:, None] + inward).ravel())),
                               shape=(n, n))
     x_lines = np.arange(n).reshape(nx, ny).T.ravel()
-    systems = {}
 
+    @functools.cache
     def get_system(theta: float):
-        if theta not in systems:
-            sys_x = _theta_matrix(a1, -(theta * dt), pinned=replaced)
-            body_y = _theta_matrix(a2, -(theta * dt), pinned=dirichlet, zeroed=faces)
-            dl, d, du = _tridiagonal(body_y)
-            d[faces] = 1.0  # solved as identity rows; sys_y keeps the linearity rows
-            # fold C(i,0) = 2 C(i,1) - C(i,2) into row (i,1), likewise at the top
-            k = bottom + 1
-            c = dl[k - 1]
-            d[k] += 2.0 * c
-            du[k] -= c
-            dl[k - 1] = 0.0
-            k = top - 1
-            c = du[k]
-            d[k] += 2.0 * c
-            dl[k - 1] -= c
-            du[k] = 0.0
-            systems[theta] = (sys_x, _gttrf(*_tridiagonal(sys_x[x_lines][:, x_lines])),
-                              body_y + linearity, _gttrf(dl, d, du))
-        return systems[theta]
+        sys_x = _theta_matrix(a1, -(theta * dt), pinned=replaced)
+        body_y = _theta_matrix(a2, -(theta * dt), pinned=dirichlet, zeroed=faces)
+        dl, d, du = _tridiagonal(body_y)
+        d[faces] = 1.0  # solved as identity rows; sys_y keeps the linearity rows
+        # fold C(i,0) = 2 C(i,1) - C(i,2) into row (i,1), likewise at the top
+        k = bottom + 1
+        c = dl[k - 1]
+        d[k] += 2.0 * c
+        du[k] -= c
+        dl[k - 1] = 0.0
+        k = top - 1
+        c = du[k]
+        d[k] += 2.0 * c
+        dl[k - 1] -= c
+        du[k] = 0.0
+        return (sys_x, _gttrf(*_tridiagonal(sys_x[x_lines][:, x_lines])),
+                body_y + linearity, _gttrf(dl, d, du))
 
     def advance(values, theta, tau_new, check):
         sys_x, lu_x, sys_y, lu_y = get_system(theta)
@@ -488,6 +475,7 @@ def price_bs(params: ModelParams, contract: OptionContract, s0: float,
              grid: LogGrid1D | None = None, n_steps: int = 200,
              theta_scheme: float = 0.5) -> float:
     """Backward-evolved Black-Scholes price read off at ln s0."""
+    check_positive("s0", s0)
     if grid is None:
         grid = default_grid_1d(s0, params.sigma, contract.maturity)
     h = build_bs_hamiltonian(params, grid)
@@ -510,8 +498,8 @@ def price_mg(params: ModelParams, contract: OptionContract, s0: float, v0: float
              grid: LogGrid2D | None = None, n_steps: int = 150,
              theta_scheme: float = 0.5) -> float:
     """Merton-Garman price at spot s0 and instantaneous variance v0."""
-    if s0 <= 0.0 or v0 <= 0.0:
-        raise ValueError("s0 and v0 must be positive")
+    check_positive("s0", s0)
+    check_positive("v0", v0)
     if grid is None:
         grid = default_grid_2d(s0, v0, contract.maturity)
     surface = solve_mg(params, contract, grid, n_steps, theta_scheme)

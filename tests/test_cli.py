@@ -12,10 +12,16 @@ from click.testing import CliRunner
 from gauge_hamilton import (
     ModelParams,
     OptionContract,
+    ProfitQuery,
+    build_gauge_hamiltonian,
     bs_closed_form,
+    hamiltonian_terms,
+    make_grid_2d,
+    profit,
     read_paths_binary,
+    sample,
 )
-from gauge_hamilton.cli import main
+from gauge_hamilton.cli import _TERM_COLUMNS, main
 
 
 @pytest.fixture
@@ -224,7 +230,8 @@ def test_surface_file_output_and_exact_values(runner, tmp_path):
                                   "--r", "0.05", "--nx", "11", "--ny", "5",
                                   "--output", str(out_path)])
     assert result.exit_code == 0
-    rows = list(csv.DictReader(open(out_path)))
+    with open(out_path) as fh:
+        rows = list(csv.DictReader(fh))
     for row in rows:
         assert float(row["f"]) == np.exp(float(row["x"]))
         assert float(row["first_y"]) == 0.0
@@ -314,7 +321,8 @@ def test_simulate_writes_artifacts(runner, tmp_path):
     assert out["slices_out"] == str(slices)
     ens = read_paths_binary(paths)
     assert ens.n_paths == 50 and ens.seed == 3
-    rows = list(csv.DictReader(open(slices)))
+    with open(slices) as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 50
     assert float(rows[0]["s_last"]) == ens.s_paths[0, -1]
 
@@ -322,3 +330,70 @@ def test_simulate_writes_artifacts(runner, tmp_path):
 def test_simulate_usage_error(runner):
     result = runner.invoke(main, ["simulate", "--s0", "-100"])
     assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# usage errors of price and the CSV tables against the hand-written writers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args, flag", [
+    (["--s0", "nan"], "--s0"),
+    (["--s0", "inf"], "--s0"),
+    (["--model", "mg", "--v0", "nan"], "--v0"),
+    (["--model", "mg", "--v0", "inf"], "--v0"),
+    (["--n-steps", "0"], "--n-steps"),
+    (["--theta-scheme", "2"], "--theta-scheme"),
+    (["--nx", "3"], "--nx"),
+    (["--model", "mg", "--ny", "3"], "--ny"),
+])
+def test_price_rejects_bad_flags_as_usage_errors(runner, args, flag):
+    result = runner.invoke(main, ["price", "--s0", "100", "--k", "100", *args])
+    assert result.exit_code == 2, result.output
+    assert f"{flag} must" in result.output
+
+
+def surface_by_hand(grid, state, columns, total):
+    """The row loop the surface command used before it wrote through
+    core.write_csv, kept as the reference for its bytes."""
+    out = io.StringIO()
+    out.write("x,y,f," + ",".join(_TERM_COLUMNS) + ",total\n")
+    for k in range(grid.n_points):
+        row = [grid.xs[k], grid.ys[k], state.values[k]]
+        row += [columns[name][k] for name in _TERM_COLUMNS]
+        row.append(total[k])
+        out.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("model, form", [("gauge", "expanded"), ("mg", "expanded"),
+                                         ("bs", "expanded"), ("gauge", "factored")])
+def test_surface_bytes_match_hand_written_rows(runner, model, form):
+    params = ModelParams(r=0.05, sigma=0.2, zeta=0.3, mu=-0.2, lambda_=0.01, rho=-0.4)
+    grid = make_grid_2d(3.5, 5.5, 9, -4.0, -1.0, 6)
+    state = sample(lambda x, y: np.exp(x + y), grid)
+    columns = {name: np.zeros(grid.n_points) for name in _TERM_COLUMNS}
+    if form == "factored":
+        total = build_gauge_hamiltonian(params, grid, form="factored").apply(state).values
+    else:
+        for name, op in hamiltonian_terms(params, grid, model).items():
+            columns[name] = op.apply(state).values
+        total = np.sum(list(columns.values()), axis=0)
+    result = runner.invoke(main, ["surface", "--hamiltonian", model, "--form", form,
+                                  "--zeta", "0.3", "--mu", "-0.2", "--lambda", "0.01",
+                                  "--rho", "-0.4", "--nx", "9", "--ny", "6"])
+    assert result.exit_code == 0
+    assert result.output == surface_by_hand(grid, state, columns, total)
+
+
+def test_payoff_table_csv_bytes_match_hand_written_rows(runner, tmp_path):
+    contract = OptionContract("put", 42.0, 1.0, premium=5.0)
+    expected = io.StringIO()
+    expected.write("s_t,holder_profit,writer_profit\n")
+    for s in np.linspace(0.0, 84.0, 13):
+        h = profit(ProfitQuery(contract, "holder", float(s)))
+        expected.write(f"{float(s):.17g},{h:.17g},{-h:.17g}\n")
+    out = tmp_path / "table.csv"
+    result = runner.invoke(main, ["payoff-table", "--kind", "put", "--k", "42",
+                                  "--premium", "5", "--n", "13", "--output", str(out)])
+    assert result.exit_code == 0
+    assert out.read_text() == expected.getvalue()

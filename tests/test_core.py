@@ -8,16 +8,24 @@ import pytest
 
 from gauge_hamilton import (
     GridFunction,
+    HedgeTestResult,
     LogGrid2D,
+    MartingaleReport,
     ModelParams,
+    OptionContract,
+    VolcoeffReport,
     default_grid_1d,
     default_grid_2d,
+    delta_hedge_test,
     make_grid_1d,
     make_grid_2d,
+    martingale_roots,
+    mg_martingale_report,
     sample,
+    volcoeff_audit,
     write_grid_function_csv,
 )
-from gauge_hamilton.core import text_output
+from gauge_hamilton.core import check_positive, text_output, write_csv
 
 
 def test_grid_1d_spacing_and_points():
@@ -214,3 +222,108 @@ def test_params_frozen():
     p = ModelParams()
     with pytest.raises(AttributeError):
         p.sigma = 0.5
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_default_grids_name_bad_spot_and_variance(bad):
+    with pytest.raises(ValueError, match="s0 must be positive and finite"):
+        default_grid_1d(bad, 0.2, 1.0)
+    with pytest.raises(ValueError, match="s0 must be positive and finite"):
+        default_grid_2d(bad, 0.04, 1.0)
+    with pytest.raises(ValueError, match="v0 must be positive and finite"):
+        default_grid_2d(100.0, bad, 1.0)
+
+
+def test_check_positive_names_the_field():
+    check_positive("width", 1e-300)
+    for bad in (0.0, -2.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"width must be positive and finite, got {bad}"):
+            check_positive("width", bad)
+
+
+# ---------------------------------------------------------------------------
+# one CSV writer, against the hand-written loops it replaced
+# ---------------------------------------------------------------------------
+
+def grid_function_csv_by_hand(gf):
+    """write_grid_function_csv before it went through write_csv."""
+    out = io.StringIO()
+    if isinstance(gf.grid, LogGrid2D):
+        out.write("x,y,value\n")
+        for x, y, v in zip(gf.grid.xs, gf.grid.ys, gf.values):
+            out.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
+    else:
+        out.write("x,value\n")
+        for x, v in zip(gf.grid.points, gf.values):
+            out.write(f"{x:.17g},{v:.17g}\n")
+    return out.getvalue()
+
+
+def test_write_csv_formats_every_value_with_17_digits():
+    buf = io.StringIO()
+    ints = np.array([0, 7, 123456789], dtype=np.int32)
+    floats = np.array([0.1, -1e-300, 2.0 ** 60])
+    write_csv(buf, ("i", "a", "b"), (ints, floats, [1, 1.0 / 3.0, -0.0]))
+    assert buf.getvalue() == ("i,a,b\n"
+                              "0,0.10000000000000001,1\n"
+                              "7,-1e-300,0.33333333333333331\n"
+                              "123456789,1.152921504606847e+18,-0\n")
+    empty = io.StringIO()
+    write_csv(empty, ("only",), ([],))
+    assert empty.getvalue() == "only\n"
+
+
+@pytest.mark.parametrize("two_d", [False, True])
+def test_grid_function_csv_bytes_match_hand_written_rows(two_d, tmp_path):
+    if two_d:
+        gf = sample(lambda x, y: np.exp(x + y) / 3.0, make_grid_2d(-1.0, 1.3, 7, -2.0, 0.1, 6))
+    else:
+        gf = sample(lambda x: np.sin(x) / 7.0, make_grid_1d(-0.3, 2.9, 17))
+    buf = io.StringIO()
+    write_grid_function_csv(gf, buf)
+    assert buf.getvalue() == grid_function_csv_by_hand(gf)
+    gf.to_csv(tmp_path / "gf.csv")
+    assert (tmp_path / "gf.csv").read_text() == grid_function_csv_by_hand(gf)
+
+
+# ---------------------------------------------------------------------------
+# one to_dict for every report, against the per-class methods it replaced
+# ---------------------------------------------------------------------------
+
+def old_to_dict(report):
+    if isinstance(report, MartingaleReport):
+        return {"residual_norm": report.residual_norm,
+                "condition_lhs": report.condition_lhs,
+                "satisfied": report.satisfied}
+    if isinstance(report, VolcoeffReport):
+        return {"deviations": dict(report.deviations),
+                "second_y_matches_half_sig2": report.second_y_matches_half_sig2,
+                "vol_vol_half": report.vol_vol_half}
+    if isinstance(report, HedgeTestResult):
+        return {"mean_error": report.mean_error, "std_error": report.std_error,
+                "stderr": report.stderr, "n_paths": report.n_paths,
+                "n_steps": report.n_steps}
+    return {"a_coeff": report.a_coeff, "mu": report.mu, "lambda_": report.lambda_,
+            "roots_y": list(report.roots_y), "roots_expy": list(report.roots_expy),
+            "no_equilibrium": report.no_equilibrium}
+
+
+def test_report_to_dict_matches_per_class_methods():
+    grid = make_grid_2d(3.5, 5.5, 11, -4.0, -1.0, 7)
+    mg = ModelParams(lambda_=0.01, mu=-0.5, zeta=0.5, alpha=0.5, rho=-0.5)
+    reports = [
+        mg_martingale_report(mg, grid),
+        martingale_roots(1.0, -3.0, 2.0),
+        martingale_roots(1.0, 1.0, 1.0),   # no roots: empty tuples
+        volcoeff_audit(mg, grid),
+        delta_hedge_test(ModelParams(r=0.03, sigma=0.2, phi=0.03),
+                         OptionContract("call", 100.0, 1.0), 100.0, 5, 50, seed=1),
+    ]
+    for report in reports:
+        d = report.to_dict()
+        expected = old_to_dict(report)
+        assert d == expected
+        assert list(d) == list(expected)
+        assert [type(v) for v in d.values()] == [type(v) for v in expected.values()]
+    volc = reports[3]
+    assert volc.to_dict()["deviations"] is not volc.deviations

@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from gauge_hamilton import (
     ModelParams,
@@ -575,3 +576,108 @@ def test_simulate_mg_rejects_non_finite_v0(bad):
 def test_simulate_mg_rejects_bad_v_floor(bad):
     with pytest.raises(ValueError, match="v_floor"):
         simulate_mg(MG_P, 100.0, 0.04, 1.0, 8, 10, seed=0, v_floor=bad)
+
+
+# ---------------------------------------------------------------------------
+# bad dump headers, thread counts, and the shared CSV writer and delta
+# ---------------------------------------------------------------------------
+
+def _patched_dump(tmp_path, ens, word, value):
+    """A dump of ``ens`` with header word ``word`` (0 n_paths, 1 n_times,
+    2 has_v, 3 scheme code) replaced by ``value``."""
+    path = tmp_path / "patched.bin"
+    ens.to_binary(path)
+    raw = bytearray(path.read_bytes())
+    start = len(_MAGIC) + 8 * word
+    raw[start:start + 8] = np.array([value], dtype=np.uint64).tobytes()
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def test_binary_rejects_unknown_scheme_code(tmp_path):
+    ens = simulate_mg(MG_P, 100.0, 0.04, 1.0, 4, 10, seed=3)
+    with pytest.raises(ValueError, match="unknown scheme code 7"):
+        read_paths_binary(_patched_dump(tmp_path, ens, 3, 7))
+
+
+@pytest.mark.parametrize("with_v", [True, False])
+def test_binary_rejects_bad_has_v_flag(tmp_path, with_v):
+    ens = (simulate_mg(MG_P, 100.0, 0.04, 1.0, 4, 10, seed=3) if with_v
+           else simulate_gbm(RN, 100.0, 1.0, 4, 10, seed=3))
+    with pytest.raises(ValueError, match="has_v flag 2, expected 0 or 1"):
+        read_paths_binary(_patched_dump(tmp_path, ens, 2, 2))
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_simulators_reject_thread_count_below_one(threads):
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        simulate_gbm(RN, 100.0, 1.0, 4, 10, seed=0, threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        simulate_mg(MG_P, 100.0, 0.04, 1.0, 4, 10, seed=0, threads=threads)
+
+
+def slices_csv_by_hand(ens):
+    """slices_to_csv before it went through core.write_csv."""
+    out = io.StringIO()
+    if ens.v_paths is None:
+        out.write("path,s_first,s_last\n")
+        for p in range(ens.n_paths):
+            out.write(f"{p},{ens.s_paths[p, 0]:.17g},{ens.s_paths[p, -1]:.17g}\n")
+    else:
+        out.write("path,s_first,s_last,v_first,v_last\n")
+        for p in range(ens.n_paths):
+            out.write(f"{p},{ens.s_paths[p, 0]:.17g},{ens.s_paths[p, -1]:.17g},"
+                      f"{ens.v_paths[p, 0]:.17g},{ens.v_paths[p, -1]:.17g}\n")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("model", ["gbm", "mg"])
+def test_slices_csv_bytes_match_hand_written_rows(model, tmp_path):
+    if model == "gbm":
+        ens = simulate_gbm(RN, 100.0, 1.0, 6, 1500, seed=5)
+    else:
+        ens = simulate_mg(ModelParams(r=0.05, phi=0.05, zeta=0.5, rho=-0.5, alpha=0.5),
+                          100.0, 0.04, 1.0, 6, 1500, seed=5)
+    buf = io.StringIO()
+    ens.slices_to_csv(buf)
+    assert buf.getvalue() == slices_csv_by_hand(ens)
+    ens.slices_to_csv(tmp_path / "slices.csv")
+    assert (tmp_path / "slices.csv").read_text() == slices_csv_by_hand(ens)
+
+
+def _bs_delta_vec(params, contract, s, tau):
+    """The array delta the hedge test used before it called pricing.bs_delta."""
+    if params.sigma == 0.0:
+        d = (s > contract.strike * math.exp(-params.r * tau)).astype(float)
+    else:
+        st = params.sigma * math.sqrt(tau)
+        d1 = (np.log(s / contract.strike) + (params.r + 0.5 * params.sigma ** 2) * tau) / st
+        d = ndtr(d1)
+    return d if contract.kind == "call" else d - 1.0
+
+
+def _hedge_with_reference_delta(params, contract, s0, n_steps, n_paths, seed):
+    s = simulate_gbm(params, s0, contract.maturity, n_steps, n_paths, seed).s_paths
+    dt = contract.maturity / n_steps
+    grow = math.exp(params.r * dt)
+    delta = _bs_delta_vec(params, contract, s[:, 0], contract.maturity)
+    cash = np.full(n_paths, bs_closed_form(params, contract, s0)) - delta * s[:, 0]
+    for k in range(1, n_steps):
+        cash = cash * grow
+        new_delta = _bs_delta_vec(params, contract, s[:, k], contract.maturity - k * dt)
+        cash -= (new_delta - delta) * s[:, k]
+        delta = new_delta
+    error = cash * grow + delta * s[:, -1] - contract.payoff(s[:, -1])
+    std = float(error.std(ddof=1)) if n_paths > 1 else 0.0
+    return float(error.mean()), std, std / math.sqrt(n_paths)
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.0])
+@pytest.mark.parametrize("kind", ["call", "put"])
+@pytest.mark.parametrize("n_paths", [1, 3000])
+def test_delta_hedge_matches_reference_delta_bit_for_bit(sigma, kind, n_paths):
+    params = ModelParams(r=0.03, sigma=sigma, phi=0.03)
+    contract = OptionContract(kind, 95.0, 0.75)
+    res = delta_hedge_test(params, contract, 100.0, 24, n_paths, seed=9)
+    assert (res.mean_error, res.std_error, res.stderr) == _hedge_with_reference_delta(
+        params, contract, 100.0, 24, n_paths, 9)

@@ -153,13 +153,15 @@ def test_stencils_exact_on_low_degree_polynomials(n, h, policy, a, b, c, x0):
     # every row of a one-sided closure is exact; zero-padded end rows drop
     # a neighbour and are exact only inside
     rows = slice(None) if policy == "one-sided-interior" else slice(1, -1)
-    eps = np.finfo(float).eps
+    # below the normal range rounding is absolute, one subnormal step, not
+    # relative, so each bound carries that term next to eps * magnitude
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
     d1 = _first_difference(n, h, policy) @ linear
     np.testing.assert_allclose(d1[rows], b, rtol=0.0,
-                               atol=64 * eps * np.abs(linear).max() / h)
+                               atol=64 * (eps * np.abs(linear).max() + tiny) / h)
     d2 = _second_difference(n, h, policy) @ quadratic
     np.testing.assert_allclose(d2[rows], 2.0 * c, rtol=0.0,
-                               atol=256 * eps * np.abs(quadratic).max() / (h * h))
+                               atol=256 * (eps * np.abs(quadratic).max() + tiny) / (h * h))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +203,27 @@ def test_to_coo_csv():
     assert lines[0] == "row,col,value"
     assert len(lines) == 6
     assert lines[1].split(",") == ["0", "0", "1"]
+
+
+def coo_csv_by_hand(op):
+    """to_coo_csv before it went through core.write_csv."""
+    coo = op.matrix.tocoo()
+    out = io.StringIO()
+    out.write("row,col,value\n")
+    for r, c, v in zip(coo.row, coo.col, coo.data):
+        out.write(f"{r},{c},{v:.17g}\n")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("op", [build_bs_hamiltonian(P, GRID_1D),
+                                build_mg_hamiltonian(MG_P, make_grid_2d(0.0, 1.0, 7, -1.0, 0.0, 6))],
+                         ids=["bs-1d", "mg-2d"])
+def test_to_coo_csv_bytes_match_hand_written_rows(op, tmp_path):
+    buf = io.StringIO()
+    op.to_coo_csv(buf)
+    assert buf.getvalue() == coo_csv_by_hand(op)
+    op.to_coo_csv(tmp_path / "op.csv")
+    assert (tmp_path / "op.csv").read_text() == coo_csv_by_hand(op)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +416,16 @@ def test_gauge_operator_overflow():
     g = make_grid_1d(0.0, 800.0, 9)
     with pytest.raises(ValueError, match="overflow"):
         gauge_operator(GaugeField.linear_x(1.0), g)
+
+
+def test_gauge_fields_must_be_finite_on_the_grid():
+    log_x = GaugeField(theta=lambda x, y: np.log(x), theta_x=lambda x, y: 1.0 / x,
+                       theta_y=lambda x, y: 0.0 * x, theta_xy=lambda x, y: 0.0 * x, omega=1.0)
+    with np.errstate(divide="ignore"):
+        with pytest.raises(ValueError, match="non-finite theta -inf at grid index 0"):
+            gauge_operator(log_x, make_grid_1d(0.0, 1.0, 5))
+        with pytest.raises(ValueError, match=r"non-finite theta_x inf at grid index \(0, 0\)"):
+            build_transformed_bs(P, log_x, make_grid_2d(0.0, 1.0, 5, 0.0, 1.0, 5))
 
 
 def test_commutator_with_linear_field_is_large():

@@ -13,6 +13,7 @@ from gauge_hamilton import (
     EvolveError,
     FarFieldBoundary,
     GridFunction,
+    LogGrid2D,
     ModelParams,
     OptionContract,
     PriceSurface,
@@ -498,3 +499,103 @@ def test_evolve_steps_operator_without_stored_diagonal():
                 rhs[[0, -1]] = boundary.x_values(g, 0.1 * (step + 1))
             want = np.linalg.solve(a, rhs)
         np.testing.assert_allclose(surf.values, want, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the shared delta, non-finite inputs, and surfaces built on GridFunction
+# ---------------------------------------------------------------------------
+
+def _erf_delta(params, contract, s, tau):
+    """The scalar delta before it shared the array arithmetic: math.erf CDF."""
+    st = params.sigma * math.sqrt(tau)
+    d1 = (math.log(s / contract.strike) + (params.r + 0.5 * params.sigma ** 2) * tau) / st
+    d = 0.5 * (1.0 + math.erf(d1 / math.sqrt(2.0)))
+    return d if contract.kind == "call" else d - 1.0
+
+
+def test_scalar_delta_stays_within_1e15_of_erf_formula():
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(4000):
+        params = ModelParams(r=rng.uniform(0.0, 0.1), sigma=rng.uniform(0.02, 1.0))
+        contract = OptionContract(str(rng.choice(["call", "put"])), 100.0, 2.0)
+        s, tau = 100.0 * math.exp(rng.uniform(-2.0, 2.0)), rng.uniform(1e-3, 2.0)
+        d = bs_delta(params, contract, s, tau)
+        assert type(d) is float
+        worst = max(worst, abs(d - _erf_delta(params, contract, s, tau)))
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("sigma", [0.25, 0.0])
+def test_delta_on_an_array_is_the_scalar_delta_per_spot(sigma):
+    params = ModelParams(r=0.04, sigma=sigma)
+    s = np.linspace(60.0, 150.0, 37)
+    for contract in (CALL, PUT):
+        d = bs_delta(params, contract, s, 0.6)
+        assert isinstance(d, np.ndarray) and d.shape == s.shape
+        assert d.tolist() == [bs_delta(params, contract, float(x), 0.6) for x in s]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_delta_rejects_bad_spot_and_tau(bad):
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        bs_delta(P, CALL, 100.0, bad)
+    with pytest.raises(ValueError, match="s must be positive and finite"):
+        bs_delta(P, CALL, bad, 1.0)
+    with pytest.raises(ValueError, match="s must be positive and finite"):
+        bs_delta(P, CALL, np.array([100.0, bad]), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pricers_name_a_non_finite_spot_or_variance(bad):
+    with pytest.raises(ValueError, match="s0 must be positive and finite"):
+        bs_closed_form(P, CALL, bad)
+    with pytest.raises(ValueError, match="s0 must be positive and finite"):
+        price_bs(P, CALL, bad)
+    with pytest.raises(ValueError, match="s0 must be positive and finite"):
+        price_bs(P, CALL, bad, grid=make_grid_1d(3.0, 6.0, 21))
+    with pytest.raises(ValueError, match="s0 must be positive and finite"):
+        price_mg(ModelParams(r=0.05), CALL, bad, 0.04)
+    with pytest.raises(ValueError, match="v0 must be positive and finite"):
+        price_mg(ModelParams(r=0.05), CALL, 100.0, bad)
+
+
+def surface_csv_by_hand(surface):
+    """PriceSurface.to_csv before write_grid_function_csv went through
+    core.write_csv: the time line, then the grid function rows."""
+    out = io.StringIO()
+    out.write(f"# t={surface.valuation_time:.17g}\n")
+    grid = surface.grid
+    if isinstance(grid, LogGrid2D):
+        out.write("x,y,value\n")
+        for x, y, v in zip(grid.xs, grid.ys, surface.values):
+            out.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
+    else:
+        out.write("x,value\n")
+        for x, v in zip(grid.points, surface.values):
+            out.write(f"{x:.17g},{v:.17g}\n")
+    return out.getvalue()
+
+
+def test_surface_csv_bytes_match_hand_written_rows(tmp_path):
+    g1 = default_grid_1d(100.0, 0.2, 1.0, n=31)
+    s1 = evolve(build_bs_hamiltonian(P, g1), terminal_payoff(CALL, g1), 1.0, 10,
+                boundary=FarFieldBoundary(CALL, P.r))
+    s2 = solve_mg(ADI_P, CALL, make_grid_2d(3.6, 5.6, 9, -5.0, -1.0, 7), n_steps=4)
+    for surface in (s1, s2, PriceSurface(g1, g1.points / 3.0, 0.25)):
+        buf = io.StringIO()
+        surface.to_csv(buf)
+        assert buf.getvalue() == surface_csv_by_hand(surface)
+        surface.to_csv(tmp_path / "surface.csv")
+        assert (tmp_path / "surface.csv").read_text() == surface_csv_by_hand(surface)
+
+
+def test_surface_validates_as_a_grid_function():
+    g = make_grid_2d(0.0, 1.0, 5, 0.0, 1.0, 6)
+    with pytest.raises(ValueError, match=r"values must have shape \(30,\), got \(29,\)"):
+        PriceSurface(g, np.ones(29), 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        PriceSurface(g, np.full(30, np.inf), 0.0)
+    surface = PriceSurface(g, np.arange(30), 0.0)
+    assert surface.values.dtype == float
+    assert np.array_equal(surface.values2d, np.arange(30.0).reshape(5, 6))
