@@ -465,12 +465,10 @@ def payoff_table(kind, strike, premium, s_min, s_max, n, fmt, output):
     """Holder and writer profit at expiry over a range of terminal prices."""
     if s_max is None:
         s_max = 2.0 * strike
-    if not s_max > s_min:
-        raise click.UsageError("--s-max must exceed --s-min")
-    if s_min < 0.0:
-        raise click.UsageError("--s-min must be nonnegative")
-    if n < 2:
-        raise click.UsageError("--n must be at least 2")
+    _require(math.isfinite(s_min) and s_min >= 0.0, "--s-min", "be nonnegative and finite", s_min)
+    _require(math.isfinite(s_max) and s_max > s_min, "--s-max",
+             f"be finite and exceed --s-min {s_min}", s_max)
+    _require(n >= 2, "--n", "be at least 2", n)
     contract = _usage(OptionContract, kind, strike, maturity=1.0, premium=premium)
     s_values = np.linspace(s_min, s_max, n)
     rows = []

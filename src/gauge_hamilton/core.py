@@ -306,6 +306,9 @@ def write_grid_function_csv(gf: GridFunction, path) -> None:
 def default_grid_1d(s0: float, sigma: float, maturity: float, n: int = 401) -> LogGrid1D:
     """Price grid centred on ln s0, five sigma*sqrt(T) wide on each side."""
     check_positive("s0", s0)
+    check_positive("maturity", maturity)
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     half = 5.0 * sigma * math.sqrt(maturity)
     if half <= 0:
         half = 1.0  # degenerate sigma: any bounded box works

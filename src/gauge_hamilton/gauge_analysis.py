@@ -92,13 +92,15 @@ def mg_condition_lhs(params: ModelParams, y: np.ndarray) -> np.ndarray:
     """lambda + e^y (mu + (zeta^2/2) e^{2y(alpha-1)} + rho zeta e^{y(alpha-1/2)}).
 
     The Merton-Garman Hamiltonian annihilates e^{x+y} exactly where this
-    vanishes.
+    vanishes.  With ``vol_vol_half`` the halved d2/dy2 coefficient cancels
+    the (zeta^2/2) term on e^{x+y}, leaving lambda + e^y (mu + rho zeta e^{y(alpha-1/2)}).
     """
     y = np.asarray(y, dtype=float)
     zeta2 = params.zeta * params.zeta
-    inner = (params.mu
-             + 0.5 * zeta2 * np.exp(2.0 * y * (params.alpha - 1.0))
-             + params.rho * params.zeta * np.exp(y * (params.alpha - 0.5)))
+    inner = params.mu
+    if not params.vol_vol_half:
+        inner = inner + 0.5 * zeta2 * np.exp(2.0 * y * (params.alpha - 1.0))
+    inner = inner + params.rho * params.zeta * np.exp(y * (params.alpha - 0.5))
     return params.lambda_ + np.exp(y) * inner
 
 

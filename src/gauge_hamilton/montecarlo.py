@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import GridFunction, LogGrid2D, ModelParams, Record, check_positive, write_csv
+from .operators import build_mg_hamiltonian, momentum_operator
 from .pricing import OptionContract, PriceSurface, bs_closed_form, bs_delta
 
 __all__ = [
@@ -415,53 +416,32 @@ def beta_field(surface: PriceSurface, params: ModelParams,
                min_dcdv: float = 1e-6) -> GridFunction:
     """Market price of volatility risk implied by a solved surface,
 
+        beta = (dC/dt - H C) / dC/dV,   H = build_mg_hamiltonian(params, grid),
+
+    the residual of the equation solve_mg steps.  With ``vol_vol_half`` set
+    this is the (S, V) formula
+
         beta = [dC/dt + r S dC/dS + (lambda + mu V) dC/dV
                 + (V S^2/2) d2C/dS2 + rho zeta V^{1/2+alpha} S d2C/dSdV
-                + zeta^2 V^{2alpha} d2C/dV2 - r C] / dC/dV.
+                + (zeta^2/2) V^{2alpha} d2C/dV2 - r C] / dC/dV.
 
     dC/dt comes from the two stored time slices (first-order backward
-    difference); spatial derivatives are central.  Points on the boundary
-    or with |dC/dV| below ``min_dcdv`` are masked with NaN rather than
-    extrapolated.  A surface that solves the pricing equation has beta = 0
-    up to discretization error.
+    difference) and dC/dV = e^-y dC/dy from the central y block.  Points on
+    the boundary or with |dC/dV| below ``min_dcdv`` are masked with NaN
+    rather than extrapolated.  A surface that solves the pricing equation
+    has beta = 0 up to discretization error.
     """
     grid = surface.grid
     if not isinstance(grid, LogGrid2D):
         raise TypeError("beta extraction needs a 2D surface")
     if surface.prev_values is None or surface.dt is None:
         raise ValueError("surface must carry two time slices (prev_values and dt)")
-    c = surface.values2d
-    c_prev = surface.prev_values.reshape(grid.shape)
-    hx, hy = grid.hx, grid.hy
-    x = grid.x_axis.points[:, None]
-    y = grid.y_axis.points[None, :]
-
-    out = np.full(grid.shape, np.nan)
-    sl = slice(1, -1)
-    cx = (c[2:, sl] - c[:-2, sl]) / (2 * hx)
-    cy = (c[sl, 2:] - c[sl, :-2]) / (2 * hy)
-    cxx = (c[2:, sl] - 2 * c[sl, sl] + c[:-2, sl]) / hx ** 2
-    cyy = (c[sl, 2:] - 2 * c[sl, sl] + c[sl, :-2]) / hy ** 2
-    cxy = (c[2:, 2:] - c[2:, :-2] - c[:-2, 2:] + c[:-2, :-2]) / (4 * hx * hy)
-    ct = (c_prev[sl, sl] - c[sl, sl]) / surface.dt  # forward in calendar time
-
-    xi, yi = x[sl, :], y[:, sl]
-    s = np.exp(xi)
-    v = np.exp(yi)
-    c_s = cx / s
-    c_ss = (cxx - cx) / s ** 2
-    c_v = cy / v
-    c_vv = (cyy - cy) / v ** 2
-    c_sv = cxy / (s * v)
-
-    zeta2 = params.zeta ** 2
-    vol_vol = 0.5 * zeta2 if params.vol_vol_half else zeta2
-    numerator = (ct + params.r * s * c_s + (params.lambda_ + params.mu * v) * c_v
-                 + 0.5 * v * s ** 2 * c_ss
-                 + params.rho * params.zeta * v ** (0.5 + params.alpha) * s * c_sv
-                 + vol_vol * v ** (2.0 * params.alpha) * c_vv
-                 - params.r * c[sl, sl])
+    check_positive("dt", surface.dt)
+    c = surface.values
+    h = build_mg_hamiltonian(params, grid).matrix
+    numerator = (surface.prev_values - c) / surface.dt - h @ c
+    c_v = np.exp(-grid.ys) * (momentum_operator(grid, "y").matrix @ c)
     with np.errstate(invalid="ignore", divide="ignore"):
         beta = np.where(np.abs(c_v) >= min_dcdv, numerator / c_v, np.nan)
-    out[sl, sl] = beta
-    return GridFunction(grid, out.ravel(), allow_masked=True)
+    beta[~grid.interior_mask(1)] = np.nan
+    return GridFunction(grid, beta, allow_masked=True)

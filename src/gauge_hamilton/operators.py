@@ -175,18 +175,9 @@ def momentum_operator(grid: Grid, axis: str = "x",
                       policy: str = "one-sided-interior") -> LinearOperator:
     """First-derivative block along one axis (the momentum is real here)."""
     _check_policy(policy)
-    if isinstance(grid, LogGrid1D):
-        if axis != "x":
-            raise ValueError(f"1D grids only have an x axis, got {axis!r}")
-        return LinearOperator(grid, _first_difference(grid.n, grid.h, policy), policy, "p_x")
-    if axis == "x":
-        mat = sp.kron(_first_difference(grid.nx, grid.hx, policy),
-                      sp.identity(grid.ny), format="csr")
-    elif axis == "y":
-        mat = sp.kron(sp.identity(grid.nx),
-                      _first_difference(grid.ny, grid.hy, policy), format="csr")
-    else:
+    if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    (mat,) = _difference_blocks(grid, policy, "d" + axis)
     return LinearOperator(grid, mat, policy, f"p_{axis}")
 
 
@@ -217,22 +208,36 @@ def hermiticity_defect(op: LinearOperator, depth: int = 1) -> float:
 # Hamiltonian builders
 # ---------------------------------------------------------------------------
 
-def _blocks_2d(grid: LogGrid2D, policy: str) -> dict:
-    d1x = _first_difference(grid.nx, grid.hx, policy)
-    d1y = _first_difference(grid.ny, grid.hy, policy)
-    d2x = _second_difference(grid.nx, grid.hx, policy)
-    d2y = _second_difference(grid.ny, grid.hy, policy)
-    ix = sp.identity(grid.nx)
-    iy = sp.identity(grid.ny)
-    return {
-        "dx": sp.kron(d1x, iy, format="csr"),
-        "dy": sp.kron(ix, d1y, format="csr"),
-        "dxx": sp.kron(d2x, iy, format="csr"),
-        "dyy": sp.kron(ix, d2y, format="csr"),
-        # 4-corner cross stencil: exactly the composition of the two
-        # central first differences at interior points
-        "dxy": sp.kron(d1x, d1y, format="csr"),
-    }
+# the x and the y stencil of each difference block; None is the identity
+_BLOCK_STENCILS = {
+    "dx": (_first_difference, None),
+    "dy": (None, _first_difference),
+    "dxx": (_second_difference, None),
+    "dyy": (None, _second_difference),
+    # 4-corner cross stencil: exactly the composition of the two
+    # central first differences at interior points
+    "dxy": (_first_difference, _first_difference),
+}
+
+
+def _difference_blocks(grid: Grid, policy: str, *names: str) -> tuple[sp.csr_matrix, ...]:
+    """The named difference blocks on the flat grid, and no others.
+
+    On a 1D grid an x block is the stencil itself; on a 2D grid a block is
+    the Kronecker product of its x and y factors.
+    """
+    out = []
+    for name in names:
+        along_x, along_y = _BLOCK_STENCILS[name]
+        if isinstance(grid, LogGrid1D):
+            if along_y is not None:
+                raise ValueError(f"1D grids only have an x axis, got block {name!r}")
+            out.append(along_x(grid.n, grid.h, policy))
+            continue
+        fx = sp.identity(grid.nx) if along_x is None else along_x(grid.nx, grid.hx, policy)
+        fy = sp.identity(grid.ny) if along_y is None else along_y(grid.ny, grid.hy, policy)
+        out.append(sp.kron(fx, fy, format="csr"))
+    return tuple(out)
 
 
 def _diag(values: np.ndarray) -> sp.csr_matrix:
@@ -253,12 +258,7 @@ def hamiltonian_terms(params: ModelParams, grid: Grid, model: str = "bs",
 
     if model == "bs":
         half_sig2 = 0.5 * params.sigma * params.sigma
-        if isinstance(grid, LogGrid1D):
-            dxx = _second_difference(grid.n, grid.h, policy)
-            dx = _first_difference(grid.n, grid.h, policy)
-        else:
-            blocks = _blocks_2d(grid, policy)
-            dxx, dx = blocks["dxx"], blocks["dx"]
+        dxx, dx = _difference_blocks(grid, policy, "dxx", "dx")
         terms = {
             "second_x": -half_sig2 * dxx,
             "first_x": (half_sig2 - r) * dx,
@@ -267,7 +267,7 @@ def hamiltonian_terms(params: ModelParams, grid: Grid, model: str = "bs",
     elif model == "mg":
         if not isinstance(grid, LogGrid2D):
             raise TypeError("the Merton-Garman Hamiltonian needs a 2D grid")
-        blocks = _blocks_2d(grid, policy)
+        dxx, dx, dy, dxy, dyy = _difference_blocks(grid, policy, "dxx", "dx", "dy", "dxy", "dyy")
         y = grid.ys
         ey = np.exp(y)
         zeta2 = params.zeta * params.zeta
@@ -275,26 +275,26 @@ def hamiltonian_terms(params: ModelParams, grid: Grid, model: str = "bs",
         if params.vol_vol_half:
             coef_yy = 0.5 * coef_yy
         terms = {
-            "second_x": _diag(-0.5 * ey) @ blocks["dxx"],
-            "first_x": _diag(-(r - 0.5 * ey)) @ blocks["dx"],
+            "second_x": _diag(-0.5 * ey) @ dxx,
+            "first_x": _diag(-(r - 0.5 * ey)) @ dx,
             "first_y": _diag(-(params.lambda_ * np.exp(-y) + params.mu
-                               - 0.5 * zeta2 * np.exp(2.0 * y * (params.alpha - 1.0)))) @ blocks["dy"],
+                               - 0.5 * zeta2 * np.exp(2.0 * y * (params.alpha - 1.0)))) @ dy,
             "cross_xy": _diag(-params.rho * params.zeta
-                              * np.exp(y * (params.alpha - 0.5))) @ blocks["dxy"],
-            "second_y": _diag(-coef_yy) @ blocks["dyy"],
+                              * np.exp(y * (params.alpha - 0.5))) @ dxy,
+            "second_y": _diag(-coef_yy) @ dyy,
             "potential": r * sp.identity(n, format="csr"),
         }
     elif model == "gauge":
         if not isinstance(grid, LogGrid2D):
             raise TypeError("the gauge Hamiltonian needs a 2D grid")
-        blocks = _blocks_2d(grid, policy)
+        dxx, dx, dy, dxy, dyy = _difference_blocks(grid, policy, "dxx", "dx", "dy", "dxy", "dyy")
         sig2 = _gauge_sig2(params, grid)
         terms = {
-            "second_x": _diag(-0.5 * sig2) @ blocks["dxx"],
-            "first_x": _diag(0.5 * sig2 - r) @ blocks["dx"],
-            "first_y": _diag(0.5 * sig2 - r) @ blocks["dy"],
-            "cross_xy": _diag(-sig2) @ blocks["dxy"],
-            "second_y": _diag(-0.5 * sig2) @ blocks["dyy"],
+            "second_x": _diag(-0.5 * sig2) @ dxx,
+            "first_x": _diag(0.5 * sig2 - r) @ dx,
+            "first_y": _diag(0.5 * sig2 - r) @ dy,
+            "cross_xy": _diag(-sig2) @ dxy,
+            "second_y": _diag(-0.5 * sig2) @ dyy,
             "potential": r * sp.identity(n, format="csr"),
         }
     else:
@@ -365,9 +365,9 @@ def build_gauge_hamiltonian(params: ModelParams, grid: LogGrid2D,
                           grid, policy, "H_gauge")
     if form != "factored":
         raise ValueError(f"form must be 'expanded' or 'factored', got {form!r}")
-    blocks = _blocks_2d(grid, policy)
+    dx, dy = _difference_blocks(grid, policy, "dx", "dy")
     sig2 = _gauge_sig2(params, grid)
-    d = blocks["dx"] + blocks["dy"]
+    d = dx + dy
     mat = (_diag(-0.5 * sig2) @ (d @ d)
            + _diag(0.5 * sig2 - params.r) @ d
            + params.r * sp.identity(grid.n_points, format="csr"))
@@ -454,10 +454,7 @@ def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
         tx = finite_on_grid(gauge.theta_x(*_grid_coords(grid)), grid, "theta_x")
         sig2 = params.sigma * params.sigma
         om = gauge.omega
-        if isinstance(grid, LogGrid1D):
-            dx = _first_difference(grid.n, grid.h, policy)
-        else:
-            dx = _blocks_2d(grid, policy)["dx"]
+        (dx,) = _difference_blocks(grid, policy, "dx")
         extra = (_diag(sig2 * om * tx) @ dx
                  + _diag(0.5 * sig2 * om * (1.0 + om) * tx * tx
                          + om * (0.5 * sig2 - params.r) * tx))

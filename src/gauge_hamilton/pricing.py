@@ -285,8 +285,8 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
         raise ValueError("n_steps must be at least 1")
     if not 0.0 <= theta_scheme <= 1.0:
         raise ValueError("theta_scheme must lie in [0, 1]")
-    if maturity <= 0.0:
-        raise ValueError("maturity must be positive")
+    check_positive("maturity", maturity)
+    check_positive("residual_tol", residual_tol)
     grid = h.grid
     two_d = isinstance(grid, LogGrid2D)
     if two_d and boundary is None:

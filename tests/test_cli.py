@@ -280,6 +280,19 @@ def test_payoff_table_validation(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("flag, value", [("--s-max", "inf"), ("--s-max", "nan"),
+                                         ("--s-min", "nan"), ("--s-min", "-1"),
+                                         ("--s-min", "inf"), ("--n", "1")])
+def test_payoff_table_rejects_bad_range_naming_the_flag(runner, flag, value, fmt):
+    # an infinite --s-max used to exit 0 with nan/inf rows, and with NaN and
+    # Infinity tokens that are not valid JSON
+    result = runner.invoke(main, ["payoff-table", "--k", "42", "--format", fmt,
+                                  flag, value])
+    assert result.exit_code == 2
+    assert f"{flag} must" in result.output
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -234,6 +234,26 @@ def test_default_grids_name_bad_spot_and_variance(bad):
         default_grid_2d(100.0, bad, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_default_grids_name_non_finite_sigma_and_maturity(bad):
+    # both used to fail with only "grid bounds must be finite"
+    with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+        default_grid_1d(100.0, bad, 1.0)
+    with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+        default_grid_2d(100.0, 0.04, 1.0, sigma=bad)
+    with pytest.raises(ValueError, match="maturity must be positive and finite"):
+        default_grid_1d(100.0, 0.2, bad)
+    with pytest.raises(ValueError, match="maturity must be positive and finite"):
+        default_grid_2d(100.0, 0.04, bad)
+
+
+def test_default_grids_reject_negative_sigma():
+    # a negative sigma used to fall back silently to a box of +-1 around ln s0
+    with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+        default_grid_1d(100.0, -0.2, 1.0)
+    assert default_grid_1d(100.0, 0.0, 1.0).x_max == pytest.approx(math.log(100.0) + 1.0)
+
+
 def test_check_positive_names_the_field():
     check_positive("width", 1e-300)
     for bad in (0.0, -2.0, float("nan"), float("inf"), float("-inf")):

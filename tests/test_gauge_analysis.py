@@ -148,6 +148,30 @@ def test_mg_report_rowwise_matches_analytic():
         assert rel[1:-1, j].max() == pytest.approx(analytic, abs=0.06)
 
 
+def _row_gap(params, n):
+    """Max over rows of |interior relative residual of H e^{x+y} - |condition| e^-y|."""
+    from gauge_hamilton import build_mg_hamiltonian, sample
+    grid = make_grid_2d(3.5, 5.5, n, -4.0, -1.0, (n + 1) // 2)
+    f = sample(lambda x, y: np.exp(x + y), grid)
+    rel = np.abs(build_mg_hamiltonian(params, grid).apply(f).values2d / f.values2d)
+    y = grid.y_axis.points
+    analytic = np.abs(mg_condition_lhs(params, y)) * np.exp(-y)
+    return max(abs(rel[1:-1, j].max() - analytic[j]) for j in range(1, grid.ny - 1))
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(r=0.02, lambda_=0.3, mu=-0.3, zeta=0.3, alpha=1.0, rho=-0.3, vol_vol_half=True),
+    ModelParams(r=0.05, lambda_=0.5, mu=-0.5, zeta=0.5, alpha=0.8, rho=0.2, vol_vol_half=True),
+    ModelParams(r=0.0, lambda_=0.2, mu=-0.2, zeta=0.4, alpha=1.2, rho=-0.5, vol_vol_half=True),
+])
+def test_mg_condition_follows_halved_vol_of_vol(params):
+    # the halved d2/dy2 coefficient cancels the zeta^2/2 of the d/dy one on
+    # e^{x+y}; with the written condition the gap stalled near 0.045
+    g41, g81 = _row_gap(params, 41), _row_gap(params, 81)
+    assert g41 <= 0.09
+    assert g41 / g81 >= 3.0
+
+
 def test_mg_report_rejects_bad_tolerance():
     with pytest.raises(ValueError, match="tolerance"):
         mg_martingale_report(ModelParams(), GRID, tolerance=0.0)

@@ -4,6 +4,7 @@ import io
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gauge_hamilton import (
     PathEnsemble,
     PriceSurface,
     beta_field,
+    build_mg_hamiltonian,
     bs_closed_form,
     correlated_normals,
     delta_hedge_test,
@@ -411,6 +413,77 @@ def test_beta_field_fully_masked_without_volatility_sensitivity():
     assert not np.any(beta.mask)
 
 
+def _hand_written_beta(surface, params, min_dcdv):
+    """The (S, V) formula beta_field evaluated by hand before it read the
+    stepped Hamiltonian: central differences through the chain rule, with
+    (zeta^2/2) V^{2alpha} on d2C/dV2 under vol_vol_half, zeta^2 otherwise."""
+    grid = surface.grid
+    c = surface.values2d
+    c_prev = surface.prev_values.reshape(grid.shape)
+    hx, hy = grid.hx, grid.hy
+    x = grid.x_axis.points[:, None]
+    y = grid.y_axis.points[None, :]
+    out = np.full(grid.shape, np.nan)
+    sl = slice(1, -1)
+    cx = (c[2:, sl] - c[:-2, sl]) / (2 * hx)
+    cy = (c[sl, 2:] - c[sl, :-2]) / (2 * hy)
+    cxx = (c[2:, sl] - 2 * c[sl, sl] + c[:-2, sl]) / hx ** 2
+    cyy = (c[sl, 2:] - 2 * c[sl, sl] + c[sl, :-2]) / hy ** 2
+    cxy = (c[2:, 2:] - c[2:, :-2] - c[:-2, 2:] + c[:-2, :-2]) / (4 * hx * hy)
+    ct = (c_prev[sl, sl] - c[sl, sl]) / surface.dt
+    s = np.exp(x[sl, :])
+    v = np.exp(y[:, sl])
+    c_s = cx / s
+    c_ss = (cxx - cx) / s ** 2
+    c_v = cy / v
+    c_vv = (cyy - cy) / v ** 2
+    c_sv = cxy / (s * v)
+    zeta2 = params.zeta ** 2
+    vol_vol = 0.5 * zeta2 if params.vol_vol_half else zeta2
+    numerator = (ct + params.r * s * c_s + (params.lambda_ + params.mu * v) * c_v
+                 + 0.5 * v * s ** 2 * c_ss
+                 + params.rho * params.zeta * v ** (0.5 + params.alpha) * s * c_sv
+                 + vol_vol * v ** (2.0 * params.alpha) * c_vv
+                 - params.r * c[sl, sl])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out[sl, sl] = np.where(np.abs(c_v) >= min_dcdv, numerator / c_v, np.nan)
+    return out
+
+
+# the grid and model of the strike-independence acceptance check
+BETA_P = ModelParams(r=0.04, lambda_=0.02, mu=-0.3, zeta=0.3, alpha=1.0, rho=-0.3,
+                     vol_vol_half=True)
+BETA_GRID = make_grid_2d(math.log(100.0) - 1.5, math.log(100.0) + 1.5, 121,
+                         math.log(0.04) - 2.5, math.log(0.04) + 1.5, 51)
+
+
+@pytest.mark.parametrize("strike", [90.0, 110.0])
+def test_beta_field_agrees_with_hand_written_formula_under_halved_vol_of_vol(strike):
+    # with vol_vol_half the stepped Hamiltonian is the (S, V) formula as
+    # written, so only the order of the floating-point operations differs
+    surf = solve_mg(BETA_P, OptionContract("call", strike, 1.0), BETA_GRID, n_steps=100)
+    got = beta_field(surf, BETA_P, min_dcdv=1e-3).values2d
+    want = _hand_written_beta(surf, BETA_P, 1e-3)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.isfinite(got).sum() > 1000
+    assert np.nanmax(np.abs(got - want)) <= 1e-7
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_beta_field_vanishes_on_an_exact_solution(half):
+    # prev = C + dt H C solves the stepped equation exactly, so the residual
+    # is rounding whichever vol-of-vol convention H carries; the hand-written
+    # formula missed this by 4e-3 under the doubled coefficient
+    params = replace(MG_P, vol_vol_half=half)
+    values = solve_mg(params, OptionContract("call", 100.0, 1.0), HEDGE_GRID, n_steps=10).values
+    dt = 0.01
+    prev = values + dt * (build_mg_hamiltonian(params, HEDGE_GRID).matrix @ values)
+    surf = PriceSurface(HEDGE_GRID, values, 0.0, prev_values=prev, dt=dt)
+    beta = beta_field(surf, params, min_dcdv=1e-3).values2d
+    assert np.isfinite(beta).sum() > 100
+    assert np.nanmax(np.abs(beta)) <= 1e-8
+
+
 def test_beta_field_requires_time_slices():
     surf = PriceSurface(HEDGE_GRID, np.exp(HEDGE_GRID.xs), 0.0)
     with pytest.raises(ValueError, match="two time slices"):
@@ -418,6 +491,15 @@ def test_beta_field_requires_time_slices():
     g1 = make_grid_1d(0.0, 1.0, 11)
     with pytest.raises(TypeError):
         beta_field(PriceSurface(g1, np.ones(11), 0.0, np.ones(11), 0.1), MG_P)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+def test_beta_field_names_a_bad_time_step(dt):
+    # dt = 0 failed with "values must not be infinite", a negative dt flipped
+    # the sign of dC/dt and NaN masked every point without complaint
+    values = np.exp(HEDGE_GRID.xs + HEDGE_GRID.ys)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        beta_field(PriceSurface(HEDGE_GRID, values, 0.0, values, dt), MG_P)
 
 
 def test_binary_rejects_truncated_file(tmp_path):

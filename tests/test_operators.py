@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from gauge_hamilton import (
     GaugeField,
     GridFunction,
     LinearOperator,
+    LogGrid1D,
     ModelParams,
     apply,
     build_bs_hamiltonian,
@@ -29,7 +31,8 @@ from gauge_hamilton import (
     sample,
     smooth_probe_functions,
 )
-from gauge_hamilton.operators import BOUNDARY_POLICIES, _first_difference, _second_difference
+from gauge_hamilton.operators import (BOUNDARY_POLICIES, _difference_blocks, _first_difference,
+                                      _second_difference)
 
 GRID_1D = make_grid_1d(3.5, 5.5, 41)
 GRID_2D = make_grid_2d(3.5, 5.5, 41, -4.0, -1.0, 21)
@@ -504,3 +507,87 @@ def test_smooth_probes_are_bounded_and_reusable():
     for probe in flat:
         v = sample(probe, GRID_2D).values2d
         assert np.array_equal(v[:, 0], v[:, -1])
+
+
+# ---------------------------------------------------------------------------
+# one difference-block builder for both grid types
+# ---------------------------------------------------------------------------
+# The per-grid-type constructions the builder replaced are kept below as
+# the reference: every builder must store the same CSR arrays, bit for bit.
+
+def _reference_blocks_2d(grid, policy):
+    d1x = _first_difference(grid.nx, grid.hx, policy)
+    d1y = _first_difference(grid.ny, grid.hy, policy)
+    d2x = _second_difference(grid.nx, grid.hx, policy)
+    d2y = _second_difference(grid.ny, grid.hy, policy)
+    ix = sp.identity(grid.nx)
+    iy = sp.identity(grid.ny)
+    return {
+        "dx": sp.kron(d1x, iy, format="csr"),
+        "dy": sp.kron(ix, d1y, format="csr"),
+        "dxx": sp.kron(d2x, iy, format="csr"),
+        "dyy": sp.kron(ix, d2y, format="csr"),
+        "dxy": sp.kron(d1x, d1y, format="csr"),
+    }
+
+
+def _reference_blocks(grid, policy):
+    if isinstance(grid, LogGrid1D):
+        return {"dx": _first_difference(grid.n, grid.h, policy),
+                "dxx": _second_difference(grid.n, grid.h, policy)}
+    return _reference_blocks_2d(grid, policy)
+
+
+def _reference_transformed_direct(params, gauge, grid, policy):
+    blocks = _reference_blocks(grid, policy)
+    half_sig2 = 0.5 * params.sigma * params.sigma
+    h_bs = (-half_sig2 * blocks["dxx"] + (half_sig2 - params.r) * blocks["dx"]
+            + params.r * sp.identity(grid.n_points, format="csr"))
+    coords = (grid.points, np.zeros(grid.n)) if isinstance(grid, LogGrid1D) else (grid.xs, grid.ys)
+    tx = gauge.theta_x(*coords)
+    sig2, om = params.sigma * params.sigma, gauge.omega
+    extra = (sp.diags(sig2 * om * tx, format="csr") @ blocks["dx"]
+             + sp.diags(0.5 * sig2 * om * (1.0 + om) * tx * tx
+                        + om * (0.5 * sig2 - params.r) * tx, format="csr"))
+    return h_bs + extra
+
+
+def assert_same_csr(got, want):
+    want = sp.csr_matrix(want)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+WAVY = GaugeField(theta=lambda x, y: np.sin(x) + 0.3 * y,
+                  theta_x=lambda x, y: np.cos(x),
+                  theta_y=lambda x, y: np.full_like(x, 0.3),
+                  theta_xy=lambda x, y: np.zeros_like(x), omega=0.4)
+
+
+@pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
+@pytest.mark.parametrize("grid", [GRID_1D, GRID_2D], ids=["1d", "2d"])
+def test_block_builder_stores_the_reference_arrays(grid, policy):
+    for name, want in _reference_blocks(grid, policy).items():
+        (got,) = _difference_blocks(grid, policy, name)
+        assert_same_csr(got, want)
+    blocks = _reference_blocks(grid, policy)
+    assert_same_csr(momentum_operator(grid, "x", policy).matrix, blocks["dx"])
+    if not isinstance(grid, LogGrid1D):
+        assert_same_csr(momentum_operator(grid, "y", policy).matrix, blocks["dy"])
+        d = blocks["dx"] + blocks["dy"]
+        sig2 = np.exp(grid.ys)
+        factored = (sp.diags(-0.5 * sig2, format="csr") @ (d @ d)
+                    + sp.diags(0.5 * sig2 - P.r, format="csr") @ d
+                    + P.r * sp.identity(grid.n_points, format="csr"))
+        assert_same_csr(build_gauge_hamiltonian(P, grid, "factored", policy).matrix, factored)
+    for gauge in (GaugeField.linear_x(0.7), WAVY):
+        assert_same_csr(build_transformed_bs(P, gauge, grid, "direct", policy).matrix,
+                        _reference_transformed_direct(P, gauge, grid, policy))
+
+
+def test_block_builder_rejects_y_blocks_on_1d_grids():
+    for name in ("dy", "dyy", "dxy"):
+        with pytest.raises(ValueError, match="x axis"):
+            _difference_blocks(GRID_1D, "one-sided-interior", name)

@@ -196,6 +196,23 @@ def test_evolve_validation():
         evolve(h, ones, -1.0, 10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_evolve_names_non_finite_maturity(bad):
+    # used to fail late, with "Factor is exactly singular"
+    g = make_grid_1d(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="maturity must be positive and finite"):
+        evolve(identity_operator(g), GridFunction(g, np.ones(11)), bad, 10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-10])
+def test_evolve_rejects_residual_tol_that_disables_the_check(bad):
+    # rel > nan is never true, so a NaN tolerance passed every solve unchecked
+    g = make_grid_1d(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="residual_tol must be positive and finite"):
+        evolve(identity_operator(g), GridFunction(g, np.ones(11)), 1.0, 10,
+               residual_tol=bad)
+
+
 def test_evolve_singular_system():
     # I + theta dt H collapses to the zero matrix for H = -2I, dt = 1
     g = make_grid_1d(0.0, 1.0, 11)
