@@ -146,6 +146,8 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
     _require(n_steps >= 1, "--n-steps", "be at least 1", n_steps)
     _require(0.0 <= theta_scheme <= 1.0, "--theta-scheme", "lie in [0, 1]", theta_scheme)
     _require(nx is None or nx >= 5, "--nx", "be at least 5", nx)
+    _require(mc_paths == 0 or mc_paths >= 2, "--mc-paths", "be 0 or at least 2", mc_paths)
+    _require(seed >= 0, "--seed", "be at least 0", seed)
     if model == "mg":
         _require(math.isfinite(v0) and v0 > 0.0, "--v0", "be positive and finite", v0)
         _require(ny >= 5, "--ny", "be at least 5", ny)
@@ -311,6 +313,21 @@ def _check_transform(params, omega, nx, probes, seed):
     return _record("transform", residual, None, True, gaps)
 
 
+def _run_checks(what, params, theta_field, omega, nx, ny, probes, seed) -> list:
+    checks = []
+    if what in ("expansion", "all"):
+        checks.append(_check_expansion(params, nx, ny, probes, seed))
+    if what in ("bs-limit", "all"):
+        checks.append(_check_bs_limit(params, nx, ny, probes, seed))
+    if what in ("commutator", "all"):
+        checks.extend(_check_commutator(params, theta_field, omega, nx))
+    if what in ("volcoeff", "all"):
+        checks.append(_check_volcoeff(params, nx, ny))
+    if what in ("transform", "all"):
+        checks.append(_check_transform(params, omega, nx, probes, seed))
+    return checks
+
+
 @main.command()
 @click.option("--what",
               type=click.Choice(["expansion", "bs-limit", "commutator",
@@ -329,17 +346,11 @@ def _check_transform(params, omega, nx, probes, seed):
 def check(what, theta_field, omega, sigma, r, nx, ny, probes, seed):
     """Run the structural consistency checks and report pass/fail."""
     params = _usage(ModelParams, r=r, sigma=sigma, omega=omega)
-    checks = []
-    if what in ("expansion", "all"):
-        checks.append(_check_expansion(params, nx, ny, probes, seed))
-    if what in ("bs-limit", "all"):
-        checks.append(_check_bs_limit(params, nx, ny, probes, seed))
-    if what in ("commutator", "all"):
-        checks.extend(_check_commutator(params, theta_field, omega, nx))
-    if what in ("volcoeff", "all"):
-        checks.append(_check_volcoeff(params, nx, ny))
-    if what in ("transform", "all"):
-        checks.append(_check_transform(params, omega, nx, probes, seed))
+    _require(nx >= 5, "--nx", "be at least 5", nx)
+    _require(ny >= 5, "--ny", "be at least 5", ny)
+    _require(probes >= 1, "--probes", "be at least 1", probes)
+    _require(seed >= 0, "--seed", "be at least 0", seed)
+    checks = _usage(_run_checks, what, params, theta_field, omega, nx, ny, probes, seed)
     all_pass = all(c["pass"] for c in checks)
     _echo_json({"checks": checks, "pass": all_pass})
     if not all_pass:
@@ -523,6 +534,7 @@ def simulate(model, s0, v0, maturity, r, phi, sigma, lambda_, mu, zeta, alpha,
              rho, n_paths, n_steps, seed, threads, slices_out, paths_out):
     """Simulate price paths and summarize the terminal distribution."""
     threads = _capped_threads(threads)
+    _require(seed >= 0, "--seed", "be at least 0", seed)
     params = _usage(ModelParams, r=r, sigma=sigma, phi=r if phi is None else phi,
                     lambda_=lambda_, mu=mu, zeta=zeta, alpha=alpha, rho=rho)
     if model == "gbm":

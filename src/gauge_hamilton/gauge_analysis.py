@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GridFunction, LogGrid2D, ModelParams, Record, sample
+from .core import GridFunction, LogGrid2D, ModelParams, Record, check_positive, sample
 from .operators import LinearOperator, build_gauge_hamiltonian, build_mg_hamiltonian
 
 __all__ = [
@@ -40,6 +40,8 @@ def momentum_ratio(omega: float) -> tuple[float, float]:
     Undefined for omega = -1 and complex for omega in (-1, 0); those raise.
     omega = 0 gives 0 (momenta decouple), omega -> infinity tends to +-1.
     """
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     if omega == -1.0:
         raise ValueError("momentum ratio undefined at omega = -1")
     ratio2 = omega / (1.0 + omega)
@@ -78,8 +80,7 @@ def surprise_condition(a: float, b: float, params: ModelParams) -> float:
     construction degenerates.  At sigma^2 = 2r the condition collapses to
     b = -2a.
     """
-    if params.sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    check_positive("sigma", params.sigma)
     sig2 = params.sigma * params.sigma
     return a + 0.5 * b - (0.5 - params.r / sig2)
 
@@ -126,8 +127,7 @@ def mg_martingale_report(params: ModelParams, grid: LogGrid2D,
     to O(h^2) discretization error, so ``satisfied`` reflects the relation
     holding across the whole grid, not just at one point.
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
+    check_positive("tolerance", tolerance)
     residual_norm = _relative_residual(build_mg_hamiltonian(params, grid),
                                        sample(lambda x, y: np.exp(x + y), grid))
     lhs = mg_condition_lhs(params, grid.y_axis.points)
@@ -161,6 +161,9 @@ def martingale_roots(a_coeff: float, mu: float, lambda_: float) -> RootSet:
     The quadratic is solved in the numerically stable form to avoid
     cancellation between -mu and the discriminant square root.
     """
+    for name, value in (("a_coeff", a_coeff), ("mu", mu), ("lambda_", lambda_)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if a_coeff == 0.0:
         raise ValueError("a_coeff must be nonzero")
     disc = mu * mu - 4.0 * a_coeff * lambda_
@@ -201,8 +204,7 @@ def gauge_quadratic(params: ModelParams, c: float) -> float:
 def gauge_martingale_sums(params: ModelParams) -> tuple[float, float]:
     """Exponent sums c = a + b annihilated by the constant-sigma gauge
     Hamiltonian: c = 1 and c = -2r/sigma^2."""
-    if params.sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    check_positive("sigma", params.sigma)
     sig2 = params.sigma * params.sigma
     return (1.0, -2.0 * params.r / sig2)
 
@@ -223,9 +225,6 @@ def gauge_martingale_residual(params: ModelParams, a: float, b: float,
 # ---------------------------------------------------------------------------
 # Coefficient audit: substituted Merton-Garman vs local-sigma gauge
 # ---------------------------------------------------------------------------
-
-_AUDIT_TERMS = ("second_x", "first_x", "first_y", "cross_xy", "second_y")
-
 
 @dataclass(frozen=True)
 class VolcoeffReport(Record):
@@ -267,9 +266,7 @@ def volcoeff_audit(params: ModelParams, grid: LogGrid2D) -> VolcoeffReport:
         "cross_xy": -ey,
         "second_y": -0.5 * ey,
     }
-    deviations = {}
-    for term in _AUDIT_TERMS:
-        deviations[term] = float(np.abs(mg[term] - gauge[term]).max())
+    deviations = {term: float(np.abs(mg[term] - gauge[term]).max()) for term in mg}
     second_y_dev = np.abs(mg["second_y"] - gauge["second_y"])
     matches = (not params.vol_vol_half) and bool(np.array_equal(second_y_dev, 0.5 * ey))
     return VolcoeffReport(deviations=deviations,

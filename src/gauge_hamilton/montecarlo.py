@@ -436,7 +436,6 @@ def beta_field(surface: PriceSurface, params: ModelParams,
         raise TypeError("beta extraction needs a 2D surface")
     if surface.prev_values is None or surface.dt is None:
         raise ValueError("surface must carry two time slices (prev_values and dt)")
-    check_positive("dt", surface.dt)
     c = surface.values
     h = build_mg_hamiltonian(params, grid).matrix
     numerator = (surface.prev_values - c) / surface.dt - h @ c

@@ -16,7 +16,9 @@ have the pattern of their nonzeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Union
 
 import numpy as np
@@ -95,22 +97,25 @@ def _check_policy(policy: str) -> None:
 
 @dataclass(eq=False)
 class LinearOperator:
-    """Sparse matrix tied to a grid.
+    """A grid, a sparse matrix on it, the boundary policy its stencils were
+    built under, and their stencil reach.
 
-    stencil_reach records how many layers a row may reference; composed
-    operators add their reaches, which matters when deciding how deep an
-    "interior" comparison must sit.
+    ``+``, ``-``, ``@`` and scalar ``*`` are the operator algebra; the result
+    keeps the left operand's policy.  stencil_reach records how many layers
+    a row may reference; a product adds its factors' reaches, a sum keeps
+    the larger, which matters when deciding how deep an "interior"
+    comparison must sit.
     """
 
     grid: Grid
     matrix: sp.csr_matrix
     boundary_policy: str = "one-sided-interior"
-    label: str = ""
     stencil_reach: int = 1
 
     def __post_init__(self):
         _check_policy(self.boundary_policy)
-        mat = sp.csr_matrix(self.matrix)
+        # a CSR matrix is stored as given: the algebra wraps every intermediate result
+        mat = self.matrix if isinstance(self.matrix, sp.csr_matrix) else sp.csr_matrix(self.matrix)
         n = self.grid.n_points
         if mat.shape != (n, n):
             raise ValueError(f"matrix shape {mat.shape} does not match grid size {n}")
@@ -123,33 +128,26 @@ class LinearOperator:
             raise ValueError("grid mismatch: operator and grid function live on different grids")
         return GridFunction(self.grid, self.matrix @ f.values, allow_masked=f.allow_masked)
 
-    def _binary_check(self, other: "LinearOperator") -> None:
+    def _combine(self, other: "LinearOperator", op, reach) -> "LinearOperator":
         if not isinstance(other, LinearOperator):
             raise TypeError("expected a LinearOperator")
         if other.grid != self.grid:
             raise ValueError("grid mismatch: operators live on different grids")
+        return LinearOperator(self.grid, op(self.matrix, other.matrix), self.boundary_policy,
+                              reach(self.stencil_reach, other.stencil_reach))
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        self._binary_check(other)
-        return LinearOperator(self.grid, self.matrix + other.matrix, self.boundary_policy,
-                              f"({self.label}+{other.label})",
-                              max(self.stencil_reach, other.stencil_reach))
+        return self._combine(other, operator.add, max)
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        self._binary_check(other)
-        return LinearOperator(self.grid, self.matrix - other.matrix, self.boundary_policy,
-                              f"({self.label}-{other.label})",
-                              max(self.stencil_reach, other.stencil_reach))
+        return self._combine(other, operator.sub, max)
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        self._binary_check(other)
-        return LinearOperator(self.grid, self.matrix @ other.matrix, self.boundary_policy,
-                              f"({self.label}@{other.label})",
-                              self.stencil_reach + other.stencil_reach)
+        return self._combine(other, operator.matmul, operator.add)
 
     def __mul__(self, scalar: float) -> "LinearOperator":
         return LinearOperator(self.grid, self.matrix * float(scalar), self.boundary_policy,
-                              f"({scalar}*{self.label})", self.stencil_reach)
+                              self.stencil_reach)
 
     __rmul__ = __mul__
 
@@ -167,8 +165,7 @@ class LinearOperator:
 
 
 def identity_operator(grid: Grid) -> LinearOperator:
-    return LinearOperator(grid, sp.identity(grid.n_points, format="csr"),
-                          label="I", stencil_reach=0)
+    return LinearOperator(grid, sp.identity(grid.n_points, format="csr"), stencil_reach=0)
 
 
 def momentum_operator(grid: Grid, axis: str = "x",
@@ -178,7 +175,7 @@ def momentum_operator(grid: Grid, axis: str = "x",
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     (mat,) = _difference_blocks(grid, policy, "d" + axis)
-    return LinearOperator(grid, mat, policy, f"p_{axis}")
+    return LinearOperator(grid, mat, policy)
 
 
 def apply(op: LinearOperator, f: GridFunction) -> GridFunction:
@@ -186,10 +183,7 @@ def apply(op: LinearOperator, f: GridFunction) -> GridFunction:
 
 
 def commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    a._binary_check(b)
-    mat = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return LinearOperator(a.grid, mat, a.boundary_policy,
-                          f"[{a.label},{b.label}]", a.stencil_reach + b.stencil_reach)
+    return a @ b - b @ a
 
 
 def hermiticity_defect(op: LinearOperator, depth: int = 1) -> float:
@@ -244,76 +238,71 @@ def _diag(values: np.ndarray) -> sp.csr_matrix:
     return sp.diags(values, format="csr")
 
 
-def hamiltonian_terms(params: ModelParams, grid: Grid, model: str = "bs",
-                      policy: str = "one-sided-interior") -> dict[str, LinearOperator]:
-    """Individual named terms of a Hamiltonian, before summation.
+# the difference block each named derivative term acts through
+_TERM_BLOCKS = {
+    "second_x": "dxx",
+    "first_x": "dx",
+    "first_y": "dy",
+    "cross_xy": "dxy",
+    "second_y": "dyy",
+}
 
-    Keys: second_x, first_x, first_y, cross_xy, second_y, potential.  Terms
-    a model does not use are omitted.  The gauge model here is the expanded
-    form; the factored form does not decompose into these terms.
-    """
-    _check_policy(policy)
-    n = grid.n_points
+
+def _term_coefficients(params: ModelParams, grid: Grid, model: str) -> dict:
+    """Coefficient of each derivative term a model uses: a scalar, or an
+    array over the flat grid evaluated at the output point."""
     r = params.r
-
     if model == "bs":
         half_sig2 = 0.5 * params.sigma * params.sigma
-        dxx, dx = _difference_blocks(grid, policy, "dxx", "dx")
-        terms = {
-            "second_x": -half_sig2 * dxx,
-            "first_x": (half_sig2 - r) * dx,
-            "potential": r * sp.identity(n, format="csr"),
-        }
-    elif model == "mg":
+        return {"second_x": -half_sig2, "first_x": half_sig2 - r}
+    if model == "mg":
         if not isinstance(grid, LogGrid2D):
             raise TypeError("the Merton-Garman Hamiltonian needs a 2D grid")
-        dxx, dx, dy, dxy, dyy = _difference_blocks(grid, policy, "dxx", "dx", "dy", "dxy", "dyy")
         y = grid.ys
         ey = np.exp(y)
         zeta2 = params.zeta * params.zeta
         coef_yy = zeta2 * np.exp(2.0 * y * (params.alpha - 1.0))
-        if params.vol_vol_half:
-            coef_yy = 0.5 * coef_yy
-        terms = {
-            "second_x": _diag(-0.5 * ey) @ dxx,
-            "first_x": _diag(-(r - 0.5 * ey)) @ dx,
-            "first_y": _diag(-(params.lambda_ * np.exp(-y) + params.mu
-                               - 0.5 * zeta2 * np.exp(2.0 * y * (params.alpha - 1.0)))) @ dy,
-            "cross_xy": _diag(-params.rho * params.zeta
-                              * np.exp(y * (params.alpha - 0.5))) @ dxy,
-            "second_y": _diag(-coef_yy) @ dyy,
-            "potential": r * sp.identity(n, format="csr"),
+        return {
+            "second_x": -0.5 * ey,
+            "first_x": -(r - 0.5 * ey),
+            "first_y": -(params.lambda_ * np.exp(-y) + params.mu
+                         - 0.5 * zeta2 * np.exp(2.0 * y * (params.alpha - 1.0))),
+            "cross_xy": -params.rho * params.zeta * np.exp(y * (params.alpha - 0.5)),
+            "second_y": -(0.5 * coef_yy if params.vol_vol_half else coef_yy),
         }
-    elif model == "gauge":
+    if model == "gauge":
         if not isinstance(grid, LogGrid2D):
             raise TypeError("the gauge Hamiltonian needs a 2D grid")
-        dxx, dx, dy, dxy, dyy = _difference_blocks(grid, policy, "dxx", "dx", "dy", "dxy", "dyy")
         sig2 = _gauge_sig2(params, grid)
-        terms = {
-            "second_x": _diag(-0.5 * sig2) @ dxx,
-            "first_x": _diag(0.5 * sig2 - r) @ dx,
-            "first_y": _diag(0.5 * sig2 - r) @ dy,
-            "cross_xy": _diag(-sig2) @ dxy,
-            "second_y": _diag(-0.5 * sig2) @ dyy,
-            "potential": r * sp.identity(n, format="csr"),
-        }
-    else:
-        raise ValueError(f"unknown model {model!r}; choose bs, mg or gauge")
-    return {name: LinearOperator(grid, mat, policy, name) for name, mat in terms.items()}
+        return {"second_x": -0.5 * sig2, "first_x": 0.5 * sig2 - r, "first_y": 0.5 * sig2 - r,
+                "cross_xy": -sig2, "second_y": -0.5 * sig2}
+    raise ValueError(f"unknown model {model!r}; choose bs, mg or gauge")
+
+
+def hamiltonian_terms(params: ModelParams, grid: Grid, model: str = "bs",
+                      policy: str = "one-sided-interior") -> dict[str, LinearOperator]:
+    """Individual named terms of a Hamiltonian, before summation.
+
+    Every model is the same table of derivative terms (second_x, first_x,
+    first_y, cross_xy, second_y, each on its difference block) with its own
+    coefficients, plus the potential r.  A scalar coefficient scales its
+    block; an array multiplies it from the left as a diagonal.  Terms a
+    model does not use are omitted.  The gauge model here is the expanded
+    form; the factored form does not decompose into these terms.
+    """
+    _check_policy(policy)
+    coefs = _term_coefficients(params, grid, model)
+    blocks = _difference_blocks(grid, policy, *(_TERM_BLOCKS[name] for name in coefs))
+    terms = {name: _diag(c) @ block if isinstance(c, np.ndarray) else c * block
+             for (name, c), block in zip(coefs.items(), blocks)}
+    terms["potential"] = params.r * sp.identity(grid.n_points, format="csr")
+    return {name: LinearOperator(grid, mat, policy) for name, mat in terms.items()}
 
 
 def _gauge_sig2(params: ModelParams, grid: LogGrid2D) -> np.ndarray:
     if params.sigma_local:
         return np.exp(grid.ys)
     return np.full(grid.n_points, params.sigma * params.sigma)
-
-
-def _sum_terms(terms: dict[str, LinearOperator], grid: Grid, policy: str,
-               label: str) -> LinearOperator:
-    total = None
-    for term in terms.values():
-        total = term.matrix if total is None else total + term.matrix
-    return LinearOperator(grid, total, policy, label)
 
 
 def build_bs_hamiltonian(params: ModelParams, grid: Grid,
@@ -326,7 +315,7 @@ def build_bs_hamiltonian(params: ModelParams, grid: Grid,
     It annihilates e^x exactly in the continuum and is non-Hermitian unless
     sigma^2 = 2r, where the first-derivative coefficient vanishes.
     """
-    return _sum_terms(hamiltonian_terms(params, grid, "bs", policy), grid, policy, "H_bs")
+    return reduce(operator.add, hamiltonian_terms(params, grid, "bs", policy).values())
 
 
 def build_mg_hamiltonian(params: ModelParams, grid: LogGrid2D,
@@ -341,7 +330,7 @@ def build_mg_hamiltonian(params: ModelParams, grid: LogGrid2D,
     With ``vol_vol_half`` the last coefficient is halved.  Variable
     coefficients multiply from the left (evaluated at the output point).
     """
-    return _sum_terms(hamiltonian_terms(params, grid, "mg", policy), grid, policy, "H_mg")
+    return reduce(operator.add, hamiltonian_terms(params, grid, "mg", policy).values())
 
 
 def build_gauge_hamiltonian(params: ModelParams, grid: LogGrid2D,
@@ -361,8 +350,7 @@ def build_gauge_hamiltonian(params: ModelParams, grid: LogGrid2D,
     if not isinstance(grid, LogGrid2D):
         raise TypeError("the gauge Hamiltonian needs a 2D grid")
     if form == "expanded":
-        return _sum_terms(hamiltonian_terms(params, grid, "gauge", policy),
-                          grid, policy, "H_gauge")
+        return reduce(operator.add, hamiltonian_terms(params, grid, "gauge", policy).values())
     if form != "factored":
         raise ValueError(f"form must be 'expanded' or 'factored', got {form!r}")
     dx, dy = _difference_blocks(grid, policy, "dx", "dy")
@@ -371,7 +359,7 @@ def build_gauge_hamiltonian(params: ModelParams, grid: LogGrid2D,
     mat = (_diag(-0.5 * sig2) @ (d @ d)
            + _diag(0.5 * sig2 - params.r) @ d
            + params.r * sp.identity(grid.n_points, format="csr"))
-    return LinearOperator(grid, mat, policy, "H_gauge_factored", stencil_reach=2)
+    return LinearOperator(grid, mat, policy, stencil_reach=2)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +416,7 @@ def gauge_operator(gauge: GaugeField, grid: Grid) -> LinearOperator:
     peak = float(np.abs(w).max())
     if peak >= _EXP_LIMIT:
         raise ValueError(f"gauge exponent overflows: max |omega*theta| = {peak:g}")
-    return LinearOperator(grid, _diag(np.exp(w)), label="U", stencil_reach=0)
+    return LinearOperator(grid, _diag(np.exp(w)), stencil_reach=0)
 
 
 def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
@@ -452,24 +440,16 @@ def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
     h_bs = build_bs_hamiltonian(params, grid, policy)
     if convention == "direct":
         tx = finite_on_grid(gauge.theta_x(*_grid_coords(grid)), grid, "theta_x")
-        sig2 = params.sigma * params.sigma
-        om = gauge.omega
+        sig2, om = params.sigma * params.sigma, gauge.omega
         (dx,) = _difference_blocks(grid, policy, "dx")
         extra = (_diag(sig2 * om * tx) @ dx
                  + _diag(0.5 * sig2 * om * (1.0 + om) * tx * tx
                          + om * (0.5 * sig2 - params.r) * tx))
-        return LinearOperator(grid, h_bs.matrix + extra, policy, "H_bs_shifted")
-    u = gauge_operator(gauge, grid)
-    u_inv = gauge_operator(
-        GaugeField(gauge.theta, gauge.theta_x, gauge.theta_y, gauge.theta_xy, -gauge.omega),
-        grid)
-    if convention == "left":
-        mat = u_inv.matrix @ h_bs.matrix @ u.matrix
-        label = "Uinv_H_U"
-    else:
-        mat = u.matrix @ h_bs.matrix @ u_inv.matrix
-        label = "U_H_Uinv"
-    return LinearOperator(grid, mat, policy, label)
+        return LinearOperator(grid, h_bs.matrix + extra, policy)
+    u = gauge_operator(gauge, grid).matrix
+    u_inv = gauge_operator(replace(gauge, omega=-gauge.omega), grid).matrix
+    mat = u_inv @ h_bs.matrix @ u if convention == "left" else u @ h_bs.matrix @ u_inv
+    return LinearOperator(grid, mat, policy)
 
 
 # ---------------------------------------------------------------------------

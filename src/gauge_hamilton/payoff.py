@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .pricing import OptionContract
@@ -20,8 +21,9 @@ class ProfitQuery:
     def __post_init__(self):
         if self.side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
-        if self.terminal_price < 0.0:
-            raise ValueError(f"terminal price must be nonnegative, got {self.terminal_price}")
+        if not (math.isfinite(self.terminal_price) and self.terminal_price >= 0.0):
+            raise ValueError(
+                f"terminal price must be nonnegative and finite, got {self.terminal_price}")
 
 
 def profit(query: ProfitQuery) -> float:

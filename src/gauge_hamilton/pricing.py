@@ -209,8 +209,9 @@ def _theta_systems(m: sp.csr_matrix, theta: float, dt: float, replaced=()):
 class PriceSurface:
     """Solution of the backward evolution at the valuation time.
 
-    ``prev_values`` is the slice one time step closer to maturity, kept so
-    time derivatives can be formed without re-solving.
+    ``prev_values`` is the slice one time step ``dt`` closer to maturity,
+    kept so time derivatives can be formed without re-solving; when given,
+    it must be finite on the grid and ``dt`` positive and finite.
     """
 
     grid: object
@@ -221,6 +222,14 @@ class PriceSurface:
 
     def __post_init__(self):
         object.__setattr__(self, "values", GridFunction(self.grid, self.values).values)
+        if self.prev_values is not None:
+            try:
+                prev = GridFunction(self.grid, self.prev_values).values
+            except ValueError as exc:
+                raise ValueError(f"prev_values: {exc}") from None
+            object.__setattr__(self, "prev_values", prev)
+        if self.dt is not None:
+            check_positive("dt", self.dt)
 
     values2d = GridFunction.values2d
 

@@ -29,10 +29,16 @@ def runner():
     return CliRunner()
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
 def run_json(runner, args, env=None):
+    """Run a command that must succeed and parse its JSON strictly: the NaN
+    and Infinity tokens json.dumps writes for non-finite floats fail."""
     result = runner.invoke(main, args, env=env, catch_exceptions=False)
     assert result.exit_code == 0, result.output
-    return json.loads(result.output)
+    return json.loads(result.output, parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +364,56 @@ def test_simulate_usage_error(runner):
     (["--theta-scheme", "2"], "--theta-scheme"),
     (["--nx", "3"], "--nx"),
     (["--model", "mg", "--ny", "3"], "--ny"),
+    # one path has no standard error: it printed "mc_stderr": Infinity
+    (["--mc-paths", "1"], "--mc-paths"),
+    (["--mc-paths", "-5"], "--mc-paths"),
+    (["--mc-paths", "100", "--seed", "-1"], "--seed"),
 ])
 def test_price_rejects_bad_flags_as_usage_errors(runner, args, flag):
     result = runner.invoke(main, ["price", "--s0", "100", "--k", "100", *args])
     assert result.exit_code == 2, result.output
     assert f"{flag} must" in result.output
+
+
+def test_price_with_two_paths_prints_strict_json(runner):
+    out = run_json(runner, ["price", "--s0", "100", "--k", "100", "--n-steps", "4",
+                            "--mc-paths", "2", "--seed", "1"])
+    assert math.isfinite(out["mc_stderr"])
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--nx", "3"], "--nx"),
+    (["--ny", "2"], "--ny"),
+    (["--seed", "-1"], "--seed"),
+    (["--probes", "0"], "--probes"),
+    # bs-limit and transform printed a vacuous "pass": true without probes
+    (["--what", "bs-limit", "--probes", "0"], "--probes"),
+    (["--what", "transform", "--probes", "0"], "--probes"),
+])
+def test_check_rejects_bad_flags_as_usage_errors(runner, args, flag):
+    result = runner.invoke(main, ["check", *args])
+    assert result.exit_code == 2, result.output
+    assert f"{flag} must" in result.output
+
+
+def test_check_gauge_overflow_is_a_usage_error(runner):
+    result = runner.invoke(main, ["check", "--what", "commutator", "--omega", "800",
+                                  "--nx", "5"])
+    assert result.exit_code == 2, result.output
+    assert "gauge exponent overflows" in result.output
+
+
+def test_martingale_rejects_non_finite_drift(runner):
+    result = runner.invoke(main, ["martingale", "--mu", "nan", "--lambda", "1"])
+    assert result.exit_code == 2, result.output
+    assert "mu must be finite" in result.output
+
+
+def test_simulate_rejects_negative_seed(runner):
+    result = runner.invoke(main, ["simulate", "--s0", "100", "--n-paths", "10",
+                                  "--n-steps", "2", "--seed", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "--seed must" in result.output
 
 
 def surface_by_hand(grid, state, columns, total):

@@ -177,6 +177,30 @@ def test_mg_report_rejects_bad_tolerance():
         mg_martingale_report(ModelParams(), GRID, tolerance=0.0)
 
 
+def test_mg_report_names_non_finite_tolerance():
+    # a NaN tolerance used to report satisfied=False, an infinite one True
+    for tolerance in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            mg_martingale_report(ModelParams(), GRID, tolerance=tolerance)
+
+
+def test_momentum_ratio_names_non_finite_omega():
+    for omega in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            momentum_ratio(omega)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((1.0, math.nan, 1.0), "mu"),
+    ((math.nan, -3.0, 2.0), "a_coeff"),
+    ((1.0, -3.0, math.inf), "lambda_"),
+])
+def test_martingale_roots_names_non_finite_coefficients(args, field):
+    # a NaN drift used to report no_equilibrium=True
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        martingale_roots(*args)
+
+
 # ---------------------------------------------------------------------------
 # equilibrium roots
 # ---------------------------------------------------------------------------

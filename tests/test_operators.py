@@ -1,5 +1,6 @@
 """Discrete Hamiltonians, gauge operators, and their algebra."""
 
+import dataclasses
 import io
 import math
 
@@ -591,3 +592,121 @@ def test_block_builder_rejects_y_blocks_on_1d_grids():
     for name in ("dy", "dyy", "dxy"):
         with pytest.raises(ValueError, match="x axis"):
             _difference_blocks(GRID_1D, "one-sided-interior", name)
+
+
+# ---------------------------------------------------------------------------
+# one coefficient table for the three Hamiltonians; the algebra combines
+# ---------------------------------------------------------------------------
+# The per-model term constructions the table replaced are kept below as the
+# reference: every term, Hamiltonian and combined operator must store the
+# same CSR arrays, bit for bit.
+
+def _reference_terms(params, grid, model, policy):
+    blocks = _reference_blocks(grid, policy)
+    n, r = grid.n_points, params.r
+
+    def diag(values):
+        return sp.diags(values, format="csr")
+
+    if model == "bs":
+        half_sig2 = 0.5 * params.sigma * params.sigma
+        return {
+            "second_x": -half_sig2 * blocks["dxx"],
+            "first_x": (half_sig2 - r) * blocks["dx"],
+            "potential": r * sp.identity(n, format="csr"),
+        }
+    if model == "mg":
+        y = grid.ys
+        ey = np.exp(y)
+        zeta2 = params.zeta * params.zeta
+        coef_yy = zeta2 * np.exp(2.0 * y * (params.alpha - 1.0))
+        if params.vol_vol_half:
+            coef_yy = 0.5 * coef_yy
+        return {
+            "second_x": diag(-0.5 * ey) @ blocks["dxx"],
+            "first_x": diag(-(r - 0.5 * ey)) @ blocks["dx"],
+            "first_y": diag(-(params.lambda_ * np.exp(-y) + params.mu
+                              - 0.5 * zeta2 * np.exp(2.0 * y * (params.alpha - 1.0))))
+            @ blocks["dy"],
+            "cross_xy": diag(-params.rho * params.zeta
+                             * np.exp(y * (params.alpha - 0.5))) @ blocks["dxy"],
+            "second_y": diag(-coef_yy) @ blocks["dyy"],
+            "potential": r * sp.identity(n, format="csr"),
+        }
+    sig2 = np.exp(grid.ys) if params.sigma_local else np.full(n, params.sigma * params.sigma)
+    return {
+        "second_x": diag(-0.5 * sig2) @ blocks["dxx"],
+        "first_x": diag(0.5 * sig2 - r) @ blocks["dx"],
+        "first_y": diag(0.5 * sig2 - r) @ blocks["dy"],
+        "cross_xy": diag(-sig2) @ blocks["dxy"],
+        "second_y": diag(-0.5 * sig2) @ blocks["dyy"],
+        "potential": r * sp.identity(n, format="csr"),
+    }
+
+
+def _reference_sum(terms):
+    total = None
+    for mat in terms.values():
+        total = mat if total is None else total + mat
+    return total
+
+
+TABLE_PARAMS = [
+    ModelParams(r=0.05, sigma=0.2, lambda_=0.02, mu=-0.3, zeta=0.3, alpha=1.0, rho=-0.3),
+    ModelParams(r=0.03, sigma=0.25, lambda_=0.01, mu=-0.2, zeta=0.5, alpha=0.5, rho=-0.5,
+                vol_vol_half=True, sigma_local=False),
+]
+BUILDERS = {
+    "bs": build_bs_hamiltonian,
+    "mg": build_mg_hamiltonian,
+    "gauge": build_gauge_hamiltonian,
+}
+
+
+@pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
+@pytest.mark.parametrize("params", TABLE_PARAMS, ids=["default", "half-constant"])
+@pytest.mark.parametrize("grid, model", [(GRID_1D, "bs"), (GRID_2D, "bs"), (GRID_2D, "mg"),
+                                         (GRID_2D, "gauge")],
+                         ids=["bs-1d", "bs-2d", "mg", "gauge"])
+def test_coefficient_table_stores_the_reference_arrays(grid, model, params, policy):
+    want = _reference_terms(params, grid, model, policy)
+    got = hamiltonian_terms(params, grid, model, policy)
+    assert list(got) == list(want)
+    for name, op in got.items():
+        assert_same_csr(op.matrix, want[name])
+        assert op.boundary_policy == policy and op.stencil_reach == 1
+    h = BUILDERS[model](params, grid, policy=policy)
+    assert_same_csr(h.matrix, _reference_sum(want))
+    assert h.boundary_policy == policy and h.stencil_reach == 1
+
+
+@pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
+@pytest.mark.parametrize("grid", [GRID_1D, GRID_2D], ids=["1d", "2d"])
+def test_operator_algebra_stores_the_reference_arrays(grid, policy):
+    h = build_bs_hamiltonian(P, grid, policy)
+    for gauge in (GaugeField.linear_x(0.7), WAVY):
+        u = gauge_operator(gauge, grid)
+        u_inv = gauge_operator(GaugeField(gauge.theta, gauge.theta_x, gauge.theta_y,
+                                          gauge.theta_xy, -gauge.omega), grid)
+        left = build_transformed_bs(P, gauge, grid, "left", policy)
+        right = build_transformed_bs(P, gauge, grid, "right", policy)
+        assert_same_csr(left.matrix, u_inv.matrix @ h.matrix @ u.matrix)
+        assert_same_csr(right.matrix, u.matrix @ h.matrix @ u_inv.matrix)
+        assert left.boundary_policy == right.boundary_policy == policy
+        for a, b in ((u, h), (h, u), (h, momentum_operator(grid, "x", policy))):
+            c = commutator(a, b)
+            assert_same_csr(c.matrix, a.matrix @ b.matrix - b.matrix @ a.matrix)
+            assert c.boundary_policy == a.boundary_policy
+            assert (a @ b).boundary_policy == (a + b).boundary_policy == a.boundary_policy
+            assert c.stencil_reach == a.stencil_reach + b.stencil_reach
+
+
+def test_operator_is_a_grid_a_matrix_a_policy_and_a_reach():
+    assert [f.name for f in dataclasses.fields(LinearOperator)] == [
+        "grid", "matrix", "boundary_policy", "stencil_reach"]
+    op = LinearOperator(GRID_1D, sp.identity(GRID_1D.n, format="csr"), "zero-padded", 0)
+    assert op.stencil_reach == 0
+    with pytest.raises(TypeError, match="LinearOperator"):
+        commutator(op, op.matrix)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        commutator(op, identity_operator(make_grid_1d(3.5, 5.5, 43)))

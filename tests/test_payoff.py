@@ -63,3 +63,10 @@ def test_profit_query_validation():
         ProfitQuery(c, "broker", 47.0)
     with pytest.raises(ValueError, match="terminal price"):
         ProfitQuery(c, "holder", -1.0)
+
+
+def test_profit_query_rejects_non_finite_terminal_price():
+    c = OptionContract("call", 42.0, 1.0, premium=5.0)
+    for price in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="terminal price must be nonnegative and finite"):
+            ProfitQuery(c, "holder", price)

@@ -329,6 +329,22 @@ def test_surface_validation():
         PriceSurface(g, np.ones(5), 0.0).values2d
 
 
+def test_surface_checks_the_previous_slice_and_the_step():
+    # a previous slice of the wrong shape used to be accepted and fail later
+    # in beta_field with numpy's broadcast error, naming no field
+    g = make_grid_2d(3.5, 5.5, 21, -4.0, -1.0, 11)
+    v = np.ones(g.n_points)
+    assert g.n_points == 231
+    for prev in (np.ones(5), np.full(g.n_points, np.nan), np.full(g.n_points, np.inf)):
+        with pytest.raises(ValueError, match="prev_values"):
+            PriceSurface(g, v, 0.0, prev_values=prev, dt=0.1)
+    for dt in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            PriceSurface(g, v, 0.0, prev_values=v, dt=dt)
+    surface = PriceSurface(g, v, 0.0, prev_values=2.0 * v.reshape(g.shape), dt=0.1)
+    assert surface.prev_values.shape == (g.n_points,)
+
+
 # ---------------------------------------------------------------------------
 # Merton-Garman pricing
 # ---------------------------------------------------------------------------
