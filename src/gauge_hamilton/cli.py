@@ -12,28 +12,21 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import click
 import numpy as np
 
-from .core import (ModelParams, default_grid_1d, default_grid_2d,
-                   make_grid_1d, make_grid_2d, sample, text_output, write_csv)
-from .gauge_analysis import (gauge_martingale_sums, martingale_roots,
-                             mg_martingale_report, volcoeff_audit)
+from .core import (ModelParams, default_grid_1d, default_grid_2d, make_grid_2d,
+                   sample, text_output, write_csv)
+from .gauge_analysis import (_CHECK_X, _CHECK_Y, CHECKS, _run_checks,
+                             gauge_martingale_sums, martingale_roots,
+                             mg_martingale_report)
 from .montecarlo import mc_price, simulate_gbm, simulate_mg
-from .operators import (GaugeField, build_bs_hamiltonian, build_gauge_hamiltonian,
-                        build_transformed_bs, commutator, gauge_operator,
-                        hamiltonian_terms, smooth_probe_functions)
+from .operators import build_gauge_hamiltonian, hamiltonian_terms
 from .payoff import ProfitQuery, break_even, profit
 from .pricing import EvolveError, OptionContract, bs_closed_form, price_bs, price_mg
 
 THREADS_ENV = "GAUGE_HAMILTON_THREADS"
-
-# shared box for the operator checks: x around ln 100, y in a variance
-# range where e^y coefficients stay well scaled
-_CHECK_X = (3.5, 5.5)
-_CHECK_Y = (-4.0, -1.0)
 
 
 def _echo_json(data) -> None:
@@ -181,157 +174,8 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
 # check
 # ---------------------------------------------------------------------------
 
-def _record(name, residual, tolerance, passed, detail=None) -> dict:
-    """One check's JSON record; ``detail`` only when given."""
-    rec = {"name": name, "residual": residual, "tolerance": tolerance, "pass": bool(passed)}
-    if detail is not None:
-        rec["detail"] = detail
-    return rec
-
-
-def _check_grids(nx, ny):
-    coarse = make_grid_2d(*_CHECK_X, nx, *_CHECK_Y, ny)
-    fine = make_grid_2d(*_CHECK_X, 2 * nx - 1, *_CHECK_Y, 2 * ny - 1)
-    return coarse, fine
-
-
-def _check_expansion(params, nx, ny, probes, seed):
-    """Factored and expanded gauge forms agree at second order: the action
-    gap must shrink by at least 2^1.9 under one refinement.  Both gaps are
-    read at the coarse points (every second fine point) so the max norm
-    compares the same physical locations."""
-    coarse, fine = _check_grids(nx, ny)
-    gaps = {}
-    for grid in (coarse, fine):
-        factored = build_gauge_hamiltonian(params, grid, form="factored")
-        expanded = build_gauge_hamiltonian(params, grid, form="expanded")
-        fields = []
-        for f in smooth_probe_functions(grid, probes, seed):
-            gf = sample(f, grid)
-            gap = factored.apply(gf).values - expanded.apply(gf).values
-            fields.append(gap.reshape(grid.shape))
-        gaps[grid] = fields
-    # composed stencils reach two layers, so depth-2 rows are the first
-    # place where both forms use central differences only
-    mask = np.outer(coarse.x_axis.interior_mask(2), coarse.y_axis.interior_mask(2))
-    err_coarse = max(float(np.abs(g[mask]).max()) for g in gaps[coarse])
-    err_fine = max(float(np.abs(g[::2, ::2][mask]).max()) for g in gaps[fine])
-    tolerance = err_coarse / 2.0 ** 1.9
-    return _record("expansion", err_fine, tolerance, err_fine <= tolerance)
-
-
-def _collapsed_x_stencil(op, nx, ny, i, j):
-    """Exact (fsum) sum of a 2D operator row over each x-neighbor column."""
-    row = op.matrix.getrow(i * ny + j)
-    groups = {}
-    for col, val in zip(row.indices, row.data):
-        groups.setdefault(int(col) // ny, []).append(float(val))
-    return {xi: math.fsum(vals) for xi, vals in groups.items()}
-
-
-def _check_bs_limit(params, nx, ny, probes, seed):
-    """Constant-sigma gauge Hamiltonian acting on y-independent states must
-    reproduce the 1D Black-Scholes action: every interior row, summed over
-    the y direction, is bit for bit the 1D stencil."""
-    p = replace(params, sigma_local=False)
-    grid2 = make_grid_2d(*_CHECK_X, nx, *_CHECK_Y, ny)
-    grid1 = grid2.x_axis
-    h2 = build_gauge_hamiltonian(p, grid2, form="expanded")
-    h1 = build_bs_hamiltonian(p, grid1)
-    bs = h1.matrix.tocsr()
-    residual = 0.0
-    for i in range(1, nx - 1):
-        row1 = {int(c): float(v) for c, v in
-                zip(bs.getrow(i).indices, bs.getrow(i).data)}
-        for j in range(1, ny - 1):
-            collapsed = _collapsed_x_stencil(h2, nx, ny, i, j)
-            cols = set(collapsed) | set(row1)
-            gap = max(abs(collapsed.get(c, 0.0) - row1.get(c, 0.0)) for c in cols)
-            residual = max(residual, gap)
-    # matvec agreement is only close to rounding, not bitwise: summed-matrix
-    # rows accumulate the y-direction zeros in between the x terms
-    worst, scale = 0.0, 0.0
-    for f in smooth_probe_functions(grid2, probes, seed, y_constant=True):
-        out2 = h2.apply(sample(f, grid2)).values.reshape(grid2.shape)
-        out1 = h1.apply(sample(f, grid1)).values
-        worst = max(worst, float(np.abs(out2[1:-1, 1:-1] - out1[1:-1, None]).max()))
-        scale = max(scale, float(np.abs(out1[1:-1]).max()))
-    return _record("bs-limit", residual, 0.0, residual == 0.0,
-                   {"matvec_gap": worst / max(scale, 1e-300)})
-
-
-def _commutator_defect(params, field, nx):
-    grid = make_grid_1d(*_CHECK_X, nx)
-    h = build_bs_hamiltonian(params, grid)
-    u = gauge_operator(field, grid)
-    return commutator(u, h).max_abs()
-
-
-def _check_commutator(params, theta_field, omega, nx):
-    """A linear gauge field must fail to commute with the Hamiltonian (that
-    is the entire point of the transformation); a constant field commutes
-    exactly, entry for entry."""
-    results = []
-    if theta_field == "linear":
-        defect = _commutator_defect(params, GaugeField.linear_x(omega), nx)
-        results.append(_record("commutator", defect, 1e-6, defect > 1e-6))
-    zero = _commutator_defect(params, GaugeField.constant(omega), nx)
-    name = "commutator-constant" if results else "commutator"
-    return results + [_record(name, zero, 0.0, zero == 0.0)]
-
-
-def _check_volcoeff(params, nx, ny):
-    """Report-only coefficient audit after the volatility-matching
-    substitution: four blocks agree exactly, the second y-derivative block
-    deviation is printed for inspection (it never counts against exit 0)."""
-    grid = make_grid_2d(*_CHECK_X, nx, *_CHECK_Y, ny)
-    report = volcoeff_audit(params, grid)
-    zero_terms = ("second_x", "first_x", "first_y", "cross_xy")
-    residual = max(report.deviations[t] for t in zero_terms)
-    return _record("volcoeff", residual, None, True, report.to_dict())
-
-
-def _check_transform(params, omega, nx, probes, seed):
-    """Report-only: how far the three shifted-operator conventions sit from
-    each other on smooth states (they measurably differ for linear theta)."""
-    grid = make_grid_1d(*_CHECK_X, nx)
-    field = GaugeField.linear_x(omega)
-    ops = {c: build_transformed_bs(params, field, grid, c)
-           for c in ("direct", "left", "right")}
-    mask = grid.interior_mask(1)
-    gaps = {"direct_vs_left": 0.0, "direct_vs_right": 0.0, "left_vs_right": 0.0}
-    scale = 0.0
-    for f in smooth_probe_functions(grid, probes, seed):
-        gf = sample(f, grid)
-        acts = {c: op.apply(gf).values for c, op in ops.items()}
-        scale = max(scale, float(np.abs(acts["direct"][mask]).max()))
-        for key, (a, b) in {"direct_vs_left": ("direct", "left"),
-                            "direct_vs_right": ("direct", "right"),
-                            "left_vs_right": ("left", "right")}.items():
-            gaps[key] = max(gaps[key], float(np.abs(acts[a][mask] - acts[b][mask]).max()))
-    residual = max(gaps.values()) / max(scale, 1e-300)
-    return _record("transform", residual, None, True, gaps)
-
-
-def _run_checks(what, params, theta_field, omega, nx, ny, probes, seed) -> list:
-    checks = []
-    if what in ("expansion", "all"):
-        checks.append(_check_expansion(params, nx, ny, probes, seed))
-    if what in ("bs-limit", "all"):
-        checks.append(_check_bs_limit(params, nx, ny, probes, seed))
-    if what in ("commutator", "all"):
-        checks.extend(_check_commutator(params, theta_field, omega, nx))
-    if what in ("volcoeff", "all"):
-        checks.append(_check_volcoeff(params, nx, ny))
-    if what in ("transform", "all"):
-        checks.append(_check_transform(params, omega, nx, probes, seed))
-    return checks
-
-
 @main.command()
-@click.option("--what",
-              type=click.Choice(["expansion", "bs-limit", "commutator",
-                                 "volcoeff", "transform", "all"]),
+@click.option("--what", type=click.Choice([*CHECKS, "all"]),
               default="all", show_default=True)
 @click.option("--theta", "theta_field", type=click.Choice(["linear", "constant"]),
               default="linear", show_default=True,

@@ -125,6 +125,10 @@ class LogGrid1D:
     def xs(self) -> np.ndarray:
         return self.points
 
+    @property
+    def x_axis(self) -> LogGrid1D:
+        return self  # so x bounds read alike on 1D and 2D grids
+
     def interior_mask(self, depth: int = 1) -> np.ndarray:
         mask = np.zeros(self.n, dtype=bool)
         mask[depth:self.n - depth] = True

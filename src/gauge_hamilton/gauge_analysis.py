@@ -1,21 +1,28 @@
-"""Pointwise gauge-field relations and martingale diagnostics.
+"""Pointwise gauge-field relations, martingale diagnostics, operator checks.
 
 These are scalar checks of the algebraic identities the gauge construction
 rides on: the momentum ratio of the transformed operator, the information
 preservation relation between theta derivatives, the surprise-function
 exponent condition, and the martingale (no-arbitrage) conditions of the
-Merton-Garman and gauge Hamiltonians.
+Merton-Garman and gauge Hamiltonians.  ``CHECKS`` holds the structural
+checks of the operators that the CLI ``check`` prints.
 """
 
 from __future__ import annotations
 
+import inspect
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GridFunction, LogGrid2D, ModelParams, Record, check_positive, sample
-from .operators import LinearOperator, build_gauge_hamiltonian, build_mg_hamiltonian
+from .core import (GridFunction, LogGrid2D, ModelParams, Record, check_positive,
+                   make_grid_1d, make_grid_2d, sample)
+from .operators import (GaugeField, LinearOperator, build_bs_hamiltonian,
+                        build_gauge_hamiltonian, build_mg_hamiltonian,
+                        build_transformed_bs, commutator, gauge_operator,
+                        smooth_probe_functions)
 
 __all__ = [
     "momentum_ratio",
@@ -31,6 +38,7 @@ __all__ = [
     "gauge_quadratic",
     "VolcoeffReport",
     "volcoeff_audit",
+    "CHECKS",
 ]
 
 
@@ -272,3 +280,136 @@ def volcoeff_audit(params: ModelParams, grid: LogGrid2D) -> VolcoeffReport:
     return VolcoeffReport(deviations=deviations,
                           second_y_matches_half_sig2=matches,
                           vol_vol_half=params.vol_vol_half)
+
+
+# ---------------------------------------------------------------------------
+# Structural checks of the operators, as the JSON records the CLI `check` prints
+# ---------------------------------------------------------------------------
+
+# shared box for the operator checks: x around ln 100, y in a variance
+# range where e^y coefficients stay well scaled
+_CHECK_X = (3.5, 5.5)
+_CHECK_Y = (-4.0, -1.0)
+
+
+def _record(name, residual, tolerance, passed, detail=None) -> dict:
+    """One check's JSON record; ``detail`` only when given."""
+    rec = {"name": name, "residual": residual, "tolerance": tolerance, "pass": bool(passed)}
+    return rec if detail is None else {**rec, "detail": detail}
+
+
+def _check_expansion(params, nx, ny, probes, seed):
+    """Factored and expanded gauge forms agree at second order: the action
+    gap must shrink by at least 2^1.9 under one refinement.  Both gaps are
+    read at the coarse points (every second fine point) so the max norm
+    compares the same physical locations."""
+    coarse = make_grid_2d(*_CHECK_X, nx, *_CHECK_Y, ny)
+    fine = make_grid_2d(*_CHECK_X, 2 * nx - 1, *_CHECK_Y, 2 * ny - 1)
+    # composed stencils reach two layers, so depth-2 rows are the first
+    # place where both forms use central differences only
+    mask = np.outer(coarse.x_axis.interior_mask(2), coarse.y_axis.interior_mask(2))
+    errs = []
+    for grid, stride in ((coarse, 1), (fine, 2)):
+        factored = build_gauge_hamiltonian(params, grid, form="factored")
+        expanded = build_gauge_hamiltonian(params, grid, form="expanded")
+        err = 0.0
+        for f in smooth_probe_functions(grid, probes, seed):
+            gf = sample(f, grid)
+            gap = (factored.apply(gf).values - expanded.apply(gf).values).reshape(grid.shape)
+            err = max(err, float(np.abs(gap[::stride, ::stride][mask]).max()))
+        errs.append(err)
+    err_coarse, err_fine = errs
+    tolerance = err_coarse / 2.0 ** 1.9
+    return _record("expansion", err_fine, tolerance, err_fine <= tolerance)
+
+
+def _check_bs_limit(params, nx, ny, probes, seed):
+    """Constant-sigma gauge Hamiltonian acting on y-independent states must
+    reproduce the 1D Black-Scholes action: every interior row, summed over
+    the y direction, is bit for bit the 1D stencil."""
+    p = replace(params, sigma_local=False)
+    grid2 = make_grid_2d(*_CHECK_X, nx, *_CHECK_Y, ny)
+    grid1 = grid2.x_axis
+    h2 = build_gauge_hamiltonian(p, grid2, form="expanded")
+    h1 = build_bs_hamiltonian(p, grid1)
+    residual = 0.0
+    for i in range(1, nx - 1):
+        row = h1.matrix.getrow(i)
+        row1 = dict(zip(row.indices.tolist(), row.data.tolist()))
+        for j in range(1, ny - 1):
+            # exact (fsum) sum of the 2D row over each x-neighbor column
+            row2 = h2.matrix.getrow(i * ny + j)
+            groups = {}
+            for col, val in zip(row2.indices.tolist(), row2.data.tolist()):
+                groups.setdefault(col // ny, []).append(val)
+            collapsed = {xi: math.fsum(vals) for xi, vals in groups.items()}
+            residual = max(residual, *(abs(collapsed.get(c, 0.0) - row1.get(c, 0.0))
+                                       for c in set(collapsed) | set(row1)))
+    # matvec agreement is only close to rounding, not bitwise: summed-matrix
+    # rows accumulate the y-direction zeros in between the x terms
+    worst, scale = 0.0, 0.0
+    for f in smooth_probe_functions(grid2, probes, seed, y_constant=True):
+        out2 = h2.apply(sample(f, grid2)).values.reshape(grid2.shape)
+        out1 = h1.apply(sample(f, grid1)).values
+        worst = max(worst, float(np.abs(out2[1:-1, 1:-1] - out1[1:-1, None]).max()))
+        scale = max(scale, float(np.abs(out1[1:-1]).max()))
+    return _record("bs-limit", residual, 0.0, residual == 0.0,
+                   {"matvec_gap": worst / max(scale, 1e-300)})
+
+
+def _check_commutator(params, theta_field, omega, nx):
+    """A linear gauge field must fail to commute with the Hamiltonian (that
+    is the entire point of the transformation); a constant field commutes
+    exactly, entry for entry.  A list of one or two records."""
+    grid = make_grid_1d(*_CHECK_X, nx)
+    h = build_bs_hamiltonian(params, grid)
+    results = []
+    if theta_field == "linear":
+        defect = commutator(gauge_operator(GaugeField.linear_x(omega), grid), h).max_abs()
+        results.append(_record("commutator", defect, 1e-6, defect > 1e-6))
+    zero = commutator(gauge_operator(GaugeField.constant(omega), grid), h).max_abs()
+    name = "commutator-constant" if results else "commutator"
+    return results + [_record(name, zero, 0.0, zero == 0.0)]
+
+
+def _check_volcoeff(params, nx, ny):
+    """Report-only coefficient audit after the volatility-matching
+    substitution: four blocks agree exactly, the second y-derivative block
+    deviation is printed for inspection (it never counts against exit 0)."""
+    report = volcoeff_audit(params, make_grid_2d(*_CHECK_X, nx, *_CHECK_Y, ny))
+    residual = max(report.deviations[t] for t in ("second_x", "first_x", "first_y", "cross_xy"))
+    return _record("volcoeff", residual, None, True, report.to_dict())
+
+
+def _check_transform(params, omega, nx, probes, seed):
+    """Report-only: how far the three shifted-operator conventions sit from
+    each other on smooth states (they measurably differ for linear theta)."""
+    grid = make_grid_1d(*_CHECK_X, nx)
+    ops = {c: build_transformed_bs(params, GaugeField.linear_x(omega), grid, c)
+           for c in ("direct", "left", "right")}
+    mask = grid.interior_mask(1)
+    acts = [{c: op.apply(sample(f, grid)).values[mask] for c, op in ops.items()}
+            for f in smooth_probe_functions(grid, probes, seed)]
+    scale = max(float(np.abs(act["direct"]).max()) for act in acts)
+    gaps = {f"{a}_vs_{b}": max(float(np.abs(act[a] - act[b]).max()) for act in acts)
+            for a, b in itertools.combinations(ops, 2)}
+    residual = max(gaps.values()) / max(scale, 1e-300)
+    return _record("transform", residual, None, True, gaps)
+
+
+# check name -> check, in report order
+CHECKS = {"expansion": _check_expansion, "bs-limit": _check_bs_limit,
+          "commutator": _check_commutator, "volcoeff": _check_volcoeff,
+          "transform": _check_transform}
+
+
+def _run_checks(what, params, theta_field, omega, nx, ny, probes, seed) -> list:
+    """Records of the check ``what``, or of every check in table order for
+    "all"; each check is passed the settings its parameters name."""
+    settings = {"params": params, "theta_field": theta_field, "omega": omega,
+                "nx": nx, "ny": ny, "probes": probes, "seed": seed}
+    records = []
+    for check in CHECKS.values() if what == "all" else (CHECKS[what],):
+        out = check(**{k: settings[k] for k in inspect.signature(check).parameters})
+        records += out if isinstance(out, list) else [out]
+    return records

@@ -432,8 +432,8 @@ def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
       left    U^-1 H_bs U  (matrix sandwich)
       right   U H_bs U^-1
 
-    The three do not coincide for non-constant theta; the CLI ``check
-    --what transform`` reports how far apart they sit.
+    The three do not coincide for non-constant theta;
+    ``gauge_analysis._check_transform`` reports how far apart they sit.
     """
     if convention not in TRANSFORM_CONVENTIONS:
         raise ValueError(f"convention must be one of {TRANSFORM_CONVENTIONS}, got {convention!r}")
@@ -465,11 +465,10 @@ def smooth_probe_functions(grid: Grid, count: int, seed: int = 0,
     is at most 1.  With ``y_constant`` the functions do not depend on y.
     """
     rng = np.random.default_rng(seed)
+    x0, lx = grid.x_axis.x_min, grid.x_axis.x_max - grid.x_axis.x_min
     if isinstance(grid, LogGrid2D):
-        x0, lx = grid.x_axis.x_min, grid.x_axis.x_max - grid.x_axis.x_min
         y0, ly = grid.y_axis.x_min, grid.y_axis.x_max - grid.y_axis.x_min
     else:
-        x0, lx = grid.x_min, grid.x_max - grid.x_min
         y0, ly = 0.0, 1.0
 
     def make(amps, phx, phy):

@@ -142,12 +142,10 @@ class FarFieldBoundary:
     rate: float
 
     def x_values(self, grid, tau: float) -> tuple[float, float]:
-        x_min = grid.x_axis.x_min if isinstance(grid, LogGrid2D) else grid.x_min
-        x_max = grid.x_axis.x_max if isinstance(grid, LogGrid2D) else grid.x_max
         pv_strike = self.contract.strike * math.exp(-self.rate * tau)
         if self.contract.kind == "call":
-            return 0.0, math.exp(x_max) - pv_strike
-        return pv_strike - math.exp(x_min), 0.0
+            return 0.0, math.exp(grid.x_axis.x_max) - pv_strike
+        return pv_strike - math.exp(grid.x_axis.x_min), 0.0
 
 
 def _boundary_rows(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -480,10 +478,22 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     return advance
 
 
+def _in_no_arbitrage_box(price: float, contract: OptionContract, s0: float,
+                         rate: float) -> float:
+    """``price`` if it lies in [0, s0] (call) or [0, K e^{-rT}] (put); else the
+    solve diverged or the strike lies beyond the grid, and EvolveError says so."""
+    bound, upper = (("s0", s0) if contract.kind == "call" else
+                    ("K e^{-rT}", contract.strike * math.exp(-rate * contract.maturity)))
+    if not 0.0 <= price <= upper:
+        raise EvolveError(f"{contract.kind} price {price!r} leaves the no-arbitrage box "
+                          f"[0, {bound} = {upper!r}]")
+    return price
+
+
 def price_bs(params: ModelParams, contract: OptionContract, s0: float,
              grid: LogGrid1D | None = None, n_steps: int = 200,
              theta_scheme: float = 0.5) -> float:
-    """Backward-evolved Black-Scholes price read off at ln s0."""
+    """Backward-evolved Black-Scholes price at ln s0, in the no-arbitrage box."""
     check_positive("s0", s0)
     if grid is None:
         grid = default_grid_1d(s0, params.sigma, contract.maturity)
@@ -491,7 +501,7 @@ def price_bs(params: ModelParams, contract: OptionContract, s0: float,
     surface = evolve(h, terminal_payoff(contract, grid), contract.maturity,
                      n_steps, theta_scheme,
                      boundary=FarFieldBoundary(contract, params.r))
-    return surface.interpolate(math.log(s0))
+    return _in_no_arbitrage_box(surface.interpolate(math.log(s0)), contract, s0, params.r)
 
 
 def solve_mg(params: ModelParams, contract: OptionContract, grid: LogGrid2D,
@@ -506,10 +516,11 @@ def solve_mg(params: ModelParams, contract: OptionContract, grid: LogGrid2D,
 def price_mg(params: ModelParams, contract: OptionContract, s0: float, v0: float,
              grid: LogGrid2D | None = None, n_steps: int = 150,
              theta_scheme: float = 0.5) -> float:
-    """Merton-Garman price at spot s0 and instantaneous variance v0."""
+    """Merton-Garman price at spot s0 and variance v0, in the no-arbitrage box."""
     check_positive("s0", s0)
     check_positive("v0", v0)
     if grid is None:
         grid = default_grid_2d(s0, v0, contract.maturity)
     surface = solve_mg(params, contract, grid, n_steps, theta_scheme)
-    return surface.interpolate(math.log(s0), math.log(v0))
+    return _in_no_arbitrage_box(surface.interpolate(math.log(s0), math.log(v0)),
+                                contract, s0, params.r)

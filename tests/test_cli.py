@@ -22,6 +22,7 @@ from gauge_hamilton import (
     sample,
 )
 from gauge_hamilton.cli import _TERM_COLUMNS, main
+from gauge_hamilton.gauge_analysis import CHECKS
 
 
 @pytest.fixture
@@ -75,6 +76,24 @@ def test_price_mg_degenerate_matches_bs(runner):
     assert out["pde_price"] == pytest.approx(cf, rel=1e-3)
 
 
+def test_price_bs_strike_outside_the_box_fails(runner):
+    # the strike lies beyond the default 5 sigma sqrt(T) box, where the
+    # far-field value is negative; the price used to print as -0.0272
+    result = runner.invoke(main, ["price", "--s0", "100", "--k", "200",
+                                  "--sigma", "0.05", "--t", "3"])
+    assert result.exit_code == 1, result.output
+    assert "no-arbitrage box [0, s0 = 100.0]" in result.output
+
+
+def test_price_mg_divergence_fails(runner):
+    # alpha = 0.5 on the default grid diverges; it used to print 5.8e84
+    result = runner.invoke(main, ["price", "--model", "mg", "--s0", "100", "--k", "100",
+                                  "--v0", "0.04", "--zeta", "0.5", "--mu", "-0.2",
+                                  "--lambda", "0.01", "--rho", "-0.5", "--alpha", "0.5"])
+    assert result.exit_code == 1, result.output
+    assert "no-arbitrage box [0, s0 = 100.0]" in result.output
+
+
 def test_price_usage_errors(runner):
     missing = runner.invoke(main, ["price", "--s0", "100"])
     assert missing.exit_code == 2
@@ -118,6 +137,15 @@ def test_check_failure_sets_exit_code(runner):
     assert result.exit_code == 1
     out = json.loads(result.output)
     assert out["pass"] is False
+
+
+def test_check_all_is_each_check_in_table_order(runner):
+    # a grid this coarse fails the expansion check; the records still compare
+    def records(what):
+        args = ["check", "--what", what, "--nx", "9", "--ny", "7", "--probes", "2"]
+        return json.loads(runner.invoke(main, args).output)["checks"]
+
+    assert records("all") == [rec for name in CHECKS for rec in records(name)]
 
 
 def test_check_rejects_unknown_what(runner):

@@ -1,4 +1,5 @@
-"""Martingale conditions, momentum ratios, and the coefficient audit."""
+"""Martingale conditions, momentum ratios, the coefficient audit, and the
+structural checks."""
 
 import math
 
@@ -19,6 +20,14 @@ from gauge_hamilton import (
     momentum_ratio,
     surprise_condition,
     volcoeff_audit,
+)
+from gauge_hamilton.gauge_analysis import (
+    CHECKS,
+    _check_bs_limit,
+    _check_commutator,
+    _check_expansion,
+    _check_transform,
+    _check_volcoeff,
 )
 
 GRID = make_grid_2d(3.5, 5.5, 41, -4.0, -1.0, 21)
@@ -327,3 +336,31 @@ def test_volcoeff_with_conventional_half():
     assert d["vol_vol_half"] is True
     assert set(d["deviations"]) == {"second_x", "first_x", "first_y",
                                     "cross_xy", "second_y"}
+
+
+# ---------------------------------------------------------------------------
+# structural checks
+# ---------------------------------------------------------------------------
+
+CHECK_PARAMS = ModelParams(r=0.05, sigma=0.2, omega=1.0)
+RECORD_KEYS = {"name", "residual", "tolerance", "pass"}
+
+
+def test_check_functions_return_check_records():
+    records = [
+        _check_expansion(CHECK_PARAMS, 9, 7, 2, 0),
+        _check_bs_limit(CHECK_PARAMS, 9, 7, 2, 0),
+        *_check_commutator(CHECK_PARAMS, "linear", 1.0, 9),
+        _check_volcoeff(CHECK_PARAMS, 9, 7),
+        _check_transform(CHECK_PARAMS, 1.0, 9, 2, 0),
+    ]
+    assert [r["name"] for r in records] == ["expansion", "bs-limit", "commutator",
+                                            "commutator-constant", "volcoeff", "transform"]
+    # only the three report-carrying checks add a detail
+    for rec in records:
+        extra = {"detail"} if rec["name"] in ("bs-limit", "volcoeff", "transform") else set()
+        assert set(rec) == RECORD_KEYS | extra
+        assert isinstance(rec["pass"], bool)
+    assert list(records[-1]["detail"]) == ["direct_vs_left", "direct_vs_right",
+                                           "left_vs_right"]
+    assert list(CHECKS) == ["expansion", "bs-limit", "commutator", "volcoeff", "transform"]

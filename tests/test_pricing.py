@@ -383,6 +383,14 @@ def test_mg_surface_carries_time_slices():
     assert surf.prev_values.shape == surf.values.shape
 
 
+def test_price_bs_put_outside_the_box_names_its_bound():
+    # strike 50 lies beyond the default box; the far-field put value drives
+    # the price slightly negative
+    p = ModelParams(r=0.0, sigma=0.05)
+    with pytest.raises(EvolveError, match=r"put price .* no-arbitrage box \[0, K e\^\{-rT\} = 50.0\]"):
+        price_bs(p, OptionContract("put", 50.0, 3.0), 100.0)
+
+
 def test_price_mg_validates_spot_and_variance():
     with pytest.raises(ValueError):
         price_mg(ModelParams(r=0.05), CALL, -1.0, 0.04)
