@@ -7,13 +7,16 @@ the theta scheme
 
     (I + theta dtau H) C_new = (I - (1-theta) dtau H) C_old,
 
-solved with one sparse LU factor per theta.  On 2D grids the operator
+solved with one LAPACK LU factor per theta: gttrf/gttrs when the system is
+tridiagonal (as it is with a FarFieldBoundary), gbtrf/gbtrs with the
+system's own band widths when an operator's one-sided end rows reach
+further.  On 2D grids the operator
 A = -H is split by stencil direction into A1 (along x), A2 (along y) and
 the mixed part A0, and each step is a Craig-Sneyd ADI step: an explicit
 stage of the whole operator, an implicit x-sweep with I - theta dtau A1
 and a y-sweep with I - theta dtau A2, then a correction with the explicit
 mixed term and the two sweeps again.  Each sweep system is tridiagonal
-along its grid lines and is solved with LAPACK's gttrf/gttrs.
+along its grid lines and is solved with gttrf/gttrs as well.
 
 theta = 1/2 (Crank-Nicolson in 1D, Craig-Sneyd in 2D) with a short fully
 implicit startup is the default; the startup damps the oscillations the
@@ -32,8 +35,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from scipy.special import ndtr
 
 from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_positive,
@@ -272,8 +274,9 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     use ``theta_scheme``.  Every linear solve is checked: a relative
     residual above ``residual_tol`` raises EvolveError.
 
-    On 1D grids each step is a theta step solved by sparse LU.  With no
-    boundary object the operator's own one-sided rows act on the ends; a
+    On 1D grids each step is a theta step solved on LAPACK tridiagonal
+    factors, or banded ones when the system is wider.  With no boundary
+    object the operator's own one-sided rows act on the ends; a
     FarFieldBoundary replaces the end rows of the implicit system with
     Dirichlet rows and feeds the time-dependent values through the
     right-hand side.
@@ -311,7 +314,7 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
                 f"{2.0 / ((1.0 - 2.0 * theta_scheme) * bound):g} "
                 f"(Gershgorin bound {bound:g})", RuntimeWarning)
 
-    advance = (_adi_stepper if two_d else _lu_stepper)(h, dt, boundary)
+    advance = (_adi_stepper if two_d else _band_stepper)(h, dt, boundary)
 
     def check(a, new, rhs):
         resid = a @ new - rhs
@@ -334,8 +337,64 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
                         prev_values=prev, dt=dt)
 
 
-def _lu_stepper(h: LinearOperator, dt: float, boundary: Optional[FarFieldBoundary]):
-    """Theta steps on a 1D grid, one sparse LU factor per theta."""
+def _diagonals(a: sp.csr_matrix, stride: int = 1) -> tuple[int, int, list[np.ndarray]]:
+    """Band widths and diagonals of a banded CSR matrix, read off its arrays.
+
+    Every stored entry must lie a multiple of ``stride`` columns from its
+    row's diagonal, so the matrix couples only the points of a line, the
+    indices equal modulo ``stride``.  Returns (kl, ku, diagonals): the
+    bands below and above the main diagonal in steps of ``stride``, at
+    least one each, and the diagonals at offsets -kl, ..., ku of the matrix
+    with its points in line order (point q * stride + j at j * n / stride + q),
+    as LAPACK takes a band.  With stride 1 they are ``a.diagonal(k)``.
+    """
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    steps, off_lattice = np.divmod(a.indices - rows, stride)
+    if off_lattice.any():
+        raise ValueError(f"matrix has entries off the diagonals of stride {stride}")
+    kl = max(1, -int(steps.min(initial=0)))
+    ku = max(1, int(steps.max(initial=0)))
+    offsets = range(-kl, ku + 1)
+    diags = [a.diagonal(k * stride) for k in offsets]
+    if stride > 1:
+        # zero-padding each diagonal to n puts its zeros where the lines end
+        diags = [np.pad(v, (0, n - v.size)).reshape(-1, stride).T.ravel()[:n - abs(k)]
+                 for k, v in zip(offsets, diags)]
+    return kl, ku, diags
+
+
+def _check_pivots(info: int) -> None:
+    if info > 0:
+        raise EvolveError(f"implicit matrix factorization failed: zero pivot in row {info}")
+
+
+def _gttrf(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
+    """LU factors of a tridiagonal matrix, as dgttrs takes them."""
+    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
+    _check_pivots(info)
+    return dl, d, du, du2, ipiv
+
+
+def _band_lu(a: sp.csr_matrix):
+    """The solve of a 1D theta system on its LAPACK LU factors: gttrf/gttrs
+    when the system is tridiagonal, gbtrf/gbtrs with its own kl and ku when
+    wider rows reach further."""
+    kl, ku, diags = _diagonals(a)
+    if kl == ku == 1:
+        lu = _gttrf(*diags)
+        return lambda rhs: dgttrs(*lu, rhs)[0]
+    n = a.shape[0]
+    ab = np.zeros((2 * kl + ku + 1, n))   # LAPACK band storage, kl spare rows on top
+    for k, diag in zip(range(-kl, ku + 1), diags):
+        ab[kl + ku - k, max(k, 0):n + min(k, 0)] = diag
+    lu, ipiv, info = dgbtrf(ab, kl, ku)
+    _check_pivots(info)
+    return lambda rhs: dgbtrs(lu, kl, ku, rhs, ipiv)[0]
+
+
+def _band_stepper(h: LinearOperator, dt: float, boundary: Optional[FarFieldBoundary]):
+    """Theta steps on a 1D grid, one LAPACK band factor per theta."""
     grid = h.grid
     low, high, _ = _boundary_rows(grid)
     replaced = () if boundary is None else np.concatenate([low, high])
@@ -343,20 +402,16 @@ def _lu_stepper(h: LinearOperator, dt: float, boundary: Optional[FarFieldBoundar
     @functools.cache
     def get_system(theta: float):
         a, b = _theta_systems(h.matrix, theta, dt, replaced)
-        try:
-            lu = spla.splu(a.tocsc())
-        except RuntimeError as exc:
-            raise EvolveError(f"implicit matrix factorization failed: {exc}") from exc
-        return a, b, lu
+        return a, b, _band_lu(a)
 
     def advance(values, theta, tau_new, check):
-        a, b, lu = get_system(theta)
+        a, b, solve = get_system(theta)
         rhs = b @ values
         if boundary is not None:
             g_low, g_high = boundary.x_values(grid, tau_new)
             rhs[low] = g_low
             rhs[high] = g_high
-        new = lu.solve(rhs)
+        new = solve(rhs)
         check(a, new, rhs)
         return new
 
@@ -373,12 +428,20 @@ def _split_directions(h: LinearOperator) -> tuple[sp.csr_matrix, sp.csr_matrix, 
     the potential, is shared equally by A1 and A2.
     """
     n, ny = h.grid.n_points, h.grid.ny
-    a = (-h.matrix).tocoo()
-    ri, rj = np.divmod(a.row, ny)
-    ci, cj = np.divmod(a.col, ny)
-    off = a.row != a.col
-    a1, a2, a0 = (sp.csr_matrix((a.data[m], (a.row[m], a.col[m])), shape=(n, n))
-                  for m in (off & (rj == cj), off & (ri == ci), (ri != ci) & (rj != cj)))
+    a = -h.matrix
+    a.sum_duplicates()   # sorted columns, so each part's rows come out sorted
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    ri, rj = np.divmod(rows, ny)
+    ci, cj = np.divmod(a.indices, ny)
+    off = rows != a.indices
+
+    def part(mask):
+        kept = np.flatnonzero(mask)
+        return sp.csr_matrix((a.data[kept], a.indices[kept], np.searchsorted(kept, a.indptr)),
+                             shape=(n, n))
+
+    a1, a2, a0 = (part(m) for m in (off & (rj == cj), off & (ri == ci),
+                                    (ri != ci) & (rj != cj)))
     d1 = -np.asarray(a1.sum(axis=1)).ravel()
     d2 = -np.asarray(a2.sum(axis=1)).ravel()
     half_rest = 0.5 * (-h.matrix.diagonal() - d1 - d2)
@@ -386,29 +449,15 @@ def _split_directions(h: LinearOperator) -> tuple[sp.csr_matrix, sp.csr_matrix, 
             a2 + sp.diags(d2 + half_rest, format="csr"), a0)
 
 
-def _tridiagonal(s: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sub-, main and super-diagonal of a matrix that must be tridiagonal."""
-    if np.any((sp.triu(s, 2) + sp.tril(s, -2)).data):
-        raise ValueError("ADI stepping needs three-point stencils along each axis")
-    return s.diagonal(-1), s.diagonal(), s.diagonal(1)
-
-
-def _gttrf(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
-    """LU factors of a tridiagonal matrix, as dgttrs takes them."""
-    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
-    if info > 0:
-        raise EvolveError(f"implicit matrix factorization failed: zero pivot in row {info}")
-    return dl, d, du, du2, ipiv
-
-
 def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     """Craig-Sneyd (theta < 1) or Douglas (theta = 1) steps on a 2D grid.
 
     Each sweep solves one tridiagonal system per theta, factored once:
     the x-sweep in x-line order (all points of a y index j contiguous),
-    the y-sweep in the grid's own order.  A sweep's residual is checked
-    against its unmodified system, whose y-face rows in the y-sweep are the
-    [1, -2, 1] linearity rows.
+    its diagonals read off the grid-order system at stride ny, the y-sweep
+    in the grid's own order.  A sweep's residual is checked against its
+    unmodified system, whose y-face rows in the y-sweep are the [1, -2, 1]
+    linearity rows.
     """
     grid = h.grid
     nx, ny, n = grid.nx, grid.ny, grid.n_points
@@ -424,13 +473,18 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     linearity = sp.csr_matrix((np.tile([1.0, -2.0, 1.0], faces.size),
                                (np.repeat(faces, 3), (faces[:, None] + inward).ravel())),
                               shape=(n, n))
-    x_lines = np.arange(n).reshape(nx, ny).T.ravel()
+
+    def tridiagonal(s, stride=1):
+        kl, ku, diags = _diagonals(s, stride)
+        if kl > 1 or ku > 1:
+            raise ValueError("ADI stepping needs three-point stencils along each axis")
+        return diags
 
     @functools.cache
     def get_system(theta: float):
         sys_x = _theta_matrix(a1, -(theta * dt), pinned=replaced)
         body_y = _theta_matrix(a2, -(theta * dt), pinned=dirichlet, zeroed=faces)
-        dl, d, du = _tridiagonal(body_y)
+        dl, d, du = tridiagonal(body_y)
         d[faces] = 1.0  # solved as identity rows; sys_y keeps the linearity rows
         # fold C(i,0) = 2 C(i,1) - C(i,2) into row (i,1), likewise at the top
         k = bottom + 1
@@ -443,7 +497,7 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
         d[k] += 2.0 * c
         dl[k - 1] -= c
         du[k] = 0.0
-        return (sys_x, _gttrf(*_tridiagonal(sys_x[x_lines][:, x_lines])),
+        return (sys_x, _gttrf(*tridiagonal(sys_x, ny)),
                 body_y + linearity, _gttrf(dl, d, du))
 
     def advance(values, theta, tau_new, check):

@@ -7,12 +7,16 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gauge_hamilton import (
     EvolveError,
     FarFieldBoundary,
     GridFunction,
+    LinearOperator,
     LogGrid2D,
     ModelParams,
     OptionContract,
@@ -36,8 +40,8 @@ from gauge_hamilton import (
     solve_mg,
     terminal_payoff,
 )
-from gauge_hamilton.pricing import (_boundary_rows, _split_directions, _theta_matrix,
-                                    _theta_systems)
+from gauge_hamilton.pricing import (_boundary_rows, _diagonals, _split_directions,
+                                    _theta_matrix, _theta_systems)
 
 P = ModelParams(r=0.05, sigma=0.2)
 CALL = OptionContract("call", 100.0, 1.0)
@@ -540,6 +544,156 @@ def test_evolve_steps_operator_without_stored_diagonal():
                 rhs[[0, -1]] = boundary.x_values(g, 0.1 * (step + 1))
             want = np.linalg.solve(a, rhs)
         np.testing.assert_allclose(surf.values, want, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# 1D theta steps on LAPACK band factors
+# ---------------------------------------------------------------------------
+
+def dense_theta_steps(h, u0, maturity, n_steps, theta, boundary):
+    """evolve's 1D stepping (two implicit startup steps) with dense matrices
+    and np.linalg.solve."""
+    g, dt = h.grid, maturity / n_steps
+    m, eye = h.matrix.toarray(), np.eye(h.grid.n)
+    values = u0.copy()
+    for step in range(n_steps):
+        th = 1.0 if step < 2 else theta
+        a, b = eye + th * dt * m, eye - (1.0 - th) * dt * m
+        rhs = b @ values
+        if boundary is not None:
+            a[[0, -1]] = eye[[0, -1]]
+            rhs[[0, -1]] = boundary.x_values(g, (step + 1) * dt)
+        values = np.linalg.solve(a, rhs)
+    return values
+
+
+def superlu_theta_steps(h, u0, maturity, n_steps, theta, boundary):
+    """The 1D stepping evolve did before the band factors: the same systems,
+    one SuperLU factor per theta, kept as a reference."""
+    g, dt = h.grid, maturity / n_steps
+    replaced = np.array([0, g.n - 1]) if boundary is not None else ()
+    systems = {}
+    values = u0.copy()
+    for step in range(n_steps):
+        th = 1.0 if step < 2 else theta
+        if th not in systems:
+            a, b = _theta_systems(h.matrix, th, dt, replaced)
+            systems[th] = b, spla.splu(a.tocsc())
+        b, lu = systems[th]
+        rhs = b @ values
+        if boundary is not None:
+            rhs[[0, -1]] = boundary.x_values(g, (step + 1) * dt)
+        values = lu.solve(rhs)
+    return values
+
+
+BS_STEP_CASES = dict(
+    sigma=st.floats(0.05, 0.5),
+    r=st.floats(0.0, 0.1),
+    theta=st.sampled_from([0.5, 1.0]),
+    kind=st.sampled_from(["call", "put"]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**BS_STEP_CASES, n=st.integers(11, 81), dt=st.floats(1e-3, 0.05),
+       n_steps=st.integers(1, 6))
+def test_1d_theta_steps_match_dense_solves(sigma, r, theta, kind, n, dt, n_steps):
+    params, contract = ModelParams(r=r, sigma=sigma), OptionContract(kind, 100.0, 1.0)
+    g = default_grid_1d(100.0, sigma, 1.0, n=n)
+    h = build_bs_hamiltonian(params, g)
+    u0 = terminal_payoff(contract, g)
+    # with a far-field boundary the system is tridiagonal; without one the
+    # one-sided end rows reach three columns and it is solved as a band
+    for boundary in (FarFieldBoundary(contract, r), None):
+        got = evolve(h, u0, n_steps * dt, n_steps, theta, boundary=boundary).values
+        want = dense_theta_steps(h, u0.values, n_steps * dt, n_steps, theta, boundary)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=20, deadline=None)
+@given(**BS_STEP_CASES, maturity=st.floats(0.1, 3.0), moneyness=st.floats(0.8, 1.2))
+def test_1d_theta_steps_match_superlu_stepping(sigma, r, theta, kind, maturity, moneyness):
+    params = ModelParams(r=r, sigma=sigma)
+    contract = OptionContract(kind, 100.0 * moneyness, maturity)
+    g = default_grid_1d(100.0, sigma, maturity)
+    assert g.n == 401
+    h, boundary = build_bs_hamiltonian(params, g), FarFieldBoundary(contract, r)
+    u0 = terminal_payoff(contract, g)
+    got = evolve(h, u0, maturity, 200, theta, boundary=boundary).values
+    want = superlu_theta_steps(h, u0.values, maturity, 200, theta, boundary)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_evolve_singular_system_on_the_band_path():
+    # H = -2I + K, with K reaching three columns right of row 0: at theta dt
+    # = 1/2 the system is K/2, a band with ku = 3 and an empty first column
+    g = make_grid_1d(0.0, 1.0, 11)
+    k = sp.csr_matrix(([1.0, 1.0, 1.0], ([0, 0, 0], [1, 2, 3])), shape=(11, 11))
+    h = identity_operator(g) * -2.0 + LinearOperator(g, k)
+    assert _diagonals(_theta_systems(h.matrix, 0.5, 1.0)[0])[:2] == (1, 3)
+    with pytest.raises(EvolveError, match="factorization failed: zero pivot in row 1"):
+        evolve(h, GridFunction(g, np.ones(11)), 1.0, 1, theta_scheme=0.5, rannacher=0)
+
+
+def sparse_tridiagonal(s):
+    """Diagonals by the sparse triu/tril test that reading the CSR arrays
+    replaced, kept as its reference."""
+    if np.any((sp.triu(s, 2) + sp.tril(s, -2)).data):
+        raise ValueError("ADI stepping needs three-point stencils along each axis")
+    return s.diagonal(-1), s.diagonal(), s.diagonal(1)
+
+
+def sweep_systems(h, theta, dt):
+    """The x-sweep system and the y-sweep system before its face fold, as
+    the ADI stepper builds them."""
+    ny = h.grid.ny
+    a1, a2, _ = _split_directions(h)
+    low, high, bottom = _boundary_rows(h.grid)
+    dirichlet, faces = np.concatenate([low, high]), np.concatenate([bottom, bottom + ny - 1])
+    return (_theta_matrix(a1, -theta * dt, pinned=np.concatenate([dirichlet, faces])),
+            _theta_matrix(a2, -theta * dt, pinned=dirichlet, zeroed=faces))
+
+
+def assert_same_diagonals(got, want):
+    kl, ku, diags = got
+    assert (kl, ku) == (1, 1)
+    for g, w in zip(diags, want, strict=True):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_band_reader_matches_sparse_construction(theta):
+    nx, ny = ADI_GRID.nx, ADI_GRID.ny
+    sys_x, body_y = sweep_systems(build_mg_hamiltonian(ADI_P, ADI_GRID), theta, 0.01)
+    # the x-sweep's diagonals at stride ny, in x-line order, against the
+    # diagonals of the whole matrix permuted to x-line order
+    x_lines = np.arange(ADI_GRID.n_points).reshape(nx, ny).T.ravel()
+    assert_same_diagonals(_diagonals(sys_x, ny), sparse_tridiagonal(sys_x[x_lines][:, x_lines]))
+    assert_same_diagonals(_diagonals(body_y), sparse_tridiagonal(body_y))
+    with pytest.raises(ValueError, match="off the diagonals of stride"):
+        _diagonals(body_y, ny)
+    h = build_bs_hamiltonian(P, THETA_GRID)
+    a, _ = _theta_systems(h.matrix, theta, 0.01, np.array([0, THETA_GRID.n - 1]))
+    assert_same_diagonals(_diagonals(a), sparse_tridiagonal(a))
+    # no boundary: the one-sided end rows reach three columns either way
+    a, _ = _theta_systems(h.matrix, theta, 0.01)
+    kl, ku, diags = _diagonals(a)
+    assert (kl, ku) == (3, 3)
+    for k, diag in zip(range(-3, 4), diags):
+        np.testing.assert_array_equal(diag, np.diagonal(a.toarray(), k))
+
+
+def test_band_reader_rejects_five_point_sweeps():
+    # the factored form reaches two points along each axis
+    wide = build_gauge_hamiltonian(ADI_P, ADI_GRID, form="factored")
+    for system, stride in zip(sweep_systems(wide, 0.5, 0.01), (ADI_GRID.ny, 1)):
+        assert _diagonals(system, stride)[:2] == (2, 2)
+        with pytest.raises(ValueError, match="three-point stencils"):
+            sparse_tridiagonal(system)
+    with pytest.raises(ValueError, match="three-point stencils"):
+        evolve(wide, terminal_payoff(CALL, ADI_GRID), 1.0, 10,
+               boundary=FarFieldBoundary(CALL, ADI_P.r))
 
 
 # ---------------------------------------------------------------------------
