@@ -24,7 +24,8 @@ from .gauge_analysis import (_CHECK_X, _CHECK_Y, CHECKS, _run_checks,
 from .montecarlo import mc_price, simulate_gbm, simulate_mg
 from .operators import build_gauge_hamiltonian, hamiltonian_terms
 from .payoff import ProfitQuery, break_even, profit
-from .pricing import EvolveError, OptionContract, bs_closed_form, price_bs, price_mg
+from .pricing import (EvolveError, OptionContract, _cover_strike, bs_closed_form, price_bs,
+                      price_mg)
 
 THREADS_ENV = "GAUGE_HAMILTON_THREADS"
 
@@ -148,7 +149,9 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
            "maturity": maturity, "r": r}
     try:
         if model == "bs":
-            grid = default_grid_1d(s0, sigma, maturity, n=nx) if nx else None
+            # price_bs's own box, on nx points
+            grid = (_cover_strike(default_grid_1d(s0, sigma, maturity, n=nx), strike)
+                    if nx else None)
             pde = price_bs(params, contract, s0, grid=grid,
                            n_steps=n_steps, theta_scheme=theta_scheme)
             closed = bs_closed_form(params, contract, s0)

@@ -7,10 +7,13 @@ the theta scheme
 
     (I + theta dtau H) C_new = (I - (1-theta) dtau H) C_old,
 
-solved with one LAPACK LU factor per theta: gttrf/gttrs when the system is
-tridiagonal (as it is with a FarFieldBoundary), gbtrf/gbtrs with the
-system's own band widths when an operator's one-sided end rows reach
-further.  On 2D grids the operator
+worked in one representation, LAPACK band storage: H's diagonals are read
+once, both sides are assembled there for each theta, the explicit product
+and each step's residual are BLAS gbmv calls on those bands, and the
+implicit side has one LU factor per theta: gttrf/gttrs when it is
+tridiagonal (as it is with a FarFieldBoundary), gbtrf/gbtrs with its own
+band widths when an operator's one-sided end rows reach further.  No
+scipy.sparse call is made inside the 1D step loop.  On 2D grids the operator
 A = -H is split by stencil direction into A1 (along x), A2 (along y) and
 the mixed part A0, and each step is a Craig-Sneyd ADI step: an explicit
 stage of the whole operator, an implicit x-sweep with I - theta dtau A1
@@ -35,6 +38,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from scipy.special import ndtr
 
@@ -150,20 +154,6 @@ class FarFieldBoundary:
         return pv_strike - math.exp(grid.x_axis.x_min), 0.0
 
 
-def _boundary_rows(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices of the rows a FarFieldBoundary replaces.
-
-    Returns (low, high, y_faces): the Dirichlet rows on the x_min and x_max
-    faces and, on 2D grids, the index of point (i, 0) for every interior i;
-    the linearity rows sit at the two ends of each of those y lines.
-    """
-    if isinstance(grid, LogGrid1D):
-        return np.array([0]), np.array([grid.n - 1]), np.array([], dtype=int)
-    ny = grid.ny
-    return (np.arange(ny), (grid.nx - 1) * ny + np.arange(ny),
-            np.arange(1, grid.nx - 1) * ny)
-
-
 def _theta_matrix(m: sp.csr_matrix, s: float, pinned=(), zeroed=()) -> sp.csr_matrix:
     """I + s M in CSR, with the rows ``pinned`` made identity rows and the
     rows ``zeroed`` made zero rows.
@@ -196,13 +186,6 @@ def _theta_matrix(m: sp.csr_matrix, s: float, pinned=(), zeroed=()) -> sp.csr_ma
     a.data[diag[pinned]] = 1.0
     a.eliminate_zeros()
     return a
-
-
-def _theta_systems(m: sp.csr_matrix, theta: float, dt: float, replaced=()):
-    """The two sides of a 1D theta step: I + theta dt M with the ``replaced``
-    rows pinned, and I - (1-theta) dt M with them zeroed."""
-    return (_theta_matrix(m, theta * dt, pinned=replaced),
-            _theta_matrix(m, -((1.0 - theta) * dt), zeroed=replaced))
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,14 +255,16 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
 
     The first ``rannacher`` steps are fully implicit (theta = 1), the rest
     use ``theta_scheme``.  Every linear solve is checked: a relative
-    residual above ``residual_tol`` raises EvolveError.
+    residual above ``residual_tol``, or one that is not finite, raises
+    EvolveError.
 
-    On 1D grids each step is a theta step solved on LAPACK tridiagonal
-    factors, or banded ones when the system is wider.  With no boundary
-    object the operator's own one-sided rows act on the ends; a
-    FarFieldBoundary replaces the end rows of the implicit system with
-    Dirichlet rows and feeds the time-dependent values through the
-    right-hand side.
+    On 1D grids each step is a theta step in LAPACK band storage: a gbmv
+    product with the explicit side, the solve on tridiagonal factors (banded
+    ones when the system is wider), and the residual as one more gbmv on
+    the implicit side.  With no boundary object the operator's own
+    one-sided rows act on the ends; a FarFieldBoundary replaces the end
+    rows of the implicit system with Dirichlet rows and feeds the
+    time-dependent values through the right-hand side.
 
     On 2D grids each step is a Craig-Sneyd ADI step (a Douglas step when
     theta = 1) built on the direction split of -H, and ``boundary`` is
@@ -316,11 +301,9 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
 
     advance = (_adi_stepper if two_d else _band_stepper)(h, dt, boundary)
 
-    def check(a, new, rhs):
-        resid = a @ new - rhs
-        scale = max(1.0, float(np.abs(rhs).max()))
-        rel = float(np.abs(resid).max()) / scale
-        if not np.all(np.isfinite(new)) or rel > residual_tol:
+    def check(resid, rhs):
+        rel = float(np.abs(resid).max()) / max(1.0, float(np.abs(rhs).max()))
+        if not rel <= residual_tol:   # NaN and inf fail too
             raise EvolveError(
                 f"linear solve at step {step + 1}/{n_steps} has relative residual "
                 f"{rel:g} (tolerance {residual_tol:g})")
@@ -376,43 +359,83 @@ def _gttrf(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
     return dl, d, du, du2, ipiv
 
 
-def _band_lu(a: sp.csr_matrix):
-    """The solve of a 1D theta system on its LAPACK LU factors: gttrf/gttrs
-    when the system is tridiagonal, gbtrf/gbtrs with its own kl and ku when
-    wider rows reach further."""
-    kl, ku, diags = _diagonals(a)
-    if kl == ku == 1:
-        lu = _gttrf(*diags)
-        return lambda rhs: dgttrs(*lu, rhs)[0]
-    n = a.shape[0]
-    ab = np.zeros((2 * kl + ku + 1, n))   # LAPACK band storage, kl spare rows on top
+def _band_storage(m: sp.csr_matrix) -> tuple[np.ndarray, int]:
+    """A banded CSR matrix in LAPACK band storage: entry (i, j) at
+    [ku + i - j, j], with the band widths _diagonals reads.  Returns
+    (band, ku)."""
+    n = m.shape[0]
+    kl, ku, diags = _diagonals(m)
+    band = np.zeros((kl + ku + 1, n))
     for k, diag in zip(range(-kl, ku + 1), diags):
-        ab[kl + ku - k, max(k, 0):n + min(k, 0)] = diag
+        band[ku - k, max(k, 0):n + min(k, 0)] = diag
+    return band, ku
+
+
+def _theta_band(hb: np.ndarray, ku: int, s: float, replaced=(),
+                pinned: bool = False) -> tuple[np.ndarray, int, int]:
+    """I + s H in LAPACK band storage, with the ``replaced`` rows made
+    identity rows when ``pinned`` and zero rows otherwise.
+
+    ``hb`` holds H as _band_storage stores it, ``ku`` diagonals above the
+    main one.  The arithmetic is _theta_matrix's: H is scaled and 1 is added
+    on the diagonal, so every entry equals the CSR system's.  The outer
+    diagonals that come out all zero are trimmed, down to one on each side.
+    Returns (band, kl, ku), the band in Fortran order as gbmv takes it.
+    """
+    n = hb.shape[1]
+    band = s * hb
+    band[band == 0.0] = 0.0   # +0 where a product vanished, as the CSR stores no zeros
+    band[ku] += 1.0
+    replaced = np.asarray(replaced, dtype=np.intp)
+    offsets = np.arange(ku + 1 - hb.shape[0], ku + 1)
+    cols = replaced[:, None] + offsets   # row i's entry at offset k sits in column i + k
+    inside = (cols >= 0) & (cols < n)
+    band[np.broadcast_to(ku - offsets, cols.shape)[inside], cols[inside]] = 0.0
+    if pinned:
+        band[ku, replaced] = 1.0
+    kept = ku - np.flatnonzero(band.any(axis=1))
+    top, low = max(1, int(kept.max(initial=0))), max(1, -int(kept.min(initial=0)))
+    return np.asfortranarray(band[ku - top:ku + low + 1]), low, top
+
+
+def _band_solver(band: np.ndarray, kl: int, ku: int):
+    """The solve of a band system on its LAPACK LU factors: gttrf/gttrs when
+    it is tridiagonal, gbtrf/gbtrs when wider rows reach further."""
+    if kl == ku == 1:
+        lu = _gttrf(band[2, :-1], band[1], band[0, 1:])
+        return lambda rhs: dgttrs(*lu, rhs)[0]
+    ab = np.zeros((2 * kl + ku + 1, band.shape[1]), order="F")   # kl spare rows on top
+    ab[kl:] = band
     lu, ipiv, info = dgbtrf(ab, kl, ku)
     _check_pivots(info)
     return lambda rhs: dgbtrs(lu, kl, ku, rhs, ipiv)[0]
 
 
 def _band_stepper(h: LinearOperator, dt: float, boundary: Optional[FarFieldBoundary]):
-    """Theta steps on a 1D grid, one LAPACK band factor per theta."""
-    grid = h.grid
-    low, high, _ = _boundary_rows(grid)
-    replaced = () if boundary is None else np.concatenate([low, high])
+    """Theta steps on a 1D grid in LAPACK band storage.
+
+    H's diagonals are read once.  Each theta's two systems are assembled in
+    band storage and the implicit one is factored, once; every step is then
+    a gbmv product with the explicit band, the solve, and a gbmv residual
+    on the implicit band.
+    """
+    grid, n = h.grid, h.grid.n
+    hb, ku = _band_storage(h.matrix)
+    replaced = () if boundary is None else (0, n - 1)
 
     @functools.cache
     def get_system(theta: float):
-        a, b = _theta_systems(h.matrix, theta, dt, replaced)
-        return a, b, _band_lu(a)
+        a = _theta_band(hb, ku, theta * dt, replaced, pinned=True)
+        b = _theta_band(hb, ku, -((1.0 - theta) * dt), replaced)
+        return a, b, _band_solver(*a)
 
     def advance(values, theta, tau_new, check):
-        a, b, solve = get_system(theta)
-        rhs = b @ values
+        (a, a_kl, a_ku), (b, b_kl, b_ku), solve = get_system(theta)
+        rhs = dgbmv(n, n, b_kl, b_ku, 1.0, b, values)
         if boundary is not None:
-            g_low, g_high = boundary.x_values(grid, tau_new)
-            rhs[low] = g_low
-            rhs[high] = g_high
+            rhs[0], rhs[-1] = boundary.x_values(grid, tau_new)
         new = solve(rhs)
-        check(a, new, rhs)
+        check(dgbmv(n, n, a_kl, a_ku, 1.0, a, new, beta=-1.0, y=rhs), rhs)
         return new
 
     return advance
@@ -462,7 +485,10 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     grid = h.grid
     nx, ny, n = grid.nx, grid.ny, grid.n_points
     a1, a2, a0 = _split_directions(h)
-    low, high, bottom = _boundary_rows(grid)
+    # the Dirichlet rows of the x faces, and the linearity rows at the two
+    # ends of every interior y line
+    low, high = np.arange(ny), (nx - 1) * ny + np.arange(ny)
+    bottom = np.arange(1, nx - 1) * ny
     top = bottom + ny - 1
     faces = np.concatenate([bottom, top])
     dirichlet = np.concatenate([low, high])
@@ -515,12 +541,12 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
         def sweeps(y0):
             rhs = boundary_rhs(y0 - tdt * a1u)
             y1 = dgttrs(*lu_x, rhs.reshape(nx, ny).T.ravel())[0].reshape(ny, nx).T.ravel()
-            check(sys_x, y1, rhs)
+            check(sys_x @ y1 - rhs, rhs)
             rhs = boundary_rhs(y1 - tdt * a2u)
             y2 = dgttrs(*lu_y, rhs)[0]
             y2[bottom] = 2.0 * y2[bottom + 1] - y2[bottom + 2]
             y2[top] = 2.0 * y2[top - 1] - y2[top - 2]
-            check(sys_y, y2, rhs)
+            check(sys_y @ y2 - rhs, rhs)
             return y2
 
         y0 = values + dt * (a0u + a1u + a2u)
@@ -544,13 +570,30 @@ def _in_no_arbitrage_box(price: float, contract: OptionContract, s0: float,
     return price
 
 
+def _cover_strike(grid: LogGrid1D, strike: float) -> LogGrid1D:
+    """``grid``, or, when ln K lies beyond it or within a tenth of its width
+    of an edge (sigma sqrt(T) on default_grid_1d's box), the box widened to
+    reach that margin past ln K, on as many points."""
+    margin = 0.1 * (grid.x_max - grid.x_min)
+    k = math.log(strike)
+    if grid.x_min + margin <= k <= grid.x_max - margin:
+        return grid
+    return LogGrid1D(min(grid.x_min, k - margin), max(grid.x_max, k + margin), grid.n)
+
+
 def price_bs(params: ModelParams, contract: OptionContract, s0: float,
              grid: LogGrid1D | None = None, n_steps: int = 200,
              theta_scheme: float = 0.5) -> float:
-    """Backward-evolved Black-Scholes price at ln s0, in the no-arbitrage box."""
+    """Backward-evolved Black-Scholes price at ln s0, in the no-arbitrage box.
+
+    With no ``grid`` the box is default_grid_1d's, widened to cover the
+    strike when ln K lies within a tenth of its width (sigma sqrt(T)) of an
+    edge or beyond it.
+    """
     check_positive("s0", s0)
     if grid is None:
-        grid = default_grid_1d(s0, params.sigma, contract.maturity)
+        grid = _cover_strike(default_grid_1d(s0, params.sigma, contract.maturity),
+                             contract.strike)
     h = build_bs_hamiltonian(params, grid)
     surface = evolve(h, terminal_payoff(contract, grid), contract.maturity,
                      n_steps, theta_scheme,

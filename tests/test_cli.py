@@ -76,13 +76,16 @@ def test_price_mg_degenerate_matches_bs(runner):
     assert out["pde_price"] == pytest.approx(cf, rel=1e-3)
 
 
-def test_price_bs_strike_outside_the_box_fails(runner):
-    # the strike lies beyond the default 5 sigma sqrt(T) box, where the
-    # far-field value is negative; the price used to print as -0.0272
-    result = runner.invoke(main, ["price", "--s0", "100", "--k", "200",
-                                  "--sigma", "0.05", "--t", "3"])
-    assert result.exit_code == 1, result.output
-    assert "no-arbitrage box [0, s0 = 100.0]" in result.output
+@pytest.mark.parametrize("strike, maturity", [("200", "3"), ("130", "1")])
+@pytest.mark.parametrize("nx", [[], ["--nx", "401"]], ids=["default-nx", "nx-401"])
+def test_price_bs_strike_beyond_the_default_box_prices(runner, strike, maturity, nx):
+    # the strike lies beyond the 5 sigma sqrt(T) box around ln s0, so the box
+    # widens to cover it; on the unwidened box the price printed as -0.0272
+    # (K 200), then exited 1 through the no-arbitrage box check
+    out = run_json(runner, ["price", "--s0", "100", "--k", strike, "--sigma", "0.05",
+                            "--t", maturity] + nx)
+    assert 0.0 <= out["pde_price"] <= 100.0
+    assert abs(out["pde_price"] - out["closed_form"]) <= 1e-4
 
 
 def test_price_mg_divergence_fails(runner):

@@ -2,6 +2,9 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -40,8 +43,9 @@ from gauge_hamilton import (
     solve_mg,
     terminal_payoff,
 )
-from gauge_hamilton.pricing import (_boundary_rows, _diagonals, _split_directions,
-                                    _theta_matrix, _theta_systems)
+from gauge_hamilton import pricing
+from gauge_hamilton.pricing import (_band_storage, _diagonals, _split_directions,
+                                    _theta_band, _theta_matrix)
 
 P = ModelParams(r=0.05, sigma=0.2)
 CALL = OptionContract("call", 100.0, 1.0)
@@ -388,11 +392,44 @@ def test_mg_surface_carries_time_slices():
 
 
 def test_price_bs_put_outside_the_box_names_its_bound():
-    # strike 50 lies beyond the default box; the far-field put value drives
-    # the price slightly negative
+    # strike 50 lies beyond the given box (the default one, which price_bs
+    # widens only when it makes the grid itself); the far-field put value
+    # drives the price slightly negative
     p = ModelParams(r=0.0, sigma=0.05)
     with pytest.raises(EvolveError, match=r"put price .* no-arbitrage box \[0, K e\^\{-rT\} = 50.0\]"):
-        price_bs(p, OptionContract("put", 50.0, 3.0), 100.0)
+        price_bs(p, OptionContract("put", 50.0, 3.0), 100.0,
+                 grid=default_grid_1d(100.0, 0.05, 3.0))
+
+
+# the corners of a scan of K 50-200, sigma 0.05-0.4, T 0.1-3, r 0-0.05 at s0
+# 100, where the strike of many contracts lies beyond the 5 sigma sqrt(T) box
+@pytest.mark.parametrize("kind", ["call", "put"])
+@pytest.mark.parametrize("strike", [50.0, 200.0])
+@pytest.mark.parametrize("sigma", [0.05, 0.4])
+@pytest.mark.parametrize("maturity", [0.1, 3.0])
+@pytest.mark.parametrize("r", [0.0, 0.05])
+def test_price_bs_default_box_covers_the_strike(kind, strike, sigma, maturity, r):
+    p, c = ModelParams(r=r, sigma=sigma), OptionContract(kind, strike, maturity)
+    g = default_grid_1d(100.0, sigma, maturity)
+    margin = sigma * math.sqrt(maturity)
+    covered = g.x_min + margin <= math.log(strike) <= g.x_max - margin
+    # price_bs raises EvolveError if the price leaves the no-arbitrage box
+    assert abs(price_bs(p, c, 100.0) - bs_closed_form(p, c, 100.0)) <= 2e-3
+    if covered:
+        assert price_bs(p, c, 100.0) == price_bs(p, c, 100.0, grid=g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sigma=st.floats(0.1, 0.4), maturity=st.floats(0.1, 2.0), r=st.floats(0.0, 0.08),
+       moneyness=st.floats(0.85, 1.2), s0=st.floats(20.0, 500.0))
+def test_price_bs_parity_and_bounds(sigma, maturity, r, moneyness, s0):
+    p = ModelParams(r=r, sigma=sigma)
+    strike = moneyness * s0
+    call = price_bs(p, OptionContract("call", strike, maturity), s0)
+    put = price_bs(p, OptionContract("put", strike, maturity), s0)
+    pv_strike = strike * math.exp(-r * maturity)
+    assert abs(call - put - (s0 - pv_strike)) <= 1e-3
+    assert max(s0 - pv_strike, 0.0) <= call <= s0
 
 
 def test_price_mg_validates_spot_and_variance():
@@ -470,7 +507,7 @@ def test_mg_surface_previous_slice_is_one_step_back():
 
 def projector_systems(m, theta, dt, replaced):
     """The theta-step matrices as sparse sums and projector products: the
-    construction ``_theta_systems`` replaces, kept as its reference."""
+    construction the band assembly replaces, kept as its reference."""
     n = m.shape[0]
     identity = sp.identity(n, format="csr")
     a = identity + (theta * dt) * m
@@ -483,6 +520,24 @@ def projector_systems(m, theta, dt, replaced):
         a = projector @ a + pinned
         b = projector @ b
     return a.tocsr(), b.tocsr()
+
+
+def band_systems(m, theta, dt, replaced=()):
+    """The two sides of a 1D theta step as the band stepper assembles them:
+    (band, kl, ku) for I + theta dt M with the ``replaced`` rows pinned and
+    for I - (1-theta) dt M with them zeroed."""
+    hb, ku = _band_storage(m)
+    return (_theta_band(hb, ku, theta * dt, replaced, pinned=True),
+            _theta_band(hb, ku, -((1.0 - theta) * dt), replaced))
+
+
+def band_to_dense(band, kl, ku):
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    for k in range(-kl, ku + 1):
+        rows = np.arange(max(0, -k), n - max(0, k))
+        dense[rows, rows + k] = band[ku - k, rows + k]
+    return dense
 
 
 def assert_same_csr(got, want):
@@ -507,11 +562,15 @@ def test_theta_systems_match_projector_construction(operator, theta, with_bounda
          "momentum": lambda: momentum_operator(THETA_GRID, policy="zero-padded") * 0.3,
          "zero": lambda: identity_operator(THETA_GRID) * 0.0}[operator]().matrix
     dt = 0.01
-    replaced = np.concatenate(_boundary_rows(THETA_GRID)[:2]) if with_boundary else None
-    a, b = _theta_systems(h, theta, dt, () if replaced is None else replaced)
-    want_a, want_b = projector_systems(h, theta, dt, replaced)
-    assert_same_csr(a, want_a)
-    assert_same_csr(b, want_b)
+    replaced = np.array([0, THETA_GRID.n - 1]) if with_boundary else None
+    bands = band_systems(h, theta, dt, () if replaced is None else replaced)
+    for (band, kl, ku), want in zip(bands, projector_systems(h, theta, dt, replaced)):
+        # every entry bit for bit, zeros as +0, and the band trimmed to the
+        # system's own widths
+        assert band.flags.f_contiguous and band.shape == (kl + ku + 1, THETA_GRID.n)
+        assert (kl, ku) == _diagonals(want)[:2]
+        np.testing.assert_array_equal(band_to_dense(band, kl, ku).view(np.int64),
+                                      want.toarray().view(np.int64))
 
 
 def test_theta_matrix_drops_cancelled_diagonal():
@@ -571,13 +630,13 @@ def superlu_theta_steps(h, u0, maturity, n_steps, theta, boundary):
     """The 1D stepping evolve did before the band factors: the same systems,
     one SuperLU factor per theta, kept as a reference."""
     g, dt = h.grid, maturity / n_steps
-    replaced = np.array([0, g.n - 1]) if boundary is not None else ()
+    replaced = np.array([0, g.n - 1]) if boundary is not None else None
     systems = {}
     values = u0.copy()
     for step in range(n_steps):
         th = 1.0 if step < 2 else theta
         if th not in systems:
-            a, b = _theta_systems(h.matrix, th, dt, replaced)
+            a, b = projector_systems(h.matrix, th, dt, replaced)
             systems[th] = b, spla.splu(a.tocsc())
         b, lu = systems[th]
         rhs = b @ values
@@ -631,9 +690,77 @@ def test_evolve_singular_system_on_the_band_path():
     g = make_grid_1d(0.0, 1.0, 11)
     k = sp.csr_matrix(([1.0, 1.0, 1.0], ([0, 0, 0], [1, 2, 3])), shape=(11, 11))
     h = identity_operator(g) * -2.0 + LinearOperator(g, k)
-    assert _diagonals(_theta_systems(h.matrix, 0.5, 1.0)[0])[:2] == (1, 3)
+    assert band_systems(h.matrix, 0.5, 1.0)[0][1:] == (1, 3)
     with pytest.raises(EvolveError, match="factorization failed: zero pivot in row 1"):
         evolve(h, GridFunction(g, np.ones(11)), 1.0, 1, theta_scheme=0.5, rannacher=0)
+
+
+def offset_solution(solve):
+    def solve_off(*args, **kwargs):
+        x, info = solve(*args, **kwargs)
+        return x + 1e-6, info
+    return solve_off
+
+
+def nan_solution(solve):
+    def solve_nan(*args, **kwargs):
+        x, info = solve(*args, **kwargs)
+        return np.full_like(x, np.nan), info
+    return solve_nan
+
+
+def bs_call_1d(boundary):
+    g = default_grid_1d(100.0, 0.2, 1.0, n=41)
+    return (build_bs_hamiltonian(P, g), terminal_payoff(CALL, g),
+            FarFieldBoundary(CALL, P.r) if boundary else None)
+
+
+# each stepping path, the LAPACK solve it calls, and a problem it steps
+STEP_PATHS = {
+    "tridiagonal": ("dgttrs", lambda: bs_call_1d(boundary=True)),
+    "band": ("dgbtrs", lambda: bs_call_1d(boundary=False)),
+    "adi": ("dgttrs", lambda: (build_mg_hamiltonian(ADI_P, ADI_GRID),
+                               terminal_payoff(CALL, ADI_GRID),
+                               FarFieldBoundary(CALL, ADI_P.r))),
+}
+
+
+@pytest.mark.parametrize("spoil", [offset_solution, nan_solution])
+@pytest.mark.parametrize("path", list(STEP_PATHS))
+def test_step_residual_check_fires(monkeypatch, spoil, path):
+    solve, problem = STEP_PATHS[path]
+    h, u0, boundary = problem()
+    evolve(h, u0, 1.0, 10, boundary=boundary)   # passes unspoiled
+    monkeypatch.setattr(pricing, solve, spoil(getattr(pricing, solve)))
+    with pytest.raises(EvolveError, match=r"linear solve at step 1/10 has relative residual"):
+        evolve(h, u0, 1.0, 10, boundary=boundary)
+
+
+SURFACE_DIGEST = """
+import hashlib, sys
+from gauge_hamilton import (FarFieldBoundary, ModelParams, OptionContract,
+                            build_bs_hamiltonian, default_grid_1d, evolve, terminal_payoff)
+p, c = ModelParams(r=0.05, sigma=0.2), OptionContract("call", 100.0, 1.0)
+g = default_grid_1d(100.0, 0.2, 1.0, n=int(sys.argv[1]))
+h, u0 = build_bs_hamiltonian(p, g), terminal_payoff(c, g)
+for boundary in (FarFieldBoundary(c, p.r), None):
+    print(hashlib.sha256(evolve(h, u0, 1.0, 200, boundary=boundary).values.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("n", [401, 20001])
+def test_1d_surfaces_do_not_depend_on_blas_threads(n):
+    # the explicit products and residuals are BLAS gbmv calls; a surface
+    # must come out byte-equal whatever thread count the BLAS runs with
+    src = os.path.dirname(os.path.dirname(pricing.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
+        run = subprocess.run([sys.executable, "-c", SURFACE_DIGEST, str(n)], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 def sparse_tridiagonal(s):
@@ -647,10 +774,11 @@ def sparse_tridiagonal(s):
 def sweep_systems(h, theta, dt):
     """The x-sweep system and the y-sweep system before its face fold, as
     the ADI stepper builds them."""
-    ny = h.grid.ny
+    nx, ny = h.grid.nx, h.grid.ny
     a1, a2, _ = _split_directions(h)
-    low, high, bottom = _boundary_rows(h.grid)
-    dirichlet, faces = np.concatenate([low, high]), np.concatenate([bottom, bottom + ny - 1])
+    dirichlet = np.concatenate([np.arange(ny), (nx - 1) * ny + np.arange(ny)])
+    bottom = np.arange(1, nx - 1) * ny
+    faces = np.concatenate([bottom, bottom + ny - 1])
     return (_theta_matrix(a1, -theta * dt, pinned=np.concatenate([dirichlet, faces])),
             _theta_matrix(a2, -theta * dt, pinned=dirichlet, zeroed=faces))
 
@@ -674,10 +802,10 @@ def test_band_reader_matches_sparse_construction(theta):
     with pytest.raises(ValueError, match="off the diagonals of stride"):
         _diagonals(body_y, ny)
     h = build_bs_hamiltonian(P, THETA_GRID)
-    a, _ = _theta_systems(h.matrix, theta, 0.01, np.array([0, THETA_GRID.n - 1]))
+    a, _ = projector_systems(h.matrix, theta, 0.01, np.array([0, THETA_GRID.n - 1]))
     assert_same_diagonals(_diagonals(a), sparse_tridiagonal(a))
     # no boundary: the one-sided end rows reach three columns either way
-    a, _ = _theta_systems(h.matrix, theta, 0.01)
+    a, _ = projector_systems(h.matrix, theta, 0.01, None)
     kl, ku, diags = _diagonals(a)
     assert (kl, ku) == (3, 3)
     for k, diag in zip(range(-3, 4), diags):
