@@ -9,6 +9,7 @@ flat index of point (i, j) is i * ny + j.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
@@ -34,6 +35,13 @@ def check_positive(name: str, value: float) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is positive and finite."""
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_integer(name: str, value, least: int) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer (a
+    Python or numpy one, not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
 
 
 class Record:
@@ -105,8 +113,7 @@ class LogGrid1D:
             raise ValueError("grid bounds must be finite")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
-        if int(self.n) != self.n or self.n < 5:
-            raise ValueError(f"n must be an integer >= 5, got {self.n}")
+        check_integer("n", self.n, 5)
 
     @property
     def h(self) -> float:
@@ -200,10 +207,8 @@ def make_grid_1d(x_min: float, x_max: float, n: int) -> LogGrid1D:
 def make_grid_2d(x_min: float, x_max: float, nx: int,
                  y_min: float, y_max: float, ny: int) -> LogGrid2D:
     """Build a 2D log grid, validating each axis by name."""
-    if int(nx) != nx or nx < 5:
-        raise ValueError(f"nx must be an integer >= 5, got {nx}")
-    if int(ny) != ny or ny < 5:
-        raise ValueError(f"ny must be an integer >= 5, got {ny}")
+    check_integer("nx", nx, 5)
+    check_integer("ny", ny, 5)
     if not x_max > x_min:
         raise ValueError("x_max must exceed x_min")
     if not y_max > y_min:

@@ -7,19 +7,23 @@ the theta scheme
 
     (I + theta dtau H) C_new = (I - (1-theta) dtau H) C_old,
 
-worked in one representation, LAPACK band storage: H's diagonals are read
-once, both sides are assembled there for each theta, the explicit product
-and each step's residual are BLAS gbmv calls on those bands, and the
-implicit side has one LU factor per theta: gttrf/gttrs when it is
-tridiagonal (as it is with a FarFieldBoundary), gbtrf/gbtrs with its own
-band widths when an operator's one-sided end rows reach further.  No
-scipy.sparse call is made inside the 1D step loop.  On 2D grids the operator
+and on 2D grids by ADI sweeps that solve systems of the same kind.  Every
+one of these theta-systems, I + s M with its boundary rows pinned or
+zeroed, is assembled in one representation, LAPACK band storage: M's
+diagonals are read off its CSR arrays once, each theta's systems are built
+from them, and each implicit system has one LU factor per theta, gttrf/gttrs
+when it is tridiagonal, gbtrf/gbtrs with its own band widths when an
+operator's one-sided end rows reach further.  In 1D the explicit product
+and each step's residual are BLAS gbmv calls on the bands, and no
+scipy.sparse call is made inside the step loop.  On 2D grids the operator
 A = -H is split by stencil direction into A1 (along x), A2 (along y) and
 the mixed part A0, and each step is a Craig-Sneyd ADI step: an explicit
 stage of the whole operator, an implicit x-sweep with I - theta dtau A1
 and a y-sweep with I - theta dtau A2, then a correction with the explicit
 mixed term and the two sweeps again.  Each sweep system is tridiagonal
-along its grid lines and is solved with gttrf/gttrs as well.
+along its grid lines, so both are solved with gttrf/gttrs; the explicit
+products stay CSR, and each sweep's residual is a CSR product with a
+matrix made from the same band.
 
 theta = 1/2 (Crank-Nicolson in 1D, Craig-Sneyd in 2D) with a short fully
 implicit startup is the default; the startup damps the oscillations the
@@ -42,8 +46,8 @@ from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from scipy.special import ndtr
 
-from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_positive,
-                   default_grid_1d, default_grid_2d, text_output,
+from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_integer,
+                   check_positive, default_grid_1d, default_grid_2d, text_output,
                    write_grid_function_csv)
 from .operators import LinearOperator, build_bs_hamiltonian, build_mg_hamiltonian
 
@@ -147,45 +151,15 @@ class FarFieldBoundary:
     contract: OptionContract
     rate: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate}")
+
     def x_values(self, grid, tau: float) -> tuple[float, float]:
         pv_strike = self.contract.strike * math.exp(-self.rate * tau)
         if self.contract.kind == "call":
             return 0.0, math.exp(grid.x_axis.x_max) - pv_strike
         return pv_strike - math.exp(grid.x_axis.x_min), 0.0
-
-
-def _theta_matrix(m: sp.csr_matrix, s: float, pinned=(), zeroed=()) -> sp.csr_matrix:
-    """I + s M in CSR, with the rows ``pinned`` made identity rows and the
-    rows ``zeroed`` made zero rows.
-
-    M's data is scaled and 1 is added to its stored diagonal; a row that
-    stores no diagonal entry gets an explicit zero there first.  The
-    replaced rows are edited in place, and entries that come out exactly
-    zero are dropped, as a sparse sum would drop them.
-    """
-    n = m.shape[0]
-    a = sp.csr_matrix(m, copy=True)
-    a.sum_duplicates()
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
-    diag = np.flatnonzero(a.indices == rows)
-    if diag.size < n:
-        missing = np.setdiff1d(np.arange(n), rows[diag])
-        a = sp.csr_matrix((np.concatenate([a.data, np.zeros(missing.size)]),
-                           (np.concatenate([rows, missing]),
-                            np.concatenate([a.indices, missing]))), shape=(n, n))
-        rows = np.repeat(np.arange(n), np.diff(a.indptr))
-        diag = np.flatnonzero(a.indices == rows)
-    # one diagonal entry per row now, so diag[i] is row i's
-    a.data *= s
-    a.data[diag] += 1.0
-    pinned = np.asarray(pinned, dtype=np.intp)
-    cleared = np.zeros(n, dtype=bool)
-    cleared[pinned] = True
-    cleared[np.asarray(zeroed, dtype=np.intp)] = True
-    a.data[cleared[rows]] = 0.0
-    a.data[diag[pinned]] = 1.0
-    a.eliminate_zeros()
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,8 +250,8 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     """
     if terminal.grid != h.grid:
         raise ValueError("grid mismatch: terminal condition not on the operator grid")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    check_integer("n_steps", n_steps, 1)
+    check_integer("rannacher", rannacher, 0)
     if not 0.0 <= theta_scheme <= 1.0:
         raise ValueError("theta_scheme must lie in [0, 1]")
     check_positive("maturity", maturity)
@@ -320,54 +294,33 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
                         prev_values=prev, dt=dt)
 
 
-def _diagonals(a: sp.csr_matrix, stride: int = 1) -> tuple[int, int, list[np.ndarray]]:
-    """Band widths and diagonals of a banded CSR matrix, read off its arrays.
-
-    Every stored entry must lie a multiple of ``stride`` columns from its
-    row's diagonal, so the matrix couples only the points of a line, the
-    indices equal modulo ``stride``.  Returns (kl, ku, diagonals): the
-    bands below and above the main diagonal in steps of ``stride``, at
-    least one each, and the diagonals at offsets -kl, ..., ku of the matrix
-    with its points in line order (point q * stride + j at j * n / stride + q),
-    as LAPACK takes a band.  With stride 1 they are ``a.diagonal(k)``.
-    """
-    n = a.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
-    steps, off_lattice = np.divmod(a.indices - rows, stride)
-    if off_lattice.any():
-        raise ValueError(f"matrix has entries off the diagonals of stride {stride}")
-    kl = max(1, -int(steps.min(initial=0)))
-    ku = max(1, int(steps.max(initial=0)))
-    offsets = range(-kl, ku + 1)
-    diags = [a.diagonal(k * stride) for k in offsets]
-    if stride > 1:
-        # zero-padding each diagonal to n puts its zeros where the lines end
-        diags = [np.pad(v, (0, n - v.size)).reshape(-1, stride).T.ravel()[:n - abs(k)]
-                 for k, v in zip(offsets, diags)]
-    return kl, ku, diags
-
-
 def _check_pivots(info: int) -> None:
     if info > 0:
         raise EvolveError(f"implicit matrix factorization failed: zero pivot in row {info}")
 
 
-def _gttrf(dl: np.ndarray, d: np.ndarray, du: np.ndarray) -> tuple:
-    """LU factors of a tridiagonal matrix, as dgttrs takes them."""
-    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
-    _check_pivots(info)
-    return dl, d, du, du2, ipiv
+def _band_storage(m: sp.csr_matrix, stride: int = 1) -> tuple[np.ndarray, int]:
+    """A banded CSR matrix in LAPACK band storage, its points in line order.
 
-
-def _band_storage(m: sp.csr_matrix) -> tuple[np.ndarray, int]:
-    """A banded CSR matrix in LAPACK band storage: entry (i, j) at
-    [ku + i - j, j], with the band widths _diagonals reads.  Returns
-    (band, ku)."""
+    Every stored entry must lie a multiple of ``stride`` columns from its
+    row's diagonal, so the matrix couples only the points of a line, the
+    indices equal modulo ``stride``.  Point q * stride + j is stored at
+    j * n / stride + q (with stride 1, the matrix's own order), and entry
+    (i, j) of the matrix in that order at [ku + i - j, j].  kl and ku, the
+    bands below and above the main diagonal, are at least one each.
+    Duplicate entries are summed in a copy.  Returns (band, ku).
+    """
     n = m.shape[0]
-    kl, ku, diags = _diagonals(m)
+    m = sp.csr_matrix(m, copy=True)
+    m.sum_duplicates()
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    steps, off_lattice = np.divmod(m.indices - rows, stride)
+    if off_lattice.any():
+        raise ValueError(f"matrix has entries off the diagonals of stride {stride}")
+    kl = max(1, -int(steps.min(initial=0)))
+    ku = max(1, int(steps.max(initial=0)))
     band = np.zeros((kl + ku + 1, n))
-    for k, diag in zip(range(-kl, ku + 1), diags):
-        band[ku - k, max(k, 0):n + min(k, 0)] = diag
+    band[ku - steps, m.indices % stride * (n // stride) + m.indices // stride] = m.data
     return band, ku
 
 
@@ -377,14 +330,14 @@ def _theta_band(hb: np.ndarray, ku: int, s: float, replaced=(),
     identity rows when ``pinned`` and zero rows otherwise.
 
     ``hb`` holds H as _band_storage stores it, ``ku`` diagonals above the
-    main one.  The arithmetic is _theta_matrix's: H is scaled and 1 is added
-    on the diagonal, so every entry equals the CSR system's.  The outer
-    diagonals that come out all zero are trimmed, down to one on each side.
-    Returns (band, kl, ku), the band in Fortran order as gbmv takes it.
+    main one.  H is scaled and 1 is added on the diagonal; a product that
+    vanishes is stored as +0.  The outer diagonals that come out all zero
+    are trimmed, down to one on each side.  Returns (band, kl, ku), the
+    band in Fortran order as gbmv takes it.
     """
     n = hb.shape[1]
     band = s * hb
-    band[band == 0.0] = 0.0   # +0 where a product vanished, as the CSR stores no zeros
+    band[band == 0.0] = 0.0   # +0 where a product vanished
     band[ku] += 1.0
     replaced = np.asarray(replaced, dtype=np.intp)
     offsets = np.arange(ku + 1 - hb.shape[0], ku + 1)
@@ -398,12 +351,19 @@ def _theta_band(hb: np.ndarray, ku: int, s: float, replaced=(),
     return np.asfortranarray(band[ku - top:ku + low + 1]), low, top
 
 
+def _band_csr(band: np.ndarray, ku: int) -> sp.csr_matrix:
+    """The CSR matrix of a band in LAPACK storage, its zeros not stored."""
+    n = band.shape[1]
+    return sp.dia_matrix((band, np.arange(ku, ku - band.shape[0], -1)), shape=(n, n)).tocsr()
+
+
 def _band_solver(band: np.ndarray, kl: int, ku: int):
     """The solve of a band system on its LAPACK LU factors: gttrf/gttrs when
     it is tridiagonal, gbtrf/gbtrs when wider rows reach further."""
     if kl == ku == 1:
-        lu = _gttrf(band[2, :-1], band[1], band[0, 1:])
-        return lambda rhs: dgttrs(*lu, rhs)[0]
+        dl, d, du, du2, ipiv, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+        _check_pivots(info)
+        return lambda rhs: dgttrs(dl, d, du, du2, ipiv, rhs)[0]
     ab = np.zeros((2 * kl + ku + 1, band.shape[1]), order="F")   # kl spare rows on top
     ab[kl:] = band
     lu, ipiv, info = dgbtrf(ab, kl, ku)
@@ -475,12 +435,13 @@ def _split_directions(h: LinearOperator) -> tuple[sp.csr_matrix, sp.csr_matrix, 
 def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     """Craig-Sneyd (theta < 1) or Douglas (theta = 1) steps on a 2D grid.
 
-    Each sweep solves one tridiagonal system per theta, factored once:
-    the x-sweep in x-line order (all points of a y index j contiguous),
-    its diagonals read off the grid-order system at stride ny, the y-sweep
-    in the grid's own order.  A sweep's residual is checked against its
-    unmodified system, whose y-face rows in the y-sweep are the [1, -2, 1]
-    linearity rows.
+    A1 and A2 are read into band storage once: A1 at stride ny, so the
+    x-sweep works in x-line order (all points of a y index j contiguous),
+    A2 in the grid's own order.  Each theta's two sweep systems are
+    assembled there with _theta_band and factored once, tridiagonally.  A
+    sweep's residual is checked by a CSR product built from the same band:
+    the x-sweep's in x-line order, the y-sweep's with the [1, -2, 1]
+    linearity rows of its y faces written in where the solve folds them.
     """
     grid = h.grid
     nx, ny, n = grid.nx, grid.ny, grid.n_points
@@ -489,45 +450,39 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     # ends of every interior y line
     low, high = np.arange(ny), (nx - 1) * ny + np.arange(ny)
     bottom = np.arange(1, nx - 1) * ny
-    top = bottom + ny - 1
-    faces = np.concatenate([bottom, top])
-    dirichlet = np.concatenate([low, high])
-    replaced = np.concatenate([dirichlet, faces])
+    faces = np.concatenate([bottom, bottom + ny - 1])
+    replaced = np.concatenate([low, high, faces])
     keep = np.ones(n)
     keep[replaced] = 0.0
     inward = np.repeat([1, -1], bottom.size)[:, None] * np.arange(3)
-    linearity = sp.csr_matrix((np.tile([1.0, -2.0, 1.0], faces.size),
-                               (np.repeat(faces, 3), (faces[:, None] + inward).ravel())),
-                              shape=(n, n))
+    near, far = (faces[:, None] + inward[:, 1:]).T   # the two rows inward of each face
+    stored_x = _band_storage(a1, ny)
+    stored_y = _band_storage(a2)
+    replaced_x = replaced % ny * nx + replaced // ny   # their x-line positions
 
-    def tridiagonal(s, stride=1):
-        kl, ku, diags = _diagonals(s, stride)
+    def sweep_band(stored, s, rows):
+        band, kl, ku = _theta_band(*stored, s, rows, pinned=True)
         if kl > 1 or ku > 1:
             raise ValueError("ADI stepping needs three-point stencils along each axis")
-        return diags
+        return band
 
     @functools.cache
     def get_system(theta: float):
-        sys_x = _theta_matrix(a1, -(theta * dt), pinned=replaced)
-        body_y = _theta_matrix(a2, -(theta * dt), pinned=dirichlet, zeroed=faces)
-        dl, d, du = tridiagonal(body_y)
-        d[faces] = 1.0  # solved as identity rows; sys_y keeps the linearity rows
-        # fold C(i,0) = 2 C(i,1) - C(i,2) into row (i,1), likewise at the top
-        k = bottom + 1
-        c = dl[k - 1]
-        d[k] += 2.0 * c
-        du[k] -= c
-        dl[k - 1] = 0.0
-        k = top - 1
-        c = du[k]
-        d[k] += 2.0 * c
-        dl[k - 1] -= c
-        du[k] = 0.0
-        return (sys_x, _gttrf(*tridiagonal(sys_x, ny)),
-                body_y + linearity, _gttrf(dl, d, du))
+        band_x = sweep_band(stored_x, -(theta * dt), replaced_x)
+        band_y = sweep_band(stored_y, -(theta * dt), replaced)
+        sys_y = np.pad(band_y, ((1, 1), (0, 0)))   # ku = 2 holds the linearity rows
+        sys_y[2 - inward, faces[:, None] + inward] = [1.0, -2.0, 1.0]
+        # fold C(face) = 2 C(near) - C(far) into row near; the face rows stay
+        # identity rows, and the face values are extrapolated after the solve
+        c = band_y[1 + near - faces, faces]
+        band_y[1, near] += 2.0 * c
+        band_y[1 + near - far, far] -= c
+        band_y[1 + near - faces, faces] = 0.0
+        return (_band_csr(band_x, 1), _band_solver(band_x, 1, 1),
+                _band_csr(sys_y, 2), _band_solver(band_y, 1, 1))
 
     def advance(values, theta, tau_new, check):
-        sys_x, lu_x, sys_y, lu_y = get_system(theta)
+        sys_x, solve_x, sys_y, solve_y = get_system(theta)
         g_low, g_high = boundary.x_values(grid, tau_new)
         tdt = theta * dt
         a0u, a1u, a2u = a0 @ values, a1 @ values, a2 @ values
@@ -539,13 +494,12 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
             return rhs
 
         def sweeps(y0):
-            rhs = boundary_rhs(y0 - tdt * a1u)
-            y1 = dgttrs(*lu_x, rhs.reshape(nx, ny).T.ravel())[0].reshape(ny, nx).T.ravel()
+            rhs = boundary_rhs(y0 - tdt * a1u).reshape(nx, ny).T.ravel()
+            y1 = solve_x(rhs)
             check(sys_x @ y1 - rhs, rhs)
-            rhs = boundary_rhs(y1 - tdt * a2u)
-            y2 = dgttrs(*lu_y, rhs)[0]
-            y2[bottom] = 2.0 * y2[bottom + 1] - y2[bottom + 2]
-            y2[top] = 2.0 * y2[top - 1] - y2[top - 2]
+            rhs = boundary_rhs(y1.reshape(ny, nx).T.ravel() - tdt * a2u)
+            y2 = solve_y(rhs)
+            y2[faces] = 2.0 * y2[near] - y2[far]
             check(sys_y @ y2 - rhs, rhs)
             return y2
 

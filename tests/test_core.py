@@ -9,6 +9,7 @@ import pytest
 from gauge_hamilton import (
     GridFunction,
     HedgeTestResult,
+    LogGrid1D,
     LogGrid2D,
     MartingaleReport,
     ModelParams,
@@ -62,6 +63,24 @@ def test_grid_rejects_too_few_points():
         make_grid_1d(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="ny"):
         make_grid_2d(0.0, 1.0, 11, 0.0, 1.0, 3)
+
+
+def test_grid_rejects_non_integer_point_counts():
+    # a float count used to be accepted and fail later in interior_mask or
+    # the operator build with numpy's "'float' object cannot be interpreted"
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 5, got 5\.0$"):
+        LogGrid1D(0.0, 1.0, 5.0)
+    with pytest.raises(ValueError, match=r"^nx must be an integer >= 5, got 5\.0$"):
+        make_grid_2d(0.0, 1.0, 5.0, 0.0, 1.0, 5)
+    with pytest.raises(ValueError, match=r"^ny must be an integer >= 5, got 7\.0$"):
+        make_grid_2d(0.0, 1.0, 5, 0.0, 1.0, 7.0)
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 5, got 41\.0$"):
+        default_grid_1d(100.0, 0.2, 1.0, n=41.0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        make_grid_1d(0.0, 1.0, True)
+    # numpy integers are integers
+    assert make_grid_1d(0.0, 1.0, np.int64(7)).n_points == 7
+    assert make_grid_2d(0.0, 1.0, np.int32(5), 0.0, 1.0, np.int64(6)).shape == (5, 6)
 
 
 def test_flat_layout_row_major():

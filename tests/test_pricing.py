@@ -44,8 +44,7 @@ from gauge_hamilton import (
     terminal_payoff,
 )
 from gauge_hamilton import pricing
-from gauge_hamilton.pricing import (_band_storage, _diagonals, _split_directions,
-                                    _theta_band, _theta_matrix)
+from gauge_hamilton.pricing import _band_csr, _band_storage, _split_directions, _theta_band
 
 P = ModelParams(r=0.05, sigma=0.2)
 CALL = OptionContract("call", 100.0, 1.0)
@@ -202,6 +201,30 @@ def test_evolve_validation():
         evolve(h, ones, 1.0, 10, theta_scheme=1.5)
     with pytest.raises(ValueError, match="maturity"):
         evolve(h, ones, -1.0, 10)
+
+
+@pytest.mark.parametrize("field, bad", [("n_steps", 10.0), ("n_steps", 0), ("n_steps", True),
+                                        ("rannacher", -1), ("rannacher", 2.5),
+                                        ("rannacher", True)])
+def test_evolve_step_counts_must_be_integers(field, bad):
+    # rannacher = -1, 2.5 and True used to run 0, 3 and 1 startup steps, and
+    # n_steps = 10.0 failed with a TypeError from range
+    g = make_grid_1d(0.0, 1.0, 11)
+    kwargs = dict(n_steps=10, rannacher=2)
+    kwargs[field] = bad
+    least = 1 if field == "n_steps" else 0
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= {least}, got {bad}$"):
+        evolve(identity_operator(g), GridFunction(g, np.ones(11)), 1.0, **kwargs)
+    kwargs[field] = np.int64(3)   # numpy integers are integers
+    evolve(identity_operator(g), GridFunction(g, np.ones(11)), 1.0, **kwargs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_far_field_boundary_rejects_non_finite_rate(bad):
+    # a NaN rate used to surface as a NaN residual at step 1, naming neither
+    # the boundary nor the rate
+    with pytest.raises(ValueError, match=rf"^rate must be finite, got {bad}$"):
+        FarFieldBoundary(CALL, bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -531,6 +554,12 @@ def band_systems(m, theta, dt, replaced=()):
             _theta_band(hb, ku, -((1.0 - theta) * dt), replaced))
 
 
+def read_band(m, stride=1):
+    """(band, kl, ku) as _band_storage reads ``m``."""
+    band, ku = _band_storage(m, stride)
+    return band, band.shape[0] - 1 - ku, ku
+
+
 def band_to_dense(band, kl, ku):
     n = band.shape[1]
     dense = np.zeros((n, n))
@@ -568,17 +597,19 @@ def test_theta_systems_match_projector_construction(operator, theta, with_bounda
         # every entry bit for bit, zeros as +0, and the band trimmed to the
         # system's own widths
         assert band.flags.f_contiguous and band.shape == (kl + ku + 1, THETA_GRID.n)
-        assert (kl, ku) == _diagonals(want)[:2]
+        assert (kl, ku) == read_band(want)[1:]
         np.testing.assert_array_equal(band_to_dense(band, kl, ku).view(np.int64),
                                       want.toarray().view(np.int64))
 
 
-def test_theta_matrix_drops_cancelled_diagonal():
-    # 1 + s m_ii = 0 exactly: the entry is not stored, as in I + s M
+def test_theta_band_stores_cancelled_diagonal_as_plus_zero():
+    # 1 + s m_ii = 0 exactly: I + s M stores no entry there, the band a +0
     m = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 4.0]]))
-    got = _theta_matrix(m, -0.5)
-    assert_same_csr(got, sp.identity(2, format="csr") + (-0.5) * m)
-    assert got.nnz == 2
+    want = sp.identity(2, format="csr") + (-0.5) * m
+    assert want.nnz == 2
+    band, kl, ku = _theta_band(*_band_storage(m), -0.5)
+    np.testing.assert_array_equal(band_to_dense(band, kl, ku).view(np.int64),
+                                  want.toarray().view(np.int64))
 
 
 def test_evolve_steps_operator_without_stored_diagonal():
@@ -736,31 +767,42 @@ def test_step_residual_check_fires(monkeypatch, spoil, path):
         evolve(h, u0, 1.0, 10, boundary=boundary)
 
 
-SURFACE_DIGEST = """
+SURFACE_DIGEST = f"""
 import hashlib, sys
-from gauge_hamilton import (FarFieldBoundary, ModelParams, OptionContract,
-                            build_bs_hamiltonian, default_grid_1d, evolve, terminal_payoff)
-p, c = ModelParams(r=0.05, sigma=0.2), OptionContract("call", 100.0, 1.0)
-g = default_grid_1d(100.0, 0.2, 1.0, n=int(sys.argv[1]))
-h, u0 = build_bs_hamiltonian(p, g), terminal_payoff(c, g)
-for boundary in (FarFieldBoundary(c, p.r), None):
-    print(hashlib.sha256(evolve(h, u0, 1.0, 200, boundary=boundary).values.tobytes()).hexdigest())
+from gauge_hamilton import (FarFieldBoundary, LogGrid1D, LogGrid2D, ModelParams, OptionContract,
+                            build_bs_hamiltonian, build_mg_hamiltonian, default_grid_1d,
+                            evolve, terminal_payoff)
+c = OptionContract("call", 100.0, 1.0)
+if sys.argv[1] == "adi":
+    p, g = {ADI_P!r}, {ADI_GRID!r}
+    cases = [(build_mg_hamiltonian(p, g), FarFieldBoundary(c, p.r))]
+else:
+    p = ModelParams(r=0.05, sigma=0.2)
+    g = default_grid_1d(100.0, 0.2, 1.0, n=int(sys.argv[1]))
+    h = build_bs_hamiltonian(p, g)
+    cases = [(h, FarFieldBoundary(c, p.r)), (h, None)]
+for h, boundary in cases:
+    surface = evolve(h, terminal_payoff(c, g), 1.0, 200, boundary=boundary)
+    for values in (surface.values, surface.prev_values):
+        print(hashlib.sha256(values.tobytes()).hexdigest())
 """
 
 
-@pytest.mark.parametrize("n", [401, 20001])
-def test_1d_surfaces_do_not_depend_on_blas_threads(n):
-    # the explicit products and residuals are BLAS gbmv calls; a surface
-    # must come out byte-equal whatever thread count the BLAS runs with
+@pytest.mark.parametrize("case", ["401", "20001", "adi"])
+def test_surfaces_do_not_depend_on_blas_threads(case):
+    # the 1D explicit products and residuals are BLAS gbmv calls, and every
+    # solve is LAPACK; a surface must come out byte-equal whatever thread
+    # count the BLAS runs with
     src = os.path.dirname(os.path.dirname(pricing.__file__))
     digests = []
     for threads in ("1", "2"):
         path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
-        run = subprocess.run([sys.executable, "-c", SURFACE_DIGEST, str(n)], env=env,
-                             capture_output=True, text=True, check=True)
+        run = subprocess.run([sys.executable, "-c", SURFACE_DIGEST, case], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
         digests.append(run.stdout.split())
-    assert len(digests[0]) == 2 and digests[0] == digests[1]
+    # values and previous slice: with and without a boundary in 1D, one 2D surface
+    assert len(digests[0]) == (2 if case == "adi" else 4) and digests[0] == digests[1]
 
 
 def sparse_tridiagonal(s):
@@ -771,54 +813,73 @@ def sparse_tridiagonal(s):
     return s.diagonal(-1), s.diagonal(), s.diagonal(1)
 
 
+def sweep_rows(grid):
+    """The rows the ADI sweeps replace: the x faces' Dirichlet rows, then
+    the y faces' rows."""
+    nx, ny = grid.nx, grid.ny
+    bottom = np.arange(1, nx - 1) * ny
+    return np.concatenate([np.arange(ny), (nx - 1) * ny + np.arange(ny), bottom, bottom + ny - 1])
+
+
 def sweep_systems(h, theta, dt):
-    """The x-sweep system and the y-sweep system before its face fold, as
-    the ADI stepper builds them."""
+    """The x-sweep band, in x-line order, and the y-sweep band before its
+    face fold, as the ADI stepper assembles them: (band, kl, ku) each."""
     nx, ny = h.grid.nx, h.grid.ny
     a1, a2, _ = _split_directions(h)
-    dirichlet = np.concatenate([np.arange(ny), (nx - 1) * ny + np.arange(ny)])
-    bottom = np.arange(1, nx - 1) * ny
-    faces = np.concatenate([bottom, bottom + ny - 1])
-    return (_theta_matrix(a1, -theta * dt, pinned=np.concatenate([dirichlet, faces])),
-            _theta_matrix(a2, -theta * dt, pinned=dirichlet, zeroed=faces))
+    replaced = sweep_rows(h.grid)
+    return (_theta_band(*_band_storage(a1, ny), -theta * dt, replaced % ny * nx + replaced // ny,
+                        pinned=True),
+            _theta_band(*_band_storage(a2), -theta * dt, replaced, pinned=True))
+
+
+def projector_sweep_systems(h, theta, dt):
+    """The same two systems by the projector construction, in CSR, the
+    x-sweep's permuted to x-line order."""
+    nx, ny, n = h.grid.nx, h.grid.ny, h.grid.n_points
+    a1, a2, _ = _split_directions(h)
+    replaced = sweep_rows(h.grid)
+    x_lines = np.arange(n).reshape(nx, ny).T.ravel()
+    sys_x = projector_systems(-a1, theta, dt, replaced)[0]
+    return (sys_x[x_lines][:, x_lines].tocsr(), projector_systems(-a2, theta, dt, replaced)[0])
 
 
 def assert_same_diagonals(got, want):
-    kl, ku, diags = got
+    band, kl, ku = got
     assert (kl, ku) == (1, 1)
-    for g, w in zip(diags, want, strict=True):
-        np.testing.assert_array_equal(g, w)
+    for g, w in zip((band[2, :-1], band[1], band[0, 1:]), want, strict=True):
+        np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_band_reader_matches_sparse_construction(theta):
-    nx, ny = ADI_GRID.nx, ADI_GRID.ny
-    sys_x, body_y = sweep_systems(build_mg_hamiltonian(ADI_P, ADI_GRID), theta, 0.01)
-    # the x-sweep's diagonals at stride ny, in x-line order, against the
-    # diagonals of the whole matrix permuted to x-line order
-    x_lines = np.arange(ADI_GRID.n_points).reshape(nx, ny).T.ravel()
-    assert_same_diagonals(_diagonals(sys_x, ny), sparse_tridiagonal(sys_x[x_lines][:, x_lines]))
-    assert_same_diagonals(_diagonals(body_y), sparse_tridiagonal(body_y))
+    h = build_mg_hamiltonian(ADI_P, ADI_GRID)
+    # the x-sweep band at stride ny, in x-line order, against the diagonals
+    # of the whole system permuted to x-line order; the CSR form the residual
+    # checks multiply by has the reference's pattern and values
+    for got, want in zip(sweep_systems(h, theta, 0.01), projector_sweep_systems(h, theta, 0.01),
+                         strict=True):
+        assert_same_diagonals(got, sparse_tridiagonal(want))
+        assert_same_csr(_band_csr(got[0], got[2]), want)
     with pytest.raises(ValueError, match="off the diagonals of stride"):
-        _diagonals(body_y, ny)
+        _band_storage(_split_directions(h)[1], ADI_GRID.ny)
     h = build_bs_hamiltonian(P, THETA_GRID)
     a, _ = projector_systems(h.matrix, theta, 0.01, np.array([0, THETA_GRID.n - 1]))
-    assert_same_diagonals(_diagonals(a), sparse_tridiagonal(a))
+    assert_same_diagonals(read_band(a), sparse_tridiagonal(a))
     # no boundary: the one-sided end rows reach three columns either way
     a, _ = projector_systems(h.matrix, theta, 0.01, None)
-    kl, ku, diags = _diagonals(a)
+    band, kl, ku = read_band(a)
     assert (kl, ku) == (3, 3)
-    for k, diag in zip(range(-3, 4), diags):
-        np.testing.assert_array_equal(diag, np.diagonal(a.toarray(), k))
+    np.testing.assert_array_equal(band_to_dense(band, kl, ku), a.toarray())
 
 
 def test_band_reader_rejects_five_point_sweeps():
     # the factored form reaches two points along each axis
     wide = build_gauge_hamiltonian(ADI_P, ADI_GRID, form="factored")
-    for system, stride in zip(sweep_systems(wide, 0.5, 0.01), (ADI_GRID.ny, 1)):
-        assert _diagonals(system, stride)[:2] == (2, 2)
+    for (_, kl, ku), want in zip(sweep_systems(wide, 0.5, 0.01),
+                                 projector_sweep_systems(wide, 0.5, 0.01), strict=True):
+        assert (kl, ku) == (2, 2)
         with pytest.raises(ValueError, match="three-point stencils"):
-            sparse_tridiagonal(system)
+            sparse_tridiagonal(want)
     with pytest.raises(ValueError, match="three-point stencils"):
         evolve(wide, terminal_payoff(CALL, ADI_GRID), 1.0, 10,
                boundary=FarFieldBoundary(CALL, ADI_P.r))
