@@ -331,6 +331,8 @@ def default_grid_2d(s0: float, v0: float, maturity: float,
     """Joint grid: x as in default_grid_1d with sigma = sqrt(v0) unless
     given, y covering [ln v0 - 5, ln v0 + 2]."""
     check_positive("v0", v0)
+    check_integer("nx", nx, 5)
+    check_integer("ny", ny, 5)
     if sigma is None:
         sigma = math.sqrt(v0)
     x_axis = default_grid_1d(s0, sigma, maturity, n=nx)

@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridFunction, LogGrid2D, ModelParams, Record, check_positive, write_csv
+from .core import (GridFunction, LogGrid2D, ModelParams, Record, check_integer, check_positive,
+                   write_csv)
 from .operators import build_mg_hamiltonian, momentum_operator
 from .pricing import OptionContract, PriceSurface, bs_closed_form, bs_delta
 
@@ -178,10 +179,9 @@ def read_paths_binary(path) -> PathEnsemble:
 def _validate_run(s0, maturity, n_steps, n_paths, threads):
     check_positive("s0", s0)
     check_positive("maturity", maturity)
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError("n_steps and n_paths must be at least 1")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    check_integer("n_steps", n_steps, 1)
+    check_integer("n_paths", n_paths, 1)
+    check_integer("threads", threads, 1)
 
 
 def _step_major(n_steps: int, n_paths: int, start: float) -> np.ndarray:

@@ -10,20 +10,20 @@ the theta scheme
 and on 2D grids by ADI sweeps that solve systems of the same kind.  Every
 one of these theta-systems, I + s M with its boundary rows pinned or
 zeroed, is assembled in one representation, LAPACK band storage: M's
-diagonals are read off its CSR arrays once, each theta's systems are built
-from them, and each implicit system has one LU factor per theta, gttrf/gttrs
-when it is tridiagonal, gbtrf/gbtrs with its own band widths when an
-operator's one-sided end rows reach further.  In 1D the explicit product
-and each step's residual are BLAS gbmv calls on the bands, and no
-scipy.sparse call is made inside the step loop.  On 2D grids the operator
-A = -H is split by stencil direction into A1 (along x), A2 (along y) and
-the mixed part A0, and each step is a Craig-Sneyd ADI step: an explicit
-stage of the whole operator, an implicit x-sweep with I - theta dtau A1
-and a y-sweep with I - theta dtau A2, then a correction with the explicit
-mixed term and the two sweeps again.  Each sweep system is tridiagonal
-along its grid lines, so both are solved with gttrf/gttrs; the explicit
-products stay CSR, and each sweep's residual is a CSR product with a
-matrix made from the same band.
+diagonals, less the boundary rows, are read off its CSR arrays once, each
+theta's systems are scaled from them, and each implicit system has one LU
+factor per theta, gttrf/gttrs when it is tridiagonal, gbtrf/gbtrs with its
+own band widths when an operator's one-sided end rows reach further.  In 1D
+the explicit product and the residual are BLAS gbmv calls on the bands, and
+max|r| is BLAS idamax's entry: the step loop makes no scipy.sparse call and
+no temporary array.  On 2D grids the operator A = -H is split by stencil
+direction into A1 (along x), A2 (along y) and the mixed part A0, and each
+step is a Craig-Sneyd ADI step: an explicit stage of the whole operator, an
+implicit x-sweep with I - theta dtau A1 and a y-sweep with I - theta dtau
+A2, then a correction with the explicit mixed term and the two sweeps
+again.  Each sweep system is tridiagonal along its grid lines, so both are
+solved with gttrf/gttrs; the explicit products stay CSR, and each sweep's
+residual is a CSR product with a matrix made from the same band.
 
 theta = 1/2 (Crank-Nicolson in 1D, Craig-Sneyd in 2D) with a short fully
 implicit startup is the default; the startup damps the oscillations the
@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dgbmv
+from scipy.linalg.blas import dasum, dgbmv, idamax
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from scipy.special import ndtr
 
@@ -229,8 +229,9 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
 
     The first ``rannacher`` steps are fully implicit (theta = 1), the rest
     use ``theta_scheme``.  Every linear solve is checked: a relative
-    residual above ``residual_tol``, or one that is not finite, raises
-    EvolveError.
+    residual max|r| / max(1, max|rhs|) above ``residual_tol``, or one that
+    is not finite, raises EvolveError.  The maxima are read at idamax's
+    index; OpenBLAS's idamax may skip a NaN, so a NaN is caught by dasum.
 
     On 1D grids each step is a theta step in LAPACK band storage: a gbmv
     product with the explicit side, the solve on tridiagonal factors (banded
@@ -276,7 +277,7 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     advance = (_adi_stepper if two_d else _band_stepper)(h, dt, boundary)
 
     def check(resid, rhs):
-        rel = float(np.abs(resid).max()) / max(1.0, float(np.abs(rhs).max()))
+        rel = _relative_residual(resid, rhs)
         if not rel <= residual_tol:   # NaN and inf fail too
             raise EvolveError(
                 f"linear solve at step {step + 1}/{n_steps} has relative residual "
@@ -294,21 +295,29 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
                         prev_values=prev, dt=dt)
 
 
+def _relative_residual(resid: np.ndarray, rhs: np.ndarray) -> float:
+    """max|resid| / max(1, max|rhs|); NaN when resid = A x - rhs holds a NaN."""
+    return (math.nan if math.isnan(dasum(resid)) else
+            math.fabs(resid[idamax(resid)]) / max(1.0, math.fabs(rhs[idamax(rhs)])))
+
+
 def _check_pivots(info: int) -> None:
     if info > 0:
         raise EvolveError(f"implicit matrix factorization failed: zero pivot in row {info}")
 
 
-def _band_storage(m: sp.csr_matrix, stride: int = 1) -> tuple[np.ndarray, int]:
-    """A banded CSR matrix in LAPACK band storage, its points in line order.
+def _band_storage(m: sp.csr_matrix, stride: int = 1, replaced=()) -> tuple[np.ndarray, int, int]:
+    """A banded CSR matrix in LAPACK band storage, its points in line order,
+    the ``replaced`` rows (in the matrix's order) left zero.
 
     Every stored entry must lie a multiple of ``stride`` columns from its
     row's diagonal, so the matrix couples only the points of a line, the
     indices equal modulo ``stride``.  Point q * stride + j is stored at
     j * n / stride + q (with stride 1, the matrix's own order), and entry
     (i, j) of the matrix in that order at [ku + i - j, j].  kl and ku, the
-    bands below and above the main diagonal, are at least one each.
-    Duplicate entries are summed in a copy.  Returns (band, ku).
+    bands below and above the main diagonal, reach the outermost nonzero
+    entry, at least one each.  Duplicate entries are summed in a copy.
+    Returns (band, kl, ku), the band in Fortran order.
     """
     n = m.shape[0]
     m = sp.csr_matrix(m, copy=True)
@@ -317,38 +326,38 @@ def _band_storage(m: sp.csr_matrix, stride: int = 1) -> tuple[np.ndarray, int]:
     steps, off_lattice = np.divmod(m.indices - rows, stride)
     if off_lattice.any():
         raise ValueError(f"matrix has entries off the diagonals of stride {stride}")
+    live = np.ones(n, dtype=bool)
+    live[np.asarray(replaced, dtype=np.intp)] = False
+    live = live[rows] & (m.data != 0.0)
+    steps, cols = steps[live], m.indices[live]
     kl = max(1, -int(steps.min(initial=0)))
     ku = max(1, int(steps.max(initial=0)))
-    band = np.zeros((kl + ku + 1, n))
-    band[ku - steps, m.indices % stride * (n // stride) + m.indices // stride] = m.data
-    return band, ku
+    band = np.zeros((kl + ku + 1, n), order="F")
+    band[ku - steps, cols % stride * (n // stride) + cols // stride] = m.data[live]
+    return band, kl, ku
 
 
-def _theta_band(hb: np.ndarray, ku: int, s: float, replaced=(),
+def _theta_band(stored: tuple[np.ndarray, int, int], s: float, replaced=(),
                 pinned: bool = False) -> tuple[np.ndarray, int, int]:
     """I + s H in LAPACK band storage, with the ``replaced`` rows made
     identity rows when ``pinned`` and zero rows otherwise.
 
-    ``hb`` holds H as _band_storage stores it, ``ku`` diagonals above the
-    main one.  H is scaled and 1 is added on the diagonal; a product that
-    vanishes is stored as +0.  The outer diagonals that come out all zero
-    are trimmed, down to one on each side.  Returns (band, kl, ku), the
-    band in Fortran order as gbmv takes it.
+    ``stored`` holds H as _band_storage stores it with those rows left
+    zero.  H is scaled and 1 is added on the diagonal; a product that
+    vanishes is stored as +0.  A band wider than tridiagonal is trimmed of
+    the outer diagonals that come out all zero (all of them at s = 0), down
+    to one on each side.  Returns (band, kl, ku), in Fortran order for gbmv.
     """
-    n = hb.shape[1]
-    band = s * hb
-    band[band == 0.0] = 0.0   # +0 where a product vanished
+    band, kl, ku = stored
+    band = s * band
+    band += 0.0   # +0 where a product vanished
     band[ku] += 1.0
-    replaced = np.asarray(replaced, dtype=np.intp)
-    offsets = np.arange(ku + 1 - hb.shape[0], ku + 1)
-    cols = replaced[:, None] + offsets   # row i's entry at offset k sits in column i + k
-    inside = (cols >= 0) & (cols < n)
-    band[np.broadcast_to(ku - offsets, cols.shape)[inside], cols[inside]] = 0.0
-    if pinned:
-        band[ku, replaced] = 1.0
-    kept = ku - np.flatnonzero(band.any(axis=1))
-    top, low = max(1, int(kept.max(initial=0))), max(1, -int(kept.min(initial=0)))
-    return np.asfortranarray(band[ku - top:ku + low + 1]), low, top
+    band[ku, replaced] = float(pinned)
+    if kl > 1 or ku > 1:
+        kept = ku - np.flatnonzero(band.any(axis=1))
+        top, low = max(1, int(kept.max(initial=0))), max(1, -int(kept.min(initial=0)))
+        band, kl, ku = np.asfortranarray(band[ku - top:ku + low + 1]), low, top
+    return band, kl, ku
 
 
 def _band_csr(band: np.ndarray, ku: int) -> sp.csr_matrix:
@@ -374,19 +383,19 @@ def _band_solver(band: np.ndarray, kl: int, ku: int):
 def _band_stepper(h: LinearOperator, dt: float, boundary: Optional[FarFieldBoundary]):
     """Theta steps on a 1D grid in LAPACK band storage.
 
-    H's diagonals are read once.  Each theta's two systems are assembled in
-    band storage and the implicit one is factored, once; every step is then
-    a gbmv product with the explicit band, the solve, and a gbmv residual
-    on the implicit band.
+    H's diagonals, less the boundary rows, are read once.  Each theta's two
+    systems are scaled from them and the implicit one is factored, once;
+    every step is then a gbmv product with the explicit band, the solve, and
+    a gbmv residual on the implicit band.
     """
     grid, n = h.grid, h.grid.n
-    hb, ku = _band_storage(h.matrix)
     replaced = () if boundary is None else (0, n - 1)
+    stored = _band_storage(h.matrix, replaced=replaced)
 
     @functools.cache
     def get_system(theta: float):
-        a = _theta_band(hb, ku, theta * dt, replaced, pinned=True)
-        b = _theta_band(hb, ku, -((1.0 - theta) * dt), replaced)
+        a = _theta_band(stored, theta * dt, replaced, pinned=True)
+        b = _theta_band(stored, -((1.0 - theta) * dt), replaced)
         return a, b, _band_solver(*a)
 
     def advance(values, theta, tau_new, check):
@@ -435,13 +444,13 @@ def _split_directions(h: LinearOperator) -> tuple[sp.csr_matrix, sp.csr_matrix, 
 def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     """Craig-Sneyd (theta < 1) or Douglas (theta = 1) steps on a 2D grid.
 
-    A1 and A2 are read into band storage once: A1 at stride ny, so the
-    x-sweep works in x-line order (all points of a y index j contiguous),
-    A2 in the grid's own order.  Each theta's two sweep systems are
-    assembled there with _theta_band and factored once, tridiagonally.  A
-    sweep's residual is checked by a CSR product built from the same band:
-    the x-sweep's in x-line order, the y-sweep's with the [1, -2, 1]
-    linearity rows of its y faces written in where the solve folds them.
+    A1 and A2, less the rows the sweeps replace, are read into band storage
+    once: A1 at stride ny, so the x-sweep works in x-line order (all points
+    of a y index j contiguous), A2 in the grid's own order.  Each theta's
+    two sweep systems are scaled from them and factored once, tridiagonally.  A sweep's residual is checked by a CSR
+    product built from the same band: the x-sweep's in x-line order, the
+    y-sweep's with the [1, -2, 1] linearity rows of its y faces written in
+    where the solve folds them.
     """
     grid = h.grid
     nx, ny, n = grid.nx, grid.ny, grid.n_points
@@ -456,12 +465,12 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     keep[replaced] = 0.0
     inward = np.repeat([1, -1], bottom.size)[:, None] * np.arange(3)
     near, far = (faces[:, None] + inward[:, 1:]).T   # the two rows inward of each face
-    stored_x = _band_storage(a1, ny)
-    stored_y = _band_storage(a2)
+    stored_x = _band_storage(a1, ny, replaced)
+    stored_y = _band_storage(a2, 1, replaced)
     replaced_x = replaced % ny * nx + replaced // ny   # their x-line positions
 
     def sweep_band(stored, s, rows):
-        band, kl, ku = _theta_band(*stored, s, rows, pinned=True)
+        band, kl, ku = _theta_band(stored, s, rows, pinned=True)
         if kl > 1 or ku > 1:
             raise ValueError("ADI stepping needs three-point stencils along each axis")
         return band

@@ -76,6 +76,14 @@ def test_grid_rejects_non_integer_point_counts():
         make_grid_2d(0.0, 1.0, 5, 0.0, 1.0, 7.0)
     with pytest.raises(ValueError, match=r"^n must be an integer >= 5, got 41\.0$"):
         default_grid_1d(100.0, 0.2, 1.0, n=41.0)
+    # the joint grid names its own counts, and checks both before any axis
+    with pytest.raises(ValueError, match=r"^nx must be an integer >= 5, got 201\.0$"):
+        default_grid_2d(100.0, 0.04, 1.0, nx=201.0)
+    with pytest.raises(ValueError, match=r"^ny must be an integer >= 5, got 81\.0$"):
+        default_grid_2d(100.0, 0.04, 1.0, ny=81.0)
+    with pytest.raises(ValueError, match=r"^ny must be an integer >= 5, got 3$"):
+        default_grid_2d(100.0, 0.04, 1.0, nx=np.int64(41), ny=3)
+    assert default_grid_2d(100.0, 0.04, 1.0, nx=np.int64(41), ny=np.int32(21)).shape == (41, 21)
     with pytest.raises(ValueError, match="n must be an integer"):
         make_grid_1d(0.0, 1.0, True)
     # numpy integers are integers

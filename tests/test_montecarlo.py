@@ -103,7 +103,7 @@ def test_simulation_validation():
         simulate_gbm(RN, -1.0, 1.0, 8, 10, seed=0)
     with pytest.raises(ValueError, match="maturity"):
         simulate_gbm(RN, 100.0, 0.0, 8, 10, seed=0)
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match=r"^n_steps must be an integer >= 1, got 0$"):
         simulate_gbm(RN, 100.0, 1.0, 0, 10, seed=0)
     with pytest.raises(ValueError, match="v0"):
         simulate_mg(RN, 100.0, -0.04, 1.0, 8, 10, seed=0)
@@ -690,9 +690,31 @@ def test_binary_rejects_bad_has_v_flag(tmp_path, with_v):
         read_paths_binary(_patched_dump(tmp_path, ens, 2, 2))
 
 
+@pytest.mark.parametrize("field, bad", [("n_steps", 10.0), ("n_paths", 100.0), ("threads", 1.5),
+                                        ("threads", True), ("n_paths", "100")])
+def test_simulators_name_a_non_integer_count(field, bad):
+    # a float step count used to fail inside numpy ("'float' object cannot be
+    # interpreted as an integer"), and threads=1.5 used to run
+    counts = {"n_steps": 4, "n_paths": 10, "threads": 1, field: bad}
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1, got {bad}$"):
+        simulate_gbm(RN, 100.0, 1.0, counts["n_steps"], counts["n_paths"], seed=0,
+                     threads=counts["threads"])
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1, got {bad}$"):
+        simulate_mg(MG_P, 100.0, 0.04, 1.0, counts["n_steps"], counts["n_paths"], seed=0,
+                    threads=counts["threads"])
+
+
+def test_simulators_take_numpy_integer_counts():
+    ints = dict(n_steps=np.int64(4), n_paths=np.int32(10), threads=np.int64(2))
+    gbm = simulate_gbm(RN, 100.0, 1.0, seed=3, **ints)
+    mg = simulate_mg(MG_P, 100.0, 0.04, 1.0, seed=3, **ints)
+    assert np.array_equal(gbm.s_paths, simulate_gbm(RN, 100.0, 1.0, 4, 10, seed=3).s_paths)
+    assert np.array_equal(mg.v_paths, simulate_mg(MG_P, 100.0, 0.04, 1.0, 4, 10, seed=3).v_paths)
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_simulators_reject_thread_count_below_one(threads):
-    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+    with pytest.raises(ValueError, match=rf"^threads must be an integer >= 1, got {threads}$"):
         simulate_gbm(RN, 100.0, 1.0, 4, 10, seed=0, threads=threads)
     with pytest.raises(ValueError, match="threads"):
         simulate_mg(MG_P, 100.0, 0.04, 1.0, 4, 10, seed=0, threads=threads)

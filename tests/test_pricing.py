@@ -44,7 +44,8 @@ from gauge_hamilton import (
     terminal_payoff,
 )
 from gauge_hamilton import pricing
-from gauge_hamilton.pricing import _band_csr, _band_storage, _split_directions, _theta_band
+from gauge_hamilton.pricing import (_band_csr, _band_storage, _relative_residual,
+                                    _split_directions, _theta_band)
 
 P = ModelParams(r=0.05, sigma=0.2)
 CALL = OptionContract("call", 100.0, 1.0)
@@ -549,15 +550,9 @@ def band_systems(m, theta, dt, replaced=()):
     """The two sides of a 1D theta step as the band stepper assembles them:
     (band, kl, ku) for I + theta dt M with the ``replaced`` rows pinned and
     for I - (1-theta) dt M with them zeroed."""
-    hb, ku = _band_storage(m)
-    return (_theta_band(hb, ku, theta * dt, replaced, pinned=True),
-            _theta_band(hb, ku, -((1.0 - theta) * dt), replaced))
-
-
-def read_band(m, stride=1):
-    """(band, kl, ku) as _band_storage reads ``m``."""
-    band, ku = _band_storage(m, stride)
-    return band, band.shape[0] - 1 - ku, ku
+    stored = _band_storage(m, replaced=replaced)
+    return (_theta_band(stored, theta * dt, replaced, pinned=True),
+            _theta_band(stored, -((1.0 - theta) * dt), replaced))
 
 
 def band_to_dense(band, kl, ku):
@@ -582,7 +577,7 @@ THETA_GRID = make_grid_1d(3.5, 5.5, 41)
 
 
 @pytest.mark.parametrize("operator", ["bs", "bs-zero-padded", "momentum", "zero"])
-@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("with_boundary", [False, True])
 def test_theta_systems_match_projector_construction(operator, theta, with_boundary):
     h = {"bs": lambda: build_bs_hamiltonian(P, THETA_GRID),
@@ -597,7 +592,7 @@ def test_theta_systems_match_projector_construction(operator, theta, with_bounda
         # every entry bit for bit, zeros as +0, and the band trimmed to the
         # system's own widths
         assert band.flags.f_contiguous and band.shape == (kl + ku + 1, THETA_GRID.n)
-        assert (kl, ku) == read_band(want)[1:]
+        assert (kl, ku) == _band_storage(want)[1:]
         np.testing.assert_array_equal(band_to_dense(band, kl, ku).view(np.int64),
                                       want.toarray().view(np.int64))
 
@@ -607,7 +602,7 @@ def test_theta_band_stores_cancelled_diagonal_as_plus_zero():
     m = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 4.0]]))
     want = sp.identity(2, format="csr") + (-0.5) * m
     assert want.nnz == 2
-    band, kl, ku = _theta_band(*_band_storage(m), -0.5)
+    band, kl, ku = _theta_band(_band_storage(m), -0.5)
     np.testing.assert_array_equal(band_to_dense(band, kl, ku).view(np.int64),
                                   want.toarray().view(np.int64))
 
@@ -741,7 +736,7 @@ def nan_solution(solve):
 
 
 def bs_call_1d(boundary):
-    g = default_grid_1d(100.0, 0.2, 1.0, n=41)
+    g = default_grid_1d(100.0, 0.2, 1.0, n=401)
     return (build_bs_hamiltonian(P, g), terminal_payoff(CALL, g),
             FarFieldBoundary(CALL, P.r) if boundary else None)
 
@@ -765,6 +760,75 @@ def test_step_residual_check_fires(monkeypatch, spoil, path):
     monkeypatch.setattr(pricing, solve, spoil(getattr(pricing, solve)))
     with pytest.raises(EvolveError, match=r"linear solve at step 1/10 has relative residual"):
         evolve(h, u0, 1.0, 10, boundary=boundary)
+
+
+def one_entry_solution(value, position):
+    """Spoil a solve so that its solution holds ``value`` at one position."""
+    def spoil(solve):
+        def solve_one(*args, **kwargs):
+            x, info = solve(*args, **kwargs)
+            x = x.copy()
+            x[x.size // 2 if position == "middle" else position] = value
+            return x, info
+        return solve_one
+    return spoil
+
+
+# the relative residual a solution with one non-finite entry reports on each
+# path: +inf meets stored zeros of the wide band's rows (0 * inf = NaN)
+ONE_ENTRY_RESIDUAL = {("tridiagonal", math.inf): "inf", ("adi", math.inf): "inf"}
+
+
+@pytest.mark.parametrize("position", [0, "middle", -1])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("path", list(STEP_PATHS))
+def test_step_residual_check_sees_one_non_finite_entry(monkeypatch, path, value, position):
+    # one bad entry in a long solution: a max|r| that skipped it would pass
+    solve, problem = STEP_PATHS[path]
+    h, u0, boundary = problem()
+    assert u0.values.size >= 401
+    monkeypatch.setattr(pricing, solve, one_entry_solution(value, position)(getattr(pricing, solve)))
+    rel = ONE_ENTRY_RESIDUAL.get((path, value), "nan")
+    with pytest.raises(EvolveError, match=rf"^linear solve at step 1/10 has relative residual "
+                                          rf"{rel} \(tolerance 1e-10\)$"):
+        evolve(h, u0, 1.0, 10, boundary=boundary)
+
+
+def numpy_relative_residual(resid, rhs):
+    """The step check's measure by numpy reductions, kept as the reference
+    for the BLAS one."""
+    return float(np.abs(resid).max()) / max(1.0, float(np.abs(rhs).max()))
+
+
+def same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
+# signed zeros, subnormals, the extremes and the non-finite values, and "tie":
+# minus the largest magnitude so far, a tie for idamax to break
+NORM_MARKS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7976931348623157e308,
+              math.inf, -math.inf, math.nan, "tie"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 20001), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([0.0, 1e-320, 1e-310, 1e-300, 1e-10, 1.0, 1e10, 1e300]),
+       marks=st.lists(st.tuples(st.sampled_from([0, 1]), st.integers(0, 20000),
+                                st.sampled_from(NORM_MARKS)), max_size=4))
+def test_relative_residual_matches_numpy_reductions(n, seed, scale, marks):
+    # lengths straddle the SIMD widths of the BLAS kernels; scale 0 gives
+    # zeros of both signs, the small scales subnormals
+    vectors = scale * np.random.default_rng(seed).standard_normal((2, n))
+    for which, at, mark in marks:
+        v = vectors[which]
+        v[at % n] = -np.abs(v).max() if mark == "tie" else mark
+    resid, rhs = vectors
+    resid[np.isnan(rhs)] = math.nan   # as in resid = A x - rhs
+    if np.isfinite(resid).all():
+        # max|r| itself, bit for bit
+        assert same_float(_relative_residual(resid, np.zeros(1)), float(np.abs(resid).max()))
+    # NaN exactly where the numpy measure is NaN, bit for bit elsewhere
+    assert same_float(_relative_residual(resid, rhs), numpy_relative_residual(resid, rhs))
 
 
 SURFACE_DIGEST = f"""
@@ -827,9 +891,9 @@ def sweep_systems(h, theta, dt):
     nx, ny = h.grid.nx, h.grid.ny
     a1, a2, _ = _split_directions(h)
     replaced = sweep_rows(h.grid)
-    return (_theta_band(*_band_storage(a1, ny), -theta * dt, replaced % ny * nx + replaced // ny,
-                        pinned=True),
-            _theta_band(*_band_storage(a2), -theta * dt, replaced, pinned=True))
+    return (_theta_band(_band_storage(a1, ny, replaced), -theta * dt,
+                        replaced % ny * nx + replaced // ny, pinned=True),
+            _theta_band(_band_storage(a2, 1, replaced), -theta * dt, replaced, pinned=True))
 
 
 def projector_sweep_systems(h, theta, dt):
@@ -864,10 +928,10 @@ def test_band_reader_matches_sparse_construction(theta):
         _band_storage(_split_directions(h)[1], ADI_GRID.ny)
     h = build_bs_hamiltonian(P, THETA_GRID)
     a, _ = projector_systems(h.matrix, theta, 0.01, np.array([0, THETA_GRID.n - 1]))
-    assert_same_diagonals(read_band(a), sparse_tridiagonal(a))
+    assert_same_diagonals(_band_storage(a), sparse_tridiagonal(a))
     # no boundary: the one-sided end rows reach three columns either way
     a, _ = projector_systems(h.matrix, theta, 0.01, None)
-    band, kl, ku = read_band(a)
+    band, kl, ku = _band_storage(a)
     assert (kl, ku) == (3, 3)
     np.testing.assert_array_equal(band_to_dense(band, kl, ku), a.toarray())
 
@@ -883,6 +947,12 @@ def test_band_reader_rejects_five_point_sweeps():
     with pytest.raises(ValueError, match="three-point stencils"):
         evolve(wide, terminal_payoff(CALL, ADI_GRID), 1.0, 10,
                boundary=FarFieldBoundary(CALL, ADI_P.r))
+    # at theta = 0 every sweep is the identity, trimmed to three diagonals
+    for band, kl, ku in sweep_systems(wide, 0.0, 0.01):
+        assert (kl, ku) == (1, 1)
+        np.testing.assert_array_equal(band[1], 1.0)
+    evolve(wide, terminal_payoff(CALL, ADI_GRID), 1e-4, 2, theta_scheme=0.0, rannacher=0,
+           boundary=FarFieldBoundary(CALL, ADI_P.r))
 
 
 # ---------------------------------------------------------------------------
