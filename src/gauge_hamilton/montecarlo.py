@@ -68,6 +68,7 @@ def correlated_normals(rho: float, n: int, seed: int = 0) -> tuple[np.ndarray, n
     """n draws of the correlated pair (z1, rho z1 + sqrt(1-rho^2) z2)."""
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
+    check_integer("n", n, 0)
     rng = _block_rng(seed, 0)
     z = rng.standard_normal((2, n))
     return z[0], rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]

@@ -21,9 +21,12 @@ direction into A1 (along x), A2 (along y) and the mixed part A0, and each
 step is a Craig-Sneyd ADI step: an explicit stage of the whole operator, an
 implicit x-sweep with I - theta dtau A1 and a y-sweep with I - theta dtau
 A2, then a correction with the explicit mixed term and the two sweeps
-again.  Each sweep system is tridiagonal along its grid lines, so both are
-solved with gttrf/gttrs; the explicit products stay CSR, and each sweep's
-residual is a CSR product with a matrix made from the same band.
+again.  -H is read once, as diagonals: the three parts are DIA matrices,
+every explicit product is a DIA product, and the sweep bands are written
+from the same diagonals.  Each sweep system is tridiagonal along its grid
+lines, so both are solved with gttrf/gttrs, and since LAPACK band storage
+is DIA storage, each sweep's residual is a DIA product on the band that was
+factored.  The 2D step makes no CSR product.
 
 theta = 1/2 (Crank-Nicolson in 1D, Craig-Sneyd in 2D) with a short fully
 implicit startup is the default; the startup damps the oscillations the
@@ -44,7 +47,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dasum, dgbmv, idamax
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
-from scipy.special import ndtr
 
 from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_integer,
                    check_positive, default_grid_1d, default_grid_2d, text_output,
@@ -129,6 +131,8 @@ def bs_delta(params: ModelParams, contract: OptionContract, s, tau: float):
     if sigma == 0.0:
         d = (s > contract.strike * math.exp(-r * tau)).astype(float)
     else:
+        # imported here: scipy.special costs tens of ms at import, for this alone
+        from scipy.special import ndtr
         st = sigma * math.sqrt(tau)
         d = ndtr((np.log(s / contract.strike) + (r + 0.5 * sigma ** 2) * tau) / st)
     d = d if contract.kind == "call" else d - 1.0
@@ -247,7 +251,10 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     sweeps.  The linearity row of each y face is substituted into its
     neighbour row, so the y-sweep stays tridiagonal, and the face value is
     extrapolated from the two nearest rows after the sweep.  The mixed
-    term only ever acts explicitly.
+    term only ever acts explicitly.  The explicit products are DIA products
+    on the diagonals of -H's direction split, and each sweep is checked on
+    the band it factored: the y-sweep on its folded band, before the face
+    values are extrapolated.
     """
     if terminal.grid != h.grid:
         raise ValueError("grid mismatch: terminal condition not on the operator grid")
@@ -306,34 +313,30 @@ def _check_pivots(info: int) -> None:
         raise EvolveError(f"implicit matrix factorization failed: zero pivot in row {info}")
 
 
-def _band_storage(m: sp.csr_matrix, stride: int = 1, replaced=()) -> tuple[np.ndarray, int, int]:
-    """A banded CSR matrix in LAPACK band storage, its points in line order,
-    the ``replaced`` rows (in the matrix's order) left zero.
+def _band_storage(m: sp.csr_matrix, replaced=()) -> tuple[np.ndarray, int, int]:
+    """A banded CSR matrix in LAPACK band storage, the ``replaced`` rows
+    left zero.
 
-    Every stored entry must lie a multiple of ``stride`` columns from its
-    row's diagonal, so the matrix couples only the points of a line, the
-    indices equal modulo ``stride``.  Point q * stride + j is stored at
-    j * n / stride + q (with stride 1, the matrix's own order), and entry
-    (i, j) of the matrix in that order at [ku + i - j, j].  kl and ku, the
-    bands below and above the main diagonal, reach the outermost nonzero
-    entry, at least one each.  Duplicate entries are summed in a copy.
-    Returns (band, kl, ku), the band in Fortran order.
+    Entry (i, j) is stored at [ku + i - j, j].  kl and ku, the bands below
+    and above the main diagonal, reach the outermost nonzero entry, at
+    least one each.  A matrix with unsorted or duplicate entries is summed
+    in a copy, so the caller's matrix is never written.  Returns (band, kl,
+    ku), the band in Fortran order.
     """
     n = m.shape[0]
-    m = sp.csr_matrix(m, copy=True)
-    m.sum_duplicates()
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
     rows = np.repeat(np.arange(n), np.diff(m.indptr))
-    steps, off_lattice = np.divmod(m.indices - rows, stride)
-    if off_lattice.any():
-        raise ValueError(f"matrix has entries off the diagonals of stride {stride}")
+    steps = m.indices - rows
     live = np.ones(n, dtype=bool)
     live[np.asarray(replaced, dtype=np.intp)] = False
     live = live[rows] & (m.data != 0.0)
-    steps, cols = steps[live], m.indices[live]
+    steps = steps[live]
     kl = max(1, -int(steps.min(initial=0)))
     ku = max(1, int(steps.max(initial=0)))
     band = np.zeros((kl + ku + 1, n), order="F")
-    band[ku - steps, cols % stride * (n // stride) + cols // stride] = m.data[live]
+    band[ku - steps, m.indices[live]] = m.data[live]
     return band, kl, ku
 
 
@@ -360,10 +363,13 @@ def _theta_band(stored: tuple[np.ndarray, int, int], s: float, replaced=(),
     return band, kl, ku
 
 
-def _band_csr(band: np.ndarray, ku: int) -> sp.csr_matrix:
-    """The CSR matrix of a band in LAPACK storage, its zeros not stored."""
+def _band_dia(band: np.ndarray, ku: int) -> sp.dia_matrix:
+    """The DIA matrix of a band in LAPACK storage, whose row k is offset
+    ku - k aligned by column: the rows reversed, so the offsets ascend and
+    a row's product sums in column order, C-contiguous for the product."""
     n = band.shape[1]
-    return sp.dia_matrix((band, np.arange(ku, ku - band.shape[0], -1)), shape=(n, n)).tocsr()
+    return sp.dia_matrix((np.ascontiguousarray(band[::-1]),
+                          np.arange(ku + 1 - band.shape[0], ku + 1)), shape=(n, n))
 
 
 def _band_solver(band: np.ndarray, kl: int, ku: int):
@@ -410,47 +416,106 @@ def _band_stepper(h: LinearOperator, dt: float, boundary: Optional[FarFieldBound
     return advance
 
 
-def _split_directions(h: LinearOperator) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """Split A = -H on a 2D grid into its x, y and mixed parts (A1, A2, A0).
+def _split_directions(h: LinearOperator) -> tuple[sp.dia_matrix, sp.dia_matrix, sp.dia_matrix]:
+    """Split A = -H on a 2D grid into its x, y and mixed parts (A1, A2, A0)
+    on the interior rows, the rows the ADI sweeps keep; the face rows are
+    left zero.
 
-    An off-diagonal entry belongs to A1 when its row and column share the
-    y index j, to A2 when they share the x index i, and to A0 otherwise.
-    Every difference stencil annihilates constants, so each direction's
-    diagonal is minus its off-diagonal row sum; the rest of the diagonal,
-    the potential, is shared equally by A1 and A2.
+    An off-diagonal entry, at offset di ny + dj from its row, belongs to A1
+    when dj = 0, to A2 when di = 0, and to A0 otherwise.  Every difference
+    stencil annihilates constants, so each direction's diagonal is minus
+    its off-diagonal row sum; the rest of the diagonal, the potential, is
+    shared equally by A1 and A2.  Each part holds every offset its entries
+    have, ascending, so a row's product sums in column order, as a CSR
+    product does.
     """
-    n, ny = h.grid.n_points, h.grid.ny
-    a = -h.matrix
-    a.sum_duplicates()   # sorted columns, so each part's rows come out sorted
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
-    ri, rj = np.divmod(rows, ny)
-    ci, cj = np.divmod(a.indices, ny)
-    off = rows != a.indices
+    grid = h.grid
+    n, ny = grid.n_points, grid.ny
+    m = h.matrix
+    counts = np.diff(m.indptr)
+    rows = np.repeat(np.arange(n), counts)
+    # each interior entry's offset, shifted by n; the face rows' entries go
+    # to a last key, whose diagonal is dropped
+    key = m.indices - rows
+    key += n
+    key[~np.repeat(grid.interior_mask(1), counts)] = 2 * n + 1
+    present = np.zeros(2 * n + 2, dtype=bool)
+    present[key] = True
+    present[n] = True   # the diagonal, which A1 and A2 both hold
+    offsets = np.flatnonzero(present[:-1]) - n
+    flat = (np.cumsum(present) - 1)[key]
+    flat *= n
+    flat += rows
+    # row-aligned: a[k, i] is A's entry of row i at offsets[k], and stored[k,
+    # i] says whether H stores it; duplicate entries are summed
+    a = np.zeros((offsets.size + 1) * n)
+    np.add.at(a, flat, -m.data)
+    a = a.reshape(-1, n)[:-1]
+    stored = np.zeros((offsets.size + 1) * n, dtype=bool)
+    stored[flat] = True
+    stored = stored.reshape(-1, n)[:-1]
+    j = np.arange(n) % ny
+    along_x, along_y, mixed = [], [], []   # (offset, entries, stored) of A1, A2, A0
+    for o, v, s in zip(offsets, a, stored):
+        if o == 0:
+            continue
+        if o % ny == 0:
+            along_x.append((o, v, s))
+        else:
+            on_line = (j + o >= 0) & (j + o < ny)   # di = 0 exactly here
+            for part, here in ((along_y, on_line), (mixed, ~on_line)):
+                if (s & here).any():
+                    part.append((o, np.where(here, v, 0.0), s & here))
 
-    def part(mask):
-        kept = np.flatnonzero(mask)
-        return sp.csr_matrix((a.data[kept], a.indices[kept], np.searchsorted(kept, a.indptr)),
-                             shape=(n, n))
+    def row_sums(part):
+        """The row sums as CSR's sum(axis=1) takes them: each row's first
+        entry plus the sum of the rest (np.add.reduceat)."""
+        first, rest, count = np.zeros(n), np.full(n, -0.0), np.zeros(n, dtype=np.intp)
+        for _, v, s in part:
+            np.add(rest, v, out=rest, where=s & (count > 0))
+            np.copyto(first, v, where=s & (count == 0))
+            count += s
+        return np.where(count > 1, first + rest, first)
 
-    a1, a2, a0 = (part(m) for m in (off & (rj == cj), off & (ri == ci),
-                                    (ri != ci) & (rj != cj)))
-    d1 = -np.asarray(a1.sum(axis=1)).ravel()
-    d2 = -np.asarray(a2.sum(axis=1)).ravel()
-    half_rest = 0.5 * (-h.matrix.diagonal() - d1 - d2)
-    return (a1 + sp.diags(d1 + half_rest, format="csr"),
-            a2 + sp.diags(d2 + half_rest, format="csr"), a0)
+    d1, d2 = -row_sums(along_x), -row_sums(along_y)
+    half_rest = 0.5 * (a[offsets == 0][0] - d1 - d2)
+    for part, d in ((along_x, d1), (along_y, d2)):
+        part.insert(sum(o < 0 for o, *_ in part), (0, d + half_rest, None))
+
+    def dia(part):
+        """The part as a DIA matrix: each row's entry moved to its column."""
+        data = np.zeros((len(part), n))
+        for row, (o, v, _) in zip(data, part):
+            row[max(0, o):n + min(0, o)] = v[max(0, -o):n - max(0, o)]
+        return sp.dia_matrix((data, [o for o, *_ in part]), shape=(n, n))
+
+    return dia(along_x), dia(along_y), dia(mixed)
+
+
+def _dia_band(part: sp.dia_matrix, step: int = 1, order=slice(None)) -> tuple[np.ndarray, int, int]:
+    """One direction's part in LAPACK band storage: its offset q * ``step``
+    on band row ku - q, and band column k holding the part's column
+    ``order[k]``.  Returns (band, kl, ku), the band in Fortran order."""
+    q = part.offsets // step
+    kl, ku = max(1, -int(q.min(initial=0))), max(1, int(q.max(initial=0)))
+    band = np.zeros((kl + ku + 1, part.shape[0]), order="F")
+    band[ku - q] = part.data[:, order]
+    return band, kl, ku
 
 
 def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     """Craig-Sneyd (theta < 1) or Douglas (theta = 1) steps on a 2D grid.
 
-    A1 and A2, less the rows the sweeps replace, are read into band storage
-    once: A1 at stride ny, so the x-sweep works in x-line order (all points
-    of a y index j contiguous), A2 in the grid's own order.  Each theta's
-    two sweep systems are scaled from them and factored once, tridiagonally.  A sweep's residual is checked by a CSR
-    product built from the same band: the x-sweep's in x-line order, the
-    y-sweep's with the [1, -2, 1] linearity rows of its y faces written in
-    where the solve folds them.
+    -H is read once, as the diagonals of its direction split; every product
+    of a step is a DIA product.  The sweep bands are written from the same
+    diagonals, with the rows the sweeps replace left zero: A1's in x-line
+    order (all points of a y index j contiguous), A2's in the grid's own
+    order.  Each theta's two sweep systems are scaled from them and
+    factored once, tridiagonally.  LAPACK band storage is DIA storage, so a
+    sweep's residual is a DIA product on the band that was factored, the
+    y-sweep's on its folded band before the face values are extrapolated;
+    a replaced row's residual is y - rhs, so no stored zero meets a
+    non-finite entry there.
     """
     grid = h.grid
     nx, ny, n = grid.nx, grid.ny, grid.n_points
@@ -465,8 +530,9 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     keep[replaced] = 0.0
     inward = np.repeat([1, -1], bottom.size)[:, None] * np.arange(3)
     near, far = (faces[:, None] + inward[:, 1:]).T   # the two rows inward of each face
-    stored_x = _band_storage(a1, ny, replaced)
-    stored_y = _band_storage(a2, 1, replaced)
+    x_lines = np.arange(n).reshape(nx, ny).T.ravel()   # the grid point at each x-line position
+    stored_x = _dia_band(a1, ny, x_lines)
+    stored_y = _dia_band(a2)
     replaced_x = replaced % ny * nx + replaced // ny   # their x-line positions
 
     def sweep_band(stored, s, rows):
@@ -475,47 +541,65 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
             raise ValueError("ADI stepping needs three-point stencils along each axis")
         return band
 
+    def residual(band, rows):
+        dia = _band_dia(band, 1)
+
+        def resid(y, rhs):
+            r = dia @ y
+            r -= rhs
+            r[rows] = y[rows] - rhs[rows]
+            return r
+        return resid
+
     @functools.cache
     def get_system(theta: float):
         band_x = sweep_band(stored_x, -(theta * dt), replaced_x)
         band_y = sweep_band(stored_y, -(theta * dt), replaced)
-        sys_y = np.pad(band_y, ((1, 1), (0, 0)))   # ku = 2 holds the linearity rows
-        sys_y[2 - inward, faces[:, None] + inward] = [1.0, -2.0, 1.0]
         # fold C(face) = 2 C(near) - C(far) into row near; the face rows stay
         # identity rows, and the face values are extrapolated after the solve
         c = band_y[1 + near - faces, faces]
         band_y[1, near] += 2.0 * c
         band_y[1 + near - far, far] -= c
         band_y[1 + near - faces, faces] = 0.0
-        return (_band_csr(band_x, 1), _band_solver(band_x, 1, 1),
-                _band_csr(sys_y, 2), _band_solver(band_y, 1, 1))
+        return (_band_solver(band_x, 1, 1), residual(band_x, replaced_x),
+                _band_solver(band_y, 1, 1), residual(band_y, replaced))
 
     def advance(values, theta, tau_new, check):
-        sys_x, solve_x, sys_y, solve_y = get_system(theta)
+        solve_x, resid_x, solve_y, resid_y = get_system(theta)
         g_low, g_high = boundary.x_values(grid, tau_new)
-        tdt = theta * dt
         a0u, a1u, a2u = a0 @ values, a1 @ values, a2 @ values
+        y0 = a0u + a1u
+        y0 += a2u
+        y0 *= dt
+        y0 += values
+        a1u *= theta * dt
+        a2u *= theta * dt
 
-        def boundary_rhs(v):
-            rhs = keep * v
+        def boundary_rhs(rhs):
+            rhs *= keep
             rhs[low] = g_low
             rhs[high] = g_high
             return rhs
 
         def sweeps(y0):
-            rhs = boundary_rhs(y0 - tdt * a1u).reshape(nx, ny).T.ravel()
+            rhs = boundary_rhs(y0 - a1u).reshape(nx, ny).T.ravel()
             y1 = solve_x(rhs)
-            check(sys_x @ y1 - rhs, rhs)
-            rhs = boundary_rhs(y1.reshape(ny, nx).T.ravel() - tdt * a2u)
+            check(resid_x(y1, rhs), rhs)
+            rhs = y1.reshape(ny, nx).T.flatten()
+            rhs -= a2u
+            boundary_rhs(rhs)
             y2 = solve_y(rhs)
+            check(resid_y(y2, rhs), rhs)
             y2[faces] = 2.0 * y2[near] - y2[far]
-            check(sys_y @ y2 - rhs, rhs)
             return y2
 
-        y0 = values + dt * (a0u + a1u + a2u)
         new = sweeps(y0)
         if theta < 1.0:
-            new = sweeps(y0 + 0.5 * dt * (a0 @ new - a0u))
+            correction = a0 @ new
+            correction -= a0u
+            correction *= 0.5 * dt
+            correction += y0
+            new = sweeps(correction)
         return new
 
     return advance

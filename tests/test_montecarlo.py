@@ -57,6 +57,20 @@ def test_correlated_normals_degenerate_rho():
         correlated_normals(1.5, 10)
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5, True, "3"])
+def test_correlated_normals_names_a_bad_count(bad):
+    with pytest.raises(ValueError, match=rf"^n must be an integer >= 0, got {bad}$"):
+        correlated_normals(0.5, bad)
+
+
+def test_correlated_normals_take_zero_and_numpy_counts():
+    z1, z2 = correlated_normals(0.5, 0)
+    assert z1.shape == z2.shape == (0,)
+    for got, want in zip(correlated_normals(0.5, np.int64(7), seed=3),
+                         correlated_normals(0.5, 7, seed=3)):
+        np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # GBM
 # ---------------------------------------------------------------------------

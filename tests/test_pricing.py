@@ -1,6 +1,7 @@
 """Closed forms, backward evolution, and the two PDE pricers."""
 
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -44,7 +45,7 @@ from gauge_hamilton import (
     terminal_payoff,
 )
 from gauge_hamilton import pricing
-from gauge_hamilton.pricing import (_band_csr, _band_storage, _relative_residual,
+from gauge_hamilton.pricing import (_band_dia, _band_storage, _dia_band, _relative_residual,
                                     _split_directions, _theta_band)
 
 P = ModelParams(r=0.05, sigma=0.2)
@@ -485,23 +486,43 @@ def test_evolve_2d_validation():
         evolve(wide, payoff, 1.0, 10, boundary=FarFieldBoundary(CALL, ADI_P.r))
 
 
-@pytest.mark.parametrize("model", ["mg", "gauge"])
-def test_direction_split_matches_named_terms(model):
+@settings(max_examples=40, deadline=None)
+@example(model="mg", alpha=0.8, rho=-0.6, vol_vol_half=False, nx=41, ny=21, seed=0)
+@example(model="gauge", alpha=0.8, rho=-0.6, vol_vol_half=False, nx=41, ny=21, seed=0)
+@given(model=st.sampled_from(["mg", "gauge"]), alpha=st.floats(0.3, 1.5),
+       rho=st.one_of(st.just(0.0), st.floats(-0.95, 0.95)), vol_vol_half=st.booleans(),
+       nx=st.integers(5, 40), ny=st.integers(5, 24), seed=st.integers(0, 2 ** 32 - 1))
+def test_direction_split_matches_named_terms(model, alpha, rho, vol_vol_half, nx, ny, seed):
     params = ModelParams(r=0.05, sigma=0.3, lambda_=0.02, mu=-0.3, zeta=0.4,
-                         alpha=0.8, rho=-0.6)
+                         alpha=alpha, rho=rho, vol_vol_half=vol_vol_half)
+    grid = make_grid_2d(math.log(100.0) - 1.0, math.log(100.0) + 1.0, nx,
+                        math.log(0.04) - 2.0, math.log(0.04) + 1.0, ny)
     if model == "mg":
-        h = build_mg_hamiltonian(params, ADI_GRID)
+        h = build_mg_hamiltonian(params, grid)
     else:
-        h = build_gauge_hamiltonian(params, ADI_GRID, form="expanded")
-    t = {name: op.matrix for name, op in hamiltonian_terms(params, ADI_GRID, model).items()}
+        h = build_gauge_hamiltonian(params, grid, form="expanded")
+    t = {name: op.matrix for name, op in hamiltonian_terms(params, grid, model).items()}
     a1, a2, a0 = _split_directions(h)
-    rows = np.flatnonzero(ADI_GRID.interior_mask(1))
+    inner = grid.interior_mask(1)
+    rows = np.flatnonzero(inner)
     expected = (-(t["second_x"] + t["first_x"]) - 0.5 * t["potential"],
                 -(t["second_y"] + t["first_y"]) - 0.5 * t["potential"],
                 -t["cross_xy"])
+    u = np.random.default_rng(seed).standard_normal(grid.n_points)
+    # the potential A1 and A2 share is what is left of H's diagonal: a
+    # difference of numbers as large as H's largest entry
+    scale = np.abs(h.matrix[rows]).max()
     for got, want in zip((a1, a2, a0), expected):
-        scale = np.abs(want[rows]).max()
+        # diagonals, offsets ascending, so each row sums in column order
+        assert isinstance(got, sp.dia_matrix) and np.all(np.diff(got.offsets) > 0)
         assert np.abs((got - want)[rows]).max() <= 1e-13 * scale
+        # the product on the kept rows; the face rows are left zero
+        product = got @ u
+        assert np.abs(product - want @ u)[rows].max() <= 1e-12 * scale * np.abs(u).max()
+        assert not product[~inner].any()
+    # each sweep reads only its own direction: A1 couples the points of an
+    # x-line (offsets a multiple of ny), A2 those of a y-line
+    assert np.all(a1.offsets % ny == 0) and np.all(np.abs(a2.offsets) < ny)
 
 
 def test_mg_adi_second_order_in_time():
@@ -794,6 +815,57 @@ def test_step_residual_check_sees_one_non_finite_entry(monkeypatch, path, value,
         evolve(h, u0, 1.0, 10, boundary=boundary)
 
 
+def test_adi_steps_make_no_csr_product(monkeypatch):
+    # -H is read once, as diagonals: the explicit products and the sweep
+    # residuals are DIA products, and no matrix is converted to CSR
+    h, u0, boundary = STEP_PATHS["adi"][1]()
+    want = evolve(h, u0, 1.0, 10, boundary=boundary)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CSR product or conversion in a 2D step")
+    monkeypatch.setattr(sp.csr_matrix, "_matmul_vector", refuse)
+    monkeypatch.setattr(sp.dia_matrix, "tocsr", refuse)
+    got = evolve(h, u0, 1.0, 10, boundary=boundary)
+    np.testing.assert_array_equal(got.values, want.values)
+
+
+def y_sweeps_only(spoil):
+    """Spoil only the even dgttrs calls: in each ADI step the x-sweep solves
+    first, then the y-sweep, so these are the y-sweep solves."""
+    def wrap(solve):
+        spoiled, calls = spoil(solve), itertools.count(1)
+
+        def solve_even(*args, **kwargs):
+            return (spoiled if next(calls) % 2 == 0 else solve)(*args, **kwargs)
+        return solve_even
+    return wrap
+
+
+# the spoiled y-sweep solution and the relative residual its check reports:
+# grid points 0 and -1 lie on the x faces, whose pinned rows' residuals are
+# y - rhs; +inf at a y face meets the folded near row's stored zero
+Y_SWEEP_SPOILS = {
+    "offset": (offset_solution, r"\d\S*"),
+    "nan": (nan_solution, "nan"),
+    **{f"{value}-{position}": (one_entry_solution(value, position), rel)
+       for value, rel in ((math.nan, "nan"), (math.inf, "inf"))
+       for position in (0, "middle", -1)},
+    "inf-y-face": (one_entry_solution(math.inf, ADI_GRID.ny), "nan"),
+}
+
+
+@pytest.mark.parametrize("case", list(Y_SWEEP_SPOILS))
+def test_y_sweep_residual_check_fires(monkeypatch, case):
+    # the x-sweep solves are left alone, so their checks pass: the y-sweep's
+    # own check, on its folded band before the face extrapolation, must fire
+    spoil, rel = Y_SWEEP_SPOILS[case]
+    h, u0, boundary = STEP_PATHS["adi"][1]()
+    monkeypatch.setattr(pricing, "dgttrs", y_sweeps_only(spoil)(pricing.dgttrs))
+    with pytest.raises(EvolveError, match=rf"^linear solve at step 1/10 has relative residual "
+                                          rf"{rel} \(tolerance 1e-10\)$"):
+        evolve(h, u0, 1.0, 10, boundary=boundary)
+
+
 def numpy_relative_residual(resid, rhs):
     """The step check's measure by numpy reductions, kept as the reference
     for the BLAS one."""
@@ -891,9 +963,10 @@ def sweep_systems(h, theta, dt):
     nx, ny = h.grid.nx, h.grid.ny
     a1, a2, _ = _split_directions(h)
     replaced = sweep_rows(h.grid)
-    return (_theta_band(_band_storage(a1, ny, replaced), -theta * dt,
+    x_lines = np.arange(h.grid.n_points).reshape(nx, ny).T.ravel()
+    return (_theta_band(_dia_band(a1, ny, x_lines), -theta * dt,
                         replaced % ny * nx + replaced // ny, pinned=True),
-            _theta_band(_band_storage(a2, 1, replaced), -theta * dt, replaced, pinned=True))
+            _theta_band(_dia_band(a2), -theta * dt, replaced, pinned=True))
 
 
 def projector_sweep_systems(h, theta, dt):
@@ -917,15 +990,18 @@ def assert_same_diagonals(got, want):
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_band_reader_matches_sparse_construction(theta):
     h = build_mg_hamiltonian(ADI_P, ADI_GRID)
-    # the x-sweep band at stride ny, in x-line order, against the diagonals
-    # of the whole system permuted to x-line order; the CSR form the residual
-    # checks multiply by has the reference's pattern and values
+    # the x-sweep band, in x-line order, against the diagonals of the whole
+    # system permuted to x-line order; the DIA matrix the residual checks
+    # multiply by has the reference's pattern and values, once its stored
+    # zeros are dropped
     for got, want in zip(sweep_systems(h, theta, 0.01), projector_sweep_systems(h, theta, 0.01),
                          strict=True):
         assert_same_diagonals(got, sparse_tridiagonal(want))
-        assert_same_csr(_band_csr(got[0], got[2]), want)
-    with pytest.raises(ValueError, match="off the diagonals of stride"):
-        _band_storage(_split_directions(h)[1], ADI_GRID.ny)
+        residual = _band_dia(got[0], got[2])
+        assert residual.data.flags.c_contiguous and np.all(np.diff(residual.offsets) > 0)
+        residual = residual.tocsr()
+        residual.eliminate_zeros()
+        assert_same_csr(residual, want)
     h = build_bs_hamiltonian(P, THETA_GRID)
     a, _ = projector_systems(h.matrix, theta, 0.01, np.array([0, THETA_GRID.n - 1]))
     assert_same_diagonals(_band_storage(a), sparse_tridiagonal(a))
@@ -934,6 +1010,37 @@ def test_band_reader_matches_sparse_construction(theta):
     band, kl, ku = _band_storage(a)
     assert (kl, ku) == (3, 3)
     np.testing.assert_array_equal(band_to_dense(band, kl, ku), a.toarray())
+
+
+def test_band_reader_copies_only_a_non_canonical_matrix(monkeypatch):
+    # the same operator, canonical and with each row reversed and its first
+    # entry split in two halves: equal bands, and the caller's arrays as
+    # they were; only the non-canonical one is copied
+    a = projector_systems(build_bs_hamiltonian(P, THETA_GRID).matrix, 0.5, 0.01, None)[0].copy()
+    a.sum_duplicates()
+    assert a.has_canonical_format
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    order = np.lexsort((-a.indices, rows))
+    data = np.concatenate([[0.5 * a.data[order][0]], a.data[order]])
+    data[1] *= 0.5
+    indices = np.concatenate([a.indices[order][:1], a.indices[order]])
+    indptr = a.indptr + np.minimum(np.arange(a.indptr.size), 1)
+    messy = sp.csr_matrix((data, indices, indptr), shape=a.shape)
+    assert not messy.has_canonical_format and messy.nnz == a.nnz + 1
+    before = [x.copy() for m in (a, messy) for x in (m.data, m.indices, m.indptr)]
+    copy = type(a).copy
+    copied = []
+    monkeypatch.setattr(type(a), "copy", lambda m, *args: copied.append(m) or copy(m, *args))
+    # the one-sided end rows reach three columns; without them, one
+    for replaced, widths in (((), (3, 3)), ([0, THETA_GRID.n - 1], (1, 1))):
+        copied.clear()
+        (band, kl, ku), (messy_band, messy_kl, messy_ku) = (_band_storage(m, replaced)
+                                                            for m in (a, messy))
+        assert len(copied) == 1 and copied[0] is messy
+        assert (kl, ku) == (messy_kl, messy_ku) == widths
+        np.testing.assert_array_equal(band.view(np.int64), messy_band.view(np.int64))
+    for got, want in zip((x for m in (a, messy) for x in (m.data, m.indices, m.indptr)), before):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_band_reader_rejects_five_point_sweeps():
