@@ -486,13 +486,33 @@ def test_evolve_2d_validation():
         evolve(wide, payoff, 1.0, 10, boundary=FarFieldBoundary(CALL, ADI_P.r))
 
 
+@pytest.mark.parametrize("model", ["mg", "gauge"])
+def test_direction_split_matches_named_terms(model):
+    params = ModelParams(r=0.05, sigma=0.3, lambda_=0.02, mu=-0.3, zeta=0.4,
+                         alpha=0.8, rho=-0.6)
+    if model == "mg":
+        h = build_mg_hamiltonian(params, ADI_GRID)
+    else:
+        h = build_gauge_hamiltonian(params, ADI_GRID, form="expanded")
+    t = {name: op.matrix for name, op in hamiltonian_terms(params, ADI_GRID, model).items()}
+    a1, a2, a0 = _split_directions(h)
+    rows = np.flatnonzero(ADI_GRID.interior_mask(1))
+    expected = (-(t["second_x"] + t["first_x"]) - 0.5 * t["potential"],
+                -(t["second_y"] + t["first_y"]) - 0.5 * t["potential"],
+                -t["cross_xy"])
+    for got, want in zip((a1, a2, a0), expected):
+        scale = np.abs(want[rows]).max()
+        assert np.abs((got - want)[rows]).max() <= 1e-13 * scale
+
+
 @settings(max_examples=40, deadline=None)
 @example(model="mg", alpha=0.8, rho=-0.6, vol_vol_half=False, nx=41, ny=21, seed=0)
 @example(model="gauge", alpha=0.8, rho=-0.6, vol_vol_half=False, nx=41, ny=21, seed=0)
 @given(model=st.sampled_from(["mg", "gauge"]), alpha=st.floats(0.3, 1.5),
        rho=st.one_of(st.just(0.0), st.floats(-0.95, 0.95)), vol_vol_half=st.booleans(),
        nx=st.integers(5, 40), ny=st.integers(5, 24), seed=st.integers(0, 2 ** 32 - 1))
-def test_direction_split_matches_named_terms(model, alpha, rho, vol_vol_half, nx, ny, seed):
+def test_direction_split_matches_named_terms_generated(model, alpha, rho, vol_vol_half, nx,
+                                                      ny, seed):
     params = ModelParams(r=0.05, sigma=0.3, lambda_=0.02, mu=-0.3, zeta=0.4,
                          alpha=alpha, rho=rho, vol_vol_half=vol_vol_half)
     grid = make_grid_2d(math.log(100.0) - 1.0, math.log(100.0) + 1.0, nx,
