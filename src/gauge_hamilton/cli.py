@@ -141,7 +141,7 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
     _require(0.0 <= theta_scheme <= 1.0, "--theta-scheme", "lie in [0, 1]", theta_scheme)
     _require(nx is None or nx >= 5, "--nx", "be at least 5", nx)
     _require(mc_paths == 0 or mc_paths >= 2, "--mc-paths", "be 0 or at least 2", mc_paths)
-    _require(seed >= 0, "--seed", "be at least 0", seed)
+    _require(0 <= seed < 2 ** 128, "--seed", "lie in [0, 2**128)", seed)
     if model == "mg":
         _require(math.isfinite(v0) and v0 > 0.0, "--v0", "be positive and finite", v0)
         _require(ny >= 5, "--ny", "be at least 5", ny)
@@ -381,7 +381,7 @@ def simulate(model, s0, v0, maturity, r, phi, sigma, lambda_, mu, zeta, alpha,
              rho, n_paths, n_steps, seed, threads, slices_out, paths_out):
     """Simulate price paths and summarize the terminal distribution."""
     threads = _capped_threads(threads)
-    _require(seed >= 0, "--seed", "be at least 0", seed)
+    _require(0 <= seed < 2 ** 128, "--seed", "lie in [0, 2**128)", seed)
     params = _usage(ModelParams, r=r, sigma=sigma, phi=r if phi is None else phi,
                     lambda_=lambda_, mu=mu, zeta=zeta, alpha=alpha, rho=rho)
     if model == "gbm":

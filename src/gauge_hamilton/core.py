@@ -37,6 +37,12 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def check_finite(name: str, value: float) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def check_integer(name: str, value, least: int) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is an integer (a
     Python or numpy one, not a bool) of at least ``least``."""
@@ -87,9 +93,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in _SCALAR_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            check_finite(name, getattr(self, name))
         if self.r < 0.0:
             raise ValueError(f"r must be nonnegative, got {self.r}")
         if self.sigma < 0.0:
@@ -109,8 +113,8 @@ class LogGrid1D:
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValueError("grid bounds must be finite")
+        check_finite("x_min", self.x_min)
+        check_finite("x_max", self.x_max)
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         check_integer("n", self.n, 5)
@@ -209,6 +213,8 @@ def make_grid_2d(x_min: float, x_max: float, nx: int,
     """Build a 2D log grid, validating each axis by name."""
     check_integer("nx", nx, 5)
     check_integer("ny", ny, 5)
+    for name, value in (("x_min", x_min), ("x_max", x_max), ("y_min", y_min), ("y_max", y_max)):
+        check_finite(name, value)
     if not x_max > x_min:
         raise ValueError("x_max must exceed x_min")
     if not y_max > y_min:

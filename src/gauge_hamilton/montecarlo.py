@@ -52,6 +52,13 @@ _SCHEME_CODES = {"log_euler": 0, "euler": 1}
 _SCHEME_NAMES = {v: k for k, v in _SCHEME_CODES.items()}
 
 
+def _check_seed(seed) -> None:
+    """A Philox key: an integer in [0, 2**128)."""
+    check_integer("seed", seed, 0)
+    if seed >= 2 ** 128:
+        raise ValueError(f"seed must be less than 2**128, got {seed}")
+
+
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     # one Philox stream per block: same key, block index in the high
     # counter word, so streams never overlap
@@ -69,6 +76,7 @@ def correlated_normals(rho: float, n: int, seed: int = 0) -> tuple[np.ndarray, n
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     check_integer("n", n, 0)
+    _check_seed(seed)
     rng = _block_rng(seed, 0)
     z = rng.standard_normal((2, n))
     return z[0], rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]
@@ -177,11 +185,12 @@ def read_paths_binary(path) -> PathEnsemble:
                         scheme=_SCHEME_NAMES[scheme_code], phi=phi)
 
 
-def _validate_run(s0, maturity, n_steps, n_paths, threads):
+def _validate_run(s0, maturity, n_steps, n_paths, seed, threads):
     check_positive("s0", s0)
     check_positive("maturity", maturity)
     check_integer("n_steps", n_steps, 1)
     check_integer("n_paths", n_paths, 1)
+    _check_seed(seed)
     check_integer("threads", threads, 1)
 
 
@@ -233,7 +242,7 @@ def simulate_gbm(params: ModelParams, s0: float, maturity: float,
     which is exact in law at every step, so n_steps only sets the sampling
     resolution of the stored paths.
     """
-    _validate_run(s0, maturity, n_steps, n_paths, threads)
+    _validate_run(s0, maturity, n_steps, n_paths, seed, threads)
     dt = maturity / n_steps
     drift = (params.phi - 0.5 * params.sigma * params.sigma) * dt
     scale = params.sigma * math.sqrt(dt)
@@ -264,7 +273,7 @@ def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
     rho z1 + sqrt(1 - rho^2) z2 from the same draw block GBM uses, so
     freezing the variance reproduces simulate_gbm paths for the same seed.
     """
-    _validate_run(s0, maturity, n_steps, n_paths, threads)
+    _validate_run(s0, maturity, n_steps, n_paths, seed, threads)
     check_positive("v0", v0)
     if not (math.isfinite(v_floor) and v_floor >= 0.0):
         raise ValueError(f"v_floor must be finite and nonnegative, got {v_floor}")
@@ -435,6 +444,7 @@ def beta_field(surface: PriceSurface, params: ModelParams,
     grid = surface.grid
     if not isinstance(grid, LogGrid2D):
         raise TypeError("beta extraction needs a 2D surface")
+    check_positive("min_dcdv", min_dcdv)
     if surface.prev_values is None or surface.dt is None:
         raise ValueError("surface must carry two time slices (prev_values and dt)")
     c = surface.values

@@ -7,26 +7,28 @@ the theta scheme
 
     (I + theta dtau H) C_new = (I - (1-theta) dtau H) C_old,
 
-and on 2D grids by ADI sweeps that solve systems of the same kind.  Every
-one of these theta-systems, I + s M with its boundary rows pinned or
-zeroed, is assembled in one representation, LAPACK band storage: M's
-diagonals, less the boundary rows, are read off its CSR arrays once, each
-theta's systems are scaled from them, and each implicit system has one LU
-factor per theta, gttrf/gttrs when it is tridiagonal, gbtrf/gbtrs with its
-own band widths when an operator's one-sided end rows reach further.  In 1D
-the explicit product and the residual are BLAS gbmv calls on the bands, and
-max|r| is BLAS idamax's entry: the step loop makes no scipy.sparse call and
-no temporary array.  On 2D grids the operator A = -H is split by stencil
-direction into A1 (along x), A2 (along y) and the mixed part A0, and each
-step is a Craig-Sneyd ADI step: an explicit stage of the whole operator, an
-implicit x-sweep with I - theta dtau A1 and a y-sweep with I - theta dtau
-A2, then a correction with the explicit mixed term and the two sweeps
-again.  -H is read once, as diagonals: the three parts are DIA matrices,
+and on 2D grids by ADI sweeps that solve systems of the same kind.  An
+operator is read off its CSR arrays once, by one reader for 1D and 2D grids
+(_diagonals): its diagonals in DIA layout, less the boundary rows, in any
+entry order and without a copy.  Every theta-system, I + s M with its
+boundary rows pinned or zeroed, is assembled from them in one
+representation, LAPACK band storage, which is DIA storage row for row: each
+theta's systems are scaled from M's band, and each implicit system has one
+LU factor per theta, gttrf/gttrs when it is tridiagonal, gbtrf/gbtrs with
+its own band widths when an operator's one-sided end rows reach further.
+In 1D the explicit product and the residual are BLAS gbmv calls on the
+bands, and max|r| is BLAS idamax's entry: the step loop makes no
+scipy.sparse call and no temporary array.  On 2D grids the operator A = -H
+is split by stencil direction into A1 (along x), A2 (along y) and the mixed
+part A0, and each step is a Craig-Sneyd ADI step: an explicit stage of the
+whole operator, an implicit x-sweep with I - theta dtau A1 and a y-sweep
+with I - theta dtau A2, then a correction with the explicit mixed term and
+the two sweeps again.  The three parts are DIA matrices of -H's diagonals,
 every explicit product is a DIA product, and the sweep bands are written
 from the same diagonals.  Each sweep system is tridiagonal along its grid
-lines, so both are solved with gttrf/gttrs, and since LAPACK band storage
-is DIA storage, each sweep's residual is a DIA product on the band that was
-factored.  The 2D step makes no CSR product.
+lines, so both are solved with gttrf/gttrs, and each sweep's residual is a
+DIA product on the band that was factored.  The 2D step makes no CSR
+product.
 
 theta = 1/2 (Crank-Nicolson in 1D, Craig-Sneyd in 2D) with a short fully
 implicit startup is the default; the startup damps the oscillations the
@@ -313,31 +315,29 @@ def _check_pivots(info: int) -> None:
         raise EvolveError(f"implicit matrix factorization failed: zero pivot in row {info}")
 
 
-def _band_storage(m: sp.csr_matrix, replaced=()) -> tuple[np.ndarray, int, int]:
-    """A banded CSR matrix in LAPACK band storage, the ``replaced`` rows
-    left zero.
+def _diagonals(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of the CSR matrix ``m`` on the ``rows`` it keeps (a
+    boolean mask) as diagonals, in DIA layout: data[k, j] = m[j - offsets[k],
+    j], the offsets ascending, the main diagonal always among them.
 
-    Entry (i, j) is stored at [ku + i - j, j].  kl and ku, the bands below
-    and above the main diagonal, reach the outermost nonzero entry, at
-    least one each.  A matrix with unsorted or duplicate entries is summed
-    in a copy, so the caller's matrix is never written.  Returns (band, kl,
-    ku), the band in Fortran order.
+    One pass over the CSR arrays, in any order: duplicate entries are summed
+    in the order they are stored, and the entries left out (stored zeros and
+    the rows not kept) are sent to a spare diagonal that is dropped.  ``m``
+    is never copied, sorted or written.  Returns (offsets, data).
     """
     n = m.shape[0]
-    if not m.has_canonical_format:
-        m = m.copy()
-        m.sum_duplicates()
-    rows = np.repeat(np.arange(n), np.diff(m.indptr))
-    steps = m.indices - rows
-    live = np.ones(n, dtype=bool)
-    live[np.asarray(replaced, dtype=np.intp)] = False
-    live = live[rows] & (m.data != 0.0)
-    steps = steps[live]
-    kl = max(1, -int(steps.min(initial=0)))
-    ku = max(1, int(steps.max(initial=0)))
-    band = np.zeros((kl + ku + 1, n), order="F")
-    band[ku - steps, m.indices[live]] = m.data[live]
-    return band, kl, ku
+    counts = np.diff(m.indptr)
+    # each entry's offset shifted by n, or 0, the spare slot
+    key = m.indices + np.arange(n, 0, -1).repeat(counts)
+    key *= rows.repeat(counts) & (m.data != 0.0)
+    present = np.zeros(2 * n, dtype=bool)
+    present[key] = True
+    present[0], present[n] = False, True   # the main diagonal is always read
+    # slot k > 0 holds the k-th offset present, slot 0 the entries left out
+    slot = present.cumsum()[key] * n + m.indices
+    offsets = present.nonzero()[0] - n
+    data = np.bincount(slot, weights=m.data, minlength=(offsets.size + 1) * n)
+    return offsets, data.reshape(-1, n)[1:]
 
 
 def _theta_band(stored: tuple[np.ndarray, int, int], s: float, replaced=(),
@@ -345,11 +345,12 @@ def _theta_band(stored: tuple[np.ndarray, int, int], s: float, replaced=(),
     """I + s H in LAPACK band storage, with the ``replaced`` rows made
     identity rows when ``pinned`` and zero rows otherwise.
 
-    ``stored`` holds H as _band_storage stores it with those rows left
-    zero.  H is scaled and 1 is added on the diagonal; a product that
-    vanishes is stored as +0.  A band wider than tridiagonal is trimmed of
-    the outer diagonals that come out all zero (all of them at s = 0), down
-    to one on each side.  Returns (band, kl, ku), in Fortran order for gbmv.
+    ``stored`` holds H's band as _dia_band writes it from the diagonals
+    _diagonals reads without those rows.  H is scaled and 1 is added on the
+    diagonal; a product that vanishes is stored as +0.  A band wider than
+    tridiagonal is trimmed of the outer diagonals that come out all zero
+    (all of them at s = 0), down to one on each side.  Returns (band, kl,
+    ku), in Fortran order for gbmv.
     """
     band, kl, ku = stored
     band = s * band
@@ -396,7 +397,7 @@ def _band_stepper(h: LinearOperator, dt: float, boundary: Optional[FarFieldBound
     """
     grid, n = h.grid, h.grid.n
     replaced = () if boundary is None else (0, n - 1)
-    stored = _band_storage(h.matrix, replaced=replaced)
+    stored = _dia_band(*_diagonals(h.matrix, grid.interior_mask(0 if boundary is None else 1)))
 
     @functools.cache
     def get_system(theta: float):
@@ -421,85 +422,54 @@ def _split_directions(h: LinearOperator) -> tuple[sp.dia_matrix, sp.dia_matrix, 
     on the interior rows, the rows the ADI sweeps keep; the face rows are
     left zero.
 
-    An off-diagonal entry, at offset di ny + dj from its row, belongs to A1
-    when dj = 0, to A2 when di = 0, and to A0 otherwise.  Every difference
-    stencil annihilates constants, so each direction's diagonal is minus
-    its off-diagonal row sum; the rest of the diagonal, the potential, is
-    shared equally by A1 and A2.  Each part holds every offset its entries
-    have, ascending, so a row's product sums in column order, as a CSR
-    product does.
+    An entry at offset di ny + dj from its row belongs to A1 when dj = 0, to
+    A2 when di = 0, and to A0 otherwise: a diagonal whose offset is a
+    multiple of ny goes to A1, any other to A2 on the columns where di = 0
+    and to A0 on the rest.  Every difference stencil annihilates constants,
+    so each direction's diagonal is minus the sum of its other diagonals,
+    in ascending offset order; the rest of the diagonal, the potential, is
+    shared equally by A1 and A2.  Each part is a DIA matrix holding the
+    offsets of its nonzero entries, ascending, so a row's product sums in
+    column order.
     """
     grid = h.grid
     n, ny = grid.n_points, grid.ny
-    m = h.matrix
-    counts = np.diff(m.indptr)
-    rows = np.repeat(np.arange(n), counts)
-    # each interior entry's offset, shifted by n; the face rows' entries go
-    # to a last key, whose diagonal is dropped
-    key = m.indices - rows
-    key += n
-    key[~np.repeat(grid.interior_mask(1), counts)] = 2 * n + 1
-    present = np.zeros(2 * n + 2, dtype=bool)
-    present[key] = True
-    present[n] = True   # the diagonal, which A1 and A2 both hold
-    offsets = np.flatnonzero(present[:-1]) - n
-    flat = (np.cumsum(present) - 1)[key]
-    flat *= n
-    flat += rows
-    # row-aligned: a[k, i] is A's entry of row i at offsets[k], and stored[k,
-    # i] says whether H stores it; duplicate entries are summed
-    a = np.zeros((offsets.size + 1) * n)
-    np.add.at(a, flat, -m.data)
-    a = a.reshape(-1, n)[:-1]
-    stored = np.zeros((offsets.size + 1) * n, dtype=bool)
-    stored[flat] = True
-    stored = stored.reshape(-1, n)[:-1]
-    j = np.arange(n) % ny
-    along_x, along_y, mixed = [], [], []   # (offset, entries, stored) of A1, A2, A0
-    for o, v, s in zip(offsets, a, stored):
-        if o == 0:
-            continue
-        if o % ny == 0:
-            along_x.append((o, v, s))
-        else:
-            on_line = (j + o >= 0) & (j + o < ny)   # di = 0 exactly here
-            for part, here in ((along_y, on_line), (mixed, ~on_line)):
-                if (s & here).any():
-                    part.append((o, np.where(here, v, 0.0), s & here))
+    offsets, a = _diagonals(h.matrix, grid.interior_mask(1))
+    a = 0.0 - a   # A = -H, its empty slots +0
+    main = offsets == 0
+    diagonal = a[main][0]
+    a[main] = 0.0
+    along_x = (offsets % ny == 0)[:, None]
+    # the entry of diagonal o in column c has di = 0 when c % ny - o, its
+    # row's y index then, lies on the grid
+    on_line = np.arange(n) % ny - offsets[:, None]
+    on_line = (on_line >= 0) & (on_line < ny) & ~along_x
 
-    def row_sums(part):
-        """The row sums as CSR's sum(axis=1) takes them: each row's first
-        entry plus the sum of the rest (np.add.reduceat)."""
-        first, rest, count = np.zeros(n), np.full(n, -0.0), np.zeros(n, dtype=np.intp)
-        for _, v, s in part:
-            np.add(rest, v, out=rest, where=s & (count > 0))
-            np.copyto(first, v, where=s & (count == 0))
-            count += s
-        return np.where(count > 1, first + rest, first)
+    def dia(mask, with_main):
+        data = np.where(mask, a, 0.0)
+        kept = data.any(axis=1) | (with_main & main)
+        return sp.dia_matrix((data[kept], offsets[kept]), shape=(n, n))
 
-    d1, d2 = -row_sums(along_x), -row_sums(along_y)
-    half_rest = 0.5 * (a[offsets == 0][0] - d1 - d2)
-    for part, d in ((along_x, d1), (along_y, d2)):
-        part.insert(sum(o < 0 for o, *_ in part), (0, d + half_rest, None))
-
-    def dia(part):
-        """The part as a DIA matrix: each row's entry moved to its column."""
-        data = np.zeros((len(part), n))
-        for row, (o, v, _) in zip(data, part):
-            row[max(0, o):n + min(0, o)] = v[max(0, -o):n - max(0, o)]
-        return sp.dia_matrix((data, [o for o, *_ in part]), shape=(n, n))
-
-    return dia(along_x), dia(along_y), dia(mixed)
+    a1, a2, a0 = dia(along_x, True), dia(on_line, True), dia(~(along_x | on_line), False)
+    # each row's sum, as a product with ones: in ascending offset order
+    ones = np.ones(n)
+    d1, d2 = -(a1 @ ones), -(a2 @ ones)
+    half_rest = 0.5 * (diagonal - d1 - d2)
+    a1.data[a1.offsets == 0] = d1 + half_rest
+    a2.data[a2.offsets == 0] = d2 + half_rest
+    return a1, a2, a0
 
 
-def _dia_band(part: sp.dia_matrix, step: int = 1, order=slice(None)) -> tuple[np.ndarray, int, int]:
-    """One direction's part in LAPACK band storage: its offset q * ``step``
-    on band row ku - q, and band column k holding the part's column
-    ``order[k]``.  Returns (band, kl, ku), the band in Fortran order."""
-    q = part.offsets // step
-    kl, ku = max(1, -int(q.min(initial=0))), max(1, int(q.max(initial=0)))
-    band = np.zeros((kl + ku + 1, part.shape[0]), order="F")
-    band[ku - q] = part.data[:, order]
+def _dia_band(offsets: np.ndarray, data: np.ndarray, step: int = 1,
+              order=slice(None)) -> tuple[np.ndarray, int, int]:
+    """Diagonals in DIA layout, as _diagonals returns them (offsets ascending,
+    0 among them), in LAPACK band storage: offset q * ``step`` on band row
+    ku - q, and band column k holding the diagonals' column ``order[k]``.
+    Returns (band, kl, ku), the band in Fortran order."""
+    q = offsets // step
+    kl, ku = max(1, -int(q[0])), max(1, int(q[-1]))
+    band = np.zeros((kl + ku + 1, data.shape[1]), order="F")
+    band[ku - q] = data[:, order]
     return band, kl, ku
 
 
@@ -531,8 +501,8 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     inward = np.repeat([1, -1], bottom.size)[:, None] * np.arange(3)
     near, far = (faces[:, None] + inward[:, 1:]).T   # the two rows inward of each face
     x_lines = np.arange(n).reshape(nx, ny).T.ravel()   # the grid point at each x-line position
-    stored_x = _dia_band(a1, ny, x_lines)
-    stored_y = _dia_band(a2)
+    stored_x = _dia_band(a1.offsets, a1.data, ny, x_lines)
+    stored_y = _dia_band(a2.offsets, a2.data)
     replaced_x = replaced % ny * nx + replaced // ny   # their x-line positions
 
     def sweep_band(stored, s, rows):

@@ -399,6 +399,8 @@ def test_simulate_usage_error(runner):
     (["--mc-paths", "1"], "--mc-paths"),
     (["--mc-paths", "-5"], "--mc-paths"),
     (["--mc-paths", "100", "--seed", "-1"], "--seed"),
+    # the Philox key's limit: numpy's message, which named no flag, and exit 1
+    (["--mc-paths", "10", "--seed", str(2 ** 128)], "--seed"),
 ])
 def test_price_rejects_bad_flags_as_usage_errors(runner, args, flag):
     result = runner.invoke(main, ["price", "--s0", "100", "--k", "100", *args])
@@ -445,6 +447,22 @@ def test_simulate_rejects_negative_seed(runner):
                                   "--n-steps", "2", "--seed", "-1"])
     assert result.exit_code == 2, result.output
     assert "--seed must" in result.output
+
+
+def test_simulate_rejects_seed_beyond_philox_key(runner):
+    result = runner.invoke(main, ["simulate", "--s0", "100", "--n-paths", "10",
+                                  "--n-steps", "2", "--seed", str(2 ** 128)])
+    assert result.exit_code == 2, result.output
+    assert "--seed must lie in [0, 2**128)" in result.output
+
+
+@pytest.mark.parametrize("flag, value", [("--y-min", "nan"), ("--x-max", "inf"),
+                                         ("--x-min", "-inf"), ("--y-max", "nan")])
+def test_surface_names_a_non_finite_bound(runner, flag, value):
+    # --y-min nan used to report "y_max must exceed y_min"
+    result = runner.invoke(main, ["surface", flag, value])
+    assert result.exit_code == 2, result.output
+    assert f"{flag[2:].replace('-', '_')} must be finite" in result.output
 
 
 def surface_by_hand(grid, state, columns, total):

@@ -58,6 +58,19 @@ def test_grid_rejects_reversed_bounds():
         make_grid_2d(-1.0, 1.0, 11, 2.0, 2.0, 11)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["x_min", "x_max", "y_min", "y_max"])
+def test_grid_names_a_non_finite_bound(field, bad):
+    # y_min = NaN used to report "y_max must exceed y_min", and x_max = inf
+    # "grid bounds must be finite"
+    bounds = {"x_min": -1.0, "x_max": 1.0, "y_min": -2.0, "y_max": 0.0, field: bad}
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {bad!r}$"):
+        make_grid_2d(bounds["x_min"], bounds["x_max"], 11, bounds["y_min"], bounds["y_max"], 11)
+    if field.startswith("x"):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {bad!r}$"):
+            make_grid_1d(bounds["x_min"], bounds["x_max"], 11)
+
+
 def test_grid_rejects_too_few_points():
     with pytest.raises(ValueError):
         make_grid_1d(0.0, 1.0, 4)

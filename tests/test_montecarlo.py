@@ -71,6 +71,37 @@ def test_correlated_normals_take_zero_and_numpy_counts():
         np.testing.assert_array_equal(got, want)
 
 
+SEED_RUNS = {
+    "simulate_gbm": lambda seed: simulate_gbm(RN, 100.0, 1.0, 4, 10, seed),
+    "simulate_mg": lambda seed: simulate_mg(ModelParams(r=0.04, zeta=0.3, rho=-0.3), 100.0,
+                                            0.04, 1.0, 4, 10, seed),
+    "correlated_normals": lambda seed: correlated_normals(0.5, 10, seed),
+}
+
+
+@pytest.mark.parametrize("run", sorted(SEED_RUNS))
+@pytest.mark.parametrize("bad", [1.5, True, np.float64(3.0), -1, "3"])
+def test_monte_carlo_names_a_bad_seed(run, bad):
+    # seed 1.5 used to run seed 1's paths while the ensemble kept 1.5, and
+    # its binary dump wrote 1
+    with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {bad}$"):
+        SEED_RUNS[run](bad)
+
+
+@pytest.mark.parametrize("run", sorted(SEED_RUNS))
+def test_monte_carlo_takes_seeds_below_two_to_the_128(run):
+    # the Philox key: numpy's own message, which named no field, is gone
+    with pytest.raises(ValueError, match=rf"^seed must be less than 2\*\*128, got {2 ** 128}$"):
+        SEED_RUNS[run](2 ** 128)
+    SEED_RUNS[run](2 ** 128 - 1)
+    got, want = SEED_RUNS[run](np.uint64(5)), SEED_RUNS[run](5)
+    if run != "correlated_normals":
+        assert got.seed == 5
+        got, want = (got.s_paths,), (want.s_paths,)
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g, w)
+
+
 # ---------------------------------------------------------------------------
 # GBM
 # ---------------------------------------------------------------------------
@@ -514,6 +545,14 @@ def test_beta_field_names_a_bad_time_step(dt):
     values = np.exp(HEDGE_GRID.xs + HEDGE_GRID.ys)
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         beta_field(PriceSurface(HEDGE_GRID, values, 0.0, values, dt), MG_P)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-3])
+def test_beta_field_names_a_bad_sensitivity_floor(bad):
+    # NaN and inf used to mask every point: none of 171 defined on 21 x 11
+    surf = solve_mg(MG_P, OptionContract("call", 100.0, 1.0), HEDGE_GRID, n_steps=4)
+    with pytest.raises(ValueError, match="^min_dcdv must be positive and finite"):
+        beta_field(surf, MG_P, min_dcdv=bad)
 
 
 def test_binary_rejects_truncated_file(tmp_path):

@@ -45,7 +45,7 @@ from gauge_hamilton import (
     terminal_payoff,
 )
 from gauge_hamilton import pricing
-from gauge_hamilton.pricing import (_band_dia, _band_storage, _dia_band, _relative_residual,
+from gauge_hamilton.pricing import (_band_dia, _dia_band, _diagonals, _relative_residual,
                                     _split_directions, _theta_band)
 
 P = ModelParams(r=0.05, sigma=0.2)
@@ -587,11 +587,40 @@ def projector_systems(m, theta, dt, replaced):
     return a.tocsr(), b.tocsr()
 
 
+def band_storage(m, replaced=()):
+    """M in LAPACK band storage as the band stepper reads it: its diagonals
+    without the ``replaced`` rows.  Returns (band, kl, ku)."""
+    rows = np.ones(m.shape[0], dtype=bool)
+    rows[list(replaced)] = False
+    return _dia_band(*_diagonals(m, rows))
+
+
+def reference_band_storage(m, replaced=()):
+    """The band reader that the shared diagonal reader replaced, kept as its
+    reference: a non-canonical matrix summed in a copy, then each live entry
+    (i, j) stored at [ku + i - j, j]."""
+    n = m.shape[0]
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    steps = m.indices - rows
+    live = np.ones(n, dtype=bool)
+    live[np.asarray(replaced, dtype=np.intp)] = False
+    live = live[rows] & (m.data != 0.0)
+    steps = steps[live]
+    kl = max(1, -int(steps.min(initial=0)))
+    ku = max(1, int(steps.max(initial=0)))
+    band = np.zeros((kl + ku + 1, n), order="F")
+    band[ku - steps, m.indices[live]] = m.data[live]
+    return band, kl, ku
+
+
 def band_systems(m, theta, dt, replaced=()):
     """The two sides of a 1D theta step as the band stepper assembles them:
     (band, kl, ku) for I + theta dt M with the ``replaced`` rows pinned and
     for I - (1-theta) dt M with them zeroed."""
-    stored = _band_storage(m, replaced=replaced)
+    stored = band_storage(m, replaced)
     return (_theta_band(stored, theta * dt, replaced, pinned=True),
             _theta_band(stored, -((1.0 - theta) * dt), replaced))
 
@@ -633,7 +662,7 @@ def test_theta_systems_match_projector_construction(operator, theta, with_bounda
         # every entry bit for bit, zeros as +0, and the band trimmed to the
         # system's own widths
         assert band.flags.f_contiguous and band.shape == (kl + ku + 1, THETA_GRID.n)
-        assert (kl, ku) == _band_storage(want)[1:]
+        assert (kl, ku) == band_storage(want)[1:]
         np.testing.assert_array_equal(band_to_dense(band, kl, ku).view(np.int64),
                                       want.toarray().view(np.int64))
 
@@ -643,7 +672,7 @@ def test_theta_band_stores_cancelled_diagonal_as_plus_zero():
     m = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 4.0]]))
     want = sp.identity(2, format="csr") + (-0.5) * m
     assert want.nnz == 2
-    band, kl, ku = _theta_band(_band_storage(m), -0.5)
+    band, kl, ku = _theta_band(band_storage(m), -0.5)
     np.testing.assert_array_equal(band_to_dense(band, kl, ku).view(np.int64),
                                   want.toarray().view(np.int64))
 
@@ -984,9 +1013,9 @@ def sweep_systems(h, theta, dt):
     a1, a2, _ = _split_directions(h)
     replaced = sweep_rows(h.grid)
     x_lines = np.arange(h.grid.n_points).reshape(nx, ny).T.ravel()
-    return (_theta_band(_dia_band(a1, ny, x_lines), -theta * dt,
+    return (_theta_band(_dia_band(a1.offsets, a1.data, ny, x_lines), -theta * dt,
                         replaced % ny * nx + replaced // ny, pinned=True),
-            _theta_band(_dia_band(a2), -theta * dt, replaced, pinned=True))
+            _theta_band(_dia_band(a2.offsets, a2.data), -theta * dt, replaced, pinned=True))
 
 
 def projector_sweep_systems(h, theta, dt):
@@ -1024,18 +1053,18 @@ def test_band_reader_matches_sparse_construction(theta):
         assert_same_csr(residual, want)
     h = build_bs_hamiltonian(P, THETA_GRID)
     a, _ = projector_systems(h.matrix, theta, 0.01, np.array([0, THETA_GRID.n - 1]))
-    assert_same_diagonals(_band_storage(a), sparse_tridiagonal(a))
+    assert_same_diagonals(band_storage(a), sparse_tridiagonal(a))
     # no boundary: the one-sided end rows reach three columns either way
     a, _ = projector_systems(h.matrix, theta, 0.01, None)
-    band, kl, ku = _band_storage(a)
+    band, kl, ku = band_storage(a)
     assert (kl, ku) == (3, 3)
     np.testing.assert_array_equal(band_to_dense(band, kl, ku), a.toarray())
 
 
-def test_band_reader_copies_only_a_non_canonical_matrix(monkeypatch):
+def test_band_reader_copies_no_matrix(monkeypatch):
     # the same operator, canonical and with each row reversed and its first
     # entry split in two halves: equal bands, and the caller's arrays as
-    # they were; only the non-canonical one is copied
+    # they were; neither matrix is copied, summed or sorted
     a = projector_systems(build_bs_hamiltonian(P, THETA_GRID).matrix, 0.5, 0.01, None)[0].copy()
     a.sum_duplicates()
     assert a.has_canonical_format
@@ -1048,19 +1077,94 @@ def test_band_reader_copies_only_a_non_canonical_matrix(monkeypatch):
     messy = sp.csr_matrix((data, indices, indptr), shape=a.shape)
     assert not messy.has_canonical_format and messy.nnz == a.nnz + 1
     before = [x.copy() for m in (a, messy) for x in (m.data, m.indices, m.indptr)]
-    copy = type(a).copy
-    copied = []
-    monkeypatch.setattr(type(a), "copy", lambda m, *args: copied.append(m) or copy(m, *args))
+    called = []
+    for name in ("copy", "sum_duplicates", "sort_indices", "sorted_indices"):
+        method = getattr(type(a), name)
+        monkeypatch.setattr(type(a), name, lambda m, *args, name=name, method=method:
+                            called.append(name) or method(m, *args))
     # the one-sided end rows reach three columns; without them, one
     for replaced, widths in (((), (3, 3)), ([0, THETA_GRID.n - 1], (1, 1))):
-        copied.clear()
-        (band, kl, ku), (messy_band, messy_kl, messy_ku) = (_band_storage(m, replaced)
+        (band, kl, ku), (messy_band, messy_kl, messy_ku) = (band_storage(m, replaced)
                                                             for m in (a, messy))
-        assert len(copied) == 1 and copied[0] is messy
         assert (kl, ku) == (messy_kl, messy_ku) == widths
         np.testing.assert_array_equal(band.view(np.int64), messy_band.view(np.int64))
+    assert called == []
     for got, want in zip((x for m in (a, messy) for x in (m.data, m.indices, m.indptr)), before):
         np.testing.assert_array_equal(got, want)
+
+
+def scrambled(m, rng):
+    """``m`` stored with each row's entries in a random order and about a
+    third of them split into two halves, which sum back exactly."""
+    coo = m.tocoo()
+    split = rng.random(coo.nnz) < 0.3
+    rows = np.concatenate([coo.row, coo.row[split]])
+    cols = np.concatenate([coo.col, coo.col[split]])
+    data = np.concatenate([np.where(split, 0.5, 1.0) * coo.data, 0.5 * coo.data[split]])
+    order = np.lexsort((rng.random(rows.size), rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m.shape[0]))])
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=m.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["random", "bs", "mg", "gauge"]), n=st.integers(5, 30),
+       ny=st.integers(5, 12), scramble=st.booleans(), mask_rows=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_diagonals_match_dense_reference(kind, n, ny, scramble, mask_rows, seed):
+    rng = np.random.default_rng(seed)
+    params = ModelParams(r=0.05, sigma=0.3, lambda_=0.02, mu=-0.3, zeta=0.4, alpha=0.8,
+                         rho=-0.6)
+    if kind == "random":
+        # any pattern, unsorted, with duplicates and stored zeros; small
+        # integers, so duplicates sum exactly in any order
+        nnz = int(rng.integers(0, 4 * n))
+        rows = np.sort(rng.integers(0, n, nnz))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        m = sp.csr_matrix((rng.integers(-3, 4, nnz).astype(float), rng.integers(0, n, nnz),
+                           indptr), shape=(n, n))
+    elif kind == "bs":
+        m = build_bs_hamiltonian(params, make_grid_1d(3.5, 5.5, n)).matrix
+    else:
+        grid = make_grid_2d(3.6, 5.6, n, -5.2, -2.2, ny)
+        m = (build_mg_hamiltonian(params, grid) if kind == "mg" else
+             build_gauge_hamiltonian(params, grid, form="expanded")).matrix
+    if scramble:
+        m = scrambled(m, rng)
+    size = m.shape[0]
+    keep = rng.random(size) < 0.7 if mask_rows else np.ones(size, dtype=bool)
+    before = [x.copy() for x in (m.data, m.indices, m.indptr)]
+    offsets, data = _diagonals(m, keep)
+    for got, want in zip((m.data, m.indices, m.indptr), before):
+        np.testing.assert_array_equal(got, want)
+    # every offset of a stored nonzero entry on a kept row, and the main
+    # diagonal, ascending
+    rows = np.repeat(np.arange(size), np.diff(m.indptr))
+    live = keep[rows] & (m.data != 0.0)
+    np.testing.assert_array_equal(offsets, np.union1d(0, (m.indices - rows)[live]))
+    dense = m.toarray()
+    dense[~keep] = 0.0
+    assert data.shape == (offsets.size, size)
+    for o, got in zip(offsets, data):
+        want = np.zeros(size)
+        cols = np.arange(max(0, o), size + min(0, o))
+        want[cols] = dense[cols - o, cols]
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("operator", ["bs", "bs-zero-padded", "momentum", "zero"])
+@pytest.mark.parametrize("replaced", [(), (0, THETA_GRID.n - 1)])
+@pytest.mark.parametrize("scramble", [False, True])
+def test_band_reader_matches_reference_band_storage(operator, replaced, scramble):
+    m = {"bs": lambda: build_bs_hamiltonian(P, THETA_GRID),
+         "bs-zero-padded": lambda: build_bs_hamiltonian(P, THETA_GRID, "zero-padded"),
+         "momentum": lambda: momentum_operator(THETA_GRID, policy="zero-padded") * 0.3,
+         "zero": lambda: identity_operator(THETA_GRID) * 0.0}[operator]().matrix
+    if scramble:
+        m = scrambled(m, np.random.default_rng(7))
+    (band, kl, ku), (want, want_kl, want_ku) = (band_storage(m, replaced),
+                                                reference_band_storage(m, replaced))
+    assert band.flags.f_contiguous and (kl, ku) == (want_kl, want_ku)
+    np.testing.assert_array_equal(band.view(np.int64), want.view(np.int64))
 
 
 def test_band_reader_rejects_five_point_sweeps():
