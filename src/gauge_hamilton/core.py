@@ -141,6 +141,11 @@ class LogGrid1D:
         return self  # so x bounds read alike on 1D and 2D grids
 
     def interior_mask(self, depth: int = 1) -> np.ndarray:
+        """The points at least ``depth`` points inside either end; depth 0
+        is every point.  An empty mask is refused: 2 depth must be below n."""
+        check_integer("depth", depth, 0)
+        if 2 * depth >= self.n:
+            raise ValueError(f"depth must be below n/2 = {self.n / 2:g}, got {depth}")
         mask = np.zeros(self.n, dtype=bool)
         mask[depth:self.n - depth] = True
         return mask

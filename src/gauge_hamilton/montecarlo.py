@@ -46,7 +46,9 @@ __all__ = [
 
 BLOCK = 1 << 14          # paths per RNG stream
 V_FLOOR_DEFAULT = 1e-8
-_MAGIC = b"MGPATHS1"
+_MAGIC = b"MGPATHS2"      # the seed as two uint64 words, low then high
+_MAGIC_V1 = b"MGPATHS1"   # the seed as one int64; still read
+_WORD = 2 ** 64 - 1       # the low 64 bits of a seed
 _WRITE_CHUNK = 4096       # paths per path-major copy in to_binary
 _SCHEME_CODES = {"log_euler": 0, "euler": 1}
 _SCHEME_NAMES = {v: k for k, v in _SCHEME_CODES.items()}
@@ -128,7 +130,9 @@ class PathEnsemble:
         write_csv(path, header, columns)
 
     def to_binary(self, path) -> None:
-        """Row-major dump: magic, sizes, drift, seed, times, S, then V."""
+        """Row-major dump: magic, sizes, drift, seed (two uint64 words, low
+        then high, so any seed below 2**128 fits), times, S, then V."""
+        _check_seed(self.seed)
         has_v = self.v_paths is not None
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
@@ -136,7 +140,7 @@ class PathEnsemble:
                                _SCHEME_CODES[self.scheme]], dtype=np.uint64)
             fh.write(header.tobytes())
             fh.write(np.array([self.phi], dtype=np.float64).tobytes())
-            fh.write(np.array([self.seed], dtype=np.int64).tobytes())
+            fh.write(np.array([self.seed & _WORD, self.seed >> 64], dtype=np.uint64).tobytes())
             fh.write(np.ascontiguousarray(self.times, dtype=np.float64).tobytes())
             # step-major paths are copied into path-major order a chunk of
             # paths at a time, so the copy stays small
@@ -149,19 +153,21 @@ class PathEnsemble:
 def read_paths_binary(path) -> PathEnsemble:
     """Read a dump written by ``PathEnsemble.to_binary``.
 
-    The sizes in the header are checked against the file length before any
-    data is read, so a truncated file or one with trailing bytes raises a
-    ValueError that states both byte counts.
+    Dumps with the older MGPATHS1 header, whose seed is one int64, are read
+    too.  The sizes in the header are checked against the file length
+    before any data is read, so a truncated file or one with trailing bytes
+    raises a ValueError that states both byte counts.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
-        if magic != _MAGIC:
+        if magic not in (_MAGIC, _MAGIC_V1):
             raise ValueError(f"not a paths dump: bad magic {magic!r}")
-        fixed = 8 + 32 + 8 + 8
+        seed_bytes = 16 if magic == _MAGIC else 8
+        fixed = 8 + 32 + 8 + seed_bytes
         if size < fixed:
             raise ValueError(f"paths dump is truncated: expected at least {fixed} "
-                             f"bytes for the header, file has {size}")
+                             f"bytes for the {magic.decode()} header, file has {size}")
         n_paths, n_times, has_v, scheme_code = (
             int(v) for v in np.frombuffer(fh.read(32), dtype=np.uint64))
         if has_v not in (0, 1):
@@ -173,7 +179,11 @@ def read_paths_binary(path) -> PathEnsemble:
             raise ValueError(f"paths dump size mismatch: header implies {expected} "
                              f"bytes, file has {size}")
         phi = float(np.frombuffer(fh.read(8), dtype=np.float64)[0])
-        seed = int(np.frombuffer(fh.read(8), dtype=np.int64)[0])
+        if magic == _MAGIC:
+            low, high = (int(w) for w in np.frombuffer(fh.read(16), dtype=np.uint64))
+            seed = low | high << 64
+        else:
+            seed = int(np.frombuffer(fh.read(8), dtype=np.int64)[0])
         times = np.frombuffer(fh.read(8 * n_times), dtype=np.float64).copy()
         s = np.frombuffer(fh.read(8 * n_paths * n_times),
                           dtype=np.float64).reshape(n_paths, n_times).copy()

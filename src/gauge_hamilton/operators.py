@@ -6,19 +6,28 @@ operators here are compositions of difference matrices with diagonal
 coefficient matrices.  Interior stencils are second-order central; boundary
 rows use one-sided second-order differences under the default policy.
 
-Each 1D difference stencil is assembled directly as a CSR matrix from
-index and value arrays: the interior band for rows 1..n-2 plus the two end
-rows the boundary policy prescribes.  Columns are sorted and no zero is
-stored, so sums, products and Kronecker blocks built from the stencils
-have the pattern of their nonzeros.
+An operator is held as its diagonals in DIA layout: offsets ascending, the
+main diagonal among them, data[k, j] the entry in column j of row
+j - offsets[k], and +0 where there is none.  1D stencils are written
+straight into diagonals (the interior band plus the two end rows the
+boundary policy prescribes); on a 2D grid, flat index i ny + j, a block is
+the Kronecker product of its x and y stencils, the product of their
+entries at offsets a and b sitting on diagonal a ny + b.  A term scales
+its block's entries by its coefficient at their rows, and a Hamiltonian is
+the per-offset sum of its terms in the table's order: the entries of the
+Kronecker products, diagonal scalings and CSR sums they replace, with no
+CSR matrix made.  ``LinearOperator.matrix`` is a CSR view (sorted, no
+stored zero) made on first use, for products, ``apply``,
+``hermiticity_defect`` and ``to_coo_csv``; a product is read back into
+diagonals by ``_diagonals``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Callable, Union
 
 import numpy as np
@@ -48,26 +57,92 @@ BOUNDARY_POLICIES = ("one-sided-interior", "zero-padded")
 TRANSFORM_CONVENTIONS = ("direct", "left", "right")
 
 Grid = Union[LogGrid1D, LogGrid2D]
+Diagonals = tuple[np.ndarray, np.ndarray]
+
+_MAIN = np.zeros(1, dtype=np.intp)   # the offset of the main diagonal
 
 
-def _stencil(n: int, band: tuple, first: tuple, last: tuple) -> sp.csr_matrix:
-    """CSR matrix from an interior band and two end rows.
+def _diagonals(m: sp.csr_matrix, rows: np.ndarray) -> Diagonals:
+    """The nonzero entries of the CSR matrix ``m`` on the ``rows`` it keeps (a
+    boolean mask) as diagonals, in DIA layout: data[k, j] = m[j - offsets[k],
+    j], the offsets ascending, the main diagonal always among them.
 
-    ``band`` is ((offsets), (values)) for rows 1..n-2, offsets ascending;
-    ``first`` and ``last`` are ((columns), (values)) for rows 0 and n-1,
-    columns ascending.  No value may be zero, so nothing zero is stored.
+    One pass over the CSR arrays, in any order: duplicate entries are summed
+    in the order they are stored, and the entries left out (stored zeros and
+    the rows not kept) are sent to a spare diagonal that is dropped.  ``m``
+    is never copied, sorted or written.  Returns (offsets, data).
     """
-    offsets, coeffs = band
-    k = len(offsets)
-    inner = n - 2
-    indices = np.concatenate([first[0], (np.arange(1, n - 1)[:, None] + offsets).ravel(),
-                              last[0]])
-    data = np.concatenate([first[1], np.tile(coeffs, inner), last[1]])
-    indptr = np.concatenate([[0], len(first[0]) + k * np.arange(inner + 1), [indices.size]])
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    n = m.shape[0]
+    counts = np.diff(m.indptr)
+    # each entry's offset shifted by n, or 0, the spare slot
+    key = m.indices + np.arange(n, 0, -1).repeat(counts)
+    key *= rows.repeat(counts) & (m.data != 0.0)
+    present = np.zeros(2 * n, dtype=bool)
+    present[key] = True
+    present[0], present[n] = False, True   # the main diagonal is always read
+    # slot k > 0 holds the k-th offset present, slot 0 the entries left out
+    slot = present.cumsum()[key] * n + m.indices
+    offsets = present.nonzero()[0] - n
+    data = np.bincount(slot, weights=m.data, minlength=(offsets.size + 1) * n)
+    return offsets, data.reshape(-1, n)[1:]
 
 
-def _first_difference(n: int, h: float, policy: str) -> sp.csr_matrix:
+def _sum(n: int, parts) -> Diagonals:
+    """The per-offset sum of diagonals (offsets, rows), in the order given;
+    the rows may be made as they are read.
+
+    Each entry starts at +0 and every part adds its own entry, an absent one
+    adding nothing: the entry a fold of CSR sums gives, and +0 where that
+    fold stores nothing.  The main diagonal is always among the offsets.
+    """
+    parts = [(o.tolist(), d) for o, d in parts]
+    index = {o: k for k, o in enumerate(sorted({0}.union(*(o for o, _ in parts))))}
+    data = np.zeros((len(index), n))
+    sums = list(data)   # a view of each diagonal, added to in place
+    for part_offsets, part_data in parts:
+        for o, row in zip(part_offsets, part_data):
+            sums[index[o]] += row
+    return np.array(list(index)), data
+
+
+def _scale_rows(diagonals, c: np.ndarray):
+    """diag(c) @ M on M's diagonals (offsets, rows): each entry times c at
+    its row.  The rows are M's own, scaled in place as they are read."""
+    offsets, rows = diagonals
+
+    def scaled():
+        for o, row in zip(offsets.tolist(), rows):
+            lo, hi = max(o, 0), row.size + min(o, 0)   # the columns of rows 0..n-1
+            row[lo:hi] *= c[lo - o:hi - o]
+            yield row
+    return offsets, scaled()
+
+
+def _main(values: np.ndarray) -> Diagonals:
+    """The diagonals of diag(values)."""
+    return _MAIN, np.asarray(values, dtype=float)[None, :]
+
+
+def _stencil(n: int, band: tuple, first: tuple, last: tuple) -> Diagonals:
+    """Diagonals of the matrix with an interior band and two end rows.
+
+    ``band`` is ((offsets), (values)) for rows 1..n-2; ``first`` and
+    ``last`` are ((columns), (values)) for rows 0 and n-1.  No value may be
+    zero, so the nonzero pattern is the stored one.
+    """
+    index = {o: k for k, o in enumerate(sorted({*band[0], *first[0],
+                                                *(c - n + 1 for c in last[0])}))}
+    data = np.zeros((len(index), n))
+    # entry (i, i + o) sits in column i + o of diagonal o
+    for o, v in zip(*band):
+        data[index[o], 1 + o:n - 1 + o] = v
+    for row, (cols, values) in ((0, first), (n - 1, last)):
+        for c, v in zip(cols, values):
+            data[index[c - row], c] = v
+    return np.array(list(index)), data
+
+
+def _first_difference(n: int, h: float, policy: str) -> Diagonals:
     """d/dx: central (f[i+1]-f[i-1])/(2h) inside, policy-dependent ends."""
     inv2h = 1.0 / (2.0 * h)
     if policy == "one-sided-interior":
@@ -78,7 +153,7 @@ def _first_difference(n: int, h: float, policy: str) -> sp.csr_matrix:
     return _stencil(n, ((-1, 1), (-inv2h, inv2h)), first, last)
 
 
-def _second_difference(n: int, h: float, policy: str) -> sp.csr_matrix:
+def _second_difference(n: int, h: float, policy: str) -> Diagonals:
     """d2/dx2: central (f[i-1]-2f[i]+f[i+1])/h^2 inside."""
     invh2 = 1.0 / (h * h)
     if policy == "one-sided-interior":
@@ -97,56 +172,80 @@ def _check_policy(policy: str) -> None:
 
 @dataclass(eq=False)
 class LinearOperator:
-    """A grid, a sparse matrix on it, the boundary policy its stencils were
-    built under, and their stencil reach.
+    """A grid, an operator's diagonals on it, the boundary policy its
+    stencils were built under, and their stencil reach.
 
-    ``+``, ``-``, ``@`` and scalar ``*`` are the operator algebra; the result
-    keeps the left operand's policy.  stencil_reach records how many layers
-    a row may reference; a product adds its factors' reaches, a sum keeps
-    the larger, which matters when deciding how deep an "interior"
-    comparison must sit.
+    ``diagonals`` is (offsets, data) in the DIA layout the module docstring
+    sets out; a sparse matrix given in their place is read into them.
+    ``matrix`` is the CSR view, made on first use.  ``+``, ``-``, ``@`` and
+    scalar ``*`` are the operator algebra; the result keeps the left
+    operand's policy.  stencil_reach records how many layers a row may
+    reference; a product adds its factors' reaches, a sum keeps the larger,
+    which matters when deciding how deep an "interior" comparison must sit.
     """
 
     grid: Grid
-    matrix: sp.csr_matrix
+    diagonals: Diagonals
     boundary_policy: str = "one-sided-interior"
     stencil_reach: int = 1
 
     def __post_init__(self):
         _check_policy(self.boundary_policy)
-        # a CSR matrix is stored as given: the algebra wraps every intermediate result
-        mat = self.matrix if isinstance(self.matrix, sp.csr_matrix) else sp.csr_matrix(self.matrix)
         n = self.grid.n_points
-        if mat.shape != (n, n):
-            raise ValueError(f"matrix shape {mat.shape} does not match grid size {n}")
-        if mat.nnz and not np.all(np.isfinite(mat.data)):
+        if sp.issparse(self.diagonals):
+            if self.diagonals.shape != (n, n):
+                raise ValueError(f"matrix shape {self.diagonals.shape} does not match "
+                                 f"grid size {n}")
+            self.diagonals = _diagonals(sp.csr_matrix(self.diagonals), np.ones(n, dtype=bool))
+        offsets, data = self.diagonals
+        if data.shape != (offsets.size, n):
+            raise ValueError(f"diagonals of shape {data.shape} do not match "
+                             f"{offsets.size} offsets on grid size {n}")
+        if not np.isfinite(data).all():
             raise ValueError("operator entries must be finite")
-        self.matrix = mat
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The CSR view: sorted columns and no stored zero."""
+        offsets, data = self.diagonals
+        n = data.shape[1]
+        mat = sp.dia_matrix((data, offsets), shape=(n, n)).tocsr()
+        # int32 indices and sorted rows, whichever scipy made the conversion
+        mat = sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=(n, n))
+        mat.sum_duplicates()
+        return mat
 
     def apply(self, f: GridFunction) -> GridFunction:
         if f.grid != self.grid:
             raise ValueError("grid mismatch: operator and grid function live on different grids")
         return GridFunction(self.grid, self.matrix @ f.values, allow_masked=f.allow_masked)
 
-    def _combine(self, other: "LinearOperator", op, reach) -> "LinearOperator":
+    def _check(self, other: "LinearOperator") -> None:
         if not isinstance(other, LinearOperator):
             raise TypeError("expected a LinearOperator")
         if other.grid != self.grid:
             raise ValueError("grid mismatch: operators live on different grids")
-        return LinearOperator(self.grid, op(self.matrix, other.matrix), self.boundary_policy,
-                              reach(self.stencil_reach, other.stencil_reach))
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        return self._combine(other, operator.add, max)
+        self._check(other)
+        total = _sum(self.grid.n_points, [self.diagonals, other.diagonals])
+        return LinearOperator(self.grid, total, self.boundary_policy,
+                              max(self.stencil_reach, other.stencil_reach))
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        return self._combine(other, operator.sub, max)
+        self._check(other)
+        return self + -other
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        return self._combine(other, operator.matmul, operator.add)
+        self._check(other)
+        return LinearOperator(self.grid, self.matrix @ other.matrix, self.boundary_policy,
+                              self.stencil_reach + other.stencil_reach)
 
     def __mul__(self, scalar: float) -> "LinearOperator":
-        return LinearOperator(self.grid, self.matrix * float(scalar), self.boundary_policy,
+        offsets, data = self.diagonals
+        scaled = data * float(scalar)
+        scaled += 0.0   # +0 where a product vanished
+        return LinearOperator(self.grid, (offsets, scaled), self.boundary_policy,
                               self.stencil_reach)
 
     __rmul__ = __mul__
@@ -155,8 +254,8 @@ class LinearOperator:
         return self * -1.0
 
     def max_abs(self) -> float:
-        """Largest absolute entry; 0 for an empty matrix."""
-        return float(np.abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
+        """Largest absolute entry; 0 for an operator with none."""
+        return float(np.abs(self.diagonals[1]).max())
 
     def to_coo_csv(self, path) -> None:
         """Dump the matrix as row,col,value records for debugging."""
@@ -165,7 +264,7 @@ class LinearOperator:
 
 
 def identity_operator(grid: Grid) -> LinearOperator:
-    return LinearOperator(grid, sp.identity(grid.n_points, format="csr"), stencil_reach=0)
+    return LinearOperator(grid, _main(np.ones(grid.n_points)), stencil_reach=0)
 
 
 def momentum_operator(grid: Grid, axis: str = "x",
@@ -174,8 +273,8 @@ def momentum_operator(grid: Grid, axis: str = "x",
     _check_policy(policy)
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    (mat,) = _difference_blocks(grid, policy, "d" + axis)
-    return LinearOperator(grid, mat, policy)
+    return LinearOperator(grid, _sum(grid.n_points, _difference_blocks(grid, policy, "d" + axis)),
+                          policy)
 
 
 def apply(op: LinearOperator, f: GridFunction) -> GridFunction:
@@ -214,11 +313,16 @@ _BLOCK_STENCILS = {
 }
 
 
-def _difference_blocks(grid: Grid, policy: str, *names: str) -> tuple[sp.csr_matrix, ...]:
-    """The named difference blocks on the flat grid, and no others.
+def _difference_blocks(grid: Grid, policy: str, *names: str) -> tuple:
+    """The named difference blocks on the flat grid, and no others, each as
+    its diagonals' offsets and an iterable of their rows.
 
     On a 1D grid an x block is the stencil itself; on a 2D grid a block is
-    the Kronecker product of its x and y factors.
+    the Kronecker product of its x and y factors, laid out as the module
+    docstring says, and each row is made as it is read, so a sum of blocks
+    holds one block row at a time.  The cross block's y offsets reach two
+    points and ny >= 5, so its diagonals a ny + b are distinct, ascending in
+    (a, b).
     """
     out = []
     for name in names:
@@ -228,14 +332,19 @@ def _difference_blocks(grid: Grid, policy: str, *names: str) -> tuple[sp.csr_mat
                 raise ValueError(f"1D grids only have an x axis, got block {name!r}")
             out.append(along_x(grid.n, grid.h, policy))
             continue
-        fx = sp.identity(grid.nx) if along_x is None else along_x(grid.nx, grid.hx, policy)
-        fy = sp.identity(grid.ny) if along_y is None else along_y(grid.ny, grid.hy, policy)
-        out.append(sp.kron(fx, fy, format="csr"))
+        nx, ny = grid.nx, grid.ny
+        if along_y is None:
+            ox, fx = along_x(nx, grid.hx, policy)
+            out.append((ox * ny, (np.repeat(row, ny) for row in fx)))
+        elif along_x is None:
+            oy, fy = along_y(ny, grid.hy, policy)
+            out.append((oy, (np.tile(row, nx) for row in fy)))
+        else:
+            (ox, fx), (oy, fy) = along_x(nx, grid.hx, policy), along_y(ny, grid.hy, policy)
+            # one iterable of pairs: a generator binds only its first iterable when made
+            out.append(((ox[:, None] * ny + oy).ravel(),
+                        (np.multiply.outer(a, b).ravel() for a, b in itertools.product(fx, fy))))
     return tuple(out)
-
-
-def _diag(values: np.ndarray) -> sp.csr_matrix:
-    return sp.diags(values, format="csr")
 
 
 # the difference block each named derivative term acts through
@@ -279,6 +388,18 @@ def _term_coefficients(params: ModelParams, grid: Grid, model: str) -> dict:
     raise ValueError(f"unknown model {model!r}; choose bs, mg or gauge")
 
 
+def _terms(params: ModelParams, grid: Grid, model: str, policy: str) -> dict:
+    """The diagonals of each named term, in the table's order, as offsets
+    and rows made as they are read."""
+    _check_policy(policy)
+    coefs = _term_coefficients(params, grid, model)
+    blocks = _difference_blocks(grid, policy, *(_TERM_BLOCKS[name] for name in coefs))
+    terms = {name: _scale_rows(block, np.full(grid.n_points, c))
+             for (name, c), block in zip(coefs.items(), blocks)}
+    terms["potential"] = _main(np.full(grid.n_points, params.r))
+    return terms
+
+
 def hamiltonian_terms(params: ModelParams, grid: Grid, model: str = "bs",
                       policy: str = "one-sided-interior") -> dict[str, LinearOperator]:
     """Individual named terms of a Hamiltonian, before summation.
@@ -290,13 +411,14 @@ def hamiltonian_terms(params: ModelParams, grid: Grid, model: str = "bs",
     model does not use are omitted.  The gauge model here is the expanded
     form; the factored form does not decompose into these terms.
     """
-    _check_policy(policy)
-    coefs = _term_coefficients(params, grid, model)
-    blocks = _difference_blocks(grid, policy, *(_TERM_BLOCKS[name] for name in coefs))
-    terms = {name: _diag(c) @ block if isinstance(c, np.ndarray) else c * block
-             for (name, c), block in zip(coefs.items(), blocks)}
-    terms["potential"] = params.r * sp.identity(grid.n_points, format="csr")
-    return {name: LinearOperator(grid, mat, policy) for name, mat in terms.items()}
+    return {name: LinearOperator(grid, _sum(grid.n_points, [term]), policy)
+            for name, term in _terms(params, grid, model, policy).items()}
+
+
+def _hamiltonian(params: ModelParams, grid: Grid, model: str, policy: str) -> LinearOperator:
+    """The sum of a model's named terms, in the table's order."""
+    terms = _terms(params, grid, model, policy)
+    return LinearOperator(grid, _sum(grid.n_points, terms.values()), policy)
 
 
 def _gauge_sig2(params: ModelParams, grid: LogGrid2D) -> np.ndarray:
@@ -315,7 +437,7 @@ def build_bs_hamiltonian(params: ModelParams, grid: Grid,
     It annihilates e^x exactly in the continuum and is non-Hermitian unless
     sigma^2 = 2r, where the first-derivative coefficient vanishes.
     """
-    return reduce(operator.add, hamiltonian_terms(params, grid, "bs", policy).values())
+    return _hamiltonian(params, grid, "bs", policy)
 
 
 def build_mg_hamiltonian(params: ModelParams, grid: LogGrid2D,
@@ -330,7 +452,7 @@ def build_mg_hamiltonian(params: ModelParams, grid: LogGrid2D,
     With ``vol_vol_half`` the last coefficient is halved.  Variable
     coefficients multiply from the left (evaluated at the output point).
     """
-    return reduce(operator.add, hamiltonian_terms(params, grid, "mg", policy).values())
+    return _hamiltonian(params, grid, "mg", policy)
 
 
 def build_gauge_hamiltonian(params: ModelParams, grid: LogGrid2D,
@@ -350,16 +472,16 @@ def build_gauge_hamiltonian(params: ModelParams, grid: LogGrid2D,
     if not isinstance(grid, LogGrid2D):
         raise TypeError("the gauge Hamiltonian needs a 2D grid")
     if form == "expanded":
-        return reduce(operator.add, hamiltonian_terms(params, grid, "gauge", policy).values())
+        return _hamiltonian(params, grid, "gauge", policy)
     if form != "factored":
         raise ValueError(f"form must be 'expanded' or 'factored', got {form!r}")
-    dx, dy = _difference_blocks(grid, policy, "dx", "dy")
+    d = momentum_operator(grid, "x", policy) + momentum_operator(grid, "y", policy)
     sig2 = _gauge_sig2(params, grid)
-    d = dx + dy
-    mat = (_diag(-0.5 * sig2) @ (d @ d)
-           + _diag(0.5 * sig2 - params.r) @ d
-           + params.r * sp.identity(grid.n_points, format="csr"))
-    return LinearOperator(grid, mat, policy, stencil_reach=2)
+
+    def diag(values):
+        return LinearOperator(grid, _main(values), policy, stencil_reach=0)
+    return (diag(-0.5 * sig2) @ (d @ d) + diag(0.5 * sig2 - params.r) @ d
+            + params.r * identity_operator(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +538,7 @@ def gauge_operator(gauge: GaugeField, grid: Grid) -> LinearOperator:
     peak = float(np.abs(w).max())
     if peak >= _EXP_LIMIT:
         raise ValueError(f"gauge exponent overflows: max |omega*theta| = {peak:g}")
-    return LinearOperator(grid, _diag(np.exp(w)), stencil_reach=0)
+    return LinearOperator(grid, _main(np.exp(w)), stencil_reach=0)
 
 
 def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
@@ -442,10 +564,10 @@ def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
         tx = finite_on_grid(gauge.theta_x(*_grid_coords(grid)), grid, "theta_x")
         sig2, om = params.sigma * params.sigma, gauge.omega
         (dx,) = _difference_blocks(grid, policy, "dx")
-        extra = (_diag(sig2 * om * tx) @ dx
-                 + _diag(0.5 * sig2 * om * (1.0 + om) * tx * tx
-                         + om * (0.5 * sig2 - params.r) * tx))
-        return LinearOperator(grid, h_bs.matrix + extra, policy)
+        extra = _sum(grid.n_points, [_scale_rows(dx, sig2 * om * tx),
+                                     _main(0.5 * sig2 * om * (1.0 + om) * tx * tx
+                                           + om * (0.5 * sig2 - params.r) * tx)])
+        return LinearOperator(grid, _sum(grid.n_points, [h_bs.diagonals, extra]), policy)
     u = gauge_operator(gauge, grid).matrix
     u_inv = gauge_operator(replace(gauge, omega=-gauge.omega), grid).matrix
     mat = u_inv @ h_bs.matrix @ u if convention == "left" else u @ h_bs.matrix @ u_inv

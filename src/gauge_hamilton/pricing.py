@@ -8,14 +8,15 @@ the theta scheme
     (I + theta dtau H) C_new = (I - (1-theta) dtau H) C_old,
 
 and on 2D grids by ADI sweeps that solve systems of the same kind.  An
-operator is read off its CSR arrays once, by one reader for 1D and 2D grids
-(_diagonals): its diagonals in DIA layout, less the boundary rows, in any
-entry order and without a copy.  Every theta-system, I + s M with its
-boundary rows pinned or zeroed, is assembled from them in one
-representation, LAPACK band storage, which is DIA storage row for row: each
-theta's systems are scaled from M's band, and each implicit system has one
-LU factor per theta, gttrf/gttrs when it is tridiagonal, gbtrf/gbtrs with
-its own band widths when an operator's one-sided end rows reach further.
+operator is held as its diagonals in DIA layout (operators.LinearOperator),
+and each stepper reads them once, by one reader for 1D and 2D grids
+(_kept_diagonals): the diagonals less the boundary rows, with no CSR matrix
+made on the way.  Every theta-system, I + s M with its boundary rows pinned
+or zeroed, is assembled from them in one representation, LAPACK band
+storage, which is DIA storage row for row: each theta's systems are scaled
+from M's band, and each implicit system has one LU factor per theta,
+gttrf/gttrs when it is tridiagonal, gbtrf/gbtrs with its own band widths
+when an operator's one-sided end rows reach further.
 In 1D the explicit product and the residual are BLAS gbmv calls on the
 bands, and max|r| is BLAS idamax's entry: the step loop makes no
 scipy.sparse call and no temporary array.  On 2D grids the operator A = -H
@@ -39,7 +40,6 @@ sweeps with theta = 1 and no correction stage.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -273,10 +273,12 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
                          "take their face rows from a FarFieldBoundary")
     dt = maturity / n_steps
 
-    if theta_scheme < 0.5 and h.matrix.nnz:
-        # explicit component: estimate the spectral bound by Gershgorin
-        row_sums = np.asarray(np.abs(h.matrix).sum(axis=1)).ravel()
-        bound = float(row_sums.max())
+    if theta_scheme < 0.5:
+        # explicit component: estimate the spectral bound by Gershgorin, each
+        # row's sum of |entries| a DIA product with ones
+        offsets, data = h.diagonals
+        n = grid.n_points
+        bound = float((sp.dia_matrix((np.abs(data), offsets), shape=(n, n)) @ np.ones(n)).max())
         if bound > 0 and dt * (1.0 - 2.0 * theta_scheme) * bound > 2.0:
             warnings.warn(
                 f"explicit step may be unstable: dt = {dt:g} exceeds "
@@ -310,34 +312,44 @@ def _relative_residual(resid: np.ndarray, rhs: np.ndarray) -> float:
             math.fabs(resid[idamax(resid)]) / max(1.0, math.fabs(rhs[idamax(rhs)])))
 
 
+def _latest_theta(build):
+    """``build(theta)``, kept for the latest theta only.  evolve changes
+    theta at most once, from the startup's 1 to theta_scheme, and the
+    startup's systems are dropped before the next are built, so the steps
+    never hold two thetas' systems at once."""
+    held = {}
+
+    def get(theta: float):
+        if theta not in held:
+            held.clear()
+            held[theta] = build(theta)
+        return held[theta]
+    return get
+
+
 def _check_pivots(info: int) -> None:
     if info > 0:
         raise EvolveError(f"implicit matrix factorization failed: zero pivot in row {info}")
 
 
-def _diagonals(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero entries of the CSR matrix ``m`` on the ``rows`` it keeps (a
-    boolean mask) as diagonals, in DIA layout: data[k, j] = m[j - offsets[k],
-    j], the offsets ascending, the main diagonal always among them.
-
-    One pass over the CSR arrays, in any order: duplicate entries are summed
-    in the order they are stored, and the entries left out (stored zeros and
-    the rows not kept) are sent to a spare diagonal that is dropped.  ``m``
-    is never copied, sorted or written.  Returns (offsets, data).
-    """
-    n = m.shape[0]
-    counts = np.diff(m.indptr)
-    # each entry's offset shifted by n, or 0, the spare slot
-    key = m.indices + np.arange(n, 0, -1).repeat(counts)
-    key *= rows.repeat(counts) & (m.data != 0.0)
-    present = np.zeros(2 * n, dtype=bool)
-    present[key] = True
-    present[0], present[n] = False, True   # the main diagonal is always read
-    # slot k > 0 holds the k-th offset present, slot 0 the entries left out
-    slot = present.cumsum()[key] * n + m.indices
-    offsets = present.nonzero()[0] - n
-    data = np.bincount(slot, weights=m.data, minlength=(offsets.size + 1) * n)
-    return offsets, data.reshape(-1, n)[1:]
+def _kept_diagonals(h: LinearOperator, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H's diagonals on the ``rows`` it keeps (a boolean mask), as
+    operators._diagonals would read them off H's CSR view: the other rows'
+    entries +0, and the diagonals with no nonzero entry left dropped, all
+    but the main one.  H is not copied or written.  Returns (offsets,
+    data)."""
+    offsets, data = h.diagonals
+    n = rows.size
+    kept = []
+    for o, row in zip(offsets.tolist(), data):
+        lo, hi = max(o, 0), n + min(o, 0)   # the columns of rows 0..n-1
+        entries = np.where(rows[lo - o:hi - o], row[lo:hi], 0.0)
+        if o == 0 or entries.any():
+            kept.append((o, lo, hi, entries))
+    out = np.zeros((len(kept), n))
+    for k, (_, lo, hi, entries) in enumerate(kept):
+        out[k, lo:hi] = entries
+    return np.array([o for o, *_ in kept]), out
 
 
 def _theta_band(stored: tuple[np.ndarray, int, int], s: float, replaced=(),
@@ -346,8 +358,8 @@ def _theta_band(stored: tuple[np.ndarray, int, int], s: float, replaced=(),
     identity rows when ``pinned`` and zero rows otherwise.
 
     ``stored`` holds H's band as _dia_band writes it from the diagonals
-    _diagonals reads without those rows.  H is scaled and 1 is added on the
-    diagonal; a product that vanishes is stored as +0.  A band wider than
+    _kept_diagonals reads without those rows.  H is scaled and 1 is added on
+    the diagonal; a product that vanishes is stored as +0.  A band wider than
     tridiagonal is trimmed of the outer diagonals that come out all zero
     (all of them at s = 0), down to one on each side.  Returns (band, kl,
     ku), in Fortran order for gbmv.
@@ -397,9 +409,9 @@ def _band_stepper(h: LinearOperator, dt: float, boundary: Optional[FarFieldBound
     """
     grid, n = h.grid, h.grid.n
     replaced = () if boundary is None else (0, n - 1)
-    stored = _dia_band(*_diagonals(h.matrix, grid.interior_mask(0 if boundary is None else 1)))
+    stored = _dia_band(*_kept_diagonals(h, grid.interior_mask(0 if boundary is None else 1)))
 
-    @functools.cache
+    @_latest_theta
     def get_system(theta: float):
         a = _theta_band(stored, theta * dt, replaced, pinned=True)
         b = _theta_band(stored, -((1.0 - theta) * dt), replaced)
@@ -434,8 +446,8 @@ def _split_directions(h: LinearOperator) -> tuple[sp.dia_matrix, sp.dia_matrix, 
     """
     grid = h.grid
     n, ny = grid.n_points, grid.ny
-    offsets, a = _diagonals(h.matrix, grid.interior_mask(1))
-    a = 0.0 - a   # A = -H, its empty slots +0
+    offsets, a = _kept_diagonals(h, grid.interior_mask(1))
+    np.subtract(0.0, a, out=a)   # A = -H, its empty slots +0
     main = offsets == 0
     diagonal = a[main][0]
     a[main] = 0.0
@@ -462,10 +474,10 @@ def _split_directions(h: LinearOperator) -> tuple[sp.dia_matrix, sp.dia_matrix, 
 
 def _dia_band(offsets: np.ndarray, data: np.ndarray, step: int = 1,
               order=slice(None)) -> tuple[np.ndarray, int, int]:
-    """Diagonals in DIA layout, as _diagonals returns them (offsets ascending,
-    0 among them), in LAPACK band storage: offset q * ``step`` on band row
-    ku - q, and band column k holding the diagonals' column ``order[k]``.
-    Returns (band, kl, ku), the band in Fortran order."""
+    """Diagonals in DIA layout, as _kept_diagonals returns them (offsets
+    ascending, 0 among them), in LAPACK band storage: offset q * ``step`` on
+    band row ku - q, and band column k holding the diagonals' column
+    ``order[k]``.  Returns (band, kl, ku), the band in Fortran order."""
     q = offsets // step
     kl, ku = max(1, -int(q[0])), max(1, int(q[-1]))
     band = np.zeros((kl + ku + 1, data.shape[1]), order="F")
@@ -521,7 +533,7 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
             return r
         return resid
 
-    @functools.cache
+    @_latest_theta
     def get_system(theta: float):
         band_x = sweep_band(stored_x, -(theta * dt), replaced_x)
         band_y = sweep_band(stored_y, -(theta * dt), replaced)

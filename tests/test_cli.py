@@ -377,6 +377,16 @@ def test_simulate_writes_artifacts(runner, tmp_path):
     assert float(rows[0]["s_last"]) == ens.s_paths[0, -1]
 
 
+def test_simulate_dumps_a_seed_beyond_one_word(runner, tmp_path):
+    # seeds in [2**63, 2**128) are valid Philox keys; their dump used to
+    # fail with an OverflowError
+    paths = tmp_path / "paths.bin"
+    result = runner.invoke(main, ["simulate", "--s0", "100", "--n-paths", "20", "--n-steps", "3",
+                                  "--seed", "18446744073709551616", "--paths-out", str(paths)])
+    assert result.exit_code == 0, result.output
+    assert read_paths_binary(paths).seed == 2 ** 64
+
+
 def test_simulate_usage_error(runner):
     result = runner.invoke(main, ["simulate", "--s0", "-100"])
     assert result.exit_code == 2

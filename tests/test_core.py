@@ -126,6 +126,23 @@ def test_interior_mask_depth():
     assert g2.interior_mask(2).sum() == 1 * 3
 
 
+@pytest.mark.parametrize("depth", [-1, 11, 12, 2.5, True, "1"])
+def test_interior_mask_rejects_a_depth_that_leaves_no_interior(depth):
+    # -1 used to keep only the last point, 11 and 12 none, and 2.5 failed
+    # inside numpy's slicing
+    g = make_grid_1d(0.0, 1.0, 21)
+    assert g.interior_mask(10).sum() == 1 and g.interior_mask(0).all()
+    with pytest.raises(ValueError, match="^depth must be"):
+        g.interior_mask(depth)
+
+
+def test_interior_mask_checks_each_axis_of_a_2d_grid():
+    g = make_grid_2d(0.0, 1.0, 41, 0.0, 1.0, 5)
+    assert g.interior_mask(2).sum() == 37 * 1
+    with pytest.raises(ValueError, match=r"^depth must be below n/2 = 2.5, got 3$"):
+        g.interior_mask(3)
+
+
 def test_sample_exponential_corner():
     g = make_grid_2d(-1.0, 1.0, 5, -1.0, 1.0, 5)
     f = sample(lambda x, y: np.exp(x + y), g)

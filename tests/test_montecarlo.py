@@ -248,7 +248,7 @@ def whole_array_binary(ens, path):
         fh.write(np.array([ens.n_paths, ens.times.shape[0], int(has_v),
                            _SCHEME_CODES[ens.scheme]], dtype=np.uint64).tobytes())
         fh.write(np.array([ens.phi], dtype=np.float64).tobytes())
-        fh.write(np.array([ens.seed], dtype=np.int64).tobytes())
+        fh.write(np.array([ens.seed % 2 ** 64, ens.seed // 2 ** 64], dtype=np.uint64).tobytes())
         fh.write(np.ascontiguousarray(ens.times, dtype=np.float64).tobytes())
         fh.write(np.ascontiguousarray(ens.s_paths, dtype=np.float64))
         if has_v:
@@ -563,8 +563,55 @@ def test_binary_rejects_truncated_file(tmp_path):
     with pytest.raises(ValueError, match=f"implies {len(whole)} bytes, file has {len(whole) - 4}"):
         read_paths_binary(path)
     path.write_bytes(whole[:20])
-    with pytest.raises(ValueError, match="truncated: expected at least 56 bytes.*has 20"):
+    with pytest.raises(ValueError, match="truncated: expected at least 64 bytes for the "
+                                         "MGPATHS2 header, file has 20"):
         read_paths_binary(path)
+
+
+# a dump in the MGPATHS1 layout, whose seed is one int64, as the writer made
+# it before seeds took two words: simulate_mg(MG_P, 100.0, 0.04, 1.0, 1, 2,
+# seed=2**63 - 1)
+V1_DUMP = bytes.fromhex(
+    "4d47504154485331020000000000000002000000000000000100000000000000"
+    "00000000000000000000000000000000ffffffffffffff7f0000000000000000"
+    "000000000000f03f0300000000005940b2335fc5568d5a400300000000005940"
+    "d8f2b405c8d55b407b14ae47e17aa43f870cbcdeb188973f7b14ae47e17aa43f"
+    "fc918357da0ca13f")
+
+
+def test_binary_reads_the_one_word_seed_layout(tmp_path):
+    path = tmp_path / "v1.bin"
+    path.write_bytes(V1_DUMP)
+    back = read_paths_binary(path)
+    ens = simulate_mg(MG_P, 100.0, 0.04, 1.0, 1, 2, seed=2 ** 63 - 1)
+    assert (back.seed, back.scheme, back.phi) == (2 ** 63 - 1, ens.scheme, ens.phi)
+    for got, want in ((back.times, ens.times), (back.s_paths, ens.s_paths),
+                      (back.v_paths, ens.v_paths)):
+        np.testing.assert_array_equal(got, want)
+    path.write_bytes(V1_DUMP[:50])
+    with pytest.raises(ValueError, match="truncated: expected at least 56 bytes for the "
+                                         "MGPATHS1 header, file has 50"):
+        read_paths_binary(path)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64, 2 ** 128 - 1])
+def test_binary_round_trips_every_seed(tmp_path, seed):
+    # a seed of 2**63 or more used to overflow the dump's one int64 word
+    ens = simulate_gbm(RN, 100.0, 1.0, 3, 5, seed=seed)
+    path = tmp_path / "paths.bin"
+    ens.to_binary(path)
+    assert path.read_bytes()[:8] == b"MGPATHS2"
+    back = read_paths_binary(path)
+    assert back.seed == seed
+    np.testing.assert_array_equal(back.s_paths, ens.s_paths)
+
+
+def test_binary_refuses_a_seed_it_cannot_write(tmp_path):
+    ens = simulate_gbm(RN, 100.0, 1.0, 3, 5, seed=1)
+    for seed in (2 ** 128, -1):
+        bad = PathEnsemble(ens.times, ens.s_paths, None, seed, ens.scheme, ens.phi)
+        with pytest.raises(ValueError, match="^seed must be"):
+            bad.to_binary(tmp_path / "paths.bin")
 
 
 def test_binary_rejects_trailing_bytes(tmp_path):

@@ -32,8 +32,9 @@ from gauge_hamilton import (
     sample,
     smooth_probe_functions,
 )
-from gauge_hamilton.operators import (BOUNDARY_POLICIES, _difference_blocks, _first_difference,
-                                      _second_difference)
+from gauge_hamilton.operators import (BOUNDARY_POLICIES, _diagonals, _difference_blocks,
+                                      _first_difference, _second_difference, _sum)
+from gauge_hamilton.pricing import _kept_diagonals
 
 GRID_1D = make_grid_1d(3.5, 5.5, 41)
 GRID_2D = make_grid_2d(3.5, 5.5, 41, -4.0, -1.0, 21)
@@ -130,21 +131,28 @@ STENCIL_CASES = dict(
 )
 
 
+def csr_view(diagonals, n):
+    """The CSR view of a stencil's diagonals."""
+    return LinearOperator(make_grid_1d(0.0, 1.0, n), diagonals).matrix
+
+
 @settings(max_examples=80, deadline=None)
 @given(**STENCIL_CASES)
 def test_stencils_match_dense_reference(n, h, policy):
-    for build, reference in ((_first_difference, dense_first_difference),
-                             (_second_difference, dense_second_difference)):
-        m = build(n, h, policy)
+    for build, reference, frozen in (
+            (_first_difference, dense_first_difference, _reference_first_difference),
+            (_second_difference, dense_second_difference, _reference_second_difference)):
+        offsets, data = build(n, h, policy)
         dense = reference(n, h, policy)
-        assert m.format == "csr" and m.shape == (n, n)
-        np.testing.assert_array_equal(m.toarray(), dense)
-        # the stored pattern is exactly the nonzero pattern, in column order
-        assert m.nnz == np.count_nonzero(dense)
-        assert np.all(m.data != 0.0)
-        for i in range(n):
-            assert np.all(np.diff(m.indices[m.indptr[i]:m.indptr[i + 1]]) > 0)
-        assert m.has_sorted_indices
+        assert data.shape == (offsets.size, n) and np.all(np.diff(offsets) > 0)
+        view = csr_view((offsets, data), n)
+        np.testing.assert_array_equal(view.toarray(), dense)
+        # the stored pattern is exactly the nonzero pattern: every diagonal
+        # holds an entry, and a slot without one is +0
+        assert np.count_nonzero(data) == np.count_nonzero(dense)
+        assert data.any(axis=1).all() and not np.signbit(data[data == 0.0]).any()
+        # the CSR stencil the diagonals replaced, bit for bit
+        assert_same_csr(view, frozen(n, h, policy))
 
 
 @settings(max_examples=80, deadline=None)
@@ -160,10 +168,10 @@ def test_stencils_exact_on_low_degree_polynomials(n, h, policy, a, b, c, x0):
     # below the normal range rounding is absolute, one subnormal step, not
     # relative, so each bound carries that term next to eps * magnitude
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
-    d1 = _first_difference(n, h, policy) @ linear
+    d1 = csr_view(_first_difference(n, h, policy), n) @ linear
     np.testing.assert_allclose(d1[rows], b, rtol=0.0,
                                atol=64 * (eps * np.abs(linear).max() + tiny) / h)
-    d2 = _second_difference(n, h, policy) @ quadratic
+    d2 = csr_view(_second_difference(n, h, policy), n) @ quadratic
     np.testing.assert_allclose(d2[rows], 2.0 * c, rtol=0.0,
                                atol=256 * (eps * np.abs(quadratic).max() + tiny) / (h * h))
 
@@ -396,6 +404,16 @@ def test_hermiticity_defect_of_symmetric_operator():
     assert hermiticity_defect(p @ p, depth=2) == 0.0
 
 
+@pytest.mark.parametrize("depth", [-1, 11, 2.5])
+def test_hermiticity_defect_refuses_a_vacuous_interior(depth):
+    # depth -1 and 11 used to report 0.0 from a mask holding one point or
+    # none, on an operator whose interior defect is 0.3
+    h = build_bs_hamiltonian(P, make_grid_1d(3.5, 5.5, 21))
+    assert hermiticity_defect(h, depth=1) == pytest.approx(0.3, rel=1e-12)
+    with pytest.raises(ValueError, match="^depth must be"):
+        hermiticity_defect(h, depth=depth)
+
+
 # ---------------------------------------------------------------------------
 # gauge fields and transformations
 # ---------------------------------------------------------------------------
@@ -514,13 +532,49 @@ def test_smooth_probes_are_bounded_and_reusable():
 # one difference-block builder for both grid types
 # ---------------------------------------------------------------------------
 # The per-grid-type constructions the builder replaced are kept below as
-# the reference: every builder must store the same CSR arrays, bit for bit.
+# the reference, on the CSR stencils and Kronecker products the diagonal
+# build replaced: every builder's CSR view must store the canonical form of
+# the same CSR arrays, bit for bit.
+
+def _reference_stencil(n, band, first, last):
+    """CSR matrix from an interior band and two end rows, as the stencils
+    were assembled before they were written as diagonals."""
+    offsets, coeffs = band
+    k = len(offsets)
+    inner = n - 2
+    indices = np.concatenate([first[0], (np.arange(1, n - 1)[:, None] + offsets).ravel(),
+                              last[0]])
+    data = np.concatenate([first[1], np.tile(coeffs, inner), last[1]])
+    indptr = np.concatenate([[0], len(first[0]) + k * np.arange(inner + 1), [indices.size]])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _reference_first_difference(n, h, policy):
+    inv2h = 1.0 / (2.0 * h)
+    if policy == "one-sided-interior":
+        first = ((0, 1, 2), (-3.0 * inv2h, 4.0 * inv2h, -inv2h))
+        last = ((n - 3, n - 2, n - 1), (inv2h, -4.0 * inv2h, 3.0 * inv2h))
+    else:
+        first, last = ((1,), (inv2h,)), ((n - 2,), (-inv2h,))
+    return _reference_stencil(n, ((-1, 1), (-inv2h, inv2h)), first, last)
+
+
+def _reference_second_difference(n, h, policy):
+    invh2 = 1.0 / (h * h)
+    if policy == "one-sided-interior":
+        first = ((0, 1, 2, 3), (2.0 * invh2, -5.0 * invh2, 4.0 * invh2, -invh2))
+        last = ((n - 4, n - 3, n - 2, n - 1), (-invh2, 4.0 * invh2, -5.0 * invh2, 2.0 * invh2))
+    else:
+        first = ((0, 1), (-2.0 * invh2, invh2))
+        last = ((n - 2, n - 1), (invh2, -2.0 * invh2))
+    return _reference_stencil(n, ((-1, 0, 1), (invh2, -2.0 * invh2, invh2)), first, last)
+
 
 def _reference_blocks_2d(grid, policy):
-    d1x = _first_difference(grid.nx, grid.hx, policy)
-    d1y = _first_difference(grid.ny, grid.hy, policy)
-    d2x = _second_difference(grid.nx, grid.hx, policy)
-    d2y = _second_difference(grid.ny, grid.hy, policy)
+    d1x = _reference_first_difference(grid.nx, grid.hx, policy)
+    d1y = _reference_first_difference(grid.ny, grid.hy, policy)
+    d2x = _reference_second_difference(grid.nx, grid.hx, policy)
+    d2y = _reference_second_difference(grid.ny, grid.hy, policy)
     ix = sp.identity(grid.nx)
     iy = sp.identity(grid.ny)
     return {
@@ -534,8 +588,8 @@ def _reference_blocks_2d(grid, policy):
 
 def _reference_blocks(grid, policy):
     if isinstance(grid, LogGrid1D):
-        return {"dx": _first_difference(grid.n, grid.h, policy),
-                "dxx": _second_difference(grid.n, grid.h, policy)}
+        return {"dx": _reference_first_difference(grid.n, grid.h, policy),
+                "dxx": _reference_second_difference(grid.n, grid.h, policy)}
     return _reference_blocks_2d(grid, policy)
 
 
@@ -553,9 +607,21 @@ def _reference_transformed_direct(params, gauge, grid, policy):
     return h_bs + extra
 
 
+def canonical(m):
+    """A copy of ``m`` in CSR with sorted columns, duplicates summed and no
+    stored zero."""
+    m = sp.csr_matrix(m, copy=True)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m
+
+
 def assert_same_csr(got, want):
-    want = sp.csr_matrix(want)
+    """``got`` is canonical and stores the arrays of ``want``'s canonical
+    form, bit for bit."""
+    want = canonical(want)
     assert got.shape == want.shape
+    assert got.has_canonical_format and np.all(got.data != 0.0)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -572,7 +638,7 @@ WAVY = GaugeField(theta=lambda x, y: np.sin(x) + 0.3 * y,
 def test_block_builder_stores_the_reference_arrays(grid, policy):
     for name, want in _reference_blocks(grid, policy).items():
         (got,) = _difference_blocks(grid, policy, name)
-        assert_same_csr(got, want)
+        assert_same_csr(LinearOperator(grid, _sum(grid.n_points, [got]), policy).matrix, want)
     blocks = _reference_blocks(grid, policy)
     assert_same_csr(momentum_operator(grid, "x", policy).matrix, blocks["dx"])
     if not isinstance(grid, LogGrid1D):
@@ -680,6 +746,41 @@ def test_coefficient_table_stores_the_reference_arrays(grid, model, params, poli
     assert h.boundary_policy == policy and h.stencil_reach == 1
 
 
+GENERATED_GRIDS = st.one_of(
+    st.tuples(st.just("bs"), st.integers(5, 60), st.none()),
+    st.tuples(st.sampled_from(["bs", "mg", "gauge"]), st.integers(5, 30), st.integers(5, 20)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=GENERATED_GRIDS, policy=st.sampled_from(BOUNDARY_POLICIES),
+       r=st.floats(0.0, 0.1), sigma=st.floats(0.05, 0.6), alpha=st.floats(0.3, 1.5),
+       rho=st.one_of(st.just(0.0), st.floats(-0.95, 0.95)), vol_vol_half=st.booleans(),
+       sigma_local=st.booleans())
+def test_generated_operators_store_the_kronecker_arrays(case, policy, r, sigma, alpha, rho,
+                                                         vol_vol_half, sigma_local):
+    model, nx, ny = case
+    grid = (make_grid_1d(3.5, 5.5, nx) if ny is None else
+            make_grid_2d(3.5, 5.5, nx, -4.0, -1.0, ny))
+    params = ModelParams(r=r, sigma=sigma, lambda_=0.02, mu=-0.3, zeta=0.4, alpha=alpha,
+                         rho=rho, vol_vol_half=vol_vol_half, sigma_local=sigma_local)
+    want = _reference_terms(params, grid, model, policy)
+    got = hamiltonian_terms(params, grid, model, policy)
+    assert list(got) == list(want)
+    for name, op in got.items():
+        assert_same_csr(op.matrix, want[name])
+    reference = _reference_sum(want)
+    h = BUILDERS[model](params, grid, policy=policy)
+    assert_same_csr(h.matrix, reference)
+    # the rows a theta-stepper reads: all of them or the interior in 1D,
+    # the interior in 2D, read off the diagonals as off the reference CSR
+    for depth in ((0, 1) if ny is None else (1,)):
+        rows = grid.interior_mask(depth)
+        (offsets, data), (want_offsets, want_data) = (_kept_diagonals(h, rows),
+                                                      _diagonals(reference, rows))
+        np.testing.assert_array_equal(offsets, want_offsets)
+        np.testing.assert_array_equal(data.view(np.int64), want_data.view(np.int64))
+
+
 @pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
 @pytest.mark.parametrize("grid", [GRID_1D, GRID_2D], ids=["1d", "2d"])
 def test_operator_algebra_stores_the_reference_arrays(grid, policy):
@@ -702,10 +803,17 @@ def test_operator_algebra_stores_the_reference_arrays(grid, policy):
 
 
 def test_operator_is_a_grid_a_matrix_a_policy_and_a_reach():
+    # the matrix is held as its diagonals; a matrix given in their place is
+    # read into them, and the CSR view is made from them
     assert [f.name for f in dataclasses.fields(LinearOperator)] == [
-        "grid", "matrix", "boundary_policy", "stencil_reach"]
-    op = LinearOperator(GRID_1D, sp.identity(GRID_1D.n, format="csr"), "zero-padded", 0)
+        "grid", "diagonals", "boundary_policy", "stencil_reach"]
+    eye = sp.identity(GRID_1D.n, format="csr")
+    op = LinearOperator(GRID_1D, eye, "zero-padded", 0)
     assert op.stencil_reach == 0
+    offsets, data = op.diagonals
+    assert offsets.tolist() == [0] and np.array_equal(data, np.ones((1, GRID_1D.n)))
+    assert_same_csr(op.matrix, eye)
+    assert op.matrix is op.matrix
     with pytest.raises(TypeError, match="LinearOperator"):
         commutator(op, op.matrix)
     with pytest.raises(ValueError, match="grid mismatch"):

@@ -1,12 +1,15 @@
 """Closed forms, backward evolution, and the two PDE pricers."""
 
+import functools
 import io
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -45,8 +48,9 @@ from gauge_hamilton import (
     terminal_payoff,
 )
 from gauge_hamilton import pricing
-from gauge_hamilton.pricing import (_band_dia, _dia_band, _diagonals, _relative_residual,
-                                    _split_directions, _theta_band)
+from gauge_hamilton.operators import _diagonals
+from gauge_hamilton.pricing import (_band_dia, _dia_band, _relative_residual, _split_directions,
+                                    _theta_band)
 
 P = ModelParams(r=0.05, sigma=0.2)
 CALL = OptionContract("call", 100.0, 1.0)
@@ -872,10 +876,85 @@ def test_adi_steps_make_no_csr_product(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("a CSR product or conversion in a 2D step")
-    monkeypatch.setattr(sp.csr_matrix, "_matmul_vector", refuse)
+    # the public product operators, which every scipy release names alike
+    for name in ("__matmul__", "__rmatmul__", "dot"):
+        monkeypatch.setattr(sp.csr_matrix, name, refuse)
     monkeypatch.setattr(sp.dia_matrix, "tocsr", refuse)
     got = evolve(h, u0, 1.0, 10, boundary=boundary)
     np.testing.assert_array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])
+def test_evolve_holds_one_thetas_systems_at_a_time(monkeypatch, two_d):
+    # each theta's systems are factored once, and the startup's (theta = 1)
+    # are released before theta_scheme's are built, so no step holds both
+    solvers, released = [], []
+    band_solver = pricing._band_solver
+
+    def tracked(band, kl, ku):
+        released.append([ref() is None for ref in solvers])
+        solve = band_solver(band, kl, ku)
+        solvers.append(weakref.ref(solve))
+        return solve
+    monkeypatch.setattr(pricing, "_band_solver", tracked)
+    if two_d:
+        grid, h = ADI_GRID, build_mg_hamiltonian(ADI_P, ADI_GRID)
+    else:
+        grid = default_grid_1d(100.0, 0.2, 1.0, n=101)
+        h = build_bs_hamiltonian(P, grid)
+    evolve(h, terminal_payoff(CALL, grid), 1.0, 10, 0.5,
+           boundary=FarFieldBoundary(CALL, P.r))
+    per_theta = 2 if two_d else 1   # an x- and a y-sweep in 2D
+    assert len(solvers) == 2 * per_theta
+    assert released[per_theta] == [True] * per_theta
+
+
+def counting_views(monkeypatch):
+    """Count every CSR view an operator makes: the list of operators that
+    made one."""
+    made, view = [], LinearOperator.matrix
+    counted = functools.cached_property(lambda op: made.append(op) or view.func(op))
+    counted.__set_name__(LinearOperator, "matrix")
+    monkeypatch.setattr(LinearOperator, "matrix", counted)
+    return made
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_pricing_makes_no_csr_view(monkeypatch, theta):
+    # build_* -> evolve reads the diagonals the builder wrote: no operator
+    # on the way makes its CSR view, in 1D with and without a far-field
+    # boundary, and in 2D
+    made = counting_views(monkeypatch)
+    g = default_grid_1d(100.0, 0.2, 1.0, n=101)
+    h = build_bs_hamiltonian(P, g)
+    for boundary in (FarFieldBoundary(CALL, P.r), None):
+        evolve(h, terminal_payoff(CALL, g), 1.0, 10, theta, boundary=boundary)
+    h2 = build_mg_hamiltonian(ADI_P, ADI_GRID)
+    evolve(h2, terminal_payoff(CALL, ADI_GRID), 1.0, 5, theta,
+           boundary=FarFieldBoundary(CALL, ADI_P.r))
+    price_bs(P, CALL, 100.0, n_steps=10, theta_scheme=theta)
+    solve_mg(ADI_P, CALL, ADI_GRID, n_steps=5, theta_scheme=theta)
+    assert made == []
+    # the count sees a view when one is made, and only once per operator
+    assert h2.matrix.nnz == h2.matrix.nnz
+    assert made == [h2]
+
+
+def test_explicit_warning_bound_reads_the_diagonals(monkeypatch):
+    # the Gershgorin bound is each row's sum of |entries| taken on the
+    # diagonals, the same number the CSR view's row sums give, and no view
+    # is made for it
+    g = default_grid_1d(100.0, 0.2, 1.0, n=201)
+    h = build_bs_hamiltonian(P, g)
+    bound = float(np.asarray(np.abs(h.matrix).sum(axis=1)).max())
+    made = counting_views(monkeypatch)
+    h = build_bs_hamiltonian(P, g)
+    with pytest.warns(RuntimeWarning, match=re.escape(f"(Gershgorin bound {bound:g})")):
+        try:
+            evolve(h, terminal_payoff(CALL, g), 1.0, 1, theta_scheme=0.0)
+        except EvolveError:
+            pass  # divergence may also trip the residual check
+    assert made == []
 
 
 def y_sweeps_only(spoil):
