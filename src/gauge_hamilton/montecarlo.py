@@ -457,10 +457,10 @@ def beta_field(surface: PriceSurface, params: ModelParams,
     check_positive("min_dcdv", min_dcdv)
     if surface.prev_values is None or surface.dt is None:
         raise ValueError("surface must carry two time slices (prev_values and dt)")
-    c = surface.values
-    h = build_mg_hamiltonian(params, grid).matrix
-    numerator = (surface.prev_values - c) / surface.dt - h @ c
-    c_v = np.exp(-grid.ys) * (momentum_operator(grid, "y").matrix @ c)
+    c = GridFunction(grid, surface.values)
+    numerator = ((surface.prev_values - c.values) / surface.dt
+                 - build_mg_hamiltonian(params, grid).apply(c).values)
+    c_v = np.exp(-grid.ys) * momentum_operator(grid, "y").apply(c).values
     with np.errstate(invalid="ignore", divide="ignore"):
         beta = np.where(np.abs(c_v) >= min_dcdv, numerator / c_v, np.nan)
     beta[~grid.interior_mask(1)] = np.nan

@@ -17,9 +17,9 @@ its block's entries by its coefficient at their rows, and a Hamiltonian is
 the per-offset sum of its terms in the table's order: the entries of the
 Kronecker products, diagonal scalings and CSR sums they replace, with no
 CSR matrix made.  ``LinearOperator.matrix`` is a CSR view (sorted, no
-stored zero) made on first use, for products, ``apply``,
-``hermiticity_defect`` and ``to_coo_csv``; a product is read back into
-diagonals by ``_diagonals``.
+stored zero) made on first use, for products, ``hermiticity_defect`` and
+``to_coo_csv``; a product is read back into diagonals by ``_diagonals``.
+``apply`` multiplies on the diagonals.
 """
 
 from __future__ import annotations
@@ -216,9 +216,19 @@ class LinearOperator:
         return mat
 
     def apply(self, f: GridFunction) -> GridFunction:
+        """M f, a DIA product on the diagonals: offsets ascending, so each row
+        sums in ascending column order, as the CSR view's product does.  A
+        function with masked (NaN) points goes through the CSR view, where a
+        NaN reaches only the rows with an entry in its column."""
         if f.grid != self.grid:
             raise ValueError("grid mismatch: operator and grid function live on different grids")
-        return GridFunction(self.grid, self.matrix @ f.values, allow_masked=f.allow_masked)
+        if f.allow_masked and np.isnan(f.values).any():
+            product = self.matrix @ f.values
+        else:
+            offsets, data = self.diagonals
+            n = data.shape[1]
+            product = sp.dia_matrix((data, offsets), shape=(n, n)) @ f.values
+        return GridFunction(self.grid, product, allow_masked=f.allow_masked)
 
     def _check(self, other: "LinearOperator") -> None:
         if not isinstance(other, LinearOperator):

@@ -7,29 +7,29 @@ the theta scheme
 
     (I + theta dtau H) C_new = (I - (1-theta) dtau H) C_old,
 
-and on 2D grids by ADI sweeps that solve systems of the same kind.  An
-operator is held as its diagonals in DIA layout (operators.LinearOperator),
-and each stepper reads them once, by one reader for 1D and 2D grids
-(_kept_diagonals): the diagonals less the boundary rows, with no CSR matrix
-made on the way.  Every theta-system, I + s M with its boundary rows pinned
-or zeroed, is assembled from them in one representation, LAPACK band
-storage, which is DIA storage row for row: each theta's systems are scaled
-from M's band, and each implicit system has one LU factor per theta,
-gttrf/gttrs when it is tridiagonal, gbtrf/gbtrs with its own band widths
-when an operator's one-sided end rows reach further.
-In 1D the explicit product and the residual are BLAS gbmv calls on the
-bands, and max|r| is BLAS idamax's entry: the step loop makes no
-scipy.sparse call and no temporary array.  On 2D grids the operator A = -H
-is split by stencil direction into A1 (along x), A2 (along y) and the mixed
-part A0, and each step is a Craig-Sneyd ADI step: an explicit stage of the
-whole operator, an implicit x-sweep with I - theta dtau A1 and a y-sweep
-with I - theta dtau A2, then a correction with the explicit mixed term and
-the two sweeps again.  The three parts are DIA matrices of -H's diagonals,
-every explicit product is a DIA product, and the sweep bands are written
-from the same diagonals.  Each sweep system is tridiagonal along its grid
-lines, so both are solved with gttrf/gttrs, and each sweep's residual is a
-DIA product on the band that was factored.  The 2D step makes no CSR
-product.
+and on 2D grids by ADI sweeps that solve systems of the same kind.  Every
+grid is a box with far-field faces (FarFieldBoundary), whose rows the
+steppers replace, and every theta-system is tridiagonal along its grid
+lines: an operator whose interior rows reach further than one point along
+an axis is refused at evolve's entry.  An operator is held as its
+diagonals in DIA layout (operators.LinearOperator), and each stepper reads
+them once, by one reader for 1D and 2D grids (_kept_diagonals): the
+diagonals less the boundary rows, with no CSR matrix made on the way.
+Every theta-system, I + s M with its boundary rows identity rows, is
+scaled from M's three diagonals in LAPACK band storage, which is DIA
+storage row for row, and each implicit system has one gttrf/gttrs LU
+factor per theta.  In 1D the explicit product and the residual are BLAS
+gbmv calls on the bands, and max|r| is BLAS idamax's entry: the step loop
+makes no scipy.sparse call and no temporary array.  On 2D grids the
+operator A = -H is split by stencil direction into A1 (along x), A2 (along
+y) and the mixed part A0, and each step is a Craig-Sneyd ADI step: an
+explicit stage of the whole operator, an implicit x-sweep with
+I - theta dtau A1 and a y-sweep with I - theta dtau A2, then a correction
+with the explicit mixed term and the two sweeps again.  The three parts
+are DIA matrices of -H's diagonals, every explicit product is a DIA
+product, and the sweep bands are written from the same diagonals.  Each
+sweep's residual is a DIA product on the band that was factored.  The 2D
+step makes no CSR product.
 
 theta = 1/2 (Crank-Nicolson in 1D, Craig-Sneyd in 2D) with a short fully
 implicit startup is the default; the startup damps the oscillations the
@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dasum, dgbmv, idamax
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_integer,
                    check_positive, default_grid_1d, default_grid_2d, text_output,
@@ -239,24 +239,26 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     is not finite, raises EvolveError.  The maxima are read at idamax's
     index; OpenBLAS's idamax may skip a NaN, so a NaN is caught by dasum.
 
+    ``boundary`` is required on every grid; its None default only keeps
+    the argument in place.  Every theta-system is tridiagonal along its
+    grid lines: H's interior rows may reach one point along each axis, and
+    a wider operator raises ValueError here, whatever theta_scheme is.
+
     On 1D grids each step is a theta step in LAPACK band storage: a gbmv
-    product with the explicit side, the solve on tridiagonal factors (banded
-    ones when the system is wider), and the residual as one more gbmv on
-    the implicit side.  With no boundary object the operator's own
-    one-sided rows act on the ends; a FarFieldBoundary replaces the end
-    rows of the implicit system with Dirichlet rows and feeds the
-    time-dependent values through the right-hand side.
+    product with the explicit side, the solve on tridiagonal factors, and
+    the residual as one more gbmv on the implicit side.  The end rows of
+    the implicit system are Dirichlet rows, and the FarFieldBoundary's
+    time-dependent values are fed through the right-hand side.
 
     On 2D grids each step is a Craig-Sneyd ADI step (a Douglas step when
-    theta = 1) built on the direction split of -H, and ``boundary`` is
-    required.  The Dirichlet rows of the x faces are imposed in both
-    sweeps.  The linearity row of each y face is substituted into its
-    neighbour row, so the y-sweep stays tridiagonal, and the face value is
-    extrapolated from the two nearest rows after the sweep.  The mixed
-    term only ever acts explicitly.  The explicit products are DIA products
-    on the diagonals of -H's direction split, and each sweep is checked on
-    the band it factored: the y-sweep on its folded band, before the face
-    values are extrapolated.
+    theta = 1) built on the direction split of -H.  The Dirichlet rows of
+    the x faces are imposed in both sweeps.  The linearity row of each y
+    face is substituted into its neighbour row, so the y-sweep stays
+    tridiagonal, and the face value is extrapolated from the two nearest
+    rows after the sweep.  The mixed term only ever acts explicitly.  The
+    explicit products are DIA products on the diagonals of -H's direction
+    split, and each sweep is checked on the band it factored: the y-sweep
+    on its folded band, before the face values are extrapolated.
     """
     if terminal.grid != h.grid:
         raise ValueError("grid mismatch: terminal condition not on the operator grid")
@@ -267,11 +269,12 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     check_positive("maturity", maturity)
     check_positive("residual_tol", residual_tol)
     grid = h.grid
-    two_d = isinstance(grid, LogGrid2D)
-    if two_d and boundary is None:
-        raise ValueError("boundary is required on 2D grids: the ADI sweeps "
-                         "take their face rows from a FarFieldBoundary")
+    if boundary is None:
+        raise ValueError("boundary is required: every theta-system takes its "
+                         "face rows from a FarFieldBoundary")
     dt = maturity / n_steps
+    # the width check comes first, so a refused operator never warns
+    advance = (_adi_stepper if isinstance(grid, LogGrid2D) else _band_stepper)(h, dt, boundary)
 
     if theta_scheme < 0.5:
         # explicit component: estimate the spectral bound by Gershgorin, each
@@ -284,8 +287,6 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
                 f"explicit step may be unstable: dt = {dt:g} exceeds "
                 f"{2.0 / ((1.0 - 2.0 * theta_scheme) * bound):g} "
                 f"(Gershgorin bound {bound:g})", RuntimeWarning)
-
-    advance = (_adi_stepper if two_d else _band_stepper)(h, dt, boundary)
 
     def check(resid, rhs):
         rel = _relative_residual(resid, rhs)
@@ -327,11 +328,6 @@ def _latest_theta(build):
     return get
 
 
-def _check_pivots(info: int) -> None:
-    if info > 0:
-        raise EvolveError(f"implicit matrix factorization failed: zero pivot in row {info}")
-
-
 def _kept_diagonals(h: LinearOperator, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H's diagonals on the ``rows`` it keeps (a boolean mask), as
     operators._diagonals would read them off H's CSR view: the other rows'
@@ -352,78 +348,76 @@ def _kept_diagonals(h: LinearOperator, rows: np.ndarray) -> tuple[np.ndarray, np
     return np.array([o for o, *_ in kept]), out
 
 
-def _theta_band(stored: tuple[np.ndarray, int, int], s: float, replaced=(),
-                pinned: bool = False) -> tuple[np.ndarray, int, int]:
-    """I + s H in LAPACK band storage, with the ``replaced`` rows made
-    identity rows when ``pinned`` and zero rows otherwise.
+def _dia_band(offsets: np.ndarray, data: np.ndarray, step: int = 1,
+              order=slice(None)) -> np.ndarray:
+    """Diagonals in DIA layout, as _kept_diagonals returns them (offsets
+    ascending, 0 among them), in LAPACK tridiagonal band storage: offset
+    q * ``step`` on band row 1 - q, and band column k holding the
+    diagonals' column ``order[k]``.  The one width check of the steppers:
+    an offset more than one ``step`` from the diagonal raises ValueError.
+    Returns the 3 x n band in Fortran order, for gbmv."""
+    q = offsets // step
+    if q[0] < -1 or q[-1] > 1:
+        raise ValueError("theta-stepping needs three-point stencils along each axis")
+    band = np.zeros((3, data.shape[1]), order="F")
+    band[1 - q] = data[:, order]
+    return band
 
-    ``stored`` holds H's band as _dia_band writes it from the diagonals
-    _kept_diagonals reads without those rows.  H is scaled and 1 is added on
-    the diagonal; a product that vanishes is stored as +0.  A band wider than
-    tridiagonal is trimmed of the outer diagonals that come out all zero
-    (all of them at s = 0), down to one on each side.  Returns (band, kl,
-    ku), in Fortran order for gbmv.
+
+def _theta_band(band: np.ndarray, s: float) -> np.ndarray:
+    """I + s M in LAPACK band storage, from M's band as _dia_band writes it.
+
+    M's band holds no entry on the rows a stepper replaces, so those come
+    out identity rows.  M is scaled and 1 is added on the diagonal; a
+    product that vanishes is stored as +0.
     """
-    band, kl, ku = stored
     band = s * band
     band += 0.0   # +0 where a product vanished
-    band[ku] += 1.0
-    band[ku, replaced] = float(pinned)
-    if kl > 1 or ku > 1:
-        kept = ku - np.flatnonzero(band.any(axis=1))
-        top, low = max(1, int(kept.max(initial=0))), max(1, -int(kept.min(initial=0)))
-        band, kl, ku = np.asfortranarray(band[ku - top:ku + low + 1]), low, top
-    return band, kl, ku
+    band[1] += 1.0
+    return band
 
 
-def _band_dia(band: np.ndarray, ku: int) -> sp.dia_matrix:
-    """The DIA matrix of a band in LAPACK storage, whose row k is offset
-    ku - k aligned by column: the rows reversed, so the offsets ascend and
-    a row's product sums in column order, C-contiguous for the product."""
+def _band_dia(band: np.ndarray) -> sp.dia_matrix:
+    """The DIA matrix of a tridiagonal band in LAPACK storage, whose row k is
+    offset 1 - k aligned by column: the rows reversed, so the offsets ascend
+    and a row's product sums in column order, C-contiguous for the
+    product."""
     n = band.shape[1]
-    return sp.dia_matrix((np.ascontiguousarray(band[::-1]),
-                          np.arange(ku + 1 - band.shape[0], ku + 1)), shape=(n, n))
+    return sp.dia_matrix((np.ascontiguousarray(band[::-1]), np.arange(-1, 2)), shape=(n, n))
 
 
-def _band_solver(band: np.ndarray, kl: int, ku: int):
-    """The solve of a band system on its LAPACK LU factors: gttrf/gttrs when
-    it is tridiagonal, gbtrf/gbtrs when wider rows reach further."""
-    if kl == ku == 1:
-        dl, d, du, du2, ipiv, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
-        _check_pivots(info)
-        return lambda rhs: dgttrs(dl, d, du, du2, ipiv, rhs)[0]
-    ab = np.zeros((2 * kl + ku + 1, band.shape[1]), order="F")   # kl spare rows on top
-    ab[kl:] = band
-    lu, ipiv, info = dgbtrf(ab, kl, ku)
-    _check_pivots(info)
-    return lambda rhs: dgbtrs(lu, kl, ku, rhs, ipiv)[0]
+def _band_solver(band: np.ndarray):
+    """The solve of a tridiagonal band system on its LAPACK gttrf/gttrs LU
+    factors; a zero pivot raises EvolveError."""
+    dl, d, du, du2, ipiv, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+    if info > 0:
+        raise EvolveError(f"implicit matrix factorization failed: zero pivot in row {info}")
+    return lambda rhs: dgttrs(dl, d, du, du2, ipiv, rhs)[0]
 
 
-def _band_stepper(h: LinearOperator, dt: float, boundary: Optional[FarFieldBoundary]):
+def _band_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     """Theta steps on a 1D grid in LAPACK band storage.
 
-    H's diagonals, less the boundary rows, are read once.  Each theta's two
+    H's diagonals, less the two end rows, are read once.  Each theta's two
     systems are scaled from them and the implicit one is factored, once;
-    every step is then a gbmv product with the explicit band, the solve, and
-    a gbmv residual on the implicit band.
+    every step is then a gbmv product with the explicit band, the boundary
+    values in the end rows, the solve, and a gbmv residual on the implicit
+    band.
     """
     grid, n = h.grid, h.grid.n
-    replaced = () if boundary is None else (0, n - 1)
-    stored = _dia_band(*_kept_diagonals(h, grid.interior_mask(0 if boundary is None else 1)))
+    stored = _dia_band(*_kept_diagonals(h, grid.interior_mask(1)))
 
     @_latest_theta
     def get_system(theta: float):
-        a = _theta_band(stored, theta * dt, replaced, pinned=True)
-        b = _theta_band(stored, -((1.0 - theta) * dt), replaced)
-        return a, b, _band_solver(*a)
+        a = _theta_band(stored, theta * dt)
+        return a, _theta_band(stored, -((1.0 - theta) * dt)), _band_solver(a)
 
     def advance(values, theta, tau_new, check):
-        (a, a_kl, a_ku), (b, b_kl, b_ku), solve = get_system(theta)
-        rhs = dgbmv(n, n, b_kl, b_ku, 1.0, b, values)
-        if boundary is not None:
-            rhs[0], rhs[-1] = boundary.x_values(grid, tau_new)
+        a, b, solve = get_system(theta)
+        rhs = dgbmv(n, n, 1, 1, 1.0, b, values)
+        rhs[0], rhs[-1] = boundary.x_values(grid, tau_new)
         new = solve(rhs)
-        check(dgbmv(n, n, a_kl, a_ku, 1.0, a, new, beta=-1.0, y=rhs), rhs)
+        check(dgbmv(n, n, 1, 1, 1.0, a, new, beta=-1.0, y=rhs), rhs)
         return new
 
     return advance
@@ -435,14 +429,17 @@ def _split_directions(h: LinearOperator) -> tuple[sp.dia_matrix, sp.dia_matrix, 
     left zero.
 
     An entry at offset di ny + dj from its row belongs to A1 when dj = 0, to
-    A2 when di = 0, and to A0 otherwise: a diagonal whose offset is a
-    multiple of ny goes to A1, any other to A2 on the columns where di = 0
-    and to A0 on the rest.  Every difference stencil annihilates constants,
-    so each direction's diagonal is minus the sum of its other diagonals,
-    in ascending offset order; the rest of the diagonal, the potential, is
-    shared equally by A1 and A2.  Each part is a DIA matrix holding the
-    offsets of its nonzero entries, ascending, so a row's product sums in
-    column order.
+    A2 when di = 0, and to A0 otherwise, and each diagonal goes whole to one
+    part by its offset: A1 takes the multiples of ny, A2 the offsets within
+    ny // 2 of the main diagonal, A0 the rest.  That is exact for the
+    three-point stencils the sweeps take: the kept rows are interior, so
+    their +-1 entries never cross a grid line, and a pure-y entry two to
+    ny // 2 points out lands in A2, whose band _dia_band then refuses.
+    Every difference stencil annihilates constants, so each direction's
+    diagonal is minus the sum of its other diagonals, in ascending offset
+    order; the rest of the diagonal, the potential, is shared equally by A1
+    and A2.  Each part is a DIA matrix holding the offsets of its nonzero
+    entries, ascending, so a row's product sums in column order.
     """
     grid = h.grid
     n, ny = grid.n_points, grid.ny
@@ -451,18 +448,13 @@ def _split_directions(h: LinearOperator) -> tuple[sp.dia_matrix, sp.dia_matrix, 
     main = offsets == 0
     diagonal = a[main][0]
     a[main] = 0.0
-    along_x = (offsets % ny == 0)[:, None]
-    # the entry of diagonal o in column c has di = 0 when c % ny - o, its
-    # row's y index then, lies on the grid
-    on_line = np.arange(n) % ny - offsets[:, None]
-    on_line = (on_line >= 0) & (on_line < ny) & ~along_x
+    along_x = offsets % ny == 0   # the main diagonal among them
+    along_y = (np.abs(offsets) <= ny // 2) & ~along_x
 
-    def dia(mask, with_main):
-        data = np.where(mask, a, 0.0)
-        kept = data.any(axis=1) | (with_main & main)
-        return sp.dia_matrix((data[kept], offsets[kept]), shape=(n, n))
+    def dia(kept):
+        return sp.dia_matrix((a[kept], offsets[kept]), shape=(n, n))
 
-    a1, a2, a0 = dia(along_x, True), dia(on_line, True), dia(~(along_x | on_line), False)
+    a1, a2, a0 = dia(along_x), dia(along_y | main), dia(~(along_x | along_y))
     # each row's sum, as a product with ones: in ascending offset order
     ones = np.ones(n)
     d1, d2 = -(a1 @ ones), -(a2 @ ones)
@@ -472,19 +464,6 @@ def _split_directions(h: LinearOperator) -> tuple[sp.dia_matrix, sp.dia_matrix, 
     return a1, a2, a0
 
 
-def _dia_band(offsets: np.ndarray, data: np.ndarray, step: int = 1,
-              order=slice(None)) -> tuple[np.ndarray, int, int]:
-    """Diagonals in DIA layout, as _kept_diagonals returns them (offsets
-    ascending, 0 among them), in LAPACK band storage: offset q * ``step`` on
-    band row ku - q, and band column k holding the diagonals' column
-    ``order[k]``.  Returns (band, kl, ku), the band in Fortran order."""
-    q = offsets // step
-    kl, ku = max(1, -int(q[0])), max(1, int(q[-1]))
-    band = np.zeros((kl + ku + 1, data.shape[1]), order="F")
-    band[ku - q] = data[:, order]
-    return band, kl, ku
-
-
 def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     """Craig-Sneyd (theta < 1) or Douglas (theta = 1) steps on a 2D grid.
 
@@ -492,12 +471,12 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     of a step is a DIA product.  The sweep bands are written from the same
     diagonals, with the rows the sweeps replace left zero: A1's in x-line
     order (all points of a y index j contiguous), A2's in the grid's own
-    order.  Each theta's two sweep systems are scaled from them and
-    factored once, tridiagonally.  LAPACK band storage is DIA storage, so a
-    sweep's residual is a DIA product on the band that was factored, the
-    y-sweep's on its folded band before the face values are extrapolated;
-    a replaced row's residual is y - rhs, so no stored zero meets a
-    non-finite entry there.
+    order.  Each theta's two sweep systems are scaled from them, the
+    replaced rows identity rows, and factored once, tridiagonally.  LAPACK
+    band storage is DIA storage, so a sweep's residual is a DIA product on
+    the band that was factored, the y-sweep's on its folded band before the
+    face values are extrapolated; a replaced row's residual is y - rhs, so
+    no stored zero meets a non-finite entry there.
     """
     grid = h.grid
     nx, ny, n = grid.nx, grid.ny, grid.n_points
@@ -517,14 +496,8 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     stored_y = _dia_band(a2.offsets, a2.data)
     replaced_x = replaced % ny * nx + replaced // ny   # their x-line positions
 
-    def sweep_band(stored, s, rows):
-        band, kl, ku = _theta_band(stored, s, rows, pinned=True)
-        if kl > 1 or ku > 1:
-            raise ValueError("ADI stepping needs three-point stencils along each axis")
-        return band
-
     def residual(band, rows):
-        dia = _band_dia(band, 1)
+        dia = _band_dia(band)
 
         def resid(y, rhs):
             r = dia @ y
@@ -535,16 +508,16 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
 
     @_latest_theta
     def get_system(theta: float):
-        band_x = sweep_band(stored_x, -(theta * dt), replaced_x)
-        band_y = sweep_band(stored_y, -(theta * dt), replaced)
+        band_x = _theta_band(stored_x, -(theta * dt))
+        band_y = _theta_band(stored_y, -(theta * dt))
         # fold C(face) = 2 C(near) - C(far) into row near; the face rows stay
         # identity rows, and the face values are extrapolated after the solve
         c = band_y[1 + near - faces, faces]
         band_y[1, near] += 2.0 * c
         band_y[1 + near - far, far] -= c
         band_y[1 + near - faces, faces] = 0.0
-        return (_band_solver(band_x, 1, 1), residual(band_x, replaced_x),
-                _band_solver(band_y, 1, 1), residual(band_y, replaced))
+        return (_band_solver(band_x), residual(band_x, replaced_x),
+                _band_solver(band_y), residual(band_y, replaced))
 
     def advance(values, theta, tau_new, check):
         solve_x, resid_x, solve_y, resid_y = get_system(theta)

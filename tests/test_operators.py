@@ -196,6 +196,28 @@ def test_apply_grid_mismatch():
         build_bs_hamiltonian(P, GRID_1D).apply(f)
 
 
+@pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
+def test_apply_is_the_csr_views_product_bit_for_bit(policy):
+    # the DIA product sums each row in ascending column order, as the sorted
+    # CSR view's product does; a masked (NaN) point reaches only the rows
+    # with an entry in its column
+    d = momentum_operator(GRID_1D, policy=policy)
+    ops = [build_bs_hamiltonian(P, GRID_1D, policy), d @ d,
+           build_mg_hamiltonian(MG_P, GRID_2D, policy),
+           build_gauge_hamiltonian(MG_P, GRID_2D, "factored", policy),
+           momentum_operator(GRID_2D, "y", policy)]
+    rng = np.random.default_rng(3)
+    for op in ops:
+        u = rng.standard_normal(op.grid.n_points)
+        for masked in (False, True):
+            if masked:
+                u[u.size // 2] = np.nan
+            got = op.apply(GridFunction(op.grid, u, allow_masked=masked)).values
+            want = op.matrix @ u
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.isnan(got).sum() == np.count_nonzero(op.matrix[:, u.size // 2].toarray())
+
+
 def test_operator_algebra_and_reach():
     p = momentum_operator(GRID_1D)
     assert p.stencil_reach == 1

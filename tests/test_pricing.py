@@ -44,13 +44,14 @@ from gauge_hamilton import (
     price_mg,
     simulate_mg,
     mc_price,
+    beta_field,
     solve_mg,
     terminal_payoff,
 )
 from gauge_hamilton import pricing
 from gauge_hamilton.operators import _diagonals
-from gauge_hamilton.pricing import (_band_dia, _dia_band, _relative_residual, _split_directions,
-                                    _theta_band)
+from gauge_hamilton.pricing import (_band_dia, _band_solver, _dia_band, _relative_residual,
+                                    _split_directions, _theta_band)
 
 P = ModelParams(r=0.05, sigma=0.2)
 CALL = OptionContract("call", 100.0, 1.0)
@@ -185,14 +186,18 @@ def test_delta_properties():
 # backward evolution
 # ---------------------------------------------------------------------------
 
+# the far-field faces of the evolve tests on small boxes
+FAR_FIELD = FarFieldBoundary(CALL, P.r)
+
+
 def test_evolve_pure_discounting():
-    # H = r I has the exact solution e^{-r T}; trapezoidal stepping with no
-    # startup damping reproduces it to 1e-10
+    # H = r I has the exact solution e^{-r T} inside the box; trapezoidal
+    # stepping with no startup damping reproduces it to 1e-10
     g = make_grid_1d(0.0, 1.0, 11)
     h = identity_operator(g) * 0.07
     surf = evolve(h, GridFunction(g, np.ones(11)), maturity=2.0,
-                  n_steps=10_000, rannacher=0)
-    assert np.abs(surf.values - math.exp(-0.14)).max() < 1e-10
+                  n_steps=10_000, boundary=FAR_FIELD, rannacher=0)
+    assert np.abs(surf.values[1:-1] - math.exp(-0.14)).max() < 1e-10
 
 
 def test_evolve_validation():
@@ -200,13 +205,26 @@ def test_evolve_validation():
     h = identity_operator(g)
     ones = GridFunction(g, np.ones(11))
     with pytest.raises(ValueError, match="grid mismatch"):
-        evolve(h, GridFunction(make_grid_1d(0.0, 2.0, 11), np.ones(11)), 1.0, 10)
+        evolve(h, GridFunction(make_grid_1d(0.0, 2.0, 11), np.ones(11)), 1.0, 10,
+               boundary=FAR_FIELD)
     with pytest.raises(ValueError, match="n_steps"):
-        evolve(h, ones, 1.0, 0)
+        evolve(h, ones, 1.0, 0, boundary=FAR_FIELD)
     with pytest.raises(ValueError, match="theta_scheme"):
-        evolve(h, ones, 1.0, 10, theta_scheme=1.5)
+        evolve(h, ones, 1.0, 10, theta_scheme=1.5, boundary=FAR_FIELD)
     with pytest.raises(ValueError, match="maturity"):
-        evolve(h, ones, -1.0, 10)
+        evolve(h, ones, -1.0, 10, boundary=FAR_FIELD)
+
+
+def test_evolve_1d_requires_a_boundary():
+    # the boundary-free 1D step is gone: a 1D call without a boundary fails
+    # as a 2D one does, before any step
+    g = make_grid_1d(0.0, 1.0, 11)
+    message = ("^boundary is required: every theta-system takes its face rows from a "
+               "FarFieldBoundary$")
+    with pytest.raises(ValueError, match=message):
+        evolve(identity_operator(g), GridFunction(g, np.ones(11)), 1.0, 10)
+    with pytest.raises(ValueError, match=message):
+        evolve(build_mg_hamiltonian(ADI_P, ADI_GRID), terminal_payoff(CALL, ADI_GRID), 1.0, 10)
 
 
 @pytest.mark.parametrize("field, bad", [("n_steps", 10.0), ("n_steps", 0), ("n_steps", True),
@@ -216,7 +234,7 @@ def test_evolve_step_counts_must_be_integers(field, bad):
     # rannacher = -1, 2.5 and True used to run 0, 3 and 1 startup steps, and
     # n_steps = 10.0 failed with a TypeError from range
     g = make_grid_1d(0.0, 1.0, 11)
-    kwargs = dict(n_steps=10, rannacher=2)
+    kwargs = dict(n_steps=10, rannacher=2, boundary=FAR_FIELD)
     kwargs[field] = bad
     least = 1 if field == "n_steps" else 0
     with pytest.raises(ValueError, match=rf"^{field} must be an integer >= {least}, got {bad}$"):
@@ -238,7 +256,8 @@ def test_evolve_names_non_finite_maturity(bad):
     # used to fail late, with "Factor is exactly singular"
     g = make_grid_1d(0.0, 1.0, 11)
     with pytest.raises(ValueError, match="maturity must be positive and finite"):
-        evolve(identity_operator(g), GridFunction(g, np.ones(11)), bad, 10)
+        evolve(identity_operator(g), GridFunction(g, np.ones(11)), bad, 10,
+               boundary=FAR_FIELD)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-10])
@@ -247,16 +266,17 @@ def test_evolve_rejects_residual_tol_that_disables_the_check(bad):
     g = make_grid_1d(0.0, 1.0, 11)
     with pytest.raises(ValueError, match="residual_tol must be positive and finite"):
         evolve(identity_operator(g), GridFunction(g, np.ones(11)), 1.0, 10,
-               residual_tol=bad)
+               boundary=FAR_FIELD, residual_tol=bad)
 
 
 def test_evolve_singular_system():
-    # I + theta dt H collapses to the zero matrix for H = -2I, dt = 1
+    # I + theta dt H collapses to zero inside the box for H = -2I, dt = 1:
+    # gttrf meets a zero pivot in the first row after the pinned end row
     g = make_grid_1d(0.0, 1.0, 11)
     h = identity_operator(g) * -2.0
-    with pytest.raises(EvolveError, match="factorization"):
+    with pytest.raises(EvolveError, match="factorization failed: zero pivot in row 2$"):
         evolve(h, GridFunction(g, np.ones(11)), 1.0, 1, theta_scheme=0.5,
-               rannacher=0)
+               boundary=FAR_FIELD, rannacher=0)
 
 
 def test_evolve_explicit_warns_when_unstable():
@@ -264,7 +284,7 @@ def test_evolve_explicit_warns_when_unstable():
     h = build_bs_hamiltonian(P, g)
     with pytest.warns(RuntimeWarning, match="unstable"):
         try:
-            evolve(h, terminal_payoff(CALL, g), 1.0, 1, theta_scheme=0.0)
+            evolve(h, terminal_payoff(CALL, g), 1.0, 1, theta_scheme=0.0, boundary=FAR_FIELD)
         except EvolveError:
             pass  # divergence may also trip the residual check
 
@@ -272,11 +292,12 @@ def test_evolve_explicit_warns_when_unstable():
 def test_evolve_keeps_two_slices():
     g = make_grid_1d(0.0, 1.0, 11)
     h = identity_operator(g) * 0.05
-    surf = evolve(h, GridFunction(g, np.ones(11)), 1.0, 4)
+    surf = evolve(h, GridFunction(g, np.ones(11)), 1.0, 4, boundary=FAR_FIELD)
     assert surf.dt == 0.25
     assert surf.prev_values is not None
     # previous slice sits one step closer to maturity, so it is larger
-    assert np.all(surf.prev_values > surf.values)
+    # inside the box
+    assert np.all(surf.prev_values[1:-1] > surf.values[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +596,9 @@ def test_mg_surface_previous_slice_is_one_step_back():
 # ---------------------------------------------------------------------------
 
 def projector_systems(m, theta, dt, replaced):
-    """The theta-step matrices as sparse sums and projector products: the
-    construction the band assembly replaces, kept as its reference."""
+    """The theta-step matrices as sparse sums and projector products, the
+    ``replaced`` rows of both made identity rows: the construction the band
+    assembly replaces, kept as its reference."""
     n = m.shape[0]
     identity = sp.identity(n, format="csr")
     a = identity + (theta * dt) * m
@@ -587,13 +609,13 @@ def projector_systems(m, theta, dt, replaced):
         projector = sp.diags(keep, format="csr")
         pinned = sp.csr_matrix((np.ones(replaced.size), (replaced, replaced)), shape=(n, n))
         a = projector @ a + pinned
-        b = projector @ b
+        b = projector @ b + pinned
     return a.tocsr(), b.tocsr()
 
 
 def band_storage(m, replaced=()):
     """M in LAPACK band storage as the band stepper reads it: its diagonals
-    without the ``replaced`` rows.  Returns (band, kl, ku)."""
+    without the ``replaced`` rows, as a 3 x n band."""
     rows = np.ones(m.shape[0], dtype=bool)
     rows[list(replaced)] = False
     return _dia_band(*_diagonals(m, rows))
@@ -622,19 +644,18 @@ def reference_band_storage(m, replaced=()):
 
 def band_systems(m, theta, dt, replaced=()):
     """The two sides of a 1D theta step as the band stepper assembles them:
-    (band, kl, ku) for I + theta dt M with the ``replaced`` rows pinned and
-    for I - (1-theta) dt M with them zeroed."""
+    the bands of I + theta dt M and of I - (1-theta) dt M, the ``replaced``
+    rows identity rows in both."""
     stored = band_storage(m, replaced)
-    return (_theta_band(stored, theta * dt, replaced, pinned=True),
-            _theta_band(stored, -((1.0 - theta) * dt), replaced))
+    return _theta_band(stored, theta * dt), _theta_band(stored, -((1.0 - theta) * dt))
 
 
-def band_to_dense(band, kl, ku):
+def band_to_dense(band):
     n = band.shape[1]
     dense = np.zeros((n, n))
-    for k in range(-kl, ku + 1):
+    for k in (-1, 0, 1):
         rows = np.arange(max(0, -k), n - max(0, k))
-        dense[rows, rows + k] = band[ku - k, rows + k]
+        dense[rows, rows + k] = band[1 - k, rows + k]
     return dense
 
 
@@ -661,13 +682,16 @@ def test_theta_systems_match_projector_construction(operator, theta, with_bounda
          "zero": lambda: identity_operator(THETA_GRID) * 0.0}[operator]().matrix
     dt = 0.01
     replaced = np.array([0, THETA_GRID.n - 1]) if with_boundary else None
+    if operator == "bs" and not with_boundary:
+        # the one-sided end rows reach three columns: no tridiagonal system
+        with pytest.raises(ValueError, match="three-point stencils"):
+            band_systems(h, theta, dt)
+        return
     bands = band_systems(h, theta, dt, () if replaced is None else replaced)
-    for (band, kl, ku), want in zip(bands, projector_systems(h, theta, dt, replaced)):
-        # every entry bit for bit, zeros as +0, and the band trimmed to the
-        # system's own widths
-        assert band.flags.f_contiguous and band.shape == (kl + ku + 1, THETA_GRID.n)
-        assert (kl, ku) == band_storage(want)[1:]
-        np.testing.assert_array_equal(band_to_dense(band, kl, ku).view(np.int64),
+    for band, want in zip(bands, projector_systems(h, theta, dt, replaced), strict=True):
+        # every entry bit for bit, zeros as +0
+        assert band.flags.f_contiguous and band.shape == (3, THETA_GRID.n)
+        np.testing.assert_array_equal(band_to_dense(band).view(np.int64),
                                       want.toarray().view(np.int64))
 
 
@@ -676,8 +700,8 @@ def test_theta_band_stores_cancelled_diagonal_as_plus_zero():
     m = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 4.0]]))
     want = sp.identity(2, format="csr") + (-0.5) * m
     assert want.nnz == 2
-    band, kl, ku = _theta_band(band_storage(m), -0.5)
-    np.testing.assert_array_equal(band_to_dense(band, kl, ku).view(np.int64),
+    band = _theta_band(band_storage(m), -0.5)
+    np.testing.assert_array_equal(band_to_dense(band).view(np.int64),
                                   want.toarray().view(np.int64))
 
 
@@ -689,20 +713,18 @@ def test_evolve_steps_operator_without_stored_diagonal():
     assert not h.matrix.diagonal().any()
     u0 = np.sin(np.pi * g.points)
     dense = h.matrix.toarray()
-    for boundary in (None, FarFieldBoundary(CALL, 0.05)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            surf = evolve(h, GridFunction(g, u0), 0.5, 5, theta_scheme=1.0,
-                          boundary=boundary)
-        want = u0.copy()
-        a = np.eye(g.n) + 0.1 * dense
-        for step in range(5):
-            rhs = want.copy()
-            if boundary is not None:
-                a[[0, -1]] = np.eye(g.n)[[0, -1]]
-                rhs[[0, -1]] = boundary.x_values(g, 0.1 * (step + 1))
-            want = np.linalg.solve(a, rhs)
-        np.testing.assert_allclose(surf.values, want, rtol=0.0, atol=1e-12)
+    boundary = FarFieldBoundary(CALL, 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        surf = evolve(h, GridFunction(g, u0), 0.5, 5, theta_scheme=1.0, boundary=boundary)
+    want = u0.copy()
+    a = np.eye(g.n) + 0.1 * dense
+    a[[0, -1]] = np.eye(g.n)[[0, -1]]
+    for step in range(5):
+        rhs = want.copy()
+        rhs[[0, -1]] = boundary.x_values(g, 0.1 * (step + 1))
+        want = np.linalg.solve(a, rhs)
+    np.testing.assert_allclose(surf.values, want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -719,9 +741,8 @@ def dense_theta_steps(h, u0, maturity, n_steps, theta, boundary):
         th = 1.0 if step < 2 else theta
         a, b = eye + th * dt * m, eye - (1.0 - th) * dt * m
         rhs = b @ values
-        if boundary is not None:
-            a[[0, -1]] = eye[[0, -1]]
-            rhs[[0, -1]] = boundary.x_values(g, (step + 1) * dt)
+        a[[0, -1]] = eye[[0, -1]]
+        rhs[[0, -1]] = boundary.x_values(g, (step + 1) * dt)
         values = np.linalg.solve(a, rhs)
     return values
 
@@ -730,7 +751,7 @@ def superlu_theta_steps(h, u0, maturity, n_steps, theta, boundary):
     """The 1D stepping evolve did before the band factors: the same systems,
     one SuperLU factor per theta, kept as a reference."""
     g, dt = h.grid, maturity / n_steps
-    replaced = np.array([0, g.n - 1]) if boundary is not None else None
+    replaced = np.array([0, g.n - 1])
     systems = {}
     values = u0.copy()
     for step in range(n_steps):
@@ -740,8 +761,7 @@ def superlu_theta_steps(h, u0, maturity, n_steps, theta, boundary):
             systems[th] = b, spla.splu(a.tocsc())
         b, lu = systems[th]
         rhs = b @ values
-        if boundary is not None:
-            rhs[[0, -1]] = boundary.x_values(g, (step + 1) * dt)
+        rhs[[0, -1]] = boundary.x_values(g, (step + 1) * dt)
         values = lu.solve(rhs)
     return values
 
@@ -761,13 +781,10 @@ def test_1d_theta_steps_match_dense_solves(sigma, r, theta, kind, n, dt, n_steps
     params, contract = ModelParams(r=r, sigma=sigma), OptionContract(kind, 100.0, 1.0)
     g = default_grid_1d(100.0, sigma, 1.0, n=n)
     h = build_bs_hamiltonian(params, g)
-    u0 = terminal_payoff(contract, g)
-    # with a far-field boundary the system is tridiagonal; without one the
-    # one-sided end rows reach three columns and it is solved as a band
-    for boundary in (FarFieldBoundary(contract, r), None):
-        got = evolve(h, u0, n_steps * dt, n_steps, theta, boundary=boundary).values
-        want = dense_theta_steps(h, u0.values, n_steps * dt, n_steps, theta, boundary)
-        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    u0, boundary = terminal_payoff(contract, g), FarFieldBoundary(contract, r)
+    got = evolve(h, u0, n_steps * dt, n_steps, theta, boundary=boundary).values
+    want = dense_theta_steps(h, u0.values, n_steps * dt, n_steps, theta, boundary)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 @settings(max_examples=20, deadline=None)
@@ -784,17 +801,6 @@ def test_1d_theta_steps_match_superlu_stepping(sigma, r, theta, kind, maturity, 
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
-def test_evolve_singular_system_on_the_band_path():
-    # H = -2I + K, with K reaching three columns right of row 0: at theta dt
-    # = 1/2 the system is K/2, a band with ku = 3 and an empty first column
-    g = make_grid_1d(0.0, 1.0, 11)
-    k = sp.csr_matrix(([1.0, 1.0, 1.0], ([0, 0, 0], [1, 2, 3])), shape=(11, 11))
-    h = identity_operator(g) * -2.0 + LinearOperator(g, k)
-    assert band_systems(h.matrix, 0.5, 1.0)[0][1:] == (1, 3)
-    with pytest.raises(EvolveError, match="factorization failed: zero pivot in row 1"):
-        evolve(h, GridFunction(g, np.ones(11)), 1.0, 1, theta_scheme=0.5, rannacher=0)
-
-
 def offset_solution(solve):
     def solve_off(*args, **kwargs):
         x, info = solve(*args, **kwargs)
@@ -809,16 +815,14 @@ def nan_solution(solve):
     return solve_nan
 
 
-def bs_call_1d(boundary):
+def bs_call_1d():
     g = default_grid_1d(100.0, 0.2, 1.0, n=401)
-    return (build_bs_hamiltonian(P, g), terminal_payoff(CALL, g),
-            FarFieldBoundary(CALL, P.r) if boundary else None)
+    return build_bs_hamiltonian(P, g), terminal_payoff(CALL, g), FarFieldBoundary(CALL, P.r)
 
 
 # each stepping path, the LAPACK solve it calls, and a problem it steps
 STEP_PATHS = {
-    "tridiagonal": ("dgttrs", lambda: bs_call_1d(boundary=True)),
-    "band": ("dgbtrs", lambda: bs_call_1d(boundary=False)),
+    "tridiagonal": ("dgttrs", bs_call_1d),
     "adi": ("dgttrs", lambda: (build_mg_hamiltonian(ADI_P, ADI_GRID),
                                terminal_payoff(CALL, ADI_GRID),
                                FarFieldBoundary(CALL, ADI_P.r))),
@@ -848,11 +852,6 @@ def one_entry_solution(value, position):
     return spoil
 
 
-# the relative residual a solution with one non-finite entry reports on each
-# path: +inf meets stored zeros of the wide band's rows (0 * inf = NaN)
-ONE_ENTRY_RESIDUAL = {("tridiagonal", math.inf): "inf", ("adi", math.inf): "inf"}
-
-
 @pytest.mark.parametrize("position", [0, "middle", -1])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("path", list(STEP_PATHS))
@@ -862,7 +861,7 @@ def test_step_residual_check_sees_one_non_finite_entry(monkeypatch, path, value,
     h, u0, boundary = problem()
     assert u0.values.size >= 401
     monkeypatch.setattr(pricing, solve, one_entry_solution(value, position)(getattr(pricing, solve)))
-    rel = ONE_ENTRY_RESIDUAL.get((path, value), "nan")
+    rel = "inf" if value == math.inf else "nan"
     with pytest.raises(EvolveError, match=rf"^linear solve at step 1/10 has relative residual "
                                           rf"{rel} \(tolerance 1e-10\)$"):
         evolve(h, u0, 1.0, 10, boundary=boundary)
@@ -891,9 +890,9 @@ def test_evolve_holds_one_thetas_systems_at_a_time(monkeypatch, two_d):
     solvers, released = [], []
     band_solver = pricing._band_solver
 
-    def tracked(band, kl, ku):
+    def tracked(band):
         released.append([ref() is None for ref in solvers])
-        solve = band_solver(band, kl, ku)
+        solve = band_solver(band)
         solvers.append(weakref.ref(solve))
         return solve
     monkeypatch.setattr(pricing, "_band_solver", tracked)
@@ -922,13 +921,11 @@ def counting_views(monkeypatch):
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_pricing_makes_no_csr_view(monkeypatch, theta):
     # build_* -> evolve reads the diagonals the builder wrote: no operator
-    # on the way makes its CSR view, in 1D with and without a far-field
-    # boundary, and in 2D
+    # on the way makes its CSR view, in 1D and in 2D
     made = counting_views(monkeypatch)
     g = default_grid_1d(100.0, 0.2, 1.0, n=101)
     h = build_bs_hamiltonian(P, g)
-    for boundary in (FarFieldBoundary(CALL, P.r), None):
-        evolve(h, terminal_payoff(CALL, g), 1.0, 10, theta, boundary=boundary)
+    evolve(h, terminal_payoff(CALL, g), 1.0, 10, theta, boundary=FarFieldBoundary(CALL, P.r))
     h2 = build_mg_hamiltonian(ADI_P, ADI_GRID)
     evolve(h2, terminal_payoff(CALL, ADI_GRID), 1.0, 5, theta,
            boundary=FarFieldBoundary(CALL, ADI_P.r))
@@ -938,6 +935,23 @@ def test_pricing_makes_no_csr_view(monkeypatch, theta):
     # the count sees a view when one is made, and only once per operator
     assert h2.matrix.nnz == h2.matrix.nnz
     assert made == [h2]
+
+
+def test_beta_field_makes_no_csr_view(monkeypatch):
+    # H C and p_y C are DIA products on the diagonals, bit for bit the
+    # products of the CSR views they replace
+    surface = solve_mg(ADI_P, CALL, ADI_GRID, n_steps=5)
+    c = surface.values
+    h, p_y = build_mg_hamiltonian(ADI_P, ADI_GRID), momentum_operator(ADI_GRID, "y")
+    numerator = (surface.prev_values - c) / surface.dt - h.matrix @ c
+    c_v = np.exp(-ADI_GRID.ys) * (p_y.matrix @ c)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want = np.where(np.abs(c_v) >= 1e-6, numerator / c_v, np.nan)
+    want[~ADI_GRID.interior_mask(1)] = np.nan
+    made = counting_views(monkeypatch)
+    got = beta_field(surface, ADI_P)
+    assert made == []
+    np.testing.assert_array_equal(got.values.view(np.int64), want.view(np.int64))
 
 
 def test_explicit_warning_bound_reads_the_diagonals(monkeypatch):
@@ -951,7 +965,7 @@ def test_explicit_warning_bound_reads_the_diagonals(monkeypatch):
     h = build_bs_hamiltonian(P, g)
     with pytest.warns(RuntimeWarning, match=re.escape(f"(Gershgorin bound {bound:g})")):
         try:
-            evolve(h, terminal_payoff(CALL, g), 1.0, 1, theta_scheme=0.0)
+            evolve(h, terminal_payoff(CALL, g), 1.0, 1, theta_scheme=0.0, boundary=FAR_FIELD)
         except EvolveError:
             pass  # divergence may also trip the residual check
     assert made == []
@@ -1043,8 +1057,7 @@ if sys.argv[1] == "adi":
 else:
     p = ModelParams(r=0.05, sigma=0.2)
     g = default_grid_1d(100.0, 0.2, 1.0, n=int(sys.argv[1]))
-    h = build_bs_hamiltonian(p, g)
-    cases = [(h, FarFieldBoundary(c, p.r)), (h, None)]
+    cases = [(build_bs_hamiltonian(p, g), FarFieldBoundary(c, p.r))]
 for h, boundary in cases:
     surface = evolve(h, terminal_payoff(c, g), 1.0, 200, boundary=boundary)
     for values in (surface.values, surface.prev_values):
@@ -1065,8 +1078,8 @@ def test_surfaces_do_not_depend_on_blas_threads(case):
         run = subprocess.run([sys.executable, "-c", SURFACE_DIGEST, case], env=env,
                              capture_output=True, text=True, check=True, timeout=300)
         digests.append(run.stdout.split())
-    # values and previous slice: with and without a boundary in 1D, one 2D surface
-    assert len(digests[0]) == (2 if case == "adi" else 4) and digests[0] == digests[1]
+    # values and previous slice
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 def sparse_tridiagonal(s):
@@ -1087,14 +1100,12 @@ def sweep_rows(grid):
 
 def sweep_systems(h, theta, dt):
     """The x-sweep band, in x-line order, and the y-sweep band before its
-    face fold, as the ADI stepper assembles them: (band, kl, ku) each."""
+    face fold, as the ADI stepper assembles them."""
     nx, ny = h.grid.nx, h.grid.ny
     a1, a2, _ = _split_directions(h)
-    replaced = sweep_rows(h.grid)
     x_lines = np.arange(h.grid.n_points).reshape(nx, ny).T.ravel()
-    return (_theta_band(_dia_band(a1.offsets, a1.data, ny, x_lines), -theta * dt,
-                        replaced % ny * nx + replaced // ny, pinned=True),
-            _theta_band(_dia_band(a2.offsets, a2.data), -theta * dt, replaced, pinned=True))
+    return (_theta_band(_dia_band(a1.offsets, a1.data, ny, x_lines), -theta * dt),
+            _theta_band(_dia_band(a2.offsets, a2.data), -theta * dt))
 
 
 def projector_sweep_systems(h, theta, dt):
@@ -1108,9 +1119,8 @@ def projector_sweep_systems(h, theta, dt):
     return (sys_x[x_lines][:, x_lines].tocsr(), projector_systems(-a2, theta, dt, replaced)[0])
 
 
-def assert_same_diagonals(got, want):
-    band, kl, ku = got
-    assert (kl, ku) == (1, 1)
+def assert_same_diagonals(band, want):
+    assert band.shape[0] == 3
     for g, w in zip((band[2, :-1], band[1], band[0, 1:]), want, strict=True):
         np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
 
@@ -1125,7 +1135,7 @@ def test_band_reader_matches_sparse_construction(theta):
     for got, want in zip(sweep_systems(h, theta, 0.01), projector_sweep_systems(h, theta, 0.01),
                          strict=True):
         assert_same_diagonals(got, sparse_tridiagonal(want))
-        residual = _band_dia(got[0], got[2])
+        residual = _band_dia(got)
         assert residual.data.flags.c_contiguous and np.all(np.diff(residual.offsets) > 0)
         residual = residual.tocsr()
         residual.eliminate_zeros()
@@ -1133,11 +1143,10 @@ def test_band_reader_matches_sparse_construction(theta):
     h = build_bs_hamiltonian(P, THETA_GRID)
     a, _ = projector_systems(h.matrix, theta, 0.01, np.array([0, THETA_GRID.n - 1]))
     assert_same_diagonals(band_storage(a), sparse_tridiagonal(a))
-    # no boundary: the one-sided end rows reach three columns either way
+    # no boundary: the one-sided end rows reach three columns, refused
     a, _ = projector_systems(h.matrix, theta, 0.01, None)
-    band, kl, ku = band_storage(a)
-    assert (kl, ku) == (3, 3)
-    np.testing.assert_array_equal(band_to_dense(band, kl, ku), a.toarray())
+    with pytest.raises(ValueError, match="three-point stencils"):
+        band_storage(a)
 
 
 def test_band_reader_copies_no_matrix(monkeypatch):
@@ -1161,12 +1170,10 @@ def test_band_reader_copies_no_matrix(monkeypatch):
         method = getattr(type(a), name)
         monkeypatch.setattr(type(a), name, lambda m, *args, name=name, method=method:
                             called.append(name) or method(m, *args))
-    # the one-sided end rows reach three columns; without them, one
-    for replaced, widths in (((), (3, 3)), ([0, THETA_GRID.n - 1], (1, 1))):
-        (band, kl, ku), (messy_band, messy_kl, messy_ku) = (band_storage(m, replaced)
-                                                            for m in (a, messy))
-        assert (kl, ku) == (messy_kl, messy_ku) == widths
-        np.testing.assert_array_equal(band.view(np.int64), messy_band.view(np.int64))
+    # without the one-sided end rows, which reach three columns, the band
+    # is tridiagonal
+    band, messy_band = (band_storage(m, [0, THETA_GRID.n - 1]) for m in (a, messy))
+    np.testing.assert_array_equal(band.view(np.int64), messy_band.view(np.int64))
     assert called == []
     for got, want in zip((x for m in (a, messy) for x in (m.data, m.indices, m.indptr)), before):
         np.testing.assert_array_equal(got, want)
@@ -1240,29 +1247,58 @@ def test_band_reader_matches_reference_band_storage(operator, replaced, scramble
          "zero": lambda: identity_operator(THETA_GRID) * 0.0}[operator]().matrix
     if scramble:
         m = scrambled(m, np.random.default_rng(7))
-    (band, kl, ku), (want, want_kl, want_ku) = (band_storage(m, replaced),
-                                                reference_band_storage(m, replaced))
-    assert band.flags.f_contiguous and (kl, ku) == (want_kl, want_ku)
+    want, want_kl, want_ku = reference_band_storage(m, replaced)
+    if (want_kl, want_ku) != (1, 1):
+        # the one-sided end rows, kept, reach three columns: refused
+        assert operator == "bs" and replaced == () and (want_kl, want_ku) == (3, 3)
+        with pytest.raises(ValueError, match="three-point stencils"):
+            band_storage(m, replaced)
+        return
+    band = band_storage(m, replaced)
+    assert band.flags.f_contiguous
     np.testing.assert_array_equal(band.view(np.int64), want.view(np.int64))
 
 
 def test_band_reader_rejects_five_point_sweeps():
-    # the factored form reaches two points along each axis
+    # the factored form reaches two points along each axis: both sweep
+    # systems are pentadiagonal along their lines, at theta = 0 too
     wide = build_gauge_hamiltonian(ADI_P, ADI_GRID, form="factored")
-    for (_, kl, ku), want in zip(sweep_systems(wide, 0.5, 0.01),
-                                 projector_sweep_systems(wide, 0.5, 0.01), strict=True):
-        assert (kl, ku) == (2, 2)
+    a1, a2, _ = _split_directions(wide)
+    assert a1.offsets.tolist() == [-2 * ADI_GRID.ny, -ADI_GRID.ny, 0, ADI_GRID.ny,
+                                   2 * ADI_GRID.ny]
+    assert a2.offsets.tolist() == [-2, -1, 0, 1, 2]
+    for want in projector_sweep_systems(wide, 0.5, 0.01):
         with pytest.raises(ValueError, match="three-point stencils"):
             sparse_tridiagonal(want)
+    for theta in (0.0, 0.5):
+        with pytest.raises(ValueError, match="three-point stencils"):
+            sweep_systems(wide, theta, 0.01)
     with pytest.raises(ValueError, match="three-point stencils"):
         evolve(wide, terminal_payoff(CALL, ADI_GRID), 1.0, 10,
                boundary=FarFieldBoundary(CALL, ADI_P.r))
-    # at theta = 0 every sweep is the identity, trimmed to three diagonals
-    for band, kl, ku in sweep_systems(wide, 0.0, 0.01):
-        assert (kl, ku) == (1, 1)
-        np.testing.assert_array_equal(band[1], 1.0)
-    evolve(wide, terminal_payoff(CALL, ADI_GRID), 1e-4, 2, theta_scheme=0.0, rannacher=0,
-           boundary=FarFieldBoundary(CALL, ADI_P.r))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("case", ["1d", "2d"])
+def test_wide_systems_are_refused_before_any_factorization(monkeypatch, case, theta):
+    # every theta-system is tridiagonal: an operator whose interior rows
+    # reach two points along an axis (d @ d in 1D, the factored gauge form
+    # in 2D) is refused at evolve's entry, at every theta, before any system
+    # is factored
+    if case == "1d":
+        d = momentum_operator(THETA_GRID)
+        h, grid = d @ d, THETA_GRID
+    else:
+        h, grid = build_gauge_hamiltonian(ADI_P, ADI_GRID, form="factored"), ADI_GRID
+    factored = []
+    monkeypatch.setattr(pricing, "_band_solver", lambda band: factored.append(band) or
+                        _band_solver(band))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # refused before the explicit-step warning
+        with pytest.raises(ValueError, match="^theta-stepping needs three-point stencils "
+                                             "along each axis$"):
+            evolve(h, terminal_payoff(CALL, grid), 1.0, 10, theta, boundary=FAR_FIELD)
+    assert factored == []
 
 
 # ---------------------------------------------------------------------------
