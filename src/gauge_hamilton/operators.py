@@ -1,25 +1,26 @@
 """Discrete Hamiltonians and operator algebra on log grids.
 
-All operators are real sparse matrices acting on flat row-major grid values.
-Momentum blocks are plain first derivatives (no imaginary unit), so the
-operators here are compositions of difference matrices with diagonal
-coefficient matrices.  Interior stencils are second-order central; boundary
-rows use one-sided second-order differences under the default policy.
+An operator is a grid and its diagonals, a real matrix acting on flat
+row-major grid values.  Momentum blocks are plain first derivatives (no
+imaginary unit), so the operators here are compositions of difference
+matrices with diagonal coefficient matrices.  Interior stencils are
+second-order central; the two end rows of an axis use one-sided
+second-order differences, the one boundary closure.
 
-An operator is held as its diagonals in DIA layout: offsets ascending, the
-main diagonal among them, data[k, j] the entry in column j of row
-j - offsets[k], and +0 where there is none.  1D stencils are written
-straight into diagonals (the interior band plus the two end rows the
-boundary policy prescribes); on a 2D grid, flat index i ny + j, a block is
-the Kronecker product of its x and y stencils, the product of their
-entries at offsets a and b sitting on diagonal a ny + b.  A term scales
-its block's entries by its coefficient at their rows, and a Hamiltonian is
-the per-offset sum of its terms in the table's order: the entries of the
-Kronecker products, diagonal scalings and CSR sums they replace, with no
-CSR matrix made.  ``LinearOperator.matrix`` is a CSR view (sorted, no
-stored zero) made on first use, for products, ``hermiticity_defect`` and
-``to_coo_csv``; a product is read back into diagonals by ``_diagonals``.
-``apply`` multiplies on the diagonals.
+The diagonals are in DIA layout: integer offsets, strictly ascending, each
+in (-n, n) and the main diagonal among them; data[k, j] the entry in column
+j of row j - offsets[k], and +0 where there is none.  1D stencils are
+written straight into diagonals (the interior band plus the two one-sided
+end rows); on a 2D grid, flat index i ny + j, a block is the Kronecker
+product of its x and y stencils, the product of their entries at offsets a
+and b sitting on diagonal a ny + b.  A term scales its block's entries by
+its coefficient at their rows, and a Hamiltonian is the per-offset sum of
+its terms in the table's order: the entries of the Kronecker products,
+diagonal scalings and CSR sums they replace, with no CSR matrix made.
+``apply`` and ``@`` multiply on the diagonals, in the order the sorted CSR
+products sum in.  ``LinearOperator.matrix`` is a CSR view (sorted, no stored
+zero) made on first use, for masked ``apply``, ``hermiticity_defect`` and
+``to_coo_csv``.
 """
 
 from __future__ import annotations
@@ -33,15 +34,14 @@ from typing import Callable, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .core import GridFunction, LogGrid1D, LogGrid2D, ModelParams, finite_on_grid, write_csv
+from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_integer,
+                   finite_on_grid, write_csv)
 
 __all__ = [
-    "BOUNDARY_POLICIES",
     "LinearOperator",
     "GaugeField",
     "identity_operator",
     "momentum_operator",
-    "apply",
     "commutator",
     "hermiticity_defect",
     "build_bs_hamiltonian",
@@ -53,38 +53,12 @@ __all__ = [
     "smooth_probe_functions",
 ]
 
-BOUNDARY_POLICIES = ("one-sided-interior", "zero-padded")
 TRANSFORM_CONVENTIONS = ("direct", "left", "right")
 
 Grid = Union[LogGrid1D, LogGrid2D]
 Diagonals = tuple[np.ndarray, np.ndarray]
 
 _MAIN = np.zeros(1, dtype=np.intp)   # the offset of the main diagonal
-
-
-def _diagonals(m: sp.csr_matrix, rows: np.ndarray) -> Diagonals:
-    """The nonzero entries of the CSR matrix ``m`` on the ``rows`` it keeps (a
-    boolean mask) as diagonals, in DIA layout: data[k, j] = m[j - offsets[k],
-    j], the offsets ascending, the main diagonal always among them.
-
-    One pass over the CSR arrays, in any order: duplicate entries are summed
-    in the order they are stored, and the entries left out (stored zeros and
-    the rows not kept) are sent to a spare diagonal that is dropped.  ``m``
-    is never copied, sorted or written.  Returns (offsets, data).
-    """
-    n = m.shape[0]
-    counts = np.diff(m.indptr)
-    # each entry's offset shifted by n, or 0, the spare slot
-    key = m.indices + np.arange(n, 0, -1).repeat(counts)
-    key *= rows.repeat(counts) & (m.data != 0.0)
-    present = np.zeros(2 * n, dtype=bool)
-    present[key] = True
-    present[0], present[n] = False, True   # the main diagonal is always read
-    # slot k > 0 holds the k-th offset present, slot 0 the entries left out
-    slot = present.cumsum()[key] * n + m.indices
-    offsets = present.nonzero()[0] - n
-    data = np.bincount(slot, weights=m.data, minlength=(offsets.size + 1) * n)
-    return offsets, data.reshape(-1, n)[1:]
 
 
 def _sum(n: int, parts) -> Diagonals:
@@ -142,65 +116,47 @@ def _stencil(n: int, band: tuple, first: tuple, last: tuple) -> Diagonals:
     return np.array(list(index)), data
 
 
-def _first_difference(n: int, h: float, policy: str) -> Diagonals:
-    """d/dx: central (f[i+1]-f[i-1])/(2h) inside, policy-dependent ends."""
+def _first_difference(n: int, h: float) -> Diagonals:
+    """d/dx: central (f[i+1]-f[i-1])/(2h) inside, one-sided at the ends."""
     inv2h = 1.0 / (2.0 * h)
-    if policy == "one-sided-interior":
-        first = ((0, 1, 2), (-3.0 * inv2h, 4.0 * inv2h, -inv2h))
-        last = ((n - 3, n - 2, n - 1), (inv2h, -4.0 * inv2h, 3.0 * inv2h))
-    else:  # zero-padded: out-of-range neighbours contribute nothing
-        first, last = ((1,), (inv2h,)), ((n - 2,), (-inv2h,))
+    first = ((0, 1, 2), (-3.0 * inv2h, 4.0 * inv2h, -inv2h))
+    last = ((n - 3, n - 2, n - 1), (inv2h, -4.0 * inv2h, 3.0 * inv2h))
     return _stencil(n, ((-1, 1), (-inv2h, inv2h)), first, last)
 
 
-def _second_difference(n: int, h: float, policy: str) -> Diagonals:
-    """d2/dx2: central (f[i-1]-2f[i]+f[i+1])/h^2 inside."""
+def _second_difference(n: int, h: float) -> Diagonals:
+    """d2/dx2: central (f[i-1]-2f[i]+f[i+1])/h^2 inside, one-sided at the
+    ends."""
     invh2 = 1.0 / (h * h)
-    if policy == "one-sided-interior":
-        first = ((0, 1, 2, 3), (2.0 * invh2, -5.0 * invh2, 4.0 * invh2, -invh2))
-        last = ((n - 4, n - 3, n - 2, n - 1), (-invh2, 4.0 * invh2, -5.0 * invh2, 2.0 * invh2))
-    else:
-        first = ((0, 1), (-2.0 * invh2, invh2))
-        last = ((n - 2, n - 1), (invh2, -2.0 * invh2))
+    first = ((0, 1, 2, 3), (2.0 * invh2, -5.0 * invh2, 4.0 * invh2, -invh2))
+    last = ((n - 4, n - 3, n - 2, n - 1), (-invh2, 4.0 * invh2, -5.0 * invh2, 2.0 * invh2))
     return _stencil(n, ((-1, 0, 1), (invh2, -2.0 * invh2, invh2)), first, last)
-
-
-def _check_policy(policy: str) -> None:
-    if policy not in BOUNDARY_POLICIES:
-        raise ValueError(f"unknown boundary policy {policy!r}; choose from {BOUNDARY_POLICIES}")
 
 
 @dataclass(eq=False)
 class LinearOperator:
-    """A grid, an operator's diagonals on it, the boundary policy its
-    stencils were built under, and their stencil reach.
+    """A grid and an operator's diagonals on it.
 
     ``diagonals`` is (offsets, data) in the DIA layout the module docstring
-    sets out; a sparse matrix given in their place is read into them.
-    ``matrix`` is the CSR view, made on first use.  ``+``, ``-``, ``@`` and
-    scalar ``*`` are the operator algebra; the result keeps the left
-    operand's policy.  stencil_reach records how many layers a row may
-    reference; a product adds its factors' reaches, a sum keeps the larger,
-    which matters when deciding how deep an "interior" comparison must sit.
+    sets out; any other layout of offsets is refused.  ``matrix`` is the
+    CSR view, made on first use.  ``+``, ``-``, ``@`` and scalar ``*`` are
+    the operator algebra, each computed on the diagonals.
     """
 
     grid: Grid
     diagonals: Diagonals
-    boundary_policy: str = "one-sided-interior"
-    stencil_reach: int = 1
 
     def __post_init__(self):
-        _check_policy(self.boundary_policy)
         n = self.grid.n_points
-        if sp.issparse(self.diagonals):
-            if self.diagonals.shape != (n, n):
-                raise ValueError(f"matrix shape {self.diagonals.shape} does not match "
-                                 f"grid size {n}")
-            self.diagonals = _diagonals(sp.csr_matrix(self.diagonals), np.ones(n, dtype=bool))
         offsets, data = self.diagonals
-        if data.shape != (offsets.size, n):
+        keys = offsets.tolist()   # read once, as Python ints
+        if not (0 in keys and all(type(o) is int for o in keys) and -n < keys[0]
+                and keys[-1] < n and all(a < b for a, b in zip(keys, keys[1:]))):
+            raise ValueError(f"diagonals need integer offsets, strictly ascending, 0 among "
+                             f"them and each in (-{n}, {n}); got {keys}")
+        if data.shape != (len(keys), n):
             raise ValueError(f"diagonals of shape {data.shape} do not match "
-                             f"{offsets.size} offsets on grid size {n}")
+                             f"{len(keys)} offsets on grid size {n}")
         if not np.isfinite(data).all():
             raise ValueError("operator entries must be finite")
 
@@ -238,25 +194,38 @@ class LinearOperator:
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         self._check(other)
-        total = _sum(self.grid.n_points, [self.diagonals, other.diagonals])
-        return LinearOperator(self.grid, total, self.boundary_policy,
-                              max(self.stencil_reach, other.stencil_reach))
+        return LinearOperator(self.grid, _sum(self.grid.n_points, [self.diagonals,
+                                                                   other.diagonals]))
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
         self._check(other)
         return self + -other
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
+        """(A B)[i, c], the sum from +0 of A[i, i+o] B[i+o, c] over A's offsets
+        o, ascending: the order the CSR product of the sorted views sums in.
+        A diagonal left with no nonzero entry is dropped, unless it is the
+        main one; a vanished sum is +0."""
         self._check(other)
-        return LinearOperator(self.grid, self.matrix @ other.matrix, self.boundary_policy,
-                              self.stencil_reach + other.stencil_reach)
+        n = self.grid.n_points
+        (a_offsets, a_data), (b_offsets, b_data) = self.diagonals, other.diagonals
+        sums = {}
+        for o, a in zip(a_offsets.tolist(), a_data):
+            for p, b in zip(b_offsets.tolist(), b_data):
+                # A[i, i+o] B[i+o, c] for c = i+o+p: column c - p of A's
+                # diagonal o, column c of B's diagonal p and of diagonal o+p
+                lo, hi = max(0, p, o + p), min(n, n + p, n + o + p)
+                if lo < hi:
+                    total = sums.setdefault(o + p, np.zeros(n))
+                    total[lo:hi] += a[lo - p:hi - p] * b[lo:hi]
+        offsets = [q for q in sorted(sums) if q == 0 or sums[q].any()]
+        return LinearOperator(self.grid, (np.array(offsets), np.array([sums[q] for q in offsets])))
 
     def __mul__(self, scalar: float) -> "LinearOperator":
         offsets, data = self.diagonals
         scaled = data * float(scalar)
         scaled += 0.0   # +0 where a product vanished
-        return LinearOperator(self.grid, (offsets, scaled), self.boundary_policy,
-                              self.stencil_reach)
+        return LinearOperator(self.grid, (offsets, scaled))
 
     __rmul__ = __mul__
 
@@ -274,21 +243,14 @@ class LinearOperator:
 
 
 def identity_operator(grid: Grid) -> LinearOperator:
-    return LinearOperator(grid, _main(np.ones(grid.n_points)), stencil_reach=0)
+    return LinearOperator(grid, _main(np.ones(grid.n_points)))
 
 
-def momentum_operator(grid: Grid, axis: str = "x",
-                      policy: str = "one-sided-interior") -> LinearOperator:
+def momentum_operator(grid: Grid, axis: str = "x") -> LinearOperator:
     """First-derivative block along one axis (the momentum is real here)."""
-    _check_policy(policy)
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return LinearOperator(grid, _sum(grid.n_points, _difference_blocks(grid, policy, "d" + axis)),
-                          policy)
-
-
-def apply(op: LinearOperator, f: GridFunction) -> GridFunction:
-    return op.apply(f)
+    return LinearOperator(grid, _sum(grid.n_points, _difference_blocks(grid, "d" + axis)))
 
 
 def commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
@@ -323,7 +285,7 @@ _BLOCK_STENCILS = {
 }
 
 
-def _difference_blocks(grid: Grid, policy: str, *names: str) -> tuple:
+def _difference_blocks(grid: Grid, *names: str) -> tuple:
     """The named difference blocks on the flat grid, and no others, each as
     its diagonals' offsets and an iterable of their rows.
 
@@ -340,17 +302,17 @@ def _difference_blocks(grid: Grid, policy: str, *names: str) -> tuple:
         if isinstance(grid, LogGrid1D):
             if along_y is not None:
                 raise ValueError(f"1D grids only have an x axis, got block {name!r}")
-            out.append(along_x(grid.n, grid.h, policy))
+            out.append(along_x(grid.n, grid.h))
             continue
         nx, ny = grid.nx, grid.ny
         if along_y is None:
-            ox, fx = along_x(nx, grid.hx, policy)
+            ox, fx = along_x(nx, grid.hx)
             out.append((ox * ny, (np.repeat(row, ny) for row in fx)))
         elif along_x is None:
-            oy, fy = along_y(ny, grid.hy, policy)
+            oy, fy = along_y(ny, grid.hy)
             out.append((oy, (np.tile(row, nx) for row in fy)))
         else:
-            (ox, fx), (oy, fy) = along_x(nx, grid.hx, policy), along_y(ny, grid.hy, policy)
+            (ox, fx), (oy, fy) = along_x(nx, grid.hx), along_y(ny, grid.hy)
             # one iterable of pairs: a generator binds only its first iterable when made
             out.append(((ox[:, None] * ny + oy).ravel(),
                         (np.multiply.outer(a, b).ravel() for a, b in itertools.product(fx, fy))))
@@ -398,20 +360,19 @@ def _term_coefficients(params: ModelParams, grid: Grid, model: str) -> dict:
     raise ValueError(f"unknown model {model!r}; choose bs, mg or gauge")
 
 
-def _terms(params: ModelParams, grid: Grid, model: str, policy: str) -> dict:
+def _terms(params: ModelParams, grid: Grid, model: str) -> dict:
     """The diagonals of each named term, in the table's order, as offsets
     and rows made as they are read."""
-    _check_policy(policy)
     coefs = _term_coefficients(params, grid, model)
-    blocks = _difference_blocks(grid, policy, *(_TERM_BLOCKS[name] for name in coefs))
+    blocks = _difference_blocks(grid, *(_TERM_BLOCKS[name] for name in coefs))
     terms = {name: _scale_rows(block, np.full(grid.n_points, c))
              for (name, c), block in zip(coefs.items(), blocks)}
     terms["potential"] = _main(np.full(grid.n_points, params.r))
     return terms
 
 
-def hamiltonian_terms(params: ModelParams, grid: Grid, model: str = "bs",
-                      policy: str = "one-sided-interior") -> dict[str, LinearOperator]:
+def hamiltonian_terms(params: ModelParams, grid: Grid,
+                      model: str = "bs") -> dict[str, LinearOperator]:
     """Individual named terms of a Hamiltonian, before summation.
 
     Every model is the same table of derivative terms (second_x, first_x,
@@ -421,14 +382,22 @@ def hamiltonian_terms(params: ModelParams, grid: Grid, model: str = "bs",
     model does not use are omitted.  The gauge model here is the expanded
     form; the factored form does not decompose into these terms.
     """
-    return {name: LinearOperator(grid, _sum(grid.n_points, [term]), policy)
-            for name, term in _terms(params, grid, model, policy).items()}
+    return {name: LinearOperator(grid, _sum(grid.n_points, [term]))
+            for name, term in _terms(params, grid, model).items()}
 
 
-def _hamiltonian(params: ModelParams, grid: Grid, model: str, policy: str) -> LinearOperator:
+def _hamiltonian(params: ModelParams, grid: Grid, model: str) -> LinearOperator:
     """The sum of a model's named terms, in the table's order."""
-    terms = _terms(params, grid, model, policy)
-    return LinearOperator(grid, _sum(grid.n_points, terms.values()), policy)
+    return LinearOperator(grid, _sum(grid.n_points, _terms(params, grid, model).values()))
+
+
+def _check_policy(policy: str) -> None:
+    """The BS and MG builders keep a ``policy`` keyword, which
+    bench/workloads.py passes; the stencils have one boundary closure, and
+    any other name is refused."""
+    if policy != "one-sided-interior":
+        raise ValueError(f"unknown boundary policy {policy!r}; the stencils have one "
+                         "closure, 'one-sided-interior'")
 
 
 def _gauge_sig2(params: ModelParams, grid: LogGrid2D) -> np.ndarray:
@@ -447,7 +416,8 @@ def build_bs_hamiltonian(params: ModelParams, grid: Grid,
     It annihilates e^x exactly in the continuum and is non-Hermitian unless
     sigma^2 = 2r, where the first-derivative coefficient vanishes.
     """
-    return _hamiltonian(params, grid, "bs", policy)
+    _check_policy(policy)
+    return _hamiltonian(params, grid, "bs")
 
 
 def build_mg_hamiltonian(params: ModelParams, grid: LogGrid2D,
@@ -462,34 +432,34 @@ def build_mg_hamiltonian(params: ModelParams, grid: LogGrid2D,
     With ``vol_vol_half`` the last coefficient is halved.  Variable
     coefficients multiply from the left (evaluated at the output point).
     """
-    return _hamiltonian(params, grid, "mg", policy)
+    _check_policy(policy)
+    return _hamiltonian(params, grid, "mg")
 
 
 def build_gauge_hamiltonian(params: ModelParams, grid: LogGrid2D,
-                            form: str = "expanded",
-                            policy: str = "one-sided-interior") -> LinearOperator:
+                            form: str = "expanded") -> LinearOperator:
     """Gauge-coupled Hamiltonian built from the momentum sum p_x + p_y.
 
     Factored form:  (sigma^2/2)(-p_x - p_y)(p_x + p_y)
                     + (sigma^2/2 - r)(p_x + p_y) + r,
-    composed from discrete blocks, so its stencil reach is 2.  The expanded
-    form assembles each second-order term with the direct stencils instead;
-    the two differ by O(h^2) commutation errors of the difference matrices.
-    sigma^2 is read as e^y pointwise when ``params.sigma_local`` is set,
-    otherwise the constant ``params.sigma`` squared.
+    composed from discrete blocks, so its interior rows reach two points
+    along each axis.  The expanded form assembles each second-order term
+    with the direct stencils instead; the two differ by O(h^2) commutation
+    errors of the difference matrices.  sigma^2 is read as e^y pointwise
+    when ``params.sigma_local`` is set, otherwise the constant
+    ``params.sigma`` squared.
     """
-    _check_policy(policy)
     if not isinstance(grid, LogGrid2D):
         raise TypeError("the gauge Hamiltonian needs a 2D grid")
     if form == "expanded":
-        return _hamiltonian(params, grid, "gauge", policy)
+        return _hamiltonian(params, grid, "gauge")
     if form != "factored":
         raise ValueError(f"form must be 'expanded' or 'factored', got {form!r}")
-    d = momentum_operator(grid, "x", policy) + momentum_operator(grid, "y", policy)
+    d = momentum_operator(grid, "x") + momentum_operator(grid, "y")
     sig2 = _gauge_sig2(params, grid)
 
     def diag(values):
-        return LinearOperator(grid, _main(values), policy, stencil_reach=0)
+        return LinearOperator(grid, _main(values))
     return (diag(-0.5 * sig2) @ (d @ d) + diag(0.5 * sig2 - params.r) @ d
             + params.r * identity_operator(grid))
 
@@ -548,12 +518,11 @@ def gauge_operator(gauge: GaugeField, grid: Grid) -> LinearOperator:
     peak = float(np.abs(w).max())
     if peak >= _EXP_LIMIT:
         raise ValueError(f"gauge exponent overflows: max |omega*theta| = {peak:g}")
-    return LinearOperator(grid, _main(np.exp(w)), stencil_reach=0)
+    return LinearOperator(grid, _main(np.exp(w)))
 
 
 def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
-                         convention: str = "direct",
-                         policy: str = "one-sided-interior") -> LinearOperator:
+                         convention: str = "direct") -> LinearOperator:
     """Black-Scholes Hamiltonian under the multiplicative shift e^{omega theta}.
 
     Conventions:
@@ -569,19 +538,18 @@ def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
     """
     if convention not in TRANSFORM_CONVENTIONS:
         raise ValueError(f"convention must be one of {TRANSFORM_CONVENTIONS}, got {convention!r}")
-    h_bs = build_bs_hamiltonian(params, grid, policy)
+    h_bs = build_bs_hamiltonian(params, grid)
     if convention == "direct":
         tx = finite_on_grid(gauge.theta_x(*_grid_coords(grid)), grid, "theta_x")
         sig2, om = params.sigma * params.sigma, gauge.omega
-        (dx,) = _difference_blocks(grid, policy, "dx")
+        (dx,) = _difference_blocks(grid, "dx")
         extra = _sum(grid.n_points, [_scale_rows(dx, sig2 * om * tx),
                                      _main(0.5 * sig2 * om * (1.0 + om) * tx * tx
                                            + om * (0.5 * sig2 - params.r) * tx)])
-        return LinearOperator(grid, _sum(grid.n_points, [h_bs.diagonals, extra]), policy)
-    u = gauge_operator(gauge, grid).matrix
-    u_inv = gauge_operator(replace(gauge, omega=-gauge.omega), grid).matrix
-    mat = u_inv @ h_bs.matrix @ u if convention == "left" else u @ h_bs.matrix @ u_inv
-    return LinearOperator(grid, mat, policy)
+        return LinearOperator(grid, _sum(grid.n_points, [h_bs.diagonals, extra]))
+    u = gauge_operator(gauge, grid)
+    u_inv = gauge_operator(replace(gauge, omega=-gauge.omega), grid)
+    return u_inv @ h_bs @ u if convention == "left" else u @ h_bs @ u_inv
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +563,9 @@ def smooth_probe_functions(grid: Grid, count: int, seed: int = 0,
     Returns callables (not samples) so the same function can be evaluated
     on refinements of the box.  Amplitudes are normalized so the sup norm
     is at most 1.  With ``y_constant`` the functions do not depend on y.
+    ``count`` must be at least 1.
     """
+    check_integer("count", count, 1)
     rng = np.random.default_rng(seed)
     x0, lx = grid.x_axis.x_min, grid.x_axis.x_max - grid.x_axis.x_min
     if isinstance(grid, LogGrid2D):

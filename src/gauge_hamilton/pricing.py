@@ -329,11 +329,10 @@ def _latest_theta(build):
 
 
 def _kept_diagonals(h: LinearOperator, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H's diagonals on the ``rows`` it keeps (a boolean mask), as
-    operators._diagonals would read them off H's CSR view: the other rows'
-    entries +0, and the diagonals with no nonzero entry left dropped, all
-    but the main one.  H is not copied or written.  Returns (offsets,
-    data)."""
+    """H's diagonals on the ``rows`` it keeps (a boolean mask), as a reader
+    of H's CSR view on those rows would give them: the other rows' entries
+    +0, and the diagonals with no nonzero entry left dropped, all but the
+    main one.  H is not copied or written.  Returns (offsets, data)."""
     offsets, data = h.diagonals
     n = rows.size
     kept = []

@@ -28,6 +28,7 @@ from gauge_hamilton.gauge_analysis import (
     _check_expansion,
     _check_transform,
     _check_volcoeff,
+    _run_checks,
 )
 
 GRID = make_grid_2d(3.5, 5.5, 41, -4.0, -1.0, 21)
@@ -364,3 +365,12 @@ def test_check_functions_return_check_records():
     assert list(records[-1]["detail"]) == ["direct_vs_left", "direct_vs_right",
                                            "left_vs_right"]
     assert list(CHECKS) == ["expansion", "bs-limit", "commutator", "volcoeff", "transform"]
+
+
+@pytest.mark.parametrize("what", ["expansion", "bs-limit", "transform"])
+@pytest.mark.parametrize("probes", [0, -1])
+def test_probe_checks_refuse_fewer_than_one_probe(what, probes):
+    # no probe used to pass the expansion check vacuously (residual 0,
+    # tolerance 0) and to end the transform check in max() of nothing
+    with pytest.raises(ValueError, match=f"^count must be an integer >= 1, got {probes}$"):
+        _run_checks(what, CHECK_PARAMS, "linear", 1.0, 9, 7, probes, 0)

@@ -49,9 +49,10 @@ from gauge_hamilton import (
     terminal_payoff,
 )
 from gauge_hamilton import pricing
-from gauge_hamilton.operators import _diagonals
 from gauge_hamilton.pricing import (_band_dia, _band_solver, _dia_band, _relative_residual,
                                     _split_directions, _theta_band)
+
+from dia_reference import csr_diagonals
 
 P = ModelParams(r=0.05, sigma=0.2)
 CALL = OptionContract("call", 100.0, 1.0)
@@ -618,7 +619,7 @@ def band_storage(m, replaced=()):
     without the ``replaced`` rows, as a 3 x n band."""
     rows = np.ones(m.shape[0], dtype=bool)
     rows[list(replaced)] = False
-    return _dia_band(*_diagonals(m, rows))
+    return _dia_band(*csr_diagonals(m, rows))
 
 
 def reference_band_storage(m, replaced=()):
@@ -671,15 +672,39 @@ def assert_same_csr(got, want):
 THETA_GRID = make_grid_1d(3.5, 5.5, 41)
 
 
-@pytest.mark.parametrize("operator", ["bs", "bs-zero-padded", "momentum", "zero"])
+def tridiagonal(grid, below, main, above):
+    """The operator on a 1D grid with constant diagonals below, on and above
+    the main one: its end rows stay inside the band, as if the stencil's
+    neighbours past the ends were zero."""
+    data = np.array([np.full(grid.n, v) for v in (below, main, above)])
+    data[0, -1] = data[2, 0] = 0.0   # the slots outside the matrix
+    return LinearOperator(grid, (np.arange(-1, 2), data))
+
+
+def zero_padded_bs(grid):
+    """The Black-Scholes stencil -(sigma^2/2) d2 + (sigma^2/2 - r) d1 + r on
+    every row, the end rows too."""
+    half, invh2, inv2h = 0.5 * P.sigma ** 2, 1.0 / grid.h ** 2, 0.5 / grid.h
+    return tridiagonal(grid, -half * invh2 - (half - P.r) * inv2h, 2.0 * half * invh2 + P.r,
+                       -half * invh2 + (half - P.r) * inv2h)
+
+
+def zero_padded_momentum(grid):
+    """0.3 d/dx, central on every row: no row holds a diagonal entry."""
+    return tridiagonal(grid, -0.3 * 0.5 / grid.h, 0.0, 0.3 * 0.5 / grid.h)
+
+
+THETA_OPERATORS = {"bs": lambda: build_bs_hamiltonian(P, THETA_GRID),
+                   "bs-zero-padded": lambda: zero_padded_bs(THETA_GRID),
+                   "momentum": lambda: zero_padded_momentum(THETA_GRID),
+                   "zero": lambda: identity_operator(THETA_GRID) * 0.0}
+
+
+@pytest.mark.parametrize("operator", THETA_OPERATORS)
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("with_boundary", [False, True])
 def test_theta_systems_match_projector_construction(operator, theta, with_boundary):
-    h = {"bs": lambda: build_bs_hamiltonian(P, THETA_GRID),
-         "bs-zero-padded": lambda: build_bs_hamiltonian(P, THETA_GRID, "zero-padded"),
-         # zero-padded first difference: no row stores a diagonal entry
-         "momentum": lambda: momentum_operator(THETA_GRID, policy="zero-padded") * 0.3,
-         "zero": lambda: identity_operator(THETA_GRID) * 0.0}[operator]().matrix
+    h = THETA_OPERATORS[operator]().matrix
     dt = 0.01
     replaced = np.array([0, THETA_GRID.n - 1]) if with_boundary else None
     if operator == "bs" and not with_boundary:
@@ -706,10 +731,11 @@ def test_theta_band_stores_cancelled_diagonal_as_plus_zero():
 
 
 def test_evolve_steps_operator_without_stored_diagonal():
-    # a 1D theta step on H = 0.3 d/dx (zero-padded): I + s H needs its whole
-    # diagonal inserted, which must not go through a SparseEfficiencyWarning
+    # a 1D theta step on H = 0.3 d/dx (central on every row): I + s H needs
+    # its whole diagonal inserted, which must not go through a
+    # SparseEfficiencyWarning
     g = make_grid_1d(0.0, 1.0, 21)
-    h = momentum_operator(g, policy="zero-padded") * 0.3
+    h = zero_padded_momentum(g)
     assert not h.matrix.diagonal().any()
     u0 = np.sin(np.pi * g.points)
     dense = h.matrix.toarray()
@@ -1219,7 +1245,7 @@ def test_diagonals_match_dense_reference(kind, n, ny, scramble, mask_rows, seed)
     size = m.shape[0]
     keep = rng.random(size) < 0.7 if mask_rows else np.ones(size, dtype=bool)
     before = [x.copy() for x in (m.data, m.indices, m.indptr)]
-    offsets, data = _diagonals(m, keep)
+    offsets, data = csr_diagonals(m, keep)
     for got, want in zip((m.data, m.indices, m.indptr), before):
         np.testing.assert_array_equal(got, want)
     # every offset of a stored nonzero entry on a kept row, and the main
@@ -1237,14 +1263,11 @@ def test_diagonals_match_dense_reference(kind, n, ny, scramble, mask_rows, seed)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("operator", ["bs", "bs-zero-padded", "momentum", "zero"])
+@pytest.mark.parametrize("operator", THETA_OPERATORS)
 @pytest.mark.parametrize("replaced", [(), (0, THETA_GRID.n - 1)])
 @pytest.mark.parametrize("scramble", [False, True])
 def test_band_reader_matches_reference_band_storage(operator, replaced, scramble):
-    m = {"bs": lambda: build_bs_hamiltonian(P, THETA_GRID),
-         "bs-zero-padded": lambda: build_bs_hamiltonian(P, THETA_GRID, "zero-padded"),
-         "momentum": lambda: momentum_operator(THETA_GRID, policy="zero-padded") * 0.3,
-         "zero": lambda: identity_operator(THETA_GRID) * 0.0}[operator]().matrix
+    m = THETA_OPERATORS[operator]().matrix
     if scramble:
         m = scrambled(m, np.random.default_rng(7))
     want, want_kl, want_ku = reference_band_storage(m, replaced)
