@@ -1,9 +1,10 @@
 """Command line interface.
 
 Every command prints JSON (sorted keys) or CSV.  Exit codes: 0 on success,
-1 when a numerical check or solve fails, 2 for usage errors.  A JSON file
-passed via --config supplies defaults for the invoked subcommand; explicit
-flags still win.
+1 when a numerical check or solve fails (for ``price``, also when a theta
+step is past its explicit-step stability bound), 2 for usage errors.  A
+JSON file passed via --config supplies defaults for the invoked subcommand;
+explicit flags still win.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -148,26 +150,31 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
     out = {"model": model, "kind": kind, "s0": s0, "strike": strike,
            "maturity": maturity, "r": r}
     try:
-        if model == "bs":
-            # price_bs's own box, on nx points
-            grid = (_cover_strike(default_grid_1d(s0, sigma, maturity, n=nx), strike)
-                    if nx else None)
-            pde = price_bs(params, contract, s0, grid=grid,
-                           n_steps=n_steps, theta_scheme=theta_scheme)
-            closed = bs_closed_form(params, contract, s0)
-            out.update(sigma=sigma, pde_price=pde, closed_form=closed,
-                       rel_err=abs(pde - closed) / max(abs(closed), 1e-300))
-        else:
-            grid = default_grid_2d(s0, v0, maturity, nx=nx or 201, ny=ny)
-            pde = price_mg(params, contract, s0, v0, grid=grid,
-                           n_steps=n_steps, theta_scheme=theta_scheme)
-            out.update(v0=v0, pde_price=pde)
+        with warnings.catch_warnings():
+            # past the explicit-step bound the march may blow up: exit 1
+            # with evolve's warning instead of a price
+            warnings.filterwarnings("error", "explicit step may be unstable",
+                                    RuntimeWarning)
+            if model == "bs":
+                # price_bs's own box, on nx points
+                grid = (_cover_strike(default_grid_1d(s0, sigma, maturity, n=nx), strike)
+                        if nx else None)
+                pde = price_bs(params, contract, s0, grid=grid,
+                               n_steps=n_steps, theta_scheme=theta_scheme)
+                closed = bs_closed_form(params, contract, s0)
+                out.update(sigma=sigma, pde_price=pde, closed_form=closed,
+                           rel_err=abs(pde - closed) / max(abs(closed), 1e-300))
+            else:
+                grid = default_grid_2d(s0, v0, maturity, nx=nx or 201, ny=ny)
+                pde = price_mg(params, contract, s0, v0, grid=grid,
+                               n_steps=n_steps, theta_scheme=theta_scheme)
+                out.update(v0=v0, pde_price=pde)
         if mc_paths > 0:
             ens = (simulate_gbm(params, s0, maturity, n_steps, mc_paths, seed) if model == "bs"
                    else simulate_mg(params, s0, v0, maturity, n_steps, mc_paths, seed))
             est, se = mc_price(ens, contract, r)
             out.update(mc_price=est, mc_stderr=se, mc_paths=mc_paths, seed=seed)
-    except (EvolveError, ValueError) as exc:
+    except (EvolveError, ValueError, RuntimeWarning) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     _echo_json(out)

@@ -137,10 +137,10 @@ def _second_difference(n: int, h: float) -> Diagonals:
 class LinearOperator:
     """A grid and an operator's diagonals on it.
 
-    ``diagonals`` is (offsets, data) in the DIA layout the module docstring
-    sets out; any other layout of offsets is refused.  ``matrix`` is the
-    CSR view, made on first use.  ``+``, ``-``, ``@`` and scalar ``*`` are
-    the operator algebra, each computed on the diagonals.
+    ``diagonals`` is (offsets, data), two numpy arrays, in the DIA layout
+    the module docstring sets out; any other layout of offsets is refused.
+    ``matrix`` is the CSR view, made on first use.  ``+``, ``-``, ``@`` and
+    scalar ``*`` are the operator algebra, each computed on the diagonals.
     """
 
     grid: Grid
@@ -149,6 +149,9 @@ class LinearOperator:
     def __post_init__(self):
         n = self.grid.n_points
         offsets, data = self.diagonals
+        if not (isinstance(offsets, np.ndarray) and isinstance(data, np.ndarray)):
+            raise ValueError(f"diagonals must be a pair of numpy arrays (offsets, data); "
+                             f"got {type(offsets).__name__} and {type(data).__name__}")
         keys = offsets.tolist()   # read once, as Python ints
         if not (0 in keys and all(type(o) is int for o in keys) and -n < keys[0]
                 and keys[-1] < n and all(a < b for a, b in zip(keys, keys[1:]))):

@@ -18,9 +18,9 @@ diagonals less the boundary rows, with no CSR matrix made on the way.
 Every theta-system, I + s M with its boundary rows identity rows, is
 scaled from M's three diagonals in LAPACK band storage, which is DIA
 storage row for row, and each implicit system has one gttrf/gttrs LU
-factor per theta.  In 1D the explicit product and the residual are BLAS
-gbmv calls on the bands, and max|r| is BLAS idamax's entry: the step loop
-makes no scipy.sparse call and no temporary array.  On 2D grids the
+factor.  In 1D the explicit product and the residual are BLAS gbmv calls
+on the bands, and max|r| is BLAS idamax's entry: the step loop makes no
+scipy.sparse call and no temporary array.  On 2D grids the
 operator A = -H is split by stencil direction into A1 (along x), A2 (along
 y) and the mixed part A0, and each step is a Craig-Sneyd ADI step: an
 explicit stage of the whole operator, an implicit x-sweep with
@@ -35,7 +35,11 @@ theta = 1/2 (Crank-Nicolson in 1D, Craig-Sneyd in 2D) with a short fully
 implicit startup is the default; the startup damps the oscillations the
 payoff kink would otherwise feed into the averaged scheme.  In 2D the
 startup steps, and every step when theta = 1, are Douglas steps: the same
-sweeps with theta = 1 and no correction stage.
+sweeps with theta = 1 and no correction stage.  evolve marches two theta
+phases in turn, the startup at theta = 1 and then the theta_scheme steps.
+Each phase builds and factors its systems once, as it begins, and the
+startup's are dropped before the main phase's are built, so only one
+phase's systems are held at a time.
 """
 
 from __future__ import annotations
@@ -233,11 +237,15 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
            residual_tol: float = 1e-10) -> PriceSurface:
     """March the terminal condition back to the valuation time.
 
-    The first ``rannacher`` steps are fully implicit (theta = 1), the rest
-    use ``theta_scheme``.  Every linear solve is checked: a relative
-    residual max|r| / max(1, max|rhs|) above ``residual_tol``, or one that
-    is not finite, raises EvolveError.  The maxima are read at idamax's
-    index; OpenBLAS's idamax may skip a NaN, so a NaN is caught by dasum.
+    The march has two phases: the startup, whose first ``rannacher`` steps
+    are fully implicit (theta = 1; none when theta_scheme = 1), and the
+    main phase, whose steps use ``theta_scheme``.  Each phase's systems are
+    built and factored once, when it begins, and the startup's are dropped
+    before the main phase's are built: only one phase's systems are held
+    at a time.  Every linear solve is checked: a relative residual
+    max|r| / max(1, max|rhs|) above ``residual_tol``, or one that is not
+    finite, raises EvolveError.  The maxima are read at idamax's index;
+    OpenBLAS's idamax may skip a NaN, so a NaN is caught by dasum.
 
     ``boundary`` is required on every grid; its None default only keeps
     the argument in place.  Every theta-system is tridiagonal along its
@@ -274,7 +282,7 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
                          "face rows from a FarFieldBoundary")
     dt = maturity / n_steps
     # the width check comes first, so a refused operator never warns
-    advance = (_adi_stepper if isinstance(grid, LogGrid2D) else _band_stepper)(h, dt, boundary)
+    systems = (_adi_stepper if isinstance(grid, LogGrid2D) else _band_stepper)(h, dt, boundary)
 
     if theta_scheme < 0.5:
         # explicit component: estimate the spectral bound by Gershgorin, each
@@ -297,12 +305,12 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
 
     startup = min(rannacher, n_steps) if theta_scheme < 1.0 else 0
     values = terminal.values.copy()
-    prev = values
-    for step in range(n_steps):
-        theta = 1.0 if step < startup else theta_scheme
-        new = advance(values, theta, (step + 1) * dt, check)
-        prev = values
-        values = new
+    for theta, steps in ((1.0, range(startup)), (theta_scheme, range(startup, n_steps))):
+        if steps:
+            advance = systems(theta, check)
+            for step in steps:
+                prev, values = values, advance(values, (step + 1) * dt)
+            del advance   # frees the startup's systems before the main phase's are built
     return PriceSurface(grid=grid, values=values, valuation_time=0.0,
                         prev_values=prev, dt=dt)
 
@@ -311,21 +319,6 @@ def _relative_residual(resid: np.ndarray, rhs: np.ndarray) -> float:
     """max|resid| / max(1, max|rhs|); NaN when resid = A x - rhs holds a NaN."""
     return (math.nan if math.isnan(dasum(resid)) else
             math.fabs(resid[idamax(resid)]) / max(1.0, math.fabs(rhs[idamax(rhs)])))
-
-
-def _latest_theta(build):
-    """``build(theta)``, kept for the latest theta only.  evolve changes
-    theta at most once, from the startup's 1 to theta_scheme, and the
-    startup's systems are dropped before the next are built, so the steps
-    never hold two thetas' systems at once."""
-    held = {}
-
-    def get(theta: float):
-        if theta not in held:
-            held.clear()
-            held[theta] = build(theta)
-        return held[theta]
-    return get
 
 
 def _kept_diagonals(h: LinearOperator, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,29 +390,30 @@ def _band_solver(band: np.ndarray):
 def _band_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     """Theta steps on a 1D grid in LAPACK band storage.
 
-    H's diagonals, less the two end rows, are read once.  Each theta's two
-    systems are scaled from them and the implicit one is factored, once;
-    every step is then a gbmv product with the explicit band, the boundary
-    values in the end rows, the solve, and a gbmv residual on the implicit
-    band.
+    H's diagonals, less the two end rows, are read once.  ``systems(theta,
+    check)`` scales a phase's two systems from them and factors the
+    implicit one, and returns that phase's ``advance(values, tau_new)``:
+    a gbmv product with the explicit band, the boundary values in the end
+    rows, the solve, and a gbmv residual on the implicit band, which
+    ``check(resid, rhs)`` judges.
     """
     grid, n = h.grid, h.grid.n
     stored = _dia_band(*_kept_diagonals(h, grid.interior_mask(1)))
 
-    @_latest_theta
-    def get_system(theta: float):
+    def systems(theta: float, check):
         a = _theta_band(stored, theta * dt)
-        return a, _theta_band(stored, -((1.0 - theta) * dt)), _band_solver(a)
+        b = _theta_band(stored, -((1.0 - theta) * dt))
+        solve = _band_solver(a)
 
-    def advance(values, theta, tau_new, check):
-        a, b, solve = get_system(theta)
-        rhs = dgbmv(n, n, 1, 1, 1.0, b, values)
-        rhs[0], rhs[-1] = boundary.x_values(grid, tau_new)
-        new = solve(rhs)
-        check(dgbmv(n, n, 1, 1, 1.0, a, new, beta=-1.0, y=rhs), rhs)
-        return new
+        def advance(values, tau_new):
+            rhs = dgbmv(n, n, 1, 1, 1.0, b, values)
+            rhs[0], rhs[-1] = boundary.x_values(grid, tau_new)
+            new = solve(rhs)
+            check(dgbmv(n, n, 1, 1, 1.0, a, new, beta=-1.0, y=rhs), rhs)
+            return new
+        return advance
 
-    return advance
+    return systems
 
 
 def _split_directions(h: LinearOperator) -> tuple[sp.dia_matrix, sp.dia_matrix, sp.dia_matrix]:
@@ -470,12 +464,13 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     of a step is a DIA product.  The sweep bands are written from the same
     diagonals, with the rows the sweeps replace left zero: A1's in x-line
     order (all points of a y index j contiguous), A2's in the grid's own
-    order.  Each theta's two sweep systems are scaled from them, the
-    replaced rows identity rows, and factored once, tridiagonally.  LAPACK
-    band storage is DIA storage, so a sweep's residual is a DIA product on
-    the band that was factored, the y-sweep's on its folded band before the
-    face values are extrapolated; a replaced row's residual is y - rhs, so
-    no stored zero meets a non-finite entry there.
+    order.  ``systems(theta, check)`` scales a phase's two sweep systems
+    from them, the replaced rows identity rows, factors them once,
+    tridiagonally, and returns that phase's ``advance(values, tau_new)``.
+    LAPACK band storage is DIA storage, so a sweep's residual is a DIA
+    product on the band that was factored, the y-sweep's on its folded band
+    before the face values are extrapolated; a replaced row's residual is
+    y - rhs, so no stored zero meets a non-finite entry there.
     """
     grid = h.grid
     nx, ny, n = grid.nx, grid.ny, grid.n_points
@@ -505,8 +500,7 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
             return r
         return resid
 
-    @_latest_theta
-    def get_system(theta: float):
+    def systems(theta: float, check):
         band_x = _theta_band(stored_x, -(theta * dt))
         band_y = _theta_band(stored_y, -(theta * dt))
         # fold C(face) = 2 C(near) - C(far) into row near; the face rows stay
@@ -515,48 +509,48 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
         band_y[1, near] += 2.0 * c
         band_y[1 + near - far, far] -= c
         band_y[1 + near - faces, faces] = 0.0
-        return (_band_solver(band_x), residual(band_x, replaced_x),
-                _band_solver(band_y), residual(band_y, replaced))
+        solve_x, resid_x = _band_solver(band_x), residual(band_x, replaced_x)
+        solve_y, resid_y = _band_solver(band_y), residual(band_y, replaced)
 
-    def advance(values, theta, tau_new, check):
-        solve_x, resid_x, solve_y, resid_y = get_system(theta)
-        g_low, g_high = boundary.x_values(grid, tau_new)
-        a0u, a1u, a2u = a0 @ values, a1 @ values, a2 @ values
-        y0 = a0u + a1u
-        y0 += a2u
-        y0 *= dt
-        y0 += values
-        a1u *= theta * dt
-        a2u *= theta * dt
+        def advance(values, tau_new):
+            g_low, g_high = boundary.x_values(grid, tau_new)
+            a0u, a1u, a2u = a0 @ values, a1 @ values, a2 @ values
+            y0 = a0u + a1u
+            y0 += a2u
+            y0 *= dt
+            y0 += values
+            a1u *= theta * dt
+            a2u *= theta * dt
 
-        def boundary_rhs(rhs):
-            rhs *= keep
-            rhs[low] = g_low
-            rhs[high] = g_high
-            return rhs
+            def boundary_rhs(rhs):
+                rhs *= keep
+                rhs[low] = g_low
+                rhs[high] = g_high
+                return rhs
 
-        def sweeps(y0):
-            rhs = boundary_rhs(y0 - a1u).reshape(nx, ny).T.ravel()
-            y1 = solve_x(rhs)
-            check(resid_x(y1, rhs), rhs)
-            rhs = y1.reshape(ny, nx).T.flatten()
-            rhs -= a2u
-            boundary_rhs(rhs)
-            y2 = solve_y(rhs)
-            check(resid_y(y2, rhs), rhs)
-            y2[faces] = 2.0 * y2[near] - y2[far]
-            return y2
+            def sweeps(y0):
+                rhs = boundary_rhs(y0 - a1u).reshape(nx, ny).T.ravel()
+                y1 = solve_x(rhs)
+                check(resid_x(y1, rhs), rhs)
+                rhs = y1.reshape(ny, nx).T.flatten()
+                rhs -= a2u
+                boundary_rhs(rhs)
+                y2 = solve_y(rhs)
+                check(resid_y(y2, rhs), rhs)
+                y2[faces] = 2.0 * y2[near] - y2[far]
+                return y2
 
-        new = sweeps(y0)
-        if theta < 1.0:
-            correction = a0 @ new
-            correction -= a0u
-            correction *= 0.5 * dt
-            correction += y0
-            new = sweeps(correction)
-        return new
+            new = sweeps(y0)
+            if theta < 1.0:
+                correction = a0 @ new
+                correction -= a0u
+                correction *= 0.5 * dt
+                correction += y0
+                new = sweeps(correction)
+            return new
+        return advance
 
-    return advance
+    return systems
 
 
 def _in_no_arbitrage_box(price: float, contract: OptionContract, s0: float,

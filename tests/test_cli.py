@@ -15,14 +15,17 @@ from gauge_hamilton import (
     ProfitQuery,
     build_gauge_hamiltonian,
     bs_closed_form,
+    default_grid_1d,
     hamiltonian_terms,
     make_grid_2d,
+    price_bs,
     profit,
     read_paths_binary,
     sample,
 )
 from gauge_hamilton.cli import _TERM_COLUMNS, main
 from gauge_hamilton.gauge_analysis import CHECKS
+from gauge_hamilton.pricing import _cover_strike
 
 
 @pytest.fixture
@@ -95,6 +98,31 @@ def test_price_mg_divergence_fails(runner):
                                   "--lambda", "0.01", "--rho", "-0.5", "--alpha", "0.5"])
     assert result.exit_code == 1, result.output
     assert "no-arbitrage box [0, s0 = 100.0]" in result.output
+
+
+@pytest.mark.parametrize("model", [[], ["--model", "mg", "--nx", "41", "--ny", "21"]],
+                         ids=["bs", "mg"])
+def test_price_fails_past_the_explicit_step_bound(runner, model):
+    # five explicit steps on the default grid used to print 82.49 against
+    # the closed form's 10.45 and exit 0, with only a RuntimeWarning
+    result = runner.invoke(main, ["price", "--s0", "100", "--k", "100", *model,
+                                  "--theta-scheme", "0", "--n-steps", "5"])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith("error: explicit step may be unstable: dt = 0.2 exceeds ")
+    assert "pde_price" not in result.output
+
+
+def test_price_explicit_steps_within_the_bound_print_the_library_price(runner):
+    out = run_json(runner, ["price", "--s0", "100", "--k", "100", "--theta-scheme", "0",
+                            "--nx", "41", "--n-steps", "50"])
+    params, call = ModelParams(r=0.05, sigma=0.2), OptionContract("call", 100.0, 1.0)
+    grid = _cover_strike(default_grid_1d(100.0, 0.2, 1.0, n=41), 100.0)
+    pde = price_bs(params, call, 100.0, grid=grid, n_steps=50, theta_scheme=0.0)
+    closed = bs_closed_form(params, call, 100.0)
+    assert out == {"model": "bs", "kind": "call", "s0": 100.0, "strike": 100.0,
+                   "maturity": 1.0, "r": 0.05, "sigma": 0.2, "pde_price": pde,
+                   "closed_form": closed, "rel_err": abs(pde - closed) / closed}
+    assert pde == pytest.approx(10.4134, abs=1e-4)
 
 
 def test_price_usage_errors(runner):

@@ -172,6 +172,18 @@ def test_operator_validation():
         LinearOperator(GRID_1D, (offsets, np.full((3, GRID_1D.n), np.nan)))
 
 
+def test_operator_refuses_diagonals_that_are_not_arrays():
+    # Python lists in place of the offsets or the data used to raise
+    # AttributeError from the layout check
+    grid = make_grid_1d(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match=r"^diagonals must be a pair of numpy arrays "
+                                         r"\(offsets, data\); got list and ndarray$"):
+        LinearOperator(grid, ([0], np.ones((1, 5))))
+    with pytest.raises(ValueError, match=r"^diagonals must be a pair of numpy arrays "
+                                         r"\(offsets, data\); got ndarray and list$"):
+        LinearOperator(grid, (np.array([0]), [[1.0] * 5]))
+
+
 def split_main(offsets, data):
     """The main diagonal listed twice, its entries split in two halves."""
     k = offsets.tolist().index(0)

@@ -909,17 +909,24 @@ def test_adi_steps_make_no_csr_product(monkeypatch):
     np.testing.assert_array_equal(got.values, want.values)
 
 
+# (theta_scheme, rannacher, n_steps) and the number of phases evolve
+# marches: two when 0 < rannacher < n_steps and theta_scheme < 1, else one
+PHASE_CASES = [((0.5, 2, 10), 2), ((0.7, 1, 2), 2), ((0.5, 0, 10), 1), ((1.0, 2, 10), 1),
+               ((0.5, 2, 2), 1), ((0.5, 7, 3), 1), ((0.5, 1, 1), 1)]
+
+
 @pytest.mark.parametrize("two_d", [False, True], ids=["1d", "2d"])
 def test_evolve_holds_one_thetas_systems_at_a_time(monkeypatch, two_d):
-    # each theta's systems are factored once, and the startup's (theta = 1)
-    # are released before theta_scheme's are built, so no step holds both
-    solvers, released = [], []
+    # each phase's systems are factored once, as the phase begins, and every
+    # band and factor of the startup is released before the main phase's
+    # first band is factored, so no step holds both phases' systems
+    refs, alive = [], []
     band_solver = pricing._band_solver
 
     def tracked(band):
-        released.append([ref() is None for ref in solvers])
+        alive.append([ref() is not None for ref in refs])
         solve = band_solver(band)
-        solvers.append(weakref.ref(solve))
+        refs.extend([weakref.ref(band), weakref.ref(solve)])
         return solve
     monkeypatch.setattr(pricing, "_band_solver", tracked)
     if two_d:
@@ -927,11 +934,15 @@ def test_evolve_holds_one_thetas_systems_at_a_time(monkeypatch, two_d):
     else:
         grid = default_grid_1d(100.0, 0.2, 1.0, n=101)
         h = build_bs_hamiltonian(P, grid)
-    evolve(h, terminal_payoff(CALL, grid), 1.0, 10, 0.5,
-           boundary=FarFieldBoundary(CALL, P.r))
-    per_theta = 2 if two_d else 1   # an x- and a y-sweep in 2D
-    assert len(solvers) == 2 * per_theta
-    assert released[per_theta] == [True] * per_theta
+    per_phase = 2 if two_d else 1   # an x- and a y-sweep in 2D
+    for (theta, rannacher, n_steps), phases in PHASE_CASES:
+        refs.clear()
+        alive.clear()
+        evolve(h, terminal_payoff(CALL, grid), 1.0, n_steps, theta,
+               boundary=FarFieldBoundary(CALL, P.r), rannacher=rannacher)
+        assert len(alive) == phases * per_phase, (theta, rannacher, n_steps)
+        if phases == 2:
+            assert alive[per_phase] == [False] * 2 * per_phase
 
 
 def counting_views(monkeypatch):
