@@ -199,7 +199,8 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
 @click.option("--seed", type=int, default=0, show_default=True)
 def check(what, theta_field, omega, sigma, r, nx, ny, probes, seed):
     """Run the structural consistency checks and report pass/fail."""
-    params = _usage(ModelParams, r=r, sigma=sigma, omega=omega)
+    params = _usage(ModelParams, r=r, sigma=sigma)
+    _require(math.isfinite(omega) and omega != -1.0, "--omega", "be finite and not -1", omega)
     _require(nx >= 5, "--nx", "be at least 5", nx)
     _require(ny >= 5, "--ny", "be at least 5", ny)
     _require(probes >= 1, "--probes", "be at least 1", probes)

@@ -28,7 +28,7 @@ __all__ = [
     "default_grid_2d",
 ]
 
-_SCALAR_FIELDS = ("r", "sigma", "phi", "lambda_", "mu", "zeta", "alpha", "rho", "omega")
+_SCALAR_FIELDS = ("r", "sigma", "phi", "lambda_", "mu", "zeta", "alpha", "rho")
 
 
 def check_positive(name: str, value: float) -> None:
@@ -71,10 +71,11 @@ class ModelParams:
     """Scalar coefficients shared by the Hamiltonians and the simulators.
 
     r, phi, lambda_ and mu are rates (1/time), sigma is a volatility
-    (1/sqrt(time)), zeta scales the variance noise V^alpha, and alpha, rho,
-    omega are dimensionless.  ``vol_vol_half`` toggles the conventional 1/2
-    on the second y-derivative coefficient of the Merton-Garman operator;
-    the default keeps the coefficient as zeta^2 V^(2(alpha-1)) without it.
+    (1/sqrt(time)), zeta scales the variance noise V^alpha, and alpha and
+    rho are dimensionless; the gauge strength omega lives on GaugeField.
+    ``vol_vol_half`` toggles the conventional 1/2 on the second
+    y-derivative coefficient of the Merton-Garman operator; the default
+    keeps the coefficient as zeta^2 V^(2(alpha-1)) without it.
     ``sigma_local`` makes the gauge Hamiltonian read sigma^2 = e^y pointwise
     instead of using the constant ``sigma`` field.
     """
@@ -87,7 +88,6 @@ class ModelParams:
     zeta: float = 0.0       # volatility-of-volatility scale
     alpha: float = 1.0      # variance diffusion exponent
     rho: float = 0.0        # correlation of the two Brownian noises
-    omega: float = 0.0      # gauge transformation strength
     vol_vol_half: bool = False
     sigma_local: bool = True
 
@@ -100,8 +100,6 @@ class ModelParams:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
-        if self.omega == -1.0:
-            raise ValueError("omega must not equal -1 (degenerate transformation)")
 
 
 @dataclass(frozen=True)
@@ -337,15 +335,12 @@ def default_grid_1d(s0: float, sigma: float, maturity: float, n: int = 401) -> L
 
 
 def default_grid_2d(s0: float, v0: float, maturity: float,
-                    nx: int = 201, ny: int = 81,
-                    sigma: float | None = None) -> LogGrid2D:
-    """Joint grid: x as in default_grid_1d with sigma = sqrt(v0) unless
-    given, y covering [ln v0 - 5, ln v0 + 2]."""
+                    nx: int = 201, ny: int = 81) -> LogGrid2D:
+    """Joint grid: x as in default_grid_1d with sigma = sqrt(v0), y covering
+    [ln v0 - 5, ln v0 + 2]."""
     check_positive("v0", v0)
     check_integer("nx", nx, 5)
     check_integer("ny", ny, 5)
-    if sigma is None:
-        sigma = math.sqrt(v0)
-    x_axis = default_grid_1d(s0, sigma, maturity, n=nx)
+    x_axis = default_grid_1d(s0, math.sqrt(v0), maturity, n=nx)
     y0 = math.log(v0)
     return LogGrid2D(x_axis, LogGrid1D(y0 - 5.0, y0 + 2.0, ny))

@@ -41,6 +41,8 @@ __all__ = [
     "CHECKS",
 ]
 
+MARTINGALE_TOL = 1e-3   # the largest residual_norm of a satisfied MartingaleReport
+
 
 def momentum_ratio(omega: float) -> tuple[float, float]:
     """Both admissible values of p_x/p_y, +-sqrt(omega/(1+omega)).
@@ -126,22 +128,20 @@ class MartingaleReport(Record):
     satisfied: bool
 
 
-def mg_martingale_report(params: ModelParams, grid: LogGrid2D,
-                         tolerance: float = 1e-3) -> MartingaleReport:
+def mg_martingale_report(params: ModelParams, grid: LogGrid2D) -> MartingaleReport:
     """Apply the Merton-Garman Hamiltonian to the candidate martingale
     state e^{x+y} and compare against the analytic condition.
 
     The relative interior residual at row y equals |condition| * e^{-y} up
-    to O(h^2) discretization error, so ``satisfied`` reflects the relation
-    holding across the whole grid, not just at one point.
+    to O(h^2) discretization error, so ``satisfied`` (it is at most
+    MARTINGALE_TOL) reflects the relation holding across the whole grid.
     """
-    check_positive("tolerance", tolerance)
     residual_norm = _relative_residual(build_mg_hamiltonian(params, grid),
                                        sample(lambda x, y: np.exp(x + y), grid))
     lhs = mg_condition_lhs(params, grid.y_axis.points)
     return MartingaleReport(residual_norm=residual_norm,
                             condition_lhs=float(np.abs(lhs).max()),
-                            satisfied=residual_norm <= tolerance)
+                            satisfied=residual_norm <= MARTINGALE_TOL)
 
 
 @dataclass(frozen=True)

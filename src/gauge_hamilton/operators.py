@@ -34,8 +34,8 @@ from typing import Callable, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_integer,
-                   finite_on_grid, write_csv)
+from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_finite,
+                   check_integer, finite_on_grid, write_csv)
 
 __all__ = [
     "LinearOperator",
@@ -138,9 +138,10 @@ class LinearOperator:
     """A grid and an operator's diagonals on it.
 
     ``diagonals`` is (offsets, data), two numpy arrays, in the DIA layout
-    the module docstring sets out; any other layout of offsets is refused.
-    ``matrix`` is the CSR view, made on first use.  ``+``, ``-``, ``@`` and
-    scalar ``*`` are the operator algebra, each computed on the diagonals.
+    the module docstring sets out, the data real floating-point and finite;
+    anything else is refused.  ``matrix`` is the CSR view, made on first
+    use.  ``+``, ``-``, ``@`` and scalar ``*`` are the operator algebra,
+    each computed on the diagonals.
     """
 
     grid: Grid
@@ -152,6 +153,9 @@ class LinearOperator:
         if not (isinstance(offsets, np.ndarray) and isinstance(data, np.ndarray)):
             raise ValueError(f"diagonals must be a pair of numpy arrays (offsets, data); "
                              f"got {type(offsets).__name__} and {type(data).__name__}")
+        if offsets.ndim != 1 or data.dtype.kind != "f":
+            raise ValueError(f"diagonals need one-dimensional offsets and real floating-point "
+                             f"data; got offsets of shape {offsets.shape}, data {data.dtype}")
         keys = offsets.tolist()   # read once, as Python ints
         if not (0 in keys and all(type(o) is int for o in keys) and -n < keys[0]
                 and keys[-1] < n and all(a < b for a, b in zip(keys, keys[1:]))):
@@ -473,25 +477,25 @@ def build_gauge_hamiltonian(params: ModelParams, grid: LogGrid2D,
 
 @dataclass(frozen=True)
 class GaugeField:
-    """A scalar field theta(x, y) with caller-supplied analytic derivatives.
+    """A scalar field theta(x, y), its x derivative theta_x, and the gauge
+    strength omega of the transformation e^{omega theta}.
 
-    Only pointwise evaluation is ever needed, so the derivatives are plain
-    callables; they must stay finite on the grid box.
+    Only pointwise evaluation is ever needed, so theta and theta_x are plain
+    callables; they must stay finite on the grid box.  omega must be finite.
     """
 
     theta: Callable
     theta_x: Callable
-    theta_y: Callable
-    theta_xy: Callable
     omega: float
+
+    def __post_init__(self):
+        check_finite("omega", self.omega)
 
     @classmethod
     def linear_x(cls, omega: float) -> "GaugeField":
         """theta(x, y) = x."""
         return cls(theta=lambda x, y: x,
                    theta_x=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-                   theta_y=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-                   theta_xy=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
                    omega=omega)
 
     @classmethod
@@ -499,8 +503,6 @@ class GaugeField:
         """theta(x, y) = value."""
         return cls(theta=lambda x, y: np.full_like(np.asarray(x, dtype=float), value),
                    theta_x=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-                   theta_y=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-                   theta_xy=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
                    omega=omega)
 
 

@@ -32,15 +32,13 @@ def profit(query: ProfitQuery) -> float:
     return float(holder if query.side == "holder" else -holder)
 
 
-def break_even(contract: OptionContract, side: str = "holder") -> float:
+def break_even(contract: OptionContract) -> float:
     """Terminal price at which the position neither gains nor loses.
 
     Both sides break even at the same point: strike + premium for a call,
     strike - premium for a put.  A put premium above the strike means the
     holder profits at any terminal price, so no break-even exists.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     if contract.kind == "call":
         return contract.strike + contract.premium
     if contract.premium > contract.strike:

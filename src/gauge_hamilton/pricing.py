@@ -73,6 +73,8 @@ __all__ = [
     "price_mg",
 ]
 
+RESIDUAL_TOL = 1e-10   # the largest relative residual evolve accepts from a linear solve
+
 
 @dataclass(frozen=True)
 class OptionContract:
@@ -233,8 +235,7 @@ class PriceSurface:
 def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
            n_steps: int, theta_scheme: float = 0.5,
            boundary: Optional[FarFieldBoundary] = None,
-           rannacher: int = 2,
-           residual_tol: float = 1e-10) -> PriceSurface:
+           rannacher: int = 2) -> PriceSurface:
     """March the terminal condition back to the valuation time.
 
     The march has two phases: the startup, whose first ``rannacher`` steps
@@ -243,7 +244,7 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     built and factored once, when it begins, and the startup's are dropped
     before the main phase's are built: only one phase's systems are held
     at a time.  Every linear solve is checked: a relative residual
-    max|r| / max(1, max|rhs|) above ``residual_tol``, or one that is not
+    max|r| / max(1, max|rhs|) above ``RESIDUAL_TOL``, or one that is not
     finite, raises EvolveError.  The maxima are read at idamax's index;
     OpenBLAS's idamax may skip a NaN, so a NaN is caught by dasum.
 
@@ -275,7 +276,6 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     if not 0.0 <= theta_scheme <= 1.0:
         raise ValueError("theta_scheme must lie in [0, 1]")
     check_positive("maturity", maturity)
-    check_positive("residual_tol", residual_tol)
     grid = h.grid
     if boundary is None:
         raise ValueError("boundary is required: every theta-system takes its "
@@ -298,10 +298,10 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
 
     def check(resid, rhs):
         rel = _relative_residual(resid, rhs)
-        if not rel <= residual_tol:   # NaN and inf fail too
+        if not rel <= RESIDUAL_TOL:   # NaN and inf fail too
             raise EvolveError(
                 f"linear solve at step {step + 1}/{n_steps} has relative residual "
-                f"{rel:g} (tolerance {residual_tol:g})")
+                f"{rel:g} (tolerance {RESIDUAL_TOL:g})")
 
     startup = min(rannacher, n_steps) if theta_scheme < 1.0 else 0
     values = terminal.values.copy()

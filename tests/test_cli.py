@@ -474,6 +474,15 @@ def test_check_gauge_overflow_is_a_usage_error(runner):
     assert "gauge exponent overflows" in result.output
 
 
+@pytest.mark.parametrize("what", [*CHECKS, "all"])
+@pytest.mark.parametrize("omega", ["-1", "nan", "inf"])
+def test_check_rejects_bad_omega_for_every_check(runner, what, omega):
+    # expansion never reads omega: the flag is checked before any check runs
+    result = runner.invoke(main, ["check", "--what", what, "--omega", omega])
+    assert result.exit_code == 2, result.output
+    assert "--omega must be finite and not -1" in result.output
+
+
 def test_martingale_rejects_non_finite_drift(runner):
     result = runner.invoke(main, ["martingale", "--mu", "nan", "--lambda", "1"])
     assert result.exit_code == 2, result.output

@@ -250,6 +250,7 @@ def test_default_grids():
     g2 = default_grid_2d(100.0, 0.04, 1.0)
     assert isinstance(g2, LogGrid2D)
     assert (g2.nx, g2.ny) == (201, 81)
+    assert g2.x_axis == default_grid_1d(100.0, math.sqrt(0.04), 1.0, n=201)
     assert g2.y_axis.x_min == pytest.approx(math.log(0.04) - 5.0)
     assert g2.y_axis.x_max == pytest.approx(math.log(0.04) + 2.0)
     with pytest.raises(ValueError):
@@ -269,8 +270,6 @@ def test_params_defaults_and_validation():
         ModelParams(r=-0.01)
     with pytest.raises(ValueError, match="rho"):
         ModelParams(rho=1.5)
-    with pytest.raises(ValueError, match="omega"):
-        ModelParams(omega=-1.0)
     with pytest.raises(ValueError, match="finite"):
         ModelParams(mu=float("nan"))
 
@@ -296,8 +295,6 @@ def test_default_grids_name_non_finite_sigma_and_maturity(bad):
     # both used to fail with only "grid bounds must be finite"
     with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
         default_grid_1d(100.0, bad, 1.0)
-    with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
-        default_grid_2d(100.0, 0.04, 1.0, sigma=bad)
     with pytest.raises(ValueError, match="maturity must be positive and finite"):
         default_grid_1d(100.0, 0.2, bad)
     with pytest.raises(ValueError, match="maturity must be positive and finite"):

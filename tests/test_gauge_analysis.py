@@ -182,18 +182,6 @@ def test_mg_condition_follows_halved_vol_of_vol(params):
     assert g41 / g81 >= 3.0
 
 
-def test_mg_report_rejects_bad_tolerance():
-    with pytest.raises(ValueError, match="tolerance"):
-        mg_martingale_report(ModelParams(), GRID, tolerance=0.0)
-
-
-def test_mg_report_names_non_finite_tolerance():
-    # a NaN tolerance used to report satisfied=False, an infinite one True
-    for tolerance in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-            mg_martingale_report(ModelParams(), GRID, tolerance=tolerance)
-
-
 def test_momentum_ratio_names_non_finite_omega():
     for omega in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="omega must be finite"):
@@ -343,7 +331,7 @@ def test_volcoeff_with_conventional_half():
 # structural checks
 # ---------------------------------------------------------------------------
 
-CHECK_PARAMS = ModelParams(r=0.05, sigma=0.2, omega=1.0)
+CHECK_PARAMS = ModelParams(r=0.05, sigma=0.2)
 RECORD_KEYS = {"name", "residual", "tolerance", "pass"}
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,23 @@ def test_operator_refuses_diagonals_that_are_not_arrays():
     with pytest.raises(ValueError, match=r"^diagonals must be a pair of numpy arrays "
                                          r"\(offsets, data\); got ndarray and list$"):
         LinearOperator(grid, (np.array([0]), [[1.0] * 5]))
+
+
+BAD_DIAGONALS = {
+    "scalar-offsets": (np.array(0), np.ones((1, 5))),
+    "complex-data": (np.array([0]), np.ones((1, 5), dtype=complex)),
+    "bool-data": (np.array([0]), np.ones((1, 5), dtype=bool)),
+    "string-data": (np.array([0]), np.full((1, 5), "1.0")),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DIAGONALS)
+def test_operator_refuses_diagonals_that_are_not_real_rows(case):
+    # a 0-d offset array raised TypeError, and so did string data, from numpy;
+    # complex and bool data were taken as they were
+    with pytest.raises(ValueError, match=r"^diagonals need one-dimensional offsets and real "
+                                         r"floating-point data; got offsets of shape"):
+        LinearOperator(make_grid_1d(0.0, 1.0, 5), BAD_DIAGONALS[case])
 
 
 def split_main(offsets, data):
@@ -494,9 +512,22 @@ def test_gauge_operator_overflow():
         gauge_operator(GaugeField.linear_x(1.0), g)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_gauge_field_refuses_non_finite_omega(omega):
+    # a NaN omega used to fail as "operator entries must be finite", and an
+    # infinite one warned (invalid value in multiply) in build_transformed_bs
+    makers = (GaugeField.linear_x, GaugeField.constant,
+              lambda w: GaugeField(theta=lambda x, y: x, theta_x=lambda x, y: 1.0 + 0.0 * x,
+                                   omega=w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in makers:
+            with pytest.raises(ValueError, match=f"^omega must be finite, got {omega}$"):
+                make(omega)
+
+
 def test_gauge_fields_must_be_finite_on_the_grid():
-    log_x = GaugeField(theta=lambda x, y: np.log(x), theta_x=lambda x, y: 1.0 / x,
-                       theta_y=lambda x, y: 0.0 * x, theta_xy=lambda x, y: 0.0 * x, omega=1.0)
+    log_x = GaugeField(theta=lambda x, y: np.log(x), theta_x=lambda x, y: 1.0 / x, omega=1.0)
     with np.errstate(divide="ignore"):
         with pytest.raises(ValueError, match="non-finite theta -inf at grid index 0"):
             gauge_operator(log_x, make_grid_1d(0.0, 1.0, 5))
@@ -681,9 +712,7 @@ def assert_same_csr(got, want):
 
 
 WAVY = GaugeField(theta=lambda x, y: np.sin(x) + 0.3 * y,
-                  theta_x=lambda x, y: np.cos(x),
-                  theta_y=lambda x, y: np.full_like(x, 0.3),
-                  theta_xy=lambda x, y: np.zeros_like(x), omega=0.4)
+                  theta_x=lambda x, y: np.cos(x), omega=0.4)
 
 
 @pytest.mark.parametrize("grid", [GRID_1D, GRID_2D], ids=["1d", "2d"])
@@ -846,8 +875,7 @@ def test_operator_algebra_stores_the_reference_arrays(grid):
     h = build_bs_hamiltonian(P, grid)
     for gauge in (GaugeField.linear_x(0.7), WAVY):
         u = gauge_operator(gauge, grid)
-        u_inv = gauge_operator(GaugeField(gauge.theta, gauge.theta_x, gauge.theta_y,
-                                          gauge.theta_xy, -gauge.omega), grid)
+        u_inv = gauge_operator(GaugeField(gauge.theta, gauge.theta_x, -gauge.omega), grid)
         left = build_transformed_bs(P, gauge, grid, "left")
         right = build_transformed_bs(P, gauge, grid, "right")
         assert_same_csr(left.matrix, u_inv.matrix @ h.matrix @ u.matrix)
