@@ -1,10 +1,15 @@
 """Command line interface.
 
-Every command prints JSON (sorted keys) or CSV.  Exit codes: 0 on success,
-1 when a numerical check or solve fails (for ``price``, also when a theta
-step is past its explicit-step stability bound), 2 for usage errors.  A
-JSON file passed via --config supplies defaults for the invoked subcommand;
-explicit flags still win.
+Every command prints JSON (sorted keys) or CSV.  Exit codes:
+
+    0  success
+    1  a solve or check failed, or (``price``) a theta step is past its
+       explicit-step stability bound
+    2  an input rule is broken, in the library or in the CLI; the message
+       names the flag
+
+A JSON file passed via --config supplies defaults for the invoked
+subcommand; explicit flags still win.
 """
 
 from __future__ import annotations
@@ -18,12 +23,12 @@ import warnings
 import click
 import numpy as np
 
-from .core import (ModelParams, default_grid_1d, default_grid_2d, make_grid_2d,
-                   sample, text_output, write_csv)
+from .core import (InputError, ModelParams, check_integer, default_grid_1d, default_grid_2d,
+                   make_grid_2d, require, sample, text_output, write_csv)
 from .gauge_analysis import (_CHECK_X, _CHECK_Y, CHECKS, _run_checks,
                              gauge_martingale_sums, martingale_roots,
                              mg_martingale_report)
-from .montecarlo import mc_price, simulate_gbm, simulate_mg
+from .montecarlo import _check_seed, mc_price, simulate_gbm, simulate_mg
 from .operators import build_gauge_hamiltonian, hamiltonian_terms
 from .payoff import ProfitQuery, break_even, profit
 from .pricing import (EvolveError, OptionContract, _cover_strike, bs_closed_form, price_bs,
@@ -36,37 +41,43 @@ def _echo_json(data) -> None:
     click.echo(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _usage(fn, *args, **kwargs):
-    """Call ``fn``, reporting a ValueError from it as a usage error."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
 def _capped_threads(threads: int) -> int:
     cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
-        try:
-            cap_value = int(cap)
-        except ValueError:
-            raise click.UsageError(f"{THREADS_ENV} must be an integer, got {cap!r}")
-        if cap_value < 1:
-            raise click.UsageError(f"{THREADS_ENV} must be at least 1, got {cap_value}")
-        threads = min(threads, cap_value)
-    if threads < 1:
-        raise click.UsageError(f"--threads must be at least 1, got {threads}")
-    return threads
+    if cap is None:
+        return threads
+    require(cap.strip().isdecimal() and int(cap) >= 1, THREADS_ENV,
+            f"must be an integer >= 1, got {cap!r}")
+    return min(threads, int(cap))
 
 
 def _output(output):
     return text_output(sys.stdout if output in (None, "-") else output)
 
 
-def _require(ok: bool, flag: str, rule: str, value) -> None:
-    """Usage error naming ``flag`` unless ``ok``."""
-    if not ok:
-        raise click.UsageError(f"{flag} must {rule}, got {value}")
+def _params(command: click.Command) -> dict:
+    """Each parameter of ``command`` under its name (strike) and under each of
+    its option spellings, dashes as underscores (k, n_steps)."""
+    out = {}
+    for param in command.params:
+        out[param.name] = param
+        out.update((opt.lstrip("-").replace("-", "_"), param) for opt in param.opts)
+    return out
+
+
+class _Command(click.Command):
+    """A subcommand with the one error handler: an InputError exits 2 naming
+    its field's flag; a failed solve, any other ValueError or warning, 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InputError as exc:
+            param = _params(self).get(exc.field)
+            raise click.UsageError(f"{param.opts[0] if param else exc.field} {exc.rule}",
+                                   ctx) from None
+        except (EvolveError, ValueError, RuntimeWarning) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
 @click.group()
@@ -88,20 +99,18 @@ def main(ctx, config_path):
     sub = ctx.invoked_subcommand
     if sub is None:
         return
-    command = main.get_command(ctx, sub)
     # accept both option spellings (--n-steps) and parameter names (n_steps)
-    alias_to_name = {}
-    for param in command.params:
-        alias_to_name[param.name] = param.name
-        for opt in param.opts:
-            alias_to_name[opt.lstrip("-").replace("-", "_")] = param.name
+    params = _params(main.get_command(ctx, sub))
     overrides = {}
     for key, value in data.items():
         norm = str(key).replace("-", "_")
-        if norm not in alias_to_name:
+        if norm not in params:
             raise click.UsageError(f"unknown config key {key!r} for command {sub!r}")
-        overrides[alias_to_name[norm]] = value
+        overrides[params[norm].name] = value
     ctx.default_map = {sub: overrides}
+
+
+main.command_class = _Command   # every subcommand below is one
 
 
 # ---------------------------------------------------------------------------
@@ -135,48 +144,37 @@ def main(ctx, config_path):
 def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
           alpha, rho, nx, ny, n_steps, theta_scheme, mc_paths, seed):
     """Price a European option by backward evolution."""
-    params = _usage(ModelParams, r=r, sigma=sigma, phi=r, lambda_=lambda_, mu=mu,
-                    zeta=zeta, alpha=alpha, rho=rho)
-    contract = _usage(OptionContract, kind, strike, maturity)
-    _require(math.isfinite(s0) and s0 > 0.0, "--s0", "be positive and finite", s0)
-    _require(n_steps >= 1, "--n-steps", "be at least 1", n_steps)
-    _require(0.0 <= theta_scheme <= 1.0, "--theta-scheme", "lie in [0, 1]", theta_scheme)
-    _require(nx is None or nx >= 5, "--nx", "be at least 5", nx)
-    _require(mc_paths == 0 or mc_paths >= 2, "--mc-paths", "be 0 or at least 2", mc_paths)
-    _require(0 <= seed < 2 ** 128, "--seed", "lie in [0, 2**128)", seed)
-    if model == "mg":
-        _require(math.isfinite(v0) and v0 > 0.0, "--v0", "be positive and finite", v0)
-        _require(ny >= 5, "--ny", "be at least 5", ny)
+    params = ModelParams(r=r, sigma=sigma, phi=r, lambda_=lambda_, mu=mu,
+                         zeta=zeta, alpha=alpha, rho=rho)
+    contract = OptionContract(kind, strike, maturity)
+    require(mc_paths == 0 or mc_paths >= 2, "mc_paths", f"must be 0 or at least 2, got {mc_paths}")
+    _check_seed(seed)   # before the PDE solve, not after it
     out = {"model": model, "kind": kind, "s0": s0, "strike": strike,
            "maturity": maturity, "r": r}
-    try:
-        with warnings.catch_warnings():
-            # past the explicit-step bound the march may blow up: exit 1
-            # with evolve's warning instead of a price
-            warnings.filterwarnings("error", "explicit step may be unstable",
-                                    RuntimeWarning)
-            if model == "bs":
-                # price_bs's own box, on nx points
-                grid = (_cover_strike(default_grid_1d(s0, sigma, maturity, n=nx), strike)
-                        if nx else None)
-                pde = price_bs(params, contract, s0, grid=grid,
-                               n_steps=n_steps, theta_scheme=theta_scheme)
-                closed = bs_closed_form(params, contract, s0)
-                out.update(sigma=sigma, pde_price=pde, closed_form=closed,
-                           rel_err=abs(pde - closed) / max(abs(closed), 1e-300))
-            else:
-                grid = default_grid_2d(s0, v0, maturity, nx=nx or 201, ny=ny)
-                pde = price_mg(params, contract, s0, v0, grid=grid,
-                               n_steps=n_steps, theta_scheme=theta_scheme)
-                out.update(v0=v0, pde_price=pde)
-        if mc_paths > 0:
-            ens = (simulate_gbm(params, s0, maturity, n_steps, mc_paths, seed) if model == "bs"
-                   else simulate_mg(params, s0, v0, maturity, n_steps, mc_paths, seed))
-            est, se = mc_price(ens, contract, r)
-            out.update(mc_price=est, mc_stderr=se, mc_paths=mc_paths, seed=seed)
-    except (EvolveError, ValueError, RuntimeWarning) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    with warnings.catch_warnings():
+        # past the explicit-step bound the march may blow up: exit 1
+        # with evolve's warning instead of a price
+        warnings.filterwarnings("error", "explicit step may be unstable", RuntimeWarning)
+        if model == "bs":
+            grid = None
+            if nx is not None:   # price_bs's own box, on nx points
+                check_integer("nx", nx, 5)   # by the flag's name: the 1D grid says n
+                grid = _cover_strike(default_grid_1d(s0, sigma, maturity, n=nx), strike)
+            pde = price_bs(params, contract, s0, grid=grid,
+                           n_steps=n_steps, theta_scheme=theta_scheme)
+            closed = bs_closed_form(params, contract, s0)
+            out.update(sigma=sigma, pde_price=pde, closed_form=closed,
+                       rel_err=abs(pde - closed) / max(abs(closed), 1e-300))
+        else:
+            grid = default_grid_2d(s0, v0, maturity, nx=201 if nx is None else nx, ny=ny)
+            pde = price_mg(params, contract, s0, v0, grid=grid,
+                           n_steps=n_steps, theta_scheme=theta_scheme)
+            out.update(v0=v0, pde_price=pde)
+    if mc_paths > 0:
+        ens = (simulate_gbm(params, s0, maturity, n_steps, mc_paths, seed) if model == "bs"
+               else simulate_mg(params, s0, v0, maturity, n_steps, mc_paths, seed))
+        est, se = mc_price(ens, contract, r)
+        out.update(mc_price=est, mc_stderr=se, mc_paths=mc_paths, seed=seed)
     _echo_json(out)
 
 
@@ -199,13 +197,10 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
 @click.option("--seed", type=int, default=0, show_default=True)
 def check(what, theta_field, omega, sigma, r, nx, ny, probes, seed):
     """Run the structural consistency checks and report pass/fail."""
-    params = _usage(ModelParams, r=r, sigma=sigma)
-    _require(math.isfinite(omega) and omega != -1.0, "--omega", "be finite and not -1", omega)
-    _require(nx >= 5, "--nx", "be at least 5", nx)
-    _require(ny >= 5, "--ny", "be at least 5", ny)
-    _require(probes >= 1, "--probes", "be at least 1", probes)
-    _require(seed >= 0, "--seed", "be at least 0", seed)
-    checks = _usage(_run_checks, what, params, theta_field, omega, nx, ny, probes, seed)
+    params = ModelParams(r=r, sigma=sigma)
+    require(math.isfinite(omega) and omega != -1.0, "omega",
+            f"must be finite and not -1, got {omega}")
+    checks = _run_checks(what, params, theta_field, omega, nx, ny, probes, seed)
     all_pass = all(c["pass"] for c in checks)
     _echo_json({"checks": checks, "pass": all_pass})
     if not all_pass:
@@ -233,9 +228,9 @@ def check(what, theta_field, omega, sigma, r, nx, ny, probes, seed):
               help="Correlation used by --report-grid.")
 def martingale(mu, lambda_, a_coeff, report_grid, zeta, alpha, rho):
     """Equilibrium variances where e^{x+y} is a martingale state."""
-    out = _usage(martingale_roots, a_coeff, mu, lambda_).to_dict()
+    out = martingale_roots(a_coeff, mu, lambda_).to_dict()
     if report_grid:
-        params = _usage(ModelParams, lambda_=lambda_, mu=mu, zeta=zeta, alpha=alpha, rho=rho)
+        params = ModelParams(lambda_=lambda_, mu=mu, zeta=zeta, alpha=alpha, rho=rho)
         grid = make_grid_2d(*_CHECK_X, 41, *_CHECK_Y, 21)
         out["report"] = mg_martingale_report(params, grid).to_dict()
     _echo_json(out)
@@ -246,8 +241,7 @@ def martingale(mu, lambda_, a_coeff, report_grid, zeta, alpha, rho):
 @click.option("--sigma", type=float, default=0.2, show_default=True)
 def gauge_martingale(r, sigma):
     """Exponent sums annihilated by the constant-volatility gauge Hamiltonian."""
-    params = _usage(ModelParams, r=r, sigma=sigma)
-    sums = _usage(gauge_martingale_sums, params)
+    sums = gauge_martingale_sums(ModelParams(r=r, sigma=sigma))
     _echo_json({"r": r, "sigma": sigma, "sums": list(sums)})
 
 
@@ -288,10 +282,9 @@ _TERM_COLUMNS = ("second_x", "first_x", "first_y", "cross_xy", "second_y", "pote
 def surface(model, reference, sigma_mode, form, r, sigma, lambda_, mu, zeta,
             alpha, rho, x_min, x_max, nx, y_min, y_max, ny, output):
     """Tabulate the action of each Hamiltonian term on a reference state."""
-    params = _usage(ModelParams, r=r, sigma=sigma, lambda_=lambda_, mu=mu, zeta=zeta,
-                    alpha=alpha, rho=rho,
-                    sigma_local=(sigma_mode == "local"))
-    grid = _usage(make_grid_2d, x_min, x_max, nx, y_min, y_max, ny)
+    params = ModelParams(r=r, sigma=sigma, lambda_=lambda_, mu=mu, zeta=zeta,
+                         alpha=alpha, rho=rho, sigma_local=(sigma_mode == "local"))
+    grid = make_grid_2d(x_min, x_max, nx, y_min, y_max, ny)
     if reference == "exp-x":
         state = sample(lambda x, y: np.exp(x), grid)
     else:
@@ -331,11 +324,12 @@ def payoff_table(kind, strike, premium, s_min, s_max, n, fmt, output):
     """Holder and writer profit at expiry over a range of terminal prices."""
     if s_max is None:
         s_max = 2.0 * strike
-    _require(math.isfinite(s_min) and s_min >= 0.0, "--s-min", "be nonnegative and finite", s_min)
-    _require(math.isfinite(s_max) and s_max > s_min, "--s-max",
-             f"be finite and exceed --s-min {s_min}", s_max)
-    _require(n >= 2, "--n", "be at least 2", n)
-    contract = _usage(OptionContract, kind, strike, maturity=1.0, premium=premium)
+    require(math.isfinite(s_min) and s_min >= 0.0, "s_min",
+            f"must be nonnegative and finite, got {s_min}")
+    require(math.isfinite(s_max) and s_max > s_min, "s_max",
+            f"must be finite and exceed --s-min {s_min}, got {s_max}")
+    require(n >= 2, "n", f"must be at least 2, got {n}")
+    contract = OptionContract(kind, strike, maturity=1.0, premium=premium)
     s_values = np.linspace(s_min, s_max, n)
     rows = []
     for s in s_values:
@@ -389,15 +383,12 @@ def simulate(model, s0, v0, maturity, r, phi, sigma, lambda_, mu, zeta, alpha,
              rho, n_paths, n_steps, seed, threads, slices_out, paths_out):
     """Simulate price paths and summarize the terminal distribution."""
     threads = _capped_threads(threads)
-    _require(0 <= seed < 2 ** 128, "--seed", "lie in [0, 2**128)", seed)
-    params = _usage(ModelParams, r=r, sigma=sigma, phi=r if phi is None else phi,
-                    lambda_=lambda_, mu=mu, zeta=zeta, alpha=alpha, rho=rho)
+    params = ModelParams(r=r, sigma=sigma, phi=r if phi is None else phi,
+                         lambda_=lambda_, mu=mu, zeta=zeta, alpha=alpha, rho=rho)
     if model == "gbm":
-        ens = _usage(simulate_gbm, params, s0, maturity, n_steps, n_paths, seed,
-                     threads=threads)
+        ens = simulate_gbm(params, s0, maturity, n_steps, n_paths, seed, threads=threads)
     else:
-        ens = _usage(simulate_mg, params, s0, v0, maturity, n_steps, n_paths, seed,
-                     threads=threads)
+        ens = simulate_mg(params, s0, v0, maturity, n_steps, n_paths, seed, threads=threads)
     terminal = ens.s_paths[:, -1]
     out = {
         "model": model, "n_paths": n_paths, "n_steps": n_steps, "seed": seed,

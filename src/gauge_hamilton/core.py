@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
 import numpy as np
 
 __all__ = [
+    "InputError",
     "ModelParams",
     "LogGrid1D",
     "LogGrid2D",
@@ -29,25 +30,39 @@ __all__ = [
 ]
 
 _SCALAR_FIELDS = ("r", "sigma", "phi", "lambda_", "mu", "zeta", "alpha", "rho")
+EXP_LIMIT = math.log(np.finfo(float).max)  # ~709.78: e^x overflows above it
+
+
+class InputError(ValueError):
+    """A caller's value breaks an input rule.  ``field`` names the value and
+    ``rule`` says what it must be; the message is the two joined."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} {rule}")
+        self.field, self.rule = field, rule
+
+
+def require(ok: bool, field: str, rule: str) -> None:
+    """Raise InputError(field, rule) unless ``ok``."""
+    if not ok:
+        raise InputError(field, rule)
 
 
 def check_positive(name: str, value: float) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is positive and finite."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    """Raise an InputError naming ``name`` unless ``value`` is positive and finite."""
+    require(math.isfinite(value) and value > 0.0, name, f"must be positive and finite, got {value}")
 
 
 def check_finite(name: str, value: float) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is finite."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    """Raise an InputError naming ``name`` unless ``value`` is finite."""
+    require(math.isfinite(value), name, f"must be finite, got {value!r}")
 
 
 def check_integer(name: str, value, least: int) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer (a
+    """Raise an InputError naming ``name`` unless ``value`` is an integer (a
     Python or numpy one, not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+    require(not isinstance(value, bool) and isinstance(value, numbers.Integral)
+            and value >= least, name, f"must be an integer >= {least}, got {value}")
 
 
 class Record:
@@ -94,12 +109,12 @@ class ModelParams:
     def __post_init__(self):
         for name in _SCALAR_FIELDS:
             check_finite(name, getattr(self, name))
-        if self.r < 0.0:
-            raise ValueError(f"r must be nonnegative, got {self.r}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
+        require(self.r >= 0.0, "r", f"must be nonnegative, got {self.r}")
+        require(self.sigma >= 0.0, "sigma", f"must be nonnegative, got {self.sigma}")
+        require(-1.0 <= self.rho <= 1.0, "rho", f"must lie in [-1, 1], got {self.rho}")
+        for name in ("sigma", "zeta"):   # the operators' coefficients hold their squares
+            value = getattr(self, name)
+            require(math.isfinite(value * value), name, f"must have a finite square, got {value}")
 
 
 @dataclass(frozen=True)
@@ -113,8 +128,7 @@ class LogGrid1D:
     def __post_init__(self):
         check_finite("x_min", self.x_min)
         check_finite("x_max", self.x_max)
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
+        require(self.x_max > self.x_min, "x_max", "must exceed x_min")
         check_integer("n", self.n, 5)
 
     @property
@@ -142,8 +156,7 @@ class LogGrid1D:
         """The points at least ``depth`` points inside either end; depth 0
         is every point.  An empty mask is refused: 2 depth must be below n."""
         check_integer("depth", depth, 0)
-        if 2 * depth >= self.n:
-            raise ValueError(f"depth must be below n/2 = {self.n / 2:g}, got {depth}")
+        require(2 * depth < self.n, "depth", f"must be below n/2 = {self.n / 2:g}, got {depth}")
         mask = np.zeros(self.n, dtype=bool)
         mask[depth:self.n - depth] = True
         return mask
@@ -218,10 +231,8 @@ def make_grid_2d(x_min: float, x_max: float, nx: int,
     check_integer("ny", ny, 5)
     for name, value in (("x_min", x_min), ("x_max", x_max), ("y_min", y_min), ("y_max", y_max)):
         check_finite(name, value)
-    if not x_max > x_min:
-        raise ValueError("x_max must exceed x_min")
-    if not y_max > y_min:
-        raise ValueError("y_max must exceed y_min")
+    require(x_max > x_min, "x_max", "must exceed x_min")
+    require(y_max > y_min, "y_max", "must exceed y_min")
     return LogGrid2D(LogGrid1D(x_min, x_max, nx), LogGrid1D(y_min, y_max, ny))
 
 
@@ -323,14 +334,22 @@ def write_grid_function_csv(gf: GridFunction, path) -> None:
 
 def default_grid_1d(s0: float, sigma: float, maturity: float, n: int = 401) -> LogGrid1D:
     """Price grid centred on ln s0, five sigma*sqrt(T) wide on each side."""
+    return _price_axis(s0, sigma, maturity, n, "sigma")
+
+
+def _price_axis(s0: float, sigma: float, maturity: float, n: int, field: str) -> LogGrid1D:
+    """default_grid_1d's box; an InputError names ``field``, the input that
+    sets sigma, when e^x overflows at the box's top."""
     check_positive("s0", s0)
     check_positive("maturity", maturity)
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
+    require(math.isfinite(sigma) and sigma >= 0.0, "sigma",
+            f"must be nonnegative and finite, got {sigma}")
     half = 5.0 * sigma * math.sqrt(maturity)
     if half <= 0:
         half = 1.0  # degenerate sigma: any bounded box works
     x0 = math.log(s0)
+    require(x0 + half <= EXP_LIMIT, field, f"must keep the top of the price box, {x0 + half:g}, "
+                                           f"below ln(max float) = {EXP_LIMIT:.2f}")
     return LogGrid1D(x0 - half, x0 + half, n)
 
 
@@ -341,6 +360,6 @@ def default_grid_2d(s0: float, v0: float, maturity: float,
     check_positive("v0", v0)
     check_integer("nx", nx, 5)
     check_integer("ny", ny, 5)
-    x_axis = default_grid_1d(s0, math.sqrt(v0), maturity, n=nx)
+    x_axis = _price_axis(s0, math.sqrt(v0), maturity, nx, "v0")
     y0 = math.log(v0)
     return LogGrid2D(x_axis, LogGrid1D(y0 - 5.0, y0 + 2.0, ny))

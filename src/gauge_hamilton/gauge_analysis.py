@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (GridFunction, LogGrid2D, ModelParams, Record, check_positive,
-                   make_grid_1d, make_grid_2d, sample)
+from .core import (GridFunction, LogGrid2D, ModelParams, Record, check_finite, check_integer,
+                   check_positive, make_grid_1d, make_grid_2d, require, sample)
 from .operators import (GaugeField, LinearOperator, build_bs_hamiltonian,
                         build_gauge_hamiltonian, build_mg_hamiltonian,
                         build_transformed_bs, commutator, gauge_operator,
@@ -50,14 +50,11 @@ def momentum_ratio(omega: float) -> tuple[float, float]:
     Undefined for omega = -1 and complex for omega in (-1, 0); those raise.
     omega = 0 gives 0 (momenta decouple), omega -> infinity tends to +-1.
     """
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega}")
-    if omega == -1.0:
-        raise ValueError("momentum ratio undefined at omega = -1")
+    check_finite("omega", omega)
+    require(omega != -1.0, "omega", "must not be -1: the momentum ratio is undefined at omega = -1")
     ratio2 = omega / (1.0 + omega)
-    if ratio2 < 0.0:
-        raise ValueError(
-            f"omega/(1+omega) is negative for omega in (-1, 0); got omega = {omega}")
+    require(ratio2 >= 0.0, "omega", f"must lie outside (-1, 0), where omega/(1+omega) is "
+                                    f"negative; got {omega}")
     root = math.sqrt(ratio2)
     return (root, -root)
 
@@ -70,8 +67,7 @@ def information_preservation_check(px_over_py: float, theta_x: float,
     zero the right side is zero regardless of sigma^2 - 2r; at the special
     point sigma^2 = 2r with theta_xy nonzero the relation has no solution.
     """
-    if theta_x == 0.0:
-        raise ValueError("theta_x must be nonzero")
+    require(theta_x != 0.0, "theta_x", "must be nonzero")
     sig2 = params.sigma * params.sigma
     lhs = 1.0 + px_over_py
     if theta_xy == 0.0:
@@ -170,10 +166,8 @@ def martingale_roots(a_coeff: float, mu: float, lambda_: float) -> RootSet:
     cancellation between -mu and the discriminant square root.
     """
     for name, value in (("a_coeff", a_coeff), ("mu", mu), ("lambda_", lambda_)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if a_coeff == 0.0:
-        raise ValueError("a_coeff must be nonzero")
+        check_finite(name, value)
+    require(a_coeff != 0.0, "a_coeff", "must be nonzero")
     disc = mu * mu - 4.0 * a_coeff * lambda_
     if disc < 0.0:
         candidates: list[float] = []
@@ -406,6 +400,9 @@ CHECKS = {"expansion": _check_expansion, "bs-limit": _check_bs_limit,
 def _run_checks(what, params, theta_field, omega, nx, ny, probes, seed) -> list:
     """Records of the check ``what``, or of every check in table order for
     "all"; each check is passed the settings its parameters name."""
+    for name, value, least in (("nx", nx, 5), ("ny", ny, 5), ("probes", probes, 1),
+                               ("seed", seed, 0)):
+        check_integer(name, value, least)   # all of them, whichever checks run
     settings = {"params": params, "theta_field": theta_field, "omega": omega,
                 "nx": nx, "ny": ny, "probes": probes, "seed": seed}
     records = []

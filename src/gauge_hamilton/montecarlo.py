@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (GridFunction, LogGrid2D, ModelParams, Record, check_integer, check_positive,
-                   write_csv)
+                   require, write_csv)
 from .operators import build_mg_hamiltonian, momentum_operator
 from .pricing import OptionContract, PriceSurface, bs_closed_form, bs_delta
 
@@ -57,8 +57,7 @@ _SCHEME_NAMES = {v: k for k, v in _SCHEME_CODES.items()}
 def _check_seed(seed) -> None:
     """A Philox key: an integer in [0, 2**128)."""
     check_integer("seed", seed, 0)
-    if seed >= 2 ** 128:
-        raise ValueError(f"seed must be less than 2**128, got {seed}")
+    require(seed < 2 ** 128, "seed", f"must be less than 2**128, got {seed}")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -75,8 +74,7 @@ def _blocks(n_paths: int):
 
 def correlated_normals(rho: float, n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """n draws of the correlated pair (z1, rho z1 + sqrt(1-rho^2) z2)."""
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
+    require(-1.0 <= rho <= 1.0, "rho", f"must lie in [-1, 1], got {rho}")
     check_integer("n", n, 0)
     _check_seed(seed)
     rng = _block_rng(seed, 0)
@@ -103,10 +101,10 @@ class PathEnsemble:
     phi: float
 
     def __post_init__(self):
-        if self.scheme not in _SCHEME_CODES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.s_paths.shape[1] != self.times.shape[0]:
-            raise ValueError("path array does not match the time axis")
+        require(self.scheme in _SCHEME_CODES, "scheme",
+                f"must be one of {tuple(_SCHEME_CODES)}, got {self.scheme!r}")
+        require(self.s_paths.shape[1] == self.times.shape[0], "s_paths",
+                "must match the time axis")
 
     @property
     def n_paths(self) -> int:
@@ -285,8 +283,8 @@ def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
     """
     _validate_run(s0, maturity, n_steps, n_paths, seed, threads)
     check_positive("v0", v0)
-    if not (math.isfinite(v_floor) and v_floor >= 0.0):
-        raise ValueError(f"v_floor must be finite and nonnegative, got {v_floor}")
+    require(math.isfinite(v_floor) and v_floor >= 0.0, "v_floor",
+            f"must be finite and nonnegative, got {v_floor}")
     dt = maturity / n_steps
     sqdt = math.sqrt(dt)
     rho = params.rho
@@ -337,11 +335,10 @@ def mc_price(ensemble: PathEnsemble, contract: OptionContract,
     The ensemble must have been generated risk-neutrally (phi = r) and run
     to the contract maturity.
     """
-    if ensemble.phi != r:
-        raise ValueError(
-            f"risk-neutral pricing requires phi = r, ensemble has phi = {ensemble.phi}")
-    if abs(ensemble.maturity - contract.maturity) > 1e-12:
-        raise ValueError("ensemble horizon differs from contract maturity")
+    require(ensemble.phi == r, "ensemble",
+            f"must be risk-neutral, phi = r = {r}; got phi = {ensemble.phi}")
+    require(abs(ensemble.maturity - contract.maturity) <= 1e-12, "ensemble",
+            "horizon differs from contract maturity")
     discounted = math.exp(-r * contract.maturity) * contract.payoff(ensemble.s_paths[:, -1])
     n = discounted.shape[0]
     price = float(discounted.mean())
@@ -406,8 +403,8 @@ def hedge_coefficients(c1: PriceSurface, c2: PriceSurface,
     if not isinstance(grid, LogGrid2D):
         raise TypeError("hedge coefficients need 2D surfaces")
     i, j = point
-    if not (1 <= i <= grid.nx - 2 and 1 <= j <= grid.ny - 2):
-        raise ValueError(f"point {point} is not interior to the grid")
+    require(1 <= i <= grid.nx - 2 and 1 <= j <= grid.ny - 2, "point",
+            f"must be interior to the grid, got {point}")
     x = grid.x_axis.points[i]
     y = grid.y_axis.points[j]
 
@@ -455,8 +452,8 @@ def beta_field(surface: PriceSurface, params: ModelParams,
     if not isinstance(grid, LogGrid2D):
         raise TypeError("beta extraction needs a 2D surface")
     check_positive("min_dcdv", min_dcdv)
-    if surface.prev_values is None or surface.dt is None:
-        raise ValueError("surface must carry two time slices (prev_values and dt)")
+    require(surface.prev_values is not None and surface.dt is not None, "surface",
+            "must carry two time slices (prev_values and dt)")
     c = GridFunction(grid, surface.values)
     numerator = ((surface.prev_values - c.values) / surface.dt
                  - build_mg_hamiltonian(params, grid).apply(c).values)

@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_finite,
-                   check_integer, finite_on_grid, write_csv)
+from .core import (EXP_LIMIT, GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_finite,
+                   check_integer, finite_on_grid, require, write_csv)
 
 __all__ = [
     "LinearOperator",
@@ -255,8 +254,7 @@ def identity_operator(grid: Grid) -> LinearOperator:
 
 def momentum_operator(grid: Grid, axis: str = "x") -> LinearOperator:
     """First-derivative block along one axis (the momentum is real here)."""
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    require(axis in ("x", "y"), "axis", f"must be 'x' or 'y', got {axis!r}")
     return LinearOperator(grid, _sum(grid.n_points, _difference_blocks(grid, "d" + axis)))
 
 
@@ -460,8 +458,7 @@ def build_gauge_hamiltonian(params: ModelParams, grid: LogGrid2D,
         raise TypeError("the gauge Hamiltonian needs a 2D grid")
     if form == "expanded":
         return _hamiltonian(params, grid, "gauge")
-    if form != "factored":
-        raise ValueError(f"form must be 'expanded' or 'factored', got {form!r}")
+    require(form == "factored", "form", f"must be 'expanded' or 'factored', got {form!r}")
     d = momentum_operator(grid, "x") + momentum_operator(grid, "y")
     sig2 = _gauge_sig2(params, grid)
 
@@ -513,16 +510,13 @@ def _grid_coords(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return pts, np.zeros_like(pts)
 
 
-_EXP_LIMIT = math.log(np.finfo(float).max)  # ~709.78
-
-
 def gauge_operator(gauge: GaugeField, grid: Grid) -> LinearOperator:
     """Diagonal operator U = diag(e^{omega * theta})."""
     t = finite_on_grid(gauge.theta(*_grid_coords(grid)), grid, "theta")
     w = gauge.omega * t
     peak = float(np.abs(w).max())
-    if peak >= _EXP_LIMIT:
-        raise ValueError(f"gauge exponent overflows: max |omega*theta| = {peak:g}")
+    require(peak < EXP_LIMIT, "omega",
+            f"is too large: gauge exponent overflows, max |omega*theta| = {peak:g}")
     return LinearOperator(grid, _main(np.exp(w)))
 
 
@@ -541,16 +535,17 @@ def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
     The three do not coincide for non-constant theta;
     ``gauge_analysis._check_transform`` reports how far apart they sit.
     """
-    if convention not in TRANSFORM_CONVENTIONS:
-        raise ValueError(f"convention must be one of {TRANSFORM_CONVENTIONS}, got {convention!r}")
+    require(convention in TRANSFORM_CONVENTIONS, "convention",
+            f"must be one of {TRANSFORM_CONVENTIONS}, got {convention!r}")
     h_bs = build_bs_hamiltonian(params, grid)
     if convention == "direct":
         tx = finite_on_grid(gauge.theta_x(*_grid_coords(grid)), grid, "theta_x")
         sig2, om = params.sigma * params.sigma, gauge.omega
+        shift = 0.5 * sig2 * om * (1.0 + om) * tx * tx + om * (0.5 * sig2 - params.r) * tx
+        require(np.isfinite(shift).all(), "omega", "is too large: the shift's potential "
+                f"sigma^2 omega (1+omega)/2 theta_x^2 overflows, got {om}")
         (dx,) = _difference_blocks(grid, "dx")
-        extra = _sum(grid.n_points, [_scale_rows(dx, sig2 * om * tx),
-                                     _main(0.5 * sig2 * om * (1.0 + om) * tx * tx
-                                           + om * (0.5 * sig2 - params.r) * tx)])
+        extra = _sum(grid.n_points, [_scale_rows(dx, sig2 * om * tx), _main(shift)])
         return LinearOperator(grid, _sum(grid.n_points, [h_bs.diagonals, extra]))
     u = gauge_operator(gauge, grid)
     u_inv = gauge_operator(replace(gauge, omega=-gauge.omega), grid)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import require
 from .pricing import OptionContract
 
 __all__ = ["ProfitQuery", "profit", "break_even"]
@@ -19,8 +20,7 @@ class ProfitQuery:
     terminal_price: float
 
     def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
+        require(self.side in SIDES, "side", f"must be one of {SIDES}, got {self.side!r}")
         if not (math.isfinite(self.terminal_price) and self.terminal_price >= 0.0):
             raise ValueError(
                 f"terminal price must be nonnegative and finite, got {self.terminal_price}")
@@ -41,6 +41,6 @@ def break_even(contract: OptionContract) -> float:
     """
     if contract.kind == "call":
         return contract.strike + contract.premium
-    if contract.premium > contract.strike:
-        raise ValueError("premium exceeds strike: a put position cannot break even")
+    require(contract.premium <= contract.strike, "premium",
+            "exceeds strike: a put position cannot break even")
     return contract.strike - contract.premium

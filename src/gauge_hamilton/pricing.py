@@ -54,8 +54,8 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dasum, dgbmv, idamax
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_integer,
-                   check_positive, default_grid_1d, default_grid_2d, text_output,
+from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_finite, check_integer,
+                   check_positive, default_grid_1d, default_grid_2d, require, text_output,
                    write_grid_function_csv)
 from .operators import LinearOperator, build_bs_hamiltonian, build_mg_hamiltonian
 
@@ -84,12 +84,11 @@ class OptionContract:
     premium: float = 0.0  # paid up front; only profit queries use it
 
     def __post_init__(self):
-        if self.kind not in ("call", "put"):
-            raise ValueError(f"kind must be 'call' or 'put', got {self.kind!r}")
+        require(self.kind in ("call", "put"), "kind", f"must be 'call' or 'put', got {self.kind!r}")
         check_positive("strike", self.strike)
         check_positive("maturity", self.maturity)
-        if not (math.isfinite(self.premium) and self.premium >= 0.0):
-            raise ValueError(f"premium must be nonnegative and finite, got {self.premium}")
+        require(math.isfinite(self.premium) and self.premium >= 0.0, "premium",
+                f"must be nonnegative and finite, got {self.premium}")
 
     def payoff(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -133,8 +132,7 @@ def bs_delta(params: ModelParams, contract: OptionContract, s, tau: float):
     spots; a float for a scalar ``s``."""
     check_positive("tau", tau)
     s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s) & (s > 0.0)):
-        raise ValueError("s must be positive and finite")
+    require(np.all(np.isfinite(s) & (s > 0.0)), "s", "must be positive and finite")
     r, sigma = params.r, params.sigma
     if sigma == 0.0:
         d = (s > contract.strike * math.exp(-r * tau)).astype(float)
@@ -164,8 +162,7 @@ class FarFieldBoundary:
     rate: float
 
     def __post_init__(self):
-        if not math.isfinite(self.rate):
-            raise ValueError(f"rate must be finite, got {self.rate}")
+        check_finite("rate", self.rate)
 
     def x_values(self, grid, tau: float) -> tuple[float, float]:
         pv_strike = self.contract.strike * math.exp(-self.rate * tau)
@@ -205,8 +202,7 @@ class PriceSurface:
     def interpolate(self, x: float, y: float | None = None) -> float:
         """Linear (bilinear on 2D grids) interpolation at a query point."""
         if isinstance(self.grid, LogGrid2D):
-            if y is None:
-                raise ValueError("2D surface needs both x and y")
+            require(y is not None, "y", "is required: a 2D surface needs both x and y")
             ax, ay = self.grid.x_axis, self.grid.y_axis
             if not (ax.x_min <= x <= ax.x_max and ay.x_min <= y <= ay.x_max):
                 raise ValueError(f"query point ({x}, {y}) outside grid box")
@@ -269,17 +265,14 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     split, and each sweep is checked on the band it factored: the y-sweep
     on its folded band, before the face values are extrapolated.
     """
-    if terminal.grid != h.grid:
-        raise ValueError("grid mismatch: terminal condition not on the operator grid")
+    require(terminal.grid == h.grid, "terminal", "must live on the operator grid (grid mismatch)")
     check_integer("n_steps", n_steps, 1)
     check_integer("rannacher", rannacher, 0)
-    if not 0.0 <= theta_scheme <= 1.0:
-        raise ValueError("theta_scheme must lie in [0, 1]")
+    require(0.0 <= theta_scheme <= 1.0, "theta_scheme", f"must lie in [0, 1], got {theta_scheme}")
     check_positive("maturity", maturity)
     grid = h.grid
-    if boundary is None:
-        raise ValueError("boundary is required: every theta-system takes its "
-                         "face rows from a FarFieldBoundary")
+    require(boundary is not None, "boundary",
+            "is required: every theta-system takes its face rows from a FarFieldBoundary")
     dt = maturity / n_steps
     # the width check comes first, so a refused operator never warns
     systems = (_adi_stepper if isinstance(grid, LogGrid2D) else _band_stepper)(h, dt, boundary)

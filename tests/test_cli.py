@@ -500,7 +500,7 @@ def test_simulate_rejects_seed_beyond_philox_key(runner):
     result = runner.invoke(main, ["simulate", "--s0", "100", "--n-paths", "10",
                                   "--n-steps", "2", "--seed", str(2 ** 128)])
     assert result.exit_code == 2, result.output
-    assert "--seed must lie in [0, 2**128)" in result.output
+    assert "--seed must be less than 2**128" in result.output
 
 
 @pytest.mark.parametrize("flag, value", [("--y-min", "nan"), ("--x-max", "inf"),
@@ -509,7 +509,7 @@ def test_surface_names_a_non_finite_bound(runner, flag, value):
     # --y-min nan used to report "y_max must exceed y_min"
     result = runner.invoke(main, ["surface", flag, value])
     assert result.exit_code == 2, result.output
-    assert f"{flag[2:].replace('-', '_')} must be finite" in result.output
+    assert f"{flag} must be finite" in result.output
 
 
 def surface_by_hand(grid, state, columns, total):
@@ -557,3 +557,83 @@ def test_payoff_table_csv_bytes_match_hand_written_rows(runner, tmp_path):
                                   "--premium", "5", "--n", "13", "--output", str(out)])
     assert result.exit_code == 0
     assert out.read_text() == expected.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# one handler: every input rule, the library's or the CLI's, exits 2 naming
+# its flag; any other error of a command exits 1
+# ---------------------------------------------------------------------------
+
+PRICE = ["price", "--s0", "100", "--k", "100"]
+BAD_FLAGS = [
+    # price
+    (["price", "--s0", "-5", "--k", "100"], "--s0 must be positive and finite, got -5.0"),
+    ([*PRICE, "--n-steps", "0"], "--n-steps must be an integer >= 1, got 0"),
+    ([*PRICE, "--theta-scheme", "2"], "--theta-scheme must lie in [0, 1], got 2.0"),
+    ([*PRICE, "--nx", "3"], "--nx must be an integer >= 5, got 3"),
+    ([*PRICE, "--mc-paths", "1"], "--mc-paths must be 0 or at least 2, got 1"),
+    ([*PRICE, "--mc-paths", "100", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    ([*PRICE, "--model", "mg", "--v0", "-1"], "--v0 must be positive and finite, got -1.0"),
+    ([*PRICE, "--model", "mg", "--ny", "3"], "--ny must be an integer >= 5, got 3"),
+    # check
+    (["check", "--omega", "-1"], "--omega must be finite and not -1, got -1.0"),
+    (["check", "--nx", "3"], "--nx must be an integer >= 5, got 3"),
+    (["check", "--ny", "2"], "--ny must be an integer >= 5, got 2"),
+    (["check", "--probes", "0"], "--probes must be an integer >= 1, got 0"),
+    (["check", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    # payoff-table
+    (["payoff-table", "--k", "42", "--s-min", "-1"],
+     "--s-min must be nonnegative and finite, got -1.0"),
+    (["payoff-table", "--k", "42", "--s-min", "10", "--s-max", "5"],
+     "--s-max must be finite and exceed --s-min 10.0, got 5.0"),
+    (["payoff-table", "--k", "42", "--n", "1"], "--n must be at least 2, got 1"),
+    # simulate
+    (["simulate", "--s0", "100", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    # finite inputs whose coefficients or box overflow: the first exited 2
+    # and the other two exited 1, all with text that named no field
+    (["check", "--what", "transform", "--omega", "1e200"],
+     "--omega is too large: the shift's potential sigma^2 omega (1+omega)/2 theta_x^2 "
+     "overflows, got 1e+200"),
+    ([*PRICE, "--sigma", "1e200"], "--sigma must have a finite square, got 1e+200"),
+    ([*PRICE, "--model", "mg", "--v0", "1e300"],
+     "--v0 must keep the top of the price box, 5e+150, below ln(max float) = 709.78"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_FLAGS, ids=[" ".join(a) for a, _ in BAD_FLAGS])
+def test_bad_flags_exit_2_naming_the_flag(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert f"Error: {message}\n" in result.stderr
+
+
+def test_price_checks_the_seed_before_the_pde_solve(runner, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("the PDE solve ran before the seed was checked")
+
+    monkeypatch.setattr("gauge_hamilton.cli.price_bs", solve)
+    result = runner.invoke(main, [*PRICE, "--mc-paths", "10", "--seed", str(2 ** 128)])
+    assert result.exit_code == 2, result.output
+    assert "--seed must be less than 2**128" in result.stderr
+
+
+@pytest.mark.parametrize("what", [*CHECKS, "all"])
+@pytest.mark.parametrize("args, flag", [(["--nx", "4"], "--nx"), (["--ny", "4"], "--ny"),
+                                        (["--probes", "0"], "--probes"),
+                                        (["--seed", "-1"], "--seed")])
+def test_check_validates_every_setting_whichever_checks_run(runner, what, args, flag):
+    # volcoeff reads no probes and commutator no ny: each is still refused
+    result = runner.invoke(main, ["check", "--what", what, *args])
+    assert result.exit_code == 2, result.output
+    assert f"Error: {flag} must be an integer" in result.stderr
+
+
+def test_a_value_error_that_breaks_no_input_rule_exits_1(runner, monkeypatch):
+    def sums(params):
+        raise ValueError("the sums failed")
+
+    monkeypatch.setattr("gauge_hamilton.cli.gauge_martingale_sums", sums)
+    result = runner.invoke(main, ["gauge-martingale"])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == "error: the sums failed\n"

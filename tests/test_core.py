@@ -9,6 +9,7 @@ import pytest
 from gauge_hamilton import (
     GridFunction,
     HedgeTestResult,
+    InputError,
     LogGrid1D,
     LogGrid2D,
     MartingaleReport,
@@ -26,7 +27,36 @@ from gauge_hamilton import (
     volcoeff_audit,
     write_grid_function_csv,
 )
-from gauge_hamilton.core import check_positive, text_output, write_csv
+from gauge_hamilton.core import EXP_LIMIT, check_positive, text_output, write_csv
+
+
+def test_input_error_is_a_value_error_naming_its_field():
+    with pytest.raises(ValueError) as info:
+        ModelParams(r=-0.1)
+    exc = info.value
+    assert type(exc) is InputError
+    assert (exc.field, exc.rule) == ("r", "must be nonnegative, got -0.1")
+    assert str(exc) == "r must be nonnegative, got -0.1"
+
+
+@pytest.mark.parametrize("name", ["sigma", "zeta"])
+def test_model_params_refuse_a_volatility_whose_square_overflows(name):
+    # sigma = 1e200 used to fail in the operator build, as "operator entries
+    # must be finite", which names no field
+    with pytest.raises(InputError, match=rf"^{name} must have a finite square, got 1e\+200$"):
+        ModelParams(**{name: 1e200})
+    assert getattr(ModelParams(**{name: 1e150}), name) == 1e150
+
+
+def test_default_grids_refuse_a_box_whose_exponential_overflows():
+    # v0 = 1e300 widened the x box to ln s0 + 5e150, and e^x overflowed in
+    # terminal_payoff as "grid function values must be finite"
+    with pytest.raises(InputError, match=r"^v0 must keep the top of the price box, 5e\+150, "):
+        default_grid_2d(100.0, 1e300, 1.0)
+    with pytest.raises(InputError, match=r"^sigma must keep the top of the price box, 5e\+150, "):
+        default_grid_1d(100.0, 1e150, 1.0)
+    # a box whose top stays below the limit is kept: 4.6 + 5 * 140 = 704.6
+    assert default_grid_1d(100.0, 140.0, 1.0).x_max < EXP_LIMIT
 
 
 def test_grid_1d_spacing_and_points():

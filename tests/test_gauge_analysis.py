@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gauge_hamilton import (
+    InputError,
     ModelParams,
     RootSet,
     gauge_martingale_residual,
@@ -359,6 +360,7 @@ def test_check_functions_return_check_records():
 @pytest.mark.parametrize("probes", [0, -1])
 def test_probe_checks_refuse_fewer_than_one_probe(what, probes):
     # no probe used to pass the expansion check vacuously (residual 0,
-    # tolerance 0) and to end the transform check in max() of nothing
-    with pytest.raises(ValueError, match=f"^count must be an integer >= 1, got {probes}$"):
+    # tolerance 0) and to end the transform check in max() of nothing;
+    # the count is checked, by its argument's name, before any check runs
+    with pytest.raises(InputError, match=f"^probes must be an integer >= 1, got {probes}$"):
         _run_checks(what, CHECK_PARAMS, "linear", 1.0, 9, 7, probes, 0)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from gauge_hamilton import (
     GaugeField,
     GridFunction,
+    InputError,
     LinearOperator,
     LogGrid1D,
     ModelParams,
@@ -140,11 +141,19 @@ def test_stencils_match_dense_reference(n, h):
         assert_same_csr(view, frozen(n, h))
 
 
+# multiples of 1/8 in [-10, 10]
+EIGHTHS = st.integers(-80, 80).map(lambda m: m / 8.0)
+
+
 @settings(max_examples=80, deadline=None)
-@given(**STENCIL_CASES, a=st.floats(-10.0, 10.0), b=st.floats(-10.0, 10.0),
-       c=st.floats(-10.0, 10.0), x0=st.floats(-5.0, 5.0))
+@given(n=STENCIL_CASES["n"], h=st.integers(-10, 3).map(lambda k: 2.0 ** k), a=EIGHTHS,
+       b=EIGHTHS, c=EIGHTHS, x0=st.integers(-5 * 1024, 5 * 1024).map(lambda m: m / 1024.0))
 def test_stencils_exact_on_low_degree_polynomials(n, h, a, b, c, x0):
-    # every row is exact, the one-sided end rows too
+    # every row is exact, the one-sided end rows too.  The inputs are
+    # dyadic, so each sample a + b x + c x^2 is exact (it spans at most 45
+    # bits) and the bounds cover only the stencil's own rounding; with
+    # samples that cancel (b x + c x^2 near 0 from terms near 3) their own
+    # rounding, over h^2, used to exceed the second difference's bound
     x = x0 + h * np.arange(n)
     linear = a + b * x
     quadratic = linear + c * x * x
@@ -508,8 +517,17 @@ def test_gauge_operator_inverse():
 
 def test_gauge_operator_overflow():
     g = make_grid_1d(0.0, 800.0, 9)
-    with pytest.raises(ValueError, match="overflow"):
+    with pytest.raises(ValueError, match="overflow") as info:
         gauge_operator(GaugeField.linear_x(1.0), g)
+    assert info.value.field == "omega"
+
+
+def test_transformed_bs_names_omega_when_its_shift_overflows():
+    # omega = 1e200 overflowed sigma^2 omega (1+omega)/2 and failed as
+    # "operator entries must be finite", which names no field
+    with pytest.raises(InputError, match="^omega is too large: the shift's potential") as info:
+        build_transformed_bs(ModelParams(sigma=0.2), GaugeField.linear_x(1e200), GRID_1D)
+    assert info.value.field == "omega"
 
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
