@@ -359,9 +359,9 @@ def _check_commutator(params, theta_field, omega, nx):
     h = build_bs_hamiltonian(params, grid)
     results = []
     if theta_field == "linear":
-        defect = commutator(gauge_operator(GaugeField.linear_x(omega), grid), h).max_abs()
+        defect = commutator(gauge_operator(GaugeField.linear_x(omega), grid, h), h).max_abs()
         results.append(_record("commutator", defect, 1e-6, defect > 1e-6))
-    zero = commutator(gauge_operator(GaugeField.constant(omega), grid), h).max_abs()
+    zero = commutator(gauge_operator(GaugeField.constant(omega), grid, h), h).max_abs()
     name = "commutator-constant" if results else "commutator"
     return results + [_record(name, zero, 0.0, zero == 0.0)]
 

@@ -234,7 +234,13 @@ def _step_blocks(seed: int, n_paths: int, n_steps: int, threads: int, step) -> N
 
 def _ensemble(maturity: float, seed: int, phi: float, log_s: np.ndarray,
               v: Optional[np.ndarray] = None) -> PathEnsemble:
-    np.exp(log_s, out=log_s)
+    """The paths, prices taken out of logs; an InputError names the maturity
+    when a terminal price is not finite, as when e^{ln S} overflows."""
+    with np.errstate(over="ignore"):
+        np.exp(log_s, out=log_s)
+    bad = int(np.count_nonzero(~np.isfinite(log_s[-1])))
+    require(bad == 0, "maturity", f"must keep every simulated terminal price finite, got "
+                                  f"{maturity}: {bad} of {log_s.shape[1]} are not")
     return PathEnsemble(times=np.linspace(0.0, maturity, log_s.shape[0]),
                         s_paths=log_s.T, v_paths=None if v is None else v.T,
                         seed=seed, scheme="log_euler", phi=phi)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Union
 
@@ -510,13 +511,23 @@ def _grid_coords(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return pts, np.zeros_like(pts)
 
 
-def gauge_operator(gauge: GaugeField, grid: Grid) -> LinearOperator:
-    """Diagonal operator U = diag(e^{omega * theta})."""
+def gauge_operator(gauge: GaugeField, grid: Grid,
+                   times: LinearOperator | None = None) -> LinearOperator:
+    """Diagonal operator U = diag(e^{omega * theta}).
+
+    With ``times``, an operator H that U is to multiply, omega is refused
+    also when a product U H or H U can overflow: each of their entries is
+    at most e^{max |omega theta|} max |H|.
+    """
     t = finite_on_grid(gauge.theta(*_grid_coords(grid)), grid, "theta")
     w = gauge.omega * t
     peak = float(np.abs(w).max())
     require(peak < EXP_LIMIT, "omega",
             f"is too large: gauge exponent overflows, max |omega*theta| = {peak:g}")
+    if times is not None:
+        require(math.isfinite(math.exp(peak) * times.max_abs()), "omega",
+                f"is too large: e^(omega*theta) times the operator overflows, "
+                f"max |omega*theta| = {peak:g}")
     return LinearOperator(grid, _main(np.exp(w)))
 
 
@@ -547,8 +558,8 @@ def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
         (dx,) = _difference_blocks(grid, "dx")
         extra = _sum(grid.n_points, [_scale_rows(dx, sig2 * om * tx), _main(shift)])
         return LinearOperator(grid, _sum(grid.n_points, [h_bs.diagonals, extra]))
-    u = gauge_operator(gauge, grid)
-    u_inv = gauge_operator(replace(gauge, omega=-gauge.omega), grid)
+    u = gauge_operator(gauge, grid, h_bs)
+    u_inv = gauge_operator(replace(gauge, omega=-gauge.omega), grid, h_bs)
     return u_inv @ h_bs @ u if convention == "left" else u @ h_bs @ u_inv
 
 

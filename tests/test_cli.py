@@ -597,6 +597,16 @@ BAD_FLAGS = [
     ([*PRICE, "--sigma", "1e200"], "--sigma must have a finite square, got 1e+200"),
     ([*PRICE, "--model", "mg", "--v0", "1e300"],
      "--v0 must keep the top of the price box, 5e+150, below ln(max float) = 709.78"),
+    # these two exited 1 naming no field, and the third exited 0 printing the
+    # terminal mean and spread as Infinity and NaN, which are not JSON
+    (["check", "--what", "commutator", "--omega", "129"],
+     "--omega is too large: e^(omega*theta) times the operator overflows, "
+     "max |omega*theta| = 709.5"),
+    (["check", "--what", "transform", "--omega", "129"],
+     "--omega is too large: e^(omega*theta) times the operator overflows, "
+     "max |omega*theta| = 709.5"),
+    (["simulate", "--s0", "100", "--t", "1e300", "--n-paths", "100", "--n-steps", "4"],
+     "--t must keep every simulated terminal price finite, got 1e+300: 100 of 100 are not"),
 ]
 
 

@@ -4,6 +4,7 @@ import io
 import math
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from scipy.special import ndtr
 
 from gauge_hamilton import (
+    InputError,
     ModelParams,
     OptionContract,
     PathEnsemble,
@@ -219,6 +221,22 @@ def test_ensemble_validation():
         PathEnsemble(times, np.ones((3, 5)), None, 0, "milstein", 0.0)
     with pytest.raises(ValueError, match="time axis"):
         PathEnsemble(times, np.ones((3, 4)), None, 0, "euler", 0.0)
+
+
+@pytest.mark.parametrize("model", ["gbm", "mg"])
+def test_simulators_name_a_maturity_whose_prices_overflow(model):
+    # T = 1e300 drives ln S past ln(max float): the terminal prices were
+    # inf and their mean and spread printed as Infinity and NaN
+    def run(maturity):
+        if model == "gbm":
+            return simulate_gbm(RN, 100.0, maturity, 4, 100, seed=1)
+        return simulate_mg(RN, 100.0, 0.04, maturity, 4, 100, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the overflow itself does not warn
+        with pytest.raises(InputError, match=r"^maturity must keep every simulated terminal "
+                                             r"price finite, got 1e\+300: 100 of 100 are not$"):
+            run(1e300)
+    assert np.isfinite(run(1.0).s_paths).all()
 
 
 def test_binary_round_trip(tmp_path):

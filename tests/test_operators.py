@@ -522,6 +522,27 @@ def test_gauge_operator_overflow():
     assert info.value.field == "omega"
 
 
+@pytest.mark.parametrize("convention", ["left", "right"])
+def test_gauge_products_name_omega_when_they_overflow(convention):
+    # max |omega theta| = 709.5 keeps U finite, but e^709.5 times the
+    # stencil's entries overflows in U H: the commutator and the sandwich
+    # failed as "operator entries must be finite", which names no field
+    g = make_grid_1d(3.5, 5.5, 41)
+    h = build_bs_hamiltonian(ModelParams(sigma=0.2), g)
+    gauge = GaugeField.linear_x(129.0)
+    assert np.isfinite(gauge_operator(gauge, g).max_abs())   # alone, U is finite
+    with pytest.raises(InputError, match=r"^omega is too large: e\^\(omega\*theta\) times the "
+                                         r"operator overflows, max \|omega\*theta\| = 709\.5$"):
+        commutator(gauge_operator(gauge, g, h), h)
+    with pytest.raises(InputError, match="^omega is too large: e"):
+        build_transformed_bs(ModelParams(sigma=0.2), gauge, g, convention)
+    # just below the rule, every product is finite
+    omega = 128.3
+    assert np.isfinite(commutator(gauge_operator(GaugeField.linear_x(omega), g, h), h).max_abs())
+    assert np.isfinite(build_transformed_bs(ModelParams(sigma=0.2), GaugeField.linear_x(omega), g,
+                                            convention).max_abs())
+
+
 def test_transformed_bs_names_omega_when_its_shift_overflows():
     # omega = 1e200 overflowed sigma^2 omega (1+omega)/2 and failed as
     # "operator entries must be finite", which names no field

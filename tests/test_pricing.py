@@ -8,8 +8,10 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from gauge_hamilton import (
     EvolveError,
@@ -819,17 +822,29 @@ def test_1d_theta_steps_match_superlu_stepping(sigma, r, theta, kind, maturity, 
 
 
 def offset_solution(solve):
-    def solve_off(*args, **kwargs):
-        x, info = solve(*args, **kwargs)
-        return x + 1e-6, info
-    return solve_off
+    return lambda rhs: solve(rhs) + 1e-6
 
 
 def nan_solution(solve):
-    def solve_nan(*args, **kwargs):
-        x, info = solve(*args, **kwargs)
-        return np.full_like(x, np.nan), info
-    return solve_nan
+    return lambda rhs: np.full_like(solve(rhs), np.nan)
+
+
+def spoil_solves(monkeypatch, spoil, every=1):
+    """Spoil the solve of every ``every``-th system that evolve factors: each
+    solve that _band_solver returns, whole or split, goes through ``spoil``."""
+    band_solver, made = pricing._band_solver, itertools.count(1)
+
+    def spoiled(*args):
+        solve = band_solver(*args)
+        return spoil(solve) if next(made) % every == 0 else solve
+    monkeypatch.setattr(pricing, "_band_solver", spoiled)
+
+
+def force_split(monkeypatch, split):
+    """Cut every 2D sweep system in two, or none, whatever the grid's size and
+    the CPUs available."""
+    monkeypatch.setattr(pricing, "_cpu_count", lambda: 2 if split else 1)
+    monkeypatch.setattr(pricing, "SPLIT_MIN_ROWS", 0)
 
 
 def bs_call_1d():
@@ -837,22 +852,28 @@ def bs_call_1d():
     return build_bs_hamiltonian(P, g), terminal_payoff(CALL, g), FarFieldBoundary(CALL, P.r)
 
 
-# each stepping path, the LAPACK solve it calls, and a problem it steps
+def mg_call_2d():
+    return (build_mg_hamiltonian(ADI_P, ADI_GRID), terminal_payoff(CALL, ADI_GRID),
+            FarFieldBoundary(CALL, ADI_P.r))
+
+
+# each stepping path, a problem it steps, and whether its 2D sweep systems
+# are cut in two and solved on two threads
 STEP_PATHS = {
-    "tridiagonal": ("dgttrs", bs_call_1d),
-    "adi": ("dgttrs", lambda: (build_mg_hamiltonian(ADI_P, ADI_GRID),
-                               terminal_payoff(CALL, ADI_GRID),
-                               FarFieldBoundary(CALL, ADI_P.r))),
+    "tridiagonal": (bs_call_1d, False),
+    "adi": (mg_call_2d, False),
+    "adi-split": (mg_call_2d, True),
 }
 
 
 @pytest.mark.parametrize("spoil", [offset_solution, nan_solution])
 @pytest.mark.parametrize("path", list(STEP_PATHS))
 def test_step_residual_check_fires(monkeypatch, spoil, path):
-    solve, problem = STEP_PATHS[path]
+    problem, split = STEP_PATHS[path]
+    force_split(monkeypatch, split)
     h, u0, boundary = problem()
     evolve(h, u0, 1.0, 10, boundary=boundary)   # passes unspoiled
-    monkeypatch.setattr(pricing, solve, spoil(getattr(pricing, solve)))
+    spoil_solves(monkeypatch, spoil)
     with pytest.raises(EvolveError, match=r"linear solve at step 1/10 has relative residual"):
         evolve(h, u0, 1.0, 10, boundary=boundary)
 
@@ -860,11 +881,10 @@ def test_step_residual_check_fires(monkeypatch, spoil, path):
 def one_entry_solution(value, position):
     """Spoil a solve so that its solution holds ``value`` at one position."""
     def spoil(solve):
-        def solve_one(*args, **kwargs):
-            x, info = solve(*args, **kwargs)
-            x = x.copy()
+        def solve_one(rhs):
+            x = solve(rhs)
             x[x.size // 2 if position == "middle" else position] = value
-            return x, info
+            return x
         return solve_one
     return spoil
 
@@ -874,10 +894,11 @@ def one_entry_solution(value, position):
 @pytest.mark.parametrize("path", list(STEP_PATHS))
 def test_step_residual_check_sees_one_non_finite_entry(monkeypatch, path, value, position):
     # one bad entry in a long solution: a max|r| that skipped it would pass
-    solve, problem = STEP_PATHS[path]
+    problem, split = STEP_PATHS[path]
+    force_split(monkeypatch, split)
     h, u0, boundary = problem()
     assert u0.values.size >= 401
-    monkeypatch.setattr(pricing, solve, one_entry_solution(value, position)(getattr(pricing, solve)))
+    spoil_solves(monkeypatch, one_entry_solution(value, position))
     rel = "inf" if value == math.inf else "nan"
     with pytest.raises(EvolveError, match=rf"^linear solve at step 1/10 has relative residual "
                                           rf"{rel} \(tolerance 1e-10\)$"):
@@ -887,7 +908,7 @@ def test_step_residual_check_sees_one_non_finite_entry(monkeypatch, path, value,
 def test_adi_steps_make_no_csr_product(monkeypatch):
     # -H is read once, as diagonals: the explicit products and the sweep
     # residuals are DIA products, and no matrix is converted to CSR
-    h, u0, boundary = STEP_PATHS["adi"][1]()
+    h, u0, boundary = mg_call_2d()
     want = evolve(h, u0, 1.0, 10, boundary=boundary)
 
     def refuse(*args, **kwargs):
@@ -914,9 +935,9 @@ def test_evolve_holds_one_thetas_systems_at_a_time(monkeypatch, two_d):
     refs, alive = [], []
     band_solver = pricing._band_solver
 
-    def tracked(band):
+    def tracked(band, *args):
         alive.append([ref() is not None for ref in refs])
-        solve = band_solver(band)
+        solve = band_solver(band, *args)
         refs.extend([weakref.ref(band), weakref.ref(solve)])
         return solve
     monkeypatch.setattr(pricing, "_band_solver", tracked)
@@ -999,18 +1020,6 @@ def test_explicit_warning_bound_reads_the_diagonals(monkeypatch):
     assert made == []
 
 
-def y_sweeps_only(spoil):
-    """Spoil only the even dgttrs calls: in each ADI step the x-sweep solves
-    first, then the y-sweep, so these are the y-sweep solves."""
-    def wrap(solve):
-        spoiled, calls = spoil(solve), itertools.count(1)
-
-        def solve_even(*args, **kwargs):
-            return (spoiled if next(calls) % 2 == 0 else solve)(*args, **kwargs)
-        return solve_even
-    return wrap
-
-
 # the spoiled y-sweep solution and the relative residual its check reports:
 # grid points 0 and -1 lie on the x faces, whose pinned rows' residuals are
 # y - rhs; +inf at a y face meets the folded near row's stored zero
@@ -1024,16 +1033,144 @@ Y_SWEEP_SPOILS = {
 }
 
 
-@pytest.mark.parametrize("case", list(Y_SWEEP_SPOILS))
-def test_y_sweep_residual_check_fires(monkeypatch, case):
+@pytest.mark.parametrize("case, split", [
+    *(pytest.param(case, False, id=case) for case in Y_SWEEP_SPOILS),
+    *(pytest.param(case, True, id=f"{case}-split") for case in Y_SWEEP_SPOILS)])
+def test_y_sweep_residual_check_fires(monkeypatch, case, split):
     # the x-sweep solves are left alone, so their checks pass: the y-sweep's
-    # own check, on its folded band before the face extrapolation, must fire
+    # own check, on its folded band before the face extrapolation, must fire.
+    # Each ADI phase factors its x-sweep's system, then its y-sweep's, so
+    # every second system is a y-sweep's
     spoil, rel = Y_SWEEP_SPOILS[case]
-    h, u0, boundary = STEP_PATHS["adi"][1]()
-    monkeypatch.setattr(pricing, "dgttrs", y_sweeps_only(spoil)(pricing.dgttrs))
+    force_split(monkeypatch, split)
+    h, u0, boundary = mg_call_2d()
+    spoil_solves(monkeypatch, spoil, every=2)
     with pytest.raises(EvolveError, match=rf"^linear solve at step 1/10 has relative residual "
                                           rf"{rel} \(tolerance 1e-10\)$"):
         evolve(h, u0, 1.0, 10, boundary=boundary)
+
+
+# the sweeps' systems cut in two: each piece solved on its own thread
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.tuples(st.integers(3, 40), st.integers(3, 40)),
+       seed=st.integers(0, 2 ** 32 - 1), pivot_share=st.sampled_from([0.0, 0.3, 1.0]),
+       zero_pivot=st.none() | st.integers(0, 79), coupled=st.integers(0, 1))
+def test_split_band_solve_is_the_whole_band_solve(sizes, seed, pivot_share, zero_pivot,
+                                                  coupled):
+    # a band that is block-diagonal at the cut, with rows whose subdiagonal
+    # outweighs the diagonal, so gttrf pivots: the pieces' solves, one on the
+    # worker, give the whole band's gttrf/gttrs solution bit for bit, and a
+    # zero pivot is reported at the whole band's row.  scipy's gttrf takes
+    # three rows or more; a grid axis has five points or more
+    cut, n = sizes[0], sum(sizes)
+    rng = np.random.default_rng(seed)
+    band = np.asfortranarray(rng.uniform(-1.0, 1.0, (3, n)))
+    band[1, rng.random(n) < pivot_share] *= 1e-3
+    band[2, cut - 1] = band[0, cut] = 0.0
+    if zero_pivot is not None and zero_pivot < n:
+        # row k's diagonal, its subdiagonal entry and the one below its
+        # diagonal 0: gttrf cannot pivot there, and U(k, k) comes out 0
+        k = zero_pivot
+        band[1, k] = band[2, max(k - 1, 0)] = band[2, k] = 0.0
+    rhs = rng.uniform(-1.0, 1.0, n)
+    *factors, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        if info > 0:
+            with pytest.raises(EvolveError, match=rf"zero pivot in row {info}$"):
+                _band_solver(band, cut, worker)
+            return
+        want = dgttrs(*factors, rhs)[0]
+        got = _band_solver(band, cut, worker)(rhs)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        band[(2, 0)[coupled], (cut - 1, cut)[coupled]] = 0.5
+        with pytest.raises(ValueError, match=rf"couples rows {cut - 1} and {cut} across"):
+            _band_solver(band, cut, worker)
+
+
+def recording_cuts(monkeypatch):
+    """The cut of every system evolve factors, None for one left whole."""
+    cuts, band_solver = [], pricing._band_solver
+
+    def recorded(band, cut=None, worker=None):
+        cuts.append(cut)
+        return band_solver(band, cut, worker)
+    monkeypatch.setattr(pricing, "_band_solver", recorded)
+    return cuts
+
+
+@pytest.mark.parametrize("form", ["mg", "expanded"])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("shape, split_cuts", [((41, 21), [13 * 41, 25 * 21]),
+                                               ((12, 6), [4 * 12, 7 * 6])], ids=["41x21", "12x6"])
+def test_split_sweeps_step_bit_for_bit_as_whole_ones(monkeypatch, form, theta, shape, split_cuts):
+    # the calling thread takes the first 3/5 of the grid lines, rounded: the
+    # x-sweep is cut after 13 of 21 x lines, the y-sweep after 25 of 41 y
+    # lines; surfaces and prev_values are bit for bit the unsplit ones, for
+    # calls and puts, whatever the startup
+    assert pricing.CALLER_SHARE == 0.6
+    nx, ny = shape
+    grid = make_grid_2d(math.log(100.0) - 1.0, math.log(100.0) + 1.0, nx,
+                        math.log(0.04) - 2.0, math.log(0.04) + 1.0, ny)
+    h = (build_mg_hamiltonian(ADI_P, grid) if form == "mg" else
+         build_gauge_hamiltonian(ADI_P, grid, form="expanded"))
+    cuts = recording_cuts(monkeypatch)
+    for contract, rannacher in itertools.product((CALL, PUT), range(3)):
+        surfaces = []
+        for split in (False, True):
+            force_split(monkeypatch, split)
+            cuts.clear()
+            surfaces.append(evolve(h, terminal_payoff(contract, grid), 1.0, 6, theta,
+                                   boundary=FarFieldBoundary(contract, ADI_P.r),
+                                   rannacher=rannacher))
+            sweep_cuts = split_cuts if split else [None, None]
+            assert cuts == sweep_cuts * (2 if 0 < rannacher and theta < 1.0 else 1)
+        whole, pieces = surfaces
+        for name in ("values", "prev_values"):
+            np.testing.assert_array_equal(getattr(pieces, name).view(np.int64),
+                                          getattr(whole, name).view(np.int64))
+
+
+@pytest.mark.parametrize("cpus, ny, cut", [(2, 100, True), (2, 98, False), (1, 100, False)])
+def test_sweeps_split_on_two_cpus_when_the_workers_piece_reaches_the_break_even(
+        monkeypatch, cpus, ny, cut):
+    # on 101 x 100 the caller takes 60 of 100 x lines and 61 of 101 y lines,
+    # so the worker's pieces hold 40 x lines of 101 points and 40 y lines of
+    # 100, 4040 and 4000 rows, the break-even; on 101 x 98 they hold 39 x
+    # lines and 40 y lines, 3939 and 3920 rows
+    assert (pricing.SPLIT_MIN_ROWS, pricing.CALLER_SHARE) == (4000, 0.6)
+    monkeypatch.setattr(pricing, "_cpu_count", lambda: cpus)
+    grid = make_grid_2d(math.log(100.0) - 1.0, math.log(100.0) + 1.0, 101,
+                        math.log(0.04) - 2.0, math.log(0.04) + 1.0, ny)
+    cuts = recording_cuts(monkeypatch)
+    evolve(build_mg_hamiltonian(ADI_P, grid), terminal_payoff(CALL, grid), 1.0, 1,
+           boundary=FarFieldBoundary(CALL, ADI_P.r))
+    assert cuts == ([60 * 101, 61 * ny] if cut else [None, None])
+
+
+def test_cpu_count_reads_the_affinity_mask_where_there_is_one(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert pricing._cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert pricing._cpu_count() == (os.cpu_count() or 1)
+
+
+def test_no_thread_outlives_evolve(monkeypatch):
+    # the sweep worker runs while the split sweeps solve, and is joined when
+    # evolve returns and when it raises
+    force_split(monkeypatch, True)
+    h, u0, boundary = mg_call_2d()
+    before, during = threading.active_count(), []
+
+    def counting(solve):
+        return lambda rhs: during.append(threading.active_count()) or solve(rhs)
+    spoil_solves(monkeypatch, counting)
+    evolve(h, u0, 1.0, 10, boundary=boundary)
+    assert threading.active_count() == before and set(during[1:]) == {before + 1}
+    spoil_solves(monkeypatch, nan_solution)
+    with pytest.raises(EvolveError, match="relative residual nan"):
+        evolve(h, u0, 1.0, 10, boundary=boundary)
+    assert threading.active_count() == before
 
 
 def numpy_relative_residual(resid, rhs):
@@ -1316,8 +1453,8 @@ def test_wide_systems_are_refused_before_any_factorization(monkeypatch, case, th
     else:
         h, grid = build_gauge_hamiltonian(ADI_P, ADI_GRID, form="factored"), ADI_GRID
     factored = []
-    monkeypatch.setattr(pricing, "_band_solver", lambda band: factored.append(band) or
-                        _band_solver(band))
+    monkeypatch.setattr(pricing, "_band_solver", lambda band, *args: factored.append(band) or
+                        _band_solver(band, *args))
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # refused before the explicit-step warning
         with pytest.raises(ValueError, match="^theta-stepping needs three-point stencils "
