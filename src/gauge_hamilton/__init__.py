@@ -2,141 +2,18 @@
 
 Discrete Black-Scholes, Merton-Garman and gauge-coupled Hamiltonians,
 backward evolution pricing, martingale diagnostics, path simulation and
-hedging experiments.
+hedging experiments.  The package exports each module's ``__all__``.
 """
 
-from .core import (
-    GridFunction,
-    InputError,
-    LogGrid1D,
-    LogGrid2D,
-    ModelParams,
-    default_grid_1d,
-    default_grid_2d,
-    make_grid_1d,
-    make_grid_2d,
-    sample,
-    write_grid_function_csv,
-)
-from .gauge_analysis import (
-    MartingaleReport,
-    RootSet,
-    VolcoeffReport,
-    gauge_martingale_residual,
-    gauge_martingale_sums,
-    gauge_quadratic,
-    information_preservation_check,
-    martingale_roots,
-    mg_condition_lhs,
-    mg_martingale_report,
-    momentum_ratio,
-    surprise_condition,
-    volcoeff_audit,
-)
-from .montecarlo import (
-    HedgeTestResult,
-    PathEnsemble,
-    beta_field,
-    correlated_normals,
-    delta_hedge_test,
-    hedge_coefficients,
-    mc_price,
-    read_paths_binary,
-    simulate_gbm,
-    simulate_mg,
-)
-from .operators import (
-    GaugeField,
-    LinearOperator,
-    build_bs_hamiltonian,
-    build_gauge_hamiltonian,
-    build_mg_hamiltonian,
-    build_transformed_bs,
-    commutator,
-    gauge_operator,
-    hamiltonian_terms,
-    hermiticity_defect,
-    identity_operator,
-    momentum_operator,
-    smooth_probe_functions,
-)
-from .payoff import ProfitQuery, break_even, profit
-from .pricing import (
-    EvolveError,
-    FarFieldBoundary,
-    OptionContract,
-    PriceSurface,
-    bs_closed_form,
-    bs_delta,
-    evolve,
-    price_bs,
-    price_mg,
-    solve_mg,
-    terminal_payoff,
-)
+from . import core, gauge_analysis, montecarlo, operators, payoff, pricing
+from .core import *
+from .gauge_analysis import *
+from .montecarlo import *
+from .operators import *
+from .payoff import *
+from .pricing import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EvolveError",
-    "FarFieldBoundary",
-    "GaugeField",
-    "GridFunction",
-    "HedgeTestResult",
-    "InputError",
-    "LinearOperator",
-    "LogGrid1D",
-    "LogGrid2D",
-    "MartingaleReport",
-    "ModelParams",
-    "OptionContract",
-    "PathEnsemble",
-    "PriceSurface",
-    "ProfitQuery",
-    "RootSet",
-    "VolcoeffReport",
-    "beta_field",
-    "break_even",
-    "bs_closed_form",
-    "bs_delta",
-    "build_bs_hamiltonian",
-    "build_gauge_hamiltonian",
-    "build_mg_hamiltonian",
-    "build_transformed_bs",
-    "commutator",
-    "correlated_normals",
-    "default_grid_1d",
-    "default_grid_2d",
-    "delta_hedge_test",
-    "evolve",
-    "gauge_martingale_residual",
-    "gauge_martingale_sums",
-    "gauge_operator",
-    "gauge_quadratic",
-    "hamiltonian_terms",
-    "hedge_coefficients",
-    "hermiticity_defect",
-    "identity_operator",
-    "information_preservation_check",
-    "make_grid_1d",
-    "make_grid_2d",
-    "martingale_roots",
-    "mc_price",
-    "mg_condition_lhs",
-    "mg_martingale_report",
-    "momentum_operator",
-    "momentum_ratio",
-    "price_bs",
-    "price_mg",
-    "profit",
-    "read_paths_binary",
-    "sample",
-    "simulate_gbm",
-    "simulate_mg",
-    "smooth_probe_functions",
-    "solve_mg",
-    "surprise_condition",
-    "terminal_payoff",
-    "volcoeff_audit",
-    "write_grid_function_csv",
-]
+__all__ = [*core.__all__, *gauge_analysis.__all__, *montecarlo.__all__, *operators.__all__,
+           *payoff.__all__, *pricing.__all__]

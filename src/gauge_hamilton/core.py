@@ -27,6 +27,7 @@ __all__ = [
     "sample",
     "default_grid_1d",
     "default_grid_2d",
+    "write_grid_function_csv",
 ]
 
 _SCALAR_FIELDS = ("r", "sigma", "phi", "lambda_", "mu", "zeta", "alpha", "rho")
@@ -202,11 +203,6 @@ class LogGrid2D:
     def ys(self) -> np.ndarray:
         """Flat y coordinate of every grid point, row-major."""
         return np.tile(self.y_axis.points, self.nx)
-
-    def index(self, i: int, j: int) -> int:
-        if not (0 <= i < self.nx and 0 <= j < self.ny):
-            raise IndexError(f"grid index ({i}, {j}) outside shape {self.shape}")
-        return i * self.ny + j
 
     def unravel(self, k: int) -> tuple[int, int]:
         return divmod(k, self.ny)

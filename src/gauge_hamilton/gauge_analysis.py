@@ -317,6 +317,32 @@ def _check_expansion(params, nx, ny, probes, seed):
     return _record("expansion", err_fine, tolerance, err_fine <= tolerance)
 
 
+def _row_entries(op: LinearOperator, row: int) -> tuple[list, list]:
+    """Row ``row`` of ``op`` read off its diagonals, as its columns and
+    entries in ascending column order: M[row, row+o] is data[k, row+o]."""
+    offsets, data = op.diagonals
+    cols = row + offsets
+    inside = (cols >= 0) & (cols < data.shape[1])
+    return cols[inside].tolist(), data[inside, cols[inside]].tolist()
+
+
+def _bs_limit_residual(h2: LinearOperator, h1: LinearOperator) -> float:
+    """max |2D row summed over its y neighbours - 1D row| over the interior
+    rows of the 2D operator ``h2``, entry by entry; each sum exact (fsum)."""
+    nx, ny = h2.grid.shape
+    residual = 0.0
+    for i in range(1, nx - 1):
+        row1 = dict(zip(*_row_entries(h1, i)))
+        for j in range(1, ny - 1):
+            groups = {}
+            for col, val in zip(*_row_entries(h2, i * ny + j)):
+                groups.setdefault(col // ny, []).append(val)
+            collapsed = {xi: math.fsum(vals) for xi, vals in groups.items()}
+            residual = max(residual, *(abs(collapsed.get(c, 0.0) - row1.get(c, 0.0))
+                                       for c in set(collapsed) | set(row1)))
+    return residual
+
+
 def _check_bs_limit(params, nx, ny, probes, seed):
     """Constant-sigma gauge Hamiltonian acting on y-independent states must
     reproduce the 1D Black-Scholes action: every interior row, summed over
@@ -326,19 +352,7 @@ def _check_bs_limit(params, nx, ny, probes, seed):
     grid1 = grid2.x_axis
     h2 = build_gauge_hamiltonian(p, grid2, form="expanded")
     h1 = build_bs_hamiltonian(p, grid1)
-    residual = 0.0
-    for i in range(1, nx - 1):
-        row = h1.matrix.getrow(i)
-        row1 = dict(zip(row.indices.tolist(), row.data.tolist()))
-        for j in range(1, ny - 1):
-            # exact (fsum) sum of the 2D row over each x-neighbor column
-            row2 = h2.matrix.getrow(i * ny + j)
-            groups = {}
-            for col, val in zip(row2.indices.tolist(), row2.data.tolist()):
-                groups.setdefault(col // ny, []).append(val)
-            collapsed = {xi: math.fsum(vals) for xi, vals in groups.items()}
-            residual = max(residual, *(abs(collapsed.get(c, 0.0) - row1.get(c, 0.0))
-                                       for c in set(collapsed) | set(row1)))
+    residual = _bs_limit_residual(h2, h1)
     # matvec agreement is only close to rounding, not bitwise: summed-matrix
     # rows accumulate the y-direction zeros in between the x terms
     worst, scale = 0.0, 0.0

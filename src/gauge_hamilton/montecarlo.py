@@ -50,8 +50,6 @@ _MAGIC = b"MGPATHS2"      # the seed as two uint64 words, low then high
 _MAGIC_V1 = b"MGPATHS1"   # the seed as one int64; still read
 _WORD = 2 ** 64 - 1       # the low 64 bits of a seed
 _WRITE_CHUNK = 4096       # paths per path-major copy in to_binary
-_SCHEME_CODES = {"log_euler": 0, "euler": 1}
-_SCHEME_NAMES = {v: k for k, v in _SCHEME_CODES.items()}
 
 
 def _check_seed(seed) -> None:
@@ -97,12 +95,9 @@ class PathEnsemble:
     s_paths: np.ndarray
     v_paths: Optional[np.ndarray]
     seed: int
-    scheme: str
     phi: float
 
     def __post_init__(self):
-        require(self.scheme in _SCHEME_CODES, "scheme",
-                f"must be one of {tuple(_SCHEME_CODES)}, got {self.scheme!r}")
         require(self.s_paths.shape[1] == self.times.shape[0], "s_paths",
                 "must match the time axis")
 
@@ -129,13 +124,14 @@ class PathEnsemble:
 
     def to_binary(self, path) -> None:
         """Row-major dump: magic, sizes, drift, seed (two uint64 words, low
-        then high, so any seed below 2**128 fits), times, S, then V."""
+        then high, so any seed below 2**128 fits), times, S, then V.  The
+        header's last size word is the stepping scheme, 0 for log-Euler."""
         _check_seed(self.seed)
         has_v = self.v_paths is not None
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
-            header = np.array([self.n_paths, self.times.shape[0], int(has_v),
-                               _SCHEME_CODES[self.scheme]], dtype=np.uint64)
+            header = np.array([self.n_paths, self.times.shape[0], int(has_v), 0],
+                              dtype=np.uint64)
             fh.write(header.tobytes())
             fh.write(np.array([self.phi], dtype=np.float64).tobytes())
             fh.write(np.array([self.seed & _WORD, self.seed >> 64], dtype=np.uint64).tobytes())
@@ -170,7 +166,7 @@ def read_paths_binary(path) -> PathEnsemble:
             int(v) for v in np.frombuffer(fh.read(32), dtype=np.uint64))
         if has_v not in (0, 1):
             raise ValueError(f"paths dump has has_v flag {has_v}, expected 0 or 1")
-        if scheme_code not in _SCHEME_NAMES:
+        if scheme_code not in (0, 1):   # log-Euler and Euler, the codes ever written
             raise ValueError(f"paths dump has unknown scheme code {scheme_code}")
         expected = fixed + 8 * n_times * (1 + n_paths * (2 if has_v else 1))
         if size != expected:
@@ -189,8 +185,7 @@ def read_paths_binary(path) -> PathEnsemble:
         if has_v:
             v = np.frombuffer(fh.read(8 * n_paths * n_times),
                               dtype=np.float64).reshape(n_paths, n_times).copy()
-    return PathEnsemble(times=times, s_paths=s, v_paths=v, seed=seed,
-                        scheme=_SCHEME_NAMES[scheme_code], phi=phi)
+    return PathEnsemble(times=times, s_paths=s, v_paths=v, seed=seed, phi=phi)
 
 
 def _validate_run(s0, maturity, n_steps, n_paths, seed, threads):
@@ -243,7 +238,7 @@ def _ensemble(maturity: float, seed: int, phi: float, log_s: np.ndarray,
                                   f"{maturity}: {bad} of {log_s.shape[1]} are not")
     return PathEnsemble(times=np.linspace(0.0, maturity, log_s.shape[0]),
                         s_paths=log_s.T, v_paths=None if v is None else v.T,
-                        seed=seed, scheme="log_euler", phi=phi)
+                        seed=seed, phi=phi)
 
 
 def simulate_gbm(params: ModelParams, s0: float, maturity: float,

@@ -18,9 +18,10 @@ its coefficient at their rows, and a Hamiltonian is the per-offset sum of
 its terms in the table's order: the entries of the Kronecker products,
 diagonal scalings and CSR sums they replace, with no CSR matrix made.
 ``apply`` and ``@`` multiply on the diagonals, in the order the sorted CSR
-products sum in.  ``LinearOperator.matrix`` is a CSR view (sorted, no stored
-zero) made on first use, for masked ``apply``, ``hermiticity_defect`` and
-``to_coo_csv``.
+products sum in, and ``hermiticity_defect`` reads its pairs of entries off
+them: no reader in the package builds a second representation.
+``LinearOperator.matrix``, a CSR view (sorted, no stored zero) made on
+first use, is kept for the benchmark's count of stored entries.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (EXP_LIMIT, GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_finite,
-                   check_integer, finite_on_grid, require, write_csv)
+                   check_integer, finite_on_grid, require)
 
 __all__ = [
     "LinearOperator",
@@ -139,9 +140,8 @@ class LinearOperator:
 
     ``diagonals`` is (offsets, data), two numpy arrays, in the DIA layout
     the module docstring sets out, the data real floating-point and finite;
-    anything else is refused.  ``matrix`` is the CSR view, made on first
-    use.  ``+``, ``-``, ``@`` and scalar ``*`` are the operator algebra,
-    each computed on the diagonals.
+    anything else is refused.  ``+``, ``-``, ``@`` and scalar ``*`` are the
+    operator algebra, each computed on the diagonals.
     """
 
     grid: Grid
@@ -169,7 +169,8 @@ class LinearOperator:
 
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The CSR view: sorted columns and no stored zero."""
+        """The CSR view: sorted columns and no stored zero.  Nothing in the
+        package reads it; the benchmark counts its stored entries."""
         offsets, data = self.diagonals
         n = data.shape[1]
         mat = sp.dia_matrix((data, offsets), shape=(n, n)).tocsr()
@@ -181,17 +182,22 @@ class LinearOperator:
     def apply(self, f: GridFunction) -> GridFunction:
         """M f, a DIA product on the diagonals: offsets ascending, so each row
         sums in ascending column order, as the CSR view's product does.  A
-        function with masked (NaN) points goes through the CSR view, where a
-        NaN reaches only the rows with an entry in its column."""
+        masked (NaN) point is read as 0, and the rows with a nonzero entry in
+        its column, the rows a NaN would reach, are NaN."""
         if f.grid != self.grid:
             raise ValueError("grid mismatch: operator and grid function live on different grids")
-        if f.allow_masked and np.isnan(f.values).any():
-            product = self.matrix @ f.values
-        else:
-            offsets, data = self.diagonals
-            n = data.shape[1]
-            product = sp.dia_matrix((data, offsets), shape=(n, n)) @ f.values
-        return GridFunction(self.grid, product, allow_masked=f.allow_masked)
+        offsets, data = self.diagonals
+        n = data.shape[1]
+
+        def product(entries, values):
+            return sp.dia_matrix((entries, offsets), shape=(n, n)) @ values
+        masked = np.isnan(f.values) if f.allow_masked else np.zeros(n, dtype=bool)
+        if not masked.any():
+            return GridFunction(self.grid, product(data, f.values), allow_masked=f.allow_masked)
+        out = product(data, np.where(masked, 0.0, f.values))
+        # a 0/1 pattern product: positive on exactly the rows that read a masked point
+        out[product((data != 0.0).astype(float), masked.astype(float)) > 0.0] = np.nan
+        return GridFunction(self.grid, out, allow_masked=True)
 
     def _check(self, other: "LinearOperator") -> None:
         if not isinstance(other, LinearOperator):
@@ -243,11 +249,6 @@ class LinearOperator:
         """Largest absolute entry; 0 for an operator with none."""
         return float(np.abs(self.diagonals[1]).max())
 
-    def to_coo_csv(self, path) -> None:
-        """Dump the matrix as row,col,value records for debugging."""
-        coo = self.matrix.tocoo()
-        write_csv(path, ("row", "col", "value"), (coo.row, coo.col, coo.data))
-
 
 def identity_operator(grid: Grid) -> LinearOperator:
     return LinearOperator(grid, _main(np.ones(grid.n_points)))
@@ -256,7 +257,7 @@ def identity_operator(grid: Grid) -> LinearOperator:
 def momentum_operator(grid: Grid, axis: str = "x") -> LinearOperator:
     """First-derivative block along one axis (the momentum is real here)."""
     require(axis in ("x", "y"), "axis", f"must be 'x' or 'y', got {axis!r}")
-    return LinearOperator(grid, _sum(grid.n_points, _difference_blocks(grid, "d" + axis)))
+    return LinearOperator(grid, _sum(grid.n_points, _difference_blocks(grid, "first_" + axis)))
 
 
 def commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
@@ -267,33 +268,41 @@ def hermiticity_defect(op: LinearOperator, depth: int = 1) -> float:
     """max |M - M^T| over the interior-by-interior submatrix.
 
     Boundary rows are excluded because one-sided closures are asymmetric by
-    construction and say nothing about the operator itself.
+    construction and say nothing about the operator itself.  M[i, i+o] sits
+    in column i+o of diagonal o and M[i+o, i] in column i of diagonal -o, an
+    absent diagonal reading as 0.
     """
-    idx = np.flatnonzero(op.grid.interior_mask(depth))
-    sub = op.matrix[idx][:, idx]
-    diff = (sub - sub.T).tocoo()
-    return float(np.abs(diff.data).max()) if diff.nnz else 0.0
+    keep = op.grid.interior_mask(depth)
+    offsets, data = op.diagonals
+    rows = dict(zip(offsets.tolist(), data))
+    absent = np.zeros(data.shape[1])
+    defect = 0.0
+    for o in {abs(o) for o in rows} - {0}:
+        gap = rows.get(o, absent)[o:] - rows.get(-o, absent)[:-o]
+        defect = max(defect, float(np.abs(gap[keep[o:] & keep[:-o]]).max(initial=0.0)))
+    return defect
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian builders
 # ---------------------------------------------------------------------------
 
-# the x and the y stencil of each difference block; None is the identity
-_BLOCK_STENCILS = {
-    "dx": (_first_difference, None),
-    "dy": (None, _first_difference),
-    "dxx": (_second_difference, None),
-    "dyy": (None, _second_difference),
+# the x and the y stencil of each named derivative term's difference block,
+# in the order a Hamiltonian sums its terms; None is the identity
+_TERM_STENCILS = {
+    "second_x": (_second_difference, None),
+    "first_x": (_first_difference, None),
+    "first_y": (None, _first_difference),
     # 4-corner cross stencil: exactly the composition of the two
     # central first differences at interior points
-    "dxy": (_first_difference, _first_difference),
+    "cross_xy": (_first_difference, _first_difference),
+    "second_y": (None, _second_difference),
 }
 
 
 def _difference_blocks(grid: Grid, *names: str) -> tuple:
-    """The named difference blocks on the flat grid, and no others, each as
-    its diagonals' offsets and an iterable of their rows.
+    """The difference blocks of the named terms on the flat grid, and no
+    others, each as its diagonals' offsets and an iterable of their rows.
 
     On a 1D grid an x block is the stencil itself; on a 2D grid a block is
     the Kronecker product of its x and y factors, laid out as the module
@@ -304,10 +313,10 @@ def _difference_blocks(grid: Grid, *names: str) -> tuple:
     """
     out = []
     for name in names:
-        along_x, along_y = _BLOCK_STENCILS[name]
+        along_x, along_y = _TERM_STENCILS[name]
         if isinstance(grid, LogGrid1D):
             if along_y is not None:
-                raise ValueError(f"1D grids only have an x axis, got block {name!r}")
+                raise ValueError(f"1D grids only have an x axis, got term {name!r}")
             out.append(along_x(grid.n, grid.h))
             continue
         nx, ny = grid.nx, grid.ny
@@ -323,16 +332,6 @@ def _difference_blocks(grid: Grid, *names: str) -> tuple:
             out.append(((ox[:, None] * ny + oy).ravel(),
                         (np.multiply.outer(a, b).ravel() for a, b in itertools.product(fx, fy))))
     return tuple(out)
-
-
-# the difference block each named derivative term acts through
-_TERM_BLOCKS = {
-    "second_x": "dxx",
-    "first_x": "dx",
-    "first_y": "dy",
-    "cross_xy": "dxy",
-    "second_y": "dyy",
-}
 
 
 def _term_coefficients(params: ModelParams, grid: Grid, model: str) -> dict:
@@ -370,7 +369,7 @@ def _terms(params: ModelParams, grid: Grid, model: str) -> dict:
     """The diagonals of each named term, in the table's order, as offsets
     and rows made as they are read."""
     coefs = _term_coefficients(params, grid, model)
-    blocks = _difference_blocks(grid, *(_TERM_BLOCKS[name] for name in coefs))
+    blocks = _difference_blocks(grid, *coefs)
     terms = {name: _scale_rows(block, np.full(grid.n_points, c))
              for (name, c), block in zip(coefs.items(), blocks)}
     terms["potential"] = _main(np.full(grid.n_points, params.r))
@@ -555,7 +554,7 @@ def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
         shift = 0.5 * sig2 * om * (1.0 + om) * tx * tx + om * (0.5 * sig2 - params.r) * tx
         require(np.isfinite(shift).all(), "omega", "is too large: the shift's potential "
                 f"sigma^2 omega (1+omega)/2 theta_x^2 overflows, got {om}")
-        (dx,) = _difference_blocks(grid, "dx")
+        (dx,) = _difference_blocks(grid, "first_x")
         extra = _sum(grid.n_points, [_scale_rows(dx, sig2 * om * tx), _main(shift)])
         return LinearOperator(grid, _sum(grid.n_points, [h_bs.diagonals, extra]))
     u = gauge_operator(gauge, grid, h_bs)

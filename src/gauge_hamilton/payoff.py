@@ -21,9 +21,8 @@ class ProfitQuery:
 
     def __post_init__(self):
         require(self.side in SIDES, "side", f"must be one of {SIDES}, got {self.side!r}")
-        if not (math.isfinite(self.terminal_price) and self.terminal_price >= 0.0):
-            raise ValueError(
-                f"terminal price must be nonnegative and finite, got {self.terminal_price}")
+        require(math.isfinite(self.terminal_price) and self.terminal_price >= 0.0,
+                "terminal_price", f"must be nonnegative and finite, got {self.terminal_price}")
 
 
 def profit(query: ProfitQuery) -> float:

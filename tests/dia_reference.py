@@ -1,5 +1,8 @@
-"""The reference reader of a CSR matrix's diagonals, which the operators'
-products and the steppers' band readers are compared against."""
+"""Reference readers of CSR matrices: the reader of a CSR matrix's diagonals,
+which the operators' products and the steppers' band readers are compared
+against, and the CSR readers the operators' diagonal readers replaced."""
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,3 +31,40 @@ def csr_diagonals(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     offsets = present.nonzero()[0] - n
     data = np.bincount(slot, weights=m.data, minlength=(offsets.size + 1) * n)
     return offsets, data.reshape(-1, n)[1:]
+
+
+def csr_apply(m: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
+    """The CSR product m values, the masked ``LinearOperator.apply`` before
+    it read the diagonals: a NaN reaches the rows with a stored entry in its
+    column, and the sorted view sums each row in ascending column order."""
+    return m @ values
+
+
+def csr_hermiticity_defect(m: sp.csr_matrix, keep: np.ndarray) -> float:
+    """max |M - M^T| over the rows and columns ``keep`` marks, read off the
+    CSR matrix as ``hermiticity_defect`` did before it read the diagonals."""
+    idx = np.flatnonzero(keep)
+    sub = m[idx][:, idx]
+    diff = (sub - sub.T).tocoo()
+    return float(np.abs(diff.data).max()) if diff.nnz else 0.0
+
+
+def csr_bs_limit_residual(m2: sp.csr_matrix, m1: sp.csr_matrix, nx: int, ny: int) -> float:
+    """The bs-limit check's residual walked row by row (``getrow``) over the
+    CSR matrices of the 2D operator ``m2`` on an nx by ny grid and the 1D
+    operator ``m1`` on its x axis: every interior 2D row summed exactly over
+    its y neighbours against the 1D row."""
+    residual = 0.0
+    for i in range(1, nx - 1):
+        row = m1.getrow(i)
+        row1 = dict(zip(row.indices.tolist(), row.data.tolist()))
+        for j in range(1, ny - 1):
+            row2 = m2.getrow(i * ny + j)
+            groups = {}
+            for col, val in zip(row2.indices.tolist(), row2.data.tolist()):
+                groups.setdefault(col // ny, []).append(val)
+            collapsed = {xi: math.fsum(vals) for xi, vals in groups.items()}
+            # a list, so a pair of empty rows (no built operator has one) adds nothing
+            residual = max([residual, *(abs(collapsed.get(c, 0.0) - row1.get(c, 0.0))
+                                        for c in set(collapsed) | set(row1))])
+    return residual

@@ -31,7 +31,7 @@ from gauge_hamilton import (
     simulate_mg,
     solve_mg,
 )
-from gauge_hamilton.montecarlo import (_MAGIC, _SCHEME_CODES, _WRITE_CHUNK, BLOCK, _block_rng,
+from gauge_hamilton.montecarlo import (_MAGIC, _WRITE_CHUNK, BLOCK, _block_rng,
                                        _blocks)
 
 RN = ModelParams(r=0.05, sigma=0.2, phi=0.05)  # risk-neutral drift
@@ -209,7 +209,6 @@ def test_ensemble_properties():
     assert ens.n_paths == 500
     assert ens.n_steps == 10
     assert ens.maturity == 2.0
-    assert ens.scheme == "log_euler"
     assert ens.phi == 0.05
     np.testing.assert_allclose(ens.times, np.linspace(0.0, 2.0, 11))
     assert ens.s_paths[0, 0] == pytest.approx(100.0, rel=1e-15)
@@ -217,10 +216,8 @@ def test_ensemble_properties():
 
 def test_ensemble_validation():
     times = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ValueError, match="scheme"):
-        PathEnsemble(times, np.ones((3, 5)), None, 0, "milstein", 0.0)
     with pytest.raises(ValueError, match="time axis"):
-        PathEnsemble(times, np.ones((3, 4)), None, 0, "euler", 0.0)
+        PathEnsemble(times, np.ones((3, 4)), None, 0, 0.0)
 
 
 @pytest.mark.parametrize("model", ["gbm", "mg"])
@@ -248,7 +245,7 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(back.s_paths, ens.s_paths)
     assert np.array_equal(back.v_paths, ens.v_paths)
     assert np.array_equal(back.times, ens.times)
-    assert (back.seed, back.scheme, back.phi) == (3, "log_euler", 0.05)
+    assert (back.seed, back.phi) == (3, 0.05)
 
     flat = simulate_gbm(RN, 100.0, 1.0, 6, 1000, seed=3)
     flat.to_binary(path)
@@ -263,8 +260,8 @@ def whole_array_binary(ens, path):
     has_v = ens.v_paths is not None
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(np.array([ens.n_paths, ens.times.shape[0], int(has_v),
-                           _SCHEME_CODES[ens.scheme]], dtype=np.uint64).tobytes())
+        fh.write(np.array([ens.n_paths, ens.times.shape[0], int(has_v), 0],
+                          dtype=np.uint64).tobytes())
         fh.write(np.array([ens.phi], dtype=np.float64).tobytes())
         fh.write(np.array([ens.seed % 2 ** 64, ens.seed // 2 ** 64], dtype=np.uint64).tobytes())
         fh.write(np.ascontiguousarray(ens.times, dtype=np.float64).tobytes())
@@ -280,7 +277,7 @@ def test_binary_chunked_writer_matches_whole_array_writer(tmp_path):
     mg = simulate_mg(p, 100.0, 0.04, 1.0, 5, n_paths, seed=4)
     gbm = simulate_gbm(RN, 100.0, 1.0, 5, n_paths, seed=4)
     path_major = PathEnsemble(mg.times, np.ascontiguousarray(mg.s_paths),
-                              np.ascontiguousarray(mg.v_paths), 4, "log_euler", 0.05)
+                              np.ascontiguousarray(mg.v_paths), 4, 0.05)
     for ens in (mg, gbm, path_major):
         ens.to_binary(tmp_path / "chunked.bin")
         whole_array_binary(ens, tmp_path / "whole.bin")
@@ -602,7 +599,7 @@ def test_binary_reads_the_one_word_seed_layout(tmp_path):
     path.write_bytes(V1_DUMP)
     back = read_paths_binary(path)
     ens = simulate_mg(MG_P, 100.0, 0.04, 1.0, 1, 2, seed=2 ** 63 - 1)
-    assert (back.seed, back.scheme, back.phi) == (2 ** 63 - 1, ens.scheme, ens.phi)
+    assert (back.seed, back.phi) == (2 ** 63 - 1, ens.phi)
     for got, want in ((back.times, ens.times), (back.s_paths, ens.s_paths),
                       (back.v_paths, ens.v_paths)):
         np.testing.assert_array_equal(got, want)
@@ -627,7 +624,7 @@ def test_binary_round_trips_every_seed(tmp_path, seed):
 def test_binary_refuses_a_seed_it_cannot_write(tmp_path):
     ens = simulate_gbm(RN, 100.0, 1.0, 3, 5, seed=1)
     for seed in (2 ** 128, -1):
-        bad = PathEnsemble(ens.times, ens.s_paths, None, seed, ens.scheme, ens.phi)
+        bad = PathEnsemble(ens.times, ens.s_paths, None, seed, ens.phi)
         with pytest.raises(ValueError, match="^seed must be"):
             bad.to_binary(tmp_path / "paths.bin")
 
@@ -718,7 +715,7 @@ def test_mc_price_matches_path_major_reference():
                     zeta=0.4, rho=-0.5)
     ens = simulate_mg(p, 100.0, 0.04, 1.0, 10, 20_000, seed=5, threads=2)
     s_ref, v_ref = _reference_mg(p, 100.0, 0.04, 1.0, 10, 20_000, seed=5)
-    ref = PathEnsemble(ens.times, s_ref, v_ref, 5, "log_euler", 0.05)
+    ref = PathEnsemble(ens.times, s_ref, v_ref, 5, 0.05)
     assert mc_price(ens, CALL, r=0.05) == mc_price(ref, CALL, r=0.05)
 
 
@@ -795,7 +792,11 @@ def _patched_dump(tmp_path, ens, word, value):
 
 
 def test_binary_rejects_unknown_scheme_code(tmp_path):
+    # 0 (log-Euler) and 1 (Euler) are the codes dumps were ever written with
     ens = simulate_mg(MG_P, 100.0, 0.04, 1.0, 4, 10, seed=3)
+    for code in (0, 1):
+        back = read_paths_binary(_patched_dump(tmp_path, ens, 3, code))
+        np.testing.assert_array_equal(back.s_paths, ens.s_paths)
     with pytest.raises(ValueError, match="unknown scheme code 7"):
         read_paths_binary(_patched_dump(tmp_path, ens, 3, 7))
 

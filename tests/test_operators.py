@@ -1,7 +1,6 @@
 """Discrete Hamiltonians, gauge operators, and their algebra."""
 
 import dataclasses
-import io
 import math
 import warnings
 
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from gauge_hamilton import (
@@ -18,6 +18,8 @@ from gauge_hamilton import (
     LinearOperator,
     LogGrid1D,
     ModelParams,
+    OptionContract,
+    beta_field,
     build_bs_hamiltonian,
     build_gauge_hamiltonian,
     build_mg_hamiltonian,
@@ -32,12 +34,16 @@ from gauge_hamilton import (
     momentum_operator,
     sample,
     smooth_probe_functions,
+    solve_mg,
 )
+from gauge_hamilton.cli import main
+from gauge_hamilton.gauge_analysis import _bs_limit_residual, _check_bs_limit
 from gauge_hamilton.operators import (_difference_blocks, _first_difference, _second_difference,
                                       _sum)
 from gauge_hamilton.pricing import _kept_diagonals
 
-from dia_reference import csr_diagonals
+from dia_reference import (csr_apply, csr_bs_limit_residual, csr_diagonals,
+                           csr_hermiticity_defect)
 
 GRID_1D = make_grid_1d(3.5, 5.5, 41)
 GRID_2D = make_grid_2d(3.5, 5.5, 41, -4.0, -1.0, 21)
@@ -262,7 +268,7 @@ def test_apply_is_the_csr_views_product_bit_for_bit():
             if masked:
                 u[u.size // 2] = np.nan
             got = op.apply(GridFunction(op.grid, u, allow_masked=masked)).values
-            want = op.matrix @ u
+            want = csr_apply(op.matrix, u)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
         assert np.isnan(got).sum() == np.count_nonzero(op.matrix[:, u.size // 2].toarray())
 
@@ -282,36 +288,6 @@ def test_operator_algebra_and_reach():
     assert (2.0 * p).max_abs() == 2.0 * p.max_abs()
     assert (-p).max_abs() == p.max_abs()
     assert (p - p).max_abs() == 0.0
-
-
-def test_to_coo_csv():
-    buf = io.StringIO()
-    identity_operator(make_grid_1d(0.0, 1.0, 5)).to_coo_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "row,col,value"
-    assert len(lines) == 6
-    assert lines[1].split(",") == ["0", "0", "1"]
-
-
-def coo_csv_by_hand(op):
-    """to_coo_csv before it went through core.write_csv."""
-    coo = op.matrix.tocoo()
-    out = io.StringIO()
-    out.write("row,col,value\n")
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        out.write(f"{r},{c},{v:.17g}\n")
-    return out.getvalue()
-
-
-@pytest.mark.parametrize("op", [build_bs_hamiltonian(P, GRID_1D),
-                                build_mg_hamiltonian(MG_P, make_grid_2d(0.0, 1.0, 7, -1.0, 0.0, 6))],
-                         ids=["bs-1d", "mg-2d"])
-def test_to_coo_csv_bytes_match_hand_written_rows(op, tmp_path):
-    buf = io.StringIO()
-    op.to_coo_csv(buf)
-    assert buf.getvalue() == coo_csv_by_hand(op)
-    op.to_coo_csv(tmp_path / "op.csv")
-    assert (tmp_path / "op.csv").read_text() == coo_csv_by_hand(op)
 
 
 # ---------------------------------------------------------------------------
@@ -701,30 +677,30 @@ def _reference_blocks_2d(grid):
     ix = sp.identity(grid.nx)
     iy = sp.identity(grid.ny)
     return {
-        "dx": sp.kron(d1x, iy, format="csr"),
-        "dy": sp.kron(ix, d1y, format="csr"),
-        "dxx": sp.kron(d2x, iy, format="csr"),
-        "dyy": sp.kron(ix, d2y, format="csr"),
-        "dxy": sp.kron(d1x, d1y, format="csr"),
+        "first_x": sp.kron(d1x, iy, format="csr"),
+        "first_y": sp.kron(ix, d1y, format="csr"),
+        "second_x": sp.kron(d2x, iy, format="csr"),
+        "second_y": sp.kron(ix, d2y, format="csr"),
+        "cross_xy": sp.kron(d1x, d1y, format="csr"),
     }
 
 
 def _reference_blocks(grid):
     if isinstance(grid, LogGrid1D):
-        return {"dx": _reference_first_difference(grid.n, grid.h),
-                "dxx": _reference_second_difference(grid.n, grid.h)}
+        return {"first_x": _reference_first_difference(grid.n, grid.h),
+                "second_x": _reference_second_difference(grid.n, grid.h)}
     return _reference_blocks_2d(grid)
 
 
 def _reference_transformed_direct(params, gauge, grid):
     blocks = _reference_blocks(grid)
     half_sig2 = 0.5 * params.sigma * params.sigma
-    h_bs = (-half_sig2 * blocks["dxx"] + (half_sig2 - params.r) * blocks["dx"]
+    h_bs = (-half_sig2 * blocks["second_x"] + (half_sig2 - params.r) * blocks["first_x"]
             + params.r * sp.identity(grid.n_points, format="csr"))
     coords = (grid.points, np.zeros(grid.n)) if isinstance(grid, LogGrid1D) else (grid.xs, grid.ys)
     tx = gauge.theta_x(*coords)
     sig2, om = params.sigma * params.sigma, gauge.omega
-    extra = (sp.diags(sig2 * om * tx, format="csr") @ blocks["dx"]
+    extra = (sp.diags(sig2 * om * tx, format="csr") @ blocks["first_x"]
              + sp.diags(0.5 * sig2 * om * (1.0 + om) * tx * tx
                         + om * (0.5 * sig2 - params.r) * tx, format="csr"))
     return h_bs + extra
@@ -760,10 +736,10 @@ def test_block_builder_stores_the_reference_arrays(grid):
         (got,) = _difference_blocks(grid, name)
         assert_same_csr(LinearOperator(grid, _sum(grid.n_points, [got])).matrix, want)
     blocks = _reference_blocks(grid)
-    assert_same_csr(momentum_operator(grid, "x").matrix, blocks["dx"])
+    assert_same_csr(momentum_operator(grid, "x").matrix, blocks["first_x"])
     if not isinstance(grid, LogGrid1D):
-        assert_same_csr(momentum_operator(grid, "y").matrix, blocks["dy"])
-        d = blocks["dx"] + blocks["dy"]
+        assert_same_csr(momentum_operator(grid, "y").matrix, blocks["first_y"])
+        d = blocks["first_x"] + blocks["first_y"]
         sig2 = np.exp(grid.ys)
         factored = (sp.diags(-0.5 * sig2, format="csr") @ (d @ d)
                     + sp.diags(0.5 * sig2 - P.r, format="csr") @ d
@@ -775,7 +751,7 @@ def test_block_builder_stores_the_reference_arrays(grid):
 
 
 def test_block_builder_rejects_y_blocks_on_1d_grids():
-    for name in ("dy", "dyy", "dxy"):
+    for name in ("first_y", "second_y", "cross_xy"):
         with pytest.raises(ValueError, match="x axis"):
             _difference_blocks(GRID_1D, name)
 
@@ -797,8 +773,8 @@ def _reference_terms(params, grid, model):
     if model == "bs":
         half_sig2 = 0.5 * params.sigma * params.sigma
         return {
-            "second_x": -half_sig2 * blocks["dxx"],
-            "first_x": (half_sig2 - r) * blocks["dx"],
+            "second_x": -half_sig2 * blocks["second_x"],
+            "first_x": (half_sig2 - r) * blocks["first_x"],
             "potential": r * sp.identity(n, format="csr"),
         }
     if model == "mg":
@@ -809,23 +785,23 @@ def _reference_terms(params, grid, model):
         if params.vol_vol_half:
             coef_yy = 0.5 * coef_yy
         return {
-            "second_x": diag(-0.5 * ey) @ blocks["dxx"],
-            "first_x": diag(-(r - 0.5 * ey)) @ blocks["dx"],
+            "second_x": diag(-0.5 * ey) @ blocks["second_x"],
+            "first_x": diag(-(r - 0.5 * ey)) @ blocks["first_x"],
             "first_y": diag(-(params.lambda_ * np.exp(-y) + params.mu
                               - 0.5 * zeta2 * np.exp(2.0 * y * (params.alpha - 1.0))))
-            @ blocks["dy"],
+            @ blocks["first_y"],
             "cross_xy": diag(-params.rho * params.zeta
-                             * np.exp(y * (params.alpha - 0.5))) @ blocks["dxy"],
-            "second_y": diag(-coef_yy) @ blocks["dyy"],
+                             * np.exp(y * (params.alpha - 0.5))) @ blocks["cross_xy"],
+            "second_y": diag(-coef_yy) @ blocks["second_y"],
             "potential": r * sp.identity(n, format="csr"),
         }
     sig2 = np.exp(grid.ys) if params.sigma_local else np.full(n, params.sigma * params.sigma)
     return {
-        "second_x": diag(-0.5 * sig2) @ blocks["dxx"],
-        "first_x": diag(0.5 * sig2 - r) @ blocks["dx"],
-        "first_y": diag(0.5 * sig2 - r) @ blocks["dy"],
-        "cross_xy": diag(-sig2) @ blocks["dxy"],
-        "second_y": diag(-0.5 * sig2) @ blocks["dyy"],
+        "second_x": diag(-0.5 * sig2) @ blocks["second_x"],
+        "first_x": diag(0.5 * sig2 - r) @ blocks["first_x"],
+        "first_y": diag(0.5 * sig2 - r) @ blocks["first_y"],
+        "cross_xy": diag(-sig2) @ blocks["cross_xy"],
+        "second_y": diag(-0.5 * sig2) @ blocks["second_y"],
         "potential": r * sp.identity(n, format="csr"),
     }
 
@@ -982,3 +958,96 @@ def test_products_on_the_diagonals_are_the_csr_products(nx, ny, left, right, ome
     assert offsets.tolist() == want_offsets.tolist()
     assert data.dtype == want_data.dtype and data.shape == want_data.shape
     assert data.tobytes() == want_data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the readers on the diagonals against the CSR readers they replaced
+# ---------------------------------------------------------------------------
+
+def generated_operator(grid, offsets, rng):
+    """An operator on ``grid`` with diagonals at ``offsets`` (folded into
+    (-n, n), the main one added) whose entries mix +0, -0 and nonzeros of
+    several magnitudes."""
+    n = grid.n_points
+    offsets = np.array(sorted({0, *(o % (2 * n - 1) - (n - 1) for o in offsets)}))
+    data = rng.standard_normal((offsets.size, n)) * 10.0 ** rng.integers(-3, 4, (offsets.size, n))
+    kind = rng.integers(0, 4, data.shape)
+    data[kind == 0] = 0.0
+    data[kind == 1] = -0.0
+    return LinearOperator(grid, (offsets, data))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(5, 12), ny=st.one_of(st.none(), st.integers(5, 8)),
+       offsets=st.lists(st.integers(0, 10 ** 6), max_size=8),
+       offsets_1d=st.lists(st.integers(0, 10 ** 6), max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1), masked=st.integers(0, 3), depth=st.integers(0, 2))
+def test_diagonal_readers_are_the_csr_readers_bit_for_bit(nx, ny, offsets, offsets_1d, seed,
+                                                           masked, depth):
+    # masked apply, hermiticity_defect and the bs-limit residual read the
+    # diagonals; the CSR view stores no zero, so -0 and +0 entries must
+    # read as absent
+    grid = (make_grid_1d(3.5, 5.5, nx) if ny is None else
+            make_grid_2d(3.5, 5.5, nx, -4.0, -1.0, ny))
+    rng = np.random.default_rng(seed)
+    op = generated_operator(grid, offsets, rng)
+    u = rng.standard_normal(grid.n_points)
+    u[rng.choice(grid.n_points, masked, replace=False)] = np.nan
+    got = op.apply(GridFunction(grid, u, allow_masked=True)).values
+    assert got.tobytes() == csr_apply(op.matrix, u).tobytes()
+    assert (hermiticity_defect(op, depth).hex()
+            == csr_hermiticity_defect(op.matrix, grid.interior_mask(depth)).hex())
+    if ny is not None:
+        h1 = generated_operator(grid.x_axis, offsets_1d, rng)
+        assert (_bs_limit_residual(op, h1).hex()
+                == csr_bs_limit_residual(op.matrix, h1.matrix, nx, ny).hex())
+
+
+@pytest.mark.parametrize("nx, ny", [(41, 21), (9, 5), (101, 41)])
+def test_bs_limit_residual_on_spoiled_operators_is_the_row_walks(nx, ny):
+    # the check passes with the constant-sigma gauge operator; with the
+    # sigma-local form or the Merton-Garman operator in its place the
+    # residual is large, and the diagonal reader gives the row walk's value
+    grid = make_grid_2d(3.5, 5.5, nx, -4.0, -1.0, ny)
+    h1 = build_bs_hamiltonian(P, grid.x_axis)
+    constant = build_gauge_hamiltonian(dataclasses.replace(P, sigma_local=False), grid)
+    assert _bs_limit_residual(constant, h1) == 0.0
+    assert _check_bs_limit(P, nx, ny, 2, 0)["residual"] == 0.0
+    for spoiled in (build_gauge_hamiltonian(dataclasses.replace(P, sigma_local=True), grid),
+                    build_mg_hamiltonian(MG_P, grid)):
+        got = _bs_limit_residual(spoiled, h1)
+        assert got > 1.0
+        assert got == csr_bs_limit_residual(spoiled.matrix, h1.matrix, nx, ny)
+
+
+def test_no_library_path_reads_the_csr_view(monkeypatch):
+    # with the CSR view made to fail, the CLI's check, surface and
+    # martingale runs and the library's readers run and print as before
+    runs = [["check", "--what", "all"],
+            *(["surface", "--hamiltonian", model] for model in ("bs", "mg", "gauge")),
+            ["surface", "--hamiltonian", "gauge", "--form", "factored"],
+            ["martingale", "--mu", "-3", "--lambda", "2", "--report-grid", "--zeta", "0.5"]]
+    grid = make_grid_2d(math.log(100.0) - 1.0, math.log(100.0) + 1.0, 21,
+                        math.log(0.04) - 2.0, math.log(0.04) + 1.0, 11)
+
+    def outputs():
+        runner = CliRunner()
+        results = [runner.invoke(main, args, catch_exceptions=False) for args in runs]
+        h = build_mg_hamiltonian(MG_P, grid)
+        u = np.ones(grid.n_points)
+        u[grid.n_points // 2] = np.nan
+        surface = solve_mg(MG_P, OptionContract("call", 100.0, 1.0), grid, n_steps=5)
+        return ([(r.exit_code, r.output) for r in results],
+                [hermiticity_defect(h), hermiticity_defect(h, depth=2),
+                 h.apply(GridFunction(grid, u, allow_masked=True)).values.tobytes(),
+                 beta_field(surface, MG_P).values.tobytes()])
+
+    before = outputs()
+    assert all(code == 0 for code, _ in before[0])
+
+    def refuse(self):
+        raise AssertionError("the CSR view was read")
+    monkeypatch.setattr(LinearOperator, "matrix", property(refuse))
+    with pytest.raises(AssertionError, match="CSR view"):
+        identity_operator(GRID_1D).matrix
+    assert outputs() == before

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gauge_hamilton import OptionContract, ProfitQuery, break_even, profit
+from gauge_hamilton import InputError, OptionContract, ProfitQuery, break_even, profit
 
 
 def test_holder_call_profit_at_break_even():
@@ -61,12 +61,14 @@ def test_profit_query_validation():
     c = OptionContract("call", 42.0, 1.0, premium=5.0)
     with pytest.raises(ValueError, match="side"):
         ProfitQuery(c, "broker", 47.0)
-    with pytest.raises(ValueError, match="terminal price"):
+    with pytest.raises(InputError, match="^terminal_price must be nonnegative") as err:
         ProfitQuery(c, "holder", -1.0)
+    assert err.value.field == "terminal_price"
 
 
 def test_profit_query_rejects_non_finite_terminal_price():
     c = OptionContract("call", 42.0, 1.0, premium=5.0)
     for price in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="terminal price must be nonnegative and finite"):
+        with pytest.raises(InputError, match="^terminal_price must be nonnegative and finite") as err:
             ProfitQuery(c, "holder", price)
+        assert err.value.field == "terminal_price"
