@@ -166,7 +166,9 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
             out.update(sigma=sigma, pde_price=pde, closed_form=closed,
                        rel_err=abs(pde - closed) / max(abs(closed), 1e-300))
         else:
-            grid = default_grid_2d(s0, v0, maturity, nx=201 if nx is None else nx, ny=ny)
+            grid = _cover_strike(default_grid_2d(s0, v0, maturity,
+                                                 nx=201 if nx is None else nx, ny=ny),
+                                 strike, kind)
             pde = price_mg(params, contract, s0, v0, grid=grid,
                            n_steps=n_steps, theta_scheme=theta_scheme)
             out.update(v0=v0, pde_price=pde)

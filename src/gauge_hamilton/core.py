@@ -27,7 +27,6 @@ __all__ = [
     "sample",
     "default_grid_1d",
     "default_grid_2d",
-    "write_grid_function_csv",
 ]
 
 _SCALAR_FIELDS = ("r", "sigma", "phi", "lambda_", "mu", "zeta", "alpha", "rho")
@@ -234,7 +233,8 @@ def make_grid_2d(x_min: float, x_max: float, nx: int,
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Values attached to every point of a grid, stored flat and row-major.
+    """Values attached to every point of a grid, one per point, flat and
+    row-major (``values2d`` is the (nx, ny) view on a 2D grid).
 
     Values must be finite unless ``allow_masked`` is set, in which case NaN
     marks points deliberately left undefined (used by diagnostic fields).
@@ -246,8 +246,6 @@ class GridFunction:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 2 and isinstance(self.grid, LogGrid2D) and vals.shape == self.grid.shape:
-            vals = vals.ravel()
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.grid.n_points,):
             raise ValueError(
@@ -263,14 +261,6 @@ class GridFunction:
         if not isinstance(self.grid, LogGrid2D):
             raise TypeError("values2d requires a 2D grid")
         return self.values.reshape(self.grid.shape)
-
-    @property
-    def mask(self) -> np.ndarray:
-        """True where the value is defined (non-NaN)."""
-        return ~np.isnan(self.values)
-
-    def to_csv(self, path) -> None:
-        write_grid_function_csv(self, path)
 
 
 def sample(f: Callable, grid: Grid) -> GridFunction:
@@ -320,14 +310,6 @@ def write_csv(target, header: Sequence[str], columns: Iterable[Iterable]) -> Non
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def write_grid_function_csv(gf: GridFunction, path) -> None:
-    """CSV with 17 significant digits; 2D grids get columns x,y,value."""
-    if isinstance(gf.grid, LogGrid2D):
-        write_csv(path, ("x", "y", "value"), (gf.grid.xs, gf.grid.ys, gf.values))
-    else:
-        write_csv(path, ("x", "value"), (gf.grid.xs, gf.values))
-
-
 def default_grid_1d(s0: float, sigma: float, maturity: float, n: int = 401) -> LogGrid1D:
     """Price grid centred on ln s0, five sigma*sqrt(T) wide on each side."""
     return _price_axis(s0, sigma, maturity, n, "sigma")
@@ -335,7 +317,8 @@ def default_grid_1d(s0: float, sigma: float, maturity: float, n: int = 401) -> L
 
 def _price_axis(s0: float, sigma: float, maturity: float, n: int, field: str) -> LogGrid1D:
     """default_grid_1d's box; an InputError names ``field``, the input that
-    sets sigma, when e^x overflows at the box's top."""
+    sets sigma, when e^x overflows at the box's top or when the half-width
+    is lost against ln s0, so the box has no width."""
     check_positive("s0", s0)
     check_positive("maturity", maturity)
     require(math.isfinite(sigma) and sigma >= 0.0, "sigma",
@@ -346,6 +329,8 @@ def _price_axis(s0: float, sigma: float, maturity: float, n: int, field: str) ->
     x0 = math.log(s0)
     require(x0 + half <= EXP_LIMIT, field, f"must keep the top of the price box, {x0 + half:g}, "
                                            f"below ln(max float) = {EXP_LIMIT:.2f}")
+    require(x0 - half < x0 + half, field, f"must give the price box a width: its half-width "
+                                          f"{half:g} is lost against ln s0 = {x0:g}")
     return LogGrid1D(x0 - half, x0 + half, n)
 
 

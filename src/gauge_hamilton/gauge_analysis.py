@@ -14,11 +14,12 @@ import inspect
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
-from .core import (GridFunction, LogGrid2D, ModelParams, Record, check_finite, check_integer,
-                   check_positive, make_grid_1d, make_grid_2d, require, sample)
+from .core import (GridFunction, InputError, LogGrid2D, ModelParams, Record, check_finite,
+                   check_integer, check_positive, make_grid_1d, make_grid_2d, require, sample)
 from .operators import (GaugeField, LinearOperator, build_bs_hamiltonian,
                         build_gauge_hamiltonian, build_mg_hamiltonian,
                         build_transformed_bs, commutator, gauge_operator,
@@ -86,9 +87,17 @@ def surprise_condition(a: float, b: float, params: ModelParams) -> float:
     construction degenerates.  At sigma^2 = 2r the condition collapses to
     b = -2a.
     """
+    return a + 0.5 * b - (0.5 - _rate_over_variance(params))
+
+
+def _rate_over_variance(params: ModelParams) -> float:
+    """r / sigma^2, refused naming sigma unless twice it is finite."""
     check_positive("sigma", params.sigma)
     sig2 = params.sigma * params.sigma
-    return a + 0.5 * b - (0.5 - params.r / sig2)
+    ratio = params.r / sig2 if sig2 > 0.0 else math.inf
+    require(math.isfinite(2.0 * ratio), "sigma",
+            f"must keep 2r/sigma^2 finite, got {params.sigma} with r = {params.r}")
+    return ratio
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +149,9 @@ def mg_martingale_report(params: ModelParams, grid: LogGrid2D) -> MartingaleRepo
                             satisfied=residual_norm <= MARTINGALE_TOL)
 
 
+ROOT_TOL = 1e-12   # the largest relative residual a RootSet accepts
+
+
 @dataclass(frozen=True)
 class RootSet(Record):
     """Equilibrium log-variances of  a e^{2y} + mu e^y + lambda = 0."""
@@ -152,39 +164,55 @@ class RootSet(Record):
     no_equilibrium: bool
 
     def __post_init__(self):
-        for y in self.roots_y:
-            res = abs(self.a_coeff * math.exp(2.0 * y) + self.mu * math.exp(y) + self.lambda_)
-            if res > 1e-12:
-                raise ValueError(f"root y = {y} has residual {res:g} above 1e-12")
+        for u in self.roots_expy:
+            # the quadratic over u, so no term at a root overflows; NaN fails too
+            terms = (self.a_coeff * u, self.mu, self.lambda_ / u)
+            res = abs(sum(terms)) / (sum(map(abs, terms)) or 1.0)
+            if not res <= ROOT_TOL:
+                raise ValueError(f"root e^y = {u!r} has relative residual {res:g} "
+                                 f"above {ROOT_TOL:g}")
 
 
 def martingale_roots(a_coeff: float, mu: float, lambda_: float) -> RootSet:
     """Solve a u^2 + mu u + lambda = 0 for u = e^y > 0 and return y = ln u.
 
-    Only real positive u yield equilibria; a double root is reported once.
-    The quadratic is solved in the numerically stable form to avoid
-    cancellation between -mu and the discriminant square root.
+    Only real positive u yield equilibria, decided on the exact
+    discriminant; a double root is reported once.  The stable form runs on
+    coefficients scaled by powers of two, u = 2^s w with |a| 4^s near
+    |lambda| (|mu| 2^s when lambda = 0) and the largest then in [0.5, 1):
+    the discriminant cannot overflow, and where the plain formula neither
+    overflows nor underflows the roots are its roots bit for bit.  A root
+    above the float range names a_coeff, one below the normal floats
+    lambda_.
     """
     for name, value in (("a_coeff", a_coeff), ("mu", mu), ("lambda_", lambda_)):
         check_finite(name, value)
     require(a_coeff != 0.0, "a_coeff", "must be nonzero")
-    disc = mu * mu - 4.0 * a_coeff * lambda_
-    if disc < 0.0:
-        candidates: list[float] = []
-    elif disc == 0.0:
-        candidates = [-mu / (2.0 * a_coeff)]
-    else:
-        sq = math.sqrt(disc)
-        q = -0.5 * (mu + math.copysign(sq, mu if mu != 0.0 else 1.0))
-        candidates = [q / a_coeff]
-        if q != 0.0:
-            candidates.append(lambda_ / q)
-        else:
-            candidates.append(0.0)
-    positive = sorted(u for u in candidates if u > 0.0)
-    roots_y = tuple(math.log(u) for u in positive)
+    disc = Fraction(mu) ** 2 - 4 * Fraction(a_coeff) * Fraction(lambda_)
+    (fa, ea), (_, eb), (fc, ec) = (math.frexp(v) for v in (a_coeff, mu, lambda_))
+    s = (ec - ea) // 2 if lambda_ != 0.0 else eb - ea
+    e = max(ex for ex, v in ((ea + 2 * s, a_coeff), (eb + s, mu), (ec, lambda_)) if v != 0.0)
+    a, b, c = math.ldexp(a_coeff, 2 * s - e), math.ldexp(mu, s - e), math.ldexp(lambda_, -e)
+    # each candidate u as a mantissa and a power of two
+    candidates = [(-b / (2.0 * a), s)] if disc == 0 else []
+    if disc > 0:
+        sq = math.sqrt(max(b * b - 4.0 * a * c, 0.0))
+        q = -0.5 * (b + math.copysign(sq, b if b != 0.0 else 1.0))
+        # a_coeff = fa 2^ea, lambda_ = fc 2^ec and the unscaled q = q 2^(e-s)
+        candidates = [(q / fa, e - s - ea), (fc / q, ec - e + s)]
+    positive = []
+    for m, k in ((m, k) for m, k in candidates if m > 0.0):
+        where = f"a root lies at y = {math.log(m) + k * math.log(2.0):.6g}"
+        try:
+            u = math.ldexp(m, k)
+        except OverflowError:
+            raise InputError("a_coeff", f"must keep every root e^y finite; {where}") from None
+        require(u >= np.finfo(float).tiny, "lambda_",
+                f"must keep every root e^y a normal float; {where}")
+        positive.append(u)
+    positive = sorted(set(positive))   # two roots apart by less than rounding print once
     return RootSet(a_coeff=a_coeff, mu=mu, lambda_=lambda_,
-                   roots_y=roots_y, roots_expy=tuple(positive),
+                   roots_y=tuple(math.log(u) for u in positive), roots_expy=tuple(positive),
                    no_equilibrium=not positive)
 
 
@@ -206,9 +234,7 @@ def gauge_quadratic(params: ModelParams, c: float) -> float:
 def gauge_martingale_sums(params: ModelParams) -> tuple[float, float]:
     """Exponent sums c = a + b annihilated by the constant-sigma gauge
     Hamiltonian: c = 1 and c = -2r/sigma^2."""
-    check_positive("sigma", params.sigma)
-    sig2 = params.sigma * params.sigma
-    return (1.0, -2.0 * params.r / sig2)
+    return (1.0, -2.0 * _rate_over_variance(params))
 
 
 def gauge_martingale_residual(params: ModelParams, a: float, b: float,

@@ -33,7 +33,6 @@ from .pricing import OptionContract, PriceSurface, bs_closed_form, bs_delta
 
 __all__ = [
     "PathEnsemble",
-    "correlated_normals",
     "simulate_gbm",
     "simulate_mg",
     "mc_price",
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 BLOCK = 1 << 14          # paths per RNG stream
-V_FLOOR_DEFAULT = 1e-8
+V_FLOOR = 1e-8           # the variance paths' reflecting floor
 _MAGIC = b"MGPATHS2"      # the seed as two uint64 words, low then high
 _MAGIC_V1 = b"MGPATHS1"   # the seed as one int64; still read
 _WORD = 2 ** 64 - 1       # the low 64 bits of a seed
@@ -68,16 +67,6 @@ def _blocks(n_paths: int):
     for b in range(0, (n_paths + BLOCK - 1) // BLOCK):
         start = b * BLOCK
         yield b, start, min(BLOCK, n_paths - start)
-
-
-def correlated_normals(rho: float, n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """n draws of the correlated pair (z1, rho z1 + sqrt(1-rho^2) z2)."""
-    require(-1.0 <= rho <= 1.0, "rho", f"must lie in [-1, 1], got {rho}")
-    check_integer("n", n, 0)
-    _check_seed(seed)
-    rng = _block_rng(seed, 0)
-    z = rng.standard_normal((2, n))
-    return z[0], rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +93,6 @@ class PathEnsemble:
     @property
     def n_paths(self) -> int:
         return self.s_paths.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.shape[0] - 1
 
     @property
     def maturity(self) -> float:
@@ -270,22 +255,20 @@ def simulate_gbm(params: ModelParams, s0: float, maturity: float,
 
 def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
                 n_steps: int, n_paths: int, seed: int,
-                v_floor: float = V_FLOOR_DEFAULT,
                 threads: int = 1) -> PathEnsemble:
     """Joint price/variance paths,
 
         dV = (lambda + mu V) dt + zeta V^alpha dW2,
         ln S steps with the current variance,  corr(dW1, dW2) = rho.
 
-    V uses Euler steps reflected at ``v_floor`` (|V| if it turns negative,
-    never below the floor).  The second noise is built as
+    V uses Euler steps reflected at the constant V_FLOOR (|V| if it turns
+    negative, never below the floor).  The second noise is built as
     rho z1 + sqrt(1 - rho^2) z2 from the same draw block GBM uses, so
     freezing the variance reproduces simulate_gbm paths for the same seed.
     """
     _validate_run(s0, maturity, n_steps, n_paths, seed, threads)
     check_positive("v0", v0)
-    require(math.isfinite(v_floor) and v_floor >= 0.0, "v_floor",
-            f"must be finite and nonnegative, got {v_floor}")
+    v_floor = V_FLOOR   # read by every step as a local
     dt = maturity / n_steps
     sqdt = math.sqrt(dt)
     rho = params.rho

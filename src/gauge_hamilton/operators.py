@@ -180,24 +180,16 @@ class LinearOperator:
         return mat
 
     def apply(self, f: GridFunction) -> GridFunction:
-        """M f, a DIA product on the diagonals: offsets ascending, so each row
-        sums in ascending column order, as the CSR view's product does.  A
-        masked (NaN) point is read as 0, and the rows with a nonzero entry in
-        its column, the rows a NaN would reach, are NaN."""
+        """M f, one DIA product on the diagonals: offsets ascending, so each
+        row sums in ascending column order, as the CSR view's product does.
+        A grid function holding a NaN (a masked point) is refused."""
         if f.grid != self.grid:
             raise ValueError("grid mismatch: operator and grid function live on different grids")
+        require(not (f.allow_masked and np.isnan(f.values).any()), "f",
+                "must hold no NaN: apply reads finite values only")
         offsets, data = self.diagonals
         n = data.shape[1]
-
-        def product(entries, values):
-            return sp.dia_matrix((entries, offsets), shape=(n, n)) @ values
-        masked = np.isnan(f.values) if f.allow_masked else np.zeros(n, dtype=bool)
-        if not masked.any():
-            return GridFunction(self.grid, product(data, f.values), allow_masked=f.allow_masked)
-        out = product(data, np.where(masked, 0.0, f.values))
-        # a 0/1 pattern product: positive on exactly the rows that read a masked point
-        out[product((data != 0.0).astype(float), masked.astype(float)) > 0.0] = np.nan
-        return GridFunction(self.grid, out, allow_masked=True)
+        return GridFunction(self.grid, sp.dia_matrix((data, offsets), shape=(n, n)) @ f.values)
 
     def _check(self, other: "LinearOperator") -> None:
         if not isinstance(other, LinearOperator):
@@ -264,15 +256,15 @@ def commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     return a @ b - b @ a
 
 
-def hermiticity_defect(op: LinearOperator, depth: int = 1) -> float:
-    """max |M - M^T| over the interior-by-interior submatrix.
+def hermiticity_defect(op: LinearOperator) -> float:
+    """max |M - M^T| over the interior-by-interior submatrix, depth 1.
 
     Boundary rows are excluded because one-sided closures are asymmetric by
     construction and say nothing about the operator itself.  M[i, i+o] sits
     in column i+o of diagonal o and M[i+o, i] in column i of diagonal -o, an
     absent diagonal reading as 0.
     """
-    keep = op.grid.interior_mask(depth)
+    keep = op.grid.interior_mask(1)
     offsets, data = op.diagonals
     rows = dict(zip(offsets.tolist(), data))
     absent = np.zeros(data.shape[1])
@@ -496,9 +488,9 @@ class GaugeField:
                    omega=omega)
 
     @classmethod
-    def constant(cls, omega: float, value: float = 1.0) -> "GaugeField":
-        """theta(x, y) = value."""
-        return cls(theta=lambda x, y: np.full_like(np.asarray(x, dtype=float), value),
+    def constant(cls, omega: float) -> "GaugeField":
+        """theta(x, y) = 1."""
+        return cls(theta=lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
                    theta_x=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
                    omega=omega)
 

@@ -63,8 +63,7 @@ from scipy.linalg.blas import dasum, dgbmv, idamax
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_finite, check_integer,
-                   check_positive, default_grid_1d, default_grid_2d, require, text_output,
-                   write_grid_function_csv)
+                   check_positive, default_grid_1d, default_grid_2d, require)
 from .operators import LinearOperator, build_bs_hamiltonian, build_mg_hamiltonian
 
 __all__ = [
@@ -191,7 +190,7 @@ class FarFieldBoundary:
 
 @dataclass(frozen=True, eq=False)
 class PriceSurface:
-    """Solution of the backward evolution at the valuation time.
+    """Solution of the backward evolution at the valuation time, t = 0.
 
     ``prev_values`` is the slice one time step ``dt`` closer to maturity,
     kept so time derivatives can be formed without re-solving; when given,
@@ -200,7 +199,6 @@ class PriceSurface:
 
     grid: object
     values: np.ndarray
-    valuation_time: float
     prev_values: Optional[np.ndarray] = None
     dt: Optional[float] = None
 
@@ -239,11 +237,6 @@ class PriceSurface:
         i0 = min(int(fx), g.n - 2)
         tx = fx - i0
         return float((1 - tx) * self.values[i0] + tx * self.values[i0 + 1])
-
-    def to_csv(self, path) -> None:
-        with text_output(path) as fh:
-            fh.write(f"# t={self.valuation_time:.17g}\n")
-            write_grid_function_csv(GridFunction(self.grid, self.values), fh)
 
 
 def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
@@ -330,8 +323,7 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
                 for step in steps:
                     prev, values = values, advance(values, (step + 1) * dt)
                 del advance   # frees the startup's systems before the main phase's are built
-    return PriceSurface(grid=grid, values=values, valuation_time=0.0,
-                        prev_values=prev, dt=dt)
+    return PriceSurface(grid=grid, values=values, prev_values=prev, dt=dt)
 
 
 def _relative_residual(resid: np.ndarray, rhs: np.ndarray) -> float:
@@ -643,15 +635,20 @@ def _in_no_arbitrage_box(price: float, contract: OptionContract, s0: float,
     return price
 
 
-def _cover_strike(grid: LogGrid1D, strike: float) -> LogGrid1D:
-    """``grid``, or, when ln K lies beyond it or within a tenth of its width
-    of an edge (sigma sqrt(T) on default_grid_1d's box), the box widened to
-    reach that margin past ln K, on as many points."""
+def _cover_strike(grid, strike: float, kind: Optional[str] = None):
+    """``grid``, its edges moved where ln K lies beyond one or within a tenth
+    of its width of it (sigma sqrt(T) on default_grid_1d's box) to reach that
+    margin past ln K, on as many points; on a 2D grid, its x axis.  Given a
+    ``kind``, only the edge where that option's far-field value goes
+    negative moves, the top for a call and the bottom for a put: toward an
+    in-the-money strike a wider box only coarsens the grid (a 2D call at
+    K = 1e-8 then prices above s0)."""
+    if isinstance(grid, LogGrid2D):
+        return LogGrid2D(_cover_strike(grid.x_axis, strike, kind), grid.y_axis)
     margin = 0.1 * (grid.x_max - grid.x_min)
     k = math.log(strike)
-    if grid.x_min + margin <= k <= grid.x_max - margin:
-        return grid
-    return LogGrid1D(min(grid.x_min, k - margin), max(grid.x_max, k + margin), grid.n)
+    return LogGrid1D(grid.x_min if kind == "call" else min(grid.x_min, k - margin),
+                     grid.x_max if kind == "put" else max(grid.x_max, k + margin), grid.n)
 
 
 def price_bs(params: ModelParams, contract: OptionContract, s0: float,
@@ -686,11 +683,16 @@ def solve_mg(params: ModelParams, contract: OptionContract, grid: LogGrid2D,
 def price_mg(params: ModelParams, contract: OptionContract, s0: float, v0: float,
              grid: LogGrid2D | None = None, n_steps: int = 150,
              theta_scheme: float = 0.5) -> float:
-    """Merton-Garman price at spot s0 and variance v0, in the no-arbitrage box."""
+    """Merton-Garman price at spot s0 and variance v0, in the no-arbitrage box.
+
+    With no ``grid`` the box is default_grid_2d's, its x axis widened as
+    price_bs widens its box, but only toward an out-of-the-money strike.
+    """
     check_positive("s0", s0)
     check_positive("v0", v0)
     if grid is None:
-        grid = default_grid_2d(s0, v0, contract.maturity)
+        grid = _cover_strike(default_grid_2d(s0, v0, contract.maturity), contract.strike,
+                             contract.kind)
     surface = solve_mg(params, contract, grid, n_steps, theta_scheme)
     return _in_no_arbitrage_box(surface.interpolate(math.log(s0), math.log(v0)),
                                 contract, s0, params.r)

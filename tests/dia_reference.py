@@ -33,13 +33,6 @@ def csr_diagonals(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     return offsets, data.reshape(-1, n)[1:]
 
 
-def csr_apply(m: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
-    """The CSR product m values, the masked ``LinearOperator.apply`` before
-    it read the diagonals: a NaN reaches the rows with a stored entry in its
-    column, and the sorted view sums each row in ascending column order."""
-    return m @ values
-
-
 def csr_hermiticity_defect(m: sp.csr_matrix, keep: np.ndarray) -> float:
     """max |M - M^T| over the rows and columns ``keep`` marks, read off the
     CSR matrix as ``hermiticity_defect`` did before it read the diagonals."""

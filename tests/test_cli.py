@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gauge_hamilton import (
     ModelParams,
@@ -89,6 +94,18 @@ def test_price_bs_strike_beyond_the_default_box_prices(runner, strike, maturity,
                             "--t", maturity] + nx)
     assert 0.0 <= out["pde_price"] <= 100.0
     assert abs(out["pde_price"] - out["closed_form"]) <= 1e-4
+
+
+@pytest.mark.parametrize("kind, strike", [("call", "300"), ("put", "30")])
+def test_price_mg_widens_its_box_toward_an_out_of_the_money_strike(runner, kind, strike):
+    # the strike lies beyond the top (call) or the bottom (put) of the box,
+    # whose far-field value then went negative: the call exited 1 at
+    # -3.57e-05, the put at -2.10e-06; with the variance frozen both price
+    # close to Black-Scholes at sigma = 0.2 (4.75e-07 and 2.93e-10)
+    args = ["price", "--model", "mg", "--kind", kind, "--s0", "100", "--k", strike]
+    out = run_json(runner, args)
+    bs = run_json(runner, ["price", "--kind", kind, "--s0", "100", "--k", strike])
+    assert 0.0 < out["pde_price"] < 2.0 * bs["closed_form"]
 
 
 def test_price_mg_divergence_fails(runner):
@@ -236,6 +253,59 @@ def test_martingale_no_equilibrium(runner):
     out = run_json(runner, ["martingale", "--mu", "2", "--lambda", "1"])
     assert out["no_equilibrium"] is True
     assert out["roots_y"] == []
+
+
+def exact_has_equilibrium(a, mu, lam):
+    """Whether a u^2 + mu u + lam = 0 has a root u > 0, decided on exact
+    rationals: real roots, then the signs of their product and sum."""
+    a, mu, lam = Fraction(a), Fraction(mu), Fraction(lam)
+    if mu * mu - 4 * a * lam < 0:
+        return False
+    return lam / a < 0 or -mu / a > 0
+
+
+def positive_roots(a, mu, lam):
+    """The positive roots to 60 digits, in the stable form, with no
+    exponent limit."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 60, 10 ** 6, -10 ** 6
+        a, mu, lam = Decimal(a), Decimal(mu), Decimal(lam)
+        disc = mu * mu - 4 * a * lam
+        if disc < 0:
+            return []
+        q = -(mu + disc.sqrt().copy_sign(mu if mu != 0 else Decimal(1))) / 2
+        return sorted({u for u in (q / a, lam / q) if u > 0})
+
+
+coefficient = st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+                        st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.999),
+                        st.integers(-300, 299))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=coefficient, mu=coefficient, lam=coefficient)
+def test_martingale_roots_over_the_float_range(a, mu, lam):
+    # roots of -1e200, 1, 1 printed as Infinity, and 1e300, -1e300, 1e-300
+    # reported no equilibrium, both from an overflowed mu^2
+    result = CliRunner().invoke(main, ["martingale", "--a", repr(a), "--mu", repr(mu),
+                                       "--lambda", repr(lam)])
+    roots = positive_roots(a, mu, lam)
+    if result.exit_code == 2:
+        # a root that is not a normal float, named by the coefficient that sets it
+        big = [u for u in roots if u > Decimal(sys.float_info.max)]
+        small = [u for u in roots if u < Decimal(sys.float_info.min)]
+        flag = "--a" if big else "--lambda"
+        assert big or small
+        assert result.stdout == ""
+        assert f"Error: {flag} must keep every root e^y" in result.stderr
+        return
+    assert result.exit_code == 0, result.output
+    out = json.loads(result.stdout, parse_constant=_reject_constant)
+    assert out["no_equilibrium"] is (not exact_has_equilibrium(a, mu, lam))
+    assert len(out["roots_expy"]) == len(roots)
+    for got, want in zip(out["roots_expy"], roots):
+        assert abs(Decimal(got) / want - 1) < Decimal("1e-12")
+    assert out["roots_y"] == [math.log(u) for u in out["roots_expy"]]
 
 
 def test_martingale_grid_report(runner):
@@ -607,6 +677,24 @@ BAD_FLAGS = [
      "max |omega*theta| = 709.5"),
     (["simulate", "--s0", "100", "--t", "1e300", "--n-paths", "100", "--n-steps", "4"],
      "--t must keep every simulated terminal price finite, got 1e+300: 100 of 100 are not"),
+    # the half-width of a box lost against ln s0: these three exited 2 with
+    # "x_max must exceed x_min", naming no flag
+    ([*PRICE, "--sigma", "1e-200"], "--sigma must give the price box a width: its "
+                                    "half-width 5e-200 is lost against ln s0 = 4.60517"),
+    ([*PRICE, "--t", "1e-300"], "--sigma must give the price box a width: its "
+                                "half-width 1e-150 is lost against ln s0 = 4.60517"),
+    ([*PRICE, "--model", "mg", "--v0", "1e-300"], "--v0 must give the price box a width: "
+                                                  "its half-width 5e-150 is lost against "
+                                                  "ln s0 = 4.60517"),
+    # sigma^2 underflowed: the first died with a ZeroDivisionError, the
+    # second printed -Infinity
+    (["gauge-martingale", "--sigma", "1e-200"],
+     "--sigma must keep 2r/sigma^2 finite, got 1e-200 with r = 0.05"),
+    (["gauge-martingale", "--sigma", "1e-160"],
+     "--sigma must keep 2r/sigma^2 finite, got 1e-160 with r = 0.05"),
+    # a root e^y = 1e600 printed as Infinity
+    (["martingale", "--a", "1e-300", "--mu", "-1e300", "--lambda", "1"],
+     "--a must keep every root e^y finite; a root lies at y = 1381.55"),
 ]
 
 

@@ -25,7 +25,6 @@ from gauge_hamilton import (
     mg_martingale_report,
     sample,
     volcoeff_audit,
-    write_grid_function_csv,
 )
 from gauge_hamilton.core import EXP_LIMIT, check_positive, text_output, write_csv
 
@@ -217,16 +216,18 @@ def test_grid_function_validation():
     with pytest.raises(ValueError, match="finite"):
         GridFunction(g, np.array([1.0, np.nan, 1.0, 1.0, 1.0]))
     masked = GridFunction(g, np.array([1.0, np.nan, 1.0, 1.0, 1.0]), allow_masked=True)
-    np.testing.assert_array_equal(masked.mask, [True, False, True, True, True])
+    np.testing.assert_array_equal(np.isnan(masked.values), [False, True, False, False, False])
     with pytest.raises(ValueError):
         GridFunction(g, np.array([1.0, np.inf, 1.0, 1.0, 1.0]), allow_masked=True)
 
 
 def test_grid_function_2d_reshape():
+    # values are flat; values2d is the (nx, ny) view, and a 2D-shaped array is refused
     g = make_grid_2d(0.0, 1.0, 5, 0.0, 1.0, 6)
-    f = GridFunction(g, np.arange(30.0).reshape(5, 6))
-    assert f.values.shape == (30,)
+    f = GridFunction(g, np.arange(30.0))
     assert np.array_equal(f.values2d, np.arange(30.0).reshape(5, 6))
+    with pytest.raises(ValueError, match=r"values must have shape \(30,\), got \(5, 6\)"):
+        GridFunction(g, np.arange(30.0).reshape(5, 6))
     g1 = make_grid_1d(0.0, 1.0, 5)
     with pytest.raises(TypeError):
         GridFunction(g1, np.zeros(5)).values2d
@@ -236,7 +237,7 @@ def test_csv_round_trip_2d():
     g = make_grid_2d(-1.0, 1.0, 5, -1.0, 1.0, 5)
     f = sample(lambda x, y: np.exp(x + y) / 3.0, g)
     buf = io.StringIO()
-    f.to_csv(buf)
+    write_csv(buf, ("x", "y", "value"), (g.xs, g.ys, f.values))
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "x,y,value"
     assert len(lines) == 26
@@ -249,7 +250,7 @@ def test_csv_round_trip_2d():
 def test_csv_1d_columns():
     g = make_grid_1d(0.0, 2.0, 5)
     buf = io.StringIO()
-    write_grid_function_csv(sample(lambda x: x / 7.0, g), buf)
+    write_csv(buf, ("x", "value"), (g.xs, sample(lambda x: x / 7.0, g).values))
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "x,value"
     assert float(lines[3].split(",")[1]) == 1.0 / 7.0
@@ -348,7 +349,7 @@ def test_check_positive_names_the_field():
 # ---------------------------------------------------------------------------
 
 def grid_function_csv_by_hand(gf):
-    """write_grid_function_csv before it went through write_csv."""
+    """A grid function's table, x (and y) then the value, written row by row."""
     out = io.StringIO()
     if isinstance(gf.grid, LogGrid2D):
         out.write("x,y,value\n")
@@ -381,10 +382,12 @@ def test_grid_function_csv_bytes_match_hand_written_rows(two_d, tmp_path):
         gf = sample(lambda x, y: np.exp(x + y) / 3.0, make_grid_2d(-1.0, 1.3, 7, -2.0, 0.1, 6))
     else:
         gf = sample(lambda x: np.sin(x) / 7.0, make_grid_1d(-0.3, 2.9, 17))
+    header = ("x", "y", "value") if two_d else ("x", "value")
+    columns = (gf.grid.xs, gf.grid.ys, gf.values) if two_d else (gf.grid.xs, gf.values)
     buf = io.StringIO()
-    write_grid_function_csv(gf, buf)
+    write_csv(buf, header, columns)
     assert buf.getvalue() == grid_function_csv_by_hand(gf)
-    gf.to_csv(tmp_path / "gf.csv")
+    write_csv(tmp_path / "gf.csv", header, columns)
     assert (tmp_path / "gf.csv").read_text() == grid_function_csv_by_hand(gf)
 
 

@@ -242,6 +242,35 @@ def test_root_set_validates_residual():
                 roots_y=(0.5,), roots_expy=(math.exp(0.5),), no_equilibrium=False)
 
 
+def test_root_set_refuses_a_nan_root():
+    # the check was res > 1e-12, which a NaN residual passes
+    with pytest.raises(ValueError, match="residual nan"):
+        RootSet(a_coeff=1.0, mu=-3.0, lambda_=2.0,
+                roots_y=(math.nan,), roots_expy=(math.nan,), no_equilibrium=False)
+
+
+def test_roots_survive_an_overflowing_discriminant():
+    # mu^2 overflowed: the first reported the root y = inf, the second no root
+    rs = martingale_roots(1.0, -1e200, 1.0)
+    assert rs.roots_expy == (1e-200, 1e200)
+    assert rs.roots_y == pytest.approx((-460.517018598809, 460.517018598809), rel=1e-14)
+    rs = martingale_roots(1e-300, 1e300, -1e300)
+    assert rs.roots_expy == (1.0,) and rs.roots_y == (0.0,)
+    assert not rs.no_equilibrium
+    # lambda = 0 leaves the root -mu/a, however far apart the two are
+    assert martingale_roots(1e200, -1e-100, 0.0).roots_expy == (1e-100 / 1e200,)
+    assert martingale_roots(1e200, 1e-100, 0.0).no_equilibrium
+
+
+@pytest.mark.parametrize("args, field, y", [
+    ((1e-300, -1e300, 1.0), "a_coeff", "1381.55"),    # u = 1e600
+    ((1e300, -1e300, 1e-300), "lambda_", "-1381.55"),  # u = 1e-600
+])
+def test_roots_beyond_the_float_range_name_a_coefficient(args, field, y):
+    with pytest.raises(InputError, match=f"^{field} must keep every root e.y .*y = {y}$"):
+        martingale_roots(*args)
+
+
 def test_root_set_to_dict():
     d = martingale_roots(1.0, -3.0, 2.0).to_dict()
     assert d["roots_expy"] == [1.0, 2.0]
@@ -261,6 +290,16 @@ def test_gauge_sums_examples():
     assert other == pytest.approx(-2.5, rel=1e-12)
     with pytest.raises(ValueError, match="sigma"):
         gauge_martingale_sums(ModelParams(sigma=0.0))
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 1e-160])
+def test_rate_over_variance_refuses_an_underflowed_sigma(sigma):
+    # sigma^2 underflowed: 1e-200 divided by zero, 1e-160 gave -inf
+    p = ModelParams(r=0.05, sigma=sigma)
+    for run in (lambda: gauge_martingale_sums(p), lambda: surprise_condition(0.1, 0.2, p)):
+        with pytest.raises(InputError, match=f"^sigma must keep 2r/sigma.2 finite, got {sigma}"):
+            run()
+    assert gauge_martingale_sums(ModelParams(r=0.0, sigma=1e-160)) == (1.0, 0.0)
 
 
 def test_gauge_quadratic_roots_and_factorization():

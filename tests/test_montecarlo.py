@@ -20,7 +20,6 @@ from gauge_hamilton import (
     beta_field,
     build_mg_hamiltonian,
     bs_closed_form,
-    correlated_normals,
     delta_hedge_test,
     hedge_coefficients,
     make_grid_1d,
@@ -31,7 +30,7 @@ from gauge_hamilton import (
     simulate_mg,
     solve_mg,
 )
-from gauge_hamilton.montecarlo import (_MAGIC, _WRITE_CHUNK, BLOCK, _block_rng,
+from gauge_hamilton.montecarlo import (_MAGIC, _WRITE_CHUNK, BLOCK, V_FLOOR, _block_rng,
                                        _blocks)
 
 RN = ModelParams(r=0.05, sigma=0.2, phi=0.05)  # risk-neutral drift
@@ -42,42 +41,41 @@ CALL = OptionContract("call", 100.0, 1.0)
 # noise construction
 # ---------------------------------------------------------------------------
 
+def mg_noise(rho, n_paths, seed):
+    """The two normals of simulate_mg's one step, read back from the paths:
+    with alpha = 0, lambda = mu = 0 and a small zeta, V1 = V0 + zeta z2
+    stays far from its floor, and ln S1 = ln S0 - V0/2 + sqrt(V0) z1."""
+    p = ModelParams(zeta=0.005, alpha=0.0, rho=rho)
+    ens = simulate_mg(p, 100.0, 0.04, 1.0, 1, n_paths, seed)
+    assert ens.v_paths.min() > 0.01
+    z1 = (np.log(ens.s_paths[:, 1]) - math.log(100.0) + 0.02) / 0.2
+    z2 = (ens.v_paths[:, 1] - 0.04) / 0.005
+    return z1, z2
+
+
 def test_correlated_normals_statistics():
+    # simulate_mg's correlated pair (z1, rho z1 + sqrt(1 - rho^2) z2), read off its paths
     n = 100_000
     for rho in (-0.5, 0.0, 0.5):
-        z1, z2 = correlated_normals(rho, n, seed=5)
+        z1, z2 = mg_noise(rho, n, seed=5)
         got = np.corrcoef(z1, z2)[0, 1]
         assert abs(got - rho) < 3.0 / math.sqrt(n)
 
 
 def test_correlated_normals_degenerate_rho():
-    z1, z2 = correlated_normals(1.0, 10_000, seed=5)
-    assert np.array_equal(z1, z2)
-    z1, z2 = correlated_normals(-1.0, 10_000, seed=5)
-    assert np.array_equal(z1, -z2)
+    # rho = +-1: z2 = +-z1 exactly, read back to rounding
+    z1, z2 = mg_noise(1.0, 10_000, seed=5)
+    np.testing.assert_allclose(z2, z1, rtol=0.0, atol=1e-9)
+    z1, z2 = mg_noise(-1.0, 10_000, seed=5)
+    np.testing.assert_allclose(z2, -z1, rtol=0.0, atol=1e-9)
     with pytest.raises(ValueError, match="rho"):
-        correlated_normals(1.5, 10)
-
-
-@pytest.mark.parametrize("bad", [-1, 2.5, True, "3"])
-def test_correlated_normals_names_a_bad_count(bad):
-    with pytest.raises(ValueError, match=rf"^n must be an integer >= 0, got {bad}$"):
-        correlated_normals(0.5, bad)
-
-
-def test_correlated_normals_take_zero_and_numpy_counts():
-    z1, z2 = correlated_normals(0.5, 0)
-    assert z1.shape == z2.shape == (0,)
-    for got, want in zip(correlated_normals(0.5, np.int64(7), seed=3),
-                         correlated_normals(0.5, 7, seed=3)):
-        np.testing.assert_array_equal(got, want)
+        ModelParams(rho=1.5)
 
 
 SEED_RUNS = {
     "simulate_gbm": lambda seed: simulate_gbm(RN, 100.0, 1.0, 4, 10, seed),
     "simulate_mg": lambda seed: simulate_mg(ModelParams(r=0.04, zeta=0.3, rho=-0.3), 100.0,
                                             0.04, 1.0, 4, 10, seed),
-    "correlated_normals": lambda seed: correlated_normals(0.5, 10, seed),
 }
 
 
@@ -97,11 +95,8 @@ def test_monte_carlo_takes_seeds_below_two_to_the_128(run):
         SEED_RUNS[run](2 ** 128)
     SEED_RUNS[run](2 ** 128 - 1)
     got, want = SEED_RUNS[run](np.uint64(5)), SEED_RUNS[run](5)
-    if run != "correlated_normals":
-        assert got.seed == 5
-        got, want = (got.s_paths,), (want.s_paths,)
-    for g, w in zip(got, want, strict=True):
-        np.testing.assert_array_equal(g, w)
+    assert got.seed == 5
+    np.testing.assert_array_equal(got.s_paths, want.s_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +182,11 @@ def test_mg_variance_ode_euler_convergence():
 def test_mg_variance_respects_floor():
     wild = ModelParams(r=0.0, phi=0.0, zeta=5.0, alpha=1.0)
     ens = simulate_mg(wild, 100.0, 0.04, 1.0, 50, 2000, seed=4)
-    assert ens.v_paths.min() >= 1e-8
-    raised = simulate_mg(wild, 100.0, 0.04, 1.0, 50, 2000, seed=4, v_floor=1e-4)
-    assert raised.v_paths.min() >= 1e-4
+    assert ens.v_paths.min() >= V_FLOOR == 1e-8
+    # mu dt = -1 and zeta = 0: every Euler step lands on exactly 0, so every
+    # later variance is the floor
+    drained = simulate_mg(ModelParams(mu=-8.0), 100.0, 0.04, 1.0, 8, 10, seed=4)
+    assert np.all(drained.v_paths[:, 1:] == V_FLOOR)
 
 
 def test_mg_replay_and_threads():
@@ -207,7 +204,6 @@ def test_mg_replay_and_threads():
 def test_ensemble_properties():
     ens = simulate_gbm(RN, 100.0, 2.0, 10, 500, seed=0)
     assert ens.n_paths == 500
-    assert ens.n_steps == 10
     assert ens.maturity == 2.0
     assert ens.phi == 0.05
     np.testing.assert_allclose(ens.times, np.linspace(0.0, 2.0, 11))
@@ -392,7 +388,7 @@ def test_hedge_coefficients_identical_options():
 
 def test_hedge_coefficients_scaled_option():
     surf = solve_mg(MG_P, OptionContract("call", 95.0, 1.0), HEDGE_GRID, n_steps=20)
-    half = PriceSurface(HEDGE_GRID, 0.5 * surf.values, 0.0)
+    half = PriceSurface(HEDGE_GRID, 0.5 * surf.values)
     g1, g2 = hedge_coefficients(surf, half, (20, 10), MG_P)
     assert g1 == -2.0
     assert g2 == 0.0
@@ -423,7 +419,7 @@ def test_hedge_coefficients_cancel_exposures():
 
 def test_hedge_coefficients_degenerate_second_option():
     c1 = solve_mg(MG_P, OptionContract("call", 95.0, 1.0), HEDGE_GRID, n_steps=20)
-    flat = PriceSurface(HEDGE_GRID, np.exp(HEDGE_GRID.xs), 0.0)  # no V dependence
+    flat = PriceSurface(HEDGE_GRID, np.exp(HEDGE_GRID.xs))  # no V dependence
     with pytest.raises(ValueError, match="insensitive to volatility"):
         hedge_coefficients(c1, flat, (20, 10), MG_P)
 
@@ -431,13 +427,13 @@ def test_hedge_coefficients_degenerate_second_option():
 def test_hedge_coefficients_validation():
     c1 = solve_mg(MG_P, OptionContract("call", 95.0, 1.0), HEDGE_GRID, n_steps=20)
     other = PriceSurface(make_grid_2d(0.0, 1.0, 41, 0.0, 1.0, 21),
-                         np.ones(41 * 21), 0.0)
+                         np.ones(41 * 21))
     with pytest.raises(ValueError, match="different grids"):
         hedge_coefficients(c1, other, (20, 10), MG_P)
     with pytest.raises(ValueError, match="interior"):
         hedge_coefficients(c1, c1, (0, 10), MG_P)
     g1 = make_grid_1d(0.0, 1.0, 11)
-    flat1 = PriceSurface(g1, np.ones(11), 0.0)
+    flat1 = PriceSurface(g1, np.ones(11))
     with pytest.raises(TypeError):
         hedge_coefficients(flat1, flat1, (1, 1), MG_P)
 
@@ -468,9 +464,9 @@ def test_beta_field_masks_boundary_and_insensitive_points():
 def test_beta_field_fully_masked_without_volatility_sensitivity():
     # C independent of V has dC/dV = 0 everywhere: nothing is resolvable
     vals = np.exp(HEDGE_GRID.xs)
-    surf = PriceSurface(HEDGE_GRID, vals, 0.0, prev_values=vals * 1.01, dt=0.01)
+    surf = PriceSurface(HEDGE_GRID, vals, prev_values=vals * 1.01, dt=0.01)
     beta = beta_field(surf, MG_P)
-    assert not np.any(beta.mask)
+    assert np.all(np.isnan(beta.values))
 
 
 def _hand_written_beta(surface, params, min_dcdv):
@@ -538,19 +534,19 @@ def test_beta_field_vanishes_on_an_exact_solution(half):
     values = solve_mg(params, OptionContract("call", 100.0, 1.0), HEDGE_GRID, n_steps=10).values
     dt = 0.01
     prev = values + dt * (build_mg_hamiltonian(params, HEDGE_GRID).matrix @ values)
-    surf = PriceSurface(HEDGE_GRID, values, 0.0, prev_values=prev, dt=dt)
+    surf = PriceSurface(HEDGE_GRID, values, prev_values=prev, dt=dt)
     beta = beta_field(surf, params, min_dcdv=1e-3).values2d
     assert np.isfinite(beta).sum() > 100
     assert np.nanmax(np.abs(beta)) <= 1e-8
 
 
 def test_beta_field_requires_time_slices():
-    surf = PriceSurface(HEDGE_GRID, np.exp(HEDGE_GRID.xs), 0.0)
+    surf = PriceSurface(HEDGE_GRID, np.exp(HEDGE_GRID.xs))
     with pytest.raises(ValueError, match="two time slices"):
         beta_field(surf, MG_P)
     g1 = make_grid_1d(0.0, 1.0, 11)
     with pytest.raises(TypeError):
-        beta_field(PriceSurface(g1, np.ones(11), 0.0, np.ones(11), 0.1), MG_P)
+        beta_field(PriceSurface(g1, np.ones(11), np.ones(11), 0.1), MG_P)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
@@ -559,7 +555,7 @@ def test_beta_field_names_a_bad_time_step(dt):
     # the sign of dC/dt and NaN masked every point without complaint
     values = np.exp(HEDGE_GRID.xs + HEDGE_GRID.ys)
     with pytest.raises(ValueError, match="dt must be positive and finite"):
-        beta_field(PriceSurface(HEDGE_GRID, values, 0.0, values, dt), MG_P)
+        beta_field(PriceSurface(HEDGE_GRID, values, values, dt), MG_P)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-3])
@@ -659,8 +655,7 @@ def _reference_gbm(params, s0, maturity, n_steps, n_paths, seed):
     return np.exp(log_s)
 
 
-def _reference_mg(params, s0, v0, maturity, n_steps, n_paths, seed, v_floor=1e-8,
-                  negatives=None):
+def _reference_mg(params, s0, v0, maturity, n_steps, n_paths, seed, negatives=None):
     """Path-major counterpart of simulate_mg; ``negatives`` collects how many
     Euler variance updates per block and step came out negative."""
     dt = maturity / n_steps
@@ -684,7 +679,7 @@ def _reference_mg(params, s0, v0, maturity, n_steps, n_paths, seed, v_floor=1e-8
                 + params.zeta * vk ** params.alpha * sqdt * z2
             if negatives is not None:
                 negatives.append(int(np.count_nonzero(v_next < 0.0)))
-            v[rows, k + 1] = np.maximum(np.abs(v_next), v_floor)
+            v[rows, k + 1] = np.maximum(np.abs(v_next), 1e-8)
     return np.exp(log_s), v
 
 
@@ -692,18 +687,16 @@ def _reference_mg(params, s0, v0, maturity, n_steps, n_paths, seed, v_floor=1e-8
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
 def test_simulators_match_path_major_reference(threads, alpha):
     # 20_000 paths leave a partial second block; zeta = 4 drives some Euler
-    # variance updates negative, so the |V| reflection and the floor both act
+    # variance updates negative, so the |V| reflection acts
     p = ModelParams(r=0.05, sigma=0.2, phi=0.05, lambda_=0.01, mu=-0.5,
                     zeta=4.0, alpha=alpha, rho=-0.5)
     n_paths, n_steps, seed = 20_000, 12, 21
     assert n_paths % BLOCK != 0
     negatives = []
     s_ref, v_ref = _reference_mg(p, 100.0, 0.04, 1.0, n_steps, n_paths, seed,
-                                 v_floor=1e-3, negatives=negatives)
+                                 negatives=negatives)
     assert sum(negatives) > 0
-    assert np.any(v_ref == 1e-3)
-    mg = simulate_mg(p, 100.0, 0.04, 1.0, n_steps, n_paths, seed, v_floor=1e-3,
-                     threads=threads)
+    mg = simulate_mg(p, 100.0, 0.04, 1.0, n_steps, n_paths, seed, threads=threads)
     assert np.array_equal(mg.s_paths, s_ref)
     assert np.array_equal(mg.v_paths, v_ref)
     gbm = simulate_gbm(p, 100.0, 1.0, n_steps, n_paths, seed, threads=threads)
@@ -767,12 +760,6 @@ def test_simulators_reject_non_finite_inputs(field, bad):
 def test_simulate_mg_rejects_non_finite_v0(bad):
     with pytest.raises(ValueError, match="v0"):
         simulate_mg(MG_P, 100.0, bad, 1.0, 8, 10, seed=0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-8])
-def test_simulate_mg_rejects_bad_v_floor(bad):
-    with pytest.raises(ValueError, match="v_floor"):
-        simulate_mg(MG_P, 100.0, 0.04, 1.0, 8, 10, seed=0, v_floor=bad)
 
 
 # ---------------------------------------------------------------------------

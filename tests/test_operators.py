@@ -42,8 +42,7 @@ from gauge_hamilton.operators import (_difference_blocks, _first_difference, _se
                                       _sum)
 from gauge_hamilton.pricing import _kept_diagonals
 
-from dia_reference import (csr_apply, csr_bs_limit_residual, csr_diagonals,
-                           csr_hermiticity_defect)
+from dia_reference import csr_bs_limit_residual, csr_diagonals, csr_hermiticity_defect
 
 GRID_1D = make_grid_1d(3.5, 5.5, 41)
 GRID_2D = make_grid_2d(3.5, 5.5, 41, -4.0, -1.0, 21)
@@ -254,8 +253,7 @@ def test_apply_grid_mismatch():
 
 def test_apply_is_the_csr_views_product_bit_for_bit():
     # the DIA product sums each row in ascending column order, as the sorted
-    # CSR view's product does; a masked (NaN) point reaches only the rows
-    # with an entry in its column
+    # CSR view's product does; a grid function holding a NaN is refused
     d = momentum_operator(GRID_1D)
     ops = [build_bs_hamiltonian(P, GRID_1D), d @ d,
            build_mg_hamiltonian(MG_P, GRID_2D),
@@ -265,12 +263,11 @@ def test_apply_is_the_csr_views_product_bit_for_bit():
     for op in ops:
         u = rng.standard_normal(op.grid.n_points)
         for masked in (False, True):
-            if masked:
-                u[u.size // 2] = np.nan
             got = op.apply(GridFunction(op.grid, u, allow_masked=masked)).values
-            want = csr_apply(op.matrix, u)
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-        assert np.isnan(got).sum() == np.count_nonzero(op.matrix[:, u.size // 2].toarray())
+            np.testing.assert_array_equal(got.view(np.int64), (op.matrix @ u).view(np.int64))
+        u[u.size // 2] = np.nan
+        with pytest.raises(ValueError, match="^f must hold no NaN"):
+            op.apply(GridFunction(op.grid, u, allow_masked=True))
 
 
 def interior_offsets(op, depth=1):
@@ -458,17 +455,8 @@ def test_hermiticity_defect_of_symmetric_operator():
     assert hermiticity_defect(identity_operator(GRID_1D)) == 0.0
     p = momentum_operator(GRID_1D)
     assert hermiticity_defect(p) > 0.0  # first difference is antisymmetric
-    assert hermiticity_defect(p @ p, depth=2) == 0.0
-
-
-@pytest.mark.parametrize("depth", [-1, 11, 2.5])
-def test_hermiticity_defect_refuses_a_vacuous_interior(depth):
-    # depth -1 and 11 used to report 0.0 from a mask holding one point or
-    # none, on an operator whose interior defect is 0.3
-    h = build_bs_hamiltonian(P, make_grid_1d(3.5, 5.5, 21))
-    assert hermiticity_defect(h, depth=1) == pytest.approx(0.3, rel=1e-12)
-    with pytest.raises(ValueError, match="^depth must be"):
-        hermiticity_defect(h, depth=depth)
+    # the second difference: central, so symmetric, on the interior rows
+    assert hermiticity_defect(hamiltonian_terms(P, GRID_1D)["second_x"]) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +564,7 @@ def test_transformed_bs_reduces_to_bs():
         t = build_transformed_bs(P, field, GRID_1D, conv)
         assert (t.matrix != h.matrix).nnz == 0
     # constant theta: direct adds nothing, sandwiches cancel to rounding
-    const = GaugeField.constant(1.0, value=0.7)
+    const = GaugeField.constant(0.7)
     assert (build_transformed_bs(P, const, GRID_1D, "direct").matrix != h.matrix).nnz == 0
     for conv in ("left", "right"):
         t = build_transformed_bs(P, const, GRID_1D, conv)
@@ -927,7 +915,7 @@ def product_factor(name, grid, params, omega):
     if name == "u-linear":
         return gauge_operator(GaugeField.linear_x(omega), grid)
     if name == "u-constant":
-        return gauge_operator(GaugeField.constant(omega, 0.7), grid)
+        return gauge_operator(GaugeField.constant(omega), grid)
     if not two_d:
         return None
     if name == "momentum-y":
@@ -981,10 +969,9 @@ def generated_operator(grid, offsets, rng):
 @given(nx=st.integers(5, 12), ny=st.one_of(st.none(), st.integers(5, 8)),
        offsets=st.lists(st.integers(0, 10 ** 6), max_size=8),
        offsets_1d=st.lists(st.integers(0, 10 ** 6), max_size=4),
-       seed=st.integers(0, 2 ** 32 - 1), masked=st.integers(0, 3), depth=st.integers(0, 2))
-def test_diagonal_readers_are_the_csr_readers_bit_for_bit(nx, ny, offsets, offsets_1d, seed,
-                                                           masked, depth):
-    # masked apply, hermiticity_defect and the bs-limit residual read the
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_diagonal_readers_are_the_csr_readers_bit_for_bit(nx, ny, offsets, offsets_1d, seed):
+    # apply, hermiticity_defect and the bs-limit residual read the
     # diagonals; the CSR view stores no zero, so -0 and +0 entries must
     # read as absent
     grid = (make_grid_1d(3.5, 5.5, nx) if ny is None else
@@ -992,11 +979,9 @@ def test_diagonal_readers_are_the_csr_readers_bit_for_bit(nx, ny, offsets, offse
     rng = np.random.default_rng(seed)
     op = generated_operator(grid, offsets, rng)
     u = rng.standard_normal(grid.n_points)
-    u[rng.choice(grid.n_points, masked, replace=False)] = np.nan
-    got = op.apply(GridFunction(grid, u, allow_masked=True)).values
-    assert got.tobytes() == csr_apply(op.matrix, u).tobytes()
-    assert (hermiticity_defect(op, depth).hex()
-            == csr_hermiticity_defect(op.matrix, grid.interior_mask(depth)).hex())
+    assert op.apply(GridFunction(grid, u)).values.tobytes() == (op.matrix @ u).tobytes()
+    assert (hermiticity_defect(op).hex()
+            == csr_hermiticity_defect(op.matrix, grid.interior_mask(1)).hex())
     if ny is not None:
         h1 = generated_operator(grid.x_axis, offsets_1d, rng)
         assert (_bs_limit_residual(op, h1).hex()
@@ -1034,12 +1019,10 @@ def test_no_library_path_reads_the_csr_view(monkeypatch):
         runner = CliRunner()
         results = [runner.invoke(main, args, catch_exceptions=False) for args in runs]
         h = build_mg_hamiltonian(MG_P, grid)
-        u = np.ones(grid.n_points)
-        u[grid.n_points // 2] = np.nan
         surface = solve_mg(MG_P, OptionContract("call", 100.0, 1.0), grid, n_steps=5)
+        c = GridFunction(grid, surface.values)
         return ([(r.exit_code, r.output) for r in results],
-                [hermiticity_defect(h), hermiticity_defect(h, depth=2),
-                 h.apply(GridFunction(grid, u, allow_masked=True)).values.tobytes(),
+                [hermiticity_defect(h), h.apply(c).values.tobytes(),
                  beta_field(surface, MG_P).values.tobytes()])
 
     before = outputs()

@@ -1,7 +1,6 @@
 """Closed forms, backward evolution, and the two PDE pricers."""
 
 import functools
-import io
 import itertools
 import math
 import os
@@ -27,7 +26,6 @@ from gauge_hamilton import (
     FarFieldBoundary,
     GridFunction,
     LinearOperator,
-    LogGrid2D,
     ModelParams,
     OptionContract,
     PriceSurface,
@@ -351,13 +349,13 @@ def test_far_field_values():
 
 def test_surface_interpolation():
     g = make_grid_1d(0.0, 1.0, 11)
-    surf = PriceSurface(g, g.points ** 2, 0.0)
+    surf = PriceSurface(g, g.points ** 2)
     assert surf.interpolate(0.5) == pytest.approx(0.25, abs=1e-12)
     assert surf.interpolate(0.55) == pytest.approx((0.25 + 0.36) / 2, abs=1e-12)
     with pytest.raises(ValueError, match="outside"):
         surf.interpolate(1.5)
     g2 = make_grid_2d(0.0, 1.0, 5, 0.0, 1.0, 5)
-    surf2 = PriceSurface(g2, (g2.xs + g2.ys), 0.0)
+    surf2 = PriceSurface(g2, g2.xs + g2.ys)
     assert surf2.interpolate(0.3, 0.4) == pytest.approx(0.7, abs=1e-12)
     with pytest.raises(ValueError, match="both x and y"):
         surf2.interpolate(0.3)
@@ -365,21 +363,12 @@ def test_surface_interpolation():
         surf2.interpolate(0.3, 2.0)
 
 
-def test_surface_csv_header():
-    g = make_grid_1d(0.0, 1.0, 5)
-    buf = io.StringIO()
-    PriceSurface(g, np.ones(5), 0.0).to_csv(buf)
-    lines = buf.getvalue().split("\n")
-    assert lines[0] == "# t=0"
-    assert lines[1] == "x,value"
-
-
 def test_surface_validation():
     g = make_grid_1d(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="finite"):
-        PriceSurface(g, np.array([1.0, np.nan, 1.0, 1.0, 1.0]), 0.0)
+        PriceSurface(g, np.array([1.0, np.nan, 1.0, 1.0, 1.0]))
     with pytest.raises(TypeError):
-        PriceSurface(g, np.ones(5), 0.0).values2d
+        PriceSurface(g, np.ones(5)).values2d
 
 
 def test_surface_checks_the_previous_slice_and_the_step():
@@ -390,12 +379,12 @@ def test_surface_checks_the_previous_slice_and_the_step():
     assert g.n_points == 231
     for prev in (np.ones(5), np.full(g.n_points, np.nan), np.full(g.n_points, np.inf)):
         with pytest.raises(ValueError, match="prev_values"):
-            PriceSurface(g, v, 0.0, prev_values=prev, dt=0.1)
+            PriceSurface(g, v, prev_values=prev, dt=0.1)
     for dt in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
-            PriceSurface(g, v, 0.0, prev_values=v, dt=dt)
-    surface = PriceSurface(g, v, 0.0, prev_values=2.0 * v.reshape(g.shape), dt=0.1)
-    assert surface.prev_values.shape == (g.n_points,)
+            PriceSurface(g, v, prev_values=v, dt=dt)
+    with pytest.raises(ValueError, match=r"prev_values: values must have shape \(231,\)"):
+        PriceSurface(g, v, prev_values=2.0 * v.reshape(g.shape), dt=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -1522,42 +1511,12 @@ def test_pricers_name_a_non_finite_spot_or_variance(bad):
         price_mg(ModelParams(r=0.05), CALL, 100.0, bad)
 
 
-def surface_csv_by_hand(surface):
-    """PriceSurface.to_csv before write_grid_function_csv went through
-    core.write_csv: the time line, then the grid function rows."""
-    out = io.StringIO()
-    out.write(f"# t={surface.valuation_time:.17g}\n")
-    grid = surface.grid
-    if isinstance(grid, LogGrid2D):
-        out.write("x,y,value\n")
-        for x, y, v in zip(grid.xs, grid.ys, surface.values):
-            out.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
-    else:
-        out.write("x,value\n")
-        for x, v in zip(grid.points, surface.values):
-            out.write(f"{x:.17g},{v:.17g}\n")
-    return out.getvalue()
-
-
-def test_surface_csv_bytes_match_hand_written_rows(tmp_path):
-    g1 = default_grid_1d(100.0, 0.2, 1.0, n=31)
-    s1 = evolve(build_bs_hamiltonian(P, g1), terminal_payoff(CALL, g1), 1.0, 10,
-                boundary=FarFieldBoundary(CALL, P.r))
-    s2 = solve_mg(ADI_P, CALL, make_grid_2d(3.6, 5.6, 9, -5.0, -1.0, 7), n_steps=4)
-    for surface in (s1, s2, PriceSurface(g1, g1.points / 3.0, 0.25)):
-        buf = io.StringIO()
-        surface.to_csv(buf)
-        assert buf.getvalue() == surface_csv_by_hand(surface)
-        surface.to_csv(tmp_path / "surface.csv")
-        assert (tmp_path / "surface.csv").read_text() == surface_csv_by_hand(surface)
-
-
 def test_surface_validates_as_a_grid_function():
     g = make_grid_2d(0.0, 1.0, 5, 0.0, 1.0, 6)
     with pytest.raises(ValueError, match=r"values must have shape \(30,\), got \(29,\)"):
-        PriceSurface(g, np.ones(29), 0.0)
+        PriceSurface(g, np.ones(29))
     with pytest.raises(ValueError, match="finite"):
-        PriceSurface(g, np.full(30, np.inf), 0.0)
-    surface = PriceSurface(g, np.arange(30), 0.0)
+        PriceSurface(g, np.full(30, np.inf))
+    surface = PriceSurface(g, np.arange(30))
     assert surface.values.dtype == float
     assert np.array_equal(surface.values2d, np.arange(30.0).reshape(5, 6))
