@@ -3,8 +3,7 @@
 Every command prints JSON (sorted keys) or CSV.  Exit codes:
 
     0  success
-    1  a solve or check failed, or (``price``) a theta step is past its
-       explicit-step stability bound
+    1  a solve or check failed
     2  an input rule is broken, in the library or in the CLI; the message
        names the flag
 
@@ -18,7 +17,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import click
 import numpy as np
@@ -66,7 +64,7 @@ def _params(command: click.Command) -> dict:
 
 class _Command(click.Command):
     """A subcommand with the one error handler: an InputError exits 2 naming
-    its field's flag; a failed solve, any other ValueError or warning, 1."""
+    its field's flag; a failed solve or any other ValueError, 1."""
 
     def invoke(self, ctx):
         try:
@@ -75,7 +73,7 @@ class _Command(click.Command):
             param = _params(self).get(exc.field)
             raise click.UsageError(f"{param.opts[0] if param else exc.field} {exc.rule}",
                                    ctx) from None
-        except (EvolveError, ValueError, RuntimeWarning) as exc:
+        except (EvolveError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
@@ -137,7 +135,9 @@ main.command_class = _Command   # every subcommand below is one
 @click.option("--ny", type=int, default=81, show_default=True,
               help="Variance-axis grid points (mg only).")
 @click.option("--n-steps", type=int, default=200, show_default=True)
-@click.option("--theta-scheme", type=float, default=0.5, show_default=True)
+@click.option("--theta-scheme", type=float, default=0.5, show_default=True,
+              help="0.5: Crank-Nicolson (Craig-Sneyd with --model mg) after two fully "
+                   "implicit steps; 1: fully implicit (Douglas with --model mg).")
 @click.option("--mc-paths", type=int, default=0, show_default=True,
               help="If positive, add a Monte Carlo estimate on this many paths.")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -151,27 +151,23 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
     _check_seed(seed)   # before the PDE solve, not after it
     out = {"model": model, "kind": kind, "s0": s0, "strike": strike,
            "maturity": maturity, "r": r}
-    with warnings.catch_warnings():
-        # past the explicit-step bound the march may blow up: exit 1
-        # with evolve's warning instead of a price
-        warnings.filterwarnings("error", "explicit step may be unstable", RuntimeWarning)
-        if model == "bs":
-            grid = None
-            if nx is not None:   # price_bs's own box, on nx points
-                check_integer("nx", nx, 5)   # by the flag's name: the 1D grid says n
-                grid = _cover_strike(default_grid_1d(s0, sigma, maturity, n=nx), strike)
-            pde = price_bs(params, contract, s0, grid=grid,
-                           n_steps=n_steps, theta_scheme=theta_scheme)
-            closed = bs_closed_form(params, contract, s0)
-            out.update(sigma=sigma, pde_price=pde, closed_form=closed,
-                       rel_err=abs(pde - closed) / max(abs(closed), 1e-300))
-        else:
-            grid = _cover_strike(default_grid_2d(s0, v0, maturity,
-                                                 nx=201 if nx is None else nx, ny=ny),
-                                 strike, kind)
-            pde = price_mg(params, contract, s0, v0, grid=grid,
-                           n_steps=n_steps, theta_scheme=theta_scheme)
-            out.update(v0=v0, pde_price=pde)
+    if model == "bs":
+        grid = None
+        if nx is not None:   # price_bs's own box, on nx points
+            check_integer("nx", nx, 5)   # by the flag's name: the 1D grid says n
+            grid = _cover_strike(default_grid_1d(s0, sigma, maturity, n=nx), strike)
+        pde = price_bs(params, contract, s0, grid=grid,
+                       n_steps=n_steps, theta_scheme=theta_scheme)
+        closed = bs_closed_form(params, contract, s0)
+        out.update(sigma=sigma, pde_price=pde, closed_form=closed,
+                   rel_err=abs(pde - closed) / max(abs(closed), 1e-300))
+    else:
+        grid = _cover_strike(default_grid_2d(s0, v0, maturity,
+                                             nx=201 if nx is None else nx, ny=ny),
+                             strike, kind)
+        pde = price_mg(params, contract, s0, v0, grid=grid,
+                       n_steps=n_steps, theta_scheme=theta_scheme)
+        out.update(v0=v0, pde_price=pde)
     if mc_paths > 0:
         ens = (simulate_gbm(params, s0, maturity, n_steps, mc_paths, seed) if model == "bs"
                else simulate_mg(params, s0, v0, maturity, n_steps, mc_paths, seed))

@@ -35,12 +35,13 @@ lines and its two pieces are solved at once, one on a worker thread that
 evolve starts and joins.  The cut falls between two identity rows, so the
 solutions, and every price, are the same at any CPU count.
 
-theta = 1/2 (Crank-Nicolson in 1D, Craig-Sneyd in 2D) with a short fully
-implicit startup is the default; the startup damps the oscillations the
-payoff kink would otherwise feed into the averaged scheme.  In 2D the
-startup steps, and every step when theta = 1, are Douglas steps: the same
-sweeps with theta = 1 and no correction stage.  evolve marches two theta
-phases in turn, the startup at theta = 1 and then the theta_scheme steps.
+theta_scheme is one of two schemes.  1/2, the default, is Crank-Nicolson
+in 1D and Craig-Sneyd in 2D after a short fully implicit startup, which
+damps the oscillations the payoff kink would otherwise feed into the
+averaged scheme.  1 is fully implicit in 1D and Douglas in 2D: the same
+sweeps with theta = 1 and no correction stage, which the startup steps
+take too.  evolve marches two theta phases in turn, the startup at
+theta = 1 and then the theta_scheme steps.
 Each phase builds and factors its systems once, as it begins, and the
 startup's are dropped before the main phase's are built, so only one
 phase's systems are held at a time.
@@ -51,8 +52,8 @@ from __future__ import annotations
 import collections
 import contextlib
 import math
+import numbers
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -245,20 +246,23 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
            rannacher: int = 2) -> PriceSurface:
     """March the terminal condition back to the valuation time.
 
-    The march has two phases: the startup, whose first ``rannacher`` steps
-    are fully implicit (theta = 1; none when theta_scheme = 1), and the
-    main phase, whose steps use ``theta_scheme``.  Each phase's systems are
-    built and factored once, when it begins, and the startup's are dropped
-    before the main phase's are built: only one phase's systems are held
-    at a time.  Every linear solve is checked: a relative residual
-    max|r| / max(1, max|rhs|) above ``RESIDUAL_TOL``, or one that is not
-    finite, raises EvolveError.  The maxima are read at idamax's index;
-    OpenBLAS's idamax may skip a NaN, so a NaN is caught by dasum.
+    ``theta_scheme`` is 1/2 (Crank-Nicolson; Craig-Sneyd in 2D) or 1 (fully
+    implicit; Douglas in 2D); any other value, a bool or NaN among them,
+    raises InputError before any work.  The march has two phases: the
+    startup, whose first ``rannacher`` steps are fully implicit (none when
+    theta_scheme = 1), and the main phase, whose steps use
+    ``theta_scheme``.  Each phase's systems are built and factored once,
+    when it begins, and the startup's are dropped before the main phase's
+    are built: only one phase's systems are held at a time.  Every linear
+    solve is checked: a relative residual max|r| / max(1, max|rhs|) above
+    ``RESIDUAL_TOL``, or one that is not finite, raises EvolveError.  The
+    maxima are read at idamax's index; OpenBLAS's idamax may skip a NaN, so
+    a NaN is caught by dasum.
 
     ``boundary`` is required on every grid; its None default only keeps
     the argument in place.  Every theta-system is tridiagonal along its
     grid lines: H's interior rows may reach one point along each axis, and
-    a wider operator raises ValueError here, whatever theta_scheme is.
+    a wider operator raises ValueError here, at either theta_scheme.
 
     On 1D grids each step is a theta step in LAPACK band storage: a gbmv
     product with the explicit side, the solve on tridiagonal factors, and
@@ -284,29 +288,16 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     require(terminal.grid == h.grid, "terminal", "must live on the operator grid (grid mismatch)")
     check_integer("n_steps", n_steps, 1)
     check_integer("rannacher", rannacher, 0)
-    require(0.0 <= theta_scheme <= 1.0, "theta_scheme", f"must lie in [0, 1], got {theta_scheme}")
+    require(isinstance(theta_scheme, numbers.Real) and not isinstance(theta_scheme, bool)
+            and theta_scheme in (0.5, 1.0), "theta_scheme", f"must be 0.5 or 1, got {theta_scheme}")
     check_positive("maturity", maturity)
     grid = h.grid
     require(boundary is not None, "boundary",
             "is required: every theta-system takes its face rows from a FarFieldBoundary")
     dt = maturity / n_steps
     with contextlib.ExitStack() as scope:   # shuts a sweep worker down on the way out
-        # the width check comes first, so a refused operator never warns
         systems = (_adi_stepper(h, dt, boundary, scope) if isinstance(grid, LogGrid2D)
                    else _band_stepper(h, dt, boundary))
-
-        if theta_scheme < 0.5:
-            # explicit component: estimate the spectral bound by Gershgorin, each
-            # row's sum of |entries| a DIA product with ones
-            offsets, data = h.diagonals
-            n = grid.n_points
-            gershgorin = sp.dia_matrix((np.abs(data), offsets), shape=(n, n)) @ np.ones(n)
-            bound = float(gershgorin.max())
-            if bound > 0 and dt * (1.0 - 2.0 * theta_scheme) * bound > 2.0:
-                warnings.warn(
-                    f"explicit step may be unstable: dt = {dt:g} exceeds "
-                    f"{2.0 / ((1.0 - 2.0 * theta_scheme) * bound):g} "
-                    f"(Gershgorin bound {bound:g})", RuntimeWarning)
 
         def check(resid, rhs):
             rel = _relative_residual(resid, rhs)
@@ -515,7 +506,7 @@ def _cpu_count() -> int:
 
 def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary,
                  scope: contextlib.ExitStack):
-    """Craig-Sneyd (theta < 1) or Douglas (theta = 1) steps on a 2D grid.
+    """Craig-Sneyd (theta = 1/2) or Douglas (theta = 1) steps on a 2D grid.
 
     -H is read once, as the diagonals of its direction split; every product
     of a step is a DIA product.  The sweep bands are written from the same

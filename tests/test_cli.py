@@ -121,25 +121,27 @@ def test_price_mg_divergence_fails(runner):
                          ids=["bs", "mg"])
 def test_price_fails_past_the_explicit_step_bound(runner, model):
     # five explicit steps on the default grid used to print 82.49 against
-    # the closed form's 10.45 and exit 0, with only a RuntimeWarning
+    # the closed form's 10.45 and exit 0, then exit 1 past a Gershgorin
+    # bound; theta is now 1/2 or 1, and 0 is a usage error before any step
     result = runner.invoke(main, ["price", "--s0", "100", "--k", "100", *model,
                                   "--theta-scheme", "0", "--n-steps", "5"])
-    assert result.exit_code == 1, result.output
-    assert result.output.startswith("error: explicit step may be unstable: dt = 0.2 exceeds ")
+    assert result.exit_code == 2, result.output
+    assert "--theta-scheme must be 0.5 or 1, got 0.0" in result.output
     assert "pde_price" not in result.output
 
 
 def test_price_explicit_steps_within_the_bound_print_the_library_price(runner):
-    out = run_json(runner, ["price", "--s0", "100", "--k", "100", "--theta-scheme", "0",
+    # the fully implicit scheme, the one theta besides 1/2: the CLI prints
+    # the library's price
+    out = run_json(runner, ["price", "--s0", "100", "--k", "100", "--theta-scheme", "1",
                             "--nx", "41", "--n-steps", "50"])
     params, call = ModelParams(r=0.05, sigma=0.2), OptionContract("call", 100.0, 1.0)
     grid = _cover_strike(default_grid_1d(100.0, 0.2, 1.0, n=41), 100.0)
-    pde = price_bs(params, call, 100.0, grid=grid, n_steps=50, theta_scheme=0.0)
+    pde = price_bs(params, call, 100.0, grid=grid, n_steps=50, theta_scheme=1.0)
     closed = bs_closed_form(params, call, 100.0)
     assert out == {"model": "bs", "kind": "call", "s0": 100.0, "strike": 100.0,
                    "maturity": 1.0, "r": 0.05, "sigma": 0.2, "pde_price": pde,
                    "closed_form": closed, "rel_err": abs(pde - closed) / closed}
-    assert pde == pytest.approx(10.4134, abs=1e-4)
 
 
 def test_price_usage_errors(runner):
@@ -639,7 +641,9 @@ BAD_FLAGS = [
     # price
     (["price", "--s0", "-5", "--k", "100"], "--s0 must be positive and finite, got -5.0"),
     ([*PRICE, "--n-steps", "0"], "--n-steps must be an integer >= 1, got 0"),
-    ([*PRICE, "--theta-scheme", "2"], "--theta-scheme must lie in [0, 1], got 2.0"),
+    ([*PRICE, "--theta-scheme", "2"], "--theta-scheme must be 0.5 or 1, got 2.0"),
+    # a first-order theta between 1/2 and 1: it printed 10.44738 and exit 0
+    ([*PRICE, "--theta-scheme", "0.75"], "--theta-scheme must be 0.5 or 1, got 0.75"),
     ([*PRICE, "--nx", "3"], "--nx must be an integer >= 5, got 3"),
     ([*PRICE, "--mc-paths", "1"], "--mc-paths must be 0 or at least 2, got 1"),
     ([*PRICE, "--mc-paths", "100", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),

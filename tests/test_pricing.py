@@ -4,7 +4,6 @@ import functools
 import itertools
 import math
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -25,6 +24,7 @@ from gauge_hamilton import (
     EvolveError,
     FarFieldBoundary,
     GridFunction,
+    InputError,
     LinearOperator,
     ModelParams,
     OptionContract,
@@ -211,8 +211,13 @@ def test_evolve_validation():
                boundary=FAR_FIELD)
     with pytest.raises(ValueError, match="n_steps"):
         evolve(h, ones, 1.0, 0, boundary=FAR_FIELD)
-    with pytest.raises(ValueError, match="theta_scheme"):
-        evolve(h, ones, 1.0, 10, theta_scheme=1.5, boundary=FAR_FIELD)
+    # theta is 1/2 or 1: True used to run theta = 1, and 0.0 and 0.75 the
+    # explicit and first-order schemes
+    for bad in (1.5, True, math.nan, 0.75, 0.5000001, 0.0):
+        with pytest.raises(InputError, match=rf"^theta_scheme must be 0.5 or 1, got {bad}$"):
+            evolve(h, ones, 1.0, 10, theta_scheme=bad, boundary=FAR_FIELD)
+    for good in (1, np.float64(0.5), np.float32(1.0)):   # ints and numpy floats equal to them
+        evolve(h, ones, 1.0, 10, theta_scheme=good, boundary=FAR_FIELD)
     with pytest.raises(ValueError, match="maturity"):
         evolve(h, ones, -1.0, 10, boundary=FAR_FIELD)
 
@@ -270,16 +275,6 @@ def test_evolve_singular_system():
     with pytest.raises(EvolveError, match="factorization failed: zero pivot in row 2$"):
         evolve(h, GridFunction(g, np.ones(11)), 1.0, 1, theta_scheme=0.5,
                boundary=FAR_FIELD, rannacher=0)
-
-
-def test_evolve_explicit_warns_when_unstable():
-    g = default_grid_1d(100.0, 0.2, 1.0, n=201)
-    h = build_bs_hamiltonian(P, g)
-    with pytest.warns(RuntimeWarning, match="unstable"):
-        try:
-            evolve(h, terminal_payoff(CALL, g), 1.0, 1, theta_scheme=0.0, boundary=FAR_FIELD)
-        except EvolveError:
-            pass  # divergence may also trip the residual check
 
 
 def test_evolve_keeps_two_slices():
@@ -911,8 +906,8 @@ def test_adi_steps_make_no_csr_product(monkeypatch):
 
 
 # (theta_scheme, rannacher, n_steps) and the number of phases evolve
-# marches: two when 0 < rannacher < n_steps and theta_scheme < 1, else one
-PHASE_CASES = [((0.5, 2, 10), 2), ((0.7, 1, 2), 2), ((0.5, 0, 10), 1), ((1.0, 2, 10), 1),
+# marches: two when 0 < rannacher < n_steps and theta_scheme = 1/2, else one
+PHASE_CASES = [((0.5, 2, 10), 2), ((0.5, 1, 2), 2), ((0.5, 0, 10), 1), ((1.0, 2, 10), 1),
                ((0.5, 2, 2), 1), ((0.5, 7, 3), 1), ((0.5, 1, 1), 1)]
 
 
@@ -990,23 +985,6 @@ def test_beta_field_makes_no_csr_view(monkeypatch):
     got = beta_field(surface, ADI_P)
     assert made == []
     np.testing.assert_array_equal(got.values.view(np.int64), want.view(np.int64))
-
-
-def test_explicit_warning_bound_reads_the_diagonals(monkeypatch):
-    # the Gershgorin bound is each row's sum of |entries| taken on the
-    # diagonals, the same number the CSR view's row sums give, and no view
-    # is made for it
-    g = default_grid_1d(100.0, 0.2, 1.0, n=201)
-    h = build_bs_hamiltonian(P, g)
-    bound = float(np.asarray(np.abs(h.matrix).sum(axis=1)).max())
-    made = counting_views(monkeypatch)
-    h = build_bs_hamiltonian(P, g)
-    with pytest.warns(RuntimeWarning, match=re.escape(f"(Gershgorin bound {bound:g})")):
-        try:
-            evolve(h, terminal_payoff(CALL, g), 1.0, 1, theta_scheme=0.0, boundary=FAR_FIELD)
-        except EvolveError:
-            pass  # divergence may also trip the residual check
-    assert made == []
 
 
 # the spoiled y-sweep solution and the relative residual its check reports:
@@ -1429,7 +1407,7 @@ def test_band_reader_rejects_five_point_sweeps():
                boundary=FarFieldBoundary(CALL, ADI_P.r))
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("case", ["1d", "2d"])
 def test_wide_systems_are_refused_before_any_factorization(monkeypatch, case, theta):
     # every theta-system is tridiagonal: an operator whose interior rows
@@ -1444,11 +1422,9 @@ def test_wide_systems_are_refused_before_any_factorization(monkeypatch, case, th
     factored = []
     monkeypatch.setattr(pricing, "_band_solver", lambda band, *args: factored.append(band) or
                         _band_solver(band, *args))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")   # refused before the explicit-step warning
-        with pytest.raises(ValueError, match="^theta-stepping needs three-point stencils "
-                                             "along each axis$"):
-            evolve(h, terminal_payoff(CALL, grid), 1.0, 10, theta, boundary=FAR_FIELD)
+    with pytest.raises(ValueError, match="^theta-stepping needs three-point stencils "
+                                         "along each axis$"):
+        evolve(h, terminal_payoff(CALL, grid), 1.0, 10, theta, boundary=FAR_FIELD)
     assert factored == []
 
 
