@@ -35,8 +35,8 @@ from .pricing import (EvolveError, OptionContract, _cover_strike, bs_closed_form
 THREADS_ENV = "GAUGE_HAMILTON_THREADS"
 
 
-def _echo_json(data) -> None:
-    click.echo(json.dumps(data, indent=2, sort_keys=True))
+def _echo_json(data, file=None) -> None:
+    click.echo(json.dumps(data, indent=2, sort_keys=True), file=file)
 
 
 def _capped_threads(threads: int) -> int:
@@ -155,7 +155,7 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
         grid = None
         if nx is not None:   # price_bs's own box, on nx points
             check_integer("nx", nx, 5)   # by the flag's name: the 1D grid says n
-            grid = _cover_strike(default_grid_1d(s0, sigma, maturity, n=nx), strike)
+            grid = _cover_strike(default_grid_1d(s0, sigma, maturity, n=nx), contract)
         pde = price_bs(params, contract, s0, grid=grid,
                        n_steps=n_steps, theta_scheme=theta_scheme)
         closed = bs_closed_form(params, contract, s0)
@@ -163,8 +163,7 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
                    rel_err=abs(pde - closed) / max(abs(closed), 1e-300))
     else:
         grid = _cover_strike(default_grid_2d(s0, v0, maturity,
-                                             nx=201 if nx is None else nx, ny=ny),
-                             strike, kind)
+                                             nx=201 if nx is None else nx, ny=ny), contract)
         pde = price_mg(params, contract, s0, v0, grid=grid,
                        n_steps=n_steps, theta_scheme=theta_scheme)
         out.update(v0=v0, pde_price=pde)
@@ -196,8 +195,7 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
 def check(what, theta_field, omega, sigma, r, nx, ny, probes, seed):
     """Run the structural consistency checks and report pass/fail."""
     params = ModelParams(r=r, sigma=sigma)
-    require(math.isfinite(omega) and omega != -1.0, "omega",
-            f"must be finite and not -1, got {omega}")
+    require(math.isfinite(omega), "omega", f"must be finite, got {omega}")
     checks = _run_checks(what, params, theta_field, omega, nx, ny, probes, seed)
     all_pass = all(c["pass"] for c in checks)
     _echo_json({"checks": checks, "pass": all_pass})
@@ -341,12 +339,12 @@ def payoff_table(kind, strike, premium, s_min, s_max, n, fmt, output):
                 be = break_even(contract)
             except ValueError:
                 be = None
-            fh.write(json.dumps({
+            _echo_json({
                 "kind": kind, "strike": strike, "premium": premium,
                 "break_even": be,
                 "rows": [{"s_t": s, "holder_profit": h, "writer_profit": w}
                          for s, h, w in rows],
-            }, indent=2, sort_keys=True) + "\n")
+            }, file=fh)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,12 @@ __all__ = [
 
 BLOCK = 1 << 14          # paths per RNG stream
 V_FLOOR = 1e-8           # the variance paths' reflecting floor
-_MAGIC = b"MGPATHS2"      # the seed as two uint64 words, low then high
-_MAGIC_V1 = b"MGPATHS1"   # the seed as one int64; still read
+_MAGIC = b"MGPATHS2"
+# the dump's 64-byte header, native byte order; the seed is two words, low
+# then high, so any seed below 2**128 fits, and scheme 0 is log-Euler
+_HEADER = np.dtype([("magic", "S8"), ("n_paths", np.uint64), ("n_times", np.uint64),
+                    ("has_v", np.uint64), ("scheme", np.uint64), ("phi", np.float64),
+                    ("seed", np.uint64, (2,))])
 _WORD = 2 ** 64 - 1       # the low 64 bits of a seed
 _WRITE_CHUNK = 4096       # paths per path-major copy in to_binary
 
@@ -108,18 +112,14 @@ class PathEnsemble:
         write_csv(path, header, columns)
 
     def to_binary(self, path) -> None:
-        """Row-major dump: magic, sizes, drift, seed (two uint64 words, low
-        then high, so any seed below 2**128 fits), times, S, then V.  The
-        header's last size word is the stepping scheme, 0 for log-Euler."""
+        """Row-major dump: the ``_HEADER`` record (magic MGPATHS2, sizes,
+        scheme 0, drift, seed), then times, S and, if present, V."""
         _check_seed(self.seed)
         has_v = self.v_paths is not None
+        header = np.array((_MAGIC, self.n_paths, self.times.shape[0], has_v, 0, self.phi,
+                           (self.seed & _WORD, self.seed >> 64)), dtype=_HEADER)
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            header = np.array([self.n_paths, self.times.shape[0], int(has_v), 0],
-                              dtype=np.uint64)
             fh.write(header.tobytes())
-            fh.write(np.array([self.phi], dtype=np.float64).tobytes())
-            fh.write(np.array([self.seed & _WORD, self.seed >> 64], dtype=np.uint64).tobytes())
             fh.write(np.ascontiguousarray(self.times, dtype=np.float64).tobytes())
             # step-major paths are copied into path-major order a chunk of
             # paths at a time, so the copy stays small
@@ -130,39 +130,33 @@ class PathEnsemble:
 
 
 def read_paths_binary(path) -> PathEnsemble:
-    """Read a dump written by ``PathEnsemble.to_binary``.
-
-    Dumps with the older MGPATHS1 header, whose seed is one int64, are read
-    too.  The sizes in the header are checked against the file length
-    before any data is read, so a truncated file or one with trailing bytes
-    raises a ValueError that states both byte counts.
+    """Read a dump written by ``PathEnsemble.to_binary``: an MGPATHS2
+    ``_HEADER`` with scheme 0, any other magic or scheme is refused.  The
+    sizes in the header are checked against the file length before any data
+    is read, so a truncated file or one with trailing bytes raises a
+    ValueError that states both byte counts.
     """
+    fixed = _HEADER.itemsize
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(8)
-        if magic not in (_MAGIC, _MAGIC_V1):
-            raise ValueError(f"not a paths dump: bad magic {magic!r}")
-        seed_bytes = 16 if magic == _MAGIC else 8
-        fixed = 8 + 32 + 8 + seed_bytes
+        raw = fh.read(fixed)
+        if not raw.startswith(_MAGIC):
+            raise ValueError(f"not a paths dump: bad magic {raw[:len(_MAGIC)]!r}")
         if size < fixed:
             raise ValueError(f"paths dump is truncated: expected at least {fixed} "
-                             f"bytes for the {magic.decode()} header, file has {size}")
-        n_paths, n_times, has_v, scheme_code = (
-            int(v) for v in np.frombuffer(fh.read(32), dtype=np.uint64))
+                             f"bytes for the {_MAGIC.decode()} header, file has {size}")
+        header = np.frombuffer(raw, dtype=_HEADER)[0]
+        n_paths, n_times, has_v, scheme = (
+            int(header[name]) for name in ("n_paths", "n_times", "has_v", "scheme"))
         if has_v not in (0, 1):
             raise ValueError(f"paths dump has has_v flag {has_v}, expected 0 or 1")
-        if scheme_code not in (0, 1):   # log-Euler and Euler, the codes ever written
-            raise ValueError(f"paths dump has unknown scheme code {scheme_code}")
+        if scheme != 0:
+            raise ValueError(f"paths dump has unknown scheme code {scheme}")
         expected = fixed + 8 * n_times * (1 + n_paths * (2 if has_v else 1))
         if size != expected:
             raise ValueError(f"paths dump size mismatch: header implies {expected} "
                              f"bytes, file has {size}")
-        phi = float(np.frombuffer(fh.read(8), dtype=np.float64)[0])
-        if magic == _MAGIC:
-            low, high = (int(w) for w in np.frombuffer(fh.read(16), dtype=np.uint64))
-            seed = low | high << 64
-        else:
-            seed = int(np.frombuffer(fh.read(8), dtype=np.int64)[0])
+        low, high = (int(w) for w in header["seed"])
         times = np.frombuffer(fh.read(8 * n_times), dtype=np.float64).copy()
         s = np.frombuffer(fh.read(8 * n_paths * n_times),
                           dtype=np.float64).reshape(n_paths, n_times).copy()
@@ -170,7 +164,8 @@ def read_paths_binary(path) -> PathEnsemble:
         if has_v:
             v = np.frombuffer(fh.read(8 * n_paths * n_times),
                               dtype=np.float64).reshape(n_paths, n_times).copy()
-    return PathEnsemble(times=times, s_paths=s, v_paths=v, seed=seed, phi=phi)
+    return PathEnsemble(times=times, s_paths=s, v_paths=v, seed=low | high << 64,
+                        phi=float(header["phi"]))
 
 
 def _validate_run(s0, maturity, n_steps, n_paths, seed, threads):

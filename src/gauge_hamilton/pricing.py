@@ -626,20 +626,22 @@ def _in_no_arbitrage_box(price: float, contract: OptionContract, s0: float,
     return price
 
 
-def _cover_strike(grid, strike: float, kind: Optional[str] = None):
-    """``grid``, its edges moved where ln K lies beyond one or within a tenth
-    of its width of it (sigma sqrt(T) on default_grid_1d's box) to reach that
-    margin past ln K, on as many points; on a 2D grid, its x axis.  Given a
-    ``kind``, only the edge where that option's far-field value goes
-    negative moves, the top for a call and the bottom for a put: toward an
-    in-the-money strike a wider box only coarsens the grid (a 2D call at
-    K = 1e-8 then prices above s0)."""
-    if isinstance(grid, LogGrid2D):
-        return LogGrid2D(_cover_strike(grid.x_axis, strike, kind), grid.y_axis)
-    margin = 0.1 * (grid.x_max - grid.x_min)
-    k = math.log(strike)
-    return LogGrid1D(grid.x_min if kind == "call" else min(grid.x_min, k - margin),
-                     grid.x_max if kind == "put" else max(grid.x_max, k + margin), grid.n)
+def _cover_strike(grid, contract: OptionContract):
+    """``grid``, an edge moved where ln K lies beyond it or within a tenth of
+    its width of it (sigma sqrt(T) on default_grid_1d's box) to reach that
+    margin past ln K, on as many points; on a 2D grid, its x axis.  A 1D
+    grid may move either edge.  A 2D grid moves only the edge where the
+    option's far-field value goes negative, the top for a call and the
+    bottom for a put: toward an in-the-money strike a wider box only
+    coarsens the grid (a 2D call at K = 1e-8 then prices above s0)."""
+    axis = grid.x_axis
+    margin = 0.1 * (axis.x_max - axis.x_min)
+    k = math.log(contract.strike)
+    low, high = min(axis.x_min, k - margin), max(axis.x_max, k + margin)
+    if isinstance(grid, LogGrid1D):
+        return LogGrid1D(low, high, axis.n)
+    low, high = (axis.x_min, high) if contract.kind == "call" else (low, axis.x_max)
+    return LogGrid2D(LogGrid1D(low, high, axis.n), grid.y_axis)
 
 
 def price_bs(params: ModelParams, contract: OptionContract, s0: float,
@@ -653,8 +655,7 @@ def price_bs(params: ModelParams, contract: OptionContract, s0: float,
     """
     check_positive("s0", s0)
     if grid is None:
-        grid = _cover_strike(default_grid_1d(s0, params.sigma, contract.maturity),
-                             contract.strike)
+        grid = _cover_strike(default_grid_1d(s0, params.sigma, contract.maturity), contract)
     h = build_bs_hamiltonian(params, grid)
     surface = evolve(h, terminal_payoff(contract, grid), contract.maturity,
                      n_steps, theta_scheme,
@@ -682,8 +683,7 @@ def price_mg(params: ModelParams, contract: OptionContract, s0: float, v0: float
     check_positive("s0", s0)
     check_positive("v0", v0)
     if grid is None:
-        grid = _cover_strike(default_grid_2d(s0, v0, contract.maturity), contract.strike,
-                             contract.kind)
+        grid = _cover_strike(default_grid_2d(s0, v0, contract.maturity), contract)
     surface = solve_mg(params, contract, grid, n_steps, theta_scheme)
     return _in_no_arbitrage_box(surface.interpolate(math.log(s0), math.log(v0)),
                                 contract, s0, params.r)

@@ -579,9 +579,9 @@ def test_binary_rejects_truncated_file(tmp_path):
         read_paths_binary(path)
 
 
-# a dump in the MGPATHS1 layout, whose seed is one int64, as the writer made
-# it before seeds took two words: simulate_mg(MG_P, 100.0, 0.04, 1.0, 1, 2,
-# seed=2**63 - 1)
+# a dump in the retired MGPATHS1 layout, whose seed is one int64, as the
+# writer made it before seeds took two words: simulate_mg(MG_P, 100.0, 0.04,
+# 1.0, 1, 2, seed=2**63 - 1)
 V1_DUMP = bytes.fromhex(
     "4d47504154485331020000000000000002000000000000000100000000000000"
     "00000000000000000000000000000000ffffffffffffff7f0000000000000000"
@@ -590,19 +590,14 @@ V1_DUMP = bytes.fromhex(
     "fc918357da0ca13f")
 
 
-def test_binary_reads_the_one_word_seed_layout(tmp_path):
+def test_binary_refuses_the_one_word_seed_layout(tmp_path):
+    # MGPATHS2 is the one layout read; the older one, whole or cut short,
+    # is a foreign file
     path = tmp_path / "v1.bin"
-    path.write_bytes(V1_DUMP)
-    back = read_paths_binary(path)
-    ens = simulate_mg(MG_P, 100.0, 0.04, 1.0, 1, 2, seed=2 ** 63 - 1)
-    assert (back.seed, back.phi) == (2 ** 63 - 1, ens.phi)
-    for got, want in ((back.times, ens.times), (back.s_paths, ens.s_paths),
-                      (back.v_paths, ens.v_paths)):
-        np.testing.assert_array_equal(got, want)
-    path.write_bytes(V1_DUMP[:50])
-    with pytest.raises(ValueError, match="truncated: expected at least 56 bytes for the "
-                                         "MGPATHS1 header, file has 50"):
-        read_paths_binary(path)
+    for raw in (V1_DUMP, V1_DUMP[:50]):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="^not a paths dump: bad magic b'MGPATHS1'$"):
+            read_paths_binary(path)
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64, 2 ** 128 - 1])
@@ -779,13 +774,14 @@ def _patched_dump(tmp_path, ens, word, value):
 
 
 def test_binary_rejects_unknown_scheme_code(tmp_path):
-    # 0 (log-Euler) and 1 (Euler) are the codes dumps were ever written with
+    # 0 (log-Euler) is the one scheme the writer writes; the retired Euler
+    # code 1 is refused like any other
     ens = simulate_mg(MG_P, 100.0, 0.04, 1.0, 4, 10, seed=3)
-    for code in (0, 1):
-        back = read_paths_binary(_patched_dump(tmp_path, ens, 3, code))
-        np.testing.assert_array_equal(back.s_paths, ens.s_paths)
-    with pytest.raises(ValueError, match="unknown scheme code 7"):
-        read_paths_binary(_patched_dump(tmp_path, ens, 3, 7))
+    back = read_paths_binary(_patched_dump(tmp_path, ens, 3, 0))
+    np.testing.assert_array_equal(back.s_paths, ens.s_paths)
+    for code in (1, 7):
+        with pytest.raises(ValueError, match=f"^paths dump has unknown scheme code {code}$"):
+            read_paths_binary(_patched_dump(tmp_path, ens, 3, code))
 
 
 @pytest.mark.parametrize("with_v", [True, False])

@@ -386,12 +386,18 @@ def test_surface_checks_the_previous_slice_and_the_step():
 # Merton-Garman pricing
 # ---------------------------------------------------------------------------
 
-def test_mg_degenerate_matches_bs():
-    # frozen variance: zeta = lambda = mu = 0 prices like Black-Scholes
-    # with sigma = sqrt(v0)
-    pm = ModelParams(r=0.05, zeta=0.0, lambda_=0.0, mu=0.0)
-    got = price_mg(pm, CALL, 100.0, 0.04)
-    assert abs(got - BENCHMARK_CALL) / BENCHMARK_CALL < 2e-3
+@settings(max_examples=6, deadline=None)
+@given(s0=st.floats(20.0, 500.0), moneyness=st.floats(0.85, 1.2), v0=st.floats(0.04, 0.16),
+       maturity=st.floats(0.5, 2.0), r=st.floats(0.0, 0.08))
+@example(s0=100.0, moneyness=1.0, v0=0.04, maturity=1.0, r=0.05)
+def test_mg_degenerate_matches_bs(s0, moneyness, v0, maturity, r):
+    # frozen variance: zeta = lambda = mu = 0 prices like Black-Scholes with
+    # sigma = sqrt(v0).  The worst corner measured, v0 0.04, T 0.5, r 0,
+    # K/s0 1.2, errs by 1.47e-3
+    call = OptionContract("call", moneyness * s0, maturity)
+    got = price_mg(ModelParams(r=r, zeta=0.0, lambda_=0.0, mu=0.0), call, s0, v0)
+    closed = bs_closed_form(ModelParams(r=r, sigma=math.sqrt(v0)), call, s0)
+    assert abs(got - closed) / closed < 2e-3
 
 
 def test_mg_deep_in_the_money():
@@ -450,8 +456,9 @@ def test_price_bs_default_box_covers_the_strike(kind, strike, sigma, maturity, r
 
 @settings(max_examples=60, deadline=None)
 @given(sigma=st.floats(0.1, 0.4), maturity=st.floats(0.1, 2.0), r=st.floats(0.0, 0.08),
-       moneyness=st.floats(0.85, 1.2), s0=st.floats(20.0, 500.0))
-def test_price_bs_parity_and_bounds(sigma, maturity, r, moneyness, s0):
+       moneyness=st.floats(0.85, 1.2), s0=st.floats(20.0, 500.0),
+       sigma2=st.floats(0.1, 0.4), moneyness2=st.floats(0.85, 1.2))
+def test_price_bs_parity_and_bounds(sigma, maturity, r, moneyness, s0, sigma2, moneyness2):
     p = ModelParams(r=r, sigma=sigma)
     strike = moneyness * s0
     call = price_bs(p, OptionContract("call", strike, maturity), s0)
@@ -459,6 +466,19 @@ def test_price_bs_parity_and_bounds(sigma, maturity, r, moneyness, s0):
     pv_strike = strike * math.exp(-r * maturity)
     assert abs(call - put - (s0 - pv_strike)) <= 1e-3
     assert max(s0 - pv_strike, 0.0) <= call <= s0
+    # calls fall as K rises and rise with sigma, on each pair whose closed
+    # forms differ by more than twice the PDE's error; that error is at most
+    # 2.5e-3 per 100 of spot here (2.2e-3 measured at sigma 0.4, T 2, K = s0)
+    tol = 2.5e-5 * s0
+    lo_k, hi_k = sorted((moneyness, moneyness2))
+    lo_sigma, hi_sigma = sorted((sigma, sigma2))
+    at_strike = OptionContract("call", strike, maturity)
+    for cheap, dear in (((p, OptionContract("call", hi_k * s0, maturity)),
+                         (p, OptionContract("call", lo_k * s0, maturity))),
+                        ((ModelParams(r=r, sigma=lo_sigma), at_strike),
+                         (ModelParams(r=r, sigma=hi_sigma), at_strike))):
+        if bs_closed_form(*dear, s0) - bs_closed_form(*cheap, s0) > 2.0 * tol:
+            assert price_bs(*cheap, s0) < price_bs(*dear, s0)
 
 
 def test_price_mg_validates_spot_and_variance():
