@@ -318,6 +318,7 @@ def surface(model, reference, sigma_mode, form, r, sigma, lambda_, mu, zeta,
 @click.option("--output", default="-", show_default=True)
 def payoff_table(kind, strike, premium, s_min, s_max, n, fmt, output):
     """Holder and writer profit at expiry over a range of terminal prices."""
+    contract = OptionContract(kind, strike, maturity=1.0, premium=premium)   # checks the strike
     if s_max is None:
         s_max = 2.0 * strike
     require(math.isfinite(s_min) and s_min >= 0.0, "s_min",
@@ -325,7 +326,6 @@ def payoff_table(kind, strike, premium, s_min, s_max, n, fmt, output):
     require(math.isfinite(s_max) and s_max > s_min, "s_max",
             f"must be finite and exceed --s-min {s_min}, got {s_max}")
     require(n >= 2, "n", f"must be at least 2, got {n}")
-    contract = OptionContract(kind, strike, maturity=1.0, premium=premium)
     s_values = np.linspace(s_min, s_max, n)
     rows = []
     for s in s_values:

@@ -31,9 +31,11 @@ product, and the sweep bands are written from the same diagonals.  Each
 sweep's residual is a DIA product on the band that was factored.  The 2D
 step makes no CSR product.  A sweep's system is block-diagonal by grid
 line: on large grids, when two CPUs are available, it is cut between two
-lines and its two pieces are solved at once, one on a worker thread that
-evolve starts and joins.  The cut falls between two identity rows, so the
-solutions, and every price, are the same at any CPU count.
+lines and its two pieces are solved at once, the later one on a helper
+thread that evolve starts and joins, handed each piece through a pair of
+locks (a round trip of about 13 us, half a ThreadPoolExecutor's).  The cut
+falls between two identity rows, so the solutions, and every price, are
+the same at any CPU count.
 
 theta_scheme is one of two schemes.  1/2, the default, is Crank-Nicolson
 in 1D and Craig-Sneyd in 2D after a short fully implicit startup, which
@@ -49,12 +51,11 @@ phase's systems are held at a time.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,16 +83,15 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10   # the largest relative residual evolve accepts from a linear solve
-# A 2D sweep system is solved on two threads when the worker's piece holds
+# A 2D sweep system is solved on two threads when the helper's piece holds
 # SPLIT_MIN_ROWS rows or more; the calling thread takes the first
-# CALLER_SHARE of the grid lines, as the worker starts about 30 us after the
-# handoff and its end reaches the caller about 40 us late.  _band_solver's
-# solve, whole against split, medians of 1500-2000 on a 2-vCPU Xeon VM, lines
-# of 201 points: 16281 rows, share 0.5: 281 vs 242 us, 0.6: 213, 0.7: 239; at
-# 0.6, 8040 rows (3216 on the worker): 138 vs 100-150 us, 10050 (4020): 172
-# vs 126-138 us
+# CALLER_SHARE of the grid lines, as the helper begins its piece only once
+# it has woken from the handoff.  _band_solver's solve, whole against split,
+# medians of 2000 on a 2-vCPU Xeon VM, lines of 201 points: 16281 rows, 222
+# vs 143 us at share 0.5, 133 at 0.55, 144 at 0.6; at 0.55, 8040 rows (3618
+# on the helper): 110 vs 68 us, 4020 (1809): 55 vs 50 us
 SPLIT_MIN_ROWS = 4000
-CALLER_SHARE = 0.6
+CALLER_SHARE = 0.55
 
 
 @dataclass(frozen=True)
@@ -281,9 +281,9 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     on its folded band, before the face values are extrapolated.  When two
     CPUs are available and the grid is large enough (SPLIT_MIN_ROWS), each
     sweep's system is cut between two grid lines and the two pieces are
-    solved at once, one on a worker thread that is shut down before evolve
-    returns or raises; the surface is bit for bit the one a single thread
-    gives.
+    solved at once, the later one on a helper thread that is joined before
+    evolve returns or raises; the surface is bit for bit the one a single
+    thread gives.
     """
     require(terminal.grid == h.grid, "terminal", "must live on the operator grid (grid mismatch)")
     check_integer("n_steps", n_steps, 1)
@@ -295,7 +295,7 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     require(boundary is not None, "boundary",
             "is required: every theta-system takes its face rows from a FarFieldBoundary")
     dt = maturity / n_steps
-    with contextlib.ExitStack() as scope:   # shuts a sweep worker down on the way out
+    with contextlib.ExitStack() as scope:   # joins a sweep helper on the way out
         systems = (_adi_stepper(h, dt, boundary, scope) if isinstance(grid, LogGrid2D)
                    else _band_stepper(h, dt, boundary))
 
@@ -380,19 +380,70 @@ def _band_dia(band: np.ndarray) -> sp.dia_matrix:
     return sp.dia_matrix((np.ascontiguousarray(band[::-1]), np.arange(-1, 2)), shape=(n, n))
 
 
+class _SweepHelper:
+    """One helper thread that runs the tasks it is handed, one at a time,
+    through a lock pair: ``start`` releases ``go`` and the helper takes the
+    task; the helper releases ``done`` when the task ends, and ``wait``
+    acquires it and re-raises what the task raised.  As a context manager
+    it starts the thread, and on exit hands it None, which stops it, and
+    joins it."""
+
+    def __init__(self):
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._task = self._error = None
+        self._thread = threading.Thread(target=self._serve, name="sweep-helper", daemon=True)
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            task, self._task = self._task, None
+            if task is None:
+                return
+            try:
+                task()
+            except BaseException as exc:   # the caller re-raises it; the helper lives on
+                self._error = exc
+            del task   # the piece it solves is not held past its solve
+            self._done.release()
+
+    def start(self, task):
+        self._task = task
+        self._go.release()
+
+    def wait(self):
+        self._done.acquire()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._task = None
+        if self._go.locked():   # else a task handed on is still to be taken: it is None now
+            self._go.release()
+        self._thread.join()
+
+
 def _band_solver(band: np.ndarray, cut: Optional[int] = None,
-                 worker: Optional[ThreadPoolExecutor] = None):
+                 helper: Optional[_SweepHelper] = None):
     """The solve of a tridiagonal band system on its LAPACK gttrf/gttrs LU
     factors; a zero pivot raises EvolveError naming its row.
 
     With a ``cut``, the rows before it and the rows from it on are factored
-    apart, and ``solve`` solves the first piece on the calling thread and
-    the later one on the ``worker``, unless the worker has not begun it when
-    the caller is done, and the caller solves it too.  The band must not
-    couple the two rows at the cut (ValueError otherwise): both entries
-    there are 0, so gttrf never pivots across the cut and its multiplier
-    there is 0, and the pieces' factors and solutions are bit for bit the
-    whole band's.
+    apart, and ``solve`` hands the later piece to the ``helper``, solves
+    the first one on the calling thread, and then waits for the helper,
+    whose error, if its piece raised, it re-raises.  A no-op round trip
+    through the helper's lock pair takes 13 us, against 24 us through a
+    ThreadPoolExecutor (medians of 5000 on a 2-vCPU Xeon VM).  The band
+    must not couple the two rows at the cut (ValueError otherwise): both
+    entries there are 0, so gttrf never pivots across the cut and its
+    multiplier there is 0, and the pieces' factors and solutions are bit
+    for bit the whole band's.
     """
     n = band.shape[1]
     if cut is not None and (band[2, cut - 1] != 0.0 or band[0, cut] != 0.0):
@@ -406,23 +457,15 @@ def _band_solver(band: np.ndarray, cut: Optional[int] = None,
         pieces.append((slice(lo, hi), factors))
     if cut is None:
         return lambda rhs: dgttrs(*factors, rhs)[0]
-    (first, first_factors), later = pieces
+    (first, first_factors), (later, later_factors) = pieces
 
     def solve(rhs):
         x = rhs.copy()
-        left = collections.deque([later])   # popped once, by the worker or the caller
-
-        def take_later():
-            try:
-                rows, factors = left.popleft()
-            except IndexError:
-                return
-            dgttrs(*factors, x[rows], overwrite_b=1)
-        helper = worker.submit(take_later)
-        dgttrs(*first_factors, x[first], overwrite_b=1)
-        take_later()
-        if not helper.cancel():
-            helper.result()   # the worker may still be solving the later piece
+        helper.start(lambda: dgttrs(*later_factors, x[later], overwrite_b=1))
+        try:
+            dgttrs(*first_factors, x[first], overwrite_b=1)
+        finally:
+            helper.wait()
         return x
     return solve
 
@@ -520,8 +563,8 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary,
     before the face values are extrapolated; a replaced row's residual is
     y - rhs, so no stored zero meets a non-finite entry there.
 
-    With two CPUs, a sweep whose worker's piece would hold SPLIT_MIN_ROWS
-    rows or more is solved on two threads; ``scope`` shuts the worker down.
+    With two CPUs, a sweep whose helper's piece would hold SPLIT_MIN_ROWS
+    rows or more is solved on two threads; ``scope`` joins the helper.
     """
     grid = h.grid
     nx, ny, n = grid.nx, grid.ny, grid.n_points
@@ -548,8 +591,8 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary,
         first = round(CALLER_SHARE * lines)
         return first * length if two_cpus and (lines - first) * length >= SPLIT_MIN_ROWS else None
     cut_x, cut_y = cut(ny, nx), cut(nx, ny)
-    worker = (None if cut_x is None and cut_y is None else
-              scope.enter_context(ThreadPoolExecutor(max_workers=1)))
+    helper = (None if cut_x is None and cut_y is None else
+              scope.enter_context(_SweepHelper()))
 
     def residual(band, rows):
         dia = _band_dia(band)
@@ -570,8 +613,8 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary,
         band_y[1, near] += 2.0 * c
         band_y[1 + near - far, far] -= c
         band_y[1 + near - faces, faces] = 0.0
-        solve_x, resid_x = _band_solver(band_x, cut_x, worker), residual(band_x, replaced_x)
-        solve_y, resid_y = _band_solver(band_y, cut_y, worker), residual(band_y, replaced)
+        solve_x, resid_x = _band_solver(band_x, cut_x, helper), residual(band_x, replaced_x)
+        solve_y, resid_y = _band_solver(band_y, cut_y, helper), residual(band_y, replaced)
 
         def advance(values, tau_new):
             g_low, g_high = boundary.x_values(grid, tau_new)

@@ -667,6 +667,11 @@ BAD_FLAGS = [
     (["payoff-table", "--k", "42", "--s-min", "10", "--s-max", "5"],
      "--s-max must be finite and exceed --s-min 10.0, got 5.0"),
     (["payoff-table", "--k", "42", "--n", "1"], "--n must be at least 2, got 1"),
+    # the default --s-max, twice the strike, was checked before the strike:
+    # these three exited 2 naming --s-max ("got -10.0", "got nan", "got inf")
+    (["payoff-table", "--k", "-5"], "--k must be positive and finite, got -5.0"),
+    (["payoff-table", "--k", "nan"], "--k must be positive and finite, got nan"),
+    (["payoff-table", "--k", "inf"], "--k must be positive and finite, got inf"),
     # simulate
     (["simulate", "--s0", "100", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
     # finite inputs whose coefficients or box overflow: the first exited 2

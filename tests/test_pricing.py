@@ -7,9 +7,9 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1037,7 +1037,7 @@ def test_y_sweep_residual_check_fires(monkeypatch, case, split):
         evolve(h, u0, 1.0, 10, boundary=boundary)
 
 
-# the sweeps' systems cut in two: each piece solved on its own thread
+# the sweeps' systems cut in two: the later piece solved on a helper thread
 
 @settings(max_examples=200, deadline=None)
 @given(sizes=st.tuples(st.integers(3, 40), st.integers(3, 40)),
@@ -1047,7 +1047,7 @@ def test_split_band_solve_is_the_whole_band_solve(sizes, seed, pivot_share, zero
                                                   coupled):
     # a band that is block-diagonal at the cut, with rows whose subdiagonal
     # outweighs the diagonal, so gttrf pivots: the pieces' solves, one on the
-    # worker, give the whole band's gttrf/gttrs solution bit for bit, and a
+    # helper, give the whole band's gttrf/gttrs solution bit for bit, and a
     # zero pivot is reported at the whole band's row.  scipy's gttrf takes
     # three rows or more; a grid axis has five points or more
     cut, n = sizes[0], sum(sizes)
@@ -1062,40 +1062,118 @@ def test_split_band_solve_is_the_whole_band_solve(sizes, seed, pivot_share, zero
         band[1, k] = band[2, max(k - 1, 0)] = band[2, k] = 0.0
     rhs = rng.uniform(-1.0, 1.0, n)
     *factors, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    with pricing._SweepHelper() as helper:
         if info > 0:
             with pytest.raises(EvolveError, match=rf"zero pivot in row {info}$"):
-                _band_solver(band, cut, worker)
+                _band_solver(band, cut, helper)
             return
         want = dgttrs(*factors, rhs)[0]
-        got = _band_solver(band, cut, worker)(rhs)
+        got = _band_solver(band, cut, helper)(rhs)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
         band[(2, 0)[coupled], (cut - 1, cut)[coupled]] = 0.5
         with pytest.raises(ValueError, match=rf"couples rows {cut - 1} and {cut} across"):
-            _band_solver(band, cut, worker)
+            _band_solver(band, cut, helper)
+
+
+def failing_on_the_helper(monkeypatch):
+    """Make every dgttrs call on the sweep helper's thread raise."""
+    solve = pricing.dgttrs
+
+    def off_the_helper_only(*args, **kwargs):
+        if threading.current_thread().name == "sweep-helper":
+            raise RuntimeError("the helper's piece failed")
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(pricing, "dgttrs", off_the_helper_only)
+
+
+def raised_within(seconds, call):
+    """The exception ``call()`` raises, None if it returns, run on a thread
+    joined with a timeout: a helper that never reports back fails the test
+    instead of hanging it."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:
+            raised.append(exc)
+        else:
+            raised.append(None)
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=seconds)
+    assert not caller.is_alive(), f"no outcome within {seconds} s"
+    return raised[0]
+
+
+def test_split_solve_re_raises_the_helpers_error(monkeypatch):
+    # the caller's piece is solved and the helper waited for before the
+    # helper's error is raised; the helper then serves the next solve
+    rng = np.random.default_rng(3)
+    band = np.asfortranarray(rng.uniform(-1.0, 1.0, (3, 12)))
+    band[1] += 4.0
+    band[2, 4] = band[0, 5] = 0.0
+    rhs = rng.uniform(-1.0, 1.0, 12)
+    want = _band_solver(band)(rhs)
+    with pricing._SweepHelper() as helper:
+        solve = _band_solver(band, 5, helper)
+        with monkeypatch.context() as patch:
+            failing_on_the_helper(patch)
+            error = raised_within(60.0, lambda: solve(rhs))
+        assert isinstance(error, RuntimeError) and str(error) == "the helper's piece failed"
+        np.testing.assert_array_equal(solve(rhs).view(np.int64), want.view(np.int64))
+
+
+def test_sweep_helper_holds_no_task_past_its_wait():
+    # a task holds its piece's factors and solution: none outlives the wait,
+    # so the startup's pieces are gone before the main phase's are factored
+    piece = np.ones(3)
+    held = weakref.ref(piece)
+    with pricing._SweepHelper() as helper:
+        helper.start(lambda piece=piece: piece.sum())
+        del piece
+        helper.wait()
+        assert held() is None
+
+
+def test_sweep_helper_stops_with_a_task_still_handed_on():
+    # the split solve always waits for its helper, but an interrupt in that
+    # wait would reach the helper's exit with a task it has not taken: the
+    # task is dropped, and the thread still stops and is joined
+    gate, ran, helper = threading.Event(), [], pricing._SweepHelper()
+
+    def handed_on_and_left():
+        with helper:
+            helper.start(gate.wait)
+            while not helper._go.locked():   # until the helper has taken its task
+                time.sleep(0.001)
+            helper.start(lambda: ran.append(True))
+            threading.Timer(0.1, gate.set).start()
+    assert raised_within(60.0, handed_on_and_left) is None
+    assert not helper._thread.is_alive() and ran == []
 
 
 def recording_cuts(monkeypatch):
     """The cut of every system evolve factors, None for one left whole."""
     cuts, band_solver = [], pricing._band_solver
 
-    def recorded(band, cut=None, worker=None):
+    def recorded(band, cut=None, helper=None):
         cuts.append(cut)
-        return band_solver(band, cut, worker)
+        return band_solver(band, cut, helper)
     monkeypatch.setattr(pricing, "_band_solver", recorded)
     return cuts
 
 
 @pytest.mark.parametrize("form", ["mg", "expanded"])
 @pytest.mark.parametrize("theta", [0.5, 1.0])
-@pytest.mark.parametrize("shape, split_cuts", [((41, 21), [13 * 41, 25 * 21]),
-                                               ((12, 6), [4 * 12, 7 * 6])], ids=["41x21", "12x6"])
+@pytest.mark.parametrize("shape, split_cuts", [((41, 21), [12 * 41, 23 * 21]),
+                                               ((12, 6), [3 * 12, 7 * 6])], ids=["41x21", "12x6"])
 def test_split_sweeps_step_bit_for_bit_as_whole_ones(monkeypatch, form, theta, shape, split_cuts):
-    # the calling thread takes the first 3/5 of the grid lines, rounded: the
-    # x-sweep is cut after 13 of 21 x lines, the y-sweep after 25 of 41 y
-    # lines; surfaces and prev_values are bit for bit the unsplit ones, for
+    # the calling thread takes the first 11/20 of the grid lines, rounded:
+    # the x-sweep is cut after 12 of 21 x lines, the y-sweep after 23 of 41
+    # y lines; surfaces and prev_values are bit for bit the unsplit ones, for
     # calls and puts, whatever the startup
-    assert pricing.CALLER_SHARE == 0.6
+    assert pricing.CALLER_SHARE == 0.55
     nx, ny = shape
     grid = make_grid_2d(math.log(100.0) - 1.0, math.log(100.0) + 1.0, nx,
                         math.log(0.04) - 2.0, math.log(0.04) + 1.0, ny)
@@ -1121,18 +1199,18 @@ def test_split_sweeps_step_bit_for_bit_as_whole_ones(monkeypatch, form, theta, s
 @pytest.mark.parametrize("cpus, ny, cut", [(2, 100, True), (2, 98, False), (1, 100, False)])
 def test_sweeps_split_on_two_cpus_when_the_workers_piece_reaches_the_break_even(
         monkeypatch, cpus, ny, cut):
-    # on 101 x 100 the caller takes 60 of 100 x lines and 61 of 101 y lines,
-    # so the worker's pieces hold 40 x lines of 101 points and 40 y lines of
-    # 100, 4040 and 4000 rows, the break-even; on 101 x 98 they hold 39 x
-    # lines and 40 y lines, 3939 and 3920 rows
-    assert (pricing.SPLIT_MIN_ROWS, pricing.CALLER_SHARE) == (4000, 0.6)
+    # on 89 x 100 the caller takes 55 of 100 x lines and 49 of 89 y lines,
+    # so the helper's pieces hold 45 x lines of 89 points and 40 y lines of
+    # 100, 4005 and 4000 rows, the break-even; on 89 x 98 they hold 44 x
+    # lines and 40 y lines, 3916 and 3920 rows
+    assert (pricing.SPLIT_MIN_ROWS, pricing.CALLER_SHARE) == (4000, 0.55)
     monkeypatch.setattr(pricing, "_cpu_count", lambda: cpus)
-    grid = make_grid_2d(math.log(100.0) - 1.0, math.log(100.0) + 1.0, 101,
+    grid = make_grid_2d(math.log(100.0) - 1.0, math.log(100.0) + 1.0, 89,
                         math.log(0.04) - 2.0, math.log(0.04) + 1.0, ny)
     cuts = recording_cuts(monkeypatch)
     evolve(build_mg_hamiltonian(ADI_P, grid), terminal_payoff(CALL, grid), 1.0, 1,
            boundary=FarFieldBoundary(CALL, ADI_P.r))
-    assert cuts == ([60 * 101, 61 * ny] if cut else [None, None])
+    assert cuts == ([55 * 89, 49 * ny] if cut else [None, None])
 
 
 def test_cpu_count_reads_the_affinity_mask_where_there_is_one(monkeypatch):
@@ -1143,8 +1221,9 @@ def test_cpu_count_reads_the_affinity_mask_where_there_is_one(monkeypatch):
 
 
 def test_no_thread_outlives_evolve(monkeypatch):
-    # the sweep worker runs while the split sweeps solve, and is joined when
-    # evolve returns and when it raises
+    # the sweep helper runs while the split sweeps solve, and is joined when
+    # evolve returns, when the helper's own piece raises, and when a
+    # residual check raises
     force_split(monkeypatch, True)
     h, u0, boundary = mg_call_2d()
     before, during = threading.active_count(), []
@@ -1154,6 +1233,11 @@ def test_no_thread_outlives_evolve(monkeypatch):
     spoil_solves(monkeypatch, counting)
     evolve(h, u0, 1.0, 10, boundary=boundary)
     assert threading.active_count() == before and set(during[1:]) == {before + 1}
+    with monkeypatch.context() as patch:
+        failing_on_the_helper(patch)
+        error = raised_within(60.0, lambda: evolve(h, u0, 1.0, 10, boundary=boundary))
+    assert isinstance(error, RuntimeError) and str(error) == "the helper's piece failed"
+    assert threading.active_count() == before
     spoil_solves(monkeypatch, nan_solution)
     with pytest.raises(EvolveError, match="relative residual nan"):
         evolve(h, u0, 1.0, 10, boundary=boundary)
