@@ -21,8 +21,8 @@ import sys
 import click
 import numpy as np
 
-from .core import (InputError, ModelParams, check_integer, default_grid_1d, default_grid_2d,
-                   make_grid_2d, require, sample, text_output, write_csv)
+from .core import (EXP_LIMIT, InputError, ModelParams, check_integer, default_grid_1d,
+                   default_grid_2d, make_grid_2d, require, sample, text_output, write_csv)
 from .gauge_analysis import (_CHECK_X, _CHECK_Y, CHECKS, _run_checks,
                              gauge_martingale_sums, martingale_roots,
                              mg_martingale_report)
@@ -281,6 +281,10 @@ def surface(model, reference, sigma_mode, form, r, sigma, lambda_, mu, zeta,
     params = ModelParams(r=r, sigma=sigma, lambda_=lambda_, mu=mu, zeta=zeta,
                          alpha=alpha, rho=rho, sigma_local=(sigma_mode == "local"))
     grid = make_grid_2d(x_min, x_max, nx, y_min, y_max, ny)
+    top = x_max if reference == "exp-x" else x_max + y_max   # the state's largest exponent
+    require(top <= EXP_LIMIT, "x_max" if x_max > EXP_LIMIT else "y_max",
+            f"must keep the reference state finite: its largest exponent, {top:g}, "
+            f"exceeds ln(max float) = {EXP_LIMIT:.2f}")
     if reference == "exp-x":
         state = sample(lambda x, y: np.exp(x), grid)
     else:

@@ -3,12 +3,12 @@
 Randomness comes from counter-based Philox streams keyed per block of
 paths, so results depend only on (seed, n_paths, n_steps) and never on how
 blocks are scheduled.  A block's worker draws one (2, BLOCK) slab of
-normals per step, always the full block width, and advances its paths in
-place through a few preallocated buffers.  Paths are stored step-major, as
-(n_steps + 1, n_paths) arrays in which each time slice is contiguous;
-``PathEnsemble`` exposes their transposes, so callers still index
-[path, step].  Reductions assemble full arrays and use numpy's pairwise
-summation, keeping means bit-reproducible.
+normals per step, always the full block width, and writes each update of
+its paths, stated as its formula, straight into the path arrays.  Paths
+are stored step-major, as (n_steps + 1, n_paths) arrays in which each time
+slice is contiguous; ``PathEnsemble`` exposes their transposes, so callers
+still index [path, step].  Reductions assemble full arrays and use numpy's
+pairwise summation, keeping means bit-reproducible.
 
 The security follows log-Euler steps (exact in law for constant variance);
 the variance follows Euler steps with a reflecting floor.  Both simulators
@@ -184,24 +184,22 @@ def _step_major(n_steps: int, n_paths: int, start: float) -> np.ndarray:
 
 
 def _step_blocks(seed: int, n_paths: int, n_steps: int, threads: int, step) -> None:
-    """Call ``step(k, cols, z, tmp)`` for every step k of every block.
+    """Call ``step(k, cols, z)`` for every step k of every block.
 
-    ``cols`` selects the block's paths in a step-major time slice, ``z`` is
-    the (2, size) part of the step's draws that the block's paths use and
-    ``tmp`` a (2, size) scratch buffer of the worker.  The full (2, BLOCK)
-    slab is drawn even when a block is partly used, so a path's noise
-    depends only on (seed, block, offset) and not on n_paths.  Up to
-    ``threads`` workers write disjoint columns of the shared arrays.
+    ``cols`` selects the block's paths in a step-major time slice and ``z``
+    is the (2, size) part of the step's draws that the block's paths use.
+    The full (2, BLOCK) slab is drawn even when a block is partly used, so a
+    path's noise depends only on (seed, block, offset) and not on n_paths.
+    Up to ``threads`` workers write disjoint columns of the shared arrays.
     """
     def worker(block, start, size):
         rng = _block_rng(seed, block)
         draws = np.empty((2, BLOCK))
         z = draws[:, :size]
-        tmp = np.empty((2, size))
         cols = slice(start, start + size)
         for k in range(n_steps):
             rng.standard_normal(out=draws)
-            step(k, cols, z, tmp)
+            step(k, cols, z)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(lambda args: worker(*args), list(_blocks(n_paths))))
@@ -237,12 +235,8 @@ def simulate_gbm(params: ModelParams, s0: float, maturity: float,
     scale = params.sigma * math.sqrt(dt)
     log_s = _step_major(n_steps, n_paths, math.log(s0))
 
-    def step(k, cols, z, tmp):
-        # (ln S + drift) + (sigma sqrt(dt)) z1, in this order
-        x_next = log_s[k + 1, cols]
-        np.add(log_s[k, cols], drift, out=x_next)
-        np.multiply(scale, z[0], out=tmp[0])
-        np.add(x_next, tmp[0], out=x_next)
+    def step(k, cols, z):
+        np.add(log_s[k, cols] + drift, scale * z[0], out=log_s[k + 1, cols])
 
     _step_blocks(seed, n_paths, n_steps, threads, step)
     return _ensemble(maturity, seed, params.phi, log_s)
@@ -271,37 +265,17 @@ def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
     log_s = _step_major(n_steps, n_paths, math.log(s0))
     v = _step_major(n_steps, n_paths, v0)
 
-    def step(k, cols, z, tmp):
-        vk, x_next, v_next = v[k, cols], log_s[k + 1, cols], v[k + 1, cols]
-        z2, t = tmp
-        # the grouping and order of the plain expressions, evaluated left to
-        # right, are kept, so the paths are bit for bit theirs:
-        #   z2 = rho z1 + rho_c z2
-        #   ln S' = ln S + (phi - 0.5 V) dt + sqrt(V) sqrt(dt) z1
-        #   V' = max(|V + (lambda + mu V) dt + zeta V**alpha sqrt(dt) z2|, floor)
-        np.multiply(rho, z[0], out=z2)
-        np.multiply(rho_c, z[1], out=t)
-        np.add(z2, t, out=z2)
-        np.multiply(0.5, vk, out=t)
-        np.subtract(params.phi, t, out=t)
-        np.multiply(t, dt, out=t)
-        np.add(log_s[k, cols], t, out=x_next)
-        np.sqrt(vk, out=t)
-        np.multiply(t, sqdt, out=t)
-        np.multiply(t, z[0], out=t)
-        np.add(x_next, t, out=x_next)
-        np.multiply(params.mu, vk, out=t)
-        np.add(params.lambda_, t, out=t)
-        np.multiply(t, dt, out=t)
-        np.add(vk, t, out=v_next)
-        np.copyto(t, vk)
-        t **= params.alpha  # as the ** operator: numpy maps some exponents (0.5) to sqrt
-        np.multiply(params.zeta, t, out=t)
-        np.multiply(t, sqdt, out=t)
-        np.multiply(t, z2, out=t)
-        np.add(v_next, t, out=v_next)
-        np.abs(v_next, out=v_next)
-        np.maximum(v_next, v_floor, out=v_next)
+    def step(k, cols, z):
+        # each update is its formula, evaluated left to right, its last ufunc
+        # writing into the path array; ** keeps numpy's scalar-power fast
+        # paths (an exponent of 0.5 is sqrt)
+        vk = v[k, cols]
+        z2 = rho * z[0] + rho_c * z[1]
+        np.add(log_s[k, cols] + (params.phi - 0.5 * vk) * dt, np.sqrt(vk) * sqdt * z[0],
+               out=log_s[k + 1, cols])
+        np.maximum(np.abs(vk + (params.lambda_ + params.mu * vk) * dt
+                          + params.zeta * vk ** params.alpha * sqdt * z2), v_floor,
+                   out=v[k + 1, cols])
 
     _step_blocks(seed, n_paths, n_steps, threads, step)
     return _ensemble(maturity, seed, params.phi, log_s, v)

@@ -30,12 +30,12 @@ are DIA matrices of -H's diagonals, every explicit product is a DIA
 product, and the sweep bands are written from the same diagonals.  Each
 sweep's residual is a DIA product on the band that was factored.  The 2D
 step makes no CSR product.  A sweep's system is block-diagonal by grid
-line: on large grids, when two CPUs are available, it is cut between two
-lines and its two pieces are solved at once, the later one on a helper
-thread that evolve starts and joins, handed each piece through a pair of
-locks (a round trip of about 13 us, half a ThreadPoolExecutor's).  The cut
-falls between two identity rows, so the solutions, and every price, are
-the same at any CPU count.
+line: on large grids, when two CPUs are available, it is factored once,
+cut between two lines, and its two pieces are solved at once on their
+slices of the factors, the later one on a helper thread that evolve starts
+and joins, handed each piece through a pair of locks (a 13 us round trip,
+half a ThreadPoolExecutor's).  The cut falls between two identity rows, so
+the solutions, and every price, are the same at any CPU count.
 
 theta_scheme is one of two schemes.  1/2, the default, is Crank-Nicolson
 in 1D and Craig-Sneyd in 2D after a short fully implicit startup, which
@@ -87,10 +87,11 @@ RESIDUAL_TOL = 1e-10   # the largest relative residual evolve accepts from a lin
 # SPLIT_MIN_ROWS rows or more; the calling thread takes the first
 # CALLER_SHARE of the grid lines, as the helper begins its piece only once
 # it has woken from the handoff.  _band_solver's solve, whole against split,
-# medians of 2000 on a 2-vCPU Xeon VM, lines of 201 points: 16281 rows, 222
-# vs 143 us at share 0.5, 133 at 0.55, 144 at 0.6; at 0.55, 8040 rows (3618
-# on the helper): 110 vs 68 us, 4020 (1809): 55 vs 50 us
-SPLIT_MIN_ROWS = 4000
+# on a 2-vCPU Xeon VM, lines of 201 points: 16281 rows, 222 vs 143 us at
+# share 0.5, 133 at 0.55, 144 at 0.6 (medians of 2000); at 0.55, with
+# 1407/1608/2010/3618 rows on the helper, 64/73/83/152 vs 67/70/72/120 us
+# (medians of 3000), so the break-even lies near 1600 rows
+SPLIT_MIN_ROWS = 1600
 CALLER_SHARE = 0.55
 
 
@@ -434,36 +435,33 @@ def _band_solver(band: np.ndarray, cut: Optional[int] = None,
     """The solve of a tridiagonal band system on its LAPACK gttrf/gttrs LU
     factors; a zero pivot raises EvolveError naming its row.
 
-    With a ``cut``, the rows before it and the rows from it on are factored
-    apart, and ``solve`` hands the later piece to the ``helper``, solves
-    the first one on the calling thread, and then waits for the helper,
-    whose error, if its piece raised, it re-raises.  A no-op round trip
-    through the helper's lock pair takes 13 us, against 24 us through a
+    The whole band is factored once.  With a ``cut``, ``solve`` hands the
+    later piece to the ``helper``, solves the first one on the calling
+    thread, each with gttrs on its slice of the factors (the later piece's
+    pivots less the cut), and then waits for the helper, whose error, if
+    its piece raised, it re-raises.  A no-op round trip through the
+    helper's lock pair takes 13 us, against 24 us through a
     ThreadPoolExecutor (medians of 5000 on a 2-vCPU Xeon VM).  The band
     must not couple the two rows at the cut (ValueError otherwise): both
     entries there are 0, so gttrf never pivots across the cut and its
-    multiplier there is 0, and the pieces' factors and solutions are bit
-    for bit the whole band's.
+    multiplier there is 0, and the slices are bit for bit each piece's own
+    factors.
     """
-    n = band.shape[1]
     if cut is not None and (band[2, cut - 1] != 0.0 or band[0, cut] != 0.0):
         raise ValueError(f"the band couples rows {cut - 1} and {cut} across its cut")
-    pieces = []
-    for lo, hi in ((0, n),) if cut is None else ((0, cut), (cut, n)):
-        *factors, info = dgttrf(band[2, lo:hi - 1], band[1, lo:hi], band[0, lo + 1:hi])
-        if info > 0:
-            raise EvolveError(f"implicit matrix factorization failed: zero pivot in row "
-                              f"{lo + info}")
-        pieces.append((slice(lo, hi), factors))
+    dl, d, du, du2, ipiv, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+    if info > 0:
+        raise EvolveError(f"implicit matrix factorization failed: zero pivot in row {info}")
     if cut is None:
-        return lambda rhs: dgttrs(*factors, rhs)[0]
-    (first, first_factors), (later, later_factors) = pieces
+        return lambda rhs: dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+    first = (dl[:cut - 1], d[:cut], du[:cut - 1], du2[:cut - 2], ipiv[:cut])
+    later = (dl[cut:], d[cut:], du[cut:], du2[cut:], ipiv[cut:] - cut)
 
     def solve(rhs):
         x = rhs.copy()
-        helper.start(lambda: dgttrs(*later_factors, x[later], overwrite_b=1))
+        helper.start(lambda: dgttrs(*later, x[cut:], overwrite_b=1))
         try:
-            dgttrs(*first_factors, x[first], overwrite_b=1)
+            dgttrs(*first, x[:cut], overwrite_b=1)
         finally:
             helper.wait()
         return x

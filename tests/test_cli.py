@@ -710,6 +710,14 @@ BAD_FLAGS = [
     # a root e^y = 1e600 printed as Infinity
     (["martingale", "--a", "1e-300", "--mu", "-1e300", "--lambda", "1"],
      "--a must keep every root e^y finite; a root lies at y = 1381.55"),
+    # a reference state that overflows: these two exited 1 with numpy's
+    # overflow warning and "non-finite sample inf", naming no flag
+    (["surface", "--reference", "exp-x", "--x-max", "800"],
+     "--x-max must keep the reference state finite: its largest exponent, 800, "
+     "exceeds ln(max float) = 709.78"),
+    (["surface", "--y-max", "800"],
+     "--y-max must keep the reference state finite: its largest exponent, 805.5, "
+     "exceeds ln(max float) = 709.78"),
 ]
 
 

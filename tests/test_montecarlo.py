@@ -678,24 +678,40 @@ def _reference_mg(params, s0, v0, maturity, n_steps, n_paths, seed, negatives=No
     return np.exp(log_s), v
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0, 2.0, 0.7, 1.5])
 def test_simulators_match_path_major_reference(threads, alpha):
-    # 20_000 paths leave a partial second block; zeta = 4 drives some Euler
-    # variance updates negative, so the |V| reflection acts
-    p = ModelParams(r=0.05, sigma=0.2, phi=0.05, lambda_=0.01, mu=-0.5,
-                    zeta=4.0, alpha=alpha, rho=-0.5)
-    n_paths, n_steps, seed = 20_000, 12, 21
-    assert n_paths % BLOCK != 0
+    # numpy's ** takes fast paths for some exponents (0.5 is sqrt, 2 a
+    # square), and rho = -1, 0 and 1 make one of rho and sqrt(1 - rho^2)
+    # zero.  The path counts either side of BLOCK fill one block all but one,
+    # exactly, or spill a few paths into a second; 20_000 leave a partial
+    # second block.  zeta = 4 drives some Euler variance updates negative, so
+    # the |V| reflection acts, for every alpha but 2, whose V^2 is too small
+    n_steps, seed = 12, 21
     negatives = []
-    s_ref, v_ref = _reference_mg(p, 100.0, 0.04, 1.0, n_steps, n_paths, seed,
-                                 negatives=negatives)
-    assert sum(negatives) > 0
-    mg = simulate_mg(p, 100.0, 0.04, 1.0, n_steps, n_paths, seed, threads=threads)
-    assert np.array_equal(mg.s_paths, s_ref)
-    assert np.array_equal(mg.v_paths, v_ref)
-    gbm = simulate_gbm(p, 100.0, 1.0, n_steps, n_paths, seed, threads=threads)
-    assert np.array_equal(gbm.s_paths, _reference_gbm(p, 100.0, 1.0, n_steps, n_paths, seed))
+    for n_paths, rho in ((20_000, -0.5), (BLOCK - 1, -1.0), (BLOCK, 0.0), (BLOCK + 3, 1.0)):
+        p = ModelParams(r=0.05, sigma=0.2, phi=0.05, lambda_=0.01, mu=-0.5,
+                        zeta=4.0, alpha=alpha, rho=rho)
+        s_ref, v_ref = _reference_mg(p, 100.0, 0.04, 1.0, n_steps, n_paths, seed,
+                                     negatives=negatives)
+        mg = simulate_mg(p, 100.0, 0.04, 1.0, n_steps, n_paths, seed, threads=threads)
+        assert np.array_equal(mg.s_paths, s_ref)
+        assert np.array_equal(mg.v_paths, v_ref)
+        gbm = simulate_gbm(p, 100.0, 1.0, n_steps, n_paths, seed, threads=threads)
+        assert np.array_equal(gbm.s_paths,
+                              _reference_gbm(p, 100.0, 1.0, n_steps, n_paths, seed))
+    assert sum(negatives) > 0 or alpha == 2.0
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_mg_prefix_paths_are_stable(threads):
+    # as for GBM: a path's draws, so its price and variance, depend only on
+    # its position, not on n_paths or the number of workers
+    small = simulate_mg(MG_P, 100.0, 0.04, 1.0, 8, 10_000, seed=11, threads=threads)
+    large = simulate_mg(MG_P, 100.0, 0.04, 1.0, 8, 40_000, seed=11, threads=threads)
+    assert 10_000 < BLOCK < 40_000
+    assert np.array_equal(large.s_paths[:10_000], small.s_paths)
+    assert np.array_equal(large.v_paths[:10_000], small.v_paths)
 
 
 def test_mc_price_matches_path_major_reference():

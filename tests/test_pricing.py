@@ -1196,21 +1196,39 @@ def test_split_sweeps_step_bit_for_bit_as_whole_ones(monkeypatch, form, theta, s
                                           getattr(whole, name).view(np.int64))
 
 
+@pytest.mark.parametrize("theta, rannacher, phases", [(0.5, 2, 2), (1.0, 0, 1)])
+def test_a_split_sweep_system_is_factored_once(monkeypatch, theta, rannacher, phases):
+    # each theta phase factors its x-sweep's and its y-sweep's whole band
+    # with one gttrf, and the split solves run on slices of those factors
+    force_split(monkeypatch, True)
+    factor, factored = pricing.dgttrf, []
+
+    def counted(dl, d, du, *args, **kwargs):
+        factored.append(d.shape[0])
+        return factor(dl, d, du, *args, **kwargs)
+    monkeypatch.setattr(pricing, "dgttrf", counted)
+    cuts = recording_cuts(monkeypatch)
+    h, u0, boundary = mg_call_2d()
+    evolve(h, u0, 1.0, 6, theta, boundary=boundary, rannacher=rannacher)
+    assert len(cuts) == 2 * phases and None not in cuts
+    assert factored == [ADI_GRID.n_points] * (2 * phases)
+
+
 @pytest.mark.parametrize("cpus, ny, cut", [(2, 100, True), (2, 98, False), (1, 100, False)])
 def test_sweeps_split_on_two_cpus_when_the_workers_piece_reaches_the_break_even(
         monkeypatch, cpus, ny, cut):
-    # on 89 x 100 the caller takes 55 of 100 x lines and 49 of 89 y lines,
-    # so the helper's pieces hold 45 x lines of 89 points and 40 y lines of
-    # 100, 4005 and 4000 rows, the break-even; on 89 x 98 they hold 44 x
-    # lines and 40 y lines, 3916 and 3920 rows
-    assert (pricing.SPLIT_MIN_ROWS, pricing.CALLER_SHARE) == (4000, 0.55)
+    # on 36 x 100 the caller takes 55 of 100 x lines and 20 of 36 y lines,
+    # so the helper's pieces hold 45 x lines of 36 points and 16 y lines of
+    # 100, 1620 and 1600 rows, the break-even; on 36 x 98 they hold 44 x
+    # lines and 16 y lines, 1584 and 1568 rows
+    assert (pricing.SPLIT_MIN_ROWS, pricing.CALLER_SHARE) == (1600, 0.55)
     monkeypatch.setattr(pricing, "_cpu_count", lambda: cpus)
-    grid = make_grid_2d(math.log(100.0) - 1.0, math.log(100.0) + 1.0, 89,
+    grid = make_grid_2d(math.log(100.0) - 1.0, math.log(100.0) + 1.0, 36,
                         math.log(0.04) - 2.0, math.log(0.04) + 1.0, ny)
     cuts = recording_cuts(monkeypatch)
     evolve(build_mg_hamiltonian(ADI_P, grid), terminal_payoff(CALL, grid), 1.0, 1,
            boundary=FarFieldBoundary(CALL, ADI_P.r))
-    assert cuts == ([55 * 89, 49 * ny] if cut else [None, None])
+    assert cuts == ([55 * 36, 20 * ny] if cut else [None, None])
 
 
 def test_cpu_count_reads_the_affinity_mask_where_there_is_one(monkeypatch):
