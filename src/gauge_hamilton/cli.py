@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -27,7 +28,7 @@ from .gauge_analysis import (_CHECK_X, _CHECK_Y, CHECKS, _run_checks,
                              gauge_martingale_sums, martingale_roots,
                              mg_martingale_report)
 from .montecarlo import _check_seed, mc_price, simulate_gbm, simulate_mg
-from .operators import build_gauge_hamiltonian, hamiltonian_terms
+from .operators import _TERM_STENCILS, build_gauge_hamiltonian, hamiltonian_terms
 from .payoff import ProfitQuery, break_even, profit
 from .pricing import (EvolveError, OptionContract, _cover_strike, bs_closed_form, price_bs,
                       price_mg)
@@ -196,7 +197,8 @@ def check(what, theta_field, omega, sigma, r, nx, ny, probes, seed):
     """Run the structural consistency checks and report pass/fail."""
     params = ModelParams(r=r, sigma=sigma)
     require(math.isfinite(omega), "omega", f"must be finite, got {omega}")
-    checks = _run_checks(what, params, theta_field, omega, nx, ny, probes, seed)
+    checks = _run_checks(what, params=params, theta_field=theta_field, omega=omega,
+                         nx=nx, ny=ny, probes=probes, seed=seed)
     all_pass = all(c["pass"] for c in checks)
     _echo_json({"checks": checks, "pass": all_pass})
     if not all_pass:
@@ -224,11 +226,11 @@ def check(what, theta_field, omega, sigma, r, nx, ny, probes, seed):
               help="Correlation used by --report-grid.")
 def martingale(mu, lambda_, a_coeff, report_grid, zeta, alpha, rho):
     """Equilibrium variances where e^{x+y} is a martingale state."""
-    out = martingale_roots(a_coeff, mu, lambda_).to_dict()
+    out = asdict(martingale_roots(a_coeff, mu, lambda_))
     if report_grid:
         params = ModelParams(lambda_=lambda_, mu=mu, zeta=zeta, alpha=alpha, rho=rho)
         grid = make_grid_2d(*_CHECK_X, 41, *_CHECK_Y, 21)
-        out["report"] = mg_martingale_report(params, grid).to_dict()
+        out["report"] = asdict(mg_martingale_report(params, grid))
     _echo_json(out)
 
 
@@ -245,7 +247,7 @@ def gauge_martingale(r, sigma):
 # surface
 # ---------------------------------------------------------------------------
 
-_TERM_COLUMNS = ("second_x", "first_x", "first_y", "cross_xy", "second_y", "potential")
+_TERM_COLUMNS = (*_TERM_STENCILS, "potential")
 
 
 @main.command()
@@ -289,15 +291,15 @@ def surface(model, reference, sigma_mode, form, r, sigma, lambda_, mu, zeta,
         state = sample(lambda x, y: np.exp(x), grid)
     else:
         state = sample(lambda x, y: np.exp(x + y), grid)
+    ops = ({"total": build_gauge_hamiltonian(params, grid, form="factored")}
+           if model == "gauge" and form == "factored" else hamiltonian_terms(params, grid, model))
     columns = {name: np.zeros(grid.n_points) for name in _TERM_COLUMNS}
-    if model == "gauge" and form == "factored":
-        op = build_gauge_hamiltonian(params, grid, form="factored")
-        total = op.apply(state).values
-    else:
-        terms = hamiltonian_terms(params, grid, model)
-        for name, op in terms.items():
+    for name, op in ops.items():
+        try:
             columns[name] = op.apply(state).values
-        total = np.sum(list(columns.values()), axis=0)
+        except ValueError as exc:   # an action that overflows: name the term
+            raise ValueError(f"{name} term: {exc}") from None
+    total = columns.pop("total") if "total" in columns else np.sum(list(columns.values()), axis=0)
     with _output(output) as fh:
         write_csv(fh, ("x", "y", "f", *_TERM_COLUMNS, "total"),
                   (grid.xs, grid.ys, state.values,

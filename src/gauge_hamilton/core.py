@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
@@ -63,22 +63,6 @@ def check_integer(name: str, value, least: int) -> None:
     Python or numpy one, not a bool) of at least ``least``."""
     require(not isinstance(value, bool) and isinstance(value, numbers.Integral)
             and value >= least, name, f"must be an integer >= {least}, got {value}")
-
-
-class Record:
-    """Base of the report dataclasses: ``to_dict`` walks the fields, turning
-    tuples into lists and copying dicts, so the result is ready for JSON."""
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            elif isinstance(value, dict):
-                value = dict(value)
-            out[f.name] = value
-        return out
 
 
 @dataclass(frozen=True)
@@ -254,7 +238,7 @@ class GridFunction:
             if np.any(np.isinf(vals)):
                 raise ValueError("grid function values must not be infinite")
         elif not np.all(np.isfinite(vals)):
-            raise ValueError("grid function values must be finite")
+            finite_on_grid(vals, self.grid, "grid function value")   # raises, naming the index
 
     @property
     def values2d(self) -> np.ndarray:

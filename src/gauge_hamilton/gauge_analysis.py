@@ -10,18 +10,17 @@ checks of the operators that the CLI ``check`` prints.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .core import (GridFunction, InputError, LogGrid2D, ModelParams, Record, check_finite,
-                   check_integer, check_positive, make_grid_1d, make_grid_2d, require, sample)
-from .operators import (GaugeField, LinearOperator, build_bs_hamiltonian,
-                        build_gauge_hamiltonian, build_mg_hamiltonian,
+from .core import (GridFunction, InputError, LogGrid2D, ModelParams, check_finite, check_integer,
+                   check_positive, make_grid_1d, make_grid_2d, require, sample)
+from .operators import (TRANSFORM_CONVENTIONS, GaugeField, LinearOperator, _mg_powers,
+                        build_bs_hamiltonian, build_gauge_hamiltonian, build_mg_hamiltonian,
                         build_transformed_bs, commutator, gauge_operator,
                         smooth_probe_functions)
 
@@ -113,11 +112,9 @@ def mg_condition_lhs(params: ModelParams, y: np.ndarray) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     zeta2 = params.zeta * params.zeta
-    inner = params.mu
-    if not params.vol_vol_half:
-        inner = inner + 0.5 * zeta2 * np.exp(2.0 * y * (params.alpha - 1.0))
-    inner = inner + params.rho * params.zeta * np.exp(y * (params.alpha - 0.5))
-    return params.lambda_ + np.exp(y) * inner
+    v2, v1 = _mg_powers(params, y)
+    inner = params.mu if params.vol_vol_half else params.mu + 0.5 * zeta2 * v2
+    return params.lambda_ + np.exp(y) * (inner + params.rho * params.zeta * v1)
 
 
 def _relative_residual(h: LinearOperator, state: GridFunction) -> float:
@@ -127,7 +124,7 @@ def _relative_residual(h: LinearOperator, state: GridFunction) -> float:
 
 
 @dataclass(frozen=True)
-class MartingaleReport(Record):
+class MartingaleReport:
     residual_norm: float   # max interior |H e^{x+y}| / e^{x+y}
     condition_lhs: float   # max over grid rows of |mg_condition_lhs|
     satisfied: bool
@@ -153,7 +150,7 @@ ROOT_TOL = 1e-12   # the largest relative residual a RootSet accepts
 
 
 @dataclass(frozen=True)
-class RootSet(Record):
+class RootSet:
     """Equilibrium log-variances of  a e^{2y} + mu e^y + lambda = 0."""
 
     a_coeff: float
@@ -255,7 +252,7 @@ def gauge_martingale_residual(params: ModelParams, a: float, b: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class VolcoeffReport(Record):
+class VolcoeffReport:
     """Per-term max |MG coefficient - gauge coefficient| after substituting
     zeta^2 = e^{-2y(alpha-3/2)}, rho zeta = e^{-y(alpha-3/2)} and
     r = lambda e^{-y} + mu into the Merton-Garman coefficients."""
@@ -318,7 +315,7 @@ def _record(name, residual, tolerance, passed, detail=None) -> dict:
     return rec if detail is None else {**rec, "detail": detail}
 
 
-def _check_expansion(params, nx, ny, probes, seed):
+def _check_expansion(params, nx, ny, probes, seed, **_):
     """Factored and expanded gauge forms agree at second order: the action
     gap must shrink by at least 2^1.9 under one refinement.  Both gaps are
     read at the coarse points (every second fine point) so the max norm
@@ -340,7 +337,7 @@ def _check_expansion(params, nx, ny, probes, seed):
         errs.append(err)
     err_coarse, err_fine = errs
     tolerance = err_coarse / 2.0 ** 1.9
-    return _record("expansion", err_fine, tolerance, err_fine <= tolerance)
+    return [_record("expansion", err_fine, tolerance, err_fine <= tolerance)]
 
 
 def _row_entries(op: LinearOperator, row: int) -> tuple[list, list]:
@@ -369,7 +366,7 @@ def _bs_limit_residual(h2: LinearOperator, h1: LinearOperator) -> float:
     return residual
 
 
-def _check_bs_limit(params, nx, ny, probes, seed):
+def _check_bs_limit(params, nx, ny, probes, seed, **_):
     """Constant-sigma gauge Hamiltonian acting on y-independent states must
     reproduce the 1D Black-Scholes action: every interior row, summed over
     the y direction, is bit for bit the 1D stencil."""
@@ -387,14 +384,14 @@ def _check_bs_limit(params, nx, ny, probes, seed):
         out1 = h1.apply(sample(f, grid1)).values
         worst = max(worst, float(np.abs(out2[1:-1, 1:-1] - out1[1:-1, None]).max()))
         scale = max(scale, float(np.abs(out1[1:-1]).max()))
-    return _record("bs-limit", residual, 0.0, residual == 0.0,
-                   {"matvec_gap": worst / max(scale, 1e-300)})
+    return [_record("bs-limit", residual, 0.0, residual == 0.0,
+                    {"matvec_gap": worst / max(scale, 1e-300)})]
 
 
-def _check_commutator(params, theta_field, omega, nx):
+def _check_commutator(params, theta_field, omega, nx, **_):
     """A linear gauge field must fail to commute with the Hamiltonian (that
     is the entire point of the transformation); a constant field commutes
-    exactly, entry for entry.  A list of one or two records."""
+    exactly, entry for entry.  One or two records."""
     grid = make_grid_1d(*_CHECK_X, nx)
     h = build_bs_hamiltonian(params, grid)
     results = []
@@ -406,21 +403,21 @@ def _check_commutator(params, theta_field, omega, nx):
     return results + [_record(name, zero, 0.0, zero == 0.0)]
 
 
-def _check_volcoeff(params, nx, ny):
+def _check_volcoeff(params, nx, ny, **_):
     """Report-only coefficient audit after the volatility-matching
     substitution: four blocks agree exactly, the second y-derivative block
     deviation is printed for inspection (it never counts against exit 0)."""
     report = volcoeff_audit(params, make_grid_2d(*_CHECK_X, nx, *_CHECK_Y, ny))
-    residual = max(report.deviations[t] for t in ("second_x", "first_x", "first_y", "cross_xy"))
-    return _record("volcoeff", residual, None, True, report.to_dict())
+    residual = max(dev for term, dev in report.deviations.items() if term != "second_y")
+    return [_record("volcoeff", residual, None, True, asdict(report))]
 
 
-def _check_transform(params, omega, nx, probes, seed):
+def _check_transform(params, omega, nx, probes, seed, **_):
     """Report-only: how far the three shifted-operator conventions sit from
     each other on smooth states (they measurably differ for linear theta)."""
     grid = make_grid_1d(*_CHECK_X, nx)
     ops = {c: build_transformed_bs(params, GaugeField.linear_x(omega), grid, c)
-           for c in ("direct", "left", "right")}
+           for c in TRANSFORM_CONVENTIONS}
     mask = grid.interior_mask(1)
     acts = [{c: op.apply(sample(f, grid)).values[mask] for c, op in ops.items()}
             for f in smooth_probe_functions(grid, probes, seed)]
@@ -428,25 +425,20 @@ def _check_transform(params, omega, nx, probes, seed):
     gaps = {f"{a}_vs_{b}": max(float(np.abs(act[a] - act[b]).max()) for act in acts)
             for a, b in itertools.combinations(ops, 2)}
     residual = max(gaps.values()) / max(scale, 1e-300)
-    return _record("transform", residual, None, True, gaps)
+    return [_record("transform", residual, None, True, gaps)]
 
 
-# check name -> check, in report order
+# check name -> check, in report order; each takes the settings it reads by
+# keyword, ignores the rest (**_) and returns a list of records
 CHECKS = {"expansion": _check_expansion, "bs-limit": _check_bs_limit,
           "commutator": _check_commutator, "volcoeff": _check_volcoeff,
           "transform": _check_transform}
 
 
-def _run_checks(what, params, theta_field, omega, nx, ny, probes, seed) -> list:
+def _run_checks(what, **settings) -> list:
     """Records of the check ``what``, or of every check in table order for
-    "all"; each check is passed the settings its parameters name."""
-    for name, value, least in (("nx", nx, 5), ("ny", ny, 5), ("probes", probes, 1),
-                               ("seed", seed, 0)):
-        check_integer(name, value, least)   # all of them, whichever checks run
-    settings = {"params": params, "theta_field": theta_field, "omega": omega,
-                "nx": nx, "ny": ny, "probes": probes, "seed": seed}
-    records = []
-    for check in CHECKS.values() if what == "all" else (CHECKS[what],):
-        out = check(**{k: settings[k] for k in inspect.signature(check).parameters})
-        records += out if isinstance(out, list) else [out]
-    return records
+    "all"; every setting goes to every check by keyword."""
+    for name, least in (("nx", 5), ("ny", 5), ("probes", 1), ("seed", 0)):
+        check_integer(name, settings[name], least)   # all of them, whichever checks run
+    checks = CHECKS.values() if what == "all" else (CHECKS[what],)
+    return [rec for check in checks for rec in check(**settings)]

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (GridFunction, LogGrid2D, ModelParams, Record, check_integer, check_positive,
+from .core import (GridFunction, LogGrid2D, ModelParams, check_integer, check_positive,
                    require, write_csv)
 from .operators import build_mg_hamiltonian, momentum_operator
 from .pricing import OptionContract, PriceSurface, bs_closed_form, bs_delta
@@ -262,6 +262,7 @@ def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
     sqdt = math.sqrt(dt)
     rho = params.rho
     rho_c = math.sqrt(1.0 - rho * rho)
+    alpha = params.alpha if params.zeta != 0.0 else 1.0   # zeta = 0: 0 V^alpha is 0, whatever alpha
     log_s = _step_major(n_steps, n_paths, math.log(s0))
     v = _step_major(n_steps, n_paths, v0)
 
@@ -274,7 +275,7 @@ def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
         np.add(log_s[k, cols] + (params.phi - 0.5 * vk) * dt, np.sqrt(vk) * sqdt * z[0],
                out=log_s[k + 1, cols])
         np.maximum(np.abs(vk + (params.lambda_ + params.mu * vk) * dt
-                          + params.zeta * vk ** params.alpha * sqdt * z2), v_floor,
+                          + params.zeta * vk ** alpha * sqdt * z2), v_floor,
                    out=v[k + 1, cols])
 
     _step_blocks(seed, n_paths, n_steps, threads, step)
@@ -300,7 +301,7 @@ def mc_price(ensemble: PathEnsemble, contract: OptionContract,
 
 
 @dataclass(frozen=True)
-class HedgeTestResult(Record):
+class HedgeTestResult:
     mean_error: float    # mean terminal replication error
     std_error: float     # std of the terminal replication error
     stderr: float        # standard error of mean_error

@@ -339,14 +339,16 @@ def _term_coefficients(params: ModelParams, grid: Grid, model: str) -> dict:
         y = grid.ys
         ey = np.exp(y)
         zeta2 = params.zeta * params.zeta
-        coef_yy = zeta2 * np.exp(2.0 * y * (params.alpha - 1.0))
+        # weights: the largest stencil entries each power scales, 5/hy^2 and 2/hy
+        # (second_y, first_y on half) for V^(2(alpha-1)), 4/(hx hy) for V^(alpha-1/2)
+        v2, v1 = _mg_powers(params, y, (zeta2 * (5.0 / grid.hy ** 2 + 1.0 / grid.hy),
+                                        abs(params.rho * params.zeta) * 4.0 / (grid.hx * grid.hy)))
         return {
             "second_x": -0.5 * ey,
             "first_x": -(r - 0.5 * ey),
-            "first_y": -(params.lambda_ * np.exp(-y) + params.mu
-                         - 0.5 * zeta2 * np.exp(2.0 * y * (params.alpha - 1.0))),
-            "cross_xy": -params.rho * params.zeta * np.exp(y * (params.alpha - 0.5)),
-            "second_y": -(0.5 * coef_yy if params.vol_vol_half else coef_yy),
+            "first_y": -(params.lambda_ * np.exp(-y) + params.mu - 0.5 * zeta2 * v2),
+            "cross_xy": -params.rho * params.zeta * v1,
+            "second_y": -(0.5 * (zeta2 * v2) if params.vol_vol_half else zeta2 * v2),
         }
     if model == "gauge":
         if not isinstance(grid, LogGrid2D):
@@ -355,6 +357,21 @@ def _term_coefficients(params: ModelParams, grid: Grid, model: str) -> dict:
         return {"second_x": -0.5 * sig2, "first_x": 0.5 * sig2 - r, "first_y": 0.5 * sig2 - r,
                 "cross_xy": -sig2, "second_y": -0.5 * sig2}
     raise ValueError(f"unknown model {model!r}; choose bs, mg or gauge")
+
+
+def _mg_powers(params: ModelParams, y: np.ndarray, weights=(1.0, 1.0)) -> tuple:
+    """V^(2(alpha-1)) and V^(alpha-1/2) at the log-variances y, the powers the
+    Merton-Garman zeta terms carry; with zeta = 0 alpha plays no part and reads
+    as 1.  An InputError names alpha unless their weighted sum is finite, or
+    zeta when a weight, the zeta factor of a term, is not finite by itself."""
+    alpha = params.alpha if params.zeta != 0.0 else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        v2, v1 = np.exp(2.0 * y * (alpha - 1.0)), np.exp(y * (alpha - 0.5))
+        finite = np.isfinite(v2 * weights[0] + v1 * weights[1]).all()
+    require(finite, "alpha" if np.isfinite(weights).all() else "zeta",
+            "must keep the zeta terms, zeta^2 V^(2(alpha-1)) and rho zeta V^(alpha-1/2), "
+            f"finite on the grid; zeta = {params.zeta}, alpha = {params.alpha}")
+    return v2, v1
 
 
 def _terms(params: ModelParams, grid: Grid, model: str) -> dict:
@@ -428,6 +445,8 @@ def build_mg_hamiltonian(params: ModelParams, grid: LogGrid2D,
 
     With ``vol_vol_half`` the last coefficient is halved.  Variable
     coefficients multiply from the left (evaluated at the output point).
+    An InputError names alpha when the zeta terms overflow on the grid; with
+    zeta = 0 they are 0 and alpha plays no part.
     """
     _check_policy(policy)
     return _hamiltonian(params, grid, "mg")

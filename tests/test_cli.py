@@ -590,6 +590,30 @@ def test_surface_names_a_non_finite_bound(runner, flag, value):
     assert f"{flag} must be finite" in result.output
 
 
+@pytest.mark.parametrize("args, term, where", [
+    (["--x-max", "709", "--y-max", "-1"], "second_y", "inf at grid index (40, 17)"),
+    (["--reference", "exp-x", "--x-max", "709.78"], "first_y", "nan at grid index (40, 20)"),
+    (["--form", "factored", "--x-max", "709", "--y-max", "-1"], "total",
+     "inf at grid index (40, 19)"),
+])
+def test_surface_names_the_term_whose_action_overflows(runner, args, term, where):
+    # a finite state whose term action overflows exited 1 with only "grid
+    # function values must be finite", naming neither the term nor the point
+    result = runner.invoke(main, ["surface", *args])
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr == f"error: {term} term: non-finite grid function value {where}\n"
+
+
+def test_mg_price_ignores_alpha_without_vol_of_vol(runner):
+    # zeta = 0: alpha = -60 made 0 * inf in the zeta terms and failed the price
+    args = [*PRICE, "--model", "mg", "--nx", "41", "--ny", "21", "--n-steps", "20"]
+    base = runner.invoke(main, [*args, "--alpha", "1"])
+    far = runner.invoke(main, [*args, "--alpha", "-60"])
+    assert base.exit_code == far.exit_code == 0
+    assert far.stdout == base.stdout
+
+
 def surface_by_hand(grid, state, columns, total):
     """The row loop the surface command used before it wrote through
     core.write_csv, kept as the reference for its bytes."""
@@ -718,6 +742,14 @@ BAD_FLAGS = [
     (["surface", "--y-max", "800"],
      "--y-max must keep the reference state finite: its largest exponent, 805.5, "
      "exceeds ln(max float) = 709.78"),
+    # a power of V that overflows: these exited 1 with numpy's warnings and
+    # "operator entries must be finite", naming no flag
+    ([*PRICE, "--model", "mg", "--zeta", "0.3", "--alpha", "-60"],
+     "--alpha must keep the zeta terms, zeta^2 V^(2(alpha-1)) and rho zeta V^(alpha-1/2), "
+     "finite on the grid; zeta = 0.3, alpha = -60.0"),
+    (["surface", "--hamiltonian", "mg", "--zeta", "0.3", "--alpha", "-400"],
+     "--alpha must keep the zeta terms, zeta^2 V^(2(alpha-1)) and rho zeta V^(alpha-1/2), "
+     "finite on the grid; zeta = 0.3, alpha = -400.0"),
 ]
 
 

@@ -1,7 +1,9 @@
 """Grids, grid functions, and parameter validation."""
 
 import io
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -213,8 +215,13 @@ def test_grid_function_validation():
     g = make_grid_1d(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="shape"):
         GridFunction(g, np.ones(4))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^non-finite grid function value nan at grid index 1$"):
         GridFunction(g, np.array([1.0, np.nan, 1.0, 1.0, 1.0]))
+    values = np.ones(30)
+    values[8] = -np.inf
+    with pytest.raises(ValueError, match=r"^non-finite grid function value -inf at grid index "
+                                         r"\(1, 2\)$"):
+        GridFunction(make_grid_2d(0.0, 1.0, 5, 0.0, 1.0, 6), values)
     masked = GridFunction(g, np.array([1.0, np.nan, 1.0, 1.0, 1.0]), allow_masked=True)
     np.testing.assert_array_equal(np.isnan(masked.values), [False, True, False, False, False])
     with pytest.raises(ValueError):
@@ -392,7 +399,8 @@ def test_grid_function_csv_bytes_match_hand_written_rows(two_d, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# one to_dict for every report, against the per-class methods it replaced
+# every report goes through dataclasses.asdict; its JSON is the JSON of the
+# per-class to_dict methods it replaced
 # ---------------------------------------------------------------------------
 
 def old_to_dict(report):
@@ -425,10 +433,11 @@ def test_report_to_dict_matches_per_class_methods():
                          OptionContract("call", 100.0, 1.0), 100.0, 5, 50, seed=1),
     ]
     for report in reports:
-        d = report.to_dict()
+        d = asdict(report)
         expected = old_to_dict(report)
-        assert d == expected
+        assert (json.dumps(d, indent=2, sort_keys=True)
+                == json.dumps(expected, indent=2, sort_keys=True))
         assert list(d) == list(expected)
-        assert [type(v) for v in d.values()] == [type(v) for v in expected.values()]
+    assert reports[2].roots_y == () and asdict(reports[2])["roots_y"] == ()
     volc = reports[3]
-    assert volc.to_dict()["deviations"] is not volc.deviations
+    assert asdict(volc)["deviations"] is not volc.deviations

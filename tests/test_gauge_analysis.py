@@ -2,6 +2,8 @@
 structural checks."""
 
 import math
+import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -129,6 +131,20 @@ def test_mg_condition_vectorizes():
     assert vals[1] == single
 
 
+def test_mg_condition_ignores_alpha_without_vol_of_vol():
+    # e^{2y(alpha-1)} overflows on these rows at alpha = -100: zeta = 0 made
+    # 0 * inf, a NaN; with zeta it is refused, naming alpha
+    ys = np.linspace(-8.0, -1.0, 8)
+    p = ModelParams(lambda_=0.01, mu=-0.3, alpha=-100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mg_condition_lhs(p, ys)
+    assert got.tobytes() == mg_condition_lhs(replace(p, alpha=1.0), ys).tobytes()
+    with pytest.raises(InputError) as info:
+        mg_condition_lhs(replace(p, zeta=0.5), ys)
+    assert info.value.field == "alpha"
+
+
 def test_mg_report_flat_variance_dynamics():
     # lambda = mu = zeta = 0: the condition is identically zero and only
     # discretization residue remains
@@ -143,7 +159,7 @@ def test_mg_report_generic_parameters_fail():
     rep = mg_martingale_report(p, GRID)
     assert not rep.satisfied
     assert rep.residual_norm > 1e-3
-    d = rep.to_dict()
+    d = asdict(rep)
     assert set(d) == {"residual_norm", "condition_lhs", "satisfied"}
 
 
@@ -272,8 +288,8 @@ def test_roots_beyond_the_float_range_name_a_coefficient(args, field, y):
 
 
 def test_root_set_to_dict():
-    d = martingale_roots(1.0, -3.0, 2.0).to_dict()
-    assert d["roots_expy"] == [1.0, 2.0]
+    d = asdict(martingale_roots(1.0, -3.0, 2.0))
+    assert d["roots_expy"] == (1.0, 2.0)
     assert d["no_equilibrium"] is False
 
 
@@ -361,7 +377,7 @@ def test_volcoeff_with_conventional_half():
     assert all(v == 0.0 for v in rep.deviations.values())
     assert not rep.second_y_matches_half_sig2
     assert rep.vol_vol_half is True
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["vol_vol_half"] is True
     assert set(d["deviations"]) == {"second_x", "first_x", "first_y",
                                     "cross_xy", "second_y"}
@@ -376,13 +392,15 @@ RECORD_KEYS = {"name", "residual", "tolerance", "pass"}
 
 
 def test_check_functions_return_check_records():
-    records = [
-        _check_expansion(CHECK_PARAMS, 9, 7, 2, 0),
-        _check_bs_limit(CHECK_PARAMS, 9, 7, 2, 0),
-        *_check_commutator(CHECK_PARAMS, "linear", 1.0, 9),
-        _check_volcoeff(CHECK_PARAMS, 9, 7),
-        _check_transform(CHECK_PARAMS, 1.0, 9, 2, 0),
-    ]
+    # each check takes the settings by keyword, ignores those it does not
+    # read, and returns a list of records
+    settings = {"params": CHECK_PARAMS, "theta_field": "linear", "omega": 1.0,
+                "nx": 9, "ny": 7, "probes": 2, "seed": 0}
+    outs = [check(**settings) for check in (_check_expansion, _check_bs_limit,
+                                             _check_commutator, _check_volcoeff,
+                                             _check_transform)]
+    assert all(isinstance(out, list) for out in outs)
+    records = [rec for out in outs for rec in out]
     assert [r["name"] for r in records] == ["expansion", "bs-limit", "commutator",
                                             "commutator-constant", "volcoeff", "transform"]
     # only the three report-carrying checks add a detail
@@ -402,4 +420,5 @@ def test_probe_checks_refuse_fewer_than_one_probe(what, probes):
     # tolerance 0) and to end the transform check in max() of nothing;
     # the count is checked, by its argument's name, before any check runs
     with pytest.raises(InputError, match=f"^probes must be an integer >= 1, got {probes}$"):
-        _run_checks(what, CHECK_PARAMS, "linear", 1.0, 9, 7, probes, 0)
+        _run_checks(what, params=CHECK_PARAMS, theta_field="linear", omega=1.0, nx=9, ny=7,
+                    probes=probes, seed=0)

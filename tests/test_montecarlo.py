@@ -5,7 +5,7 @@ import math
 import sys
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -189,6 +189,18 @@ def test_mg_variance_respects_floor():
     assert np.all(drained.v_paths[:, 1:] == V_FLOOR)
 
 
+def test_mg_paths_ignore_alpha_without_vol_of_vol():
+    # zeta = 0: V^alpha overflowed at alpha = -300 and 0 * inf made every
+    # path NaN, refused as an overflow naming t
+    p = ModelParams(r=0.05, phi=0.05, lambda_=0.02, mu=-0.5, rho=-0.5)
+    base = simulate_mg(p, 100.0, 0.04, 1.0, 20, 3000, seed=7, threads=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = simulate_mg(replace(p, alpha=-300.0), 100.0, 0.04, 1.0, 20, 3000, seed=7, threads=2)
+    assert far.s_paths.tobytes() == base.s_paths.tobytes()
+    assert far.v_paths.tobytes() == base.v_paths.tobytes()
+
+
 def test_mg_replay_and_threads():
     p = ModelParams(r=0.05, phi=0.05, lambda_=0.01, mu=-0.5, zeta=0.5, rho=-0.5)
     a = simulate_mg(p, 100.0, 0.04, 1.0, 20, 40_000, seed=2)
@@ -366,7 +378,7 @@ def test_hedge_error_shrinks_with_rebalancing():
     assert 0.8 / math.sqrt(2.0) < ratio < 1.2 / math.sqrt(2.0)
     for res in (coarse, fine):
         assert abs(res.mean_error) <= 3.0 * res.stderr
-    d = coarse.to_dict()
+    d = asdict(coarse)
     assert d["n_steps"] == 52 and d["n_paths"] == 20_000
 
 

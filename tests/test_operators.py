@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from click.testing import CliRunner
 from hypothesis import strategies as st
 
@@ -25,6 +25,7 @@ from gauge_hamilton import (
     build_mg_hamiltonian,
     build_transformed_bs,
     commutator,
+    default_grid_2d,
     gauge_operator,
     hamiltonian_terms,
     hermiticity_defect,
@@ -357,6 +358,41 @@ def test_mg_vol_vol_half_halves_one_block():
     t_half = hamiltonian_terms(half, GRID_2D, "mg")["second_y"]
     t_full = hamiltonian_terms(full, GRID_2D, "mg")["second_y"]
     assert (t_half.matrix * 2.0 != t_full.matrix).nnz == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(zeta=st.one_of(st.just(0.0), st.floats(0.0, 5.0)), alpha=st.floats(-200.0, 200.0),
+       rho=st.floats(-1.0, 1.0))
+@example(zeta=0.3, alpha=-60.0, rho=0.0)
+@example(zeta=0.0, alpha=-60.0, rho=0.5)
+@example(zeta=1.0, alpha=-42.1, rho=0.0)   # powers finite, second_y entries not
+def test_mg_powers_of_v_are_finite_or_refused_naming_alpha(zeta, alpha, rho):
+    # an overflowing power of V printed numpy's RuntimeWarnings and then
+    # "operator entries must be finite"; with zeta = 0, where alpha plays no
+    # part, 0 * inf made a NaN
+    grid = default_grid_2d(100.0, 0.04, 1.0, nx=21, ny=11)   # the default box
+    params = ModelParams(zeta=zeta, alpha=alpha, rho=rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            h = build_mg_hamiltonian(params, grid)
+        except InputError as exc:
+            assert exc.field == "alpha"
+            assert zeta != 0.0
+            return
+    assert np.isfinite(h.diagonals[1]).all()
+    if zeta == 0.0:
+        same = build_mg_hamiltonian(dataclasses.replace(params, alpha=1.0), grid)
+        assert h.diagonals[1].tobytes() == same.diagonals[1].tobytes()
+
+
+def test_mg_zeta_whose_own_factor_overflows_is_named():
+    # zeta^2 = 1e308 is finite, zeta^2 times the second_y stencil is not, and
+    # alpha = 1 plays no part: it failed as "operator entries must be finite"
+    grid = default_grid_2d(100.0, 0.04, 1.0, nx=21, ny=11)
+    with pytest.raises(InputError) as info:
+        build_mg_hamiltonian(ModelParams(zeta=1e154), grid)
+    assert info.value.field == "zeta"
 
 
 def test_gauge_sigma_modes():
@@ -997,7 +1033,7 @@ def test_bs_limit_residual_on_spoiled_operators_is_the_row_walks(nx, ny):
     h1 = build_bs_hamiltonian(P, grid.x_axis)
     constant = build_gauge_hamiltonian(dataclasses.replace(P, sigma_local=False), grid)
     assert _bs_limit_residual(constant, h1) == 0.0
-    assert _check_bs_limit(P, nx, ny, 2, 0)["residual"] == 0.0
+    assert [rec["residual"] for rec in _check_bs_limit(P, nx, ny, 2, 0)] == [0.0]
     for spoiled in (build_gauge_hamiltonian(dataclasses.replace(P, sigma_local=True), grid),
                     build_mg_hamiltonian(MG_P, grid)):
         got = _bs_limit_residual(spoiled, h1)
