@@ -37,7 +37,7 @@ THREADS_ENV = "GAUGE_HAMILTON_THREADS"
 
 
 def _echo_json(data, file=None) -> None:
-    click.echo(json.dumps(data, indent=2, sort_keys=True), file=file)
+    click.echo(json.dumps(data, indent=2, sort_keys=True, allow_nan=False), file=file)
 
 
 def _capped_threads(threads: int) -> int:

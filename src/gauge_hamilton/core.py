@@ -321,10 +321,13 @@ def _price_axis(s0: float, sigma: float, maturity: float, n: int, field: str) ->
 def default_grid_2d(s0: float, v0: float, maturity: float,
                     nx: int = 201, ny: int = 81) -> LogGrid2D:
     """Joint grid: x as in default_grid_1d with sigma = sqrt(v0), y covering
-    [ln v0 - 5, ln v0 + 2]."""
+    [ln v0 - 5, ln v0 + 2]; an InputError names v0 when e^x or e^y
+    overflows at the top of its box."""
     check_positive("v0", v0)
     check_integer("nx", nx, 5)
     check_integer("ny", ny, 5)
     x_axis = _price_axis(s0, math.sqrt(v0), maturity, nx, "v0")
     y0 = math.log(v0)
+    require(y0 + 2.0 <= EXP_LIMIT, "v0", f"must keep the top of the variance box, {y0 + 2.0:g}, "
+                                         f"below ln(max float) = {EXP_LIMIT:.2f}")
     return LogGrid2D(x_axis, LogGrid1D(y0 - 5.0, y0 + 2.0, ny))

@@ -1,11 +1,10 @@
-"""Pointwise gauge-field relations, martingale diagnostics, operator checks.
+"""Martingale diagnostics and structural checks of the operators.
 
-These are scalar checks of the algebraic identities the gauge construction
-rides on: the momentum ratio of the transformed operator, the information
-preservation relation between theta derivatives, the surprise-function
-exponent condition, and the martingale (no-arbitrage) conditions of the
-Merton-Garman and gauge Hamiltonians.  ``CHECKS`` holds the structural
-checks of the operators that the CLI ``check`` prints.
+The martingale (no-arbitrage) conditions of the Merton-Garman and gauge
+Hamiltonians with their equilibrium roots, the coefficient audit of the
+Merton-Garman Hamiltonian against the local-sigma gauge one, and
+``CHECKS``, the structural checks of the operators that the CLI ``check``
+prints.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ from .operators import (TRANSFORM_CONVENTIONS, GaugeField, LinearOperator, _mg_p
                         smooth_probe_functions)
 
 __all__ = [
-    "momentum_ratio",
-    "information_preservation_check",
-    "surprise_condition",
     "MartingaleReport",
     "mg_martingale_report",
     "mg_condition_lhs",
@@ -42,61 +38,6 @@ __all__ = [
 ]
 
 MARTINGALE_TOL = 1e-3   # the largest residual_norm of a satisfied MartingaleReport
-
-
-def momentum_ratio(omega: float) -> tuple[float, float]:
-    """Both admissible values of p_x/p_y, +-sqrt(omega/(1+omega)).
-
-    Undefined for omega = -1 and complex for omega in (-1, 0); those raise.
-    omega = 0 gives 0 (momenta decouple), omega -> infinity tends to +-1.
-    """
-    check_finite("omega", omega)
-    require(omega != -1.0, "omega", "must not be -1: the momentum ratio is undefined at omega = -1")
-    ratio2 = omega / (1.0 + omega)
-    require(ratio2 >= 0.0, "omega", f"must lie outside (-1, 0), where omega/(1+omega) is "
-                                    f"negative; got {omega}")
-    root = math.sqrt(ratio2)
-    return (root, -root)
-
-
-def information_preservation_check(px_over_py: float, theta_x: float,
-                                   theta_xy: float, params: ModelParams) -> float:
-    """Residual of  1 + p_x/p_y  =  4 sigma^2/(sigma^2 - 2r) * theta_xy/theta_x.
-
-    Zero means the supplied point satisfies the relation.  When theta_xy is
-    zero the right side is zero regardless of sigma^2 - 2r; at the special
-    point sigma^2 = 2r with theta_xy nonzero the relation has no solution.
-    """
-    require(theta_x != 0.0, "theta_x", "must be nonzero")
-    sig2 = params.sigma * params.sigma
-    lhs = 1.0 + px_over_py
-    if theta_xy == 0.0:
-        rhs = 0.0
-    elif sig2 == 2.0 * params.r:
-        raise ValueError("information-preserving point sigma^2 = 2r requires theta_xy = 0")
-    else:
-        rhs = 4.0 * sig2 / (sig2 - 2.0 * params.r) * (theta_xy / theta_x)
-    return lhs - rhs
-
-
-def surprise_condition(a: float, b: float, params: ModelParams) -> float:
-    """Residual of  a + b/2 - (1/2 - r/sigma^2)  for the exponent pair (a, b).
-
-    Zero identifies exponential states e^{a x + b y} on which the surprise
-    construction degenerates.  At sigma^2 = 2r the condition collapses to
-    b = -2a.
-    """
-    return a + 0.5 * b - (0.5 - _rate_over_variance(params))
-
-
-def _rate_over_variance(params: ModelParams) -> float:
-    """r / sigma^2, refused naming sigma unless twice it is finite."""
-    check_positive("sigma", params.sigma)
-    sig2 = params.sigma * params.sigma
-    ratio = params.r / sig2 if sig2 > 0.0 else math.inf
-    require(math.isfinite(2.0 * ratio), "sigma",
-            f"must keep 2r/sigma^2 finite, got {params.sigma} with r = {params.r}")
-    return ratio
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +167,16 @@ def gauge_quadratic(params: ModelParams, c: float) -> float:
     """
     sig2 = params.sigma * params.sigma
     return -0.5 * sig2 * c * c + (0.5 * sig2 - params.r) * c + params.r
+
+
+def _rate_over_variance(params: ModelParams) -> float:
+    """r / sigma^2, refused naming sigma unless twice it is finite."""
+    check_positive("sigma", params.sigma)
+    sig2 = params.sigma * params.sigma
+    ratio = params.r / sig2 if sig2 > 0.0 else math.inf
+    require(math.isfinite(2.0 * ratio), "sigma",
+            f"must keep 2r/sigma^2 finite, got {params.sigma} with r = {params.r}")
+    return ratio
 
 
 def gauge_martingale_sums(params: ModelParams) -> tuple[float, float]:

@@ -38,7 +38,6 @@ __all__ = [
     "mc_price",
     "HedgeTestResult",
     "delta_hedge_test",
-    "hedge_coefficients",
     "beta_field",
     "read_paths_binary",
 ]
@@ -254,6 +253,8 @@ def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
     negative, never below the floor).  The second noise is built as
     rho z1 + sqrt(1 - rho^2) z2 from the same draw block GBM uses, so
     freezing the variance reproduces simulate_gbm paths for the same seed.
+    An InputError names alpha, before any draw, unless zeta V^alpha is
+    finite at v0 and at V_FLOOR.
     """
     _validate_run(s0, maturity, n_steps, n_paths, seed, threads)
     check_positive("v0", v0)
@@ -263,6 +264,11 @@ def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
     rho = params.rho
     rho_c = math.sqrt(1.0 - rho * rho)
     alpha = params.alpha if params.zeta != 0.0 else 1.0   # zeta = 0: 0 V^alpha is 0, whatever alpha
+    with np.errstate(over="ignore"):   # refused below
+        ends = params.zeta * np.array([v0, v_floor]) ** alpha
+    require(np.isfinite(ends).all(), "alpha",
+            f"must keep the noise term zeta V^alpha finite at v0 and at V_FLOOR = {v_floor}; "
+            f"zeta = {params.zeta}, alpha = {params.alpha}")
     log_s = _step_major(n_steps, n_paths, math.log(s0))
     v = _step_major(n_steps, n_paths, v0)
 
@@ -340,49 +346,6 @@ def delta_hedge_test(params: ModelParams, contract: OptionContract, s0: float,
                            n_paths=n_paths, n_steps=n_steps)
 
 
-def hedge_coefficients(c1: PriceSurface, c2: PriceSurface,
-                       point: tuple[int, int],
-                       params: ModelParams) -> tuple[float, float]:
-    """Two-instrument hedge weights at a grid point.
-
-    With Xi = sigma S dC/dS and Psi = zeta V^alpha dC/dV (sigma here is the
-    local volatility sqrt(V)), the volatility exposure cancels with
-    Gamma1 = -Psi1/Psi2 and the price exposure with
-    Gamma2 = -(Xi1 + Gamma1 Xi2)/(sigma S).  Derivatives are central
-    differences, so the point must be interior.
-    """
-    if c1.grid != c2.grid:
-        raise ValueError("surfaces live on different grids")
-    grid = c1.grid
-    if not isinstance(grid, LogGrid2D):
-        raise TypeError("hedge coefficients need 2D surfaces")
-    i, j = point
-    require(1 <= i <= grid.nx - 2 and 1 <= j <= grid.ny - 2, "point",
-            f"must be interior to the grid, got {point}")
-    x = grid.x_axis.points[i]
-    y = grid.y_axis.points[j]
-
-    def slopes(surface):
-        v = surface.values2d
-        dx = (v[i + 1, j] - v[i - 1, j]) / (2.0 * grid.hx)
-        dy = (v[i, j + 1] - v[i, j - 1]) / (2.0 * grid.hy)
-        return dx, dy
-
-    dx1, dy1 = slopes(c1)
-    dx2, dy2 = slopes(c2)
-    # dC/dV = e^-y dC/dy, so Psi = zeta e^{(alpha-1) y} dC/dy
-    psi_scale = params.zeta * math.exp((params.alpha - 1.0) * y)
-    psi1, psi2 = psi_scale * dy1, psi_scale * dy2
-    # Xi = sqrt(V) S dC/dS = e^{y/2} dC/dx
-    xi_scale = math.exp(0.5 * y)
-    xi1, xi2 = xi_scale * dx1, xi_scale * dx2
-    if psi2 == 0.0:
-        raise ValueError("second option insensitive to volatility: hedge undefined")
-    gamma1 = -psi1 / psi2
-    gamma2 = -(xi1 + gamma1 * xi2) / (math.exp(0.5 * y) * math.exp(x))
-    return gamma1, gamma2
-
-
 def beta_field(surface: PriceSurface, params: ModelParams,
                min_dcdv: float = 1e-6) -> GridFunction:
     """Market price of volatility risk implied by a solved surface,
@@ -406,8 +369,6 @@ def beta_field(surface: PriceSurface, params: ModelParams,
     if not isinstance(grid, LogGrid2D):
         raise TypeError("beta extraction needs a 2D surface")
     check_positive("min_dcdv", min_dcdv)
-    require(surface.prev_values is not None and surface.dt is not None, "surface",
-            "must carry two time slices (prev_values and dt)")
     c = GridFunction(grid, surface.values)
     numerator = ((surface.prev_values - c.values) / surface.dt
                  - build_mg_hamiltonian(params, grid).apply(c).values)

@@ -41,7 +41,6 @@ from .core import (EXP_LIMIT, GridFunction, LogGrid1D, LogGrid2D, ModelParams, c
 __all__ = [
     "LinearOperator",
     "GaugeField",
-    "identity_operator",
     "momentum_operator",
     "commutator",
     "hermiticity_defect",
@@ -240,10 +239,6 @@ class LinearOperator:
     def max_abs(self) -> float:
         """Largest absolute entry; 0 for an operator with none."""
         return float(np.abs(self.diagonals[1]).max())
-
-
-def identity_operator(grid: Grid) -> LinearOperator:
-    return LinearOperator(grid, _main(np.ones(grid.n_points)))
 
 
 def momentum_operator(grid: Grid, axis: str = "x") -> LinearOperator:
@@ -476,7 +471,7 @@ def build_gauge_hamiltonian(params: ModelParams, grid: LogGrid2D,
     def diag(values):
         return LinearOperator(grid, _main(values))
     return (diag(-0.5 * sig2) @ (d @ d) + diag(0.5 * sig2 - params.r) @ d
-            + params.r * identity_operator(grid))
+            + diag(np.full(grid.n_points, params.r)))
 
 
 # ---------------------------------------------------------------------------

@@ -195,25 +195,23 @@ class PriceSurface:
     """Solution of the backward evolution at the valuation time, t = 0.
 
     ``prev_values`` is the slice one time step ``dt`` closer to maturity,
-    kept so time derivatives can be formed without re-solving; when given,
-    it must be finite on the grid and ``dt`` positive and finite.
+    kept so time derivatives can be formed without re-solving; it must be
+    finite on the grid and ``dt`` positive and finite.
     """
 
     grid: object
     values: np.ndarray
-    prev_values: Optional[np.ndarray] = None
-    dt: Optional[float] = None
+    prev_values: np.ndarray
+    dt: float
 
     def __post_init__(self):
         object.__setattr__(self, "values", GridFunction(self.grid, self.values).values)
-        if self.prev_values is not None:
-            try:
-                prev = GridFunction(self.grid, self.prev_values).values
-            except ValueError as exc:
-                raise ValueError(f"prev_values: {exc}") from None
-            object.__setattr__(self, "prev_values", prev)
-        if self.dt is not None:
-            check_positive("dt", self.dt)
+        try:
+            prev = GridFunction(self.grid, self.prev_values).values
+        except ValueError as exc:
+            raise ValueError(f"prev_values: {exc}") from None
+        object.__setattr__(self, "prev_values", prev)
+        check_positive("dt", self.dt)
 
     values2d = GridFunction.values2d
 
@@ -242,9 +240,8 @@ class PriceSurface:
 
 
 def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
-           n_steps: int, theta_scheme: float = 0.5,
-           boundary: Optional[FarFieldBoundary] = None,
-           rannacher: int = 2) -> PriceSurface:
+           n_steps: int, theta_scheme: float = 0.5, *,
+           boundary: FarFieldBoundary, rannacher: int = 2) -> PriceSurface:
     """March the terminal condition back to the valuation time.
 
     ``theta_scheme`` is 1/2 (Crank-Nicolson; Craig-Sneyd in 2D) or 1 (fully
@@ -260,10 +257,10 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     maxima are read at idamax's index; OpenBLAS's idamax may skip a NaN, so
     a NaN is caught by dasum.
 
-    ``boundary`` is required on every grid; its None default only keeps
-    the argument in place.  Every theta-system is tridiagonal along its
-    grid lines: H's interior rows may reach one point along each axis, and
-    a wider operator raises ValueError here, at either theta_scheme.
+    ``boundary`` gives the face rows of every theta-system, on either grid.
+    Every theta-system is tridiagonal along its grid lines: H's interior
+    rows may reach one point along each axis, and a wider operator raises
+    ValueError here, at either theta_scheme.
 
     On 1D grids each step is a theta step in LAPACK band storage: a gbmv
     product with the explicit side, the solve on tridiagonal factors, and
@@ -293,8 +290,6 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
             and theta_scheme in (0.5, 1.0), "theta_scheme", f"must be 0.5 or 1, got {theta_scheme}")
     check_positive("maturity", maturity)
     grid = h.grid
-    require(boundary is not None, "boundary",
-            "is required: every theta-system takes its face rows from a FarFieldBoundary")
     dt = maturity / n_steps
     with contextlib.ExitStack() as scope:   # joins a sweep helper on the way out
         systems = (_adi_stepper(h, dt, boundary, scope) if isinstance(grid, LogGrid2D)

@@ -1,11 +1,19 @@
 """Reference readers of CSR matrices: the reader of a CSR matrix's diagonals,
 which the operators' products and the steppers' band readers are compared
-against, and the CSR readers the operators' diagonal readers replaced."""
+against, and the CSR readers the operators' diagonal readers replaced; and
+the identity operator the tests build their operators from."""
 
 import math
 
 import numpy as np
 import scipy.sparse as sp
+
+from gauge_hamilton import LinearOperator
+
+
+def identity_operator(grid) -> LinearOperator:
+    """The identity on ``grid``: its one diagonal, the main one, all ones."""
+    return LinearOperator(grid, (np.zeros(1, dtype=np.intp), np.ones((1, grid.n_points))))
 
 
 def csr_diagonals(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+import re
 import sys
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -550,8 +552,8 @@ def test_check_gauge_overflow_is_a_usage_error(runner):
 @pytest.mark.parametrize("omega", ["-1", "nan", "inf"])
 def test_check_rejects_bad_omega_for_every_check(runner, what, omega):
     # expansion never reads omega: the flag is checked before any check runs.
-    # -1 is not bad: it is momentum_ratio's singular point, no check calls
-    # momentum_ratio, and every record passes there (it used to exit 2)
+    # -1 is not bad: no check is singular there, and every record passes (it
+    # used to exit 2)
     if omega == "-1":
         out = run_json(runner, ["check", "--what", what, "--omega", omega])
         assert out["pass"] and out["checks"] and all(c["pass"] for c in out["checks"])
@@ -612,6 +614,52 @@ def test_mg_price_ignores_alpha_without_vol_of_vol(runner):
     far = runner.invoke(main, [*args, "--alpha", "-60"])
     assert base.exit_code == far.exit_code == 0
     assert far.stdout == base.stdout
+
+
+SIMULATE_MG = ["simulate", "--model", "mg", "--s0", "100", "--n-paths", "100", "--n-steps", "10"]
+
+
+def test_simulate_names_alpha_when_the_noise_term_overflows(runner):
+    # V^alpha overflowed at the floor: numpy printed three warnings and the
+    # run exited 2 naming --t; with zeta = 0 alpha still plays no part
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [*SIMULATE_MG, "--zeta", "0.3", "--alpha", "-300"])
+        base = runner.invoke(main, [*SIMULATE_MG, "--alpha", "1"])
+        far = runner.invoke(main, [*SIMULATE_MG, "--alpha", "-300"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert ("Error: --alpha must keep the noise term zeta V^alpha finite at v0 and at "
+            "V_FLOOR = 1e-08; zeta = 0.3, alpha = -300.0\n") in result.stderr
+    assert base.exit_code == far.exit_code == 0
+    assert far.stdout == base.stdout
+
+
+def test_price_mg_names_v0_when_the_variance_box_overflows(runner):
+    # the top of the variance box, ln v0 + 2, lay above ln(max float): numpy
+    # printed overflow warnings and the run exited 1 naming no flag
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [*PRICE, "--model", "mg", "--v0", "1.7e308", "--t", "1e-306"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert ("Error: --v0 must keep the top of the variance box, 711.727, below ln(max float) "
+            "= 709.78\n") in result.stderr
+
+
+@pytest.mark.parametrize("args", [["--s0", "1e300"], ["--s0", "0.5", "--r", "709", "--mu", "1e-3"]])
+def test_simulate_refuses_a_summary_that_is_not_json(runner, args):
+    # the terminal spread, and the terminal mean, overflowed: each printed
+    # Infinity, which is not JSON, and exited 0
+    with warnings.catch_warnings():
+        # numpy still warns of the overflow in the reduction (ROADMAP item 5)
+        warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+        result = runner.invoke(main, ["simulate", "--model", "mg", *args,
+                                      "--n-paths", "50", "--n-steps", "5"])
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert re.fullmatch(r"error: Out of range float values are not JSON compliant(: inf)?\n",
+                        result.stderr)
 
 
 def surface_by_hand(grid, state, columns, total):

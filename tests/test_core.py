@@ -58,6 +58,11 @@ def test_default_grids_refuse_a_box_whose_exponential_overflows():
         default_grid_1d(100.0, 1e150, 1.0)
     # a box whose top stays below the limit is kept: 4.6 + 5 * 140 = 704.6
     assert default_grid_1d(100.0, 140.0, 1.0).x_max < EXP_LIMIT
+    # the variance box's top, ln v0 + 2 = 711.7, overflowed in e^y with numpy's
+    # warnings, though the price box is narrow at T = 1e-306
+    with pytest.raises(InputError, match=r"^v0 must keep the top of the variance box, 711.727, "):
+        default_grid_2d(100.0, 1.7e308, 1e-306)
+    assert default_grid_2d(100.0, 1e307, 1e-306).y_axis.x_max < EXP_LIMIT
 
 
 def test_grid_1d_spacing_and_points():

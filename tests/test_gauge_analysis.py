@@ -1,5 +1,4 @@
-"""Martingale conditions, momentum ratios, the coefficient audit, and the
-structural checks."""
+"""Martingale conditions, the coefficient audit, and the structural checks."""
 
 import math
 import warnings
@@ -15,13 +14,10 @@ from gauge_hamilton import (
     gauge_martingale_residual,
     gauge_martingale_sums,
     gauge_quadratic,
-    information_preservation_check,
     make_grid_2d,
     martingale_roots,
     mg_condition_lhs,
     mg_martingale_report,
-    momentum_ratio,
-    surprise_condition,
     volcoeff_audit,
 )
 from gauge_hamilton.gauge_analysis import (
@@ -35,81 +31,6 @@ from gauge_hamilton.gauge_analysis import (
 )
 
 GRID = make_grid_2d(3.5, 5.5, 41, -4.0, -1.0, 21)
-
-
-# ---------------------------------------------------------------------------
-# momentum ratio
-# ---------------------------------------------------------------------------
-
-def test_momentum_ratio_values():
-    assert momentum_ratio(0.0) == (0.0, 0.0)
-    plus, minus = momentum_ratio(1.0)
-    assert plus == 0.7071067811865476  # sqrt(1/2)
-    assert minus == -plus
-    big_plus, big_minus = momentum_ratio(1e12)
-    assert abs(big_plus - 1.0) < 1e-12
-    assert abs(big_minus + 1.0) < 1e-12
-
-
-def test_momentum_ratio_rejects_degenerate_omega():
-    with pytest.raises(ValueError, match="omega = -1"):
-        momentum_ratio(-1.0)
-    with pytest.raises(ValueError, match="negative"):
-        momentum_ratio(-0.5)
-
-
-# ---------------------------------------------------------------------------
-# information preservation and surprise conditions
-# ---------------------------------------------------------------------------
-
-def test_information_preservation_balanced_point():
-    # sigma^2 = 2r exactly; theta_xy = 0 makes the right side vanish
-    p = ModelParams(r=0.03125, sigma=0.25)
-    assert information_preservation_check(-1.0, 1.0, 0.0, p) == 0.0
-
-
-def test_information_preservation_flat_cross_derivative():
-    # theta_xy = 0 zeroes the right side for any sigma, r
-    p = ModelParams(r=0.05, sigma=0.2)
-    assert information_preservation_check(-1.0, 2.5, 0.0, p) == 0.0
-
-
-def test_information_preservation_generic_value():
-    # 1 - 4*0.09/(0.09 - 0.04) * 0.1 = 0.28
-    p = ModelParams(r=0.02, sigma=0.3)
-    res = information_preservation_check(0.0, 1.0, 0.1, p)
-    assert res == pytest.approx(0.28, abs=1e-15)
-
-
-def test_information_preservation_errors():
-    p = ModelParams(r=0.03125, sigma=0.25)
-    with pytest.raises(ValueError, match="theta_x"):
-        information_preservation_check(0.0, 0.0, 0.1, p)
-    with pytest.raises(ValueError, match="theta_xy = 0"):
-        information_preservation_check(0.0, 1.0, 0.1, p)
-
-
-def test_surprise_condition_balanced():
-    # at sigma^2 = 2r the condition reads b = -2a
-    p = ModelParams(r=0.03125, sigma=0.25)
-    assert surprise_condition(1.0, -2.0, p) == 0.0
-    assert surprise_condition(0.3, -0.6, p) == pytest.approx(0.0, abs=1e-16)
-
-
-def test_surprise_condition_on_the_line():
-    p = ModelParams(r=0.05, sigma=0.2)
-    a = 0.5 - p.r / (p.sigma * p.sigma)
-    assert surprise_condition(a, 0.0, p) == 0.0
-
-
-def test_surprise_condition_generic():
-    p = ModelParams(r=0.02, sigma=0.2)
-    assert surprise_condition(0.1, 0.2, p) == pytest.approx(0.2, rel=1e-12)
-
-
-def test_surprise_condition_needs_positive_sigma():
-    with pytest.raises(ValueError, match="sigma"):
-        surprise_condition(0.1, 0.2, ModelParams(sigma=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +118,6 @@ def test_mg_condition_follows_halved_vol_of_vol(params):
     g41, g81 = _row_gap(params, 41), _row_gap(params, 81)
     assert g41 <= 0.09
     assert g41 / g81 >= 3.0
-
-
-def test_momentum_ratio_names_non_finite_omega():
-    for omega in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="omega must be finite"):
-            momentum_ratio(omega)
 
 
 @pytest.mark.parametrize("args, field", [
@@ -312,9 +227,8 @@ def test_gauge_sums_examples():
 def test_rate_over_variance_refuses_an_underflowed_sigma(sigma):
     # sigma^2 underflowed: 1e-200 divided by zero, 1e-160 gave -inf
     p = ModelParams(r=0.05, sigma=sigma)
-    for run in (lambda: gauge_martingale_sums(p), lambda: surprise_condition(0.1, 0.2, p)):
-        with pytest.raises(InputError, match=f"^sigma must keep 2r/sigma.2 finite, got {sigma}"):
-            run()
+    with pytest.raises(InputError, match=f"^sigma must keep 2r/sigma.2 finite, got {sigma}"):
+        gauge_martingale_sums(p)
     assert gauge_martingale_sums(ModelParams(r=0.0, sigma=1e-160)) == (1.0, 0.0)
 
 

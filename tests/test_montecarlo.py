@@ -21,7 +21,6 @@ from gauge_hamilton import (
     build_mg_hamiltonian,
     bs_closed_form,
     delta_hedge_test,
-    hedge_coefficients,
     make_grid_1d,
     make_grid_2d,
     mc_price,
@@ -199,6 +198,25 @@ def test_mg_paths_ignore_alpha_without_vol_of_vol():
         far = simulate_mg(replace(p, alpha=-300.0), 100.0, 0.04, 1.0, 20, 3000, seed=7, threads=2)
     assert far.s_paths.tobytes() == base.s_paths.tobytes()
     assert far.v_paths.tobytes() == base.v_paths.tobytes()
+
+
+def test_mg_paths_refuse_an_overflowing_noise_term_before_any_draw(monkeypatch):
+    # zeta V^alpha overflowed at the floor: three numpy warnings, then a
+    # refusal naming the maturity
+    def draw(*args):
+        raise AssertionError("drew before the noise term was checked")
+
+    monkeypatch.setattr("gauge_hamilton.montecarlo._block_rng", draw)
+    p = ModelParams(zeta=0.3, alpha=-300.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=r"^alpha must keep the noise term zeta V\^alpha "
+                                             r"finite at v0 and at V_FLOOR = 1e-08; zeta = 0.3, "
+                                             r"alpha = -300.0$"):
+            simulate_mg(p, 100.0, 0.04, 1.0, 10, 100, seed=0)
+        # and at v0 alone: 1e300 ** 2 overflows, 1e-8 ** 2 does not
+        with pytest.raises(InputError, match="^alpha "):
+            simulate_mg(replace(p, alpha=2.0), 100.0, 1e300, 1.0, 10, 100, seed=0)
 
 
 def test_mg_replay_and_threads():
@@ -383,81 +401,18 @@ def test_hedge_error_shrinks_with_rebalancing():
 
 
 # ---------------------------------------------------------------------------
-# two-option hedge coefficients
+# implied volatility-risk field
 # ---------------------------------------------------------------------------
 
 MG_P = ModelParams(r=0.04, lambda_=0.02, mu=-0.3, zeta=0.3, alpha=1.0, rho=-0.3)
-HEDGE_GRID = make_grid_2d(math.log(100.0) - 1.0, math.log(100.0) + 1.0, 41,
-                          math.log(0.04) - 2.0, math.log(0.04) + 1.0, 21)
+MG_GRID = make_grid_2d(math.log(100.0) - 1.0, math.log(100.0) + 1.0, 41,
+                       math.log(0.04) - 2.0, math.log(0.04) + 1.0, 21)
 
-
-def test_hedge_coefficients_identical_options():
-    surf = solve_mg(MG_P, OptionContract("call", 95.0, 1.0), HEDGE_GRID, n_steps=20)
-    g1, g2 = hedge_coefficients(surf, surf, (20, 10), MG_P)
-    assert g1 == -1.0
-    assert g2 == 0.0
-
-
-def test_hedge_coefficients_scaled_option():
-    surf = solve_mg(MG_P, OptionContract("call", 95.0, 1.0), HEDGE_GRID, n_steps=20)
-    half = PriceSurface(HEDGE_GRID, 0.5 * surf.values)
-    g1, g2 = hedge_coefficients(surf, half, (20, 10), MG_P)
-    assert g1 == -2.0
-    assert g2 == 0.0
-
-
-def test_hedge_coefficients_cancel_exposures():
-    c1 = solve_mg(MG_P, OptionContract("call", 95.0, 1.0), HEDGE_GRID, n_steps=20)
-    c2 = solve_mg(MG_P, OptionContract("call", 105.0, 1.0), HEDGE_GRID, n_steps=20)
-    i, j = 20, 10
-    g1, g2 = hedge_coefficients(c1, c2, (i, j), MG_P)
-    x = HEDGE_GRID.x_axis.points[i]
-    y = HEDGE_GRID.y_axis.points[j]
-
-    def slopes(surface):
-        v = surface.values2d
-        return ((v[i + 1, j] - v[i - 1, j]) / (2 * HEDGE_GRID.hx),
-                (v[i, j + 1] - v[i, j - 1]) / (2 * HEDGE_GRID.hy))
-
-    dx1, dy1 = slopes(c1)
-    dx2, dy2 = slopes(c2)
-    psi_scale = MG_P.zeta  # alpha = 1
-    xi_scale = math.exp(0.5 * y)
-    vol_leg = psi_scale * dy1 + g1 * psi_scale * dy2
-    price_leg = xi_scale * dx1 + g1 * xi_scale * dx2 + g2 * xi_scale * math.exp(x)
-    assert abs(vol_leg) <= 1e-12 * abs(psi_scale * dy1)
-    assert abs(price_leg) <= 1e-12 * abs(xi_scale * dx1)
-
-
-def test_hedge_coefficients_degenerate_second_option():
-    c1 = solve_mg(MG_P, OptionContract("call", 95.0, 1.0), HEDGE_GRID, n_steps=20)
-    flat = PriceSurface(HEDGE_GRID, np.exp(HEDGE_GRID.xs))  # no V dependence
-    with pytest.raises(ValueError, match="insensitive to volatility"):
-        hedge_coefficients(c1, flat, (20, 10), MG_P)
-
-
-def test_hedge_coefficients_validation():
-    c1 = solve_mg(MG_P, OptionContract("call", 95.0, 1.0), HEDGE_GRID, n_steps=20)
-    other = PriceSurface(make_grid_2d(0.0, 1.0, 41, 0.0, 1.0, 21),
-                         np.ones(41 * 21))
-    with pytest.raises(ValueError, match="different grids"):
-        hedge_coefficients(c1, other, (20, 10), MG_P)
-    with pytest.raises(ValueError, match="interior"):
-        hedge_coefficients(c1, c1, (0, 10), MG_P)
-    g1 = make_grid_1d(0.0, 1.0, 11)
-    flat1 = PriceSurface(g1, np.ones(11))
-    with pytest.raises(TypeError):
-        hedge_coefficients(flat1, flat1, (1, 1), MG_P)
-
-
-# ---------------------------------------------------------------------------
-# implied volatility-risk field
-# ---------------------------------------------------------------------------
 
 def test_beta_field_near_zero_on_solved_surface():
     # the surface solves the pricing equation, so the implied excess drift
     # vanishes up to discretization error wherever dC/dV is resolvable
-    surf = solve_mg(MG_P, OptionContract("call", 100.0, 1.0), HEDGE_GRID, n_steps=50)
+    surf = solve_mg(MG_P, OptionContract("call", 100.0, 1.0), MG_GRID, n_steps=50)
     beta = beta_field(surf, MG_P, min_dcdv=1e-3)
     vals = beta.values2d
     assert np.isfinite(vals).sum() > 100
@@ -466,7 +421,7 @@ def test_beta_field_near_zero_on_solved_surface():
 
 
 def test_beta_field_masks_boundary_and_insensitive_points():
-    surf = solve_mg(MG_P, OptionContract("call", 100.0, 1.0), HEDGE_GRID, n_steps=10)
+    surf = solve_mg(MG_P, OptionContract("call", 100.0, 1.0), MG_GRID, n_steps=10)
     beta = beta_field(surf, MG_P)
     vals = beta.values2d
     assert np.all(np.isnan(vals[0, :])) and np.all(np.isnan(vals[-1, :]))
@@ -475,8 +430,8 @@ def test_beta_field_masks_boundary_and_insensitive_points():
 
 def test_beta_field_fully_masked_without_volatility_sensitivity():
     # C independent of V has dC/dV = 0 everywhere: nothing is resolvable
-    vals = np.exp(HEDGE_GRID.xs)
-    surf = PriceSurface(HEDGE_GRID, vals, prev_values=vals * 1.01, dt=0.01)
+    vals = np.exp(MG_GRID.xs)
+    surf = PriceSurface(MG_GRID, vals, prev_values=vals * 1.01, dt=0.01)
     beta = beta_field(surf, MG_P)
     assert np.all(np.isnan(beta.values))
 
@@ -543,19 +498,19 @@ def test_beta_field_vanishes_on_an_exact_solution(half):
     # is rounding whichever vol-of-vol convention H carries; the hand-written
     # formula missed this by 4e-3 under the doubled coefficient
     params = replace(MG_P, vol_vol_half=half)
-    values = solve_mg(params, OptionContract("call", 100.0, 1.0), HEDGE_GRID, n_steps=10).values
+    values = solve_mg(params, OptionContract("call", 100.0, 1.0), MG_GRID, n_steps=10).values
     dt = 0.01
-    prev = values + dt * (build_mg_hamiltonian(params, HEDGE_GRID).matrix @ values)
-    surf = PriceSurface(HEDGE_GRID, values, prev_values=prev, dt=dt)
+    prev = values + dt * (build_mg_hamiltonian(params, MG_GRID).matrix @ values)
+    surf = PriceSurface(MG_GRID, values, prev_values=prev, dt=dt)
     beta = beta_field(surf, params, min_dcdv=1e-3).values2d
     assert np.isfinite(beta).sum() > 100
     assert np.nanmax(np.abs(beta)) <= 1e-8
 
 
 def test_beta_field_requires_time_slices():
-    surf = PriceSurface(HEDGE_GRID, np.exp(HEDGE_GRID.xs))
-    with pytest.raises(ValueError, match="two time slices"):
-        beta_field(surf, MG_P)
+    # prev_values and dt are required fields: no surface lacks the two slices
+    with pytest.raises(TypeError, match="prev_values"):
+        PriceSurface(MG_GRID, np.exp(MG_GRID.xs))
     g1 = make_grid_1d(0.0, 1.0, 11)
     with pytest.raises(TypeError):
         beta_field(PriceSurface(g1, np.ones(11), np.ones(11), 0.1), MG_P)
@@ -565,15 +520,15 @@ def test_beta_field_requires_time_slices():
 def test_beta_field_names_a_bad_time_step(dt):
     # dt = 0 failed with "values must not be infinite", a negative dt flipped
     # the sign of dC/dt and NaN masked every point without complaint
-    values = np.exp(HEDGE_GRID.xs + HEDGE_GRID.ys)
+    values = np.exp(MG_GRID.xs + MG_GRID.ys)
     with pytest.raises(ValueError, match="dt must be positive and finite"):
-        beta_field(PriceSurface(HEDGE_GRID, values, values, dt), MG_P)
+        beta_field(PriceSurface(MG_GRID, values, values, dt), MG_P)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-3])
 def test_beta_field_names_a_bad_sensitivity_floor(bad):
     # NaN and inf used to mask every point: none of 171 defined on 21 x 11
-    surf = solve_mg(MG_P, OptionContract("call", 100.0, 1.0), HEDGE_GRID, n_steps=4)
+    surf = solve_mg(MG_P, OptionContract("call", 100.0, 1.0), MG_GRID, n_steps=4)
     with pytest.raises(ValueError, match="^min_dcdv must be positive and finite"):
         beta_field(surf, MG_P, min_dcdv=bad)
 

@@ -29,7 +29,6 @@ from gauge_hamilton import (
     gauge_operator,
     hamiltonian_terms,
     hermiticity_defect,
-    identity_operator,
     make_grid_1d,
     make_grid_2d,
     momentum_operator,
@@ -43,7 +42,8 @@ from gauge_hamilton.operators import (_difference_blocks, _first_difference, _se
                                       _sum)
 from gauge_hamilton.pricing import _kept_diagonals
 
-from dia_reference import csr_bs_limit_residual, csr_diagonals, csr_hermiticity_defect
+from dia_reference import (csr_bs_limit_residual, csr_diagonals, csr_hermiticity_defect,
+                           identity_operator)
 
 GRID_1D = make_grid_1d(3.5, 5.5, 41)
 GRID_2D = make_grid_2d(3.5, 5.5, 41, -4.0, -1.0, 21)

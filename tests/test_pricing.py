@@ -37,7 +37,6 @@ from gauge_hamilton import (
     default_grid_1d,
     evolve,
     hamiltonian_terms,
-    identity_operator,
     make_grid_1d,
     make_grid_2d,
     momentum_operator,
@@ -53,7 +52,7 @@ from gauge_hamilton import pricing
 from gauge_hamilton.pricing import (_band_dia, _band_solver, _dia_band, _relative_residual,
                                     _split_directions, _theta_band)
 
-from dia_reference import csr_diagonals
+from dia_reference import csr_diagonals, identity_operator
 
 P = ModelParams(r=0.05, sigma=0.2)
 CALL = OptionContract("call", 100.0, 1.0)
@@ -223,14 +222,13 @@ def test_evolve_validation():
 
 
 def test_evolve_1d_requires_a_boundary():
-    # the boundary-free 1D step is gone: a 1D call without a boundary fails
-    # as a 2D one does, before any step
+    # the boundary-free 1D step is gone: boundary is a required keyword, so
+    # a call without one fails in Python's call check, on either grid
     g = make_grid_1d(0.0, 1.0, 11)
-    message = ("^boundary is required: every theta-system takes its face rows from a "
-               "FarFieldBoundary$")
-    with pytest.raises(ValueError, match=message):
+    message = "missing 1 required keyword-only argument: 'boundary'$"
+    with pytest.raises(TypeError, match=message):
         evolve(identity_operator(g), GridFunction(g, np.ones(11)), 1.0, 10)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(TypeError, match=message):
         evolve(build_mg_hamiltonian(ADI_P, ADI_GRID), terminal_payoff(CALL, ADI_GRID), 1.0, 10)
 
 
@@ -344,13 +342,13 @@ def test_far_field_values():
 
 def test_surface_interpolation():
     g = make_grid_1d(0.0, 1.0, 11)
-    surf = PriceSurface(g, g.points ** 2)
+    surf = PriceSurface(g, g.points ** 2, g.points ** 2, 0.1)
     assert surf.interpolate(0.5) == pytest.approx(0.25, abs=1e-12)
     assert surf.interpolate(0.55) == pytest.approx((0.25 + 0.36) / 2, abs=1e-12)
     with pytest.raises(ValueError, match="outside"):
         surf.interpolate(1.5)
     g2 = make_grid_2d(0.0, 1.0, 5, 0.0, 1.0, 5)
-    surf2 = PriceSurface(g2, g2.xs + g2.ys)
+    surf2 = PriceSurface(g2, g2.xs + g2.ys, g2.xs + g2.ys, 0.1)
     assert surf2.interpolate(0.3, 0.4) == pytest.approx(0.7, abs=1e-12)
     with pytest.raises(ValueError, match="both x and y"):
         surf2.interpolate(0.3)
@@ -361,9 +359,9 @@ def test_surface_interpolation():
 def test_surface_validation():
     g = make_grid_1d(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="finite"):
-        PriceSurface(g, np.array([1.0, np.nan, 1.0, 1.0, 1.0]))
+        PriceSurface(g, np.array([1.0, np.nan, 1.0, 1.0, 1.0]), np.ones(5), 0.1)
     with pytest.raises(TypeError):
-        PriceSurface(g, np.ones(5)).values2d
+        PriceSurface(g, np.ones(5), np.ones(5), 0.1).values2d
 
 
 def test_surface_checks_the_previous_slice_and_the_step():
@@ -502,7 +500,7 @@ ADI_P = ModelParams(r=0.04, lambda_=0.02, mu=-0.3, zeta=0.3, alpha=1.0, rho=-0.3
 def test_evolve_2d_validation():
     payoff = terminal_payoff(CALL, ADI_GRID)
     h = build_mg_hamiltonian(ADI_P, ADI_GRID)
-    with pytest.raises(ValueError, match="boundary"):
+    with pytest.raises(TypeError, match="boundary"):
         evolve(h, payoff, 1.0, 10)
     # the factored form reaches two points along each axis: no tridiagonal sweep
     wide = build_gauge_hamiltonian(ADI_P, ADI_GRID, form="factored")
@@ -1612,9 +1610,9 @@ def test_pricers_name_a_non_finite_spot_or_variance(bad):
 def test_surface_validates_as_a_grid_function():
     g = make_grid_2d(0.0, 1.0, 5, 0.0, 1.0, 6)
     with pytest.raises(ValueError, match=r"values must have shape \(30,\), got \(29,\)"):
-        PriceSurface(g, np.ones(29))
+        PriceSurface(g, np.ones(29), np.ones(30), 0.1)
     with pytest.raises(ValueError, match="finite"):
-        PriceSurface(g, np.full(30, np.inf))
-    surface = PriceSurface(g, np.arange(30))
+        PriceSurface(g, np.full(30, np.inf), np.ones(30), 0.1)
+    surface = PriceSurface(g, np.arange(30), np.ones(30), 0.1)
     assert surface.values.dtype == float
     assert np.array_equal(surface.values2d, np.arange(30.0).reshape(5, 6))
