@@ -22,8 +22,9 @@ from dataclasses import asdict
 import click
 import numpy as np
 
-from .core import (EXP_LIMIT, InputError, ModelParams, check_integer, default_grid_1d,
-                   default_grid_2d, make_grid_2d, require, sample, text_output, write_csv)
+from .core import (EXP_LIMIT, InputError, ModelParams, check_integer, check_nonnegative,
+                   default_grid_1d, default_grid_2d, make_grid_2d, require, sample, text_output,
+                   write_csv)
 from .gauge_analysis import (_CHECK_X, _CHECK_Y, CHECKS, _run_checks,
                              gauge_martingale_sums, martingale_roots,
                              mg_martingale_report)
@@ -327,8 +328,7 @@ def payoff_table(kind, strike, premium, s_min, s_max, n, fmt, output):
     contract = OptionContract(kind, strike, maturity=1.0, premium=premium)   # checks the strike
     if s_max is None:
         s_max = 2.0 * strike
-    require(math.isfinite(s_min) and s_min >= 0.0, "s_min",
-            f"must be nonnegative and finite, got {s_min}")
+    check_nonnegative("s_min", s_min)
     require(math.isfinite(s_max) and s_max > s_min, "s_max",
             f"must be finite and exceed --s-min {s_min}, got {s_max}")
     require(n >= 2, "n", f"must be at least 2, got {n}")
@@ -392,12 +392,16 @@ def simulate(model, s0, v0, maturity, r, phi, sigma, lambda_, mu, zeta, alpha,
     else:
         ens = simulate_mg(params, s0, v0, maturity, n_steps, n_paths, seed, threads=threads)
     terminal = ens.s_paths[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        mean = float(terminal.mean())
+        stderr = float(terminal.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else None
+    require(math.isfinite(mean) and math.isfinite(stderr or 0.0), "s0",
+            f"must keep the terminal price's mean and standard error finite, got {s0} "
+            f"with phi = {ens.phi} and T = {maturity}")
     out = {
         "model": model, "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
         "threads": threads, "maturity": maturity, "phi": ens.phi,
-        "s_terminal_mean": float(terminal.mean()),
-        "s_terminal_stderr": float(terminal.std(ddof=1) / math.sqrt(n_paths))
-        if n_paths > 1 else None,
+        "s_terminal_mean": mean, "s_terminal_stderr": stderr,
     }
     if ens.v_paths is not None:
         out["v_terminal_mean"] = float(ens.v_paths[:, -1].mean())

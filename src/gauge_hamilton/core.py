@@ -53,6 +53,12 @@ def check_positive(name: str, value: float) -> None:
     require(math.isfinite(value) and value > 0.0, name, f"must be positive and finite, got {value}")
 
 
+def check_nonnegative(name: str, value: float) -> None:
+    """Raise an InputError naming ``name`` unless ``value`` is nonnegative and finite."""
+    require(math.isfinite(value) and value >= 0.0, name,
+            f"must be nonnegative and finite, got {value}")
+
+
 def check_finite(name: str, value: float) -> None:
     """Raise an InputError naming ``name`` unless ``value`` is finite."""
     require(math.isfinite(value), name, f"must be finite, got {value!r}")
@@ -305,8 +311,7 @@ def _price_axis(s0: float, sigma: float, maturity: float, n: int, field: str) ->
     is lost against ln s0, so the box has no width."""
     check_positive("s0", s0)
     check_positive("maturity", maturity)
-    require(math.isfinite(sigma) and sigma >= 0.0, "sigma",
-            f"must be nonnegative and finite, got {sigma}")
+    check_nonnegative("sigma", sigma)
     half = 5.0 * sigma * math.sqrt(maturity)
     if half <= 0:
         half = 1.0  # degenerate sigma: any bounded box works

@@ -18,10 +18,10 @@ import numpy as np
 
 from .core import (GridFunction, InputError, LogGrid2D, ModelParams, check_finite, check_integer,
                    check_positive, make_grid_1d, make_grid_2d, require, sample)
-from .operators import (TRANSFORM_CONVENTIONS, GaugeField, LinearOperator, _mg_powers,
-                        build_bs_hamiltonian, build_gauge_hamiltonian, build_mg_hamiltonian,
-                        build_transformed_bs, commutator, gauge_operator,
-                        smooth_probe_functions)
+from .operators import (TRANSFORM_CONVENTIONS, GaugeField, LinearOperator, _coefficients,
+                        _mg_powers, _term_coefficients, build_bs_hamiltonian,
+                        build_gauge_hamiltonian, build_mg_hamiltonian, build_transformed_bs,
+                        commutator, gauge_operator, smooth_probe_functions)
 
 __all__ = [
     "MartingaleReport",
@@ -159,14 +159,14 @@ def martingale_roots(a_coeff: float, mu: float, lambda_: float) -> RootSet:
 # ---------------------------------------------------------------------------
 
 def gauge_quadratic(params: ModelParams, c: float) -> float:
-    """Value the constant-sigma gauge Hamiltonian takes on e^{a x + b y}
-    relative to the state itself, as a function of c = a + b:
+    """Value the constant-sigma gauge Hamiltonian, Black-Scholes in the
+    momentum sum, takes on e^{a x + b y} relative to the state, by c = a + b:
 
         -(sigma^2/2) c^2 + (sigma^2/2 - r) c + r
           = -(sigma^2/2)(c - 1)(c + 2r/sigma^2).
     """
-    sig2 = params.sigma * params.sigma
-    return -0.5 * sig2 * c * c + (0.5 * sig2 - params.r) * c + params.r
+    second_x, first_x = _term_coefficients(params, None, "bs").values()
+    return second_x * c * c + first_x * c + params.r
 
 
 def _rate_over_variance(params: ModelParams) -> float:
@@ -217,31 +217,20 @@ def volcoeff_audit(params: ModelParams, grid: LogGrid2D) -> VolcoeffReport:
     """Compare coefficient functions of the two Hamiltonians under the
     volatility-matching substitution (exact, no discretization involved).
 
-    The substituted products collapse algebraically: zeta^2 e^{2y(alpha-1)}
-    and rho zeta e^{y(alpha-1/2)} both reduce to e^y independently of alpha,
-    and the rate becomes r(y) = lambda e^{-y} + mu.  The gauge side reads
-    sigma^2 = e^y with the same substituted rate.  Four blocks then agree
-    identically; the second y-derivative block disagrees by exactly e^y/2
-    unless ``vol_vol_half`` restores the conventional 1/2.
+    Both sides are ``operators._coefficients`` of their parts.  The
+    substituted products zeta^2 e^{2y(alpha-1)} and rho zeta e^{y(alpha-1/2)}
+    both reduce to e^y independently of alpha, and the rate becomes r(y) =
+    lambda e^{-y} + mu; the gauge side reads sigma^2 = e^y with the same
+    rate.  Four blocks then agree identically; the second y-derivative block
+    disagrees by exactly e^y/2 unless ``vol_vol_half`` restores the
+    conventional 1/2.
     """
-    y = grid.ys
-    ey = np.exp(y)
-    r_sub = params.lambda_ * np.exp(-y) + params.mu
-
-    mg = {
-        "second_x": -0.5 * ey,
-        "first_x": -(r_sub - 0.5 * ey),
-        "first_y": -(r_sub - 0.5 * ey),      # -(lambda e^-y + mu - e^y/2)
-        "cross_xy": -ey,
-        "second_y": (-0.5 * ey) if params.vol_vol_half else -ey,
-    }
-    gauge = {
-        "second_x": -0.5 * ey,
-        "first_x": 0.5 * ey - r_sub,
-        "first_y": 0.5 * ey - r_sub,
-        "cross_xy": -ey,
-        "second_y": -0.5 * ey,
-    }
+    ey = np.exp(grid.ys)
+    r_sub = params.lambda_ * np.exp(-grid.ys) + params.mu
+    # zeta^2 V^(2(alpha-1)) and rho zeta V^(alpha-1/2) substituted are both e^y
+    mg = _coefficients(0.5 * ey, r_sub, r_sub - 0.5 * ey, ey,
+                       0.5 * ey if params.vol_vol_half else ey)
+    gauge = _coefficients(0.5 * ey, r_sub, r_sub - 0.5 * ey, ey, 0.5 * ey)
     deviations = {term: float(np.abs(mg[term] - gauge[term]).max()) for term in mg}
     second_y_dev = np.abs(mg["second_y"] - gauge["second_y"])
     matches = (not params.vol_vol_half) and bool(np.array_equal(second_y_dev, 0.5 * ey))

@@ -190,15 +190,18 @@ def _step_blocks(seed: int, n_paths: int, n_steps: int, threads: int, step) -> N
     The full (2, BLOCK) slab is drawn even when a block is partly used, so a
     path's noise depends only on (seed, block, offset) and not on n_paths.
     Up to ``threads`` workers write disjoint columns of the shared arrays.
+    Each enters numpy's per-thread error state once: a step that overflows
+    does not warn, and the caller checks the terminal slices.
     """
     def worker(block, start, size):
         rng = _block_rng(seed, block)
         draws = np.empty((2, BLOCK))
         z = draws[:, :size]
         cols = slice(start, start + size)
-        for k in range(n_steps):
-            rng.standard_normal(out=draws)
-            step(k, cols, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_steps):
+                rng.standard_normal(out=draws)
+                step(k, cols, z)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(lambda args: worker(*args), list(_blocks(n_paths))))
@@ -254,7 +257,9 @@ def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
     rho z1 + sqrt(1 - rho^2) z2 from the same draw block GBM uses, so
     freezing the variance reproduces simulate_gbm paths for the same seed.
     An InputError names alpha, before any draw, unless zeta V^alpha is
-    finite at v0 and at V_FLOOR.
+    finite at v0 and at V_FLOOR.  A variance that leaves the floats never
+    comes back, so the terminal variances are checked before the prices: an
+    InputError names alpha when zeta != 0 and alpha > 1, and mu otherwise.
     """
     _validate_run(s0, maturity, n_steps, n_paths, seed, threads)
     check_positive("v0", v0)
@@ -285,6 +290,11 @@ def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
                    out=v[k + 1, cols])
 
     _step_blocks(seed, n_paths, n_steps, threads, step)
+    bad = int(np.count_nonzero(~np.isfinite(v[-1])))
+    require(bad == 0, "alpha" if params.zeta != 0.0 and params.alpha > 1.0 else "mu",
+            f"must keep every simulated variance finite; zeta = {params.zeta}, alpha = "
+            f"{params.alpha}, lambda = {params.lambda_}, mu = {params.mu}: {bad} of {n_paths} "
+            f"paths are not")
     return _ensemble(maturity, seed, params.phi, log_s, v)
 
 

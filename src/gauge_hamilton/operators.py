@@ -17,9 +17,10 @@ and b sitting on diagonal a ny + b.  A term scales its block's entries by
 its coefficient at their rows, and a Hamiltonian is the per-offset sum of
 its terms in the table's order: the entries of the Kronecker products,
 diagonal scalings and CSR sums they replace, with no CSR matrix made.
-``apply`` and ``@`` multiply on the diagonals, in the order the sorted CSR
-products sum in, and ``hermiticity_defect`` reads its pairs of entries off
-them: no reader in the package builds a second representation.
+``+`` and ``-`` add, ``apply`` and ``@`` multiply on the diagonals, in the
+order the sorted CSR products sum in, and ``hermiticity_defect`` reads its
+pairs of entries off them: no reader in the package builds a second
+representation.
 ``LinearOperator.matrix``, a CSR view (sorted, no stored zero) made on
 first use, is kept for the benchmark's count of stored entries.
 """
@@ -139,8 +140,8 @@ class LinearOperator:
 
     ``diagonals`` is (offsets, data), two numpy arrays, in the DIA layout
     the module docstring sets out, the data real floating-point and finite;
-    anything else is refused.  ``+``, ``-``, ``@`` and scalar ``*`` are the
-    operator algebra, each computed on the diagonals.
+    anything else is refused.  ``+``, ``-`` and ``@`` are the operator
+    algebra, each computed on the diagonals.
     """
 
     grid: Grid
@@ -203,7 +204,9 @@ class LinearOperator:
 
     def __sub__(self, other: "LinearOperator") -> "LinearOperator":
         self._check(other)
-        return self + -other
+        offsets, data = other.diagonals   # self + (-1) other
+        return LinearOperator(self.grid, _sum(self.grid.n_points, [self.diagonals,
+                                                                   (offsets, -data)]))
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         """(A B)[i, c], the sum from +0 of A[i, i+o] B[i+o, c] over A's offsets
@@ -224,17 +227,6 @@ class LinearOperator:
                     total[lo:hi] += a[lo - p:hi - p] * b[lo:hi]
         offsets = [q for q in sorted(sums) if q == 0 or sums[q].any()]
         return LinearOperator(self.grid, (np.array(offsets), np.array([sums[q] for q in offsets])))
-
-    def __mul__(self, scalar: float) -> "LinearOperator":
-        offsets, data = self.diagonals
-        scaled = data * float(scalar)
-        scaled += 0.0   # +0 where a product vanished
-        return LinearOperator(self.grid, (offsets, scaled))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "LinearOperator":
-        return self * -1.0
 
     def max_abs(self) -> float:
         """Largest absolute entry; 0 for an operator with none."""
@@ -321,36 +313,41 @@ def _difference_blocks(grid: Grid, *names: str) -> tuple:
     return tuple(out)
 
 
+def _coefficients(half_sig2, r, drift_y=None, covol=None, volvol=None) -> dict:
+    """The gauge-Hamiltonian -(sigma^2/2) d2/dx2 + (sigma^2/2 - r) d/dx - drift_y d/dy
+    - covol d2/dxdy - volvol d2/dy2 + r as each derivative term's coefficient, in
+    summation order; with no y drift, Black-Scholes's two."""
+    coefs = {"second_x": -half_sig2, "first_x": half_sig2 - r}
+    if drift_y is not None:
+        coefs.update(first_y=-drift_y, cross_xy=-covol, second_y=-volvol)
+    return coefs
+
+
 def _term_coefficients(params: ModelParams, grid: Grid, model: str) -> dict:
-    """Coefficient of each derivative term a model uses: a scalar, or an
-    array over the flat grid evaluated at the output point."""
+    """Coefficient of each derivative term a model uses, ``_coefficients`` of
+    its parts: a scalar, or an array over the flat grid at the output point."""
     r = params.r
     if model == "bs":
-        half_sig2 = 0.5 * params.sigma * params.sigma
-        return {"second_x": -half_sig2, "first_x": half_sig2 - r}
+        return _coefficients(0.5 * params.sigma * params.sigma, r)
     if model == "mg":
         if not isinstance(grid, LogGrid2D):
             raise TypeError("the Merton-Garman Hamiltonian needs a 2D grid")
         y = grid.ys
-        ey = np.exp(y)
         zeta2 = params.zeta * params.zeta
         # weights: the largest stencil entries each power scales, 5/hy^2 and 2/hy
         # (second_y, first_y on half) for V^(2(alpha-1)), 4/(hx hy) for V^(alpha-1/2)
         v2, v1 = _mg_powers(params, y, (zeta2 * (5.0 / grid.hy ** 2 + 1.0 / grid.hy),
                                         abs(params.rho * params.zeta) * 4.0 / (grid.hx * grid.hy)))
-        return {
-            "second_x": -0.5 * ey,
-            "first_x": -(r - 0.5 * ey),
-            "first_y": -(params.lambda_ * np.exp(-y) + params.mu - 0.5 * zeta2 * v2),
-            "cross_xy": -params.rho * params.zeta * v1,
-            "second_y": -(0.5 * (zeta2 * v2) if params.vol_vol_half else zeta2 * v2),
-        }
+        return _coefficients(0.5 * np.exp(y), r,
+                             params.lambda_ * np.exp(-y) + params.mu - 0.5 * zeta2 * v2,
+                             params.rho * params.zeta * v1,
+                             0.5 * (zeta2 * v2) if params.vol_vol_half else zeta2 * v2)
     if model == "gauge":
         if not isinstance(grid, LogGrid2D):
             raise TypeError("the gauge Hamiltonian needs a 2D grid")
-        sig2 = _gauge_sig2(params, grid)
-        return {"second_x": -0.5 * sig2, "first_x": 0.5 * sig2 - r, "first_y": 0.5 * sig2 - r,
-                "cross_xy": -sig2, "second_y": -0.5 * sig2}
+        sig2 = (np.exp(grid.ys) if params.sigma_local
+                else np.full(grid.n_points, params.sigma * params.sigma))
+        return _coefficients(0.5 * sig2, r, r - 0.5 * sig2, sig2, 0.5 * sig2)
     raise ValueError(f"unknown model {model!r}; choose bs, mg or gauge")
 
 
@@ -409,12 +406,6 @@ def _check_policy(policy: str) -> None:
                          "closure, 'one-sided-interior'")
 
 
-def _gauge_sig2(params: ModelParams, grid: LogGrid2D) -> np.ndarray:
-    if params.sigma_local:
-        return np.exp(grid.ys)
-    return np.full(grid.n_points, params.sigma * params.sigma)
-
-
 def build_bs_hamiltonian(params: ModelParams, grid: Grid,
                          policy: str = "one-sided-interior") -> LinearOperator:
     """Black-Scholes Hamiltonian in log price,
@@ -466,11 +457,12 @@ def build_gauge_hamiltonian(params: ModelParams, grid: LogGrid2D,
         return _hamiltonian(params, grid, "gauge")
     require(form == "factored", "form", f"must be 'expanded' or 'factored', got {form!r}")
     d = momentum_operator(grid, "x") + momentum_operator(grid, "y")
-    sig2 = _gauge_sig2(params, grid)
+    # Black-Scholes in the momentum sum: the x coefficients on d @ d and d
+    coefs = _term_coefficients(params, grid, "gauge")
 
     def diag(values):
         return LinearOperator(grid, _main(values))
-    return (diag(-0.5 * sig2) @ (d @ d) + diag(0.5 * sig2 - params.r) @ d
+    return (diag(coefs["second_x"]) @ (d @ d) + diag(coefs["first_x"]) @ d
             + diag(np.full(grid.n_points, params.r)))
 
 
@@ -557,7 +549,8 @@ def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
     if convention == "direct":
         tx = finite_on_grid(gauge.theta_x(*_grid_coords(grid)), grid, "theta_x")
         sig2, om = params.sigma * params.sigma, gauge.omega
-        shift = 0.5 * sig2 * om * (1.0 + om) * tx * tx + om * (0.5 * sig2 - params.r) * tx
+        first_x = _coefficients(0.5 * sig2, params.r)["first_x"]   # sigma^2/2 - r
+        shift = 0.5 * sig2 * om * (1.0 + om) * tx * tx + om * first_x * tx
         require(np.isfinite(shift).all(), "omega", "is too large: the shift's potential "
                 f"sigma^2 omega (1+omega)/2 theta_x^2 overflows, got {om}")
         (dx,) = _difference_blocks(grid, "first_x")

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .core import require
+from .core import check_nonnegative, require
 from .pricing import OptionContract
 
 __all__ = ["ProfitQuery", "profit", "break_even"]
@@ -21,8 +20,7 @@ class ProfitQuery:
 
     def __post_init__(self):
         require(self.side in SIDES, "side", f"must be one of {SIDES}, got {self.side!r}")
-        require(math.isfinite(self.terminal_price) and self.terminal_price >= 0.0,
-                "terminal_price", f"must be nonnegative and finite, got {self.terminal_price}")
+        check_nonnegative("terminal_price", self.terminal_price)
 
 
 def profit(query: ProfitQuery) -> float:

@@ -65,7 +65,7 @@ from scipy.linalg.blas import dasum, dgbmv, idamax
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_finite, check_integer,
-                   check_positive, default_grid_1d, default_grid_2d, require)
+                   check_nonnegative, check_positive, default_grid_1d, default_grid_2d, require)
 from .operators import LinearOperator, build_bs_hamiltonian, build_mg_hamiltonian
 
 __all__ = [
@@ -106,8 +106,7 @@ class OptionContract:
         require(self.kind in ("call", "put"), "kind", f"must be 'call' or 'put', got {self.kind!r}")
         check_positive("strike", self.strike)
         check_positive("maturity", self.maturity)
-        require(math.isfinite(self.premium) and self.premium >= 0.0, "premium",
-                f"must be nonnegative and finite, got {self.premium}")
+        check_nonnegative("premium", self.premium)
 
     def payoff(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)

@@ -1,7 +1,7 @@
 """Reference readers of CSR matrices: the reader of a CSR matrix's diagonals,
 which the operators' products and the steppers' band readers are compared
 against, and the CSR readers the operators' diagonal readers replaced; and
-the identity operator the tests build their operators from."""
+the identity and the scalar multiple the tests build their operators from."""
 
 import math
 
@@ -14,6 +14,15 @@ from gauge_hamilton import LinearOperator
 def identity_operator(grid) -> LinearOperator:
     """The identity on ``grid``: its one diagonal, the main one, all ones."""
     return LinearOperator(grid, (np.zeros(1, dtype=np.intp), np.ones((1, grid.n_points))))
+
+
+def scaled(op: LinearOperator, c: float) -> LinearOperator:
+    """``c`` times ``op``: each entry of its diagonals times c, +0 where a
+    product vanishes."""
+    offsets, data = op.diagonals
+    product = data * float(c)
+    product += 0.0   # -0 to +0
+    return LinearOperator(op.grid, (offsets, product))
 
 
 def csr_diagonals(m: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

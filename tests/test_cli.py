@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import math
-import re
 import sys
 import warnings
 from decimal import Decimal, localcontext
@@ -647,19 +646,39 @@ def test_price_mg_names_v0_when_the_variance_box_overflows(runner):
             "= 709.78\n") in result.stderr
 
 
-@pytest.mark.parametrize("args", [["--s0", "1e300"], ["--s0", "0.5", "--r", "709", "--mu", "1e-3"]])
+@pytest.mark.parametrize("args", [["--model", "mg", "--s0", "1e300"],
+                                  ["--model", "mg", "--s0", "0.5", "--r", "709", "--mu", "1e-3"],
+                                  ["--model", "gbm", "--s0", "1e300"]])
 def test_simulate_refuses_a_summary_that_is_not_json(runner, args):
     # the terminal spread, and the terminal mean, overflowed: each printed
-    # Infinity, which is not JSON, and exited 0
+    # Infinity, which is not JSON, and exited 0; then numpy warned of the
+    # overflow and the JSON writer's refusal exited 1 naming no flag
     with warnings.catch_warnings():
-        # numpy still warns of the overflow in the reduction (ROADMAP item 5)
-        warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
-        result = runner.invoke(main, ["simulate", "--model", "mg", *args,
-                                      "--n-paths", "50", "--n-steps", "5"])
-    assert result.exit_code == 1, result.output
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["simulate", *args, "--n-paths", "50", "--n-steps", "5"])
+    assert result.exit_code == 2, result.output
     assert result.stdout == ""
-    assert re.fullmatch(r"error: Out of range float values are not JSON compliant(: inf)?\n",
-                        result.stderr)
+    s0, phi = ("0.5", "709.0") if "--r" in args else ("1e+300", "0.05")
+    assert (f"Error: --s0 must keep the terminal price's mean and standard error finite, "
+            f"got {s0} with phi = {phi} and T = 1.0\n") in result.stderr
+
+
+@pytest.mark.parametrize("args, rule", [
+    (["--v0", "1", "--zeta", "2", "--alpha", "3", "--mu", "5"],
+     "--alpha must keep every simulated variance finite; zeta = 2.0, alpha = 3.0, lambda = 0.0, "
+     "mu = 5.0: 65 of 100 paths are not"),
+    (["--mu", "1e300"],
+     "--mu must keep every simulated variance finite; zeta = 0.0, alpha = 1.0, lambda = 0.0, "
+     "mu = 1e+300: 100 of 100 paths are not")])
+def test_simulate_names_the_variance_law_when_a_variance_overflows(runner, args, rule):
+    # a variance path left the floats mid-run: numpy printed three warnings
+    # from the step and the run exited 2 naming --t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, [*SIMULATE_MG, *args])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert f"Error: {rule}\n" in result.stderr
 
 
 def surface_by_hand(grid, state, columns, total):

@@ -219,6 +219,24 @@ def test_mg_paths_refuse_an_overflowing_noise_term_before_any_draw(monkeypatch):
             simulate_mg(replace(p, alpha=2.0), 100.0, 1e300, 1.0, 10, 100, seed=0)
 
 
+def test_mg_paths_name_the_variance_law_when_a_variance_overflows():
+    # a variance that leaves the floats stays out: alpha is named when the
+    # noise zeta V^alpha outgrows V (zeta != 0, alpha > 1), mu otherwise;
+    # numpy's warnings stay inside the workers' error state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=r"^alpha must keep every simulated variance finite; "
+                                             r"zeta = 2.0, alpha = 3.0, lambda = 0.0, mu = 5.0: "):
+            simulate_mg(ModelParams(zeta=2.0, alpha=3.0, mu=5.0), 100.0, 1.0, 1.0, 10, 100,
+                        seed=0, threads=2)
+        with pytest.raises(InputError, match=r"^mu must keep every simulated variance finite; "
+                                             r"zeta = 0.0, alpha = 1.0, lambda = 0.0, "
+                                             r"mu = 1e\+300: 100 of 100 paths are not$"):
+            simulate_mg(ModelParams(mu=1e300), 100.0, 0.04, 1.0, 10, 100, seed=0)
+        with pytest.raises(InputError, match="^mu "):
+            simulate_mg(ModelParams(zeta=0.3, mu=1e300), 100.0, 0.04, 1.0, 10, 100, seed=0)
+
+
 def test_mg_replay_and_threads():
     p = ModelParams(r=0.05, phi=0.05, lambda_=0.01, mu=-0.5, zeta=0.5, rho=-0.5)
     a = simulate_mg(p, 100.0, 0.04, 1.0, 20, 40_000, seed=2)

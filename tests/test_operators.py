@@ -43,7 +43,7 @@ from gauge_hamilton.operators import (_difference_blocks, _first_difference, _se
 from gauge_hamilton.pricing import _kept_diagonals
 
 from dia_reference import (csr_bs_limit_residual, csr_diagonals, csr_hermiticity_defect,
-                           identity_operator)
+                           identity_operator, scaled)
 
 GRID_1D = make_grid_1d(3.5, 5.5, 41)
 GRID_2D = make_grid_2d(3.5, 5.5, 41, -4.0, -1.0, 21)
@@ -283,9 +283,19 @@ def test_operator_algebra_and_reach():
     assert interior_offsets(p) == [-1, 0, 1]
     assert interior_offsets(p @ p, depth=2) == [-2, 0, 2]
     assert interior_offsets(p + p) == [-1, 0, 1]
-    assert (2.0 * p).max_abs() == 2.0 * p.max_abs()
-    assert (-p).max_abs() == p.max_abs()
+    assert (p + p).max_abs() == 2.0 * p.max_abs()
     assert (p - p).max_abs() == 0.0
+
+
+def test_difference_adds_the_negated_diagonals():
+    # a - b is a + (-1) b entry for entry, +0 where an entry cancels
+    ops = [(build_bs_hamiltonian(P, GRID_1D), momentum_operator(GRID_1D)),
+           (build_mg_hamiltonian(MG_P, GRID_2D), build_gauge_hamiltonian(P, GRID_2D)),
+           (build_gauge_hamiltonian(P, GRID_2D, "factored"), momentum_operator(GRID_2D, "y"))]
+    for a, b in ops + [(b, a) for a, b in ops] + [(a, a) for a, _ in ops]:
+        got, want = (a - b).diagonals, (a + scaled(b, -1.0)).diagonals
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +360,37 @@ def test_mg_with_flat_variance_matches_local_gauge_blocks():
         assert (mg[name].matrix != ga[name].matrix).nnz == 0
     for name in ("first_y", "cross_xy", "second_y"):
         assert mg[name].max_abs() == 0.0
+
+
+def same_diagonals(a, b) -> bool:
+    """The same offsets and the same bits in every entry."""
+    return (np.array_equal(a.diagonals[0], b.diagonals[0])
+            and np.array_equal(a.diagonals[1].view(np.int64), b.diagonals[1].view(np.int64)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(5, 41), ny=st.integers(5, 41), x_min=st.floats(-3.0, 6.0),
+       x_width=st.floats(0.5, 4.0), y_min=st.floats(-8.0, 1.0), y_width=st.floats(0.5, 6.0),
+       r=st.floats(0.0, 0.2), sign=st.sampled_from([-1.0, 1.0]))
+def test_mg_special_case_is_the_local_gauge_hamiltonian(nx, ny, x_min, x_width, y_min, y_width,
+                                                         r, sign):
+    # the paper's special case: at alpha = 3/2, zeta = rho = +-1, lambda = 0
+    # and mu = r the Merton-Garman coefficients are the sigma-local gauge
+    # ones, so with the halved vol-of-vol term the operators are equal bit
+    # for bit; without it every term agrees but second_y, exactly twice the
+    # gauge's
+    grid = make_grid_2d(x_min, x_min + x_width, nx, y_min, y_min + y_width, ny)
+    gauge = ModelParams(r=r, sigma_local=True)
+    mg = ModelParams(r=r, alpha=1.5, zeta=sign, rho=sign, lambda_=0.0, mu=r, vol_vol_half=True)
+    assert same_diagonals(build_mg_hamiltonian(mg, grid), build_gauge_hamiltonian(gauge, grid))
+    full = hamiltonian_terms(dataclasses.replace(mg, vol_vol_half=False), grid, "mg")
+    local = hamiltonian_terms(gauge, grid, "gauge")
+    assert list(full) == list(local)
+    for name in local:
+        if name == "second_y":
+            assert same_diagonals(full[name], scaled(local[name], 2.0))
+        else:
+            assert same_diagonals(full[name], local[name])
 
 
 def test_mg_vol_vol_half_halves_one_block():
@@ -618,8 +659,8 @@ def test_left_convention_matches_analytic_conjugation():
         g = make_grid_1d(3.5, 5.5, n)
         left = build_transformed_bs(P, field, g, "left")
         analytic = (build_bs_hamiltonian(P, g)
-                    + (-sig2 * om) * momentum_operator(g)
-                    + (om * (0.5 * sig2 - P.r) - 0.5 * sig2 * om * om) * identity_operator(g))
+                    + scaled(momentum_operator(g), -sig2 * om)
+                    + scaled(identity_operator(g), om * (0.5 * sig2 - P.r) - 0.5 * sig2 * om * om))
         worst = 0.0
         for probe in smooth_probe_functions(g, 3, seed=8):
             f = sample(probe, g)

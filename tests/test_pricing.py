@@ -52,7 +52,7 @@ from gauge_hamilton import pricing
 from gauge_hamilton.pricing import (_band_dia, _band_solver, _dia_band, _relative_residual,
                                     _split_directions, _theta_band)
 
-from dia_reference import csr_diagonals, identity_operator
+from dia_reference import csr_diagonals, identity_operator, scaled
 
 P = ModelParams(r=0.05, sigma=0.2)
 CALL = OptionContract("call", 100.0, 1.0)
@@ -195,7 +195,7 @@ def test_evolve_pure_discounting():
     # H = r I has the exact solution e^{-r T} inside the box; trapezoidal
     # stepping with no startup damping reproduces it to 1e-10
     g = make_grid_1d(0.0, 1.0, 11)
-    h = identity_operator(g) * 0.07
+    h = scaled(identity_operator(g), 0.07)
     surf = evolve(h, GridFunction(g, np.ones(11)), maturity=2.0,
                   n_steps=10_000, boundary=FAR_FIELD, rannacher=0)
     assert np.abs(surf.values[1:-1] - math.exp(-0.14)).max() < 1e-10
@@ -269,7 +269,7 @@ def test_evolve_singular_system():
     # I + theta dt H collapses to zero inside the box for H = -2I, dt = 1:
     # gttrf meets a zero pivot in the first row after the pinned end row
     g = make_grid_1d(0.0, 1.0, 11)
-    h = identity_operator(g) * -2.0
+    h = scaled(identity_operator(g), -2.0)
     with pytest.raises(EvolveError, match="factorization failed: zero pivot in row 2$"):
         evolve(h, GridFunction(g, np.ones(11)), 1.0, 1, theta_scheme=0.5,
                boundary=FAR_FIELD, rannacher=0)
@@ -277,7 +277,7 @@ def test_evolve_singular_system():
 
 def test_evolve_keeps_two_slices():
     g = make_grid_1d(0.0, 1.0, 11)
-    h = identity_operator(g) * 0.05
+    h = scaled(identity_operator(g), 0.05)
     surf = evolve(h, GridFunction(g, np.ones(11)), 1.0, 4, boundary=FAR_FIELD)
     assert surf.dt == 0.25
     assert surf.prev_values is not None
@@ -693,7 +693,7 @@ def zero_padded_momentum(grid):
 THETA_OPERATORS = {"bs": lambda: build_bs_hamiltonian(P, THETA_GRID),
                    "bs-zero-padded": lambda: zero_padded_bs(THETA_GRID),
                    "momentum": lambda: zero_padded_momentum(THETA_GRID),
-                   "zero": lambda: identity_operator(THETA_GRID) * 0.0}
+                   "zero": lambda: scaled(identity_operator(THETA_GRID), 0.0)}
 
 
 @pytest.mark.parametrize("operator", THETA_OPERATORS)
