@@ -395,16 +395,20 @@ def simulate(model, s0, v0, maturity, r, phi, sigma, lambda_, mu, zeta, alpha,
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
         mean = float(terminal.mean())
         stderr = float(terminal.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else None
+        v_mean = None if ens.v_paths is None else float(ens.v_paths[:, -1].mean())
     require(math.isfinite(mean) and math.isfinite(stderr or 0.0), "s0",
             f"must keep the terminal price's mean and standard error finite, got {s0} "
             f"with phi = {ens.phi} and T = {maturity}")
+    require(math.isfinite(v_mean or 0.0), "v0",
+            f"must keep the terminal variance's mean finite, got {v0} with lambda = "
+            f"{lambda_}, mu = {mu} and T = {maturity}")
     out = {
         "model": model, "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
         "threads": threads, "maturity": maturity, "phi": ens.phi,
         "s_terminal_mean": mean, "s_terminal_stderr": stderr,
     }
-    if ens.v_paths is not None:
-        out["v_terminal_mean"] = float(ens.v_paths[:, -1].mean())
+    if v_mean is not None:
+        out["v_terminal_mean"] = v_mean
     if slices_out:
         ens.slices_to_csv(slices_out)
         out["slices_out"] = slices_out

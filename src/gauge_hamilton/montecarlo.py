@@ -258,8 +258,11 @@ def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
     freezing the variance reproduces simulate_gbm paths for the same seed.
     An InputError names alpha, before any draw, unless zeta V^alpha is
     finite at v0 and at V_FLOOR.  A variance that leaves the floats never
-    comes back, so the terminal variances are checked before the prices: an
-    InputError names alpha when zeta != 0 and alpha > 1, and mu otherwise.
+    comes back, so the terminal variances are checked before the prices.
+    An InputError names the flag of the larger term at v0: for the noise
+    zeta v0^alpha sqrt(dt), alpha when alpha > 1 and zeta otherwise; for
+    the drift (lambda + mu v0) dt, lambda when |lambda| > |mu v0| and mu
+    otherwise.
     """
     _validate_run(s0, maturity, n_steps, n_paths, seed, threads)
     check_positive("v0", v0)
@@ -291,7 +294,11 @@ def simulate_mg(params: ModelParams, s0: float, v0: float, maturity: float,
 
     _step_blocks(seed, n_paths, n_steps, threads, step)
     bad = int(np.count_nonzero(~np.isfinite(v[-1])))
-    require(bad == 0, "alpha" if params.zeta != 0.0 and params.alpha > 1.0 else "mu",
+    drift = params.lambda_ + params.mu * v0
+    noise = abs(ends[0]) * sqdt
+    field = (("alpha" if params.alpha > 1.0 else "zeta") if noise > abs(drift) * dt else
+             "lambda" if abs(params.lambda_) > abs(params.mu * v0) else "mu")
+    require(bad == 0, field,
             f"must keep every simulated variance finite; zeta = {params.zeta}, alpha = "
             f"{params.alpha}, lambda = {params.lambda_}, mu = {params.mu}: {bad} of {n_paths} "
             f"paths are not")

@@ -17,11 +17,13 @@ them once, by one reader for 1D and 2D grids (_kept_diagonals): the
 diagonals less the boundary rows, with no CSR matrix made on the way.
 Every theta-system, I + s M with its boundary rows identity rows, is
 scaled from M's three diagonals in LAPACK band storage, which is DIA
-storage row for row, and each implicit system has one gttrf/gttrs LU
-factor.  In 1D the explicit product and the residual are BLAS gbmv calls
-on the bands, and max|r| is BLAS idamax's entry: the step loop makes no
-scipy.sparse call and no temporary array.  On 2D grids the
-operator A = -H is split by stencil direction into A1 (along x), A2 (along
+storage row for row, and each implicit system has one gttrf LU factor,
+whose one solve copies the right-hand side once and runs gttrs in place on
+the copy, whole or on its two slices.  In 1D the explicit product and the
+residual are BLAS gbmv calls on the bands, and max|r| is BLAS idamax's
+entry: the step loop makes no scipy.sparse call.  Every solve is checked,
+and max|rhs| is read only when max|r| alone fails the check.  On 2D grids
+the operator A = -H is split by stencil direction into A1 (along x), A2 (along
 y) and the mixed part A0, and each step is a Craig-Sneyd ADI step: an
 explicit stage of the whole operator, an implicit x-sweep with
 I - theta dtau A1 and a y-sweep with I - theta dtau A2, then a correction
@@ -182,11 +184,16 @@ class FarFieldBoundary:
     def __post_init__(self):
         check_finite("rate", self.rate)
 
-    def x_values(self, grid, tau: float) -> tuple[float, float]:
-        pv_strike = self.contract.strike * math.exp(-self.rate * tau)
+    def x_values(self, grid):
+        """The x faces' values on ``grid`` as a function of the remaining time,
+        ``values(tau) -> (low, high)``; e^x at the face is evaluated once, and
+        K e^{-r tau} at each call."""
+        strike, rate = self.contract.strike, self.rate
         if self.contract.kind == "call":
-            return 0.0, math.exp(grid.x_axis.x_max) - pv_strike
-        return pv_strike - math.exp(grid.x_axis.x_min), 0.0
+            e_max = math.exp(grid.x_axis.x_max)
+            return lambda tau: (0.0, e_max - strike * math.exp(-rate * tau))
+        e_min = math.exp(grid.x_axis.x_min)
+        return lambda tau: (strike * math.exp(-rate * tau) - e_min, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +261,9 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     solve is checked: a relative residual max|r| / max(1, max|rhs|) above
     ``RESIDUAL_TOL``, or one that is not finite, raises EvolveError.  The
     maxima are read at idamax's index; OpenBLAS's idamax may skip a NaN, so
-    a NaN is caught by dasum.
+    a NaN is caught by dasum.  As the denominator is at least 1, max|rhs|
+    is read only when max|r| alone fails.  Each solve runs LAPACK gttrs in
+    place on one copy of its right-hand side.
 
     ``boundary`` gives the face rows of every theta-system, on either grid.
     Every theta-system is tridiagonal along its grid lines: H's interior
@@ -265,7 +274,8 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
     product with the explicit side, the solve on tridiagonal factors, and
     the residual as one more gbmv on the implicit side.  The end rows of
     the implicit system are Dirichlet rows, and the FarFieldBoundary's
-    time-dependent values are fed through the right-hand side.
+    time-dependent values are fed through the right-hand side, from the one
+    function of tau that FarFieldBoundary.x_values makes per march.
 
     On 2D grids each step is a Craig-Sneyd ADI step (a Douglas step when
     theta = 1) built on the direction split of -H.  The Dirichlet rows of
@@ -295,11 +305,7 @@ def evolve(h: LinearOperator, terminal: GridFunction, maturity: float,
                    else _band_stepper(h, dt, boundary))
 
         def check(resid, rhs):
-            rel = _relative_residual(resid, rhs)
-            if not rel <= RESIDUAL_TOL:   # NaN and inf fail too
-                raise EvolveError(
-                    f"linear solve at step {step + 1}/{n_steps} has relative residual "
-                    f"{rel:g} (tolerance {RESIDUAL_TOL:g})")
+            _check_solve(resid, rhs, step + 1, n_steps)
 
         startup = min(rannacher, n_steps) if theta_scheme < 1.0 else 0
         values = terminal.values.copy()
@@ -316,6 +322,19 @@ def _relative_residual(resid: np.ndarray, rhs: np.ndarray) -> float:
     """max|resid| / max(1, max|rhs|); NaN when resid = A x - rhs holds a NaN."""
     return (math.nan if math.isnan(dasum(resid)) else
             math.fabs(resid[idamax(resid)]) / max(1.0, math.fabs(rhs[idamax(rhs)])))
+
+
+def _check_solve(resid: np.ndarray, rhs: np.ndarray, step: int, n_steps: int) -> None:
+    """Raise EvolveError, naming the step, unless the relative residual is at
+    most RESIDUAL_TOL.  Its denominator max(1, max|rhs|) is at least 1, so a
+    resid with no NaN and max|resid| within the tolerance passes as it
+    stands: rhs is read only when that screen fails."""
+    if not math.isnan(dasum(resid)) and math.fabs(resid[idamax(resid)]) <= RESIDUAL_TOL:
+        return
+    rel = _relative_residual(resid, rhs)
+    if not rel <= RESIDUAL_TOL:   # NaN and inf fail too
+        raise EvolveError(f"linear solve at step {step}/{n_steps} has relative residual "
+                          f"{rel:g} (tolerance {RESIDUAL_TOL:g})")
 
 
 def _kept_diagonals(h: LinearOperator, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,11 +448,12 @@ def _band_solver(band: np.ndarray, cut: Optional[int] = None,
     """The solve of a tridiagonal band system on its LAPACK gttrf/gttrs LU
     factors; a zero pivot raises EvolveError naming its row.
 
-    The whole band is factored once.  With a ``cut``, ``solve`` hands the
-    later piece to the ``helper``, solves the first one on the calling
-    thread, each with gttrs on its slice of the factors (the later piece's
-    pivots less the cut), and then waits for the helper, whose error, if
-    its piece raised, it re-raises.  A no-op round trip through the
+    The whole band is factored once.  ``solve`` copies the right-hand side
+    once and runs gttrs in place on the copy, or, with a ``cut``, on its two
+    slices: it hands the later piece to the ``helper``, solves the first one
+    on the calling thread, each on its slice of the factors (the later
+    piece's pivots less the cut), and then waits for the helper, whose
+    error, if its piece raised, it re-raises.  A no-op round trip through the
     helper's lock pair takes 13 us, against 24 us through a
     ThreadPoolExecutor (medians of 5000 on a 2-vCPU Xeon VM).  The band
     must not couple the two rows at the cut (ValueError otherwise): both
@@ -446,16 +466,20 @@ def _band_solver(band: np.ndarray, cut: Optional[int] = None,
     dl, d, du, du2, ipiv, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
     if info > 0:
         raise EvolveError(f"implicit matrix factorization failed: zero pivot in row {info}")
-    if cut is None:
-        return lambda rhs: dgttrs(dl, d, du, du2, ipiv, rhs)[0]
-    first = (dl[:cut - 1], d[:cut], du[:cut - 1], du2[:cut - 2], ipiv[:cut])
-    later = (dl[cut:], d[cut:], du[cut:], du2[cut:], ipiv[cut:] - cut)
+    if cut is not None:
+        first = (dl[:cut - 1], d[:cut], du[:cut - 1], du2[:cut - 2], ipiv[:cut])
+        later = (dl[cut:], d[cut:], du[cut:], du2[cut:], ipiv[cut:] - cut)
 
+    # trans "N" and overwrite_b 1 go by position: f2py's keyword parsing
+    # would cost more than the copy that overwrite_b saves
     def solve(rhs):
         x = rhs.copy()
-        helper.start(lambda: dgttrs(*later, x[cut:], overwrite_b=1))
+        if cut is None:
+            dgttrs(dl, d, du, du2, ipiv, x, "N", 1)
+            return x
+        helper.start(lambda: dgttrs(*later, x[cut:], "N", 1))
         try:
-            dgttrs(*first, x[:cut], overwrite_b=1)
+            dgttrs(*first, x[:cut], "N", 1)
         finally:
             helper.wait()
         return x
@@ -474,6 +498,7 @@ def _band_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
     """
     grid, n = h.grid, h.grid.n
     stored = _dia_band(*_kept_diagonals(h, grid.interior_mask(1)))
+    x_values = boundary.x_values(grid)
 
     def systems(theta: float, check):
         a = _theta_band(stored, theta * dt)
@@ -482,9 +507,10 @@ def _band_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary):
 
         def advance(values, tau_new):
             rhs = dgbmv(n, n, 1, 1, 1.0, b, values)
-            rhs[0], rhs[-1] = boundary.x_values(grid, tau_new)
+            rhs[0], rhs[-1] = x_values(tau_new)
             new = solve(rhs)
-            check(dgbmv(n, n, 1, 1, 1.0, a, new, beta=-1.0, y=rhs), rhs)
+            # incx 1, offx 0, beta -1 and y = rhs, by position (0.4 us less than by keyword)
+            check(dgbmv(n, n, 1, 1, 1.0, a, new, 1, 0, -1.0, rhs), rhs)
             return new
         return advance
 
@@ -567,14 +593,15 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary,
     bottom = np.arange(1, nx - 1) * ny
     faces = np.concatenate([bottom, bottom + ny - 1])
     replaced = np.concatenate([low, high, faces])
-    keep = np.ones(n)
-    keep[replaced] = 0.0
     inward = np.repeat([1, -1], bottom.size)[:, None] * np.arange(3)
     near, far = (faces[:, None] + inward[:, 1:]).T   # the two rows inward of each face
     x_lines = np.arange(n).reshape(nx, ny).T.ravel()   # the grid point at each x-line position
     stored_x = _dia_band(a1.offsets, a1.data, ny, x_lines)
     stored_y = _dia_band(a2.offsets, a2.data)
     replaced_x = replaced % ny * nx + replaced // ny   # their x-line positions
+    x_values = boundary.x_values(grid)
+    rhs_x, rhs_y = np.empty(n), np.empty(n)   # each sweep's right-hand side, in its line order
+    grid_x, grid_y = rhs_x.reshape(ny, nx).T, rhs_y.reshape(nx, ny)   # and its (nx, ny) view
     two_cpus = _cpu_count() >= 2
 
     def cut(lines, length):
@@ -609,7 +636,7 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary,
         solve_y, resid_y = _band_solver(band_y, cut_y, helper), residual(band_y, replaced)
 
         def advance(values, tau_new):
-            g_low, g_high = boundary.x_values(grid, tau_new)
+            g_low, g_high = x_values(tau_new)
             a0u, a1u, a2u = a0 @ values, a1 @ values, a2 @ values
             y0 = a0u + a1u
             y0 += a2u
@@ -618,21 +645,20 @@ def _adi_stepper(h: LinearOperator, dt: float, boundary: FarFieldBoundary,
             a1u *= theta * dt
             a2u *= theta * dt
 
-            def boundary_rhs(rhs):
-                rhs *= keep
-                rhs[low] = g_low
-                rhs[high] = g_high
-                return rhs
+            def sweep(solve, resid, rhs, view):
+                view[1:-1, ::ny - 1] *= 0.0   # the y faces: +-0, or NaN from a non-finite entry
+                view[0], view[-1] = g_low, g_high
+                y = solve(rhs)
+                check(resid(y, rhs), rhs)
+                return y
 
             def sweeps(y0):
-                rhs = boundary_rhs(y0 - a1u).reshape(nx, ny).T.ravel()
-                y1 = solve_x(rhs)
-                check(resid_x(y1, rhs), rhs)
-                rhs = y1.reshape(ny, nx).T.flatten()
-                rhs -= a2u
-                boundary_rhs(rhs)
-                y2 = solve_y(rhs)
-                check(resid_y(y2, rhs), rhs)
+                np.subtract(y0, a1u, out=rhs_y)   # in grid order, held until the y-sweep's turn
+                np.copyto(grid_x, grid_y)
+                y1 = sweep(solve_x, resid_x, rhs_x, grid_x)
+                np.copyto(grid_y, y1.reshape(ny, nx).T)
+                np.subtract(rhs_y, a2u, out=rhs_y)
+                y2 = sweep(solve_y, resid_y, rhs_y, grid_y)
                 y2[faces] = 2.0 * y2[near] - y2[far]
                 return y2
 

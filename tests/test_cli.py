@@ -663,13 +663,30 @@ def test_simulate_refuses_a_summary_that_is_not_json(runner, args):
             f"got {s0} with phi = {phi} and T = 1.0\n") in result.stderr
 
 
+def test_simulate_refuses_a_terminal_variance_mean_that_is_not_json(runner):
+    # every variance is finite, but their mean overflowed: numpy warned of it
+    # and the JSON writer's refusal exited 1 naming no flag
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["simulate", "--model", "mg", "--s0", "100", "--v0", "1e308",
+                                      "--n-paths", "50", "--n-steps", "5"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert ("Error: --v0 must keep the terminal variance's mean finite, got 1e+308 with "
+            "lambda = 0.0, mu = 0.0 and T = 1.0\n") in result.stderr
+
+
 @pytest.mark.parametrize("args, rule", [
     (["--v0", "1", "--zeta", "2", "--alpha", "3", "--mu", "5"],
      "--alpha must keep every simulated variance finite; zeta = 2.0, alpha = 3.0, lambda = 0.0, "
      "mu = 5.0: 65 of 100 paths are not"),
     (["--mu", "1e300"],
      "--mu must keep every simulated variance finite; zeta = 0.0, alpha = 1.0, lambda = 0.0, "
-     "mu = 1e+300: 100 of 100 paths are not")])
+     "mu = 1e+300: 100 of 100 paths are not"),
+    # the noise term drives the variance out, with mu = 0: --mu was named
+    (["--v0", "1", "--zeta", "1e150"],
+     "--zeta must keep every simulated variance finite; zeta = 1e+150, alpha = 1.0, "
+     "lambda = 0.0, mu = 0.0: 100 of 100 paths are not")])
 def test_simulate_names_the_variance_law_when_a_variance_overflows(runner, args, rule):
     # a variance path left the floats mid-run: numpy printed three warnings
     # from the step and the run exited 2 naming --t

@@ -237,6 +237,21 @@ def test_mg_paths_name_the_variance_law_when_a_variance_overflows():
             simulate_mg(ModelParams(zeta=0.3, mu=1e300), 100.0, 0.04, 1.0, 10, 100, seed=0)
 
 
+@pytest.mark.parametrize("law, v0, field", [
+    # the noise zeta v0^alpha sqrt(dt) outweighs a zero drift: zeta, not mu
+    (dict(zeta=1e150), 1.0, "zeta"),
+    (dict(zeta=1e100, alpha=2.0), 1.0, "alpha"),
+    # the drift (lambda + mu v0) dt outweighs the noise: the larger of its parts
+    (dict(zeta=0.3, lambda_=1e308, mu=5.0), 0.04, "lambda"),
+    (dict(zeta=0.3, lambda_=1.0, mu=1e300), 0.04, "mu")])
+def test_mg_paths_name_the_larger_term_of_the_variance_law(law, v0, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=r"must keep every simulated variance finite") as info:
+            simulate_mg(ModelParams(**law), 100.0, v0, 1.0, 10, 100, seed=0)
+    assert info.value.field == field
+
+
 def test_mg_replay_and_threads():
     p = ModelParams(r=0.05, phi=0.05, lambda_=0.01, mu=-0.5, zeta=0.5, rho=-0.5)
     a = simulate_mg(p, 100.0, 0.04, 1.0, 20, 40_000, seed=2)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -49,8 +50,8 @@ from gauge_hamilton import (
     terminal_payoff,
 )
 from gauge_hamilton import pricing
-from gauge_hamilton.pricing import (_band_dia, _band_solver, _dia_band, _relative_residual,
-                                    _split_directions, _theta_band)
+from gauge_hamilton.pricing import (RESIDUAL_TOL, _band_dia, _band_solver, _check_solve,
+                                    _dia_band, _relative_residual, _split_directions, _theta_band)
 
 from dia_reference import csr_diagonals, identity_operator, scaled
 
@@ -328,10 +329,10 @@ def test_pde_implicit_euler_stays_nonnegative():
 
 def test_far_field_values():
     g = default_grid_1d(100.0, 0.2, 1.0, n=21)
-    lo, hi = FarFieldBoundary(CALL, 0.05).x_values(g, 1.0)
+    lo, hi = FarFieldBoundary(CALL, 0.05).x_values(g)(1.0)
     assert lo == 0.0
     assert hi == pytest.approx(math.exp(g.x_max) - 100.0 * math.exp(-0.05), rel=1e-12)
-    lo_p, hi_p = FarFieldBoundary(PUT, 0.05).x_values(g, 1.0)
+    lo_p, hi_p = FarFieldBoundary(PUT, 0.05).x_values(g)(1.0)
     assert hi_p == 0.0
     assert lo_p == pytest.approx(100.0 * math.exp(-0.05) - math.exp(g.x_min), rel=1e-12)
 
@@ -456,13 +457,20 @@ def test_price_bs_default_box_covers_the_strike(kind, strike, sigma, maturity, r
 @given(sigma=st.floats(0.1, 0.4), maturity=st.floats(0.1, 2.0), r=st.floats(0.0, 0.08),
        moneyness=st.floats(0.85, 1.2), s0=st.floats(20.0, 500.0),
        sigma2=st.floats(0.1, 0.4), moneyness2=st.floats(0.85, 1.2))
+# a parity gap of 1.0017e-3 at s0 = 413, which an absolute 1e-3 bound refused
+@example(sigma=0.390625, maturity=2.0, r=0.0, moneyness=1.0, s0=413.0, sigma2=0.390625,
+         moneyness2=1.0)
 def test_price_bs_parity_and_bounds(sigma, maturity, r, moneyness, s0, sigma2, moneyness2):
     p = ModelParams(r=r, sigma=sigma)
     strike = moneyness * s0
     call = price_bs(p, OptionContract("call", strike, maturity), s0)
     put = price_bs(p, OptionContract("put", strike, maturity), s0)
     pv_strike = strike * math.exp(-r * maturity)
-    assert abs(call - put - (s0 - pv_strike)) <= 1e-3
+    # the gap is the discrete operator's O(h^2) error on e^x, so it scales
+    # with s0: at most 2.667e-6 s0 over this domain (sigma 0.4, T 2, r 0,
+    # K = 1.2 s0, on a 7 x 7 x 3 x 8 scan of sigma, T, r and K / s0), and
+    # the bound allows 12 % more
+    assert abs(call - put - (s0 - pv_strike)) <= 3e-6 * s0
     assert max(s0 - pv_strike, 0.0) <= call <= s0
     # calls fall as K rises and rise with sigma, on each pair whose closed
     # forms differ by more than twice the PDE's error; that error is at most
@@ -744,7 +752,7 @@ def test_evolve_steps_operator_without_stored_diagonal():
     a[[0, -1]] = np.eye(g.n)[[0, -1]]
     for step in range(5):
         rhs = want.copy()
-        rhs[[0, -1]] = boundary.x_values(g, 0.1 * (step + 1))
+        rhs[[0, -1]] = boundary.x_values(g)(0.1 * (step + 1))
         want = np.linalg.solve(a, rhs)
     np.testing.assert_allclose(surf.values, want, rtol=0.0, atol=1e-12)
 
@@ -764,7 +772,7 @@ def dense_theta_steps(h, u0, maturity, n_steps, theta, boundary):
         a, b = eye + th * dt * m, eye - (1.0 - th) * dt * m
         rhs = b @ values
         a[[0, -1]] = eye[[0, -1]]
-        rhs[[0, -1]] = boundary.x_values(g, (step + 1) * dt)
+        rhs[[0, -1]] = boundary.x_values(g)((step + 1) * dt)
         values = np.linalg.solve(a, rhs)
     return values
 
@@ -783,7 +791,7 @@ def superlu_theta_steps(h, u0, maturity, n_steps, theta, boundary):
             systems[th] = b, spla.splu(a.tocsc())
         b, lu = systems[th]
         rhs = b @ values
-        rhs[[0, -1]] = boundary.x_values(g, (step + 1) * dt)
+        rhs[[0, -1]] = boundary.x_values(g)((step + 1) * dt)
         values = lu.solve(rhs)
     return values
 
@@ -1295,6 +1303,37 @@ def test_relative_residual_matches_numpy_reductions(n, seed, scale, marks):
         assert same_float(_relative_residual(resid, np.zeros(1)), float(np.abs(resid).max()))
     # NaN exactly where the numpy measure is NaN, bit for bit elsewhere
     assert same_float(_relative_residual(resid, rhs), numpy_relative_residual(resid, rhs))
+
+
+# max|r| at and just past the tolerance, NaNs that idamax may skip, and
+# infinities, for either vector of the step check
+CHECK_MARKS = [RESIDUAL_TOL, float(np.nextafter(RESIDUAL_TOL, 1.0)), -2e-10, math.nan, math.inf,
+               -math.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+       r_scale=st.sampled_from([0.0, 1e-12, 5e-11, 1e-10, 1e-9, 1e-6]),
+       rhs_scale=st.sampled_from([0.0, 1.0, 1e3, 1e6, 1e12]),
+       marks=st.lists(st.tuples(st.sampled_from([0, 1]), st.integers(0, 299),
+                                st.sampled_from(CHECK_MARKS)), max_size=3))
+def test_step_check_decides_as_the_relative_residual(n, seed, r_scale, rhs_scale, marks):
+    # the check screens max|r| alone and forms the relative residual only
+    # when that fails: it must pass or raise exactly as the relative
+    # residual decides, with the same message; a large max|rhs| lets some
+    # max|r| above the tolerance pass
+    resid, rhs = np.random.default_rng(seed).standard_normal((2, n)) * [[r_scale], [rhs_scale]]
+    for which, at, mark in marks:
+        (resid, rhs)[which][at % n] = mark
+    rel = _relative_residual(resid, rhs)
+    if rel <= RESIDUAL_TOL:
+        _check_solve(resid, rhs, 3, 7)
+    else:
+        message = f"linear solve at step 3/7 has relative residual {rel:g} (tolerance 1e-10)"
+        with pytest.raises(EvolveError, match=f"^{re.escape(message)}$"):
+            _check_solve(resid, rhs, 3, 7)
+    if not np.isnan(resid).any() and np.abs(resid).max() <= RESIDUAL_TOL:
+        _check_solve(resid, None, 3, 7)   # passes on max|r| alone: rhs is not read
 
 
 SURFACE_DIGEST = f"""
