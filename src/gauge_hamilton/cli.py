@@ -22,17 +22,15 @@ from dataclasses import asdict
 import click
 import numpy as np
 
-from .core import (EXP_LIMIT, InputError, ModelParams, check_integer, check_nonnegative,
-                   default_grid_1d, default_grid_2d, make_grid_2d, require, sample, text_output,
-                   write_csv)
+from .core import (EXP_LIMIT, InputError, ModelParams, check_nonnegative, make_grid_2d, require,
+                   sample, text_output, write_csv)
 from .gauge_analysis import (_CHECK_X, _CHECK_Y, CHECKS, _run_checks,
                              gauge_martingale_sums, martingale_roots,
                              mg_martingale_report)
 from .montecarlo import _check_seed, mc_price, simulate_gbm, simulate_mg
 from .operators import _TERM_STENCILS, build_gauge_hamiltonian, hamiltonian_terms
 from .payoff import ProfitQuery, break_even, profit
-from .pricing import (EvolveError, OptionContract, _cover_strike, bs_closed_form, price_bs,
-                      price_mg)
+from .pricing import EvolveError, OptionContract, bs_closed_form, price_bs, price_mg
 
 THREADS_ENV = "GAUGE_HAMILTON_THREADS"
 
@@ -112,6 +110,33 @@ def main(ctx, config_path):
 
 main.command_class = _Command   # every subcommand below is one
 
+# the model flags by parameter name, with the command line's defaults
+_MODEL_FLAGS = {"r": 0.05, "sigma": 0.2, "lambda_": 0.0, "mu": 0.0, "zeta": 0.0,
+                "alpha": 1.0, "rho": 0.0}
+
+
+def _model_flags(*names):
+    """Declare the named model flags, in the order named; a command takes them
+    as ``**flags``, ready for ModelParams."""
+    def declare(command):
+        for name in reversed(names):   # click lists the last one applied first
+            command = click.option(f"--{name.rstrip('_')}", name, type=float,
+                                   default=_MODEL_FLAGS[name], show_default=True)(command)
+        return command
+    return declare
+
+
+def _mc_summary(what: str, summarize, s0, phi, maturity) -> tuple:
+    """``summarize()``, a Monte Carlo mean and its standard error (None for
+    one path), computed with numpy's overflow warnings off; an InputError
+    names s0, with phi and T, unless both are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        mean, stderr = summarize()
+    require(math.isfinite(mean) and math.isfinite(stderr or 0.0), "s0",
+            f"must keep {what} and standard error finite, got {s0} with phi = {phi} "
+            f"and T = {maturity}")
+    return mean, stderr
+
 
 # ---------------------------------------------------------------------------
 # price
@@ -124,18 +149,11 @@ main.command_class = _Command   # every subcommand below is one
 @click.option("--k", "strike", type=float, required=True, help="Strike.")
 @click.option("--t", "maturity", type=float, default=1.0, show_default=True,
               help="Maturity in years.")
-@click.option("--r", type=float, default=0.05, show_default=True)
-@click.option("--sigma", type=float, default=0.2, show_default=True)
+@_model_flags(*_MODEL_FLAGS)
 @click.option("--v0", type=float, default=0.04, show_default=True,
               help="Initial variance (mg only).")
-@click.option("--lambda", "lambda_", type=float, default=0.0, show_default=True)
-@click.option("--mu", type=float, default=0.0, show_default=True)
-@click.option("--zeta", type=float, default=0.0, show_default=True)
-@click.option("--alpha", type=float, default=1.0, show_default=True)
-@click.option("--rho", type=float, default=0.0, show_default=True)
-@click.option("--nx", type=int, default=None, help="Price-axis grid points.")
-@click.option("--ny", type=int, default=81, show_default=True,
-              help="Variance-axis grid points (mg only).")
+@click.option("--nx", type=int, help="Price-axis grid points; default: the pricer's.")
+@click.option("--ny", type=int, help="Variance-axis grid points (mg only); default: the pricer's.")
 @click.option("--n-steps", type=int, default=200, show_default=True)
 @click.option("--theta-scheme", type=float, default=0.5, show_default=True,
               help="0.5: Crank-Nicolson (Craig-Sneyd with --model mg) after two fully "
@@ -143,36 +161,32 @@ main.command_class = _Command   # every subcommand below is one
 @click.option("--mc-paths", type=int, default=0, show_default=True,
               help="If positive, add a Monte Carlo estimate on this many paths.")
 @click.option("--seed", type=int, default=0, show_default=True)
-def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
-          alpha, rho, nx, ny, n_steps, theta_scheme, mc_paths, seed):
+def price(model, kind, s0, strike, maturity, v0, nx, ny, n_steps, theta_scheme, mc_paths,
+          seed, **flags):
     """Price a European option by backward evolution."""
-    params = ModelParams(r=r, sigma=sigma, phi=r, lambda_=lambda_, mu=mu,
-                         zeta=zeta, alpha=alpha, rho=rho)
+    r = flags["r"]
+    params = ModelParams(**flags, phi=r)
     contract = OptionContract(kind, strike, maturity)
     require(mc_paths == 0 or mc_paths >= 2, "mc_paths", f"must be 0 or at least 2, got {mc_paths}")
     _check_seed(seed)   # before the PDE solve, not after it
     out = {"model": model, "kind": kind, "s0": s0, "strike": strike,
            "maturity": maturity, "r": r}
+    # the grid sizes given; the pricers' own stand for the rest
+    sizes = {name: n for name, n in (("nx", nx), ("ny", ny)) if n is not None}
     if model == "bs":
-        grid = None
-        if nx is not None:   # price_bs's own box, on nx points
-            check_integer("nx", nx, 5)   # by the flag's name: the 1D grid says n
-            grid = _cover_strike(default_grid_1d(s0, sigma, maturity, n=nx), contract)
-        pde = price_bs(params, contract, s0, grid=grid,
-                       n_steps=n_steps, theta_scheme=theta_scheme)
+        sizes.pop("ny", None)   # the 1D box has no variance axis
+        pde = price_bs(params, contract, s0, n_steps, theta_scheme, **sizes)
         closed = bs_closed_form(params, contract, s0)
-        out.update(sigma=sigma, pde_price=pde, closed_form=closed,
+        out.update(sigma=flags["sigma"], pde_price=pde, closed_form=closed,
                    rel_err=abs(pde - closed) / max(abs(closed), 1e-300))
     else:
-        grid = _cover_strike(default_grid_2d(s0, v0, maturity,
-                                             nx=201 if nx is None else nx, ny=ny), contract)
-        pde = price_mg(params, contract, s0, v0, grid=grid,
-                       n_steps=n_steps, theta_scheme=theta_scheme)
+        pde = price_mg(params, contract, s0, v0, n_steps, theta_scheme, **sizes)
         out.update(v0=v0, pde_price=pde)
     if mc_paths > 0:
         ens = (simulate_gbm(params, s0, maturity, n_steps, mc_paths, seed) if model == "bs"
                else simulate_mg(params, s0, v0, maturity, n_steps, mc_paths, seed))
-        est, se = mc_price(ens, contract, r)
+        est, se = _mc_summary("the discounted payoff's mean", lambda: mc_price(ens, contract, r),
+                              s0, ens.phi, maturity)
         out.update(mc_price=est, mc_stderr=se, mc_paths=mc_paths, seed=seed)
     _echo_json(out)
 
@@ -188,17 +202,14 @@ def price(model, kind, s0, strike, maturity, r, sigma, v0, lambda_, mu, zeta,
               default="linear", show_default=True,
               help="Gauge field used by the commutator check.")
 @click.option("--omega", type=float, default=1.0, show_default=True)
-@click.option("--sigma", type=float, default=0.2, show_default=True)
-@click.option("--r", type=float, default=0.05, show_default=True)
+@_model_flags("sigma", "r")
 @click.option("--nx", type=int, default=41, show_default=True)
 @click.option("--ny", type=int, default=21, show_default=True)
 @click.option("--probes", type=int, default=5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-def check(what, theta_field, omega, sigma, r, nx, ny, probes, seed):
+def check(what, theta_field, omega, nx, ny, probes, seed, **flags):
     """Run the structural consistency checks and report pass/fail."""
-    params = ModelParams(r=r, sigma=sigma)
-    require(math.isfinite(omega), "omega", f"must be finite, got {omega}")
-    checks = _run_checks(what, params=params, theta_field=theta_field, omega=omega,
+    checks = _run_checks(what, params=ModelParams(**flags), theta_field=theta_field, omega=omega,
                          nx=nx, ny=ny, probes=probes, seed=seed)
     all_pass = all(c["pass"] for c in checks)
     _echo_json({"checks": checks, "pass": all_pass})
@@ -236,12 +247,11 @@ def martingale(mu, lambda_, a_coeff, report_grid, zeta, alpha, rho):
 
 
 @main.command("gauge-martingale")
-@click.option("--r", type=float, default=0.05, show_default=True)
-@click.option("--sigma", type=float, default=0.2, show_default=True)
-def gauge_martingale(r, sigma):
+@_model_flags("r", "sigma")
+def gauge_martingale(**flags):
     """Exponent sums annihilated by the constant-volatility gauge Hamiltonian."""
-    sums = gauge_martingale_sums(ModelParams(r=r, sigma=sigma))
-    _echo_json({"r": r, "sigma": sigma, "sums": list(sums)})
+    sums = gauge_martingale_sums(ModelParams(**flags))
+    _echo_json({**flags, "sums": list(sums)})
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +273,7 @@ _TERM_COLUMNS = (*_TERM_STENCILS, "potential")
 @click.option("--form", type=click.Choice(["expanded", "factored"]),
               default="expanded", show_default=True,
               help="Factored only fills the total column (it has no terms).")
-@click.option("--r", type=float, default=0.05, show_default=True)
-@click.option("--sigma", type=float, default=0.2, show_default=True)
-@click.option("--lambda", "lambda_", type=float, default=0.0, show_default=True)
-@click.option("--mu", type=float, default=0.0, show_default=True)
-@click.option("--zeta", type=float, default=0.0, show_default=True)
-@click.option("--alpha", type=float, default=1.0, show_default=True)
-@click.option("--rho", type=float, default=0.0, show_default=True)
+@_model_flags(*_MODEL_FLAGS)
 @click.option("--x-min", type=float, default=_CHECK_X[0], show_default=True)
 @click.option("--x-max", type=float, default=_CHECK_X[1], show_default=True)
 @click.option("--nx", type=int, default=41, show_default=True)
@@ -278,11 +282,10 @@ _TERM_COLUMNS = (*_TERM_STENCILS, "potential")
 @click.option("--ny", type=int, default=21, show_default=True)
 @click.option("--output", default="-", show_default=True,
               help="CSV path, or - for stdout.")
-def surface(model, reference, sigma_mode, form, r, sigma, lambda_, mu, zeta,
-            alpha, rho, x_min, x_max, nx, y_min, y_max, ny, output):
+def surface(model, reference, sigma_mode, form, x_min, x_max, nx, y_min, y_max, ny, output,
+            **flags):
     """Tabulate the action of each Hamiltonian term on a reference state."""
-    params = ModelParams(r=r, sigma=sigma, lambda_=lambda_, mu=mu, zeta=zeta,
-                         alpha=alpha, rho=rho, sigma_local=(sigma_mode == "local"))
+    params = ModelParams(**flags, sigma_local=(sigma_mode == "local"))
     grid = make_grid_2d(x_min, x_max, nx, y_min, y_max, ny)
     top = x_max if reference == "exp-x" else x_max + y_max   # the state's largest exponent
     require(top <= EXP_LIMIT, "x_max" if x_max > EXP_LIMIT else "y_max",
@@ -363,15 +366,9 @@ def payoff_table(kind, strike, premium, s_min, s_max, n, fmt, output):
 @click.option("--s0", type=float, required=True)
 @click.option("--v0", type=float, default=0.04, show_default=True)
 @click.option("--t", "maturity", type=float, default=1.0, show_default=True)
-@click.option("--r", type=float, default=0.05, show_default=True)
+@_model_flags(*_MODEL_FLAGS)
 @click.option("--phi", type=float, default=None,
               help="Real-world drift; defaults to r (risk-neutral).")
-@click.option("--sigma", type=float, default=0.2, show_default=True)
-@click.option("--lambda", "lambda_", type=float, default=0.0, show_default=True)
-@click.option("--mu", type=float, default=0.0, show_default=True)
-@click.option("--zeta", type=float, default=0.0, show_default=True)
-@click.option("--alpha", type=float, default=1.0, show_default=True)
-@click.option("--rho", type=float, default=0.0, show_default=True)
 @click.option("--n-paths", type=int, default=10000, show_default=True)
 @click.option("--n-steps", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -381,27 +378,26 @@ def payoff_table(kind, strike, premium, s_min, s_max, n, fmt, output):
               help="Write first/last slices of each path as CSV.")
 @click.option("--paths-out", type=click.Path(dir_okay=False),
               help="Write the full ensemble as a binary dump.")
-def simulate(model, s0, v0, maturity, r, phi, sigma, lambda_, mu, zeta, alpha,
-             rho, n_paths, n_steps, seed, threads, slices_out, paths_out):
+def simulate(model, s0, v0, maturity, phi, n_paths, n_steps, seed, threads, slices_out,
+             paths_out, **flags):
     """Simulate price paths and summarize the terminal distribution."""
     threads = _capped_threads(threads)
-    params = ModelParams(r=r, sigma=sigma, phi=r if phi is None else phi,
-                         lambda_=lambda_, mu=mu, zeta=zeta, alpha=alpha, rho=rho)
+    params = ModelParams(**flags, phi=flags["r"] if phi is None else phi)
     if model == "gbm":
         ens = simulate_gbm(params, s0, maturity, n_steps, n_paths, seed, threads=threads)
     else:
         ens = simulate_mg(params, s0, v0, maturity, n_steps, n_paths, seed, threads=threads)
     terminal = ens.s_paths[:, -1]
+    mean, stderr = _mc_summary(
+        "the terminal price's mean",
+        lambda: (float(terminal.mean()),
+                 float(terminal.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else None),
+        s0, ens.phi, maturity)
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
-        mean = float(terminal.mean())
-        stderr = float(terminal.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else None
         v_mean = None if ens.v_paths is None else float(ens.v_paths[:, -1].mean())
-    require(math.isfinite(mean) and math.isfinite(stderr or 0.0), "s0",
-            f"must keep the terminal price's mean and standard error finite, got {s0} "
-            f"with phi = {ens.phi} and T = {maturity}")
     require(math.isfinite(v_mean or 0.0), "v0",
             f"must keep the terminal variance's mean finite, got {v0} with lambda = "
-            f"{lambda_}, mu = {mu} and T = {maturity}")
+            f"{params.lambda_}, mu = {params.mu} and T = {maturity}")
     out = {
         "model": model, "n_paths": n_paths, "n_steps": n_steps, "seed": seed,
         "threads": threads, "maturity": maturity, "phi": ens.phi,

@@ -216,8 +216,12 @@ def make_grid_2d(x_min: float, x_max: float, nx: int,
     check_integer("ny", ny, 5)
     for name, value in (("x_min", x_min), ("x_max", x_max), ("y_min", y_min), ("y_max", y_max)):
         check_finite(name, value)
-    require(x_max > x_min, "x_max", "must exceed x_min")
-    require(y_max > y_min, "y_max", "must exceed y_min")
+    for axis, low, high, n in (("x", x_min, x_max, nx), ("y", y_min, y_max, ny)):
+        require(high > low, f"{axis}_max", f"must exceed {axis}_min")
+        h = (high - low) / (n - 1)   # the stencils hold 1/h^2
+        require(h * h > 0.0 and math.isfinite(1.0 / (h * h)), f"{axis}_max",
+                f"must exceed {axis}_min by a width whose grid spacing h has a finite "
+                f"1/h^2, got h = {h:g}")
     return LogGrid2D(LogGrid1D(x_min, x_max, nx), LogGrid1D(y_min, y_max, ny))
 
 

@@ -378,6 +378,7 @@ CHECKS = {"expansion": _check_expansion, "bs-limit": _check_bs_limit,
 def _run_checks(what, **settings) -> list:
     """Records of the check ``what``, or of every check in table order for
     "all"; every setting goes to every check by keyword."""
+    check_finite("omega", settings["omega"])
     for name, least in (("nx", 5), ("ny", 5), ("probes", 1), ("seed", 0)):
         check_integer(name, settings[name], least)   # all of them, whichever checks run
     checks = CHECKS.values() if what == "all" else (CHECKS[what],)

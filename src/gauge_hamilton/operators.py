@@ -31,13 +31,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (EXP_LIMIT, GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_finite,
-                   check_integer, finite_on_grid, require)
+from .core import (EXP_LIMIT, Grid, GridFunction, LogGrid1D, LogGrid2D, ModelParams,
+                   check_finite, check_integer, finite_on_grid, require)
 
 __all__ = [
     "LinearOperator",
@@ -56,19 +56,21 @@ __all__ = [
 
 TRANSFORM_CONVENTIONS = ("direct", "left", "right")
 
-Grid = Union[LogGrid1D, LogGrid2D]
 Diagonals = tuple[np.ndarray, np.ndarray]
 
 _MAIN = np.zeros(1, dtype=np.intp)   # the offset of the main diagonal
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sum(n: int, parts) -> Diagonals:
     """The per-offset sum of diagonals (offsets, rows), in the order given;
     the rows may be made as they are read.
 
     Each entry starts at +0 and every part adds its own entry, an absent one
     adding nothing: the entry a fold of CSR sums gives, and +0 where that
-    fold stores nothing.  The main diagonal is always among the offsets.
+    fold stores nothing.  The main diagonal is always among the offsets.  An
+    entry that overflows, as made or summed, is left non-finite, with no
+    warning, for LinearOperator to refuse.
     """
     parts = [(o.tolist(), d) for o, d in parts]
     index = {o: k for k, o in enumerate(sorted({0}.union(*(o for o, _ in parts))))}
@@ -208,11 +210,13 @@ class LinearOperator:
         return LinearOperator(self.grid, _sum(self.grid.n_points, [self.diagonals,
                                                                    (offsets, -data)]))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
         """(A B)[i, c], the sum from +0 of A[i, i+o] B[i+o, c] over A's offsets
         o, ascending: the order the CSR product of the sorted views sums in.
         A diagonal left with no nonzero entry is dropped, unless it is the
-        main one; a vanished sum is +0."""
+        main one; a vanished sum is +0.  An entry that overflows is refused
+        as _sum's are."""
         self._check(other)
         n = self.grid.n_points
         (a_offsets, a_data), (b_offsets, b_data) = self.diagonals, other.diagonals
@@ -323,29 +327,43 @@ def _coefficients(half_sig2, r, drift_y=None, covol=None, volvol=None) -> dict:
     return coefs
 
 
+def _exp_y(grid: LogGrid2D, y: np.ndarray) -> np.ndarray:
+    """e^y at ``grid``'s points y; an InputError names y_max when it overflows."""
+    y_max = grid.y_axis.x_max
+    require(y_max <= EXP_LIMIT, "y_max", f"must keep e^y finite: {y_max:g} exceeds "
+                                         f"ln(max float) = {EXP_LIMIT:.2f}")
+    return np.exp(y)
+
+
 def _term_coefficients(params: ModelParams, grid: Grid, model: str) -> dict:
     """Coefficient of each derivative term a model uses, ``_coefficients`` of
-    its parts: a scalar, or an array over the flat grid at the output point."""
+    its parts: a scalar, or an array over the flat grid at the output point.
+    An InputError names y_max when e^y overflows, or y_min when lambda e^-y
+    does (0 at any y when lambda = 0); the checks read the box bounds only."""
     r = params.r
     if model == "bs":
         return _coefficients(0.5 * params.sigma * params.sigma, r)
     if model == "mg":
         if not isinstance(grid, LogGrid2D):
             raise TypeError("the Merton-Garman Hamiltonian needs a 2D grid")
-        y = grid.ys
+        lam, y_min = params.lambda_, grid.y_axis.x_min
+        require(lam == 0.0 or (-y_min <= EXP_LIMIT and math.isfinite(lam * math.exp(-y_min))),
+                "y_min", f"must keep lambda e^-y finite, got {y_min:g} with lambda = {lam}")
+        y, hx, hy = grid.ys, grid.hx, grid.hy
         zeta2 = params.zeta * params.zeta
         # weights: the largest stencil entries each power scales, 5/hy^2 and 2/hy
         # (second_y, first_y on half) for V^(2(alpha-1)), 4/(hx hy) for V^(alpha-1/2)
-        v2, v1 = _mg_powers(params, y, (zeta2 * (5.0 / grid.hy ** 2 + 1.0 / grid.hy),
-                                        abs(params.rho * params.zeta) * 4.0 / (grid.hx * grid.hy)))
-        return _coefficients(0.5 * np.exp(y), r,
-                             params.lambda_ * np.exp(-y) + params.mu - 0.5 * zeta2 * v2,
+        v2, v1 = _mg_powers(params, y, (zeta2 * (5.0 / (hy * hy) + 1.0 / hy),
+                                        abs(params.rho * params.zeta) * 4.0 / (hx * hy)))
+        return _coefficients(0.5 * _exp_y(grid, y), r,
+                             (lam * np.exp(-y) if lam != 0.0 else lam) + params.mu
+                             - 0.5 * zeta2 * v2,
                              params.rho * params.zeta * v1,
                              0.5 * (zeta2 * v2) if params.vol_vol_half else zeta2 * v2)
     if model == "gauge":
         if not isinstance(grid, LogGrid2D):
             raise TypeError("the gauge Hamiltonian needs a 2D grid")
-        sig2 = (np.exp(grid.ys) if params.sigma_local
+        sig2 = (_exp_y(grid, grid.ys) if params.sigma_local
                 else np.full(grid.n_points, params.sigma * params.sigma))
         return _coefficients(0.5 * sig2, r, r - 0.5 * sig2, sig2, 0.5 * sig2)
     raise ValueError(f"unknown model {model!r}; choose bs, mg or gauge")

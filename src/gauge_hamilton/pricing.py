@@ -35,9 +35,9 @@ step makes no CSR product.  A sweep's system is block-diagonal by grid
 line: on large grids, when two CPUs are available, it is factored once,
 cut between two lines, and its two pieces are solved at once on their
 slices of the factors, the later one on a helper thread that evolve starts
-and joins, handed each piece through a pair of locks (a 13 us round trip,
-half a ThreadPoolExecutor's).  The cut falls between two identity rows, so
-the solutions, and every price, are the same at any CPU count.
+and joins, handed each piece through a pair of locks.  The cut falls
+between two identity rows, so the solutions, and every price, are the same
+at any CPU count.
 
 theta_scheme is one of two schemes.  1/2, the default, is Crank-Nicolson
 in 1D and Craig-Sneyd in 2D after a short fully implicit startup, which
@@ -88,8 +88,10 @@ RESIDUAL_TOL = 1e-10   # the largest relative residual evolve accepts from a lin
 # A 2D sweep system is solved on two threads when the helper's piece holds
 # SPLIT_MIN_ROWS rows or more; the calling thread takes the first
 # CALLER_SHARE of the grid lines, as the helper begins its piece only once
-# it has woken from the handoff.  _band_solver's solve, whole against split,
-# on a 2-vCPU Xeon VM, lines of 201 points: 16281 rows, 222 vs 143 us at
+# it has woken from the handoff.  Measured on a 2-vCPU Xeon VM: a no-op
+# round trip through _SweepHelper's lock pair takes 13 us, against 24 us
+# through a ThreadPoolExecutor (medians of 5000); _band_solver's solve,
+# whole against split, lines of 201 points: 16281 rows, 222 vs 143 us at
 # share 0.5, 133 at 0.55, 144 at 0.6 (medians of 2000); at 0.55, with
 # 1407/1608/2010/3618 rows on the helper, 64/73/83/152 vs 67/70/72/120 us
 # (medians of 3000), so the break-even lies near 1600 rows
@@ -453,13 +455,10 @@ def _band_solver(band: np.ndarray, cut: Optional[int] = None,
     slices: it hands the later piece to the ``helper``, solves the first one
     on the calling thread, each on its slice of the factors (the later
     piece's pivots less the cut), and then waits for the helper, whose
-    error, if its piece raised, it re-raises.  A no-op round trip through the
-    helper's lock pair takes 13 us, against 24 us through a
-    ThreadPoolExecutor (medians of 5000 on a 2-vCPU Xeon VM).  The band
-    must not couple the two rows at the cut (ValueError otherwise): both
-    entries there are 0, so gttrf never pivots across the cut and its
-    multiplier there is 0, and the slices are bit for bit each piece's own
-    factors.
+    error, if its piece raised, it re-raises.  The band must not couple the
+    two rows at the cut (ValueError otherwise): both entries there are 0, so
+    gttrf never pivots across the cut and its multiplier there is 0, and the
+    slices are bit for bit each piece's own factors.
     """
     if cut is not None and (band[2, cut - 1] != 0.0 or band[0, cut] != 0.0):
         raise ValueError(f"the band couples rows {cut - 1} and {cut} across its cut")
@@ -706,17 +705,16 @@ def _cover_strike(grid, contract: OptionContract):
 
 
 def price_bs(params: ModelParams, contract: OptionContract, s0: float,
-             grid: LogGrid1D | None = None, n_steps: int = 200,
-             theta_scheme: float = 0.5) -> float:
+             n_steps: int = 200, theta_scheme: float = 0.5, *, nx: int = 401) -> float:
     """Backward-evolved Black-Scholes price at ln s0, in the no-arbitrage box.
 
-    With no ``grid`` the box is default_grid_1d's, widened to cover the
+    The box is default_grid_1d's on ``nx`` points, widened to cover the
     strike when ln K lies within a tenth of its width (sigma sqrt(T)) of an
     edge or beyond it.
     """
     check_positive("s0", s0)
-    if grid is None:
-        grid = _cover_strike(default_grid_1d(s0, params.sigma, contract.maturity), contract)
+    check_integer("nx", nx, 5)   # by this name: the 1D grid says n
+    grid = _cover_strike(default_grid_1d(s0, params.sigma, contract.maturity, n=nx), contract)
     h = build_bs_hamiltonian(params, grid)
     surface = evolve(h, terminal_payoff(contract, grid), contract.maturity,
                      n_steps, theta_scheme,
@@ -734,17 +732,16 @@ def solve_mg(params: ModelParams, contract: OptionContract, grid: LogGrid2D,
 
 
 def price_mg(params: ModelParams, contract: OptionContract, s0: float, v0: float,
-             grid: LogGrid2D | None = None, n_steps: int = 150,
-             theta_scheme: float = 0.5) -> float:
+             n_steps: int = 150, theta_scheme: float = 0.5, *, nx: int = 201,
+             ny: int = 81) -> float:
     """Merton-Garman price at spot s0 and variance v0, in the no-arbitrage box.
 
-    With no ``grid`` the box is default_grid_2d's, its x axis widened as
-    price_bs widens its box, but only toward an out-of-the-money strike.
+    The box is default_grid_2d's on ``nx`` x ``ny`` points, its x axis
+    widened as price_bs widens its box, but only toward an out-of-the-money
+    strike.
     """
     check_positive("s0", s0)
-    check_positive("v0", v0)
-    if grid is None:
-        grid = _cover_strike(default_grid_2d(s0, v0, contract.maturity), contract)
+    grid = _cover_strike(default_grid_2d(s0, v0, contract.maturity, nx, ny), contract)
     surface = solve_mg(params, contract, grid, n_steps, theta_scheme)
     return _in_no_arbitrage_box(surface.interpolate(math.log(s0), math.log(v0)),
                                 contract, s0, params.r)

@@ -4,11 +4,13 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -21,7 +23,6 @@ from gauge_hamilton import (
     ProfitQuery,
     build_gauge_hamiltonian,
     bs_closed_form,
-    default_grid_1d,
     hamiltonian_terms,
     make_grid_2d,
     price_bs,
@@ -31,7 +32,6 @@ from gauge_hamilton import (
 )
 from gauge_hamilton.cli import _TERM_COLUMNS, main
 from gauge_hamilton.gauge_analysis import CHECKS
-from gauge_hamilton.pricing import _cover_strike
 
 
 @pytest.fixture
@@ -137,8 +137,7 @@ def test_price_explicit_steps_within_the_bound_print_the_library_price(runner):
     out = run_json(runner, ["price", "--s0", "100", "--k", "100", "--theta-scheme", "1",
                             "--nx", "41", "--n-steps", "50"])
     params, call = ModelParams(r=0.05, sigma=0.2), OptionContract("call", 100.0, 1.0)
-    grid = _cover_strike(default_grid_1d(100.0, 0.2, 1.0, n=41), call)
-    pde = price_bs(params, call, 100.0, grid=grid, n_steps=50, theta_scheme=1.0)
+    pde = price_bs(params, call, 100.0, n_steps=50, theta_scheme=1.0, nx=41)
     closed = bs_closed_form(params, call, 100.0)
     assert out == {"model": "bs", "kind": "call", "s0": 100.0, "strike": 100.0,
                    "maturity": 1.0, "r": 0.05, "sigma": 0.2, "pde_price": pde,
@@ -698,6 +697,46 @@ def test_simulate_names_the_variance_law_when_a_variance_overflows(runner, args,
     assert f"Error: {rule}\n" in result.stderr
 
 
+@pytest.mark.parametrize("args", [["--y-min", "-1e300"], ["--y-min", "-800"]])
+def test_surface_mg_drift_is_zero_at_any_y_without_lambda(runner, args):
+    # with lambda = 0: -1e300 died with an OverflowError from hy ** 2, and
+    # -800 made 0 * inf = nan in lambda e^-y and exited 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["surface", "--hamiltonian", "mg", *args])
+    assert result.exit_code == 0, result.output
+    rows = read_surface(result.stdout)
+    assert len(rows) == 41 * 21
+    assert all(row["first_y"] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("args", [[], ["--hamiltonian", "mg"], ["--form", "factored"]])
+def test_surface_refuses_entries_that_overflow_without_a_warning(runner, args):
+    # e^709 / 2 is finite, but not times the stencils' 1/hx^2: numpy warned
+    # of the overflow before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["surface", "--reference", "exp-x", "--y-max", "709", *args])
+    assert result.exit_code == 1, result.output
+    assert result.stdout == ""
+    assert result.stderr == "error: operator entries must be finite\n"
+
+
+@pytest.mark.parametrize("model", [[], ["--model", "mg", "--nx", "21", "--ny", "11",
+                                        "--n-steps", "5"]])
+def test_price_refuses_a_monte_carlo_summary_that_is_not_json(runner, model):
+    # the standard error overflowed: numpy warned of it and the JSON
+    # writer's refusal exited 1 naming no flag
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["price", "--s0", "1e160", "--k", "1e160", *model,
+                                      "--mc-paths", "10"])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert ("Error: --s0 must keep the discounted payoff's mean and standard error finite, "
+            "got 1e+160 with phi = 0.05 and T = 1.0\n") in result.stderr
+
+
 def surface_by_hand(grid, state, columns, total):
     """The row loop the surface command used before it wrote through
     core.write_csv, kept as the reference for its bytes."""
@@ -834,6 +873,22 @@ BAD_FLAGS = [
     (["surface", "--hamiltonian", "mg", "--zeta", "0.3", "--alpha", "-400"],
      "--alpha must keep the zeta terms, zeta^2 V^(2(alpha-1)) and rho zeta V^(alpha-1/2), "
      "finite on the grid; zeta = 0.3, alpha = -400.0"),
+    # a coefficient that overflows on the variance box: these exited 1 with
+    # numpy's warnings and "operator entries must be finite", naming no flag
+    (["surface", "--hamiltonian", "mg", "--y-min", "-800", "--lambda", "0.1"],
+     "--y-min must keep lambda e^-y finite, got -800 with lambda = 0.1"),
+    (["surface", "--hamiltonian", "mg", "--reference", "exp-x", "--y-max", "800"],
+     "--y-max must keep e^y finite: 800 exceeds ln(max float) = 709.78"),
+    (["surface", "--hamiltonian", "gauge", "--reference", "exp-x", "--y-max", "800"],
+     "--y-max must keep e^y finite: 800 exceeds ln(max float) = 709.78"),
+    # a grid spacing whose 1/h^2 leaves the floats: these died with a
+    # ZeroDivisionError from the stencils
+    (["surface", "--x-min", "-1e-300", "--x-max", "-0"],
+     "--x-max must exceed x_min by a width whose grid spacing h has a finite 1/h^2, "
+     "got h = 2.5e-302"),
+    (["surface", "--y-min", "0", "--y-max", "1e-300"],
+     "--y-max must exceed y_min by a width whose grid spacing h has a finite 1/h^2, "
+     "got h = 5e-302"),
 ]
 
 
@@ -874,3 +929,77 @@ def test_a_value_error_that_breaks_no_input_rule_exits_1(runner, monkeypatch):
     result = runner.invoke(main, ["gauge-martingale"])
     assert result.exit_code == 1, result.output
     assert result.stderr == "error: the sums failed\n"
+
+
+# ---------------------------------------------------------------------------
+# generated inputs
+# ---------------------------------------------------------------------------
+
+# the values a generated option takes: floats at the edges of the float range
+# and of e^x (ln(max float) is 709.78), and small grid and table sizes
+FLOAT_EDGES = ["0", "-0", "1e-8", "-1e-8", "1e-300", "-1e-300", "1e300", "-1e300", "709",
+               "-709", "710", "nan", "inf", "-inf", "1", "-1", "0.5", "-0.5", "2", "5", "-5",
+               "100", "1e5", "0.04", "0.99"]
+INT_EDGES = ["-1", "0", "1", "2", "4", "5", "7"]
+
+
+def drawn_option(param):
+    """A strategy for one option's arguments: a boolean flag's either
+    spelling, or the option and a value its type reads."""
+    if param.is_flag:
+        return st.sampled_from([param.opts[:1], param.secondary_opts[:1]])
+    if isinstance(param.type, click.Choice):
+        values = list(param.type.choices)
+    else:
+        values = INT_EDGES if param.type is click.INT else FLOAT_EDGES
+    return st.sampled_from(values).map(lambda value: [param.opts[0], value])
+
+
+def generated_args(name):
+    """A strategy for the arguments of subcommand ``name``: its required
+    options, its choices and boolean flags, and one to four of its other
+    options (not --output), each drawn by drawn_option."""
+    params = [p for p in main.commands[name].params if p.name != "output"]
+    always = [p for p in params if p.required or p.is_flag or isinstance(p.type, click.Choice)]
+    others = st.lists(st.sampled_from([p for p in params if p not in always]),
+                      min_size=1, max_size=4, unique=True)
+    chosen = others.flatmap(lambda ps: st.tuples(*map(drawn_option, ps)))
+    return st.tuples(st.tuples(*map(drawn_option, always)), chosen).map(
+        lambda pair: [arg for option in (*pair[0], *pair[1]) for arg in option])
+
+
+def assert_clean_outcome(name, args, result):
+    """Exit 0 with strict JSON or a CSV holding no nan or inf; exit 2 with a
+    message naming one of the command's flags; or exit 1 with one error: line.
+    Never a traceback, and nothing on stdout when the command fails."""
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        (args, repr(result.exception))
+    if result.exit_code == 0:
+        if result.stdout.startswith("{"):
+            json.loads(result.stdout, parse_constant=_reject_constant)
+        else:
+            assert not {"nan", "inf", "-inf"} & set(result.stdout.replace("\n", ",").split(","))
+        return
+    assert result.stdout == "", (args, result.stdout)
+    if result.exit_code == 2:
+        flags = [opt for p in main.commands[name].params for opt in p.opts + p.secondary_opts]
+        error = result.stderr.splitlines()[-1]
+        assert any(re.search(re.escape(flag) + r"(?![\w-])", error) for flag in flags), \
+            (args, error)
+    else:
+        assert result.exit_code == 1, (args, result.exit_code)
+        assert re.fullmatch(r"error: [^\n]*\n", result.stderr), (args, result.stderr)
+
+
+@pytest.mark.parametrize("name", ["martingale", "gauge-martingale", "payoff-table", "surface"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_generated_inputs_exit_cleanly(name, data):
+    # surface --hamiltonian mg --y-min -1e300 ended in an OverflowError
+    # traceback, and --y-min -800 or --reference exp-x --y-max 800 printed
+    # numpy's warnings before exit 1 naming no flag
+    args = data.draw(generated_args(name), label="args")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = CliRunner().invoke(main, [name, *args])
+    assert_clean_outcome(name, args, result)

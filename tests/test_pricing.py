@@ -304,11 +304,10 @@ def test_pde_put_call_parity():
 
 
 def test_pde_second_order_convergence():
-    # strike at a grid node so the payoff kink does not pollute the order
-    w = 5 * 0.2
+    # strike at a grid node of the pricer's box, ln 100 +- 5 sigma sqrt(T), so
+    # the payoff kink does not pollute the order
     def err(n, steps):
-        grid = make_grid_1d(math.log(100.0) - w, math.log(100.0) + w, n)
-        return abs(price_bs(P, CALL, 100.0, grid=grid, n_steps=steps) - BENCHMARK_CALL)
+        return abs(price_bs(P, CALL, 100.0, steps, nx=n) - BENCHMARK_CALL)
     ratio = err(201, 100) / err(401, 200)
     assert 3.0 < ratio < 5.0
 
@@ -426,13 +425,11 @@ def test_mg_surface_carries_time_slices():
 
 
 def test_price_bs_put_outside_the_box_names_its_bound():
-    # strike 50 lies beyond the given box (the default one, which price_bs
-    # widens only when it makes the grid itself); the far-field put value
-    # drives the price slightly negative
-    p = ModelParams(r=0.0, sigma=0.05)
-    with pytest.raises(EvolveError, match=r"put price .* no-arbitrage box \[0, K e\^\{-rT\} = 50.0\]"):
-        price_bs(p, OptionContract("put", 50.0, 3.0), 100.0,
-                 grid=default_grid_1d(100.0, 0.05, 3.0))
+    # a deep in-the-money put, s0 = 1e-8 on the pricer's own box: 95.1229483...,
+    # above K e^{-rT} = 95.1229424...
+    with pytest.raises(EvolveError, match=r"put price 95\.12294.* no-arbitrage box "
+                                          r"\[0, K e\^\{-rT\} = 95\.12294"):
+        price_bs(P, OptionContract("put", 100.0, 1.0), 1e-8)
 
 
 # the corners of a scan of K 50-200, sigma 0.05-0.4, T 0.1-3, r 0-0.05 at s0
@@ -449,8 +446,8 @@ def test_price_bs_default_box_covers_the_strike(kind, strike, sigma, maturity, r
     covered = g.x_min + margin <= math.log(strike) <= g.x_max - margin
     # price_bs raises EvolveError if the price leaves the no-arbitrage box
     assert abs(price_bs(p, c, 100.0) - bs_closed_form(p, c, 100.0)) <= 2e-3
-    if covered:
-        assert price_bs(p, c, 100.0) == price_bs(p, c, 100.0, grid=g)
+    # a covered strike leaves the default box as it is
+    assert (pricing._cover_strike(g, c) == g) == covered
 
 
 @settings(max_examples=60, deadline=None)
@@ -1639,7 +1636,7 @@ def test_pricers_name_a_non_finite_spot_or_variance(bad):
     with pytest.raises(ValueError, match="s0 must be positive and finite"):
         price_bs(P, CALL, bad)
     with pytest.raises(ValueError, match="s0 must be positive and finite"):
-        price_bs(P, CALL, bad, grid=make_grid_1d(3.0, 6.0, 21))
+        price_bs(P, CALL, bad, nx=3)   # named before the grid size
     with pytest.raises(ValueError, match="s0 must be positive and finite"):
         price_mg(ModelParams(r=0.05), CALL, bad, 0.04)
     with pytest.raises(ValueError, match="v0 must be positive and finite"):
