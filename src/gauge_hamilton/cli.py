@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (EXP_LIMIT, InputError, ModelParams, check_nonnegative, make_grid_2d, require,
                    sample, text_output, write_csv)
-from .gauge_analysis import (_CHECK_X, _CHECK_Y, CHECKS, _run_checks,
+from .gauge_analysis import (_CHECK_GRID, _CHECK_X, _CHECK_Y, CHECKS, _run_checks,
                              gauge_martingale_sums, martingale_roots,
                              mg_martingale_report)
 from .montecarlo import _check_seed, mc_price, simulate_gbm, simulate_mg
@@ -198,19 +198,11 @@ def price(model, kind, s0, strike, maturity, v0, nx, ny, n_steps, theta_scheme, 
 @main.command()
 @click.option("--what", type=click.Choice([*CHECKS, "all"]),
               default="all", show_default=True)
-@click.option("--theta", "theta_field", type=click.Choice(["linear", "constant"]),
-              default="linear", show_default=True,
-              help="Gauge field used by the commutator check.")
 @click.option("--omega", type=float, default=1.0, show_default=True)
 @_model_flags("sigma", "r")
-@click.option("--nx", type=int, default=41, show_default=True)
-@click.option("--ny", type=int, default=21, show_default=True)
-@click.option("--probes", type=int, default=5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def check(what, theta_field, omega, nx, ny, probes, seed, **flags):
+def check(what, omega, **flags):
     """Run the structural consistency checks and report pass/fail."""
-    checks = _run_checks(what, params=ModelParams(**flags), theta_field=theta_field, omega=omega,
-                         nx=nx, ny=ny, probes=probes, seed=seed)
+    checks = _run_checks(what, ModelParams(**flags), omega)
     all_pass = all(c["pass"] for c in checks)
     _echo_json({"checks": checks, "pass": all_pass})
     if not all_pass:
@@ -241,8 +233,7 @@ def martingale(mu, lambda_, a_coeff, report_grid, zeta, alpha, rho):
     out = asdict(martingale_roots(a_coeff, mu, lambda_))
     if report_grid:
         params = ModelParams(lambda_=lambda_, mu=mu, zeta=zeta, alpha=alpha, rho=rho)
-        grid = make_grid_2d(*_CHECK_X, 41, *_CHECK_Y, 21)
-        out["report"] = asdict(mg_martingale_report(params, grid))
+        out["report"] = asdict(mg_martingale_report(params, _CHECK_GRID))
     _echo_json(out)
 
 

@@ -218,11 +218,21 @@ def make_grid_2d(x_min: float, x_max: float, nx: int,
         check_finite(name, value)
     for axis, low, high, n in (("x", x_min, x_max, nx), ("y", y_min, y_max, ny)):
         require(high > low, f"{axis}_max", f"must exceed {axis}_min")
-        h = (high - low) / (n - 1)   # the stencils hold 1/h^2
-        require(h * h > 0.0 and math.isfinite(1.0 / (h * h)), f"{axis}_max",
-                f"must exceed {axis}_min by a width whose grid spacing h has a finite "
-                f"1/h^2, got h = {h:g}")
+        _check_spacing(f"{axis}_max", f"exceed {axis}_min by", low, high, n)
     return LogGrid2D(LogGrid1D(x_min, x_max, nx), LogGrid1D(y_min, y_max, ny))
+
+
+def _check_spacing(field: str, must: str, low: float, high: float, n: int) -> None:
+    """Raise an InputError naming ``field`` unless h = (high - low)/(n - 1) has
+    the finite 1/h^2 the stencils hold and keeps the n points low + i h apart;
+    an h above four ulps of the larger |end| does, so only a finer one reads them."""
+    h = (high - low) / (n - 1)
+    rule = f"must {must} a width whose grid spacing h"
+    require(h * h > 0.0 and math.isfinite(1.0 / (h * h)), field,
+            f"{rule} has a finite 1/h^2, got h = {h:g}")
+    require(h > 4.0 * math.ulp(max(abs(low), abs(high)))
+            or bool(np.all(np.diff(low + np.arange(n) * h) > 0.0)), field,
+            f"{rule} keeps all {n} points distinct, got h = {h:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,8 +321,9 @@ def default_grid_1d(s0: float, sigma: float, maturity: float, n: int = 401) -> L
 
 def _price_axis(s0: float, sigma: float, maturity: float, n: int, field: str) -> LogGrid1D:
     """default_grid_1d's box; an InputError names ``field``, the input that
-    sets sigma, when e^x overflows at the box's top or when the half-width
-    is lost against ln s0, so the box has no width."""
+    sets sigma, when e^x overflows at the box's top, when the half-width
+    is lost against ln s0, so the box has no width, or when its spacing
+    breaks make_grid_2d's rule."""
     check_positive("s0", s0)
     check_positive("maturity", maturity)
     check_nonnegative("sigma", sigma)
@@ -324,7 +335,9 @@ def _price_axis(s0: float, sigma: float, maturity: float, n: int, field: str) ->
                                            f"below ln(max float) = {EXP_LIMIT:.2f}")
     require(x0 - half < x0 + half, field, f"must give the price box a width: its half-width "
                                           f"{half:g} is lost against ln s0 = {x0:g}")
-    return LogGrid1D(x0 - half, x0 + half, n)
+    axis = LogGrid1D(x0 - half, x0 + half, n)
+    _check_spacing(field, f"give the price box around ln s0 = {x0:g}", axis.x_min, axis.x_max, n)
+    return axis
 
 
 def default_grid_2d(s0: float, v0: float, maturity: float,

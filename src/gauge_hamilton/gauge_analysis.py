@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (GridFunction, InputError, LogGrid2D, ModelParams, check_finite, check_integer,
-                   check_positive, make_grid_1d, make_grid_2d, require, sample)
+from .core import (GridFunction, InputError, LogGrid2D, ModelParams, check_finite, check_positive,
+                   make_grid_2d, require, sample)
 from .operators import (TRANSFORM_CONVENTIONS, GaugeField, LinearOperator, _coefficients,
                         _mg_powers, _term_coefficients, build_bs_hamiltonian,
                         build_gauge_hamiltonian, build_mg_hamiltonian, build_transformed_bs,
@@ -243,10 +243,12 @@ def volcoeff_audit(params: ModelParams, grid: LogGrid2D) -> VolcoeffReport:
 # Structural checks of the operators, as the JSON records the CLI `check` prints
 # ---------------------------------------------------------------------------
 
-# shared box for the operator checks: x around ln 100, y in a variance
-# range where e^y coefficients stay well scaled
+# the operator checks' box, x around ln 100 and y in a variance range where
+# e^y coefficients stay well scaled, and their smooth probes' count and seed
 _CHECK_X = (3.5, 5.5)
 _CHECK_Y = (-4.0, -1.0)
+_CHECK_GRID = make_grid_2d(*_CHECK_X, 41, *_CHECK_Y, 21)
+_PROBES, _PROBE_SEED = 5, 0
 
 
 def _record(name, residual, tolerance, passed, detail=None) -> dict:
@@ -255,13 +257,13 @@ def _record(name, residual, tolerance, passed, detail=None) -> dict:
     return rec if detail is None else {**rec, "detail": detail}
 
 
-def _check_expansion(params, nx, ny, probes, seed, **_):
+def _check_expansion(params, omega):
     """Factored and expanded gauge forms agree at second order: the action
     gap must shrink by at least 2^1.9 under one refinement.  Both gaps are
     read at the coarse points (every second fine point) so the max norm
     compares the same physical locations."""
-    coarse = make_grid_2d(*_CHECK_X, nx, *_CHECK_Y, ny)
-    fine = make_grid_2d(*_CHECK_X, 2 * nx - 1, *_CHECK_Y, 2 * ny - 1)
+    coarse = _CHECK_GRID
+    fine = make_grid_2d(*_CHECK_X, 2 * coarse.nx - 1, *_CHECK_Y, 2 * coarse.ny - 1)
     # composed stencils reach two layers, so depth-2 rows are the first
     # place where both forms use central differences only
     mask = np.outer(coarse.x_axis.interior_mask(2), coarse.y_axis.interior_mask(2))
@@ -270,7 +272,7 @@ def _check_expansion(params, nx, ny, probes, seed, **_):
         factored = build_gauge_hamiltonian(params, grid, form="factored")
         expanded = build_gauge_hamiltonian(params, grid, form="expanded")
         err = 0.0
-        for f in smooth_probe_functions(grid, probes, seed):
+        for f in smooth_probe_functions(grid, _PROBES, _PROBE_SEED):
             gf = sample(f, grid)
             gap = (factored.apply(gf).values - expanded.apply(gf).values).reshape(grid.shape)
             err = max(err, float(np.abs(gap[::stride, ::stride][mask]).max()))
@@ -306,20 +308,19 @@ def _bs_limit_residual(h2: LinearOperator, h1: LinearOperator) -> float:
     return residual
 
 
-def _check_bs_limit(params, nx, ny, probes, seed, **_):
+def _check_bs_limit(params, omega):
     """Constant-sigma gauge Hamiltonian acting on y-independent states must
     reproduce the 1D Black-Scholes action: every interior row, summed over
     the y direction, is bit for bit the 1D stencil."""
     p = replace(params, sigma_local=False)
-    grid2 = make_grid_2d(*_CHECK_X, nx, *_CHECK_Y, ny)
-    grid1 = grid2.x_axis
+    grid2, grid1 = _CHECK_GRID, _CHECK_GRID.x_axis
     h2 = build_gauge_hamiltonian(p, grid2, form="expanded")
     h1 = build_bs_hamiltonian(p, grid1)
     residual = _bs_limit_residual(h2, h1)
     # matvec agreement is only close to rounding, not bitwise: summed-matrix
     # rows accumulate the y-direction zeros in between the x terms
     worst, scale = 0.0, 0.0
-    for f in smooth_probe_functions(grid2, probes, seed, y_constant=True):
+    for f in smooth_probe_functions(grid2, _PROBES, _PROBE_SEED, y_constant=True):
         out2 = h2.apply(sample(f, grid2)).values.reshape(grid2.shape)
         out1 = h1.apply(sample(f, grid1)).values
         worst = max(worst, float(np.abs(out2[1:-1, 1:-1] - out1[1:-1, None]).max()))
@@ -328,39 +329,36 @@ def _check_bs_limit(params, nx, ny, probes, seed, **_):
                     {"matvec_gap": worst / max(scale, 1e-300)})]
 
 
-def _check_commutator(params, theta_field, omega, nx, **_):
+def _check_commutator(params, omega):
     """A linear gauge field must fail to commute with the Hamiltonian (that
     is the entire point of the transformation); a constant field commutes
-    exactly, entry for entry.  One or two records."""
-    grid = make_grid_1d(*_CHECK_X, nx)
+    exactly, entry for entry."""
+    grid = _CHECK_GRID.x_axis
     h = build_bs_hamiltonian(params, grid)
-    results = []
-    if theta_field == "linear":
-        defect = commutator(gauge_operator(GaugeField.linear_x(omega), grid, h), h).max_abs()
-        results.append(_record("commutator", defect, 1e-6, defect > 1e-6))
+    defect = commutator(gauge_operator(GaugeField.linear_x(omega), grid, h), h).max_abs()
     zero = commutator(gauge_operator(GaugeField.constant(omega), grid, h), h).max_abs()
-    name = "commutator-constant" if results else "commutator"
-    return results + [_record(name, zero, 0.0, zero == 0.0)]
+    return [_record("commutator", defect, 1e-6, defect > 1e-6),
+            _record("commutator-constant", zero, 0.0, zero == 0.0)]
 
 
-def _check_volcoeff(params, nx, ny, **_):
+def _check_volcoeff(params, omega):
     """Report-only coefficient audit after the volatility-matching
     substitution: four blocks agree exactly, the second y-derivative block
     deviation is printed for inspection (it never counts against exit 0)."""
-    report = volcoeff_audit(params, make_grid_2d(*_CHECK_X, nx, *_CHECK_Y, ny))
+    report = volcoeff_audit(params, _CHECK_GRID)
     residual = max(dev for term, dev in report.deviations.items() if term != "second_y")
     return [_record("volcoeff", residual, None, True, asdict(report))]
 
 
-def _check_transform(params, omega, nx, probes, seed, **_):
+def _check_transform(params, omega):
     """Report-only: how far the three shifted-operator conventions sit from
     each other on smooth states (they measurably differ for linear theta)."""
-    grid = make_grid_1d(*_CHECK_X, nx)
+    grid = _CHECK_GRID.x_axis
     ops = {c: build_transformed_bs(params, GaugeField.linear_x(omega), grid, c)
            for c in TRANSFORM_CONVENTIONS}
     mask = grid.interior_mask(1)
     acts = [{c: op.apply(sample(f, grid)).values[mask] for c, op in ops.items()}
-            for f in smooth_probe_functions(grid, probes, seed)]
+            for f in smooth_probe_functions(grid, _PROBES, _PROBE_SEED)]
     scale = max(float(np.abs(act["direct"]).max()) for act in acts)
     gaps = {f"{a}_vs_{b}": max(float(np.abs(act[a] - act[b]).max()) for act in acts)
             for a, b in itertools.combinations(ops, 2)}
@@ -368,18 +366,16 @@ def _check_transform(params, omega, nx, probes, seed, **_):
     return [_record("transform", residual, None, True, gaps)]
 
 
-# check name -> check, in report order; each takes the settings it reads by
-# keyword, ignores the rest (**_) and returns a list of records
+# check name -> check, in report order; each takes the model parameters and
+# the gauge strength omega and returns a list of records
 CHECKS = {"expansion": _check_expansion, "bs-limit": _check_bs_limit,
           "commutator": _check_commutator, "volcoeff": _check_volcoeff,
           "transform": _check_transform}
 
 
-def _run_checks(what, **settings) -> list:
+def _run_checks(what, params, omega) -> list:
     """Records of the check ``what``, or of every check in table order for
-    "all"; every setting goes to every check by keyword."""
-    check_finite("omega", settings["omega"])
-    for name, least in (("nx", 5), ("ny", 5), ("probes", 1), ("seed", 0)):
-        check_integer(name, settings[name], least)   # all of them, whichever checks run
+    "all"; omega is refused unless finite, whichever checks run."""
+    check_finite("omega", omega)
     checks = CHECKS.values() if what == "all" else (CHECKS[what],)
-    return [rec for check in checks for rec in check(**settings)]
+    return [rec for check in checks for rec in check(params, omega)]

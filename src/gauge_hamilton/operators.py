@@ -568,7 +568,8 @@ def build_transformed_bs(params: ModelParams, gauge: GaugeField, grid: Grid,
         tx = finite_on_grid(gauge.theta_x(*_grid_coords(grid)), grid, "theta_x")
         sig2, om = params.sigma * params.sigma, gauge.omega
         first_x = _coefficients(0.5 * sig2, params.r)["first_x"]   # sigma^2/2 - r
-        shift = 0.5 * sig2 * om * (1.0 + om) * tx * tx + om * first_x * tx
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
+            shift = 0.5 * sig2 * om * (1.0 + om) * tx * tx + om * first_x * tx
         require(np.isfinite(shift).all(), "omega", "is too large: the shift's potential "
                 f"sigma^2 omega (1+omega)/2 theta_x^2 overflows, got {om}")
         (dx,) = _difference_blocks(grid, "first_x")

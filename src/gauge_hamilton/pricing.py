@@ -66,8 +66,9 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dasum, dgbmv, idamax
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .core import (GridFunction, LogGrid1D, LogGrid2D, ModelParams, check_finite, check_integer,
-                   check_nonnegative, check_positive, default_grid_1d, default_grid_2d, require)
+from .core import (GridFunction, InputError, LogGrid1D, LogGrid2D, ModelParams, check_finite,
+                   check_integer, check_nonnegative, check_positive, default_grid_1d,
+                   default_grid_2d, require)
 from .operators import LinearOperator, build_bs_hamiltonian, build_mg_hamiltonian
 
 __all__ = [
@@ -742,6 +743,13 @@ def price_mg(params: ModelParams, contract: OptionContract, s0: float, v0: float
     """
     check_positive("s0", s0)
     grid = _cover_strike(default_grid_2d(s0, v0, contract.maturity, nx, ny), contract)
-    surface = solve_mg(params, contract, grid, n_steps, theta_scheme)
+    try:
+        surface = solve_mg(params, contract, grid, n_steps, theta_scheme)
+    except InputError as exc:   # the variance box is this pricer's: name lambda, not y_min
+        if exc.field != "y_min":
+            raise
+        raise InputError("lambda_", f"must keep lambda e^-y finite on the variance box, down "
+                                    f"to y = ln v0 - 5 = {grid.y_axis.x_min:g}, got "
+                                    f"{params.lambda_}") from None
     return _in_no_arbitrage_box(surface.interpolate(math.log(s0), math.log(v0)),
                                 contract, s0, params.r)

@@ -7,6 +7,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gauge_hamilton import (
     GridFunction,
@@ -283,6 +285,24 @@ def test_text_output_closes_only_what_it_opens(tmp_path):
             raise RuntimeError("writer failed")
     assert fh.closed
 
+
+@settings(max_examples=500, deadline=None)
+@given(low=st.floats(-1e100, 1e100), ulps=st.floats(0.0, 16.0), n=st.integers(5, 1000))
+def test_a_grid_axis_is_refused_exactly_when_its_points_collapse(low, ulps, n):
+    # the spacing rule reads the points only at or below four ulps of the
+    # larger |end|; |low| >= 1e-100 keeps 1/h^2 finite, so only a collapse
+    # can refuse the axis
+    high = low + ulps * math.ulp(abs(low)) * (n - 1)
+    assume(abs(low) >= 1e-100 and high > low)
+    distinct = bool(np.all(np.diff(LogGrid1D(low, high, n).points) > 0.0))
+    try:
+        make_grid_2d(low, high, n, 0.0, 1.0, 5)
+    except InputError as exc:
+        assert not distinct and exc.field == "x_max" and "points distinct" in exc.rule
+    else:
+        assert distinct
+
+
 def test_default_grids():
     g = default_grid_1d(100.0, 0.2, 1.0)
     assert g.n == 401
@@ -294,6 +314,9 @@ def test_default_grids():
     assert g2.x_axis == default_grid_1d(100.0, math.sqrt(0.04), 1.0, n=201)
     assert g2.y_axis.x_min == pytest.approx(math.log(0.04) - 5.0)
     assert g2.y_axis.x_max == pytest.approx(math.log(0.04) + 2.0)
+    # distinct points, though unevenly rounded against ln s0, are kept (the
+    # price on them fails its first step's residual check instead)
+    assert default_grid_1d(100.0, 1e-13, 1.0).n == 401
     with pytest.raises(ValueError):
         default_grid_1d(-5.0, 0.2, 1.0)
     with pytest.raises(ValueError):

@@ -27,7 +27,6 @@ from gauge_hamilton.gauge_analysis import (
     _check_expansion,
     _check_transform,
     _check_volcoeff,
-    _run_checks,
 )
 
 GRID = make_grid_2d(3.5, 5.5, 41, -4.0, -1.0, 21)
@@ -306,13 +305,11 @@ RECORD_KEYS = {"name", "residual", "tolerance", "pass"}
 
 
 def test_check_functions_return_check_records():
-    # each check takes the settings by keyword, ignores those it does not
-    # read, and returns a list of records
-    settings = {"params": CHECK_PARAMS, "theta_field": "linear", "omega": 1.0,
-                "nx": 9, "ny": 7, "probes": 2, "seed": 0}
-    outs = [check(**settings) for check in (_check_expansion, _check_bs_limit,
-                                             _check_commutator, _check_volcoeff,
-                                             _check_transform)]
+    # each check takes the model parameters and omega and returns a list of
+    # records
+    outs = [check(CHECK_PARAMS, 1.0) for check in (_check_expansion, _check_bs_limit,
+                                                    _check_commutator, _check_volcoeff,
+                                                    _check_transform)]
     assert all(isinstance(out, list) for out in outs)
     records = [rec for out in outs for rec in out]
     assert [r["name"] for r in records] == ["expansion", "bs-limit", "commutator",
@@ -326,13 +323,3 @@ def test_check_functions_return_check_records():
                                            "left_vs_right"]
     assert list(CHECKS) == ["expansion", "bs-limit", "commutator", "volcoeff", "transform"]
 
-
-@pytest.mark.parametrize("what", ["expansion", "bs-limit", "transform"])
-@pytest.mark.parametrize("probes", [0, -1])
-def test_probe_checks_refuse_fewer_than_one_probe(what, probes):
-    # no probe used to pass the expansion check vacuously (residual 0,
-    # tolerance 0) and to end the transform check in max() of nothing;
-    # the count is checked, by its argument's name, before any check runs
-    with pytest.raises(InputError, match=f"^probes must be an integer >= 1, got {probes}$"):
-        _run_checks(what, params=CHECK_PARAMS, theta_field="linear", omega=1.0, nx=9, ny=7,
-                    probes=probes, seed=0)
